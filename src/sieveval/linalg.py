@@ -7,6 +7,8 @@ coordinate is 1, which makes downstream canonical forms deterministic.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrixError
@@ -137,31 +139,69 @@ def conj_transpose(m: ExactMatrix) -> ExactMatrix:
     )
 
 
+def _gaussian_integer_row(row: Sequence[GaussianRational]) -> list[tuple[int, int]]:
+    """The row scaled by the lcm of its denominators, as (re, im) int pairs."""
+    scale = lcm(*(x.denominator for e in row for x in (e.re, e.im)))
+    return [
+        (e.re.numerator * (scale // e.re.denominator), e.im.numerator * (scale // e.im.denominator))
+        for e in row
+    ]
+
+
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns (rank = #pivots)."""
-    work = [list(row) for row in m.entries]
+    """Reduced row echelon form and its pivot columns (rank = #pivots).
+
+    Elimination is fraction-free over Gaussian integers: each row is scaled
+    to integer (re, im) pairs, a row is reduced against a pivot row by
+    cross-multiplication (row <- p*row - f*pivot_row) and divided by the
+    integer gcd of its parts, and each pivot row is divided by its pivot
+    once at the end.  The RREF is unique, so the result is the same as
+    elimination over Gaussian rationals.
+    """
+    work = [_gaussian_integer_row(row) for row in m.entries]
     pivots: list[int] = []
     pivot_row = 0
     for col in range(m.cols):
         target = None
         for r in range(pivot_row, m.rows):
-            if not work[r][col].is_zero:
+            if work[r][col] != (0, 0):
                 target = r
                 break
         if target is None:
             continue
         work[pivot_row], work[target] = work[target], work[pivot_row]
-        inv = work[pivot_row][col].inverse()
-        work[pivot_row] = [e * inv for e in work[pivot_row]]
+        prow = work[pivot_row]
+        pr, pi = prow[col]
         for r in range(m.rows):
-            if r != pivot_row and not work[r][col].is_zero:
-                factor = work[r][col]
-                work[r] = [e - factor * p for e, p in zip(work[r], work[pivot_row])]
+            fr, fi = work[r][col]
+            if r == pivot_row or not (fr or fi):
+                continue
+            reduced = [
+                (pr * a - pi * b - fr * c + fi * d, pr * b + pi * a - fr * d - fi * c)
+                for (a, b), (c, d) in zip(work[r], prow)
+            ]
+            content = gcd(*(x for pair in reduced for x in pair))
+            if content > 1:
+                reduced = [(a // content, b // content) for a, b in reduced]
+            work[r] = reduced
         pivots.append(col)
         pivot_row += 1
         if pivot_row == m.rows:
             break
-    return ExactMatrix(m.rows, m.cols, tuple(tuple(row) for row in work)), tuple(pivots)
+    entries = []
+    for k, row in enumerate(work):
+        if k < len(pivots):
+            # e / p = e * conj(p) / |p|^2
+            pr, pi = row[pivots[k]]
+            norm = pr * pr + pi * pi
+            row = tuple(
+                GaussianRational(Fraction(a * pr + b * pi, norm), Fraction(b * pr - a * pi, norm))
+                for a, b in row
+            )
+        else:
+            row = tuple(ZERO for _ in row)
+        entries.append(row)
+    return ExactMatrix(m.rows, m.cols, tuple(entries)), tuple(pivots)
 
 
 def rank(m: ExactMatrix) -> int:

@@ -63,6 +63,33 @@ class Scenario:
         return self.observables[self.observable_index[name]]
 
 
+_KINDS = {list: "a list", dict: "an object"}
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false parse to a subclass of int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _container(raw: dict, key: str, kind: type, where: str):
+    """`raw[key]` (an empty `kind` when absent or null), required to be a `kind`."""
+    value = raw.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ValidationError(where, f"expected {_KINDS[kind]}")
+    return value
+
+
+def _names(raw: dict, key: str, where: str, known, what: str) -> tuple[str, ...]:
+    """A list of names under `raw[key]`, each one of `known`."""
+    names = _container(raw, key, list, where)
+    for name in names:
+        if not isinstance(name, str) or name not in known:
+            raise ValidationError(where, f"unknown {what} {name!r}")
+    return tuple(names)
+
+
 def _parse_vector(raw, dim: int, where: str) -> list:
     if not isinstance(raw, list) or len(raw) != dim:
         raise ValidationError(where, f"expected a vector of {dim} scalars")
@@ -99,19 +126,21 @@ def effective_caps(declared: dict | None, env: dict | None = None) -> dict[str, 
         for key, value in declared.items():
             if key not in DEFAULT_CAPS:
                 raise ValidationError(f"caps.{key}", "unknown cap")
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValidationError(f"caps.{key}", "caps must be positive integers")
             caps[key] = value
     env = os.environ if env is None else env
     for key in DEFAULT_CAPS:
-        raw = env.get(ENV_CAP_PREFIX + key.upper())
+        variable = ENV_CAP_PREFIX + key.upper()
+        raw = env.get(variable)
         if raw is not None:
             try:
-                caps[key] = int(raw)
+                value = int(raw)
             except ValueError as exc:
-                raise ValidationError(
-                    f"env.{ENV_CAP_PREFIX + key.upper()}", "not an integer"
-                ) from exc
+                raise ValidationError(f"env.{variable}", "not an integer") from exc
+            if value < 1:
+                raise ValidationError(f"env.{variable}", "caps must be positive integers")
+            caps[key] = value
     return caps
 
 
@@ -131,17 +160,17 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
         raise ValidationError("$", "scenario root must be an object")
     name = data.get("name", default_name)
     dim = data.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ValidationError("dimension", "must be a positive integer")
 
     observables: list[Observable] = []
     observable_index: dict[str, int] = {}
-    raw_observables = data.get("observables", [])
+    raw_observables = _container(data, "observables", list, "observables")
     if not raw_observables:
         raise ValidationError("observables", "at least one observable is required")
     for i, raw in enumerate(raw_observables):
         where = f"observables[{i}]"
-        if not isinstance(raw, dict) or "name" not in raw:
+        if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
             raise ValidationError(where, "expected an object with a name")
         oname = raw["name"]
         if oname in observable_index:
@@ -154,10 +183,10 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
             for j, es in enumerate(eigenspaces)
         )
         labels = None
-        if "labels" in raw:
+        if raw.get("labels") is not None:
             labels = tuple(
                 _parse_fraction(x, f"{where}.labels[{j}]")
-                for j, x in enumerate(raw["labels"])
+                for j, x in enumerate(_container(raw, "labels", list, f"{where}.labels"))
             )
         obs = Observable(oname, spaces, labels)
         if "matrix" in raw:
@@ -175,7 +204,7 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
 
     generators: list[ExactMatrix] = []
     generator_names: list[str] = []
-    for i, raw in enumerate(data.get("generators", [])):
+    for i, raw in enumerate(_container(data, "generators", list, "generators")):
         where = f"generators[{i}]"
         if not isinstance(raw, dict) or "matrix" not in raw:
             raise ValidationError(where, "expected an object with a matrix")
@@ -188,7 +217,7 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
         gname = raw.get("name", f"g{i}")
         declared_under = raw.get("commutant_of")
         if declared_under is not None:
-            if declared_under not in observable_index:
+            if not isinstance(declared_under, str) or declared_under not in observable_index:
                 raise ValidationError(f"{where}.commutant_of", f"unknown observable {declared_under!r}")
             obs = observables[observable_index[declared_under]]
             if not in_commutant(matrix, obs):
@@ -207,8 +236,8 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
         generator_names.append(gname)
 
     states: dict[str, Ray] = {}
-    raw_states = data.get("states", {})
-    if not isinstance(raw_states, dict) or not raw_states:
+    raw_states = _container(data, "states", dict, "states")
+    if not raw_states:
         raise ValidationError("states", "at least one named state is required")
     for sname, raw in raw_states.items():
         vector = _parse_vector(raw, dim, f"states.{sname}")
@@ -217,7 +246,7 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
         states[sname] = Ray(subspace_from_vectors(dim, [vector]))
 
     propositions: dict[str, Subspace] = {}
-    for pname, raw in data.get("propositions", {}).items():
+    for pname, raw in _container(data, "propositions", dict, "propositions").items():
         if pname in (ZERO_NAME, UNIT_NAME):
             raise ValidationError(f"propositions.{pname}", "reserved name")
         propositions[pname] = _parse_subspace(raw, dim, f"propositions.{pname}")
@@ -225,49 +254,43 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
     propositions[ZERO_NAME] = zero_space(dim)
     propositions[UNIT_NAME] = full_space(dim)
 
-    lattice_seeds = tuple(data.get("lattice_seeds", sorted(declared_props)))
-    for pname in lattice_seeds:
-        if pname not in propositions:
-            raise ValidationError("lattice_seeds", f"unknown proposition {pname!r}")
+    if data.get("lattice_seeds") is not None:
+        lattice_seeds = _names(data, "lattice_seeds", "lattice_seeds", propositions, "proposition")
+    else:
+        lattice_seeds = tuple(sorted(declared_props))
 
-    caps = effective_caps(data.get("caps"), env=env)
+    caps = effective_caps(_container(data, "caps", dict, "caps"), env=env)
 
     runs: list[RunSpec] = []
     seen_runs: set[str] = set()
-    for i, raw in enumerate(data.get("runs", [])):
+    for i, raw in enumerate(_container(data, "runs", list, "runs")):
         where = f"runs[{i}]"
         if not isinstance(raw, dict):
             raise ValidationError(where, "expected an object")
         rname = raw.get("name", f"run{i}")
+        if not isinstance(rname, str):
+            raise ValidationError(f"{where}.name", "expected a string")
         if rname in seen_runs:
             raise ValidationError(f"{where}.name", f"duplicate run {rname!r}")
         seen_runs.add(rname)
         state = raw.get("state")
-        if state not in states:
+        if not isinstance(state, str) or state not in states:
             raise ValidationError(f"{where}.state", f"unknown state {state!r}")
         oname = raw.get("observable")
-        if oname not in observable_index:
+        if not isinstance(oname, str) or oname not in observable_index:
             raise ValidationError(f"{where}.observable", f"unknown observable {oname!r}")
         eigenspace = raw.get("eigenspace", 0)
         obs = observables[observable_index[oname]]
-        if not isinstance(eigenspace, int) or not (0 <= eigenspace < len(obs.eigenspaces)):
+        if not _is_int(eigenspace) or not (0 <= eigenspace < len(obs.eigenspaces)):
             raise ValidationError(f"{where}.eigenspace", "eigenspace index out of range")
-        selection = raw.get("propositions")
-        if selection is not None:
-            selection = tuple(selection)
-            for pname in selection:
-                if pname not in propositions:
-                    raise ValidationError(f"{where}.propositions", f"unknown proposition {pname!r}")
-        extended = tuple(raw.get("extended", ()))
-        for fname in extended:
-            if fname not in observable_index:
-                raise ValidationError(f"{where}.extended", f"unknown observable {fname!r}")
+        selection = None
+        if raw.get("propositions") is not None:
+            selection = _names(raw, "propositions", f"{where}.propositions", propositions, "proposition")
+        extended = _names(raw, "extended", f"{where}.extended", observable_index, "observable")
         if extended and oname not in extended:
             raise ValidationError(f"{where}.extended", "family must contain the run observable")
-        remainder = tuple(raw.get("remainder_rays", ()))
+        remainder = _names(raw, "remainder_rays", f"{where}.remainder_rays", propositions, "proposition")
         for pname in remainder:
-            if pname not in propositions:
-                raise ValidationError(f"{where}.remainder_rays", f"unknown proposition {pname!r}")
             if propositions[pname].dim != 1:
                 raise ValidationError(f"{where}.remainder_rays", f"{pname!r} is not a ray")
         runs.append(RunSpec(rname, state, oname, eigenspace, selection, extended, remainder))

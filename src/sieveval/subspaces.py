@@ -1,14 +1,16 @@
 """The lattice of subspaces of complex n-space, with exact canonical bases.
 
 A subspace is stored as the reduced row echelon form of any spanning set,
-read back as basis columns.  That form is unique, so subspace equality,
-hashing, and set membership are plain structural equality.  The zero space
-({0}, dim 0) and the whole space (the unit proposition) are first-class
-values.
+read back as basis columns.  That form is unique, so subspaces are
+hash-consed on it: equal subspaces are one object, equality is identity,
+and the hash is structural.  The zero space ({0}, dim 0) and the whole
+space (the unit proposition) are first-class values.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -32,26 +34,30 @@ from .rationals import GaussianRational, format_scalar, gaussian
 
 
 class Subspace:
-    """Immutable; equality and hashing ride on the canonical basis."""
+    """Immutable and hash-consed: one instance per (ambient_dim, basis).
 
-    __slots__ = ("ambient_dim", "basis", "_hash")
+    Build subspaces only through `subspace_from_vectors`, `zero_space` and
+    `full_space`.  They take their instance from a process-wide weak-valued
+    intern table, so equal subspaces are the same object and equality is
+    identity.  The hash is the structural hash of (ambient_dim, basis),
+    computed once when the subspace is interned, so set and dict iteration
+    orders do not depend on interning.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "_hash", "__weakref__")
 
     def __init__(self, ambient_dim: int, basis: ExactMatrix):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_hash", hash((ambient_dim, basis)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self is other
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ambient_dim, self.basis)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -86,6 +92,25 @@ class Subspace:
         ) + ")"
 
 
+# (ambient_dim, basis.entries) -> the one Subspace with that canonical basis.
+# Process-wide, so that subspaces from different builds are comparable by
+# identity; weak-valued, so it keeps nothing alive.
+_INTERNED: "weakref.WeakValueDictionary[tuple, Subspace]" = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+
+
+def _interned(ambient_dim: int, basis: ExactMatrix) -> Subspace:
+    key = (ambient_dim, basis.entries)
+    space = _INTERNED.get(key)
+    if space is None:
+        with _INTERN_LOCK:
+            space = _INTERNED.get(key)
+            if space is None:
+                space = Subspace(ambient_dim, basis)
+                _INTERNED[key] = space
+    return space
+
+
 def subspace_from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> Subspace:
     """Canonicalize a spanning set: RREF its rows, keep the nonzero ones."""
     coerced = []
@@ -98,15 +123,15 @@ def subspace_from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> Subs
         return zero_space(ambient_dim)
     reduced, pivots = rref(matrix_from_rows(coerced, expected_cols=ambient_dim))
     basis_rows = [reduced.row(i) for i in range(len(pivots))]
-    return Subspace(ambient_dim, matrix_from_cols([tuple(r) for r in basis_rows], ambient_dim))
+    return _interned(ambient_dim, matrix_from_cols(basis_rows, ambient_dim))
 
 
 def zero_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, zero_matrix(ambient_dim, 0))
+    return _interned(ambient_dim, zero_matrix(ambient_dim, 0))
 
 
 def full_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, identity_matrix(ambient_dim))
+    return _interned(ambient_dim, identity_matrix(ambient_dim))
 
 
 @dataclass(frozen=True, slots=True)

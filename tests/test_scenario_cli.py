@@ -268,3 +268,45 @@ def test_extended_valuate_verdicts(capsys):
     for row in report["valuation"]["propositions"]:
         verdicts = row["extended"]["verdicts"]
         assert verdicts["a"] and verdicts["b"] and verdicts["c"]
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"propositions": [1]}, "propositions: expected an object"),
+        ({"states": ["1", "1"]}, "states: expected an object"),
+        ({"generators": 5}, "generators: expected a list"),
+        ({"generators": {"p1": {"matrix": [["1", "0"], ["0", "0"]]}}}, "generators: expected a list"),
+        ({"runs": "r"}, "runs: expected a list"),
+        (
+            {"observables": [{"name": "Z", "eigenspaces": [[["1", "0"]], [["0", "1"]]], "labels": 1}]},
+            "observables[0].labels: expected a list",
+        ),
+        ({"lattice_seeds": [["P"]]}, "lattice_seeds: unknown proposition"),
+        ({"dimension": True}, "dimension: must be a positive integer"),
+        (
+            {"runs": [{"name": "r", "state": "plus", "observable": "Z", "eigenspace": True}]},
+            "runs[0].eigenspace: eigenspace index out of range",
+        ),
+        ({"caps": {"lattice": True}}, "caps.lattice: caps must be positive integers"),
+        ({"caps": [1]}, "caps: expected an object"),
+    ],
+)
+def test_cli_rejects_malformed_fields(tmp_path, capsys, overrides, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(minimal_dict(**overrides)))
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_cli_rejects_nonpositive_env_caps(monkeypatch, capsys, raw):
+    monkeypatch.setenv("SIEVEVAL_CAP_LATTICE", raw)
+    assert main(["check", str(bundled_scenario_path("qubit"))]) == 2
+    err = capsys.readouterr().err
+    assert "error: env.SIEVEVAL_CAP_LATTICE: caps must be positive integers" in err
+    assert "Traceback" not in err
+    with pytest.raises(ValidationError):
+        effective_caps(None, env={"SIEVEVAL_CAP_MONOID": raw})

@@ -20,6 +20,8 @@ from .sieves import (
     characteristic_unchecked,
     enumerate_sieves,
     heyting_implies,
+    heyting_join,
+    heyting_meet,
     is_subpresheaf,
     omega_transition,
     principal_sieve,
@@ -154,8 +156,6 @@ def natural_implies(ctx: BridgeContext, s1: Sieve, s2: Sieve) -> Sieve:
 
 def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     """Exhaustive audit of the stage isomorphism and its implication transport."""
-    from .sieves import heyting_join, heyting_meet
-
     plain_sieves = enumerate_sieves(ctx.plain, ctx.plain_stage, cap)
     ext_sieves = enumerate_sieves(ctx.extended, ctx.stage, cap)
     fixpoints = tuple(s for s in ext_sieves if is_natural(ctx, s))

@@ -37,6 +37,7 @@ from .scenario import Scenario
 from .sieves import (
     Presheaf,
     Sieve,
+    atom_global_element,
     bottom_annihilator,
     bottom_sieve,
     build_presheaf,
@@ -48,16 +49,24 @@ from .sieves import (
     heyting_implies,
     heyting_join,
     heyting_meet,
+    ib_condition_check,
     is_sieve,
     is_subpresheaf,
     omega_presheaf,
     omega_transition,
+    principal_sieve,
     semiclassifier_check,
     tau_values,
     top_sieve,
     valuation,
 )
-from .sites import associativity_violations, identity_violations, restrict_down, restrict_to_rho
+from .sites import (
+    associativity_violations,
+    identity_violations,
+    orbit,
+    restrict_down,
+    restrict_to_rho,
+)
 from .subspaces import (
     Ray,
     Subspace,
@@ -205,7 +214,9 @@ def _observable_order_rows(built: BuiltScenario) -> list[dict]:
 
 def _atom_set_rows(built: BuiltScenario) -> list[dict]:
     sc = built.scenario
-    rays = _scenario_rays(built)
+    seeds = [state.space for state in sc.states.values()]
+    # An orbit has at most |monoid| * |seeds| rays, so this cap is never hit.
+    rays = orbit(built.monoid, seeds, len(built.monoid) * len(seeds))
     b1_ok = True
     b1_checked = 0
     for ray in rays:
@@ -238,22 +249,6 @@ def _atom_set_rows(built: BuiltScenario) -> list[dict]:
         _row("Prop B1", "atom-set inclusion along the order forces equality", b1_ok, instances=b1_checked),
         _row("Prop B2", "atom sets interpolate along chains", b2_ok, chains=b2_checked),
     ]
-
-
-def _scenario_rays(built: BuiltScenario) -> list[Subspace]:
-    rays: list[Subspace] = []
-    seen = set()
-    for state in built.scenario.states.values():
-        if state.space not in seen:
-            seen.add(state.space)
-            rays.append(state.space)
-    for f in built.monoid.elements:
-        for base in list(rays):
-            image = apply_operator(f, base)
-            if not image.is_zero and image not in seen:
-                seen.add(image)
-                rays.append(image)
-    return rays
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +340,6 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
     sigma_ok = True
     for r in run.atoms.observable.eigenspaces:
         try:
-            from .sieves import atom_global_element
-
             atom_global_element(run.plain, run.atoms_a, r)
         except SievevalError:
             sigma_ok = False
@@ -461,8 +454,6 @@ def _prop32_33_rows(run: BuiltRun) -> list[dict]:
 
 
 def _ib_rows(run: BuiltRun) -> list[dict]:
-    from .sieves import ib_condition_check
-
     verdict = ib_condition_check(run.plain, run.stage, run.r_space, run.universe)
     core = (
         verdict["monotonicity"]
@@ -615,7 +606,7 @@ def _heyting_audit_rows(run, site, label: str, cap: int) -> list[dict]:
 
 def _restriction_row(run: BuiltRun) -> dict:
     site = run.plain
-    restricted = restrict_down(site, run.state)
+    restricted = restrict_down(site, run.stage)
     base = restricted.ray_index(run.state.space)
     ok = True
     for p in run.universe:
@@ -660,9 +651,9 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
     for k in range(len(full.observables)):
         plain_k, op_map_k = restrict_to_rho(full, k)
         fixed = {
-            (m.dom_ray, full.monoid.operator(m.op), m.cod_ray)
+            (full.objects[m.dom][0], full.monoid.operator(m.op), full.objects[m.cod][0])
             for m in full.arrows
-            if m.dom_rho == k and m.cod_rho == k
+            if full.object_rho(m.dom) == k == full.object_rho(m.cod)
         }
         rebuilt = {
             (a.dom, plain_k.monoid.operator(a.op), a.cod) for a in plain_k.arrows
@@ -962,8 +953,6 @@ def _projectivity_rows(run: BuiltRun) -> list[dict]:
         if rest.arrow_cod_rho(a) != rest.object_rho(o)
     ]
     if strict:
-        from .sieves import principal_sieve
-
         pure = principal_sieve(rest, strict[0])
         rows.append(
             _row(

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: validate, valuate, check, dump-site.  Exit codes: 0 all pass,
-1 violations found, 2 input error.  Caps can be overridden per scenario or
-via SIEVEVAL_CAP_{MONOID,ORBIT,SIEVE_ENUM,LATTICE}.
+1 violations found, 2 input error, 3 internal error (a bug; the traceback is
+printed).  Caps can be overridden per scenario or via
+SIEVEVAL_CAP_{MONOID,ORBIT,SIEVE_ENUM,LATTICE}.
 """
 
 from __future__ import annotations
@@ -10,15 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .checks import run_check
-from .errors import SievevalError
+from .errors import InternalCheckError, SievevalError
 from .runner import dump_site, run_valuate
 from .scenario import load_scenario
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _emit_json(payload: dict) -> None:
@@ -85,11 +88,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-    except SievevalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    try:
         if args.command == "validate":
             print(
                 f"{scenario.name}: dim {scenario.dimension}, "
@@ -115,10 +113,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "dump-site":
             _emit_json(dump_site(scenario))
             return EXIT_OK
+    except InternalCheckError:
+        return _internal_error()
     except SievevalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception:
+        return _internal_error()
     return EXIT_INPUT_ERROR  # pragma: no cover
+
+
+def _internal_error() -> int:
+    """Report an exception that is a bug, not bad input, with its traceback."""
+    print("internal error:", file=sys.stderr)
+    traceback.print_exc()
+    return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

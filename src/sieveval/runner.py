@@ -13,9 +13,11 @@ from .bridge import (
     flat,
     make_bridge_context,
     natural_map,
+    natural_sieves_at,
+    sharp,
 )
 from .errors import SievevalError, ValidationError
-from .modal import TrueAtomSet, compute_atoms, in_determinate_sublattice
+from .modal import TrueAtomSet, bub_valuation, compute_atoms, in_determinate_sublattice
 from .scenario import RunSpec, Scenario, proposition_universe
 from .sieves import (
     GlobalElement,
@@ -24,6 +26,7 @@ from .sieves import (
     atom_global_element,
     atom_presheaf,
     bottom_annihilator,
+    enumerate_sieves,
     proposition_presheaf,
     top_sieve,
     true_subobject,
@@ -36,7 +39,8 @@ from .sites import (
     build_extended_site,
     build_plain_site,
     close_monoid,
-    restrict_down_extended,
+    in_product_category,
+    restrict_down,
     submonoid_commuting_with,
 )
 from .subspaces import Ray, Subspace
@@ -169,7 +173,7 @@ def _build_run(
         family_sorted = tuple(sorted(family))
         rho_in_family = family_sorted.index(rho_index)
         stage_full = extended_full.object_index(state.space, rho_in_family)
-        rest, _ = restrict_down_extended(extended_full, stage_full)
+        rest = restrict_down(extended_full, stage_full)
         rest_stage = rest.object_index(state.space, rho_in_family)
         ctx = make_bridge_context(rest, rest_stage, plain, op_map)
 
@@ -204,7 +208,7 @@ def serialize_plain_sieve(site: PlainSite, s: Sieve) -> list[list[int]]:
 
 def serialize_extended_sieve(site: ExtendedSite, s: Sieve) -> list[list]:
     rows = sorted(
-        (site.arrow_op(a), site.arrows[a].cod_ray, site.arrow_cod_rho(a))
+        (site.arrow_op(a), site.objects[site.arrow_cod(a)][0], site.arrow_cod_rho(a))
         for a in s.arrows
     )
     return [[op, cod_ray, site.observables[rho].name] for op, cod_ray, rho in rows]
@@ -231,7 +235,7 @@ def valuate_run(run: BuiltRun) -> dict:
             "name": run.universe_names.get(p, "?"),
             "subspace": serialize_subspace(p),
             "in_determinate": in_d,
-            "bub": _bub(run, p) if in_d else None,
+            "bub": bub_valuation(run.e_r, p) if in_d else None,
             "sieve": serialize_plain_sieve(plain, sieve),
             "flags": {
                 "is_top": sieve == top,
@@ -251,7 +255,7 @@ def valuate_run(run: BuiltRun) -> dict:
                 "verdicts": {
                     "a": flattened == sieve,
                     "b": flat(ctx, nat) == sieve,
-                    "c": _sharp_equals(ctx, sieve, nat),
+                    "c": sharp(ctx, sieve) == nat,
                 },
             }
         rows.append(row)
@@ -270,9 +274,6 @@ def valuate_run(run: BuiltRun) -> dict:
 
 def _stage_heyting_tables(run: BuiltRun) -> dict:
     """The fully enumerated sieve lattices at the run's stage, if they fit."""
-    from .bridge import natural_sieves_at
-    from .sieves import enumerate_sieves
-
     cap = run.scenario.caps["sieve_enum"]
     try:
         plain_sieves = enumerate_sieves(run.plain, run.stage, cap)
@@ -294,18 +295,6 @@ def _stage_heyting_tables(run: BuiltRun) -> dict:
             for s in natural_sieves_at(run.rest, run.rest_stage, cap)
         ]
     return tables
-
-
-def _bub(run: BuiltRun, p: Subspace) -> int:
-    from .modal import bub_valuation
-
-    return bub_valuation(run.e_r, p)
-
-
-def _sharp_equals(ctx: BridgeContext, plain_sieve: Sieve, nat: Sieve) -> bool:
-    from .bridge import sharp
-
-    return sharp(ctx, plain_sieve) == nat
 
 
 def run_valuate(scenario: Scenario, run_name: str) -> dict:
@@ -363,8 +352,6 @@ def dump_site(scenario: Scenario) -> dict:
             },
         }
         if run.has_extended:
-            from .sites import in_product_category
-
             rest = run.rest
             product_arrows = 0
             for i, k in rest.objects:
@@ -382,11 +369,11 @@ def dump_site(scenario: Scenario) -> dict:
                 ],
                 "morphisms": [
                     {
-                        "dom_ray": m.dom_ray,
-                        "dom_rho": rest.observables[m.dom_rho].name,
+                        "dom_ray": rest.objects[m.dom][0],
+                        "dom_rho": rest.observables[rest.object_rho(m.dom)].name,
                         "op": m.op,
-                        "cod_ray": m.cod_ray,
-                        "cod_rho": rest.observables[m.cod_rho].name,
+                        "cod_ray": rest.objects[m.cod][0],
+                        "cod_rho": rest.observables[rest.object_rho(m.cod)].name,
                     }
                     for m in rest.arrows
                 ],

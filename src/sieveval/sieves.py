@@ -24,7 +24,17 @@ from .errors import (
     NaturalityError,
     NotASubPresheaf,
 )
-from .subspaces import Ray, Subspace, apply_operator, leq, meet, project_onto_eigenspace
+from .modal import compute_atoms
+from .subspaces import (
+    Ray,
+    Subspace,
+    apply_operator,
+    full_space,
+    leq,
+    meet,
+    project_onto_eigenspace,
+    zero_space,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,8 +252,6 @@ def proposition_presheaf(site, universe: Sequence[Subspace]) -> Presheaf:
 
 def atom_presheaf(site, observable_of: Callable[[int], object]) -> Presheaf:
     """Zero-augmented atom sets per stage (the stage ray against its observable)."""
-    from .modal import compute_atoms
-
     def values_at(o: int):
         atoms = compute_atoms(Ray(site.object_ray(o)), observable_of(o))
         return atoms.zero_augmented
@@ -516,8 +524,6 @@ def ib_condition_check(
     universe: Sequence[Subspace],
 ) -> dict:
     """Monotonicity, exclusivity, unit and null verdicts for one stage."""
-    from .subspaces import full_space, zero_space
-
     n = site.object_ray(obj).ambient_dim
     atom = project_onto_eigenspace(Ray(site.object_ray(obj)), r)
     top = top_sieve(site, obj)

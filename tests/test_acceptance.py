@@ -146,7 +146,7 @@ def test_criterion_05_restriction_equivalence(built):
     for scenario in built.values():
         for run in scenario.runs:
             site = run.plain
-            restricted = restrict_down(site, run.state)
+            restricted = restrict_down(site, run.stage)
             base = restricted.ray_index(run.state.space)
             for p in run.universe:
                 full_keys = {

@@ -19,7 +19,7 @@ from sieveval import (
     natural_map,
     natural_omega,
     ray_from_vector,
-    restrict_down_extended,
+    restrict_down,
     sharp,
     submonoid_commuting_with,
     subspace_from_vectors,
@@ -66,7 +66,7 @@ def bridge_setup():
     z = Observable("Z", (span([1, 0]), span([0, 1])))
     extended = build_extended_site([unit, z], monoid, [ray_from_vector([1, 1])], cap=16)
     stage_full = extended.object_index(span([1, 1]), 0)
-    rest, _ = restrict_down_extended(extended, stage_full)
+    rest = restrict_down(extended, stage_full)
     stage = rest.object_index(span([1, 1]), 0)
     sub, op_map = submonoid_commuting_with(monoid, unit)
     plain = build_plain_site(unit, sub, [ray_from_vector([1, 1])], cap=16)

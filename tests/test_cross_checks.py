@@ -20,7 +20,7 @@ from sieveval import (
     gaussian,
     make_bridge_context,
     natural_map,
-    restrict_down_extended,
+    restrict_down,
     sharp,
     subspace_from_vectors,
     submonoid_commuting_with,
@@ -96,7 +96,7 @@ def test_restrict_down_extended_unknown_object():
     z = Observable("Z", (span([1, 0]), span([0, 1])))
     site = build_extended_site([z], monoid, [Ray(span([1, 1]))], cap=8)
     with pytest.raises(UnknownObjectError):
-        restrict_down_extended(site, 99)
+        restrict_down(site, 99)
 
 
 def test_close_monoid_is_deterministic():
@@ -134,7 +134,7 @@ def build_fixture(state_vector, extra_props):
     state = Ray(subspace_from_vectors(2, [state_vector]))
     extended = build_extended_site([unit, z], monoid, [state], cap=32)
     stage_full = extended.object_index(state.space, 0)
-    rest, _ = restrict_down_extended(extended, stage_full)
+    rest = restrict_down(extended, stage_full)
     stage = rest.object_index(state.space, 0)
     sub, op_map = submonoid_commuting_with(monoid, unit)
     plain = build_plain_site(unit, sub, [state], cap=32)

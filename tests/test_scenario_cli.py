@@ -6,6 +6,7 @@ from sieveval import bundled_scenario_names, bundled_scenario_path, load_scenari
 from sieveval.cli import main
 from sieveval.errors import (
     CommutantViolation,
+    InternalCheckError,
     OrthogonalityViolation,
     ParseError,
     ValidationError,
@@ -243,6 +244,22 @@ def test_cli_check_reports_violations_with_exit_one(monkeypatch, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "violations found" in out
+
+
+@pytest.mark.parametrize(
+    "exc", [InternalCheckError("composition left the site"), RuntimeError("boom")]
+)
+def test_cli_check_reports_internal_errors_with_exit_three(monkeypatch, capsys, exc):
+    import sieveval.cli as cli_module
+
+    def broken(scenario):
+        raise exc
+
+    monkeypatch.setattr(cli_module, "run_check", broken)
+    assert main(["check", str(bundled_scenario_path("minimal"))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and str(exc) in err
 
 
 def test_valuate_qutrit_block_proposition(capsys):

@@ -3,15 +3,17 @@ import pytest
 from sieveval import (
     Observable,
     build_extended_site,
+    build_scenario,
     build_plain_site,
+    bundled_scenario_path,
     close_monoid,
     diagonal_matrix,
     identity_matrix,
+    load_scenario,
     mat_mul,
     matrix_from_rows,
     ray_from_vector,
     restrict_down,
-    restrict_down_extended,
     restrict_to_rho,
     subspace_from_vectors,
     trivial_observable,
@@ -102,12 +104,14 @@ def test_plain_site_category_laws(qubit_site):
 
 
 def test_restrict_down(qubit_site):
-    whole = restrict_down(qubit_site, ray_from_vector([1, 1]))
+    whole = restrict_down(qubit_site, qubit_site.ray_index(span([1, 1])))
     assert whole.n_objects == qubit_site.n_objects
-    single = restrict_down(qubit_site, ray_from_vector([1, 0]))
+    single = restrict_down(qubit_site, qubit_site.ray_index(span([1, 0])))
     assert single.n_objects == 1
     with pytest.raises(UnknownObjectError):
-        restrict_down(qubit_site, ray_from_vector([2, 3]))
+        qubit_site.ray_index(span([2, 3]))
+    with pytest.raises(UnknownObjectError):
+        restrict_down(qubit_site, qubit_site.n_objects)
 
 
 def extended_qubit():
@@ -132,7 +136,7 @@ def test_extended_site_membership_examples():
         if site.arrow_op(a) == 1 and site.arrow_cod_rho(a) == 1
     ]
     assert len(p1_up) == 1
-    assert site.arrows[p1_up[0]].cod_ray == site.rays.index(e1)
+    assert site.objects[site.arrow_cod(p1_up[0])][0] == site.rays.index(e1)
     # identities stay put at every object
     for o in range(site.n_objects):
         ident = site.identity_arrow(o)
@@ -160,9 +164,9 @@ def test_restrict_to_rho_matches_plain():
     for rho in (0, 1):
         plain, op_map = restrict_to_rho(site, rho)
         fixed = {
-            (m.dom_ray, site.monoid.operator(m.op), m.cod_ray)
+            (site.objects[m.dom][0], site.monoid.operator(m.op), site.objects[m.cod][0])
             for m in site.arrows
-            if m.dom_rho == rho and m.cod_rho == rho
+            if site.object_rho(m.dom) == rho == site.object_rho(m.cod)
         }
         rebuilt = {(a.dom, plain.monoid.operator(a.op), a.cod) for a in plain.arrows}
         assert plain.rays == site.rays
@@ -171,14 +175,41 @@ def test_restrict_to_rho_matches_plain():
             assert plain.monoid.operator(sub_index) == site.monoid.operator(full_index)
 
 
-def test_restrict_down_extended():
+def arrow_keys(site):
+    """Arrows as (dom object, operator, cod object), in arrow order."""
+    return [(site.objects[a.dom], a.op, site.objects[a.cod]) for a in site.arrows]
+
+
+def test_restrict_down_extended(qubit_site):
     site = extended_qubit()
     stage = site.object_index(span([1, 1]), 0)
-    rest, arrow_map = restrict_down_extended(site, stage)
+    rest = restrict_down(site, stage)
     # the superposed ray never reaches the finer observable stage
     assert (site.rays.index(span([1, 1])), 1) not in rest.objects
-    assert all(rest.arrows[n] == site.arrows[o] for o, n in arrow_map.items())
-    assert associativity_violations(rest) == []
     single = site.object_index(span([1, 0]), 1)
-    rest_single, _ = restrict_down_extended(site, single)
-    assert rest_single.n_objects == 1
+    assert restrict_down(site, single).n_objects == 1
+    # the same restriction on both site kinds: surviving arrows, in their old order
+    for whole, obj in [(s, o) for s in (site, qubit_site) for o in range(s.n_objects)]:
+        rest = restrict_down(whole, obj)
+        kept = set(rest.objects)
+        assert type(rest) is type(whole)
+        assert arrow_keys(rest) == [k for k in arrow_keys(whole) if k[0] in kept]
+        assert associativity_violations(rest) == []
+
+
+@pytest.mark.parametrize("name", ["qubit", "qutrit"])
+def test_one_observable_extended_site_is_the_plain_site(name):
+    scenario = load_scenario(bundled_scenario_path(name))
+    seeds = list(scenario.states.values())
+    for run in build_scenario(scenario).runs:
+        plain = run.plain
+        ext = build_extended_site([plain.observable], plain.monoid, seeds, scenario.caps["orbit"])
+
+        def triples(s):
+            return [(s.arrow_dom(a), s.arrow_op(a), s.arrow_cod(a)) for a in range(len(s.arrows))]
+
+        assert ext.rays == plain.rays
+        assert [ext.object_ray(o) for o in range(ext.n_objects)] == [
+            plain.object_ray(o) for o in range(plain.n_objects)
+        ]
+        assert triples(ext) == triples(plain)

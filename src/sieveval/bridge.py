@@ -5,6 +5,9 @@ plain stage at e.  Flattening keeps exactly those arrows; sharpening rebuilds
 the smallest extended sieve around their lifts.  The round trip down-then-up
 is a deflationary idempotent whose fixpoints — the natural sieves — form a
 Heyting algebra isomorphic to the plain stage's sieve lattice.
+
+Sieves are bitmasks (see `sieves`): sharpening ORs the extended principal
+masks of the lifted arrows, flattening relabels the fixed-observable bits.
 """
 
 from __future__ import annotations
@@ -20,11 +23,8 @@ from .sieves import (
     characteristic_unchecked,
     enumerate_sieves,
     heyting_implies,
-    heyting_join,
-    heyting_meet,
     is_subpresheaf,
     omega_transition,
-    principal_sieve,
     top_sieve,
 )
 from .sites import ExtendedSite, PlainSite
@@ -72,53 +72,64 @@ def make_bridge_context(
     return BridgeContext(extended, stage, rho, plain, plain_stage, plain_to_ext, ext_to_plain)
 
 
-def lift_eta(ctx: BridgeContext, s_e: Sieve) -> frozenset[int]:
-    """Relabel a plain sieve as fixed-rho extended arrows; usually not a sieve."""
+def _lift_mask(ctx: BridgeContext, s_e: Sieve) -> int:
     if s_e.base != ctx.plain_stage:
         raise UnknownObjectError("plain sieve is not based at the bridge stage")
-    return frozenset(ctx.plain_to_ext[a] for a in s_e.arrows)
+    lifted = 0
+    for a in s_e:
+        lifted |= 1 << ctx.plain_to_ext[a]
+    return lifted
+
+
+def lift_eta(ctx: BridgeContext, s_e: Sieve) -> frozenset[int]:
+    """Relabel a plain sieve as fixed-rho extended arrows; usually not a sieve."""
+    return Sieve(ctx.stage, _lift_mask(ctx, s_e)).arrows
 
 
 def sharp(ctx: BridgeContext, s_e: Sieve) -> Sieve:
     """Smallest extended sieve containing the lift: postcomposites of lifts."""
-    lifted = lift_eta(ctx, s_e)
-    members: frozenset[int] = frozenset()
-    for a in lifted:
-        members |= principal_sieve(ctx.extended, a).arrows
+    principal = ctx.extended.principal_masks
+    members = 0
+    for a in Sieve(ctx.stage, _lift_mask(ctx, s_e)):
+        members |= principal[a]
     return Sieve(ctx.stage, members)
 
 
 def sharp_by_intersection(ctx: BridgeContext, s_e: Sieve, cap: int) -> Sieve:
     """Oracle for `sharp`: intersect every enumerated sieve containing the lift."""
-    lifted = lift_eta(ctx, s_e)
+    lifted = _lift_mask(ctx, s_e)
     candidates = [
-        s for s in enumerate_sieves(ctx.extended, ctx.stage, cap) if lifted <= s.arrows
+        s.mask for s in enumerate_sieves(ctx.extended, ctx.stage, cap) if not lifted & ~s.mask
     ]
     if not candidates:  # pragma: no cover - the top sieve always qualifies
         raise InternalCheckError("no sieve contains the lift")
-    arrows = candidates[0].arrows
-    for s in candidates[1:]:
-        arrows &= s.arrows
-    return Sieve(ctx.stage, arrows)
+    members = candidates[0]
+    for mask in candidates[1:]:
+        members &= mask
+    return Sieve(ctx.stage, members)
 
 
 def flat(ctx: BridgeContext, s: Sieve) -> Sieve:
     """Keep the arrows that stay at the stage observable, read as plain arrows."""
     if s.base != ctx.stage:
         raise UnknownObjectError("extended sieve is not based at the bridge stage")
-    members = frozenset(
-        ctx.ext_to_plain[a] for a in s.arrows if a in ctx.ext_to_plain
-    )
+    ext_to_plain = ctx.ext_to_plain
+    members = 0
+    for a in s:
+        plain = ext_to_plain.get(a)
+        if plain is not None:
+            members |= 1 << plain
     return Sieve(ctx.plain_stage, members)
 
 
 def natural_map_at(site: ExtendedSite, obj: int, s: Sieve) -> Sieve:
     """Down-and-up at an arbitrary stage: regenerate from the fixed-rho part."""
     rho = site.object_rho(obj)
-    members: frozenset[int] = frozenset()
-    for a in s.arrows:
+    principal = site.principal_masks
+    members = 0
+    for a in s:
         if site.arrow_cod_rho(a) == rho:
-            members |= principal_sieve(site, a).arrows
+            members |= principal[a]
     return Sieve(obj, members)
 
 
@@ -163,8 +174,8 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     round_trip_down_up = all(flat(ctx, sharp(ctx, s)) == s for s in plain_sieves)
     round_trip_up_down = all(sharp(ctx, flat(ctx, s)) == s for s in fixpoints)
     bijection = len(fixpoints) == len(plain_sieves)
-    image_is_fixpoints = {sharp(ctx, s).arrows for s in plain_sieves} == {
-        s.arrows for s in fixpoints
+    image_is_fixpoints = {sharp(ctx, s).mask for s in plain_sieves} == {
+        s.mask for s in fixpoints
     }
 
     plain_top = top_sieve(ctx.plain, ctx.plain_stage)
@@ -176,18 +187,30 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
         and flat(ctx, bottom_sieve(ctx.stage)) == bottom_sieve(ctx.plain_stage)
     )
 
+    # The pairs and triples below work on masks: every sieve here is based
+    # at the plain stage or at the extended stage.
     lattice_preserved = True
     for s1 in plain_sieves:
         for s2 in plain_sieves:
-            if sharp(ctx, heyting_join(s1, s2)) != heyting_join(sharp(ctx, s1), sharp(ctx, s2)):
+            join_mask, meet_mask = s1.mask | s2.mask, s1.mask & s2.mask
+            if sharp(ctx, Sieve(ctx.plain_stage, join_mask)).mask != (
+                sharp(ctx, s1).mask | sharp(ctx, s2).mask
+            ):
                 lattice_preserved = False
-            if sharp(ctx, heyting_meet(s1, s2)) != heyting_meet(sharp(ctx, s1), sharp(ctx, s2)):
+            if sharp(ctx, Sieve(ctx.plain_stage, meet_mask)).mask != (
+                sharp(ctx, s1).mask & sharp(ctx, s2).mask
+            ):
                 lattice_preserved = False
     for s1 in ext_sieves:
         for s2 in ext_sieves:
-            if flat(ctx, heyting_join(s1, s2)) != heyting_join(flat(ctx, s1), flat(ctx, s2)):
+            join_mask, meet_mask = s1.mask | s2.mask, s1.mask & s2.mask
+            if flat(ctx, Sieve(ctx.stage, join_mask)).mask != (
+                flat(ctx, s1).mask | flat(ctx, s2).mask
+            ):
                 lattice_preserved = False
-            if flat(ctx, heyting_meet(s1, s2)) != heyting_meet(flat(ctx, s1), flat(ctx, s2)):
+            if flat(ctx, Sieve(ctx.stage, meet_mask)).mask != (
+                flat(ctx, s1).mask & flat(ctx, s2).mask
+            ):
                 lattice_preserved = False
 
     implies_transport = True
@@ -195,6 +218,7 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     fixpoint_adjunction = True
     strict_somewhere = False
     closure_failures = 0
+    fixpoint_masks = [s.mask for s in fixpoints]
     for s1 in fixpoints:
         for s2 in fixpoints:
             fixpoint_implies = natural_implies(ctx, s1, s2)
@@ -202,14 +226,17 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
             if flat(ctx, fixpoint_implies) != plain_implies:
                 implies_transport = False
             ambient = heyting_implies(ctx.extended, s1, s2)
-            if not fixpoint_implies <= ambient:
+            imp, amb = fixpoint_implies.mask, ambient.mask
+            if imp & ~amb:
                 implies_dominates = False
-            if fixpoint_implies < ambient:
+            elif imp != amb:
                 strict_somewhere = True
             if not is_natural(ctx, ambient):
                 closure_failures += 1
-            for x in fixpoints:
-                if (heyting_meet(s1, x) <= s2) != (x <= fixpoint_implies):
+            # s1 ∧ x <= s2 iff x misses s1 \ s2; x <= imp iff x misses ~imp.
+            outside, not_imp = s1.mask & ~s2.mask, ~imp
+            for x in fixpoint_masks:
+                if (not x & outside) != (not x & not_imp):
                     fixpoint_adjunction = False
 
     pseudo_inequality = True
@@ -217,13 +244,13 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
         for s2 in plain_sieves:
             lhs = sharp(ctx, heyting_implies(ctx.plain, s1, s2))
             rhs = heyting_implies(ctx.extended, sharp(ctx, s1), sharp(ctx, s2))
-            if not lhs <= rhs:
+            if lhs.mask & ~rhs.mask:
                 pseudo_inequality = False
     for s1 in ext_sieves:
         for s2 in ext_sieves:
             lhs = flat(ctx, heyting_implies(ctx.extended, s1, s2))
             rhs = heyting_implies(ctx.plain, flat(ctx, s1), flat(ctx, s2))
-            if not lhs <= rhs:
+            if lhs.mask & ~rhs.mask:
                 pseudo_inequality = False
 
     return {

@@ -47,8 +47,6 @@ from .sieves import (
     enumerate_sieves,
     filter_check,
     heyting_implies,
-    heyting_join,
-    heyting_meet,
     ib_condition_check,
     is_sieve,
     is_subpresheaf,
@@ -448,7 +446,7 @@ def _prop32_33_rows(run: BuiltRun) -> list[dict]:
             "the annihilator sieve bounds every valuation from below",
             prop33,
             run=run.spec.name,
-            floor_size=len(floor.arrows),
+            floor_size=floor.mask.bit_count(),
         ),
     ]
 
@@ -496,18 +494,17 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     for o in range(site.n_objects):
         atom = project_onto_eigenspace(Ray(site.object_ray(o)), run.r_space)
         floor = bottom_annihilator(site, o, atom)
-        stage_sieves = set(delta.values[o])
-        census.append(len(stage_sieves))
-        top = top_sieve(site, o)
-        if top not in stage_sieves or floor not in stage_sieves:
+        stage_masks = {s.mask for s in delta.values[o]}
+        census.append(len(stage_masks))
+        if top_sieve(site, o).mask not in stage_masks or floor.mask not in stage_masks:
             closure_ok = False
         for s1 in delta.values[o]:
             for s2 in delta.values[o]:
-                if heyting_join(s1, s2) not in stage_sieves:
+                if s1.mask | s2.mask not in stage_masks:
                     closure_ok = False
-                if heyting_meet(s1, s2) not in stage_sieves:
+                if s1.mask & s2.mask not in stage_masks:
                     closure_ok = False
-                if heyting_implies(site, s1, s2) not in stage_sieves:
+                if heyting_implies(site, s1, s2).mask not in stage_masks:
                     closure_ok = False
         for a in site.arrows_from(o):
             cod = site.arrow_cod(a)
@@ -515,7 +512,7 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
             for s in delta.values[o]:
                 if omega_transition(site, a, s) not in cod_set:
                     stability_ok = False
-        if floor.arrows and floor == bottom_sieve(o):
+        if floor.mask and floor == bottom_sieve(o):
             bottoms_differ_ok = False
     rows.append(
         _row(
@@ -577,21 +574,25 @@ def _heyting_audit_rows(run, site, label: str, cap: int) -> list[dict]:
         else:
             candidates = sieves
         modes.append(mode)
-        for s in candidates:
-            for t in candidates:
-                for u in candidates:
-                    lhs = heyting_meet(s, heyting_join(t, u))
-                    rhs = heyting_join(heyting_meet(s, t), heyting_meet(s, u))
-                    if lhs != rhs:
+        # One stage's sieves share a base, so the triples and pairs work on masks.
+        masks = [s.mask for s in candidates]
+        for s in masks:
+            for t in masks:
+                s_t = s & t
+                for u in masks:
+                    if s & (t | u) != s_t | (s & u):
                         distributive = False
         pair_mode_sieves = sieves if n * n <= PAIR_BUDGET else sieves[:: max(2, n * n // PAIR_BUDGET)]
+        pair_masks = [s.mask for s in pair_mode_sieves]
         for s in pair_mode_sieves:
             for t in pair_mode_sieves:
-                imp = heyting_implies(site, s, t)
-                if not heyting_meet(s, imp) <= t:
+                imp = heyting_implies(site, s, t).mask
+                # s ∧ x <= t iff x misses s \ t; x <= imp iff x misses ~imp.
+                outside, not_imp = s.mask & ~t.mask, ~imp
+                if imp & outside:
                     adjunction = False
-                for x in pair_mode_sieves:
-                    if (heyting_meet(s, x) <= t) != (x <= imp):
+                for x in pair_masks:
+                    if (not x & outside) != (not x & not_imp):
                         adjunction = False
     return [
         _row(
@@ -613,11 +614,11 @@ def _restriction_row(run: BuiltRun) -> dict:
         full_sieve = valuation(site, run.stage, run.r_space, p)
         down_sieve = valuation(restricted, base, run.r_space, p)
         full_keys = {
-            (site.arrow_op(a), site.object_ray(site.arrow_cod(a))) for a in full_sieve.arrows
+            (site.arrow_op(a), site.object_ray(site.arrow_cod(a))) for a in full_sieve
         }
         down_keys = {
             (restricted.arrow_op(a), restricted.object_ray(restricted.arrow_cod(a)))
-            for a in down_sieve.arrows
+            for a in down_sieve
         }
         if full_keys != down_keys:
             ok = False
@@ -835,8 +836,8 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
     c1_ok = True
     for o in range(rest.n_objects):
         for s in natural_sieves_at(rest, o, cap):
-            for a in s.arrows:
-                if rest.rho_arrow_twin(a) not in s.arrows:
+            for a in s:
+                if rest.rho_arrow_twin(a) not in s:
                     c1_ok = False
     rows.append(
         _row(
@@ -958,7 +959,7 @@ def _projectivity_rows(run: BuiltRun) -> list[dict]:
             _row(
                 "Def 5.4",
                 "a purely observable-raising sieve is not natural",
-                bool(pure.arrows)
+                bool(pure.mask)
                 and not is_natural_at(rest, rest.arrow_dom(strict[0]), pure),
                 run=run.spec.name,
             )
@@ -1042,12 +1043,12 @@ def _census_rows(run: BuiltRun) -> list[dict]:
     stage_sizes = [len(enumerate_sieves(site, o, cap)) for o in range(site.n_objects)]
     floor = bottom_annihilator(site, run.stage, run.e_r)
     delta_size = len(
-        [s for s in enumerate_sieves(site, run.stage, cap) if floor.arrows <= s.arrows]
+        [s for s in enumerate_sieves(site, run.stage, cap) if not floor.mask & ~s.mask]
     )
     details = {
         "omega_stage_sizes": stage_sizes,
         "delta_stage_size": delta_size,
-        "floor_size": len(floor.arrows),
+        "floor_size": floor.mask.bit_count(),
     }
     if run.has_extended:
         details["extended_stage_size"] = len(

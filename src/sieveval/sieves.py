@@ -5,6 +5,14 @@ Equivalently it is a union of principal sieves, which is how enumeration
 works here: collect the distinct principal sieves and close them under
 union.  That avoids filtering all 2^k arrow subsets.
 
+Representation: a `Sieve` stores an `int` bitmask over the site's global
+arrow ids, bit a set iff arrow a is a member.  The arrows out of one object
+have consecutive ids, so a mask decodes without its site (`Sieve.arrows`).
+Meet, join and <= are `&`, `|` and `a & ~b == 0`.  The category data comes
+from tables the site owns: per arrow f, the pairs (g, g∘f) and the principal
+mask of f.  Implication is then m ∈ (S ⇒ T) iff `principal[m] & S & ~T` is
+empty, and pulling S back along m is one pass over the pairs of m.
+
 Truth values: the valuation of a proposition P at a stage is the sieve of
 arrows F with F(P) above the transported true atom.  It is computed twice —
 once directly, once as the characteristic morphism of the true subobject —
@@ -16,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .errors import (
     EnumerationExceeded,
@@ -37,24 +45,42 @@ from .subspaces import (
 )
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True, slots=True)
 class Sieve:
+    """A sieve on object `base`; bit a of `mask` is set iff arrow a is in it."""
+
     base: int
-    arrows: frozenset[int]
+    mask: int
+
+    @property
+    def arrows(self) -> frozenset[int]:
+        return frozenset(_bits(self.mask))
+
+    def __iter__(self) -> Iterator[int]:
+        return _bits(self.mask)
 
     def __contains__(self, arrow: int) -> bool:
-        return arrow in self.arrows
+        return arrow >= 0 and (self.mask >> arrow) & 1 == 1
 
     def __le__(self, other: "Sieve") -> bool:
         _require_same_base(self, other)
-        return self.arrows <= other.arrows
+        return not self.mask & ~other.mask
 
     def __lt__(self, other: "Sieve") -> bool:
         _require_same_base(self, other)
-        return self.arrows < other.arrows
+        return self.mask != other.mask and not self.mask & ~other.mask
 
     def sort_key(self) -> tuple:
-        return (len(self.arrows), tuple(sorted(self.arrows)))
+        """Size, then the ascending tuple of arrow ids."""
+        return (self.mask.bit_count(), tuple(_bits(self.mask)))
 
 
 def _require_same_base(a: Sieve, b: Sieve) -> None:
@@ -63,37 +89,24 @@ def _require_same_base(a: Sieve, b: Sieve) -> None:
 
 
 def is_sieve(site, s: Sieve) -> bool:
-    for m in s.arrows:
-        if site.arrow_dom(m) != s.base:
-            return False
-        for g in site.arrows_from(site.arrow_cod(m)):
-            if site.compose(g, m) not in s.arrows:
-                return False
-    return True
+    """Members start at the base and every member's principal sieve is inside."""
+    if s.mask & ~site.out_masks[s.base]:
+        return False
+    principal = site.principal_masks
+    return not any(principal[m] & ~s.mask for m in _bits(s.mask))
 
 
-@lru_cache(maxsize=None)
 def principal_sieve(site, arrow: int) -> Sieve:
     """All postcomposites of one arrow (the arrow itself included)."""
-    base = site.arrow_dom(arrow)
-    members = {arrow}
-    frontier = [arrow]
-    while frontier:
-        m = frontier.pop()
-        for g in site.arrows_from(site.arrow_cod(m)):
-            gm = site.compose(g, m)
-            if gm not in members:
-                members.add(gm)
-                frontier.append(gm)
-    return Sieve(base, frozenset(members))
+    return Sieve(site.arrow_dom(arrow), site.principal_masks[arrow])
 
 
 def top_sieve(site, obj: int) -> Sieve:
-    return Sieve(obj, frozenset(site.arrows_from(obj)))
+    return Sieve(obj, site.out_masks[obj])
 
 
 def bottom_sieve(obj: int) -> Sieve:
-    return Sieve(obj, frozenset())
+    return Sieve(obj, 0)
 
 
 @dataclass(frozen=True)
@@ -114,26 +127,15 @@ class StageHeyting:
 
 @lru_cache(maxsize=None)
 def enumerate_sieves(site, obj: int, cap: int) -> tuple[Sieve, ...]:
-    """Every sieve on obj: all unions of principal sieves, plus the empty one."""
-    principals = []
-    seen_principals = set()
-    for a in site.arrows_from(obj):
-        p = principal_sieve(site, a)
-        if p.arrows not in seen_principals:
-            seen_principals.add(p.arrows)
-            principals.append(p)
-    collected: set[frozenset[int]] = {frozenset()}
-    for p in principals:
-        additions = []
-        for existing in collected:
-            union = existing | p.arrows
-            if union not in collected:
-                additions.append(union)
-        collected.update(additions)
+    """Every sieve on obj: all unions of principal sieves, plus the empty one,
+    ordered by size and then by the ascending tuple of arrow ids."""
+    principal = site.principal_masks
+    collected = {0}
+    for p in dict.fromkeys(principal[a] for a in site.arrows_from(obj)):
+        collected |= {existing | p for existing in collected}
         if len(collected) > cap:
             raise EnumerationExceeded(cap)
-    sieves = sorted((Sieve(obj, s) for s in collected), key=Sieve.sort_key)
-    return tuple(sieves)
+    return tuple(sorted((Sieve(obj, m) for m in collected), key=Sieve.sort_key))
 
 
 def omega_at(site, obj: int, cap: int) -> StageHeyting:
@@ -149,38 +151,37 @@ def omega_transition(site, m: int, s: Sieve) -> Sieve:
     """Pull a sieve along an arrow: arrows whose composite with m lands in s."""
     if site.arrow_dom(m) != s.base:
         raise InternalCheckError("transition arrow does not start at the sieve's base")
-    cod = site.arrow_cod(m)
-    return Sieve(
-        cod,
-        frozenset(a for a in site.arrows_from(cod) if site.compose(a, m) in s.arrows),
-    )
+    mask = s.mask
+    pulled = 0
+    for a, am in site.postcomposites[m]:
+        if (mask >> am) & 1:
+            pulled |= 1 << a
+    return Sieve(site.arrow_cod(m), pulled)
 
 
 def heyting_join(s1: Sieve, s2: Sieve) -> Sieve:
     _require_same_base(s1, s2)
-    return Sieve(s1.base, s1.arrows | s2.arrows)
+    return Sieve(s1.base, s1.mask | s2.mask)
 
 
 def heyting_meet(s1: Sieve, s2: Sieve) -> Sieve:
     _require_same_base(s1, s2)
-    return Sieve(s1.base, s1.arrows & s2.arrows)
+    return Sieve(s1.base, s1.mask & s2.mask)
 
 
 def heyting_implies(site, s1: Sieve, s2: Sieve) -> Sieve:
     """Relative pseudocomplement: m is in, iff every postcomposite taking m
-    into s1 also lands in s2."""
+    into s1 also lands in s2, i.e. `principal[m] & s1 & ~s2` is empty."""
     _require_same_base(s1, s2)
-    members = []
+    outside = s1.mask & ~s2.mask
+    if not outside:
+        return top_sieve(site, s1.base)
+    principal = site.principal_masks
+    members = 0
     for m in site.arrows_from(s1.base):
-        ok = True
-        for g in site.arrows_from(site.arrow_cod(m)):
-            gm = site.compose(g, m)
-            if gm in s1.arrows and gm not in s2.arrows:
-                ok = False
-                break
-        if ok:
-            members.append(m)
-    return Sieve(s1.base, frozenset(members))
+        if not principal[m] & outside:
+            members |= 1 << m
+    return Sieve(s1.base, members)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +216,7 @@ class Presheaf:
             for x in dom_values:
                 if self.map(f, x) not in cod_set:
                     raise InternalCheckError("transition leaves the codomain value set")
-            for g in site.arrows_from(site.arrow_cod(f)):
-                gf = site.compose(g, f)
+            for g, gf in site.postcomposites[f]:
                 for x in dom_values:
                     if self.map(gf, x) != self.map(g, self.map(f, x)):
                         raise InternalCheckError("functoriality failure")
@@ -323,14 +323,11 @@ def characteristic(site, n: Presheaf, m: Presheaf, obj: int, x) -> Sieve:
 
 
 def characteristic_unchecked(site, n: Presheaf, m: Presheaf, obj: int, x) -> Sieve:
-    return Sieve(
-        obj,
-        frozenset(
-            a
-            for a in site.arrows_from(obj)
-            if m.map(a, x) in n.value_set(site.arrow_cod(a))
-        ),
-    )
+    members = 0
+    for a in site.arrows_from(obj):
+        if m.map(a, x) in n.value_set(site.arrow_cod(a)):
+            members |= 1 << a
+    return Sieve(obj, members)
 
 
 def filter_check(site, s: Presheaf, universe: Presheaf) -> list[tuple]:
@@ -356,29 +353,29 @@ def filter_check(site, s: Presheaf, universe: Presheaf) -> list[tuple]:
 def valuation(site, obj: int, r: Subspace, p: Subspace) -> Sieve:
     """Arrows F with F(P) above F of the stage atom.  The direct formula."""
     atom = project_onto_eigenspace(Ray(site.object_ray(obj)), r)
-    members = []
+    members = 0
     for a in site.arrows_from(obj):
         f = site.operator_matrix(site.arrow_op(a))
         if leq(apply_operator(f, atom), apply_operator(f, p)):
-            members.append(a)
-    return Sieve(obj, frozenset(members))
+            members |= 1 << a
+    return Sieve(obj, members)
 
 
 def bottom_annihilator(site, obj: int, e_r: Subspace) -> Sieve:
     """Arrows sending the true atom to the zero space; the valuation floor."""
-    members = []
+    members = 0
     for a in site.arrows_from(obj):
         f = site.operator_matrix(site.arrow_op(a))
         if apply_operator(f, e_r).is_zero:
-            members.append(a)
-    return Sieve(obj, frozenset(members))
+            members |= 1 << a
+    return Sieve(obj, members)
 
 
 def delta_omega_at(site, obj: int, e_r: Subspace, cap: int) -> StageHeyting:
     """The sieves above the annihilator bottom; a Heyting algebra of its own."""
     floor = bottom_annihilator(site, obj, e_r)
     stage = omega_at(site, obj, cap)
-    kept = tuple(s for s in stage.sieves if floor.arrows <= s.arrows)
+    kept = tuple(s for s in stage.sieves if not floor.mask & ~s.mask)
     return StageHeyting(base=obj, top=stage.top, bottom=floor, sieves=kept)
 
 
@@ -501,19 +498,32 @@ def _enumerate_pullback_maps(site, delta_omega, m, n, delta_tau) -> list[dict]:
 
 
 def _forced_pointwise_unique(site, delta_omega, m, n, delta_tau, chi) -> bool:
-    """Pullback forces the top on members; off members the characteristic
-    formula is the only natural choice — verify chi obeys both clauses."""
+    """Uniqueness without enumerating candidates, checked exhaustively.
+
+    (1) At every stage o, for every S in the semi-classifier and every arrow
+    a out of o: a ∈ S iff a*(S) is the 'true' sieve at cod a.  (2) chi is
+    natural.  (3) chi has the pullback property.  For any natural zeta with
+    the pullback property, (1), naturality and pullback give
+    a ∈ zeta(x) iff m(a)(x) ∈ n, and (1)-(3) give the same for chi, so
+    zeta = chi.
+    """
     for o in range(site.n_objects):
-        n_set = set(n.values[o])
+        for s in delta_omega.values[o]:
+            for a in site.arrows_from(o):
+                if (a in s) != (delta_omega.map(a, s) == delta_tau[site.arrow_cod(a)]):
+                    return False
+        n_set = n.value_set(o)
+        stage = delta_omega.value_set(o)
         for x in m.values[o]:
-            if x in n_set:
-                if chi[(o, x)] != delta_tau[o]:
-                    return False
-            else:
-                if chi[(o, x)] == delta_tau[o]:
-                    return False
-                if chi[(o, x)] != characteristic_unchecked(site, n, m, o, x):
-                    return False
+            if chi[(o, x)] not in stage:
+                return False
+            if (x in n_set) != (chi[(o, x)] == delta_tau[o]):
+                return False
+    for a in range(len(site.arrows)):
+        dom, cod = site.arrow_dom(a), site.arrow_cod(a)
+        for x in m.values[dom]:
+            if delta_omega.map(a, chi[(dom, x)]) != chi[(cod, m.map(a, x))]:
+                return False
     return True
 
 
@@ -550,7 +560,7 @@ def ib_condition_check(
         "exclusivity": exclusive,
         "unit": unit,
         "null_equals_floor": null_value == floor,
-        "floor_nonempty": bool(floor.arrows),
+        "floor_nonempty": bool(floor.mask),
         "null_fails_in_omega": null_value != bottom_sieve(obj),
         "null_passes_in_delta": null_value == floor,
     }

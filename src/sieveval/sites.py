@@ -6,7 +6,11 @@ category takes a family of observables.  The ray category of one observable
 (`PlainSite`) is the case of a one-element family: the atom condition is
 then vacuous and every arrow stays at that observable.  The sieve machinery
 is written once against the site protocol — `arrows_from`, `compose`,
-`arrow_dom`/`arrow_cod`, `identity_arrow`, `object_ray`.
+`arrow_dom`/`arrow_cod`, `identity_arrow`, `object_ray`.  Arrows out of one
+object have consecutive ids, so a sieve is stored as an `int` bitmask over
+global arrow ids; each site owns the per-arrow tables that sieve algebra
+reads (`postcomposites`, `principal_masks`, `out_masks`), computed once on
+first use.
 
 Truncation policy: objects are the orbit of the declared seed states under
 the declared generator monoid, which is required to close within its cap.
@@ -16,7 +20,7 @@ Every verified statement is a statement about this finite sub-site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 from .errors import (
@@ -175,6 +179,9 @@ class Site:
             by_dom_op_rho[(arr.dom, arr.op, self.objects[arr.cod][1])] = a
             if arr.op == self.monoid.identity_index and arr.cod == arr.dom:
                 identity[arr.dom] = a
+        for arrows_out in out:
+            if arrows_out and arrows_out[-1] - arrows_out[0] + 1 != len(arrows_out):
+                raise InternalCheckError("arrows out of one object must have consecutive ids")
         object.__setattr__(self, "_out", tuple(tuple(x) for x in out))
         object.__setattr__(self, "_by_dom_op_rho", by_dom_op_rho)
         object.__setattr__(self, "_identity", tuple(identity))
@@ -210,6 +217,32 @@ class Site:
 
     def identity_arrow(self, o: int) -> int:
         return self._identity[o]
+
+    # -- sieve tables ------------------------------------------------------
+    @cached_property
+    def postcomposites(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per arrow f: the pairs (g, g∘f) for every g out of cod f."""
+        out = self._out
+        return tuple(
+            tuple((g, self.compose(g, f)) for g in out[arr.cod])
+            for f, arr in enumerate(self.arrows)
+        )
+
+    @cached_property
+    def principal_masks(self) -> tuple[int, ...]:
+        """Per arrow f: the mask of its principal sieve, every g∘f."""
+        masks = []
+        for pairs in self.postcomposites:
+            mask = 0
+            for _, gf in pairs:
+                mask |= 1 << gf
+            masks.append(mask)
+        return tuple(masks)
+
+    @cached_property
+    def out_masks(self) -> tuple[int, ...]:
+        """Per object: the mask of every arrow out of it (its top sieve)."""
+        return tuple(((1 << len(a)) - 1) << a[0] if a else 0 for a in self._out)
 
     def compose(self, g: int, f: int) -> int:
         """g∘f for cod(f) = dom(g); arrows compose by operator product."""
@@ -346,10 +379,12 @@ def in_product_category(
 
 
 def _validate_composition(site: Site) -> None:
-    """Every composable pair must compose to an arrow of the site."""
-    for f in range(len(site.arrows)):
-        for g in site.arrows_from(site.arrow_cod(f)):
-            composite = site.compose(g, f)  # raises InternalCheckError on failure
+    """Every composable pair must compose to an arrow of the site.
+
+    The walk is the one that fills the site's postcomposite table.
+    """
+    for f, pairs in enumerate(site.postcomposites):  # compose raises on failure
+        for _, composite in pairs:
             if site.arrow_dom(composite) != site.arrow_dom(f):
                 raise InternalCheckError("composite has the wrong domain")
 
@@ -359,7 +394,8 @@ def restrict_down(site: Site, obj: int) -> Site:
 
     The result has the same class, rays and observables as `site`, and the
     surviving arrows in their old order.  It is closed under arrows because
-    composition was validated when `site` was built.
+    composition was validated when `site` was built; its sieve tables are
+    computed on first use.
     """
     if obj < 0 or obj >= site.n_objects:
         raise UnknownObjectError(f"object index {obj} out of range")

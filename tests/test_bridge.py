@@ -78,7 +78,7 @@ def plain_sieve_by_ops(ctx, ops):
     members = [
         a for a in ctx.plain.arrows_from(ctx.plain_stage) if ctx.plain.arrow_op(a) in ops
     ]
-    return Sieve(ctx.plain_stage, frozenset(members))
+    return Sieve(ctx.plain_stage, sum(1 << a for a in members))
 
 
 def test_lift_eta(bridge_setup):
@@ -134,7 +134,7 @@ def test_flat_examples(bridge_setup):
         for a in ctx.extended.arrows_from(ctx.stage)
         if ctx.extended.arrow_cod_rho(a) != ctx.rho
     ]
-    pure = Sieve(ctx.stage, frozenset({raising[0]}))
+    pure = Sieve(ctx.stage, 1 << raising[0])
     assert flat(ctx, pure).arrows == frozenset()
 
 

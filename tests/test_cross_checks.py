@@ -12,12 +12,15 @@ from sieveval import (
     Sieve,
     build_extended_site,
     build_plain_site,
+    build_scenario,
+    bundled_scenario_path,
     close_monoid,
     diagonal_matrix,
     enumerate_sieves,
     flat,
     full_space,
     gaussian,
+    load_scenario,
     make_bridge_context,
     natural_map,
     restrict_down,
@@ -44,15 +47,24 @@ def span(*vs):
 
 
 def brute_force_sieves(site, obj):
-    """Oracle: filter every subset of the outgoing arrows by closure."""
+    """Oracle: filter every subset of the outgoing arrows by closure under
+    postcomposition, composing through `site.compose`."""
     arrows = site.arrows_from(obj)
-    found = []
+    found = set()
     for k in range(len(arrows) + 1):
         for subset in itertools.combinations(arrows, k):
-            s = Sieve(obj, frozenset(subset))
-            if is_sieve(site, s):
-                found.append(s)
-    return {s.arrows for s in found}
+            members = frozenset(subset)
+            if all(
+                site.compose(g, m) in members
+                for m in members
+                for g in site.arrows_from(site.arrow_cod(m))
+            ):
+                found.add(members)
+    return found
+
+
+def _mask(arrows) -> int:
+    return sum(1 << a for a in arrows)
 
 
 def sample_sites():
@@ -66,6 +78,8 @@ def sample_sites():
     q23 = diagonal_matrix([0, 1, 1])
     monoid3 = close_monoid([q1, q23], cap=16)
     yield build_plain_site(coarse3, monoid3, [Ray(span([1, 1, 1]))], cap=16)
+    built = build_scenario(load_scenario(bundled_scenario_path("qubit_extended")))
+    yield built.runs[0].extended_full  # a multi-observable site
 
 
 def test_sieve_enumeration_matches_subset_filtering():
@@ -76,18 +90,18 @@ def test_sieve_enumeration_matches_subset_filtering():
 
 
 def test_implication_is_the_maximum_sieve():
-    from sieveval import heyting_implies, heyting_meet
+    from sieveval import heyting_implies
 
     for site in sample_sites():
         for o in range(site.n_objects):
-            sieves = enumerate_sieves(site, o, 4096)
+            sieves = [s.arrows for s in enumerate_sieves(site, o, 4096)]
             for s in sieves:
                 for t in sieves:
-                    imp = heyting_implies(site, s, t)
+                    imp = heyting_implies(site, Sieve(o, _mask(s)), Sieve(o, _mask(t)))
                     biggest = frozenset()
                     for x in sieves:
-                        if heyting_meet(s, x) <= t:
-                            biggest |= x.arrows
+                        if s & x <= t:
+                            biggest |= x
                     assert imp.arrows == biggest
 
 

@@ -27,10 +27,13 @@ from sieveval import (
 from sieveval.errors import EnumerationExceeded, NaturalityError, NotASubPresheaf
 from sieveval.sieves import (
     GlobalElement,
+    Presheaf,
+    _forced_pointwise_unique,
     atom_global_element,
     atom_presheaf,
     build_presheaf,
     bottom_sieve,
+    characteristic_unchecked,
     is_sieve,
     omega_presheaf,
     delta_omega_presheaf,
@@ -112,7 +115,7 @@ def test_omega_transition_examples(qubit_site):
     ident = site.identity_arrow(0)
     assert omega_transition(site, ident, top) == top
     (p1_arrow,) = [a for a in site.arrows_from(0) if site.arrow_op(a) == 1]
-    s_p1 = Sieve(0, frozenset({p1_arrow}))
+    s_p1 = Sieve(0, 1 << p1_arrow)
     assert is_sieve(site, s_p1)
     image = omega_transition(site, p1_arrow, s_p1)
     assert image == top_sieve(site, 1)
@@ -123,8 +126,8 @@ def test_heyting_ops_examples(qubit_site):
     site = qubit_site
     (p1,) = [a for a in site.arrows_from(0) if site.arrow_op(a) == 1]
     (p2,) = [a for a in site.arrows_from(0) if site.arrow_op(a) == 2]
-    s1 = Sieve(0, frozenset({p1}))
-    s2 = Sieve(0, frozenset({p2}))
+    s1 = Sieve(0, 1 << p1)
+    s2 = Sieve(0, 1 << p2)
     top = top_sieve(site, 0)
     bottom = bottom_sieve(0)
     assert heyting_join(s1, bottom) == s1
@@ -310,6 +313,83 @@ def test_semiclassifier_enumerated_uniqueness_small():
     )
     assert rows[0]["passed"]
     assert rows[0]["uniqueness_mode"] == "enumerated"
+
+
+def _forced_and_enumerated(site, delta, omega, pairs):
+    enumerated = semiclassifier_check(site, delta, omega, tau_values(site), pairs)
+    forced = semiclassifier_check(
+        site, delta, omega, tau_values(site), pairs, candidate_budget=0
+    )
+    assert {r["uniqueness_mode"] for r in enumerated} == {"enumerated"}
+    assert {r["uniqueness_mode"] for r in forced} == {"forced-pointwise"}
+    return enumerated, forced
+
+
+def _verdicts(rows):
+    return [(r["factors"], r["pullback"], r["uniqueness"], r["passed"]) for r in rows]
+
+
+def test_semiclassifier_uniqueness_modes_agree(qubit_site):
+    # A four-proposition universe keeps the delta candidate count under the
+    # default budget, so the default run enumerates every candidate map.
+    site = qubit_site
+    universe = [zero_space(2), full_space(2), span([1, 0]), span([0, 1])]
+    propositions = proposition_presheaf(site, universe)
+    atoms = atom_presheaf(site, lambda o: site.observable)
+    omega = omega_presheaf(site, cap=64)
+    delta = delta_omega_presheaf(site, span([1, 0]), cap=64)
+    pairs = [
+        (true_subobject(site, atom_global_element(site, atoms, r), propositions), propositions)
+        for r in (span([1, 0]), span([0, 1]))
+    ]
+    enumerated, forced = _forced_and_enumerated(site, delta, omega, pairs)
+    assert _verdicts(enumerated) == _verdicts(forced)
+    assert [r["passed"] for r in forced] == [True, False]
+
+
+def test_semiclassifier_uniqueness_modes_agree_single_object():
+    monoid = close_monoid([], cap=2, dim=1)
+    unit = Observable("unit", (full_space(1),))
+    site = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
+    propositions = proposition_presheaf(site, [zero_space(1), full_space(1)])
+    atoms = atom_presheaf(site, lambda o: unit)
+    true_t = true_subobject(site, atom_global_element(site, atoms, full_space(1)), propositions)
+    omega = omega_presheaf(site, cap=8)
+    enumerated, forced = _forced_and_enumerated(site, omega, omega, [(true_t, propositions)])
+    assert _verdicts(enumerated) == _verdicts(forced) == [(True, True, True, True)]
+
+
+def _doctored(delta, values=None, transition=None):
+    """The semi-classifier with replaced stage sets or transitions, unvalidated."""
+    site = delta.site
+    values = values or delta.values
+    transition = transition or (lambda a, s: omega_transition(site, a, s))
+    transitions = tuple(
+        {s: transition(a, s) for s in values[site.arrow_dom(a)]}
+        for a in range(len(site.arrows))
+    )
+    return Presheaf(site, values, transitions, tuple(frozenset(v) for v in values))
+
+
+def test_forced_uniqueness_rejects_a_doctored_semiclassifier(qubit_setup):
+    site, propositions, _, _, true_t = qubit_setup
+    delta = delta_omega_presheaf(site, span([1, 0]), cap=64)
+    chi = {
+        (o, x): characteristic_unchecked(site, true_t, propositions, o, x)
+        for o in range(site.n_objects)
+        for x in propositions.values[o]
+    }
+    tau = tau_values(site)
+    assert _forced_pointwise_unique(site, delta, propositions, true_t, tau, chi)
+    # Transitions that send every sieve to the top are not the pullback.
+    to_top = _doctored(delta, transition=lambda a, s: top_sieve(site, site.arrow_cod(a)))
+    assert not _forced_pointwise_unique(site, to_top, propositions, true_t, tau, chi)
+    # A stage set holding a non-sieve: the identity alone, without its postcomposites.
+    non_sieve = Sieve(0, 1 << site.identity_arrow(0))
+    assert not is_sieve(site, non_sieve)
+    values = (delta.values[0] + (non_sieve,),) + delta.values[1:]
+    widened = _doctored(delta, values=values)
+    assert not _forced_pointwise_unique(site, widened, propositions, true_t, tau, chi)
 
 
 def test_ib_condition_check(qubit_site):

@@ -20,7 +20,13 @@ from sieveval import (
     zero_matrix,
     zero_augmented_atom_set,
 )
-from sieveval.errors import ClosureExceeded, NotInCommutant, OrbitExceeded, UnknownObjectError
+from sieveval.errors import (
+    ClosureExceeded,
+    InternalCheckError,
+    NotInCommutant,
+    OrbitExceeded,
+    UnknownObjectError,
+)
 from sieveval.sites import associativity_violations, identity_violations
 
 
@@ -213,3 +219,19 @@ def test_one_observable_extended_site_is_the_plain_site(name):
             plain.object_ray(o) for o in range(plain.n_objects)
         ]
         assert triples(ext) == triples(plain)
+
+
+def test_site_tables_and_consecutive_arrow_ids(qubit_site):
+    site = qubit_site
+    for o in range(site.n_objects):
+        assert site.out_masks[o] == sum(1 << a for a in site.arrows_from(o))
+    for f in range(len(site.arrows)):
+        pairs = site.postcomposites[f]
+        assert [g for g, _ in pairs] == list(site.arrows_from(site.arrow_cod(f)))
+        assert all(gf == site.compose(g, f) for g, gf in pairs)
+    # Sieve masks rely on the arrows out of one object having consecutive ids.
+    a = site.arrows
+    interleaved = a[:1] + a[3:4] + a[1:3] + a[4:]
+    assert [x.dom for x in interleaved[:4]] == [0, 1, 0, 0]
+    with pytest.raises(InternalCheckError):
+        type(site)(site.observables, site.monoid, site.rays, site.objects, interleaved, site.rho_leq)

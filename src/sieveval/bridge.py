@@ -13,19 +13,23 @@ masks of the lifted arrows, flattening relabels the fixed-observable bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InternalCheckError, NotASubPresheaf, UnknownObjectError
 from .sieves import (
     Presheaf,
     Sieve,
-    bottom_sieve,
     build_presheaf,
-    characteristic_unchecked,
+    characteristic_table,
     enumerate_sieves,
     heyting_implies,
     is_subpresheaf,
+    naturality_holds,
     omega_transition,
+    pullback_holds,
+    tau_values,
     top_sieve,
+    valuation,
 )
 from .sites import ExtendedSite, PlainSite
 
@@ -160,102 +164,98 @@ def natural_omega(site: ExtendedSite, cap: int) -> Presheaf:
     )
 
 
-def natural_implies(ctx: BridgeContext, s1: Sieve, s2: Sieve) -> Sieve:
-    """The pseudocomplement inside the fixpoint lattice."""
-    return sharp(ctx, heyting_implies(ctx.plain, flat(ctx, s1), flat(ctx, s2)))
+def _memo(fn, ctx: BridgeContext, base: int) -> Callable[[int], int]:
+    """`fn` on the masks of sieves based at `base`, computed once per mask."""
+    table: dict[int, int] = {}
+
+    def image(mask: int) -> int:
+        found = table.get(mask)
+        if found is None:
+            found = table[mask] = fn(ctx, Sieve(base, mask)).mask
+        return found
+
+    return image
+
+
+def _implies(site, base: int) -> Callable[[int, int], int]:
+    return lambda s, t: heyting_implies(site, Sieve(base, s), Sieve(base, t)).mask
+
+
+def _preserves_lattice(f: Callable[[int], int], masks: list[int]) -> bool:
+    """f preserves the join and the meet of every pair."""
+    return all(
+        f(s | t) == f(s) | f(t) and f(s & t) == f(s) & f(t) for s in masks for t in masks
+    )
+
+
+def _dominates_transport(f: Callable[[int], int], implies_from, implies_to, masks) -> bool:
+    """f(s ⇒ t) lies below f(s) ⇒ f(t) for every pair."""
+    return all(
+        not f(implies_from(s, t)) & ~implies_to(f(s), f(t)) for s in masks for t in masks
+    )
 
 
 def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
-    """Exhaustive audit of the stage isomorphism and its implication transport."""
-    plain_sieves = enumerate_sieves(ctx.plain, ctx.plain_stage, cap)
+    """Exhaustive audit of the stage isomorphism and its implication transport.
+
+    `sharp` and `flat` run once per distinct sieve, into tables local to this
+    call; the pairs and triples are integer work on masks, since every sieve
+    here is based at the plain stage or at the extended stage.  The fixpoints
+    are the sieves `is_natural` accepts, so the up-down round trip is a check.
+    """
+    plain_masks = [s.mask for s in enumerate_sieves(ctx.plain, ctx.plain_stage, cap)]
     ext_sieves = enumerate_sieves(ctx.extended, ctx.stage, cap)
-    fixpoints = tuple(s for s in ext_sieves if is_natural(ctx, s))
+    ext_masks = [s.mask for s in ext_sieves]
+    fixpoints = [s.mask for s in ext_sieves if is_natural(ctx, s)]
+    up = _memo(sharp, ctx, ctx.plain_stage)
+    down = _memo(flat, ctx, ctx.stage)
+    plain_implies = _implies(ctx.plain, ctx.plain_stage)
+    ext_implies = _implies(ctx.extended, ctx.stage)
 
-    round_trip_down_up = all(flat(ctx, sharp(ctx, s)) == s for s in plain_sieves)
-    round_trip_up_down = all(sharp(ctx, flat(ctx, s)) == s for s in fixpoints)
-    bijection = len(fixpoints) == len(plain_sieves)
-    image_is_fixpoints = {sharp(ctx, s).mask for s in plain_sieves} == {
-        s.mask for s in fixpoints
-    }
-
-    plain_top = top_sieve(ctx.plain, ctx.plain_stage)
-    ext_top = top_sieve(ctx.extended, ctx.stage)
+    round_trip_down_up = all(down(up(s)) == s for s in plain_masks)
+    round_trip_up_down = all(up(down(s)) == s for s in fixpoints)
+    bijection = len(fixpoints) == len(plain_masks)
+    image_is_fixpoints = {up(s) for s in plain_masks} == set(fixpoints)
+    plain_top = top_sieve(ctx.plain, ctx.plain_stage).mask
+    ext_top = top_sieve(ctx.extended, ctx.stage).mask
     tops_and_bottoms = (
-        sharp(ctx, plain_top) == ext_top
-        and flat(ctx, ext_top) == plain_top
-        and sharp(ctx, bottom_sieve(ctx.plain_stage)) == bottom_sieve(ctx.stage)
-        and flat(ctx, bottom_sieve(ctx.stage)) == bottom_sieve(ctx.plain_stage)
+        up(plain_top) == ext_top and down(ext_top) == plain_top and up(0) == 0 and down(0) == 0
     )
-
-    # The pairs and triples below work on masks: every sieve here is based
-    # at the plain stage or at the extended stage.
-    lattice_preserved = True
-    for s1 in plain_sieves:
-        for s2 in plain_sieves:
-            join_mask, meet_mask = s1.mask | s2.mask, s1.mask & s2.mask
-            if sharp(ctx, Sieve(ctx.plain_stage, join_mask)).mask != (
-                sharp(ctx, s1).mask | sharp(ctx, s2).mask
-            ):
-                lattice_preserved = False
-            if sharp(ctx, Sieve(ctx.plain_stage, meet_mask)).mask != (
-                sharp(ctx, s1).mask & sharp(ctx, s2).mask
-            ):
-                lattice_preserved = False
-    for s1 in ext_sieves:
-        for s2 in ext_sieves:
-            join_mask, meet_mask = s1.mask | s2.mask, s1.mask & s2.mask
-            if flat(ctx, Sieve(ctx.stage, join_mask)).mask != (
-                flat(ctx, s1).mask | flat(ctx, s2).mask
-            ):
-                lattice_preserved = False
-            if flat(ctx, Sieve(ctx.stage, meet_mask)).mask != (
-                flat(ctx, s1).mask & flat(ctx, s2).mask
-            ):
-                lattice_preserved = False
+    lattice_preserved = _preserves_lattice(up, plain_masks) and _preserves_lattice(
+        down, ext_masks
+    )
 
     implies_transport = True
     implies_dominates = True
     fixpoint_adjunction = True
     strict_somewhere = False
     closure_failures = 0
-    fixpoint_masks = [s.mask for s in fixpoints]
     for s1 in fixpoints:
         for s2 in fixpoints:
-            fixpoint_implies = natural_implies(ctx, s1, s2)
-            plain_implies = heyting_implies(ctx.plain, flat(ctx, s1), flat(ctx, s2))
-            if flat(ctx, fixpoint_implies) != plain_implies:
+            transported = plain_implies(down(s1), down(s2))
+            imp = up(transported)  # the implication inside the fixpoint lattice
+            if down(imp) != transported:
                 implies_transport = False
-            ambient = heyting_implies(ctx.extended, s1, s2)
-            imp, amb = fixpoint_implies.mask, ambient.mask
+            amb = ext_implies(s1, s2)
             if imp & ~amb:
                 implies_dominates = False
             elif imp != amb:
                 strict_somewhere = True
-            if not is_natural(ctx, ambient):
+            if not is_natural(ctx, Sieve(ctx.stage, amb)):
                 closure_failures += 1
             # s1 ∧ x <= s2 iff x misses s1 \ s2; x <= imp iff x misses ~imp.
-            outside, not_imp = s1.mask & ~s2.mask, ~imp
-            for x in fixpoint_masks:
+            outside, not_imp = s1 & ~s2, ~imp
+            for x in fixpoints:
                 if (not x & outside) != (not x & not_imp):
                     fixpoint_adjunction = False
 
-    pseudo_inequality = True
-    for s1 in plain_sieves:
-        for s2 in plain_sieves:
-            lhs = sharp(ctx, heyting_implies(ctx.plain, s1, s2))
-            rhs = heyting_implies(ctx.extended, sharp(ctx, s1), sharp(ctx, s2))
-            if lhs.mask & ~rhs.mask:
-                pseudo_inequality = False
-    for s1 in ext_sieves:
-        for s2 in ext_sieves:
-            lhs = flat(ctx, heyting_implies(ctx.extended, s1, s2))
-            rhs = heyting_implies(ctx.plain, flat(ctx, s1), flat(ctx, s2))
-            if lhs.mask & ~rhs.mask:
-                pseudo_inequality = False
+    pseudo_inequality = _dominates_transport(
+        up, plain_implies, ext_implies, plain_masks
+    ) and _dominates_transport(down, ext_implies, plain_implies, ext_masks)
 
     return {
-        "plain_count": len(plain_sieves),
-        "extended_count": len(ext_sieves),
+        "plain_count": len(plain_masks),
+        "extended_count": len(ext_masks),
         "fixpoint_count": len(fixpoints),
         "round_trip_down_up": round_trip_down_up,
         "round_trip_up_down": round_trip_up_down,
@@ -306,58 +306,35 @@ def projectivity_matches_naturality(
     site: ExtendedSite, n: Presheaf, m: Presheaf
 ) -> tuple[bool, list[tuple[int, object]]]:
     """The two detectors of the same property must agree on every (stage, x)."""
-    mismatches: list[tuple[int, object]] = []
-    sub_ok = is_subpresheaf(n, m)
-    if not sub_ok:
+    if not is_subpresheaf(n, m):
         raise NotASubPresheaf("detector comparison needs a subfunctor")
-    for o in range(site.n_objects):
-        for x in m.values[o]:
-            projective, _ = is_projective(site, n, m, o, x, checked=False)
-            natural = is_natural_at(site, o, characteristic_unchecked(site, n, m, o, x))
-            if projective != natural:
-                mismatches.append((o, x))
+    mismatches = [
+        (o, x)
+        for (o, x), chi in characteristic_table(site, n, m).items()
+        if is_projective(site, n, m, o, x, checked=False)[0] != is_natural_at(site, o, chi)
+    ]
     return (not mismatches, mismatches)
 
 
-def natural_characteristic(
-    site: ExtendedSite, n: Presheaf, m: Presheaf, candidate_budget: int = 10_000
-) -> dict:
+def natural_characteristic(site: ExtendedSite, n: Presheaf, m: Presheaf) -> dict:
     """The classifying map with the fixpoint subfunctor as target.
 
-    Validates: stage maps land on natural sieves, the squares commute, the
-    inclusion recovers the plain characteristic map, the pullback against the
-    fixpoint 'true' holds per object, and uniqueness (enumerated under the
-    budget, otherwise pointwise-forced).
+    Checks that n is projective, that every stage value of the plain
+    characteristic map is already a natural sieve (so the map factors through
+    the fixpoints), that the factored map is natural, and that n is its
+    pullback against the 'true' section.  Uniqueness is the semi-classifier
+    audit's (`sieves.semiclassifier_check`).
     """
     if not is_subpresheaf(n, m):
         raise NotASubPresheaf("characteristic factoring needs a subfunctor")
-    chi = {
-        (o, x): characteristic_unchecked(site, n, m, o, x)
-        for o in range(site.n_objects)
-        for x in m.values[o]
-    }
-    projective = all(
-        is_projective(site, n, m, o, x, checked=False)[0]
-        for o in range(site.n_objects)
-        for x in m.values[o]
+    chi = characteristic_table(site, n, m)
+    projective = all(is_projective(site, n, m, o, x, checked=False)[0] for o, x in chi)
+    natural_chi = {key: natural_map_at(site, key[0], value) for key, value in chi.items()}
+    factorization = natural_chi == chi
+    naturality = naturality_holds(
+        site, natural_chi, m, lambda a, s: omega_transition(site, a, s)
     )
-    natural_chi = {
-        key: natural_map_at(site, key[0], value) for key, value in chi.items()
-    }
-    factorization = all(natural_chi[key] == chi[key] for key in chi)
-    naturality = True
-    for a in range(len(site.arrows)):
-        dom, cod = site.arrow_dom(a), site.arrow_cod(a)
-        for x in m.values[dom]:
-            lhs = omega_transition(site, a, natural_chi[(dom, x)])
-            rhs = natural_chi[(cod, m.map(a, x))]
-            if lhs != rhs:
-                naturality = False
-    tau = tuple(top_sieve(site, o) for o in range(site.n_objects))
-    pullback = all(
-        set(n.values[o]) == {x for x in m.values[o] if natural_chi[(o, x)] == tau[o]}
-        for o in range(site.n_objects)
-    )
+    pullback = pullback_holds(site, natural_chi, n, m, tau_values(site))
     return {
         "projective": projective,
         "factorization": factorization,
@@ -369,34 +346,29 @@ def natural_characteristic(
     }
 
 
-def equivalence_check(
-    ctx: BridgeContext, r, universe, valuation_fn
-) -> dict:
-    """The two valuation families agree through the stage isomorphism.
+def proposition_equivalence(ctx: BridgeContext, r, p) -> dict:
+    """One proposition's plain and extended values and the three verdicts:
+    (a) flattening the extended value gives the plain value; (b) so does
+    flattening its fixpoint image; (c) sharpening the plain value gives the
+    fixpoint image."""
+    plain_value = valuation(ctx.plain, ctx.plain_stage, r, p)
+    ext_value = valuation(ctx.extended, ctx.stage, r, p)
+    nat_value = natural_map(ctx, ext_value)
+    flat_value = flat(ctx, ext_value)
+    return {
+        "proposition": p,
+        "plain": plain_value,
+        "extended": ext_value,
+        "natural_image": nat_value,
+        "flat_image": flat_value,
+        "a": flat_value == plain_value,
+        "b": flat(ctx, nat_value) == plain_value,
+        "c": sharp(ctx, plain_value) == nat_value,
+    }
 
-    For every proposition: flattening the extended value gives the plain
-    value; the fixpoint image of the extended value flattens to the plain
-    value; and sharpening the plain value gives the fixpoint image.
-    """
-    rows = []
-    all_ok = True
-    for p in universe:
-        plain_value = valuation_fn(ctx.plain, ctx.plain_stage, r, p)
-        ext_value = valuation_fn(ctx.extended, ctx.stage, r, p)
-        nat_value = natural_map(ctx, ext_value)
-        a_ok = flat(ctx, ext_value) == plain_value
-        b_ok = flat(ctx, nat_value) == plain_value
-        c_ok = sharp(ctx, plain_value) == nat_value
-        all_ok = all_ok and a_ok and b_ok and c_ok
-        rows.append(
-            {
-                "proposition": p,
-                "plain": plain_value,
-                "extended": ext_value,
-                "natural_image": nat_value,
-                "a": a_ok,
-                "b": b_ok,
-                "c": c_ok,
-            }
-        )
-    return {"rows": rows, "passed": all_ok}
+
+def equivalence_check(ctx: BridgeContext, r, universe) -> dict:
+    """The two valuation families agree through the stage isomorphism, for
+    every proposition (see `proposition_equivalence`)."""
+    rows = [proposition_equivalence(ctx, r, p) for p in universe]
+    return {"rows": rows, "passed": all(row["a"] and row["b"] and row["c"] for row in rows)}

@@ -36,13 +36,12 @@ from .runner import BuiltRun, BuiltScenario, build_scenario, truncation_summary
 from .scenario import Scenario
 from .sieves import (
     Presheaf,
-    Sieve,
     atom_global_element,
     bottom_annihilator,
     bottom_sieve,
     build_presheaf,
     characteristic,
-    characteristic_unchecked,
+    characteristic_table,
     delta_omega_presheaf,
     enumerate_sieves,
     filter_check,
@@ -50,9 +49,11 @@ from .sieves import (
     ib_condition_check,
     is_sieve,
     is_subpresheaf,
+    naturality_holds,
     omega_presheaf,
     omega_transition,
     principal_sieve,
+    pullback_holds,
     semiclassifier_check,
     tau_values,
     top_sieve,
@@ -67,7 +68,6 @@ from .sites import (
 )
 from .subspaces import (
     Ray,
-    Subspace,
     apply_operator,
     generate_sublattice,
     join,
@@ -87,6 +87,17 @@ def _row(tag: str, title: str, passed: bool, run: str | None = None, **details) 
     if details:
         out["details"] = details
     return out
+
+
+def _validate(*values) -> dict:
+    """Validate presheaves or global elements in turn: no details if all hold,
+    else the first failure as an `error` detail."""
+    for value in values:
+        try:
+            value.validate()
+        except SievevalError as exc:
+            return {"error": str(exc)}
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +341,20 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
         ("Eq 3.9", "atom functor is functorial", run.atoms_a),
         ("Eq 3.35", "true subobject is functorial", run.true_t),
     ):
-        try:
-            presheaf.validate()
-            rows.append(_row(tag, title, True, run=run.spec.name))
-        except SievevalError as exc:  # pragma: no cover - built validated
-            rows.append(_row(tag, title, False, run=run.spec.name, error=str(exc)))
-    sigma_ok = True
-    for r in run.atoms.observable.eigenspaces:
-        try:
-            atom_global_element(run.plain, run.atoms_a, r)
-        except SievevalError:
-            sigma_ok = False
+        failure = _validate(presheaf)
+        rows.append(_row(tag, title, not failure, run=run.spec.name, **failure))
+    sections = [
+        run.sigma if r is run.r_space else atom_global_element(run.plain, run.atoms_a, r)
+        for r in run.atoms.observable.eigenspaces
+    ]
+    failure = _validate(*sections)
     rows.append(
         _row(
             "Prop 3.1",
             "every eigenspace section is a global element of the atom functor",
-            sigma_ok,
+            not failure,
             run=run.spec.name,
+            **failure,
         )
     )
     violations = filter_check(run.plain, run.true_t, run.propositions_l)
@@ -368,48 +376,27 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
 
 def _oracle_rows(run: BuiltRun) -> list[dict]:
     site = run.plain
-    ok = True
-    pullback_ok = True
-    naturality_ok = True
-    count = 0
-    chi_cache: dict[tuple[int, Subspace], Sieve] = {}
-    for o in range(site.n_objects):
-        for p in run.universe:
-            chi = characteristic_unchecked(site, run.true_t, run.propositions_l, o, p)
-            chi_cache[(o, p)] = chi
-            direct = valuation(site, o, run.r_space, p)
-            count += 1
-            if chi != direct:
-                ok = False
-        top = top_sieve(site, o)
-        stage_true = {p for p in run.universe if chi_cache[(o, p)] == top}
-        if stage_true != set(run.true_t.values[o]):
-            pullback_ok = False
-    for a in range(len(site.arrows)):
-        dom, cod = site.arrow_dom(a), site.arrow_cod(a)
-        for p in run.universe:
-            lhs = omega_transition(site, a, chi_cache[(dom, p)])
-            rhs = chi_cache[(cod, run.propositions_l.map(a, p))]
-            if lhs != rhs:
-                naturality_ok = False
+    chi = characteristic_table(site, run.true_t, run.propositions_l)
     return [
         _row(
             "Eq 3.21 = Eq 3.37",
             "characteristic morphism equals the direct valuation at every stage",
-            ok,
+            all(value == valuation(site, o, run.r_space, p) for (o, p), value in chi.items()),
             run=run.spec.name,
-            instances=count,
+            instances=len(chi),
         ),
         _row(
             "diagram 3.24",
             "set-level pullback square at every stage",
-            pullback_ok,
+            pullback_holds(site, chi, run.true_t, run.propositions_l, tau_values(site)),
             run=run.spec.name,
         ),
         _row(
             "Eq 3.21",
             "characteristic morphism is natural",
-            naturality_ok,
+            naturality_holds(
+                site, chi, run.propositions_l, lambda a, s: omega_transition(site, a, s)
+            ),
             run=run.spec.name,
         ),
     ]
@@ -479,12 +466,14 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     rows = []
     omega = omega_presheaf(site, cap)
     delta = delta_omega_presheaf(site, run.r_space, cap)
+    failure = _validate(omega, delta)
     rows.append(
         _row(
             "Thm 3.6",
             "annihilator-floored sieves form a subfunctor of the classifier",
-            is_subpresheaf(delta, omega),
+            not failure and is_subpresheaf(delta, omega),
             run=run.spec.name,
+            **failure,
         )
     )
     closure_ok = True
@@ -697,23 +686,17 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
         ("Eq 4.19", "extended proposition functor is functorial", run.propositions_l_ext),
         ("Eq 4.27", "extended true subobject is functorial", run.true_t_ext),
     ):
-        try:
-            presheaf.validate()
-            rows.append(_row(tag, title, True, run=run.spec.name))
-        except SievevalError as exc:  # pragma: no cover
-            rows.append(_row(tag, title, False, run=run.spec.name, error=str(exc)))
-    try:
-        run.sigma_ext.validate()
-        sigma_ok = True
-    except SievevalError:
-        sigma_ok = False
+        failure = _validate(presheaf)
+        rows.append(_row(tag, title, not failure, run=run.spec.name, **failure))
+    failure = _validate(run.sigma_ext)
     rows.append(
         _row(
             "Eq 4.25",
             "the chosen atom extends to a section over the reachable part",
-            sigma_ok,
+            not failure,
             run=run.spec.name,
             stages=rest.n_objects,
+            **failure,
         )
     )
     violations = filter_check(rest, run.true_t_ext, run.propositions_l_ext)
@@ -726,24 +709,19 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
             violations=len(violations),
         )
     )
-    oracle_ok = True
-    for o in range(rest.n_objects):
-        for p in run.universe:
-            chi = characteristic_unchecked(rest, run.true_t_ext, run.propositions_l_ext, o, p)
-            if chi != valuation(rest, o, run.r_space, p):
-                oracle_ok = False
+    chi = characteristic_table(rest, run.true_t_ext, run.propositions_l_ext)
     rows.append(
         _row(
             "Eq 4.28",
             "extended characteristic morphism equals the direct valuation",
-            oracle_ok,
+            all(value == valuation(rest, o, run.r_space, p) for (o, p), value in chi.items()),
             run=run.spec.name,
         )
     )
     return rows
 
 
-def _bridge_rows(run: BuiltRun) -> list[dict]:
+def _bridge_rows(run: BuiltRun, nat_omega: Presheaf) -> list[dict]:
     ctx = run.ctx
     rest = run.rest
     sc = run.scenario
@@ -818,24 +796,19 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
             closure_failures=iso["implies_closure_failures"],
         )
     )
-    try:
-        nat_omega = natural_omega(rest, cap)
-        nat_omega.validate()
-        stability = True
-    except SievevalError:
-        stability = False
-        nat_omega = None
+    failure = _validate(nat_omega)
     rows.append(
         _row(
             "Prop 5.7/Thm 5.8",
             "classifier transitions preserve natural sieves",
-            stability,
+            not failure,
             run=run.spec.name,
+            **failure,
         )
     )
     c1_ok = True
-    for o in range(rest.n_objects):
-        for s in natural_sieves_at(rest, o, cap):
+    for stage in nat_omega.values:
+        for s in stage:
             for a in s:
                 if rest.rho_arrow_twin(a) not in s:
                     c1_ok = False
@@ -967,7 +940,7 @@ def _projectivity_rows(run: BuiltRun) -> list[dict]:
     return rows
 
 
-def _natural_characteristic_rows(run: BuiltRun) -> list[dict]:
+def _natural_characteristic_rows(run: BuiltRun, nat_omega: Presheaf) -> list[dict]:
     rest = run.rest
     result = natural_characteristic(rest, run.true_t_ext, run.propositions_l_ext)
     rows = [
@@ -984,21 +957,8 @@ def _natural_characteristic_rows(run: BuiltRun) -> list[dict]:
             run=run.spec.name,
         ),
     ]
-    cap = run.scenario.caps["sieve_enum"]
-    try:
-        omega = omega_presheaf(rest, cap)
-        nat_omega = natural_omega(rest, cap)
-    except SievevalError as exc:
-        rows.append(
-            _row(
-                "Thm 5.13 / Props A3–A4 (♮Ω)",
-                "fixpoint subfunctor is a semi-classifier: pullback and uniqueness",
-                False,
-                run=run.spec.name,
-                error=str(exc),
-            )
-        )
-        return rows
+    omega = omega_presheaf(rest, run.scenario.caps["sieve_enum"])
+    failure = _validate(omega)
     semi = semiclassifier_check(
         rest,
         nat_omega,
@@ -1010,16 +970,17 @@ def _natural_characteristic_rows(run: BuiltRun) -> list[dict]:
         _row(
             "Thm 5.13 / Props A3–A4 (♮Ω)",
             "fixpoint subfunctor is a semi-classifier: pullback and uniqueness",
-            all(r["passed"] for r in semi),
+            not failure and all(r["passed"] for r in semi),
             run=run.spec.name,
             results=semi,
+            **failure,
         )
     )
     return rows
 
 
 def _equivalence_rows(run: BuiltRun) -> list[dict]:
-    result = equivalence_check(run.ctx, run.r_space, run.universe, valuation)
+    result = equivalence_check(run.ctx, run.r_space, run.universe)
     failures = [
         run.universe_names.get(row["proposition"], "?")
         for row in result["rows"]
@@ -1091,9 +1052,11 @@ def run_check(scenario: Scenario) -> dict:
         if run.has_extended:
             rows.extend(_extended_site_rows(run))
             rows.extend(_heyting_audit_rows(run, run.rest, "extended", scenario.caps["sieve_enum"]))
-            rows.extend(_bridge_rows(run))
+            # ♮Ω, built once: Prop 5.7/Thm 5.8 validates it, Thm 5.13 audits it.
+            nat_omega = natural_omega(run.rest, scenario.caps["sieve_enum"])
+            rows.extend(_bridge_rows(run, nat_omega))
             rows.extend(_projectivity_rows(run))
-            rows.extend(_natural_characteristic_rows(run))
+            rows.extend(_natural_characteristic_rows(run, nat_omega))
             rows.extend(_equivalence_rows(run))
     return {
         "scenario": scenario.name,

@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 from .bridge import (
     BridgeContext,
-    flat,
     make_bridge_context,
-    natural_map,
     natural_sieves_at,
-    sharp,
+    proposition_equivalence,
 )
 from .errors import SievevalError, ValidationError
 from .modal import TrueAtomSet, bub_valuation, compute_atoms, in_determinate_sublattice
@@ -244,19 +242,12 @@ def valuate_run(run: BuiltRun) -> dict:
             },
         }
         if run.has_extended:
-            rest, rest_stage, ctx = run.rest, run.rest_stage, run.ctx
-            ext_sieve = valuation(rest, rest_stage, run.r_space, p)
-            nat = natural_map(ctx, ext_sieve)
-            flattened = flat(ctx, ext_sieve)
+            bridged = proposition_equivalence(run.ctx, run.r_space, p)
             row["extended"] = {
-                "sieve": serialize_extended_sieve(rest, ext_sieve),
-                "natural_image": serialize_extended_sieve(rest, nat),
-                "flat_image": serialize_plain_sieve(plain, flattened),
-                "verdicts": {
-                    "a": flattened == sieve,
-                    "b": flat(ctx, nat) == sieve,
-                    "c": sharp(ctx, sieve) == nat,
-                },
+                "sieve": serialize_extended_sieve(run.rest, bridged["extended"]),
+                "natural_image": serialize_extended_sieve(run.rest, bridged["natural_image"]),
+                "flat_image": serialize_plain_sieve(plain, bridged["flat_image"]),
+                "verdicts": {key: bridged[key] for key in ("a", "b", "c")},
             }
         rows.append(row)
     report = {

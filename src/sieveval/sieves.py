@@ -109,22 +109,6 @@ def bottom_sieve(obj: int) -> Sieve:
     return Sieve(obj, 0)
 
 
-@dataclass(frozen=True)
-class StageHeyting:
-    """One stage of the subobject (semi-)classifier: an ordered sieve lattice."""
-
-    base: int
-    top: Sieve
-    bottom: Sieve
-    sieves: tuple[Sieve, ...]
-
-    def __len__(self) -> int:
-        return len(self.sieves)
-
-    def __contains__(self, s: Sieve) -> bool:
-        return s in set(self.sieves)
-
-
 @lru_cache(maxsize=None)
 def enumerate_sieves(site, obj: int, cap: int) -> tuple[Sieve, ...]:
     """Every sieve on obj: all unions of principal sieves, plus the empty one,
@@ -136,15 +120,6 @@ def enumerate_sieves(site, obj: int, cap: int) -> tuple[Sieve, ...]:
         if len(collected) > cap:
             raise EnumerationExceeded(cap)
     return tuple(sorted((Sieve(obj, m) for m in collected), key=Sieve.sort_key))
-
-
-def omega_at(site, obj: int, cap: int) -> StageHeyting:
-    return StageHeyting(
-        base=obj,
-        top=top_sieve(site, obj),
-        bottom=bottom_sieve(obj),
-        sieves=enumerate_sieves(site, obj, cap),
-    )
 
 
 def omega_transition(site, m: int, s: Sieve) -> Sieve:
@@ -223,15 +198,14 @@ class Presheaf:
 
 
 def build_presheaf(site, values_at: Callable[[int], Sequence], transition):
-    """Materialize values and transitions, then check functoriality."""
+    """Materialize values and transitions.  Functoriality is not checked here:
+    `Presheaf.validate` is the check, run by the row that reports it."""
     values = tuple(tuple(values_at(o)) for o in range(site.n_objects))
     transitions = []
     for a in range(len(site.arrows)):
         table = {x: transition(a, x) for x in values[site.arrow_dom(a)]}
         transitions.append(table)
-    presheaf = Presheaf(site, values, tuple(transitions), tuple(frozenset(v) for v in values))
-    presheaf.validate()
-    return presheaf
+    return Presheaf(site, values, tuple(transitions), tuple(frozenset(v) for v in values))
 
 
 def proposition_presheaf(site, universe: Sequence[Subspace]) -> Presheaf:
@@ -280,13 +254,12 @@ class GlobalElement:
 
 
 def atom_global_element(site, atoms: Presheaf, r: Subspace) -> GlobalElement:
-    """The section picking the projection onto a fixed eigenspace at each stage."""
+    """The section picking the projection onto a fixed eigenspace at each stage;
+    `GlobalElement.validate` checks that it is one."""
     values = tuple(
         project_onto_eigenspace(Ray(site.object_ray(o)), r) for o in range(site.n_objects)
     )
-    element = GlobalElement(atoms, values)
-    element.validate()
-    return element
+    return GlobalElement(atoms, values)
 
 
 def true_subobject(site, sigma: GlobalElement, propositions: Presheaf) -> Presheaf:
@@ -330,6 +303,33 @@ def characteristic_unchecked(site, n: Presheaf, m: Presheaf, obj: int, x) -> Sie
     return Sieve(obj, members)
 
 
+def characteristic_table(site, n: Presheaf, m: Presheaf) -> dict[tuple[int, Hashable], Sieve]:
+    """chi(o, x) for every stage o and value x of m; n must be a subfunctor of m."""
+    return {
+        (o, x): characteristic_unchecked(site, n, m, o, x)
+        for o in range(site.n_objects)
+        for x in m.values[o]
+    }
+
+
+def naturality_holds(site, zeta: dict, m: Presheaf, transition: Callable) -> bool:
+    """Every square commutes: transition(a, zeta(dom a, x)) = zeta(cod a, m(a)(x))."""
+    for a in range(len(site.arrows)):
+        dom, cod = site.arrow_dom(a), site.arrow_cod(a)
+        for x in m.values[dom]:
+            if transition(a, zeta[(dom, x)]) != zeta[(cod, m.map(a, x))]:
+                return False
+    return True
+
+
+def pullback_holds(site, zeta: dict, n: Presheaf, m: Presheaf, tau: Sequence[Sieve]) -> bool:
+    """n is the set-level pullback of the 'true' section tau along zeta at every stage."""
+    return all(
+        n.value_set(o) == {x for x in m.values[o] if zeta[(o, x)] == tau[o]}
+        for o in range(site.n_objects)
+    )
+
+
 def filter_check(site, s: Presheaf, universe: Presheaf) -> list[tuple]:
     """Up-set and meet-closure violations of a proposition-set functor,
     relative to the enclosing proposition functor."""
@@ -371,14 +371,6 @@ def bottom_annihilator(site, obj: int, e_r: Subspace) -> Sieve:
     return Sieve(obj, members)
 
 
-def delta_omega_at(site, obj: int, e_r: Subspace, cap: int) -> StageHeyting:
-    """The sieves above the annihilator bottom; a Heyting algebra of its own."""
-    floor = bottom_annihilator(site, obj, e_r)
-    stage = omega_at(site, obj, cap)
-    kept = tuple(s for s in stage.sieves if not floor.mask & ~s.mask)
-    return StageHeyting(base=obj, top=stage.top, bottom=floor, sieves=kept)
-
-
 def omega_presheaf(site, cap: int) -> Presheaf:
     """The subobject classifier, stage lattices fully enumerated."""
     return build_presheaf(
@@ -392,7 +384,8 @@ def delta_omega_presheaf(site, r: Subspace, cap: int) -> Presheaf:
     """The sieves above each stage's annihilator bottom, as a subfunctor."""
     def values_at(o: int):
         atom = project_onto_eigenspace(Ray(site.object_ray(o)), r)
-        return delta_omega_at(site, o, atom, cap).sieves
+        floor = bottom_annihilator(site, o, atom).mask
+        return tuple(s for s in enumerate_sieves(site, o, cap) if not floor & ~s.mask)
 
     return build_presheaf(site, values_at, lambda a, s: omega_transition(site, a, s))
 
@@ -430,20 +423,9 @@ def semiclassifier_check(
     for idx, (n, m) in enumerate(pairs):
         if not is_subpresheaf(n, m):
             raise NotASubPresheaf("semi-classifier check needs subfunctor pairs")
-        chi = {
-            (o, x): characteristic_unchecked(site, n, m, o, x)
-            for o in range(site.n_objects)
-            for x in m.values[o]
-        }
-        factors = all(
-            chi[(o, x)] in delta_omega.value_set(o)
-            for o in range(site.n_objects)
-            for x in m.values[o]
-        )
-        pullback = all(
-            set(n.values[o]) == {x for x in m.values[o] if chi[(o, x)] == delta_tau[o]}
-            for o in range(site.n_objects)
-        )
+        chi = characteristic_table(site, n, m)
+        factors = all(value in delta_omega.value_set(o) for (o, _), value in chi.items())
+        pullback = pullback_holds(site, chi, n, m, delta_tau)
         count = 1
         for o in range(site.n_objects):
             count *= len(delta_omega.values[o]) ** len(m.values[o])
@@ -475,24 +457,10 @@ def _enumerate_pullback_maps(site, delta_omega, m, n, delta_tau) -> list[dict]:
     choices = [delta_omega.values[o] for o, _ in slots]
     survivors = []
     for assignment in itertools.product(*choices):
-        zeta = {slot: value for slot, value in zip(slots, assignment)}
-        ok = True
-        for o in range(site.n_objects):
-            wanted = set(n.values[o])
-            got = {x for x in m.values[o] if zeta[(o, x)] == delta_tau[o]}
-            if wanted != got:
-                ok = False
-                break
-        if ok:
-            for a in range(len(site.arrows)):
-                dom, cod = site.arrow_dom(a), site.arrow_cod(a)
-                for x in m.values[dom]:
-                    if omega_transition(site, a, zeta[(dom, x)]) != zeta[(cod, m.map(a, x))]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+        zeta = dict(zip(slots, assignment))
+        if pullback_holds(site, zeta, n, m, delta_tau) and naturality_holds(
+            site, zeta, m, delta_omega.map
+        ):
             survivors.append(zeta)
     return survivors
 
@@ -512,19 +480,11 @@ def _forced_pointwise_unique(site, delta_omega, m, n, delta_tau, chi) -> bool:
             for a in site.arrows_from(o):
                 if (a in s) != (delta_omega.map(a, s) == delta_tau[site.arrow_cod(a)]):
                     return False
-        n_set = n.value_set(o)
-        stage = delta_omega.value_set(o)
-        for x in m.values[o]:
-            if chi[(o, x)] not in stage:
-                return False
-            if (x in n_set) != (chi[(o, x)] == delta_tau[o]):
-                return False
-    for a in range(len(site.arrows)):
-        dom, cod = site.arrow_dom(a), site.arrow_cod(a)
-        for x in m.values[dom]:
-            if delta_omega.map(a, chi[(dom, x)]) != chi[(cod, m.map(a, x))]:
-                return False
-    return True
+    return (
+        all(value in delta_omega.value_set(o) for (o, _), value in chi.items())
+        and naturality_holds(site, chi, m, delta_omega.map)
+        and pullback_holds(site, chi, n, m, delta_tau)
+    )
 
 
 def ib_condition_check(

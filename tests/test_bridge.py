@@ -24,7 +24,6 @@ from sieveval import (
     submonoid_commuting_with,
     subspace_from_vectors,
     trivial_observable,
-    valuation,
     zero_space,
 )
 from sieveval.bridge import (
@@ -257,7 +256,7 @@ def test_natural_characteristic_and_uniqueness(extended_presheaves):
 
 def test_equivalence_families_agree(bridge_setup):
     ctx = bridge_setup
-    result = equivalence_check(ctx, full_space(2), UNIVERSE, valuation)
+    result = equivalence_check(ctx, full_space(2), UNIVERSE)
     assert result["passed"]
     for row in result["rows"]:
         assert row["a"] and row["b"] and row["c"]
@@ -265,7 +264,7 @@ def test_equivalence_families_agree(bridge_setup):
 
 def test_equivalence_unit_and_zero_rows(bridge_setup):
     ctx = bridge_setup
-    result = equivalence_check(ctx, full_space(2), UNIVERSE, valuation)
+    result = equivalence_check(ctx, full_space(2), UNIVERSE)
     rows = {str(row["proposition"]): row for row in result["rows"]}
     unit_row = rows[str(full_space(2))]
     assert unit_row["plain"] == top_sieve(ctx.plain, ctx.plain_stage)

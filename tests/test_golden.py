@@ -1,15 +1,16 @@
-"""Golden reports: the bytes `check --json` and `dump-site` print, pinned.
+"""Golden reports: the bytes `check --json`, `dump-site` and `valuate --json` print, pinned.
 
 The digests are sha256 of each command's stdout for every bundled scenario
-(the same values the benchmark pins in `perfbench/expected.json`).  A change
-that alters any report byte fails here.
+(for `check` and `dump-site`, the same values the benchmark pins in
+`perfbench/expected.json`) and, for `valuate`, for every run of each.  A
+change that alters any report byte fails here.
 """
 
 import hashlib
 
 import pytest
 
-from sieveval import bundled_scenario_names, bundled_scenario_path
+from sieveval import bundled_scenario_names, bundled_scenario_path, load_scenario
 from sieveval.cli import main
 
 # name -> (check --json sha256, dump-site sha256)
@@ -53,3 +54,38 @@ def test_reports_are_byte_identical(name, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == check_digest
     assert main(["dump-site", path]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == dump_digest
+
+
+# (scenario, run) -> valuate --json sha256
+GOLDEN_VALUATE = {
+    ("minimal", "only"): "122a53943c2cee6a292269366649dffef44cd16580949e912d37e55ce05fefe5",
+    ("qubit", "z-up"): "1e55f00df2fc2aaa93b9e8f4009878ff18d4d60b491ba1311a9c2179bdce956f",
+    ("qubit", "z-down"): "bf2774f368993a1c742579faf849aa1690a587e7075196514f7d284d2f801ff1",
+    ("qubit_complex", "z-up"): "790860384afdd22409c2d3cfc4d09c9cd0003064738e33e1d994b6cd71e95070",
+    ("qubit_complex", "z-down"): "d0101ce1eaf3bd12aad8f6b375ebcaa205ff1671c246dcb386c156a8a1680314",
+    ("qubit_complex", "coarse"): "4b2929a8a0ebc9b72a4c5b23f2f09dbff2911a771ba84361f52078f044bc7878",
+    ("qubit_extended", "coarse"): "3bf892ec3200a1c3df5c34ef65c84581aac041175e2e8e2bf75037ba19a0e2d1",
+    ("qubit_extended", "fine"): "b9cf3613296df9f342244b83c55aa6d068cbc6ed3295841bcf2dcf280e12b7cf",
+    ("qutrit", "r1"): "a3711de7fec57a11ee1de7d299a0cbf042bcac3e6daffb04775347388a04ff71",
+    ("qutrit", "r23"): "581662202608f5b3e951477d97eecf79906c5069190a303e273bdd59c46987ee",
+    ("qutrit_extended", "mid"): "ffaaa0d84e1b9ef489a192ced58c6909dc121a5322b75104397edfc1fe0c7691",
+    ("qutrit_extended", "mid-r1"): "e4b5e5bd30790232e0dc1295d657d67e96673e26bcaad65d552d1af46c0f2020",
+    ("qutrit_extended", "fine-r2"): "c13e776734d92d9415b04f33735ec6aa8d059d9cf3d6d2f0d29dd1d5c67dc0df",
+}
+
+
+def test_every_bundled_run_is_pinned():
+    runs = {
+        (name, spec.name)
+        for name in bundled_scenario_names()
+        for spec in load_scenario(bundled_scenario_path(name)).runs
+    }
+    assert runs == set(GOLDEN_VALUATE)
+
+
+@pytest.mark.parametrize("name, run", sorted(GOLDEN_VALUATE))
+def test_valuate_reports_are_byte_identical(name, run, capsys):
+    path = str(bundled_scenario_path(name))
+    assert main(["valuate", path, "--run", run, "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_VALUATE[(name, run)]

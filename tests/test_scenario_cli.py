@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from sieveval import bundled_scenario_names, bundled_scenario_path, load_scenario
+from sieveval import (
+    apply_operator,
+    atom_global_element,
+    build_presheaf,
+    bundled_scenario_names,
+    bundled_scenario_path,
+    full_space,
+    load_scenario,
+)
 from sieveval.cli import main
 from sieveval.errors import (
     CommutantViolation,
@@ -260,6 +268,48 @@ def test_cli_check_reports_internal_errors_with_exit_three(monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "Traceback" in err and str(exc) in err
+
+
+def _non_functorial_propositions(site, universe):
+    """The proposition functor, except that the identity at object 0 sends
+    every proposition to the whole space."""
+    identity = site.identity_arrow(0)
+    whole = full_space(site.object_ray(0).ambient_dim)
+
+    def transition(a, p):
+        if a == identity:
+            return whole
+        return apply_operator(site.operator_matrix(site.arrow_op(a)), p)
+
+    return build_presheaf(site, lambda o: tuple(universe), transition)
+
+
+def _section_off_the_atoms(site, atoms, r):
+    """The stage ray itself at every stage: natural, but not an atom where
+    the ray lies in no eigenspace."""
+    return atom_global_element(site, atoms, full_space(r.ambient_dim))
+
+
+@pytest.mark.parametrize(
+    "target, doctored, tags",
+    [
+        ("proposition_presheaf", _non_functorial_propositions, ("Eq 3.11", "Eq 4.19")),
+        ("atom_global_element", _section_off_the_atoms, ("Prop 3.1", "Eq 4.25")),
+    ],
+)
+def test_check_reports_an_invalid_presheaf_or_section_in_its_row(
+    monkeypatch, capsys, target, doctored, tags
+):
+    import sieveval.runner as runner_module
+
+    monkeypatch.setattr(runner_module, target, doctored)
+    assert main(["check", str(bundled_scenario_path("qubit_extended")), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    for tag in tags:
+        # The run "fine" values at the Z observable, whose eigenrays miss the stage ray.
+        (row,) = [row for row in report["rows"] if row["tag"] == tag and row["run"] == "fine"]
+        assert not row["passed"]
+        assert row["details"]["error"]
 
 
 def test_valuate_qutrit_block_proposition(capsys):

@@ -7,7 +7,6 @@ from sieveval import (
     build_plain_site,
     characteristic,
     close_monoid,
-    delta_omega_at,
     diagonal_matrix,
     enumerate_sieves,
     filter_check,
@@ -16,7 +15,6 @@ from sieveval import (
     heyting_join,
     heyting_meet,
     ib_condition_check,
-    omega_at,
     omega_transition,
     ray_from_vector,
     subspace_from_vectors,
@@ -73,9 +71,9 @@ def qubit_setup(qubit_site):
 
 
 def test_omega_census_qubit(qubit_site):
-    stage = omega_at(qubit_site, 0, cap=64)
+    stage = enumerate_sieves(qubit_site, 0, cap=64)
     assert len(stage) == 5
-    by_ops = {frozenset(arrows_by_op(qubit_site, 0, s)) for s in stage.sieves}
+    by_ops = {frozenset(arrows_by_op(qubit_site, 0, s)) for s in stage}
     assert by_ops == {
         frozenset(),
         frozenset({1}),
@@ -89,12 +87,12 @@ def test_omega_census_single_object():
     monoid = close_monoid([], cap=2, dim=2)
     z = Observable("Z", (span([1, 0]), span([0, 1])))
     site = build_plain_site(z, monoid, [ray_from_vector([1, 0])], cap=4)
-    stage = omega_at(site, 0, cap=8)
+    stage = enumerate_sieves(site, 0, cap=8)
     assert len(stage) == 2  # empty and identity-only
 
 
 def test_omega_census_eigenray(qubit_site):
-    stage = omega_at(qubit_site, 1, cap=64)
+    stage = enumerate_sieves(qubit_site, 1, cap=64)
     assert len(stage) == 3  # empty, projector-only, top
 
 
@@ -105,7 +103,7 @@ def test_enumeration_cap(qubit_site):
 
 def test_sieves_are_postcomposition_closed(qubit_site):
     for o in range(qubit_site.n_objects):
-        for s in omega_at(qubit_site, o, cap=64).sieves:
+        for s in enumerate_sieves(qubit_site, o, cap=64):
             assert is_sieve(qubit_site, s)
 
 
@@ -141,7 +139,7 @@ def test_heyting_ops_examples(qubit_site):
 
 def test_heyting_adjunction_exhaustive(qubit_site):
     site = qubit_site
-    sieves = omega_at(site, 0, cap=64).sieves
+    sieves = enumerate_sieves(site, 0, cap=64)
     for s in sieves:
         for t in sieves:
             imp = heyting_implies(site, s, t)
@@ -245,23 +243,30 @@ def test_bottom_annihilator_examples(qubit_site):
     assert bottom_annihilator(eigensite, 0, span([1, 0])) == bottom_sieve(0)
 
 
+def above_floor(site, obj, e_r):
+    """The delta-omega stage at obj: the sieves above the annihilator floor."""
+    floor = bottom_annihilator(site, obj, e_r)
+    return [s for s in enumerate_sieves(site, obj, cap=64) if floor <= s]
+
+
 def test_delta_omega_chain(qubit_site):
     site = qubit_site
-    stage = delta_omega_at(site, 0, span([1, 0]), cap=64)
-    assert len(stage.sieves) == 3
-    ordered = sorted(stage.sieves, key=lambda s: len(s.arrows))
-    assert ordered[0] == stage.bottom
-    assert ordered[-1] == stage.top
+    stage = above_floor(site, 0, span([1, 0]))
+    floor = bottom_annihilator(site, 0, span([1, 0]))
+    assert len(stage) == 3
+    ordered = sorted(stage, key=lambda s: len(s.arrows))
+    assert ordered[0] == floor
+    assert ordered[-1] == top_sieve(site, 0)
     assert ordered[0] <= ordered[1] <= ordered[2]
-    assert arrows_by_op(site, 0, stage.bottom) == {2}
+    assert arrows_by_op(site, 0, floor) == {2}
 
 
 def test_delta_omega_degenerate_cases(qubit_site):
     site = qubit_site
-    everything = delta_omega_at(site, 0, zero_space(2), cap=64)
-    assert len(everything.sieves) == 1  # only the top survives a full floor
-    no_floor = delta_omega_at(site, 1, span([1, 0]), cap=64)
-    assert len(no_floor.sieves) == len(omega_at(site, 1, cap=64).sieves)
+    everything = above_floor(site, 0, zero_space(2))
+    assert len(everything) == 1  # only the top survives a full floor
+    no_floor = above_floor(site, 1, span([1, 0]))
+    assert len(no_floor) == len(enumerate_sieves(site, 1, cap=64))
 
 
 def test_semiclassifier_on_full_classifier(qubit_setup):

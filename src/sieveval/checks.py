@@ -23,7 +23,7 @@ from .bridge import (
     sharp,
     sharp_by_intersection,
 )
-from .errors import SievevalError
+from .errors import NotASubPresheaf, SievevalError
 from .modal import (
     bub_valuation,
     enumerate_determinate_sublattice,
@@ -881,6 +881,18 @@ def _projectivity_rows(run: BuiltRun) -> list[dict]:
             run=run.spec.name,
         )
     )
+    try:
+        rows.extend(_detector_rows(run))
+    except NotASubPresheaf as exc:
+        title = "projectivity and naturality detectors agree"
+        rows.append(_row("Prop 5.10", title, False, run=run.spec.name, error=str(exc)))
+    return rows
+
+
+def _detector_rows(run: BuiltRun) -> list[dict]:
+    """Prop 5.10 and Def 5.4; raises NotASubPresheaf on a non-subfunctor input."""
+    rest = run.rest
+    rows = []
     agree_t, mismatches_t = projectivity_matches_naturality(
         rest, run.true_t_ext, run.propositions_l_ext
     )
@@ -942,19 +954,26 @@ def _projectivity_rows(run: BuiltRun) -> list[dict]:
 
 def _natural_characteristic_rows(run: BuiltRun, nat_omega: Presheaf) -> list[dict]:
     rest = run.rest
-    result = natural_characteristic(rest, run.true_t_ext, run.propositions_l_ext)
+    try:
+        result = natural_characteristic(rest, run.true_t_ext, run.propositions_l_ext)
+        failure = {}
+    except NotASubPresheaf as exc:
+        result = dict.fromkeys(("projective", "factorization", "naturality", "pullback"), False)
+        failure = {"error": str(exc)}
     rows = [
         _row(
             "Thm 5.11",
             "the fixpoint-valued characteristic map is natural and factors",
             result["projective"] and result["factorization"] and result["naturality"],
             run=run.spec.name,
+            **failure,
         ),
         _row(
             "Thm 5.12",
             "pullback against the fixpoint 'true' at every stage",
             result["pullback"],
             run=run.spec.name,
+            **failure,
         ),
     ]
     omega = omega_presheaf(rest, run.scenario.caps["sieve_enum"])

@@ -11,17 +11,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AmbientMismatch, OrthogonalityViolation, ValidationError
-from .linalg import ExactMatrix, mat_mul
+from .linalg import ExactMatrix
+from .rationals import gaussian
 from .subspaces import (
     Ray,
     Subspace,
+    apply_operator,
     full_space,
     generate_sublattice,
     join,
     leq,
     ortho,
     project_onto_eigenspace,
-    projector_matrix,
     zero_space,
 )
 
@@ -63,9 +64,6 @@ class Observable:
     def ambient_dim(self) -> int:
         return self.eigenspaces[0].ambient_dim
 
-    def projector(self, index: int) -> ExactMatrix:
-        return projector_matrix(self.eigenspaces[index])
-
 
 def validate_matrix_decomposition(matrix: ExactMatrix, observable: Observable) -> None:
     """Check that a matrix is scalar (with its declared label) on each eigenspace."""
@@ -74,8 +72,6 @@ def validate_matrix_decomposition(matrix: ExactMatrix, observable: Observable) -
     n = observable.ambient_dim
     if matrix.rows != n or matrix.cols != n:
         raise ValidationError(observable.name, "matrix shape does not match ambient")
-    from .rationals import gaussian
-
     for r, label in zip(observable.eigenspaces, observable.labels):
         lam = gaussian(label)
         for v in r.vectors():
@@ -171,16 +167,22 @@ def bub_valuation(e_r: Subspace, p: Subspace) -> int:
     return 1 if leq(e_r, p) else 0
 
 
-def in_commutant(f: ExactMatrix, observable: Observable) -> bool:
-    """Exact commutation with every eigenprojector."""
+def non_invariant_eigenspace(f: ExactMatrix, observable: Observable) -> int | None:
+    """The index of the first eigenspace R_i with f(R_i) not inside R_i, else None."""
     n = observable.ambient_dim
     if f.rows != n or f.cols != n:
         raise AmbientMismatch(f"operator {f.rows}x{f.cols} vs ambient {n}")
-    for i in range(len(observable.eigenspaces)):
-        pi = observable.projector(i)
-        if mat_mul(f, pi) != mat_mul(pi, f):
-            return False
-    return True
+    for i, r in enumerate(observable.eigenspaces):
+        if not leq(apply_operator(f, r), r):
+            return i
+    return None
+
+
+def in_commutant(f: ExactMatrix, observable: Observable) -> bool:
+    """Exact commutation with every eigenprojector P_i, checked on eigenspaces:
+    f P_i = P_i f for all i iff f(R_i) ⊆ R_i for all i.  (⇒) f(R_i) = f P_i(ℂⁿ)
+    = P_i f(ℂⁿ) ⊆ R_i; (⇐) with v = Σ v_j, v_j in R_j, P_i f v = f v_i = f P_i v."""
+    return non_invariant_eigenspace(f, observable) is None
 
 
 def observable_leq(rho: Observable, rho_prime: Observable) -> bool:

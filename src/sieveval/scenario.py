@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import CommutantViolation, ParseError, ValidationError
 from .linalg import ExactMatrix, matrix_from_rows
-from .modal import Observable, in_commutant
+from .modal import Observable, non_invariant_eigenspace, validate_matrix_decomposition
 from .rationals import parse_scalar
 from .subspaces import (
     Ray,
@@ -190,8 +190,6 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
             )
         obs = Observable(oname, spaces, labels)
         if "matrix" in raw:
-            from .modal import validate_matrix_decomposition
-
             rows = raw["matrix"]
             if not isinstance(rows, list) or len(rows) != dim:
                 raise ValidationError(f"{where}.matrix", f"expected {dim} rows")
@@ -220,14 +218,8 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
             if not isinstance(declared_under, str) or declared_under not in observable_index:
                 raise ValidationError(f"{where}.commutant_of", f"unknown observable {declared_under!r}")
             obs = observables[observable_index[declared_under]]
-            if not in_commutant(matrix, obs):
-                from .linalg import mat_mul
-
-                eigen = next(
-                    j
-                    for j in range(len(obs.eigenspaces))
-                    if mat_mul(matrix, obs.projector(j)) != mat_mul(obs.projector(j), matrix)
-                )
+            eigen = non_invariant_eigenspace(matrix, obs)
+            if eigen is not None:
                 raise CommutantViolation(
                     f"{where}",
                     f"{gname!r} does not commute with {declared_under!r} (eigenspace {eigen})",

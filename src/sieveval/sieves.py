@@ -313,11 +313,13 @@ def characteristic_table(site, n: Presheaf, m: Presheaf) -> dict[tuple[int, Hash
 
 
 def naturality_holds(site, zeta: dict, m: Presheaf, transition: Callable) -> bool:
-    """Every square commutes: transition(a, zeta(dom a, x)) = zeta(cod a, m(a)(x))."""
+    """Every square commutes: transition(a, zeta(dom a, x)) = zeta(cod a, m(a)(x)).
+    An m(a)(x) outside m's codomain value set has no zeta entry: its square fails."""
     for a in range(len(site.arrows)):
         dom, cod = site.arrow_dom(a), site.arrow_cod(a)
         for x in m.values[dom]:
-            if transition(a, zeta[(dom, x)]) != zeta[(cod, m.map(a, x))]:
+            image = zeta.get((cod, m.map(a, x)))
+            if image is None or transition(a, zeta[(dom, x)]) != image:
                 return False
     return True
 
@@ -422,7 +424,8 @@ def semiclassifier_check(
             return rows
     for idx, (n, m) in enumerate(pairs):
         if not is_subpresheaf(n, m):
-            raise NotASubPresheaf("semi-classifier check needs subfunctor pairs")
+            rows.append({"pair": idx, "passed": False, "reason": "not a subfunctor pair"})
+            continue
         chi = characteristic_table(site, n, m)
         factors = all(value in delta_omega.value_set(o) for (o, _), value in chi.items())
         pullback = pullback_holds(site, chi, n, m, delta_tau)

@@ -65,36 +65,33 @@ def close_monoid(
     for g in generators:
         if g.rows != dim or g.cols != dim:
             raise ValueError(f"generator is {g.rows}x{g.cols}, expected {dim}x{dim}")
-    elements: list[ExactMatrix] = [identity_matrix(dim)]
-    index: dict[ExactMatrix, int] = {elements[0]: 0}
-    generator_indices: list[int] = []
-    for g in generators:
-        if g not in index:
+    elements: list[ExactMatrix] = []
+    index: dict[ExactMatrix, int] = {}
+
+    def intern(m: ExactMatrix) -> int:
+        if m not in index:
             if len(elements) >= cap:
                 raise ClosureExceeded(cap)
-            index[g] = len(elements)
-            elements.append(g)
-        generator_indices.append(index[g])
-    # Grow until every pairwise product is present.
-    frontier = list(range(len(elements)))
+            index[m] = len(elements)
+            elements.append(m)
+        return index[m]
+
+    intern(identity_matrix(dim))
+    generator_indices = [intern(g) for g in generators]
+    # Grow until every pairwise product is present: each round multiplies each
+    # ordered pair with a member new in the last round once, recording its index.
+    products: dict[tuple[int, int], int] = {}
+    frontier = range(len(elements))
     while frontier:
-        new_frontier: list[int] = []
-        for i in list(range(len(elements))):
+        known = len(elements)
+        for i in range(known):
             for j in frontier:
                 for a, b in ((i, j), (j, i)):
-                    product = mat_mul(elements[a], elements[b])
-                    if product not in index:
-                        if len(elements) >= cap:
-                            raise ClosureExceeded(cap)
-                        index[product] = len(elements)
-                        elements.append(product)
-                        new_frontier.append(index[product])
-        frontier = new_frontier
+                    if (a, b) not in products:
+                        products[a, b] = intern(mat_mul(elements[a], elements[b]))
+        frontier = range(known, len(elements))
     size = len(elements)
-    table = tuple(
-        tuple(index[mat_mul(elements[i], elements[j])] for j in range(size))
-        for i in range(size)
-    )
+    table = tuple(tuple(products[i, j] for j in range(size)) for i in range(size))
     return OperatorMonoid(tuple(elements), 0, tuple(generator_indices), table)
 
 
@@ -292,12 +289,6 @@ class ExtendedSite(Site):
     compose = Site.compose
 
 
-def _commutant_table(
-    monoid: OperatorMonoid, observables: Sequence[Observable]
-) -> list[list[bool]]:
-    return [[in_commutant(f, obs) for obs in observables] for f in monoid.elements]
-
-
 def _build(
     cls: type[Site],
     observables: tuple[Observable, ...],
@@ -348,7 +339,7 @@ def build_plain_site(
     cap: int,
 ) -> PlainSite:
     """The site of one observable; every monoid element must commute with it."""
-    commutes = _commutant_table(monoid, (observable,))
+    commutes = [[in_commutant(f, observable)] for f in monoid.elements]
     for i, (ok,) in enumerate(commutes):
         if not ok:
             raise NotInCommutant(i, observable.name)
@@ -362,7 +353,7 @@ def build_extended_site(
     cap: int,
 ) -> ExtendedSite:
     observables = tuple(observables)
-    commutes = _commutant_table(monoid, observables)
+    commutes = [[in_commutant(f, obs) for obs in observables] for f in monoid.elements]
     return _build(ExtendedSite, observables, monoid, commutes, seed_states, cap)
 
 

@@ -1,20 +1,31 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sieveval import (
     Observable,
     bub_valuation,
+    bundled_scenario_names,
+    bundled_scenario_path,
+    close_monoid,
     compute_atoms,
+    conj_transpose,
     diagonal_matrix,
     enumerate_determinate_sublattice,
     full_space,
+    gaussian,
+    identity_matrix,
     in_commutant,
     in_determinate_sublattice,
     join,
+    load_scenario,
+    mat_mul,
     matrix_from_rows,
     observable_leq,
     ortho,
+    projector_matrix,
     ray_from_vector,
     subspace_from_vectors,
     trivial_observable,
@@ -123,6 +134,72 @@ def test_in_commutant():
     assert in_commutant(diagonal_matrix([1, 0]), z)
     flip = matrix_from_rows([[0, 1], [1, 0]])
     assert not in_commutant(flip, z)
+
+
+def commutes_with_every_eigenprojector(f, observable):
+    """The reference predicate: f P_i = P_i f for every eigenprojector P_i."""
+    projectors = [projector_matrix(r) for r in observable.eigenspaces]
+    return all(mat_mul(f, p) == mat_mul(p, f) for p in projectors)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_in_commutant_matches_the_projector_oracle_on_bundled_monoids(name):
+    # Every bundled monoid element commutes with every declared observable;
+    # the random operators below supply the non-commuting verdicts.
+    scenario = load_scenario(bundled_scenario_path(name))
+    monoid = close_monoid(scenario.generators, scenario.caps["monoid"], dim=scenario.dimension)
+    for f in monoid.elements:
+        for observable in scenario.observables:
+            assert in_commutant(f, observable) == commutes_with_every_eigenprojector(f, observable)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+entries = st.one_of(st.just(gaussian(0)), st.builds(gaussian, small, small))
+
+
+def unitary(n, kind):
+    """Identity, or a Pythagorean rotation of the first two coordinates."""
+    rows = [list(row) for row in identity_matrix(n).entries]
+    if n >= 2 and kind != "identity":
+        c, s, i_s = Fraction(3, 5), Fraction(4, 5), gaussian(0, Fraction(4, 5))
+        rows[0][:2], rows[1][:2] = ([c, -s], [s, c]) if kind == "real" else ([c, i_s], [i_s, c])
+    return matrix_from_rows(rows)
+
+
+@st.composite
+def operator_and_observable(draw):
+    """An observable merged from the columns of a unitary U, and F = U B U*
+    where B is random, block-diagonal over the merge half of the time."""
+    n = draw(st.integers(1, 3))
+    u = unitary(n, draw(st.sampled_from(["identity", "real", "complex"])))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = [[j for j in range(n) if labels[j] == b] for b in sorted(set(labels))]
+    observable = Observable(
+        "R", tuple(subspace_from_vectors(n, [u.col(j) for j in block]) for block in blocks)
+    )
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [
+            [e if labels[i] == labels[j] else gaussian(0) for j, e in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    f = mat_mul(u, mat_mul(matrix_from_rows(rows), conj_transpose(u)))
+    return f, observable
+
+
+def test_in_commutant_matches_the_projector_oracle_on_random_operators():
+    verdicts = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(operator_and_observable())
+    def compare(pair):
+        f, observable = pair
+        expected = commutes_with_every_eigenprojector(f, observable)
+        assert in_commutant(f, observable) == expected
+        verdicts.add(expected)
+
+    compare()
+    assert verdicts == {True, False}
 
 
 def test_observable_leq():

@@ -10,6 +10,7 @@ from sieveval import (
     bundled_scenario_path,
     full_space,
     load_scenario,
+    subspace_from_vectors,
 )
 from sieveval.cli import main
 from sieveval.errors import (
@@ -87,7 +88,16 @@ def test_commutant_violation_names_eigenspace():
     )
     with pytest.raises(CommutantViolation) as err:
         scenario_from_dict(data)
-    assert "eigenspace" in str(err.value)
+    assert "(eigenspace 0)" in str(err.value)
+    # Keeps eigenspace 0 invariant, maps eigenspace 1 onto eigenspace 0.
+    data = minimal_dict(
+        generators=[
+            {"name": "raise", "matrix": [["0", "1"], ["0", "0"]], "commutant_of": "Z"}
+        ]
+    )
+    with pytest.raises(CommutantViolation) as err:
+        scenario_from_dict(data)
+    assert "(eigenspace 1)" in str(err.value)
 
 
 def test_irrational_scalar_rejected():
@@ -284,6 +294,20 @@ def _non_functorial_propositions(site, universe):
     return build_presheaf(site, lambda o: tuple(universe), transition)
 
 
+def _propositions_leaving_the_universe(site, universe):
+    """The proposition functor, except that the identity at object 0 sends
+    every proposition to span(3, 4), a ray outside the universe."""
+    identity = site.identity_arrow(0)
+    outside = subspace_from_vectors(site.object_ray(0).ambient_dim, [[3, 4]])
+
+    def transition(a, p):
+        if a == identity:
+            return outside
+        return apply_operator(site.operator_matrix(site.arrow_op(a)), p)
+
+    return build_presheaf(site, lambda o: tuple(universe), transition)
+
+
 def _section_off_the_atoms(site, atoms, r):
     """The stage ray itself at every stage: natural, but not an atom where
     the ray lies in no eigenspace."""
@@ -295,6 +319,11 @@ def _section_off_the_atoms(site, atoms, r):
     [
         ("proposition_presheaf", _non_functorial_propositions, ("Eq 3.11", "Eq 4.19")),
         ("atom_global_element", _section_off_the_atoms, ("Prop 3.1", "Eq 4.25")),
+        (
+            "proposition_presheaf",
+            _propositions_leaving_the_universe,
+            ("Eq 3.11", "Eq 4.19", "Prop 5.10", "Thm 5.11", "Thm 5.12"),
+        ),
     ],
 )
 def test_check_reports_an_invalid_presheaf_or_section_in_its_row(

@@ -62,6 +62,25 @@ def test_close_monoid_table_is_total_product():
             assert monoid.elements[monoid.mul(i, j)] == mat_mul(a, b)
 
 
+def test_close_monoid_multiplies_each_ordered_pair_once(monkeypatch):
+    import sieveval.sites as sites_module
+
+    calls = []
+
+    def counting_mat_mul(a, b):
+        calls.append((a, b))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(sites_module, "mat_mul", counting_mat_mul)
+    cycle = matrix_from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    monoid = close_monoid([cycle, diagonal_matrix([1, 0, 0])], cap=64)
+    assert len(monoid) == 13  # grown over several frontier rounds
+    assert len(calls) == len(monoid) ** 2
+    for i, a in enumerate(monoid.elements):
+        for j, b in enumerate(monoid.elements):
+            assert monoid.elements[monoid.mul(i, j)] == mat_mul(a, b)
+
+
 def test_close_monoid_cap():
     shift = matrix_from_rows([[0, 1], [2, 0]])  # powers keep growing
     with pytest.raises(ClosureExceeded):

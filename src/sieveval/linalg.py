@@ -1,8 +1,17 @@
-"""Dense exact matrices over Gaussian rationals.
+"""Dense exact matrices over Gaussian rationals, reduced over Gaussian integers.
 
-Scenario dimensions are tiny, so everything is dense and immutable.  Basis
-vectors emitted by `kernel_basis` are scaled so their first nonzero
-coordinate is 1, which makes downstream canonical forms deterministic.
+Scenario dimensions are tiny, so everything is dense and immutable.
+`ExactMatrix` holds Gaussian-rational entries; `integer_rows()` is the
+same map scaled to Gaussian integers, as (re, im) int pairs.
+
+There is one elimination, `integer_rref`: fraction-free Gauss-Jordan on
+Gaussian-integer rows, returning each row of the reduced row echelon form
+in a canonical primitive form (pivot a positive integer).  `integer_kernel`
+reads the null space off it.  `rref`, `rank`, `kernel_basis` and `inverse`
+are their `GaussianRational` views: `rational_row` divides a row by its
+first nonzero entry, the one exact division.  Basis vectors emitted by
+`kernel_basis` are so scaled that their first nonzero coordinate is 1,
+which makes downstream canonical forms deterministic.
 """
 
 from __future__ import annotations
@@ -15,18 +24,21 @@ from .errors import DimensionMismatch, SingularMatrixError
 from .rationals import ONE, ZERO, GaussianRational, gaussian
 
 Vector = tuple[GaussianRational, ...]
+IntegerRow = tuple[tuple[int, int], ...]
 
 
 class ExactMatrix:
-    """Immutable dense matrix; the hash is computed once and reused."""
+    """Immutable dense matrix; the hash and the integer form are computed
+    once, on first use, and reused."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("rows", "cols", "entries", "_hash", "_integer")
 
     def __init__(self, rows: int, cols: int, entries: tuple[tuple[GaussianRational, ...], ...]):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_integer", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -47,6 +59,16 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}, {self.cols}, {self.entries!r})"
+
+    def integer_rows(self) -> tuple[IntegerRow, ...]:
+        """The entries times the lcm of all their denominators, as (re, im)
+        int pairs: the same linear map up to one positive integer factor."""
+        if self._integer is None:
+            scale = _scale(e for row in self.entries for e in row)
+            object.__setattr__(
+                self, "_integer", tuple(tuple(_scaled(e, scale) for e in row) for row in self.entries)
+            )
+        return self._integer
 
     def entry(self, i: int, j: int) -> GaussianRational:
         return self.entries[i][j]
@@ -139,119 +161,146 @@ def conj_transpose(m: ExactMatrix) -> ExactMatrix:
     )
 
 
-def _gaussian_integer_row(row: Sequence[GaussianRational]) -> list[tuple[int, int]]:
+def _scale(entries: Iterable[GaussianRational]) -> int:
+    """The lcm of the denominators of the entries' parts (1 when empty)."""
+    return lcm(*(x.denominator for e in entries for x in (e.re, e.im)))
+
+
+def _scaled(e: GaussianRational, scale: int) -> tuple[int, int]:
+    return (e.re.numerator * (scale // e.re.denominator), e.im.numerator * (scale // e.im.denominator))
+
+
+def integer_row(row: Sequence[GaussianRational]) -> IntegerRow:
     """The row scaled by the lcm of its denominators, as (re, im) int pairs."""
-    scale = lcm(*(x.denominator for e in row for x in (e.re, e.im)))
-    return [
-        (e.re.numerator * (scale // e.re.denominator), e.im.numerator * (scale // e.im.denominator))
-        for e in row
-    ]
+    scale = _scale(row)
+    return tuple(_scaled(e, scale) for e in row)
+
+
+def rational_row(row: Sequence[tuple[int, int]]) -> Vector:
+    """A Gaussian-integer row divided by its first nonzero entry.
+
+    This is the one exact division of the package's elimination: a
+    canonical row divided by its pivot is its reduced-row-echelon row.  A
+    zero row stays zero.
+    """
+    # e / d = e * conj(d) / |d|^2
+    dr, di = next((e for e in row if e != (0, 0)), (1, 0))
+    norm = dr * dr + di * di
+    return tuple(
+        GaussianRational(Fraction(a * dr + b * di, norm), Fraction(b * dr - a * di, norm))
+        for a, b in row
+    )
+
+
+def _primitive(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The row divided by the integer gcd of all its parts."""
+    content = gcd(*[x for pair in row for x in pair])
+    if content > 1:
+        return [(a // content, b // content) for a, b in row]
+    return row
+
+
+def integer_rref(
+    rows: Iterable[Sequence[tuple[int, int]]], cols: int
+) -> tuple[tuple[IntegerRow, ...], tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan elimination over Gaussian integers.
+
+    Returns the nonzero rows of the reduced row echelon form and their
+    pivot columns.  Each row is in its canonical primitive form: a positive
+    integer multiple of its RREF row whose (re, im) parts have no common
+    factor, so its pivot is a positive integer.  The RREF is unique, so
+    this form is too, and no division other than by an integer gcd occurs.
+
+    A new pivot row is multiplied by the conjugate of its pivot (making the
+    pivot real and positive) and made primitive; every other row with a
+    nonzero entry f in the pivot column is replaced by p * row - f * pivot_row
+    and made primitive.  Earlier pivot rows stay canonical: their pivot
+    entries are only ever multiplied by positive integers.
+    """
+    work = list(rows)
+    n_rows = len(work)
+    pivots: list[int] = []
+    for col in range(cols):
+        k = len(pivots)
+        for target in range(k, n_rows):
+            if work[target][col] != (0, 0):
+                break
+        else:
+            continue
+        prow = work[target]
+        work[target] = work[k]
+        pr, pi = prow[col]
+        if pi or pr < 0:
+            prow = [(a * pr + b * pi, b * pr - a * pi) for a, b in prow]
+        prow = _primitive(prow)
+        work[k] = prow
+        p = prow[col][0]
+        for r in range(n_rows):
+            row = work[r]
+            fr, fi = row[col]
+            if r == k or not (fr or fi):
+                continue
+            work[r] = _primitive(
+                [(p * a - fr * c + fi * d, p * b - fr * d - fi * c) for (a, b), (c, d) in zip(row, prow)]
+            )
+        pivots.append(col)
+        if k + 1 == n_rows:
+            break
+    return tuple(tuple(row) for row in work[: len(pivots)]), tuple(pivots)
+
+
+def integer_kernel(rows: Iterable[Sequence[tuple[int, int]]], cols: int) -> list[IntegerRow]:
+    """Basis of the null space over the Gaussian integers, one vector per
+    free column of the RREF; the vector of free column j has a positive
+    integer at j and zeros at the other free columns."""
+    reduced, pivots = integer_rref(rows, cols)
+    scale = lcm(*(row[c][0] for row, c in zip(reduced, pivots)))
+    pivot_set = set(pivots)
+    basis: list[IntegerRow] = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = [(0, 0)] * cols
+        v[free] = (scale, 0)
+        for row, c in zip(reduced, pivots):
+            factor = scale // row[c][0]
+            a, b = row[free]
+            v[c] = (-a * factor, -b * factor)
+        basis.append(tuple(v))
+    return basis
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns (rank = #pivots).
-
-    Elimination is fraction-free over Gaussian integers: each row is scaled
-    to integer (re, im) pairs, a row is reduced against a pivot row by
-    cross-multiplication (row <- p*row - f*pivot_row) and divided by the
-    integer gcd of its parts, and each pivot row is divided by its pivot
-    once at the end.  The RREF is unique, so the result is the same as
-    elimination over Gaussian rationals.
-    """
-    work = [_gaussian_integer_row(row) for row in m.entries]
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(m.cols):
-        target = None
-        for r in range(pivot_row, m.rows):
-            if work[r][col] != (0, 0):
-                target = r
-                break
-        if target is None:
-            continue
-        work[pivot_row], work[target] = work[target], work[pivot_row]
-        prow = work[pivot_row]
-        pr, pi = prow[col]
-        for r in range(m.rows):
-            fr, fi = work[r][col]
-            if r == pivot_row or not (fr or fi):
-                continue
-            reduced = [
-                (pr * a - pi * b - fr * c + fi * d, pr * b + pi * a - fr * d - fi * c)
-                for (a, b), (c, d) in zip(work[r], prow)
-            ]
-            content = gcd(*(x for pair in reduced for x in pair))
-            if content > 1:
-                reduced = [(a // content, b // content) for a, b in reduced]
-            work[r] = reduced
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == m.rows:
-            break
-    entries = []
-    for k, row in enumerate(work):
-        if k < len(pivots):
-            # e / p = e * conj(p) / |p|^2
-            pr, pi = row[pivots[k]]
-            norm = pr * pr + pi * pi
-            row = tuple(
-                GaussianRational(Fraction(a * pr + b * pi, norm), Fraction(b * pr - a * pi, norm))
-                for a, b in row
-            )
-        else:
-            row = tuple(ZERO for _ in row)
-        entries.append(row)
-    return ExactMatrix(m.rows, m.cols, tuple(entries)), tuple(pivots)
+    """Reduced row echelon form and its pivot columns (rank = #pivots):
+    `integer_rref` with each canonical row divided by its pivot."""
+    reduced, pivots = integer_rref(m.integer_rows(), m.cols)
+    zero_row = tuple(ZERO for _ in range(m.cols))
+    entries = tuple(rational_row(row) for row in reduced) + (zero_row,) * (m.rows - len(pivots))
+    return ExactMatrix(m.rows, m.cols, entries), pivots
 
 
 def rank(m: ExactMatrix) -> int:
-    return len(rref(m)[1])
+    return len(integer_rref(m.integer_rows(), m.cols)[1])
 
 
 def scale_to_leading_one(v: Vector) -> Vector:
-    for e in v:
-        if not e.is_zero:
-            inv = e.inverse()
-            return tuple(x * inv for x in v)
-    return v
+    return rational_row(integer_row(v))
 
 
 def kernel_basis(m: ExactMatrix) -> list[Vector]:
     """Basis of the exact null space, one vector per free column."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[free] = ONE
-        for k, pivot_col in enumerate(pivots):
-            v[pivot_col] = -reduced.entries[k][free]
-        basis.append(scale_to_leading_one(tuple(v)))
-    return basis
+    return [rational_row(v) for v in integer_kernel(m.integer_rows(), m.cols)]
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    augmented = matrix_from_rows(
-        [list(m.entries[i]) + list(identity_matrix(n).entries[i]) for i in range(n)]
-    )
-    reduced, pivots = rref(augmented)
-    if tuple(pivots) != tuple(range(n)):
+    augmented = [
+        integer_row(row + tuple(ONE if i == j else ZERO for j in range(n)))
+        for i, row in enumerate(m.entries)
+    ]
+    reduced, pivots = integer_rref(augmented, 2 * n)
+    if pivots != tuple(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return ExactMatrix(n, n, tuple(tuple(reduced.entries[i][n:]) for i in range(n)))
-
-
-def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.rows != b.rows:
-        raise DimensionMismatch("row count mismatch in hstack")
-    return ExactMatrix(
-        a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.entries, b.entries))
-    )
-
-
-def vectors_equal(a: Iterable[GaussianRational], b: Iterable[GaussianRational]) -> bool:
-    return tuple(a) == tuple(b)
+    return ExactMatrix(n, n, tuple(rational_row(row)[n:] for row in reduced))

@@ -1,7 +1,10 @@
 """Exact complex scalars with rational real and imaginary parts.
 
-Every scalar in the package is one of these; there is no floating-point
-mode anywhere.  `fractions.Fraction` keeps numerators and denominators in
+These are the package's scalars wherever a number is read, held in an
+`ExactMatrix` or reported.  The subspace lattice computes on Gaussian
+integers instead, as (re, im) int pairs (see `linalg.integer_rref`), and
+converts to these at its boundary.  There is no floating-point mode
+anywhere.  `fractions.Fraction` keeps numerators and denominators in
 lowest terms with positive denominators, so equality and hashing are exact.
 """
 

@@ -1,9 +1,15 @@
-"""The lattice of subspaces of complex n-space, with exact canonical bases.
+"""The lattice of subspaces of complex n-space, over Gaussian integers.
 
-A subspace is stored as the reduced row echelon form of any spanning set,
-read back as basis columns.  That form is unique, so subspaces are
-hash-consed on it: equal subspaces are one object, equality is identity,
-and the hash is structural.  The zero space ({0}, dim 0) and the whole
+A subspace is stored as the nonzero rows of the reduced row echelon form
+of any spanning set, each in the canonical primitive Gaussian-integer form
+of `linalg.integer_rref` ((re, im) int pairs, pivot a positive integer).
+That form is unique, so subspaces are hash-consed on it: equal subspaces
+are one object, equality is identity, and the hash is structural.  Join,
+meet, ortho, leq and the image under an operator are integer eliminations
+on these rows.  Gaussian rationals appear only at the boundary: the
+input of `subspace_from_vectors`, the basis that `vectors`, `serialize`,
+`__str__` and `projector_matrix` read, and the structural hash, computed
+once per interned subspace.  The zero space ({0}, dim 0) and the whole
 space (the unit proposition) are first-class values.
 """
 
@@ -13,43 +19,47 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch, DimensionMismatch, LatticeCapExceeded, ValidationError
 from .linalg import (
     ExactMatrix,
+    IntegerRow,
     Vector,
     conj_transpose,
-    hstack,
     identity_matrix,
+    integer_kernel,
+    integer_row,
+    integer_rref,
     inverse,
-    kernel_basis,
     mat_mul,
     matrix_from_cols,
-    matrix_from_rows,
-    rref,
+    rational_row,
     zero_matrix,
 )
 from .rationals import GaussianRational, format_scalar, gaussian
 
 
 class Subspace:
-    """Immutable and hash-consed: one instance per (ambient_dim, basis).
+    """Immutable and hash-consed: one instance per (ambient_dim, rows).
 
     Build subspaces only through `subspace_from_vectors`, `zero_space` and
     `full_space`.  They take their instance from a process-wide weak-valued
     intern table, so equal subspaces are the same object and equality is
-    identity.  The hash is the structural hash of (ambient_dim, basis),
-    computed once when the subspace is interned, so set and dict iteration
-    orders do not depend on interning.
+    identity.  `rows` are the canonical Gaussian-integer RREF rows, one per
+    basis vector.  The hash is the structural hash of (ambient_dim, basis),
+    the basis being the rows divided by their pivots as Gaussian-rational
+    columns; it is computed once, when the subspace is interned, so set and
+    dict iteration orders do not depend on interning or on the row form.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_hash", "__weakref__")
+    __slots__ = ("ambient_dim", "rows", "_hash", "__weakref__")
 
-    def __init__(self, ambient_dim: int, basis: ExactMatrix):
+    def __init__(self, ambient_dim: int, rows: tuple[IntegerRow, ...]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_hash", hash((ambient_dim, basis)))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash((ambient_dim, self._basis())))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -65,21 +75,35 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self.rows
 
     @property
     def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
+        return len(self.rows) == self.ambient_dim
 
     def vectors(self) -> list[Vector]:
-        return [self.basis.col(j) for j in range(self.dim)]
+        """The basis: each canonical row divided by its pivot."""
+        return [rational_row(row) for row in self.rows]
+
+    def _basis(self) -> ExactMatrix:
+        return matrix_from_cols(self.vectors(), self.ambient_dim)
 
     def sort_key(self) -> tuple:
-        return (self.dim, self.basis.sort_key())
+        """(dim, the basis's `ExactMatrix.sort_key`), read off the rows:
+        entry (a + b i) / p of row j is keyed (a/g, p/g, b/h, p/h) with
+        g = gcd(a, p), h = gcd(b, p), in lowest terms like a Fraction."""
+        pivots = [next(a for a, b in row if a) for row in self.rows]
+        key = []
+        for i in range(self.ambient_dim):
+            for row, p in zip(self.rows, pivots):
+                a, b = row[i]
+                g, h = gcd(a, p), gcd(b, p)
+                key.append((a // g, p // g, b // h, p // h))
+        return (self.dim, tuple(key))
 
     def serialize(self) -> list[list[str]]:
         return [[format_scalar(e) for e in v] for v in self.vectors()]
@@ -92,46 +116,47 @@ class Subspace:
         ) + ")"
 
 
-# (ambient_dim, basis.entries) -> the one Subspace with that canonical basis.
+# (ambient_dim, rows) -> the one Subspace with those canonical rows.
 # Process-wide, so that subspaces from different builds are comparable by
 # identity; weak-valued, so it keeps nothing alive.
 _INTERNED: "weakref.WeakValueDictionary[tuple, Subspace]" = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
 
 
-def _interned(ambient_dim: int, basis: ExactMatrix) -> Subspace:
-    key = (ambient_dim, basis.entries)
+def _interned(ambient_dim: int, rows: tuple[IntegerRow, ...]) -> Subspace:
+    key = (ambient_dim, rows)
     space = _INTERNED.get(key)
     if space is None:
         with _INTERN_LOCK:
             space = _INTERNED.get(key)
             if space is None:
-                space = Subspace(ambient_dim, basis)
+                space = Subspace(ambient_dim, rows)
                 _INTERNED[key] = space
     return space
 
 
+def _span(ambient_dim: int, rows: Iterable[Sequence[tuple[int, int]]]) -> Subspace:
+    """The subspace spanned by Gaussian-integer rows."""
+    return _interned(ambient_dim, integer_rref(rows, ambient_dim)[0])
+
+
 def subspace_from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> Subspace:
     """Canonicalize a spanning set: RREF its rows, keep the nonzero ones."""
-    coerced = []
+    rows = []
     for v in vectors:
         row = tuple(e if isinstance(e, GaussianRational) else gaussian(e) for e in v)
         if len(row) != ambient_dim:
             raise DimensionMismatch(f"vector of length {len(row)} in ambient {ambient_dim}")
-        coerced.append(row)
-    if not coerced:
-        return zero_space(ambient_dim)
-    reduced, pivots = rref(matrix_from_rows(coerced, expected_cols=ambient_dim))
-    basis_rows = [reduced.row(i) for i in range(len(pivots))]
-    return _interned(ambient_dim, matrix_from_cols(basis_rows, ambient_dim))
+        rows.append(integer_row(row))
+    return _span(ambient_dim, rows)
 
 
 def zero_space(ambient_dim: int) -> Subspace:
-    return _interned(ambient_dim, zero_matrix(ambient_dim, 0))
+    return _interned(ambient_dim, ())
 
 
 def full_space(ambient_dim: int) -> Subspace:
-    return _interned(ambient_dim, identity_matrix(ambient_dim))
+    return _interned(ambient_dim, identity_matrix(ambient_dim).integer_rows())
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,10 +183,19 @@ def _require_same_ambient(p: Subspace, q: Subspace) -> None:
         raise AmbientMismatch(f"ambient {p.ambient_dim} vs {q.ambient_dim}")
 
 
+def _dot(u: Sequence[tuple[int, int]], v: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Σ u_j v_j over the Gaussian integers (no conjugation)."""
+    re = im = 0
+    for (a, b), (c, d) in zip(u, v):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
+
+
 @lru_cache(maxsize=None)
 def join(p: Subspace, q: Subspace) -> Subspace:
     _require_same_ambient(p, q)
-    return subspace_from_vectors(p.ambient_dim, p.vectors() + q.vectors())
+    return _span(p.ambient_dim, p.rows + q.rows)
 
 
 @lru_cache(maxsize=None)
@@ -173,21 +207,26 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
         return q
     if q.is_full:
         return p
-    # x in p∩q iff x = P a = Q b; solve the stacked system [P | -Q] once.
-    negated = matrix_from_cols([tuple(-e for e in v) for v in q.vectors()], q.ambient_dim)
-    stacked = hstack(p.basis, negated)
-    members = []
-    for kv in kernel_basis(stacked):
-        members.append(p.basis.apply(kv[: p.dim]))
-    return subspace_from_vectors(p.ambient_dim, members)
+    # x in p∩q iff x = Σ a_j p_j = Σ b_k q_k: solve [Pᵀ | −Qᵀ] (a, b) = 0.
+    p_columns = list(zip(*p.rows))
+    system = [
+        pc + tuple((-a, -b) for a, b in qc) for pc, qc in zip(p_columns, zip(*q.rows))
+    ]
+    members = [
+        tuple(_dot(kv[: p.dim], pc) for pc in p_columns)
+        for kv in integer_kernel(system, p.dim + q.dim)
+    ]
+    return _span(p.ambient_dim, members)
 
 
 @lru_cache(maxsize=None)
 def ortho(p: Subspace) -> Subspace:
-    """Orthocomplement for the standard Hermitian inner product."""
+    """Orthocomplement for the standard Hermitian inner product: the null
+    space of the conjugated rows."""
     if p.is_zero:
         return full_space(p.ambient_dim)
-    return subspace_from_vectors(p.ambient_dim, kernel_basis(conj_transpose(p.basis)))
+    conjugated = [tuple((a, -b) for a, b in row) for row in p.rows]
+    return _span(p.ambient_dim, integer_kernel(conjugated, p.ambient_dim))
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +236,7 @@ def leq(p: Subspace, q: Subspace) -> bool:
         return True
     if p.dim > q.dim:
         return False
-    stacked = matrix_from_rows([list(v) for v in q.vectors() + p.vectors()])
-    return len(rref(stacked)[1]) == q.dim
+    return len(integer_rref(q.rows + p.rows, q.ambient_dim)[1]) == q.dim
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +246,8 @@ def apply_operator(f: ExactMatrix, p: Subspace) -> Subspace:
         raise DimensionMismatch(
             f"operator {f.rows}x{f.cols} on ambient {p.ambient_dim}"
         )
-    return subspace_from_vectors(p.ambient_dim, [f.apply(v) for v in p.vectors()])
+    scaled = f.integer_rows()
+    return _span(p.ambient_dim, [tuple(_dot(frow, v) for frow in scaled) for v in p.rows])
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +255,7 @@ def projector_matrix(p: Subspace) -> ExactMatrix:
     """Exact orthogonal projector onto p: B (B*B)^-1 B*."""
     if p.is_zero:
         return zero_matrix(p.ambient_dim, p.ambient_dim)
-    b = p.basis
+    b = p._basis()
     b_star = conj_transpose(b)
     gram_inv = inverse(mat_mul(b_star, b))
     return mat_mul(b, mat_mul(gram_inv, b_star))

@@ -1,12 +1,17 @@
 """The exact core against independent oracles.
 
-`sympy.Matrix` (test-only) checks `rref`, `rank`, `kernel_basis` and the
-lattice operations; `fraction_rref` below, plain Gauss-Jordan elimination
-over Gaussian rationals, is the reference the fraction-free `rref` must
-match entry for entry.
+`sympy.Matrix` (test-only) checks `rref`, `rank`, `kernel_basis`, the
+canonical integer rows of a subspace and the lattice operations;
+`fraction_rref` below, plain Gauss-Jordan elimination over Gaussian
+rationals, is the reference the integer `rref` must match entry for entry.
+The `fraction_*` lattice operations are the Gaussian-rational join, meet,
+ortho, leq and operator image the integer subspace core replaced, kept here
+as its reference.
 """
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import sympy
 from hypothesis import given, settings
@@ -14,9 +19,12 @@ from hypothesis import strategies as st
 
 from sieveval import (
     ExactMatrix,
+    apply_operator,
+    diagonal_matrix,
     gaussian,
     join,
     kernel_basis,
+    leq,
     matrix_from_rows,
     meet,
     ortho,
@@ -24,21 +32,25 @@ from sieveval import (
     subspace_from_vectors,
 )
 from sieveval.linalg import rank
-from sieveval.rationals import ZERO
+from sieveval.rationals import ONE, ZERO, GaussianRational
+from sieveval.subspaces import generate_sublattice
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 entries = st.builds(gaussian, small, small)
+real_entries = st.builds(gaussian, st.integers(-3, 3))
 coefficients = st.builds(gaussian, st.integers(-2, 2), st.integers(-2, 2))
 
 
 @st.composite
-def matrices(draw, max_rows=4, max_cols=4):
-    """Rows that are random, zero, or combinations of earlier rows."""
-    cols = draw(st.integers(1, max_cols))
+def row_lists(draw, cols, min_rows=1, max_rows=4):
+    """Rows that are random, real integer (so pivots can be negative reals),
+    zero, or combinations of earlier rows."""
     rows = []
-    for _ in range(draw(st.integers(1, max_rows))):
-        kind = draw(st.sampled_from(["random", "zero", "combination"]))
-        if kind == "zero":
+    for _ in range(draw(st.integers(min_rows, max_rows))):
+        kind = draw(st.sampled_from(["random", "real", "zero", "combination"]))
+        if kind == "real":
+            rows.append(draw(st.lists(real_entries, min_size=cols, max_size=cols)))
+        elif kind == "zero":
             rows.append([ZERO] * cols)
         elif kind == "combination" and rows:
             a, b = draw(coefficients), draw(coefficients)
@@ -46,7 +58,12 @@ def matrices(draw, max_rows=4, max_cols=4):
             rows.append([a * x + b * y for x, y in zip(first, second)])
         else:
             rows.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
-    return matrix_from_rows(rows)
+    return rows
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=4):
+    return matrix_from_rows(draw(row_lists(draw(st.integers(1, max_cols)), 1, max_rows)))
 
 
 def fraction_rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
@@ -146,3 +163,132 @@ def test_meet_join_ortho_agree_with_sympy_spans(case):
     assert len(o) == span(o).rank() == n - p_span.rank()
     if o and p_vectors:
         assert (p_span * span(o).H).expand().is_zero_matrix
+
+
+def fraction_span(n, vectors):
+    """The canonical basis the Gaussian-rational core stored: the nonzero
+    RREF rows of the spanning set."""
+    if not vectors:
+        return []
+    reduced, pivots = fraction_rref(matrix_from_rows([list(v) for v in vectors], expected_cols=n))
+    return [reduced.row(k) for k in range(len(pivots))]
+
+
+def fraction_kernel(m: ExactMatrix):
+    reduced, pivots = fraction_rref(m)
+    basis = []
+    for free in (j for j in range(m.cols) if j not in pivots):
+        v = [ZERO] * m.cols
+        v[free] = ONE
+        for k, pivot_col in enumerate(pivots):
+            v[pivot_col] = -reduced.entries[k][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_join(n, p, q):
+    return fraction_span(n, p + q)
+
+
+def fraction_meet(n, p, q):
+    if not p or not q:
+        return []
+    stacked = matrix_from_rows([[v[i] for v in p] + [-w[i] for w in q] for i in range(n)])
+    members = [
+        tuple(sum((kv[j] * v[i] for j, v in enumerate(p)), ZERO) for i in range(n))
+        for kv in fraction_kernel(stacked)
+    ]
+    return fraction_span(n, members)
+
+
+def fraction_ortho(n, p):
+    if not p:
+        return fraction_span(n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+    return fraction_span(n, fraction_kernel(matrix_from_rows([[e.conjugate() for e in v] for v in p])))
+
+
+def fraction_leq(n, p, q):
+    return len(fraction_span(n, q + p)) == len(q)
+
+
+def fraction_apply(f: ExactMatrix, p):
+    return fraction_span(f.rows, [f.apply(v) for v in p])
+
+
+def dimension_and(*parts):
+    """A dimension n in 1-4 and, for it, one draw of each part(n)."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), *(part(n) for part in parts)))
+
+
+def spanning_set(n):
+    return row_lists(n, 0, 3)
+
+
+def operator(n):
+    return row_lists(n, n, n).map(matrix_from_rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dimension_and(spanning_set, spanning_set, operator))
+def test_integer_core_matches_the_fraction_path(case):
+    n, p_vectors, q_vectors, f = case
+    p, q = subspace_from_vectors(n, p_vectors), subspace_from_vectors(n, q_vectors)
+    p_basis, q_basis = fraction_span(n, p_vectors), fraction_span(n, q_vectors)
+    assert p.vectors() == p_basis and q.vectors() == q_basis
+    assert join(p, q).vectors() == fraction_join(n, p_basis, q_basis)
+    assert meet(p, q).vectors() == fraction_meet(n, p_basis, q_basis)
+    assert ortho(p).vectors() == fraction_ortho(n, p_basis)
+    assert leq(p, q) == fraction_leq(n, p_basis, q_basis)
+    assert leq(meet(p, q), q) and fraction_leq(n, fraction_meet(n, p_basis, q_basis), q_basis)
+    assert apply_operator(f, p).vectors() == fraction_apply(f, p_basis)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dimension_and(spanning_set))
+def test_canonical_rows_are_primitive_sympy_rref_rows(case):
+    n, vectors = case
+    space = subspace_from_vectors(n, vectors)
+    expected = sympy_rows(vectors, n).rref()[0] if vectors else sympy.zeros(0, n)
+    assert space.dim == (expected.rank() if vectors else 0)
+    for k, row in enumerate(space.rows):
+        assert len(row) == n and all(isinstance(x, int) for pair in row for x in pair)
+        pivot_re, pivot_im = next(pair for pair in row if pair != (0, 0))
+        assert pivot_im == 0 and pivot_re > 0
+        assert gcd(*(x for pair in row for x in pair)) == 1
+        divided = tuple(gaussian(Fraction(a, pivot_re), Fraction(b, pivot_re)) for a, b in row)
+        assert divided == tuple(from_sympy(expected[k, j]) for j in range(n))
+
+
+def test_lattice_operations_do_no_gaussian_rational_arithmetic(monkeypatch):
+    """A dim-4 MO2 x MO2 sublattice, built like the benchmark's `lattice`
+    scenario: two generic rays (1, z) in each of the planes <e1, e2> and
+    <e3, e4>.  Join, meet, ortho, leq and apply_operator run on integer
+    rows, so no `GaussianRational` is multiplied or added on the way."""
+    a_rays = (gaussian(Fraction(2, 3), Fraction(1, 5)), gaussian(Fraction(-3, 7), 4))
+    b_rays = (gaussian(Fraction(-1, 2), Fraction(5, 3)), gaussian(Fraction(7, 4), Fraction(-2, 9)))
+    seeds = [subspace_from_vectors(4, [[ONE, z, ZERO, ZERO]]) for z in a_rays]
+    seeds += [subspace_from_vectors(4, [[ZERO, ZERO, ONE, z]]) for z in b_rays]
+    operators = [
+        diagonal_matrix([1, 1, 0, 0]),
+        diagonal_matrix([0, 0, 1, 1]),
+        matrix_from_rows(
+            [[1, gaussian(0, Fraction(1, 2)), 0, 0], [0, 1, 0, Fraction(2, 3)], [0, 0, 0, 0], [3, 0, 0, 1]]
+        ),
+    ]
+    calls = Counter()
+    for name in ("__mul__", "__add__"):
+        original = getattr(GaussianRational, name)
+
+        def counted(self, other, original=original, name=name):
+            calls[name] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(GaussianRational, name, counted)
+    misses = meet.cache_info().misses
+    lattice = generate_sublattice(seeds, cap=36)
+    order = [leq(p, q) for p in lattice for q in lattice]
+    images = [apply_operator(f, p) for f in operators for p in lattice]
+    assert len(lattice) == 36 and any(order) and not all(order) and len(images) == 3 * 36
+    assert meet.cache_info().misses > misses
+    assert calls == Counter()
+    assert ONE * ONE + ONE == gaussian(2) and calls == Counter({"__mul__": 1, "__add__": 1})

@@ -22,11 +22,12 @@ from .sieves import (
     build_presheaf,
     characteristic_table,
     enumerate_sieves,
-    heyting_implies,
+    is_heyting_family,
     is_subpresheaf,
     naturality_holds,
     omega_transition,
     pullback_holds,
+    stage_implies,
     tau_values,
     top_sieve,
     valuation,
@@ -177,10 +178,6 @@ def _memo(fn, ctx: BridgeContext, base: int) -> Callable[[int], int]:
     return image
 
 
-def _implies(site, base: int) -> Callable[[int, int], int]:
-    return lambda s, t: heyting_implies(site, Sieve(base, s), Sieve(base, t)).mask
-
-
 def _preserves_lattice(f: Callable[[int], int], masks: list[int]) -> bool:
     """f preserves the join and the meet of every pair."""
     return all(
@@ -199,9 +196,10 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     """Exhaustive audit of the stage isomorphism and its implication transport.
 
     `sharp` and `flat` run once per distinct sieve, into tables local to this
-    call; the pairs and triples are integer work on masks, since every sieve
-    here is based at the plain stage or at the extended stage.  The fixpoints
-    are the sieves `is_natural` accepts, so the up-down round trip is a check.
+    call; the pairs are integer work on masks, since every sieve here is based
+    at the plain stage or at the extended stage.  The fixpoints are the sieves
+    `is_natural` accepts, so the up-down round trip is a check, and
+    `is_heyting_family` audits them under the transported implication.
     """
     plain_masks = [s.mask for s in enumerate_sieves(ctx.plain, ctx.plain_stage, cap)]
     ext_sieves = enumerate_sieves(ctx.extended, ctx.stage, cap)
@@ -209,8 +207,8 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     fixpoints = [s.mask for s in ext_sieves if is_natural(ctx, s)]
     up = _memo(sharp, ctx, ctx.plain_stage)
     down = _memo(flat, ctx, ctx.stage)
-    plain_implies = _implies(ctx.plain, ctx.plain_stage)
-    ext_implies = _implies(ctx.extended, ctx.stage)
+    plain_implies = stage_implies(ctx.plain, ctx.plain_stage)
+    ext_implies = stage_implies(ctx.extended, ctx.stage)
 
     round_trip_down_up = all(down(up(s)) == s for s in plain_masks)
     round_trip_up_down = all(up(down(s)) == s for s in fixpoints)
@@ -227,13 +225,13 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
 
     implies_transport = True
     implies_dominates = True
-    fixpoint_adjunction = True
     strict_somewhere = False
     closure_failures = 0
+    fixpoint_imp: dict[tuple[int, int], int] = {}
     for s1 in fixpoints:
         for s2 in fixpoints:
             transported = plain_implies(down(s1), down(s2))
-            imp = up(transported)  # the implication inside the fixpoint lattice
+            imp = fixpoint_imp[s1, s2] = up(transported)  # implication among fixpoints
             if down(imp) != transported:
                 implies_transport = False
             amb = ext_implies(s1, s2)
@@ -243,11 +241,7 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
                 strict_somewhere = True
             if not is_natural(ctx, Sieve(ctx.stage, amb)):
                 closure_failures += 1
-            # s1 ∧ x <= s2 iff x misses s1 \ s2; x <= imp iff x misses ~imp.
-            outside, not_imp = s1 & ~s2, ~imp
-            for x in fixpoints:
-                if (not x & outside) != (not x & not_imp):
-                    fixpoint_adjunction = False
+    fixpoint_adjunction = is_heyting_family(fixpoints, lambda s, t: fixpoint_imp[s, t], fixpoints)
 
     pseudo_inequality = _dominates_transport(
         up, plain_implies, ext_implies, plain_masks

@@ -159,6 +159,30 @@ def heyting_implies(site, s1: Sieve, s2: Sieve) -> Sieve:
     return Sieve(s1.base, members)
 
 
+def stage_implies(site, base: int) -> Callable[[int, int], int]:
+    """`heyting_implies` on the masks of sieves based at `base`."""
+    return lambda s, t: heyting_implies(site, Sieve(base, s), Sieve(base, t)).mask
+
+
+def is_heyting_family(masks: Sequence[int], implies: Callable, probes: Sequence[int]) -> bool:
+    """Whether masks on one base form a Heyting algebra under `|`, `&` and
+    `implies`: each pair's join, meet and implication are members, s ⇒ t
+    misses s minus t, and x ∧ s <= t iff x <= (s ⇒ t) for every probe x.
+    Probes need only join-generate the family, as the principal sieves of a
+    base do for its sieves: every sieve is the union of the principal ones."""
+    members = set(masks)
+    for s in masks:
+        for t in masks:
+            imp = implies(s, t)
+            outside = s & ~t
+            if s | t not in members or s & t not in members or imp not in members or imp & outside:
+                return False
+            # x ∧ s <= t iff x misses s minus t; x <= imp iff x misses ~imp.
+            if any((not x & outside) != (not x & ~imp) for x in probes):
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # presheaves
 
@@ -338,11 +362,12 @@ def filter_check(site, s: Presheaf, universe: Presheaf) -> list[tuple]:
     violations: list[tuple] = []
     for o in range(site.n_objects):
         stage = set(s.values[o])
-        for p in sorted(stage, key=Subspace.sort_key):
+        ordered = sorted(stage, key=Subspace.sort_key)
+        for p in ordered:
             for q in universe.values[o]:
                 if leq(p, q) and q not in stage:
                     violations.append(("up-set", o, p, q))
-            for q in sorted(stage, key=Subspace.sort_key):
+            for q in ordered:
                 if meet(p, q) not in stage:
                     violations.append(("meet", o, p, q))
     return violations

@@ -3,6 +3,7 @@ import pytest
 from sieveval import (
     Observable,
     Sieve,
+    Subspace,
     bottom_annihilator,
     build_plain_site,
     characteristic,
@@ -211,6 +212,20 @@ def test_filter_check_positive_and_negative(qubit_setup):
         site, lambda o: no_meet_values[o], lambda a, p: propositions.map(a, p)
     )
     assert any(kind == "meet" for kind, *_ in filter_check(site, no_meet, propositions))
+
+
+def test_filter_check_sorts_each_stage_once(qubit_setup, monkeypatch):
+    site, propositions, _, _, true_t = qubit_setup
+    keyed = []
+    sort_key = Subspace.sort_key
+
+    def counting_sort_key(p):
+        keyed.append(p)
+        return sort_key(p)
+
+    monkeypatch.setattr(Subspace, "sort_key", counting_sort_key)
+    assert filter_check(site, true_t, propositions) == []
+    assert len(keyed) == sum(len(set(stage)) for stage in true_t.values) > 0
 
 
 def test_valuation_examples(qubit_site):

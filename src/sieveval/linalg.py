@@ -70,9 +70,6 @@ class ExactMatrix:
             )
         return self._integer
 
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i][j]
-
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
@@ -281,10 +278,6 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
 
 def rank(m: ExactMatrix) -> int:
     return len(integer_rref(m.integer_rows(), m.cols)[1])
-
-
-def scale_to_leading_one(v: Vector) -> Vector:
-    return rational_row(integer_row(v))
 
 
 def kernel_basis(m: ExactMatrix) -> list[Vector]:

@@ -304,3 +304,24 @@ def test_a_semiclassifier_holding_the_empty_sieve_fails_section_3_4(monkeypatch)
     for tag in ("§3.4", "Prop 3.4"):
         rows = _rows(report, tag)
         assert rows and not any(row["passed"] for row in rows)
+
+
+def test_a_semiclassifier_missing_a_transition_image_fails_prop_3_5(monkeypatch):
+    def without_a_transition_image(site, r, cap):
+        honest = delta_omega_presheaf(site, r, cap)
+        a = next(a for a in range(len(site.arrows)) if a != site.identity_arrow(site.arrow_dom(a)))
+        cod = site.arrow_cod(a)
+        image = omega_transition(site, a, top_sieve(site, site.arrow_dom(a)))
+        return build_presheaf(
+            site,
+            lambda o: tuple(s for s in honest.values[o] if o != cod or s != image),
+            lambda b, s: omega_transition(site, b, s),
+        )
+
+    monkeypatch.setattr(checks_module, "delta_omega_presheaf", without_a_transition_image)
+    report = run_check(load_scenario(bundled_scenario_path("qubit")))
+    rows = _rows(report, "Prop 3.5")
+    assert rows
+    for row in rows:
+        assert not row["passed"]
+        assert row["details"]["error"] == "transition leaves the codomain value set"

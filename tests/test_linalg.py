@@ -14,7 +14,7 @@ from sieveval import (
     zero_matrix,
 )
 from sieveval.errors import DimensionMismatch
-from sieveval.linalg import inverse, scale_to_leading_one
+from sieveval.linalg import inverse
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 entries = st.builds(gaussian, small, small)
@@ -81,11 +81,6 @@ def test_conj_transpose_examples():
     assert conj_transpose(ii) == matrix_from_rows([[gaussian(0, -1)]])
     nil = matrix_from_rows([[0, 1], [0, 0]])
     assert conj_transpose(nil) == matrix_from_rows([[0, 0], [1, 0]])
-
-
-def test_scale_to_leading_one():
-    v = (gaussian(0), gaussian(-2), gaussian(4))
-    assert scale_to_leading_one(v) == (gaussian(0), gaussian(1), gaussian(-2))
 
 
 def test_inverse_round_trip():

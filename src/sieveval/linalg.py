@@ -1,17 +1,19 @@
-"""Dense exact matrices over Gaussian rationals, reduced over Gaussian integers.
+"""Dense exact matrices: Gaussian-integer numerators over one denominator.
 
-Scenario dimensions are tiny, so everything is dense and immutable.
-`ExactMatrix` holds Gaussian-rational entries; `integer_rows()` is the
-same map scaled to Gaussian integers, as (re, im) int pairs.
+Scenario dimensions are tiny, so everything is dense and immutable.  An
+`ExactMatrix` stores its entries as (re, im) int pairs over one positive
+integer denominator, in lowest terms, so equal matrices have equal fields
+and compare as ints.  Products, conjugate transposes and inverses are
+computed on these integers; Gaussian rationals are read (`entries`) and
+written (`matrix_from_rows`, `matrix_from_cols`, `diagonal_matrix`) only at
+the boundary.
 
 There is one elimination, `integer_rref`: fraction-free Gauss-Jordan on
 Gaussian-integer rows, returning each row of the reduced row echelon form
 in a canonical primitive form (pivot a positive integer).  `integer_kernel`
-reads the null space off it.  `rref`, `rank`, `kernel_basis` and `inverse`
-are their `GaussianRational` views: `rational_row` divides a row by its
-first nonzero entry, the one exact division.  Basis vectors emitted by
-`kernel_basis` are so scaled that their first nonzero coordinate is 1,
-which makes downstream canonical forms deterministic.
+reads the null space off it, and `inverse` reads the inverse off the
+reduced form of [N | d I].  `rational_row` divides a row by its first
+nonzero entry, the one exact division.
 """
 
 from __future__ import annotations
@@ -21,24 +23,33 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrixError
-from .rationals import ONE, ZERO, GaussianRational, gaussian
+from .rationals import ZERO, GaussianRational, gaussian
 
 Vector = tuple[GaussianRational, ...]
 IntegerRow = tuple[tuple[int, int], ...]
 
 
 class ExactMatrix:
-    """Immutable dense matrix; the hash and the integer form are computed
-    once, on first use, and reused."""
+    """Immutable dense matrix: entry (i, j) is numerators[i][j] / denominator.
 
-    __slots__ = ("rows", "cols", "entries", "_hash", "_integer")
+    The constructor brings the fraction to lowest terms: the denominator is
+    positive and no integer above 1 divides it and every part of every
+    numerator.  The hash is the structural hash of (rows, cols, entries),
+    computed once, on first use.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: tuple[tuple[GaussianRational, ...], ...]):
+    __slots__ = ("rows", "cols", "numerators", "denominator", "_hash")
+
+    def __init__(self, rows: int, cols: int, numerators: tuple[IntegerRow, ...], denominator: int = 1):
+        common = gcd(denominator, *(x for row in numerators for pair in row for x in pair))
+        if common != 1:
+            numerators = tuple(tuple((a // common, b // common) for a, b in row) for row in numerators)
+            denominator //= common
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_integer", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -49,7 +60,8 @@ class ExactMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __hash__(self) -> int:
@@ -58,95 +70,80 @@ class ExactMatrix:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}, {self.cols}, {self.entries!r})"
-
-    def integer_rows(self) -> tuple[IntegerRow, ...]:
-        """The entries times the lcm of all their denominators, as (re, im)
-        int pairs: the same linear map up to one positive integer factor."""
-        if self._integer is None:
-            scale = _scale(e for row in self.entries for e in row)
-            object.__setattr__(
-                self, "_integer", tuple(tuple(_scaled(e, scale) for e in row) for row in self.entries)
-            )
-        return self._integer
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vector:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return f"ExactMatrix({self.rows}, {self.cols}, {self.numerators!r}, {self.denominator})"
 
     @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
+    def entries(self) -> tuple[Vector, ...]:
+        """The Gaussian-rational entries, row by row (built on each read)."""
+        d = self.denominator
+        return tuple(
+            tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in row) for row in self.numerators
+        )
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matrix is {self.rows}x{self.cols}, vector has {len(v)}")
-        return tuple(
-            sum((self.entries[i][j] * v[j] for j in range(self.cols)), ZERO)
-            for i in range(self.rows)
-        )
-
-    def sort_key(self) -> tuple:
-        return tuple(e.sort_key() for row in self.entries for e in row)
+        return tuple(sum((e * x for e, x in zip(row, v)), ZERO) for row in self.entries)
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.entries) + "]"
 
 
+def _from_scalars(rows: int, cols: int, entries: Sequence[Sequence[GaussianRational]]) -> ExactMatrix:
+    """The matrix of Gaussian-rational entries, scaled once to integers."""
+    scale = _scale(e for row in entries for e in row)
+    return ExactMatrix(rows, cols, tuple(tuple(_scaled(e, scale) for e in row) for row in entries), scale)
+
+
 def matrix_from_rows(rows: Sequence[Sequence], expected_cols: int | None = None) -> ExactMatrix:
-    coerced = tuple(tuple(gaussian(e) if not isinstance(e, GaussianRational) else e for e in row) for row in rows)
+    coerced = [[gaussian(e) if not isinstance(e, GaussianRational) else e for e in row] for row in rows]
     n_rows = len(coerced)
     n_cols = len(coerced[0]) if n_rows else (expected_cols or 0)
     if any(len(row) != n_cols for row in coerced):
         raise DimensionMismatch("ragged rows")
     if expected_cols is not None and n_rows and n_cols != expected_cols:
         raise DimensionMismatch(f"expected {expected_cols} columns, got {n_cols}")
-    return ExactMatrix(n_rows, n_cols, coerced)
+    return _from_scalars(n_rows, n_cols, coerced)
 
 
 def matrix_from_cols(cols: Sequence[Vector], n_rows: int) -> ExactMatrix:
-    if not cols:
-        return ExactMatrix(n_rows, 0, tuple(() for _ in range(n_rows)))
     if any(len(c) != n_rows for c in cols):
         raise DimensionMismatch("column length mismatch")
-    return ExactMatrix(
-        n_rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(n_rows))
-    )
+    return _from_scalars(n_rows, len(cols), [[c[i] for c in cols] for i in range(n_rows)])
 
 
 def identity_matrix(n: int) -> ExactMatrix:
-    return ExactMatrix(
-        n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-    )
+    return ExactMatrix(n, n, tuple(tuple((int(i == j), 0) for j in range(n)) for i in range(n)))
 
 
 def zero_matrix(rows: int, cols: int) -> ExactMatrix:
-    return ExactMatrix(rows, cols, tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
+    return ExactMatrix(rows, cols, tuple(((0, 0),) * cols for _ in range(rows)))
 
 
 def diagonal_matrix(values: Sequence) -> ExactMatrix:
     vals = [gaussian(v) if not isinstance(v, GaussianRational) else v for v in values]
     n = len(vals)
-    return ExactMatrix(
-        n, n, tuple(tuple(vals[i] if i == j else ZERO for j in range(n)) for i in range(n))
-    )
+    return _from_scalars(n, n, [[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+
+
+def _dot(u: Sequence[tuple[int, int]], v: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Σ u_j v_j over the Gaussian integers (no conjugation)."""
+    re = im = 0
+    for (a, b), (c, d) in zip(u, v):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    b_cols = tuple(zip(*b.numerators)) or ((),) * b.cols
     return ExactMatrix(
         a.rows,
         b.cols,
-        tuple(
-            tuple(
-                sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), ZERO)
-                for j in range(b.cols)
-            )
-            for i in range(a.rows)
-        ),
+        tuple(tuple(_dot(row, col) for col in b_cols) for row in a.numerators),
+        a.denominator * b.denominator,
     )
 
 
@@ -154,7 +151,8 @@ def conj_transpose(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(
         m.cols,
         m.rows,
-        tuple(tuple(m.entries[i][j].conjugate() for i in range(m.rows)) for j in range(m.cols)),
+        tuple(tuple((a, -b) for a, b in col) for col in zip(*m.numerators)) or ((),) * m.cols,
+        m.denominator,
     )
 
 
@@ -187,6 +185,15 @@ def rational_row(row: Sequence[tuple[int, int]]) -> Vector:
         GaussianRational(Fraction(a * dr + b * di, norm), Fraction(b * dr - a * di, norm))
         for a, b in row
     )
+
+
+def _over_pivots(rows: Sequence[IntegerRow]) -> tuple[list[IntegerRow], int]:
+    """Canonical rows each divided by its pivot (its first nonzero entry, a
+    positive integer), as numerators over the lcm of the pivots."""
+    pivots = [next(a for a, _ in row if a) for row in rows]
+    scale = lcm(*pivots)
+    scaled = [tuple((a * (scale // p), b * (scale // p)) for a, b in row) for row, p in zip(rows, pivots)]
+    return scaled, scale
 
 
 def _primitive(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -267,33 +274,17 @@ def integer_kernel(rows: Iterable[Sequence[tuple[int, int]]], cols: int) -> list
     return basis
 
 
-def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns (rank = #pivots):
-    `integer_rref` with each canonical row divided by its pivot."""
-    reduced, pivots = integer_rref(m.integer_rows(), m.cols)
-    zero_row = tuple(ZERO for _ in range(m.cols))
-    entries = tuple(rational_row(row) for row in reduced) + (zero_row,) * (m.rows - len(pivots))
-    return ExactMatrix(m.rows, m.cols, entries), pivots
-
-
-def rank(m: ExactMatrix) -> int:
-    return len(integer_rref(m.integer_rows(), m.cols)[1])
-
-
-def kernel_basis(m: ExactMatrix) -> list[Vector]:
-    """Basis of the exact null space, one vector per free column."""
-    return [rational_row(v) for v in integer_kernel(m.integer_rows(), m.cols)]
-
-
 def inverse(m: ExactMatrix) -> ExactMatrix:
+    """M^-1 for M = N / d: the reduced form of [N | d I] is [I | M^-1], its
+    canonical row k being p_k times RREF row k."""
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
-    n = m.rows
+    n, d = m.rows, m.denominator
     augmented = [
-        integer_row(row + tuple(ONE if i == j else ZERO for j in range(n)))
-        for i, row in enumerate(m.entries)
+        row + tuple((d if i == j else 0, 0) for j in range(n)) for i, row in enumerate(m.numerators)
     ]
     reduced, pivots = integer_rref(augmented, 2 * n)
     if pivots != tuple(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return ExactMatrix(n, n, tuple(rational_row(row)[n:] for row in reduced))
+    numerators, scale = _over_pivots(reduced)
+    return ExactMatrix(n, n, tuple(row[n:] for row in numerators), scale)

@@ -1,11 +1,12 @@
 """Exact complex scalars with rational real and imaginary parts.
 
-These are the package's scalars wherever a number is read, held in an
-`ExactMatrix` or reported.  The subspace lattice computes on Gaussian
-integers instead, as (re, im) int pairs (see `linalg.integer_rref`), and
-converts to these at its boundary.  There is no floating-point mode
-anywhere.  `fractions.Fraction` keeps numerators and denominators in
-lowest terms with positive denominators, so equality and hashing are exact.
+These are the package's scalars wherever a number is read or reported.
+Operators and the subspace lattice compute on Gaussian integers instead,
+as (re, im) int pairs (an `ExactMatrix` holds them over one denominator;
+see also `linalg.integer_rref`), and convert to these at their boundary.
+There is no floating-point mode anywhere.  `fractions.Fraction` keeps
+numerators and denominators in lowest terms with positive denominators, so
+equality and hashing are exact.
 """
 
 from __future__ import annotations
@@ -80,14 +81,6 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return not self.is_zero
-
-    def sort_key(self) -> tuple:
-        return (
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        )
 
     def __str__(self) -> str:
         return format_scalar(self)

@@ -44,6 +44,10 @@ from .subspaces import (
     zero_space,
 )
 
+# `semiclassifier_check` enumerates every candidate map while their count is
+# at most this, and otherwise proves uniqueness by the pointwise argument.
+CANDIDATE_BUDGET = 10_000
+
 
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of a mask, ascending."""
@@ -428,7 +432,6 @@ def semiclassifier_check(
     omega: Presheaf,
     delta_tau: tuple[Sieve, ...],
     pairs: Sequence[tuple[Presheaf, Presheaf]],
-    candidate_budget: int = 10_000,
 ) -> list[dict]:
     """Per-object semi-classifier audit for a subfunctor of the classifier.
 
@@ -436,7 +439,7 @@ def semiclassifier_check(
     the stage sets of delta_omega; (b) the square against delta_tau is a
     set-level pullback at every object; (c) the factored map is the only
     natural map with that pullback property (full candidate enumeration when
-    the count fits the budget, otherwise a pointwise forcing argument).
+    the count fits `CANDIDATE_BUDGET`, otherwise a pointwise forcing argument).
     """
     rows: list[dict] = []
     if not is_subpresheaf(delta_omega, omega):
@@ -457,9 +460,9 @@ def semiclassifier_check(
         count = 1
         for o in range(site.n_objects):
             count *= len(delta_omega.values[o]) ** len(m.values[o])
-            if count > candidate_budget:
+            if count > CANDIDATE_BUDGET:
                 break
-        if count <= candidate_budget:
+        if count <= CANDIDATE_BUDGET:
             survivors = _enumerate_pullback_maps(site, delta_omega, m, n, delta_tau)
             unique = survivors == [chi]
             mode = "enumerated"

@@ -6,11 +6,12 @@ of `linalg.integer_rref` ((re, im) int pairs, pivot a positive integer).
 That form is unique, so subspaces are hash-consed on it: equal subspaces
 are one object, equality is identity, and the hash is structural.  Join,
 meet, ortho, leq and the image under an operator are integer eliminations
-on these rows.  Gaussian rationals appear only at the boundary: the
-input of `subspace_from_vectors`, the basis that `vectors`, `serialize`,
-`__str__` and `projector_matrix` read, and the structural hash, computed
-once per interned subspace.  The zero space ({0}, dim 0) and the whole
-space (the unit proposition) are first-class values.
+on these rows, and `projector_matrix` is computed on the integer
+`ExactMatrix` of the basis.  Gaussian rationals appear only at the
+boundary: the input of `subspace_from_vectors`, the basis that `vectors`,
+`serialize` and `__str__` read, and the structural hash, computed once per
+interned subspace.  The zero space ({0}, dim 0) and the whole space (the
+unit proposition) are first-class values.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .linalg import (
     ExactMatrix,
     IntegerRow,
     Vector,
+    _dot,
+    _over_pivots,
     conj_transpose,
     identity_matrix,
     integer_kernel,
@@ -34,7 +37,6 @@ from .linalg import (
     integer_rref,
     inverse,
     mat_mul,
-    matrix_from_cols,
     rational_row,
     zero_matrix,
 )
@@ -90,19 +92,23 @@ class Subspace:
         return [rational_row(row) for row in self.rows]
 
     def _basis(self) -> ExactMatrix:
-        return matrix_from_cols(self.vectors(), self.ambient_dim)
+        """The basis vectors as the columns of a matrix."""
+        numerators, scale = _over_pivots(self.rows)
+        n = self.ambient_dim
+        return ExactMatrix(n, self.dim, tuple(zip(*numerators)) or ((),) * n, scale)
 
     def sort_key(self) -> tuple:
-        """(dim, the basis's `ExactMatrix.sort_key`), read off the rows:
-        entry (a + b i) / p of row j is keyed (a/g, p/g, b/h, p/h) with
-        g = gcd(a, p), h = gcd(b, p), in lowest terms like a Fraction."""
-        pivots = [next(a for a, b in row if a) for row in self.rows]
+        """(dim, the basis entries coordinate by coordinate): entry
+        (a + b i) / d of the basis matrix is keyed (a/g, d/g, b/h, d/h) with
+        g = gcd(a, d), h = gcd(b, d), its parts in lowest terms like a
+        Fraction's (numerator, denominator)."""
+        basis = self._basis()
+        d = basis.denominator
         key = []
-        for i in range(self.ambient_dim):
-            for row, p in zip(self.rows, pivots):
-                a, b = row[i]
-                g, h = gcd(a, p), gcd(b, p)
-                key.append((a // g, p // g, b // h, p // h))
+        for row in basis.numerators:
+            for a, b in row:
+                g, h = gcd(a, d), gcd(b, d)
+                key.append((a // g, d // g, b // h, d // h))
         return (self.dim, tuple(key))
 
     def serialize(self) -> list[list[str]]:
@@ -156,7 +162,7 @@ def zero_space(ambient_dim: int) -> Subspace:
 
 
 def full_space(ambient_dim: int) -> Subspace:
-    return _interned(ambient_dim, identity_matrix(ambient_dim).integer_rows())
+    return _interned(ambient_dim, identity_matrix(ambient_dim).numerators)
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,15 +187,6 @@ def ray_from_vector(vector: Sequence) -> Ray:
 def _require_same_ambient(p: Subspace, q: Subspace) -> None:
     if p.ambient_dim != q.ambient_dim:
         raise AmbientMismatch(f"ambient {p.ambient_dim} vs {q.ambient_dim}")
-
-
-def _dot(u: Sequence[tuple[int, int]], v: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Σ u_j v_j over the Gaussian integers (no conjugation)."""
-    re = im = 0
-    for (a, b), (c, d) in zip(u, v):
-        re += a * c - b * d
-        im += a * d + b * c
-    return re, im
 
 
 @lru_cache(maxsize=None)
@@ -246,8 +243,7 @@ def apply_operator(f: ExactMatrix, p: Subspace) -> Subspace:
         raise DimensionMismatch(
             f"operator {f.rows}x{f.cols} on ambient {p.ambient_dim}"
         )
-    scaled = f.integer_rows()
-    return _span(p.ambient_dim, [tuple(_dot(frow, v) for frow in scaled) for v in p.rows])
+    return _span(p.ambient_dim, [tuple(_dot(frow, v) for frow in f.numerators) for v in p.rows])
 
 
 @lru_cache(maxsize=None)

@@ -1,18 +1,20 @@
 """The exact core against independent oracles.
 
-`sympy.Matrix` (test-only) checks `rref`, `rank`, `kernel_basis`, the
+`sympy.Matrix` (test-only) checks `integer_rref`, `integer_kernel`, the
 canonical integer rows of a subspace and the lattice operations;
 `fraction_rref` below, plain Gauss-Jordan elimination over Gaussian
-rationals, is the reference the integer `rref` must match entry for entry.
-The `fraction_*` lattice operations are the Gaussian-rational join, meet,
-ortho, leq and operator image the integer subspace core replaced, kept here
-as its reference.
+rationals, is the reference the integer elimination must match entry for
+entry.  The `fraction_*` lattice operations are the Gaussian-rational join,
+meet, ortho, leq and operator image the integer subspace core replaced, and
+`fraction_mat_mul` the Gaussian-rational product the integer operators
+replaced, kept here as their reference.
 """
 
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,18 +22,23 @@ from hypothesis import strategies as st
 from sieveval import (
     ExactMatrix,
     apply_operator,
+    close_monoid,
+    conj_transpose,
     diagonal_matrix,
     gaussian,
+    identity_matrix,
     join,
-    kernel_basis,
     leq,
+    mat_mul,
     matrix_from_rows,
     meet,
     ortho,
-    rref,
+    projector_matrix,
     subspace_from_vectors,
+    zero_matrix,
 )
-from sieveval.linalg import rank
+from sieveval.errors import SingularMatrixError
+from sieveval.linalg import integer_kernel, integer_rref, inverse, rational_row
 from sieveval.rationals import ONE, ZERO, GaussianRational
 from sieveval.subspaces import generate_sublattice
 
@@ -86,7 +93,24 @@ def fraction_rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
         pivot_row += 1
         if pivot_row == m.rows:
             break
-    return ExactMatrix(m.rows, m.cols, tuple(tuple(row) for row in work)), tuple(pivots)
+    return matrix_from_rows(work), tuple(pivots)
+
+
+def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """The reduced row echelon form read off `integer_rref`: its canonical
+    rows divided by `rational_row`, then zero rows."""
+    reduced, pivots = integer_rref(m.numerators, m.cols)
+    zero_rows = [[ZERO] * m.cols] * (m.rows - len(pivots))
+    return matrix_from_rows([rational_row(row) for row in reduced] + zero_rows), pivots
+
+
+def rank(m: ExactMatrix) -> int:
+    return len(integer_rref(m.numerators, m.cols)[1])
+
+
+def kernel_basis(m: ExactMatrix):
+    """`integer_kernel`, each vector divided by its first nonzero entry."""
+    return [rational_row(v) for v in integer_kernel(m.numerators, m.cols)]
 
 
 def to_sympy(z):
@@ -134,6 +158,112 @@ def test_rref_matches_fraction_elimination(m):
     assert rref(m) == fraction_rref(m)
 
 
+def fraction_mat_mul(a: ExactMatrix, b: ExactMatrix):
+    """Reference: the Gaussian-rational product the integer `mat_mul` replaced."""
+    left, right = a.entries, b.entries
+    return tuple(
+        tuple(sum((left[i][k] * right[k][j] for k in range(a.cols)), ZERO) for j in range(b.cols))
+        for i in range(a.rows)
+    )
+
+
+def in_lowest_terms(m: ExactMatrix) -> bool:
+    parts = (x for row in m.numerators for pair in row for x in pair)
+    return m.denominator > 0 and gcd(m.denominator, *parts) == 1
+
+
+mixed = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+mixed_entries = st.builds(gaussian, mixed, mixed)
+
+
+@st.composite
+def factor_pairs(draw):
+    """An r x k and a k x c matrix (r, k, c in 1-4) with mixed denominators,
+    each a zero matrix a quarter of the time."""
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def factor(rows, cols):
+        if draw(st.integers(0, 3)) == 0:
+            return zero_matrix(rows, cols)
+        grid = st.lists(st.lists(mixed_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        return matrix_from_rows(draw(grid))
+
+    return factor(r, k), factor(k, c)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(factor_pairs())
+def test_integer_mat_mul_matches_the_fraction_product(pair):
+    a, b = pair
+    product, expected = mat_mul(a, b), fraction_mat_mul(a, b)
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert product.entries == expected
+    assert product == matrix_from_rows(expected) and in_lowest_terms(product)
+    conjugated = tuple(tuple(a.entries[i][j].conjugate() for i in range(a.rows)) for j in range(a.cols))
+    assert conj_transpose(a).entries == conjugated and in_lowest_terms(conj_transpose(a))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: row_lists(n, n, n)).map(matrix_from_rows))
+def test_integer_inverse_is_two_sided_or_the_matrix_is_singular(m):
+    if rank(m) < m.rows:
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+        return
+    m_inv = inverse(m)
+    assert mat_mul(m, m_inv) == identity_matrix(m.rows) == mat_mul(m_inv, m)
+    assert inverse(m_inv) == m and in_lowest_terms(m_inv)
+
+
+RECTANGLE = [
+    [Fraction(1, 2), Fraction(-2, 3), 0],
+    [5, gaussian(Fraction(1, 7), 2), gaussian(0, Fraction(-3, 4))],
+]
+
+
+def test_one_matrix_reached_two_ways_has_equal_fields():
+    rect = matrix_from_rows(RECTANGLE)
+    cases = [
+        (mat_mul(diagonal_matrix([Fraction(1, 2)] * 3), diagonal_matrix([2, 2, 2])), identity_matrix(3)),
+        (
+            mat_mul(
+                matrix_from_rows([[Fraction(1, 2), Fraction(1, 3)], [gaussian(0, 1), 0]]),
+                diagonal_matrix([2, 3]),
+            ),
+            matrix_from_rows([[1, 1], [gaussian(0, 2), 0]]),
+        ),
+        (
+            ExactMatrix(2, 2, (((2, 0), (4, 0)), ((0, 6), (0, 0))), 6),
+            matrix_from_rows([[Fraction(1, 3), Fraction(2, 3)], [gaussian(0, 1), 0]]),
+        ),
+        (mat_mul(zero_matrix(2, 3), conj_transpose(rect)), zero_matrix(2, 2)),
+        (inverse(diagonal_matrix([2, Fraction(1, 3)])), diagonal_matrix([Fraction(1, 2), 3])),
+        (conj_transpose(conj_transpose(rect)), rect),
+    ]
+    for reached, literal in cases:
+        fields = (reached.rows, reached.cols, reached.numerators, reached.denominator)
+        assert fields == (literal.rows, literal.cols, literal.numerators, literal.denominator)
+        assert reached == literal and hash(reached) == hash(literal) and in_lowest_terms(reached)
+    assert identity_matrix(2).numerators == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+    assert identity_matrix(2).denominator == zero_matrix(2, 2).denominator == 1
+    # Equal numerators over different denominators are different matrices.
+    assert diagonal_matrix([Fraction(1, 2)] * 2) != identity_matrix(2)
+
+
+def test_matrix_hash_is_the_structural_hash():
+    # The values hash((rows, cols, entries)) gave when the Gaussian-rational
+    # table was the stored form (64-bit build); `Subspace`'s hash is built
+    # from it.
+    c, s = Fraction(3, 5), gaussian(0, Fraction(4, 5))
+    pinned = [
+        (identity_matrix(3), 3286220043835226495),
+        (matrix_from_rows([[c, s], [s, c]]), -5847727650461001955),
+        (matrix_from_rows(RECTANGLE), -7188810414124942913),
+    ]
+    for m, value in pinned:
+        assert hash(m) == hash((m.rows, m.cols, m.entries)) == value
+
+
 def subspaces(ambient):
     return st.lists(st.lists(entries, min_size=ambient, max_size=ambient), max_size=3)
 
@@ -171,7 +301,7 @@ def fraction_span(n, vectors):
     if not vectors:
         return []
     reduced, pivots = fraction_rref(matrix_from_rows([list(v) for v in vectors], expected_cols=n))
-    return [reduced.row(k) for k in range(len(pivots))]
+    return list(reduced.entries[: len(pivots)])
 
 
 def fraction_kernel(m: ExactMatrix):
@@ -263,7 +393,9 @@ def test_lattice_operations_do_no_gaussian_rational_arithmetic(monkeypatch):
     """A dim-4 MO2 x MO2 sublattice, built like the benchmark's `lattice`
     scenario: two generic rays (1, z) in each of the planes <e1, e2> and
     <e3, e4>.  Join, meet, ortho, leq and apply_operator run on integer
-    rows, so no `GaussianRational` is multiplied or added on the way."""
+    rows, and projectors, operator products, conjugate transposes and
+    inverses on integer matrices, so no `GaussianRational` is multiplied or
+    added on the way."""
     a_rays = (gaussian(Fraction(2, 3), Fraction(1, 5)), gaussian(Fraction(-3, 7), 4))
     b_rays = (gaussian(Fraction(-1, 2), Fraction(5, 3)), gaussian(Fraction(7, 4), Fraction(-2, 9)))
     seeds = [subspace_from_vectors(4, [[ONE, z, ZERO, ZERO]]) for z in a_rays]
@@ -275,6 +407,15 @@ def test_lattice_operations_do_no_gaussian_rational_arithmetic(monkeypatch):
             [[1, gaussian(0, Fraction(1, 2)), 0, 0], [0, 1, 0, Fraction(2, 3)], [0, 0, 0, 0], [3, 0, 0, 1]]
         ),
     ]
+    invertible = matrix_from_rows(
+        [
+            [1, gaussian(0, Fraction(1, 2)), 0, 0],
+            [0, 1, 0, Fraction(2, 3)],
+            [0, 0, Fraction(5, 7), 0],
+            [3, 0, 0, 1],
+        ]
+    )
+    phase = diagonal_matrix([1, 1, gaussian(0, 1), gaussian(0, 1)])
     calls = Counter()
     for name in ("__mul__", "__add__"):
         original = getattr(GaussianRational, name)
@@ -290,5 +431,13 @@ def test_lattice_operations_do_no_gaussian_rational_arithmetic(monkeypatch):
     images = [apply_operator(f, p) for f in operators for p in lattice]
     assert len(lattice) == 36 and any(order) and not all(order) and len(images) == 3 * 36
     assert meet.cache_info().misses > misses
+    # Commuting projectors P, P' (on the two planes) and Q = I - P, and a
+    # phase D = i on <e3, e4>: the idempotents I, P, P', Q, 0, each times
+    # the powers D^k that it does not absorb, 4 + 1 + 4 + 4 + 1 elements.
+    projectors = [projector_matrix(p) for p in (seeds[0], seeds[2], ortho(seeds[0]))]
+    monoid = close_monoid(projectors + [phase], cap=64)
+    assert len(monoid.elements) == 14
+    assert all(mat_mul(p, p) == p == conj_transpose(p) for p in projectors)
+    assert mat_mul(invertible, inverse(invertible)) == identity_matrix(4)
     assert calls == Counter()
     assert ONE * ONE + ONE == gaussian(2) and calls == Counter({"__mul__": 1, "__add__": 1})

@@ -7,14 +7,12 @@ from sieveval import (
     diagonal_matrix,
     gaussian,
     identity_matrix,
-    kernel_basis,
     mat_mul,
     matrix_from_rows,
-    rref,
     zero_matrix,
 )
 from sieveval.errors import DimensionMismatch
-from sieveval.linalg import inverse
+from sieveval.linalg import integer_kernel, integer_rref, inverse, rational_row
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 entries = st.builds(gaussian, small, small)
@@ -24,6 +22,19 @@ def small_matrix(rows, cols):
     return st.lists(
         st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
     ).map(matrix_from_rows)
+
+
+def rref(m):
+    """The reduced row echelon form read off `integer_rref`: its canonical
+    rows divided by `rational_row`, then zero rows; rank = #pivots."""
+    reduced, pivots = integer_rref(m.numerators, m.cols)
+    zero_rows = [[0] * m.cols] * (m.rows - len(pivots))
+    return matrix_from_rows([rational_row(row) for row in reduced] + zero_rows), pivots
+
+
+def kernel_basis(m):
+    """`integer_kernel`, each vector divided by its first nonzero entry."""
+    return [rational_row(v) for v in integer_kernel(m.numerators, m.cols)]
 
 
 def test_rref_identity():

@@ -174,8 +174,9 @@ def operator_and_observable(draw):
     u = unitary(n, draw(st.sampled_from(["identity", "real", "complex"])))
     labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     blocks = [[j for j in range(n) if labels[j] == b] for b in sorted(set(labels))]
+    columns = list(zip(*u.entries))
     observable = Observable(
-        "R", tuple(subspace_from_vectors(n, [u.col(j) for j in block]) for block in blocks)
+        "R", tuple(subspace_from_vectors(n, [columns[j] for j in block]) for block in blocks)
     )
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
     if draw(st.booleans()):

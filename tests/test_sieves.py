@@ -23,6 +23,7 @@ from sieveval import (
     valuation,
     zero_space,
 )
+from sieveval import sieves
 from sieveval.errors import EnumerationExceeded, NaturalityError, NotASubPresheaf
 from sieveval.sieves import (
     GlobalElement,
@@ -335,11 +336,10 @@ def test_semiclassifier_enumerated_uniqueness_small():
     assert rows[0]["uniqueness_mode"] == "enumerated"
 
 
-def _forced_and_enumerated(site, delta, omega, pairs):
+def _forced_and_enumerated(monkeypatch, site, delta, omega, pairs):
     enumerated = semiclassifier_check(site, delta, omega, tau_values(site), pairs)
-    forced = semiclassifier_check(
-        site, delta, omega, tau_values(site), pairs, candidate_budget=0
-    )
+    monkeypatch.setattr(sieves, "CANDIDATE_BUDGET", 0)
+    forced = semiclassifier_check(site, delta, omega, tau_values(site), pairs)
     assert {r["uniqueness_mode"] for r in enumerated} == {"enumerated"}
     assert {r["uniqueness_mode"] for r in forced} == {"forced-pointwise"}
     return enumerated, forced
@@ -349,7 +349,7 @@ def _verdicts(rows):
     return [(r["factors"], r["pullback"], r["uniqueness"], r["passed"]) for r in rows]
 
 
-def test_semiclassifier_uniqueness_modes_agree(qubit_site):
+def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
     # A four-proposition universe keeps the delta candidate count under the
     # default budget, so the default run enumerates every candidate map.
     site = qubit_site
@@ -362,12 +362,12 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site):
         (true_subobject(site, atom_global_element(site, atoms, r), propositions), propositions)
         for r in (span([1, 0]), span([0, 1]))
     ]
-    enumerated, forced = _forced_and_enumerated(site, delta, omega, pairs)
+    enumerated, forced = _forced_and_enumerated(monkeypatch, site, delta, omega, pairs)
     assert _verdicts(enumerated) == _verdicts(forced)
     assert [r["passed"] for r in forced] == [True, False]
 
 
-def test_semiclassifier_uniqueness_modes_agree_single_object():
+def test_semiclassifier_uniqueness_modes_agree_single_object(monkeypatch):
     monoid = close_monoid([], cap=2, dim=1)
     unit = Observable("unit", (full_space(1),))
     site = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
@@ -375,7 +375,7 @@ def test_semiclassifier_uniqueness_modes_agree_single_object():
     atoms = atom_presheaf(site, lambda o: unit)
     true_t = true_subobject(site, atom_global_element(site, atoms, full_space(1)), propositions)
     omega = omega_presheaf(site, cap=8)
-    enumerated, forced = _forced_and_enumerated(site, omega, omega, [(true_t, propositions)])
+    enumerated, forced = _forced_and_enumerated(monkeypatch, site, omega, omega, [(true_t, propositions)])
     assert _verdicts(enumerated) == _verdicts(forced) == [(True, True, True, True)]
 
 

@@ -86,11 +86,6 @@ def _lift_mask(ctx: BridgeContext, s_e: Sieve) -> int:
     return lifted
 
 
-def lift_eta(ctx: BridgeContext, s_e: Sieve) -> frozenset[int]:
-    """Relabel a plain sieve as fixed-rho extended arrows; usually not a sieve."""
-    return Sieve(ctx.stage, _lift_mask(ctx, s_e)).arrows
-
-
 def sharp(ctx: BridgeContext, s_e: Sieve) -> Sieve:
     """Smallest extended sieve containing the lift: postcomposites of lifts."""
     principal = ctx.extended.principal_masks
@@ -195,11 +190,13 @@ def _dominates_transport(f: Callable[[int], int], implies_from, implies_to, mask
 def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     """Exhaustive audit of the stage isomorphism and its implication transport.
 
-    `sharp` and `flat` run once per distinct sieve, into tables local to this
-    call; the pairs are integer work on masks, since every sieve here is based
-    at the plain stage or at the extended stage.  The fixpoints are the sieves
-    `is_natural` accepts, so the up-down round trip is a check, and
-    `is_heyting_family` audits them under the transported implication.
+    `sharp`, `flat` and `natural_map` run once per distinct sieve, and each
+    stage implication once per distinct `s & ~t` (`stage_implies`), into
+    tables local to this call; the pairs are then dictionary lookups on
+    masks, since every sieve here is based at the plain stage or at the
+    extended stage.  The fixpoints are the sieves `is_natural` accepts, so the
+    up-down round trip is a check, and `is_heyting_family` audits them under
+    the transported implication.
     """
     plain_masks = [s.mask for s in enumerate_sieves(ctx.plain, ctx.plain_stage, cap)]
     ext_sieves = enumerate_sieves(ctx.extended, ctx.stage, cap)
@@ -223,25 +220,28 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
         down, ext_masks
     )
 
+    def fixpoint_implies(s: int, t: int) -> int:
+        """The plain implication carried to the fixpoints."""
+        return up(plain_implies(down(s), down(t)))
+
+    natural = _memo(natural_map, ctx, ctx.stage)
     implies_transport = True
     implies_dominates = True
     strict_somewhere = False
     closure_failures = 0
-    fixpoint_imp: dict[tuple[int, int], int] = {}
     for s1 in fixpoints:
         for s2 in fixpoints:
-            transported = plain_implies(down(s1), down(s2))
-            imp = fixpoint_imp[s1, s2] = up(transported)  # implication among fixpoints
-            if down(imp) != transported:
+            imp = fixpoint_implies(s1, s2)
+            if down(imp) != plain_implies(down(s1), down(s2)):
                 implies_transport = False
             amb = ext_implies(s1, s2)
             if imp & ~amb:
                 implies_dominates = False
             elif imp != amb:
                 strict_somewhere = True
-            if not is_natural(ctx, Sieve(ctx.stage, amb)):
+            if natural(amb) != amb:
                 closure_failures += 1
-    fixpoint_adjunction = is_heyting_family(fixpoints, lambda s, t: fixpoint_imp[s, t], fixpoints)
+    fixpoint_adjunction = is_heyting_family(fixpoints, fixpoint_implies, fixpoints)
 
     pseudo_inequality = _dominates_transport(
         up, plain_implies, ext_implies, plain_masks

@@ -54,8 +54,8 @@ class NotInCommutant(SievevalError):
 class CapExceeded(SievevalError):
     """A declared enumeration cap was hit; the scenario is rejected."""
 
-    def __init__(self, what: str, cap: int):
-        super().__init__(f"{what} exceeded the cap of {cap}")
+    def __init__(self, what: str, cap: int, where: str = ""):
+        super().__init__(f"{what} exceeded the cap of {cap}{where}")
         self.what = what
         self.cap = cap
 
@@ -71,8 +71,10 @@ class OrbitExceeded(CapExceeded):
 
 
 class EnumerationExceeded(CapExceeded):
-    def __init__(self, cap: int):
-        super().__init__("sieve enumeration", cap)
+    def __init__(self, cap: int, obj: int, arrows: int):
+        super().__init__("sieve enumeration", cap, f" at object {obj} ({arrows} arrows)")
+        self.obj = obj
+        self.arrows = arrows
 
 
 class LatticeCapExceeded(CapExceeded):

@@ -5,7 +5,7 @@ Scenario dimensions are tiny, so everything is dense and immutable.  An
 integer denominator, in lowest terms, so equal matrices have equal fields
 and compare as ints.  Products, conjugate transposes and inverses are
 computed on these integers; Gaussian rationals are read (`entries`) and
-written (`matrix_from_rows`, `matrix_from_cols`, `diagonal_matrix`) only at
+written (`matrix_from_rows`, `diagonal_matrix`) only at
 the boundary.
 
 There is one elimination, `integer_rref`: fraction-free Gauss-Jordan on
@@ -104,12 +104,6 @@ def matrix_from_rows(rows: Sequence[Sequence], expected_cols: int | None = None)
     if expected_cols is not None and n_rows and n_cols != expected_cols:
         raise DimensionMismatch(f"expected {expected_cols} columns, got {n_cols}")
     return _from_scalars(n_rows, n_cols, coerced)
-
-
-def matrix_from_cols(cols: Sequence[Vector], n_rows: int) -> ExactMatrix:
-    if any(len(c) != n_rows for c in cols):
-        raise DimensionMismatch("column length mismatch")
-    return _from_scalars(n_rows, len(cols), [[c[i] for c in cols] for i in range(n_rows)])
 
 
 def identity_matrix(n: int) -> ExactMatrix:

@@ -13,6 +13,13 @@ from tables the site owns: per arrow f, the pairs (g, g∘f) and the principal
 mask of f.  Implication is then m ∈ (S ⇒ T) iff `principal[m] & S & ~T` is
 empty, and pulling S back along m is one pass over the pairs of m.
 
+The stage audits check every pair of sieves, at O(1) amortised per pair:
+`stage_implies` memoises the implication on `s & ~t`, the only part of s
+and t it reads, and `is_heyting_family` compares, per pair, two bitsets of
+the probes that miss `s & ~t` and `~(s ⇒ t)`, memoised on the mask.  So a
+family of N sieves with k probes costs N² lookups plus k work per distinct
+key.  Neither table outlives the closure or the call that built it.
+
 Truth values: the valuation of a proposition P at a stage is the sieve of
 arrows F with F(P) above the transported true atom.  It is computed twice —
 once directly, once as the characteristic morphism of the true subobject —
@@ -118,11 +125,12 @@ def enumerate_sieves(site, obj: int, cap: int) -> tuple[Sieve, ...]:
     """Every sieve on obj: all unions of principal sieves, plus the empty one,
     ordered by size and then by the ascending tuple of arrow ids."""
     principal = site.principal_masks
+    arrows = site.arrows_from(obj)
     collected = {0}
-    for p in dict.fromkeys(principal[a] for a in site.arrows_from(obj)):
+    for p in dict.fromkeys(principal[a] for a in arrows):
         collected |= {existing | p for existing in collected}
         if len(collected) > cap:
-            raise EnumerationExceeded(cap)
+            raise EnumerationExceeded(cap, obj, len(arrows))
     return tuple(sorted((Sieve(obj, m) for m in collected), key=Sieve.sort_key))
 
 
@@ -164,8 +172,19 @@ def heyting_implies(site, s1: Sieve, s2: Sieve) -> Sieve:
 
 
 def stage_implies(site, base: int) -> Callable[[int, int], int]:
-    """`heyting_implies` on the masks of sieves based at `base`."""
-    return lambda s, t: heyting_implies(site, Sieve(base, s), Sieve(base, t)).mask
+    """`heyting_implies` on the masks of sieves based at `base`, memoised on
+    `s & ~t`: the implication reads nothing else of s and t, so the table is
+    exact.  It lives as long as the returned function."""
+    table: dict[int, int] = {}
+
+    def implies(s: int, t: int) -> int:
+        outside = s & ~t
+        found = table.get(outside)
+        if found is None:
+            found = table[outside] = heyting_implies(site, Sieve(base, s), Sieve(base, t)).mask
+        return found
+
+    return implies
 
 
 def is_heyting_family(masks: Sequence[int], implies: Callable, probes: Sequence[int]) -> bool:
@@ -173,16 +192,29 @@ def is_heyting_family(masks: Sequence[int], implies: Callable, probes: Sequence[
     `implies`: each pair's join, meet and implication are members, s ⇒ t
     misses s minus t, and x ∧ s <= t iff x <= (s ⇒ t) for every probe x.
     Probes need only join-generate the family, as the principal sieves of a
-    base do for its sieves: every sieve is the union of the principal ones."""
+    base do for its sieves: every sieve is the union of the principal ones.
+
+    x ∧ s <= t iff x misses s minus t, and x <= imp iff x misses ~imp, so the
+    adjunction holds on every probe iff `missed_by(s & ~t) == missed_by(~imp)`,
+    where bit i of `missed_by(y)` is set iff probe i misses y.  Each distinct
+    y costs one pass over the probes, in a table local to this call.
+    """
     members = set(masks)
+    missed: dict[int, int] = {}
+
+    def missed_by(y: int) -> int:
+        found = missed.get(y)
+        if found is None:
+            found = missed[y] = sum(1 << i for i, x in enumerate(probes) if not x & y)
+        return found
+
     for s in masks:
         for t in masks:
             imp = implies(s, t)
             outside = s & ~t
             if s | t not in members or s & t not in members or imp not in members or imp & outside:
                 return False
-            # x ∧ s <= t iff x misses s minus t; x <= imp iff x misses ~imp.
-            if any((not x & outside) != (not x & ~imp) for x in probes):
+            if missed_by(outside) != missed_by(~imp):
                 return False
     return True
 

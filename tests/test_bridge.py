@@ -13,7 +13,6 @@ from sieveval import (
     heyting_iso_check,
     is_natural,
     is_projective,
-    lift_eta,
     make_bridge_context,
     natural_characteristic,
     natural_map,
@@ -27,6 +26,7 @@ from sieveval import (
     zero_space,
 )
 from sieveval.bridge import (
+    _lift_mask,
     is_natural_at,
     natural_sieves_at,
     projectivity_matches_naturality,
@@ -78,6 +78,11 @@ def plain_sieve_by_ops(ctx, ops):
         a for a in ctx.plain.arrows_from(ctx.plain_stage) if ctx.plain.arrow_op(a) in ops
     ]
     return Sieve(ctx.plain_stage, sum(1 << a for a in members))
+
+
+def lift_eta(ctx, s_e):
+    """Relabel a plain sieve as fixed-rho extended arrows; usually not a sieve."""
+    return Sieve(ctx.stage, _lift_mask(ctx, s_e)).arrows
 
 
 def test_lift_eta(bridge_setup):

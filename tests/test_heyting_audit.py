@@ -7,9 +7,15 @@ sieves only (for Ω and δΩ), so the two must agree on every stage family of
 the bundled scenarios and of a dim-4 chain, whose 85-sieve extended stage
 the old audit sampled.  The distributivity triple loop the old audit also
 ran holds for any family of ints; the rejection tests keep it as a foil.
+
+The helper and `stage_implies` memoise (on probe bitsets and on s minus t);
+the guard tests below hold them to the unmemoised loop and kernel on every
+pair, and on random families, probes and implications.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sieveval import (
     Sieve,
@@ -40,48 +46,59 @@ from sieveval.sieves import (
 CAP = 4096
 
 
-def _vector(entries: dict[int, str]) -> list[str]:
-    return [entries.get(i, "0") for i in range(4)]
+def _vector(dim: int, entries: dict[int, str]) -> list[str]:
+    return [entries.get(i, "0") for i in range(dim)]
 
 
-def _projector(support: set[int]) -> list[list[str]]:
-    return [["1" if i == j and i in support else "0" for j in range(4)] for i in range(4)]
+def _projector(dim: int, support: set[int]) -> list[list[str]]:
+    return [["1" if i == j and i in support else "0" for j in range(dim)] for i in range(dim)]
 
 
-# A dim-4 unit < coarse < fine chain with both runs extended over the chain.
-COORDS = [_vector({i: "1"}) for i in range(4)]
-TILTED = _vector({1: "1", 2: "1/2+1 i"})
-FAMILY = ["unit", "coarse", "fine"]
-CHAIN = {
-    "name": "chain4",
-    "dimension": 4,
-    "observables": [
-        {"name": "unit", "eigenspaces": [COORDS]},
-        {"name": "coarse", "eigenspaces": [[COORDS[0]], COORDS[1:]]},
-        {"name": "fine", "eigenspaces": [[c] for c in COORDS]},
-    ],
-    "generators": [
-        *({"name": f"p{i + 1}", "matrix": _projector({i}), "commutant_of": "fine"} for i in range(4)),
-        {"name": "ptail", "matrix": _projector({1, 2, 3}), "commutant_of": "coarse"},
-    ],
-    "states": {"w": _vector({i: "1" for i in range(4)})},
-    "propositions": {
-        **{f"P_e{i + 1}": [COORDS[i]] for i in range(4)},
-        "P_e23": [TILTED],
-        "P_e32": [_vector({1: "2-1/3 i", 2: "1"})],
-        "B": [COORDS[0], TILTED],
-        "plane23": [COORDS[1], COORDS[2]],
-        "P_w": [_vector({i: "1" for i in range(4)})],
-    },
-    "lattice_seeds": ["P_e1"],
-    "runs": [
-        {"name": "mid", "state": "w", "observable": "coarse", "eigenspace": 1, "extended": FAMILY},
-        {"name": "fine-r2", "state": "w", "observable": "fine", "eigenspace": 1, "extended": FAMILY},
-    ],
-}
+def chain(dim: int) -> dict:
+    """A unit < coarse < fine chain in dimension `dim`, both runs extended
+    over the chain; the tilted rays in the <e2, e3> plane exist from dim 3."""
+    coords = [_vector(dim, {i: "1"}) for i in range(dim)]
+    ones = _vector(dim, {i: "1" for i in range(dim)})
+    propositions = {f"P_e{i + 1}": [coords[i]] for i in range(dim)}
+    if dim >= 3:
+        tilted = _vector(dim, {1: "1", 2: "1/2+1 i"})
+        propositions["P_e23"] = [tilted]
+        propositions["P_e32"] = [_vector(dim, {1: "2-1/3 i", 2: "1"})]
+        propositions["B"] = [coords[0], tilted]
+        propositions["plane23"] = [coords[1], coords[2]]
+    propositions["P_w"] = [ones]
+    family = ["unit", "coarse", "fine"]
+    return {
+        "name": f"chain{dim}",
+        "dimension": dim,
+        "observables": [
+            {"name": "unit", "eigenspaces": [coords]},
+            {"name": "coarse", "eigenspaces": [[coords[0]], coords[1:]]},
+            {"name": "fine", "eigenspaces": [[c] for c in coords]},
+        ],
+        "generators": [
+            *(
+                {"name": f"p{i + 1}", "matrix": _projector(dim, {i}), "commutant_of": "fine"}
+                for i in range(dim)
+            ),
+            {"name": "ptail", "matrix": _projector(dim, set(range(1, dim))), "commutant_of": "coarse"},
+        ],
+        "states": {"w": ones},
+        "propositions": propositions,
+        "lattice_seeds": ["P_e1"],
+        "runs": [
+            {"name": "mid", "state": "w", "observable": "coarse", "eigenspace": 1, "extended": family},
+            {"name": "fine-r2", "state": "w", "observable": "fine", "eigenspace": 1, "extended": family},
+        ],
+    }
 
 
-def oracle_is_heyting(masks, implies) -> bool:
+CHAIN = chain(4)
+
+
+def oracle_is_heyting(masks, implies, probes=None) -> bool:
+    """The audit loop, probing every member unless `probes` are given."""
+    probes = masks if probes is None else probes
     members = set(masks)
     for s in masks:
         for t in masks:
@@ -91,7 +108,7 @@ def oracle_is_heyting(masks, implies) -> bool:
             outside, not_imp = s & ~t, ~imp
             if imp & outside:
                 return False
-            for x in masks:
+            for x in probes:
                 if (not x & outside) != (not x & not_imp):
                     return False
     return True
@@ -153,6 +170,83 @@ def test_helper_agrees_with_the_exhaustive_oracle_on_every_stage_family():
     for label, masks, implies, probes in families:
         assert is_heyting_family(masks, implies, probes), label
         assert oracle_is_heyting(masks, implies), label
+
+
+GUARDED = [
+    *(pytest.param(name, id=name) for name in bundled_scenario_names()),
+    *(pytest.param(dim, id=f"chain{dim}") for dim in (2, 3, 4, 5)),
+]
+
+
+@pytest.mark.parametrize("which", GUARDED)
+def test_memoised_stage_implication_is_the_kernel_on_every_pair(which):
+    if isinstance(which, str):
+        scenario = load_scenario(bundled_scenario_path(which))
+    else:
+        scenario = scenario_from_dict(chain(which))
+    assert run_check(scenario)["passed"]
+    stages = []
+    for run in build_scenario(scenario).runs:
+        for site in (run.plain, run.rest):
+            if site is not None:
+                stages += [(site, o, enumerate_sieves(site, o, CAP)) for o in range(site.n_objects)]
+        delta = delta_omega_presheaf(run.plain, run.r_space, CAP)
+        stages += [(run.plain, o, delta.values[o]) for o in range(run.plain.n_objects)]
+    for site, o, sieves in stages:
+        implies = stage_implies(site, o)
+        for s in sieves:
+            for t in sieves:
+                assert implies(s.mask, t.mask) == heyting_implies(site, s, t).mask
+
+
+@st.composite
+def sieve_families(draw):
+    """(masks, principal masks, dropped) for the sieves of a random finite
+    poset, reachability along random edges i -> j (i < j) giving each
+    point's principal set; `dropped` says whether one member was removed."""
+    n = draw(st.integers(1, 5))
+    principal = [1 << i for i in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                principal[i] |= principal[j]
+    masks = {0}
+    for p in principal:
+        masks |= {m | p for m in masks}
+    masks = sorted(masks)
+    dropped = draw(st.booleans())
+    if dropped:
+        masks.remove(draw(st.sampled_from(masks)))
+    return masks, principal, dropped
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_helper_agrees_with_the_oracle_on_random_families(data):
+    masks, principal, dropped = data.draw(sieve_families())
+    top = (1 << len(principal)) - 1
+
+    def honest(s, t):
+        outside = s & ~t
+        return sum(1 << m for m, p in enumerate(principal) if not p & outside)
+
+    kind = data.draw(st.sampled_from(["honest", "top", "consequent", "non-member"]))
+    implies = {
+        "honest": honest,
+        "top": lambda s, t: top,
+        "consequent": lambda s, t: t,
+        "non-member": lambda s, t: (~s | t) & top,
+    }[kind]
+    probe_kind = data.draw(st.sampled_from(["principal", "family", "random"]))
+    probes = {
+        "principal": principal,
+        "family": masks,
+        "random": data.draw(st.lists(st.integers(0, top), max_size=6)),
+    }[probe_kind]
+    verdict = is_heyting_family(masks, implies, probes)
+    assert verdict == oracle_is_heyting(masks, implies, probes)
+    if kind == "honest" and not dropped and probe_kind != "random":
+        assert verdict
 
 
 def _qutrit_extended_stage():

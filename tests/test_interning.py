@@ -6,9 +6,14 @@ import threading
 import weakref
 
 from sieveval import full_space, gaussian, subspace_from_vectors, zero_space
-from sieveval.linalg import matrix_from_cols
+from sieveval.linalg import matrix_from_rows
 from sieveval.rationals import parse_scalar
 from sieveval.subspaces import _INTERNED
+
+
+def matrix_from_cols(cols, n_rows):
+    """The matrix whose columns are `cols` (the basis the structural hash read)."""
+    return matrix_from_rows([[c[i] for c in cols] for i in range(n_rows)], len(cols))
 
 
 def test_equal_spanning_sets_give_one_object():

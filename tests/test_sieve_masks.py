@@ -21,13 +21,12 @@ from sieveval import (
     heyting_implies,
     heyting_join,
     heyting_meet,
-    lift_eta,
     load_scenario,
     omega_transition,
     restrict_down,
     sharp,
 )
-from sieveval.bridge import natural_map_at
+from sieveval.bridge import _lift_mask, natural_map_at
 from sieveval.sieves import is_sieve, principal_sieve
 
 CAP = 4096
@@ -206,6 +205,6 @@ def test_bridge_maps_match_reference(data):
     plain_sieve = Sieve(ctx.plain_stage, mask_of(plain))
     ext_sieve = Sieve(ctx.stage, mask_of(extended))
 
-    assert lift_eta(ctx, plain_sieve) == frozenset(ctx.plain_to_ext[a] for a in plain)
+    assert _lift_mask(ctx, plain_sieve) == mask_of(ctx.plain_to_ext[a] for a in plain)
     assert sharp(ctx, plain_sieve) == Sieve(ctx.stage, mask_of(ref_sharp(ctx, plain)))
     assert flat(ctx, ext_sieve) == Sieve(ctx.plain_stage, mask_of(ref_flat(ctx, extended)))

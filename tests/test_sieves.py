@@ -99,7 +99,9 @@ def test_omega_census_eigenray(qubit_site):
 
 
 def test_enumeration_cap(qubit_site):
-    with pytest.raises(EnumerationExceeded):
+    arrows = len(qubit_site.arrows_from(0))
+    message = rf"^sieve enumeration exceeded the cap of 2 at object 0 \({arrows} arrows\)$"
+    with pytest.raises(EnumerationExceeded, match=message):
         enumerate_sieves(qubit_site, 0, cap=2)
 
 

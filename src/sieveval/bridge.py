@@ -8,6 +8,10 @@ Heyting algebra isomorphic to the plain stage's sieve lattice.
 
 Sieves are bitmasks (see `sieves`): sharpening ORs the extended principal
 masks of the lifted arrows, flattening relabels the fixed-observable bits.
+The stages they range over are listed by the sites themselves
+(`Site.sieve_masks`), and each listing lives as long as its site.  The
+fixpoint subfunctor ♮Ω is cut from the extended classifier by the one
+natural-sieve filter, `is_natural_at`.
 """
 
 from __future__ import annotations
@@ -19,15 +23,14 @@ from .errors import InternalCheckError, NotASubPresheaf, UnknownObjectError
 from .sieves import (
     Presheaf,
     Sieve,
-    build_presheaf,
     characteristic_table,
-    enumerate_sieves,
     is_heyting_family,
     is_subpresheaf,
     naturality_holds,
     omega_transition,
     pullback_holds,
     stage_implies,
+    subpresheaf,
     tau_values,
     top_sieve,
     valuation,
@@ -98,9 +101,7 @@ def sharp(ctx: BridgeContext, s_e: Sieve) -> Sieve:
 def sharp_by_intersection(ctx: BridgeContext, s_e: Sieve, cap: int) -> Sieve:
     """Oracle for `sharp`: intersect every enumerated sieve containing the lift."""
     lifted = _lift_mask(ctx, s_e)
-    candidates = [
-        s.mask for s in enumerate_sieves(ctx.extended, ctx.stage, cap) if not lifted & ~s.mask
-    ]
+    candidates = [m for m in ctx.extended.sieve_masks(ctx.stage, cap) if not lifted & ~m]
     if not candidates:  # pragma: no cover - the top sieve always qualifies
         raise InternalCheckError("no sieve contains the lift")
     members = candidates[0]
@@ -137,27 +138,15 @@ def natural_map(ctx: BridgeContext, s: Sieve) -> Sieve:
     return natural_map_at(ctx.extended, ctx.stage, s)
 
 
-def is_natural(ctx: BridgeContext, s: Sieve) -> bool:
-    return natural_map(ctx, s) == s
-
-
 def is_natural_at(site: ExtendedSite, obj: int, s: Sieve) -> bool:
+    """The natural-sieve filter: s is a fixpoint of the down-and-up round trip."""
     return natural_map_at(site, obj, s) == s
 
 
-def natural_sieves_at(site: ExtendedSite, obj: int, cap: int) -> tuple[Sieve, ...]:
-    return tuple(
-        s for s in enumerate_sieves(site, obj, cap) if is_natural_at(site, obj, s)
-    )
-
-
-def natural_omega(site: ExtendedSite, cap: int) -> Presheaf:
-    """The fixpoint subfunctor of the classifier; transitions are inherited."""
-    return build_presheaf(
-        site,
-        lambda o: natural_sieves_at(site, o, cap),
-        lambda a, s: omega_transition(site, a, s),
-    )
+def natural_omega(omega: Presheaf) -> Presheaf:
+    """The fixpoint subfunctor ♮Ω, cut from the extended classifier Ω."""
+    site = omega.site
+    return subpresheaf(omega, lambda o, s: is_natural_at(site, o, s))
 
 
 def _memo(fn, ctx: BridgeContext, base: int) -> Callable[[int], int]:
@@ -194,14 +183,15 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     stage implication once per distinct `s & ~t` (`stage_implies`), into
     tables local to this call; the pairs are then dictionary lookups on
     masks, since every sieve here is based at the plain stage or at the
-    extended stage.  The fixpoints are the sieves `is_natural` accepts, so the
-    up-down round trip is a check, and `is_heyting_family` audits them under
-    the transported implication.
+    extended stage.  The fixpoints are the sieves the natural-sieve filter
+    `is_natural_at` accepts, so the up-down round trip is a check, and
+    `is_heyting_family` audits them under the transported implication.
     """
-    plain_masks = [s.mask for s in enumerate_sieves(ctx.plain, ctx.plain_stage, cap)]
-    ext_sieves = enumerate_sieves(ctx.extended, ctx.stage, cap)
-    ext_masks = [s.mask for s in ext_sieves]
-    fixpoints = [s.mask for s in ext_sieves if is_natural(ctx, s)]
+    plain_masks = ctx.plain.sieve_masks(ctx.plain_stage, cap)
+    ext_masks = ctx.extended.sieve_masks(ctx.stage, cap)
+    fixpoints = [
+        m for m in ext_masks if is_natural_at(ctx.extended, ctx.stage, Sieve(ctx.stage, m))
+    ]
     up = _memo(sharp, ctx, ctx.plain_stage)
     down = _memo(flat, ctx, ctx.stage)
     plain_implies = stage_implies(ctx.plain, ctx.plain_stage)

@@ -18,7 +18,6 @@ from .bridge import (
     natural_characteristic,
     natural_map_at,
     natural_omega,
-    natural_sieves_at,
     projectivity_matches_naturality,
     sharp,
     sharp_by_intersection,
@@ -36,13 +35,12 @@ from .runner import BuiltRun, BuiltScenario, build_scenario, truncation_summary
 from .scenario import Scenario
 from .sieves import (
     Presheaf,
+    Sieve,
     atom_global_element,
     bottom_annihilator,
-    build_presheaf,
     characteristic,
     characteristic_table,
     delta_omega_presheaf,
-    enumerate_sieves,
     filter_check,
     ib_condition_check,
     is_heyting_family,
@@ -55,6 +53,7 @@ from .sieves import (
     pullback_holds,
     semiclassifier_check,
     stage_implies,
+    subpresheaf,
     tau_values,
     top_sieve,
     valuation,
@@ -464,13 +463,9 @@ def _ib_rows(run: BuiltRun) -> list[dict]:
     ]
 
 
-def _delta_rows(run: BuiltRun) -> list[dict]:
+def _delta_rows(run: BuiltRun, omega: Presheaf, delta: Presheaf) -> list[dict]:
     site = run.plain
-    sc = run.scenario
-    cap = sc.caps["sieve_enum"]
     rows = []
-    omega = omega_presheaf(site, cap)
-    delta = delta_omega_presheaf(site, run.r_space, cap)
     # δΩ's transitions are the classifier's, so its validation (transitions
     # stay in the codomain stage) is the Prop 3.5 check.
     delta_failure = _validate(delta)
@@ -549,10 +544,10 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     return rows
 
 
-def _heyting_audit_rows(run, site, label: str, cap: int) -> list[dict]:
+def _heyting_audit_rows(run, omega: Presheaf, label: str) -> list[dict]:
+    site = omega.site
     ok = True
-    for o in range(site.n_objects):
-        sieves = enumerate_sieves(site, o, cap)
+    for o, sieves in enumerate(omega.values):
         masks = [s.mask for s in sieves]
         principal = [site.principal_masks[a] for a in site.arrows_from(o)]
         # Exactly the sieves on o: sieves only, the empty and the principal
@@ -716,7 +711,7 @@ def _bridge_rows(run: BuiltRun, nat_omega: Presheaf) -> list[dict]:
             run=run.spec.name,
         )
     )
-    ext_sieves = enumerate_sieves(rest, ctx.stage, cap)
+    ext_sieves = [Sieve(ctx.stage, m) for m in rest.sieve_masks(ctx.stage, cap)]
     deflation_ok = all(natural_map_at(rest, ctx.stage, s) <= s for s in ext_sieves)
     rows.append(
         _row(
@@ -727,8 +722,8 @@ def _bridge_rows(run: BuiltRun, nat_omega: Presheaf) -> list[dict]:
         )
     )
     sharp_oracle_ok = True
-    plain_sieves = enumerate_sieves(ctx.plain, ctx.plain_stage, cap)
-    for s in plain_sieves:
+    for m in ctx.plain.sieve_masks(ctx.plain_stage, cap):
+        s = Sieve(ctx.plain_stage, m)
         if sharp(ctx, s) != sharp_by_intersection(ctx, s, cap):
             sharp_oracle_ok = False
     rows.append(
@@ -816,13 +811,7 @@ def _forward_closure_subpresheaf(rest, propositions: Presheaf, seed_obj: int, se
             if image not in members[cod]:
                 members[cod].add(image)
                 frontier.append((cod, image))
-    return build_presheaf(
-        rest,
-        lambda o: tuple(
-            p for p in propositions.values[o] if p in members[o]
-        ),
-        lambda a, x: propositions.map(a, x),
-    )
+    return subpresheaf(propositions, lambda o, p: p in members[o])
 
 
 def _find_adversarial_subpresheaf(run: BuiltRun):
@@ -932,7 +921,9 @@ def _detector_rows(run: BuiltRun) -> list[dict]:
     return rows
 
 
-def _natural_characteristic_rows(run: BuiltRun, nat_omega: Presheaf) -> list[dict]:
+def _natural_characteristic_rows(
+    run: BuiltRun, nat_omega: Presheaf, omega: Presheaf
+) -> list[dict]:
     rest = run.rest
     try:
         result = natural_characteristic(rest, run.true_t_ext, run.propositions_l_ext)
@@ -956,7 +947,6 @@ def _natural_characteristic_rows(run: BuiltRun, nat_omega: Presheaf) -> list[dic
             **failure,
         ),
     ]
-    omega = omega_presheaf(rest, run.scenario.caps["sieve_enum"])
     failure = _validate(omega)
     semi = semiclassifier_check(
         rest,
@@ -997,25 +987,20 @@ def _equivalence_rows(run: BuiltRun) -> list[dict]:
     ]
 
 
-def _census_rows(run: BuiltRun) -> list[dict]:
-    site = run.plain
-    cap = run.scenario.caps["sieve_enum"]
-    stage_sizes = [len(enumerate_sieves(site, o, cap)) for o in range(site.n_objects)]
-    floor = bottom_annihilator(site, run.stage, run.e_r)
-    delta_size = len(
-        [s for s in enumerate_sieves(site, run.stage, cap) if not floor.mask & ~s.mask]
-    )
+def _census_rows(run: BuiltRun, omega: Presheaf, delta: Presheaf) -> list[dict]:
     details = {
-        "omega_stage_sizes": stage_sizes,
-        "delta_stage_size": delta_size,
-        "floor_size": floor.mask.bit_count(),
+        "omega_stage_sizes": [len(stage) for stage in omega.values],
+        "delta_stage_size": len(delta.values[run.stage]),
+        "floor_size": bottom_annihilator(run.plain, run.stage, run.e_r).mask.bit_count(),
     }
     if run.has_extended:
-        details["extended_stage_size"] = len(
-            enumerate_sieves(run.rest, run.rest_stage, cap)
-        )
-        details["natural_stage_size"] = len(
-            natural_sieves_at(run.rest, run.rest_stage, cap)
+        # Listed alone, before the extended audit lists every stage, so that
+        # a cap hit names this stage first.
+        rest, stage = run.rest, run.rest_stage
+        masks = rest.sieve_masks(stage, run.scenario.caps["sieve_enum"])
+        details["extended_stage_size"] = len(masks)
+        details["natural_stage_size"] = sum(
+            is_natural_at(rest, stage, Sieve(stage, m)) for m in masks
         )
     return [
         _row(
@@ -1037,6 +1022,7 @@ def run_check(scenario: Scenario) -> dict:
     rows.append(_operator_monotone_row(built))
     rows.extend(_observable_order_rows(built))
     rows.extend(_atom_set_rows(built))
+    cap = scenario.caps["sieve_enum"]
     for run in built.runs:
         rows.extend(_bub_rows(run))
         rows.extend(_plain_site_rows(run))
@@ -1044,18 +1030,21 @@ def run_check(scenario: Scenario) -> dict:
         rows.extend(_oracle_rows(run))
         rows.extend(_prop32_33_rows(run))
         rows.extend(_ib_rows(run))
-        rows.extend(_delta_rows(run))
-        rows.extend(_heyting_audit_rows(run, run.plain, "plain", scenario.caps["sieve_enum"]))
+        omega = omega_presheaf(run.plain, cap)
+        delta = delta_omega_presheaf(omega, run.r_space)
+        rows.extend(_delta_rows(run, omega, delta))
+        rows.extend(_heyting_audit_rows(run, omega, "plain"))
         rows.append(_restriction_row(run))
-        rows.extend(_census_rows(run))
+        rows.extend(_census_rows(run, omega, delta))
         if run.has_extended:
             rows.extend(_extended_site_rows(run))
-            rows.extend(_heyting_audit_rows(run, run.rest, "extended", scenario.caps["sieve_enum"]))
-            # ♮Ω, built once: Prop 5.7/Thm 5.8 validates it, Thm 5.13 audits it.
-            nat_omega = natural_omega(run.rest, scenario.caps["sieve_enum"])
+            omega_ext = omega_presheaf(run.rest, cap)
+            rows.extend(_heyting_audit_rows(run, omega_ext, "extended"))
+            # ♮Ω, cut once from Ω: Prop 5.7/Thm 5.8 validates it, Thm 5.13 audits it.
+            nat_omega = natural_omega(omega_ext)
             rows.extend(_bridge_rows(run, nat_omega))
             rows.extend(_projectivity_rows(run))
-            rows.extend(_natural_characteristic_rows(run, nat_omega))
+            rows.extend(_natural_characteristic_rows(run, nat_omega, omega_ext))
             rows.extend(_equivalence_rows(run))
     return {
         "scenario": scenario.name,

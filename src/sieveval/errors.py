@@ -40,17 +40,6 @@ class CommutantViolation(ValidationError):
     """A declared operator fails to commute with its declared observable."""
 
 
-class NotInCommutant(SievevalError):
-    """A monoid element does not commute with the site's observable."""
-
-    def __init__(self, operator_index: int, observable_name: str):
-        super().__init__(
-            f"operator #{operator_index} is not in the commutant of {observable_name!r}"
-        )
-        self.operator_index = operator_index
-        self.observable_name = observable_name
-
-
 class CapExceeded(SievevalError):
     """A declared enumeration cap was hit; the scenario is rejected."""
 

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 from .bridge import (
     BridgeContext,
+    is_natural_at,
     make_bridge_context,
-    natural_sieves_at,
     proposition_equivalence,
 )
-from .errors import SievevalError, ValidationError
+from .errors import EnumerationExceeded, ValidationError
 from .modal import TrueAtomSet, bub_valuation, compute_atoms, in_determinate_sublattice
 from .scenario import RunSpec, Scenario, proposition_universe
 from .sieves import (
@@ -24,7 +24,6 @@ from .sieves import (
     atom_global_element,
     atom_presheaf,
     bottom_annihilator,
-    enumerate_sieves,
     proposition_presheaf,
     top_sieve,
     true_subobject,
@@ -39,7 +38,6 @@ from .sites import (
     close_monoid,
     in_product_category,
     restrict_down,
-    submonoid_commuting_with,
 )
 from .subspaces import Ray, Subspace
 
@@ -116,10 +114,9 @@ def _build_run(
     observable = scenario.observables[rho_index]
     r_space = observable.eigenspaces[spec.eigenspace]
 
-    plain_monoid, op_map = submonoid_commuting_with(monoid, observable)
-    plain = build_plain_site(
+    plain, op_map = build_plain_site(
         observable,
-        plain_monoid,
+        monoid,
         list(scenario.states.values()),
         scenario.caps["orbit"],
     )
@@ -135,7 +132,7 @@ def _build_run(
     propositions_l = proposition_presheaf(plain, universe)
     atoms_a = atom_presheaf(plain, lambda o: observable)
     sigma = atom_global_element(plain, atoms_a, r_space)
-    true_t = true_subobject(plain, sigma, propositions_l)
+    true_t = true_subobject(sigma, propositions_l)
 
     run = BuiltRun(
         scenario=scenario,
@@ -185,7 +182,7 @@ def _build_run(
             rest, lambda o: rest.observables[rest.object_rho(o)]
         )
         run.sigma_ext = atom_global_element(rest, run.atoms_a_ext, r_space)
-        run.true_t_ext = true_subobject(rest, run.sigma_ext, run.propositions_l_ext)
+        run.true_t_ext = true_subobject(run.sigma_ext, run.propositions_l_ext)
     return run
 
 
@@ -266,24 +263,25 @@ def valuate_run(run: BuiltRun) -> dict:
 def _stage_heyting_tables(run: BuiltRun) -> dict:
     """The fully enumerated sieve lattices at the run's stage, if they fit."""
     cap = run.scenario.caps["sieve_enum"]
+    plain, stage = run.plain, run.stage
     try:
-        plain_sieves = enumerate_sieves(run.plain, run.stage, cap)
-    except SievevalError:
+        plain_masks = plain.sieve_masks(stage, cap)
+    except EnumerationExceeded:
         return {"within_cap": False}
     tables = {
         "within_cap": True,
-        "plain_sieves": [serialize_plain_sieve(run.plain, s) for s in plain_sieves],
+        "plain_sieves": [serialize_plain_sieve(plain, Sieve(stage, m)) for m in plain_masks],
     }
     if run.has_extended:
+        rest, stage = run.rest, run.rest_stage
         try:
-            ext = enumerate_sieves(run.rest, run.rest_stage, cap)
-        except SievevalError:
+            ext = [Sieve(stage, m) for m in rest.sieve_masks(stage, cap)]
+        except EnumerationExceeded:
             tables["within_cap"] = False
             return tables
-        tables["extended_sieves"] = [serialize_extended_sieve(run.rest, s) for s in ext]
+        tables["extended_sieves"] = [serialize_extended_sieve(rest, s) for s in ext]
         tables["natural_sieves"] = [
-            serialize_extended_sieve(run.rest, s)
-            for s in natural_sieves_at(run.rest, run.rest_stage, cap)
+            serialize_extended_sieve(rest, s) for s in ext if is_natural_at(rest, stage, s)
         ]
     return tables
 

@@ -1,9 +1,11 @@
 """Sieves over a built site: stage Heyting algebras, presheaves, valuations.
 
 A sieve on an object is a postcomposition-closed set of arrows out of it.
-Equivalently it is a union of principal sieves, which is how enumeration
-works here: collect the distinct principal sieves and close them under
-union.  That avoids filtering all 2^k arrow subsets.
+Equivalently it is a union of principal sieves, which is how a site lists
+the sieves on an object (`Site.sieve_masks`): it closes the distinct
+principal sieves under union, which avoids filtering all 2^k arrow subsets.
+The site keeps each listed stage for its own lifetime; this module holds no
+table that outlives a call.
 
 Representation: a `Sieve` stores an `int` bitmask over the site's global
 arrow ids, bit a set iff arrow a is a member.  The arrows out of one object
@@ -20,6 +22,11 @@ the probes that miss `s & ~t` and `~(s ⇒ t)`, memoised on the mask.  So a
 family of N sieves with k probes costs N² lookups plus k work per distinct
 key.  Neither table outlives the closure or the call that built it.
 
+Subfunctors: the true subobject of the proposition functor, and the
+semi-classifiers δΩ and ♮Ω of the classifier Ω, are each cut from their
+parent by `subpresheaf`, which keeps a subset of every stage and reuses the
+parent's transition tables.
+
 Truth values: the valuation of a proposition P at a stage is the sieve of
 arrows F with F(P) above the transported true atom.  It is computed twice —
 once directly, once as the characteristic morphism of the true subobject —
@@ -30,11 +37,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Hashable, Iterator, Sequence
 
 from .errors import (
-    EnumerationExceeded,
     InternalCheckError,
     NaturalityError,
     NotASubPresheaf,
@@ -89,10 +94,6 @@ class Sieve:
         _require_same_base(self, other)
         return self.mask != other.mask and not self.mask & ~other.mask
 
-    def sort_key(self) -> tuple:
-        """Size, then the ascending tuple of arrow ids."""
-        return (self.mask.bit_count(), tuple(_bits(self.mask)))
-
 
 def _require_same_base(a: Sieve, b: Sieve) -> None:
     if a.base != b.base:
@@ -118,20 +119,6 @@ def top_sieve(site, obj: int) -> Sieve:
 
 def bottom_sieve(obj: int) -> Sieve:
     return Sieve(obj, 0)
-
-
-@lru_cache(maxsize=None)
-def enumerate_sieves(site, obj: int, cap: int) -> tuple[Sieve, ...]:
-    """Every sieve on obj: all unions of principal sieves, plus the empty one,
-    ordered by size and then by the ascending tuple of arrow ids."""
-    principal = site.principal_masks
-    arrows = site.arrows_from(obj)
-    collected = {0}
-    for p in dict.fromkeys(principal[a] for a in arrows):
-        collected |= {existing | p for existing in collected}
-        if len(collected) > cap:
-            raise EnumerationExceeded(cap, obj, len(arrows))
-    return tuple(sorted((Sieve(obj, m) for m in collected), key=Sieve.sort_key))
 
 
 def omega_transition(site, m: int, s: Sieve) -> Sieve:
@@ -322,16 +309,17 @@ def atom_global_element(site, atoms: Presheaf, r: Subspace) -> GlobalElement:
     return GlobalElement(atoms, values)
 
 
-def true_subobject(site, sigma: GlobalElement, propositions: Presheaf) -> Presheaf:
+def subpresheaf(m: Presheaf, keep: Callable[[int, Hashable], bool]) -> Presheaf:
+    """The values x of m with keep(o, x) at each stage o, in m's order, under
+    m's own transition tables.  Whether the cut is closed under them is
+    `Presheaf.validate`'s check, run by the row that reports it."""
+    values = tuple(tuple(x for x in stage if keep(o, x)) for o, stage in enumerate(m.values))
+    return Presheaf(m.site, values, m.transitions, tuple(frozenset(v) for v in values))
+
+
+def true_subobject(sigma: GlobalElement, propositions: Presheaf) -> Presheaf:
     """Stage-wise up-sets of the transported atom inside the proposition functor."""
-    def values_at(o: int):
-        atom = sigma.values[o]
-        return tuple(p for p in propositions.values[o] if leq(atom, p))
-
-    def transition(a: int, p: Subspace) -> Subspace:
-        return propositions.map(a, p)
-
-    return build_presheaf(site, values_at, transition)
+    return subpresheaf(propositions, lambda o, p: leq(sigma.values[o], p))
 
 
 def is_subpresheaf(n: Presheaf, m: Presheaf) -> bool:
@@ -435,22 +423,22 @@ def bottom_annihilator(site, obj: int, e_r: Subspace) -> Sieve:
 
 
 def omega_presheaf(site, cap: int) -> Presheaf:
-    """The subobject classifier, stage lattices fully enumerated."""
+    """The subobject classifier: every sieve at every stage, listed by the site."""
     return build_presheaf(
         site,
-        lambda o: enumerate_sieves(site, o, cap),
+        lambda o: tuple(Sieve(o, m) for m in site.sieve_masks(o, cap)),
         lambda a, s: omega_transition(site, a, s),
     )
 
 
-def delta_omega_presheaf(site, r: Subspace, cap: int) -> Presheaf:
-    """The sieves above each stage's annihilator bottom, as a subfunctor."""
-    def values_at(o: int):
-        atom = project_onto_eigenspace(Ray(site.object_ray(o)), r)
-        floor = bottom_annihilator(site, o, atom).mask
-        return tuple(s for s in enumerate_sieves(site, o, cap) if not floor & ~s.mask)
-
-    return build_presheaf(site, values_at, lambda a, s: omega_transition(site, a, s))
+def delta_omega_presheaf(omega: Presheaf, r: Subspace) -> Presheaf:
+    """The semi-classifier: the sieves of Ω above each stage's annihilator floor."""
+    site = omega.site
+    floors = [
+        bottom_annihilator(site, o, project_onto_eigenspace(Ray(site.object_ray(o)), r)).mask
+        for o in range(site.n_objects)
+    ]
+    return subpresheaf(omega, lambda o, s: not floors[o] & ~s.mask)
 
 
 def tau_values(site) -> tuple[Sieve, ...]:

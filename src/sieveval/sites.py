@@ -10,7 +10,9 @@ is written once against the site protocol — `arrows_from`, `compose`,
 object have consecutive ids, so a sieve is stored as an `int` bitmask over
 global arrow ids; each site owns the per-arrow tables that sieve algebra
 reads (`postcomposites`, `principal_masks`, `out_masks`), computed once on
-first use.
+first use, and the per-object table of every sieve as a mask
+(`sieve_masks`), filled stage by stage on first use.  All of them live as
+long as the site: nothing outside it holds a reference.
 
 Truncation policy: objects are the orbit of the declared seed states under
 the declared generator monoid, which is required to close within its cap.
@@ -25,8 +27,8 @@ from typing import Sequence
 
 from .errors import (
     ClosureExceeded,
+    EnumerationExceeded,
     InternalCheckError,
-    NotInCommutant,
     OrbitExceeded,
     UnknownObjectError,
 )
@@ -166,6 +168,7 @@ class Site:
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _by_dom_op_rho: dict[tuple[int, int, int], int] = field(init=False, repr=False)
     _identity: tuple[int, ...] = field(init=False, repr=False)
+    _sieves: list[tuple[int, ...] | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         out: list[list[int]] = [[] for _ in self.objects]
@@ -182,6 +185,7 @@ class Site:
         object.__setattr__(self, "_out", tuple(tuple(x) for x in out))
         object.__setattr__(self, "_by_dom_op_rho", by_dom_op_rho)
         object.__setattr__(self, "_identity", tuple(identity))
+        object.__setattr__(self, "_sieves", [None] * len(self.objects))
 
     # -- category protocol -------------------------------------------------
     @property
@@ -240,6 +244,33 @@ class Site:
     def out_masks(self) -> tuple[int, ...]:
         """Per object: the mask of every arrow out of it (its top sieve)."""
         return tuple(((1 << len(a)) - 1) << a[0] if a else 0 for a in self._out)
+
+    def sieve_masks(self, o: int, cap: int) -> tuple[int, ...]:
+        """Every sieve on o as a mask: the unions of its principal sieves and
+        the empty one, by size and then by ascending arrow ids.
+
+        The stage is listed on first use and kept for the life of the site.
+        A stage with more than `cap` sieves raises `EnumerationExceeded`,
+        listed already or not; a listing cut short by its cap is not kept.
+        """
+        arrows = self._out[o]
+        masks = self._sieves[o]
+        if masks is None:
+            principal = self.principal_masks
+            collected = {0}
+            for p in dict.fromkeys(principal[a] for a in arrows):
+                collected |= {existing | p for existing in collected}
+                if len(collected) > cap:
+                    raise EnumerationExceeded(cap, o, len(arrows))
+            masks = self._sieves[o] = tuple(
+                sorted(
+                    collected,
+                    key=lambda m: (m.bit_count(), tuple(a for a in arrows if m >> a & 1)),
+                )
+            )
+        if len(masks) > cap:
+            raise EnumerationExceeded(cap, o, len(arrows))
+        return masks
 
     def compose(self, g: int, f: int) -> int:
         """g∘f for cod(f) = dom(g); arrows compose by operator product."""
@@ -337,13 +368,14 @@ def build_plain_site(
     monoid: OperatorMonoid,
     seed_states: Sequence[Ray],
     cap: int,
-) -> PlainSite:
-    """The site of one observable; every monoid element must commute with it."""
-    commutes = [[in_commutant(f, observable)] for f in monoid.elements]
-    for i, (ok,) in enumerate(commutes):
-        if not ok:
-            raise NotInCommutant(i, observable.name)
-    return _build(PlainSite, (observable,), monoid, commutes, seed_states, cap)
+) -> tuple[PlainSite, tuple[int, ...]]:
+    """The site of one observable over the part of `monoid` that commutes
+    with it.  Returns the site and the map from its operator indices back
+    into `monoid` (see `submonoid_commuting_with`)."""
+    submonoid, op_map = submonoid_commuting_with(monoid, observable)
+    commutes = [[True]] * len(submonoid)
+    site = _build(PlainSite, (observable,), submonoid, commutes, seed_states, cap)
+    return site, op_map
 
 
 def build_extended_site(
@@ -405,15 +437,12 @@ def restrict_to_rho(site: ExtendedSite, rho: int) -> tuple[PlainSite, tuple[int,
     Returns the plain site together with the map from sub-monoid operator
     indices back to the extended site's monoid indices.
     """
-    observable = site.observables[rho]
-    submonoid, op_map = submonoid_commuting_with(site.monoid, observable)
-    plain = build_plain_site(
-        observable,
-        submonoid,
+    return build_plain_site(
+        site.observables[rho],
+        site.monoid,
         [Ray(r) for r in site.rays],
         cap=max(len(site.rays), 1),
     )
-    return plain, op_map
 
 
 def associativity_violations(site) -> list[tuple[int, int, int]]:

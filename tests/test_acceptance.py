@@ -25,15 +25,15 @@ from sieveval import (
     sharp,
     valuation,
 )
-from sieveval.bridge import natural_sieves_at, projectivity_matches_naturality
+from sieveval.bridge import natural_omega, projectivity_matches_naturality
 from sieveval.checks import _find_adversarial_subpresheaf
 from sieveval.cli import main
 from sieveval.modal import observable_leq, zero_augmented_atom_set
 from sieveval.sieves import (
+    Sieve,
     bottom_annihilator,
     characteristic_unchecked,
     delta_omega_presheaf,
-    enumerate_sieves,
     ib_condition_check,
     omega_presheaf,
     semiclassifier_check,
@@ -88,7 +88,7 @@ def test_criterion_02_sieve_census(built):
     started = time.monotonic()
     run = next(r for r in built["qubit"].runs if r.spec.name == "z-up")
     site, stage = run.plain, run.stage
-    sieves = enumerate_sieves(site, stage, 4096)
+    sieves = [Sieve(stage, m) for m in site.sieve_masks(stage, 4096)]
     ok = len(sieves) == 5
     floor = bottom_annihilator(site, stage, run.e_r)
     delta = [s for s in sieves if floor.arrows <= s.arrows]
@@ -168,7 +168,7 @@ def test_criterion_06_bridge_identities(built):
     report = heyting_iso_check(ctx, cap=4096)
     ok = report["passed"]
     ok = ok and report["plain_count"] == 5 and report["fixpoint_count"] == 5
-    ext_sieves = enumerate_sieves(ctx.extended, ctx.stage, 4096)
+    ext_sieves = [Sieve(ctx.stage, m) for m in ctx.extended.sieve_masks(ctx.stage, 4096)]
     images = set()
     for s in ext_sieves:
         image = natural_map(ctx, s)
@@ -236,19 +236,18 @@ def test_criterion_09_appendix_suites(built):
             site = run.plain
             cap = run.scenario.caps["sieve_enum"]
             omega = omega_presheaf(site, cap)
-            delta = delta_omega_presheaf(site, run.r_space, cap)
+            delta = delta_omega_presheaf(omega, run.r_space)
             rows = semiclassifier_check(
                 site, delta, omega, tau_values(site), [(run.true_t, run.propositions_l)]
             )
             ok = ok and all(r["passed"] for r in rows)
             if run.has_extended:
-                from sieveval.bridge import natural_omega
-
                 rest = run.rest
+                omega_ext = omega_presheaf(rest, cap)
                 rows = semiclassifier_check(
                     rest,
-                    natural_omega(rest, cap),
-                    omega_presheaf(rest, cap),
+                    natural_omega(omega_ext),
+                    omega_ext,
                     tau_values(rest),
                     [(run.true_t_ext, run.propositions_l_ext)],
                 )
@@ -280,8 +279,9 @@ def test_criterion_09_appendix_suites(built):
             if not run.has_extended:
                 continue
             rest = run.rest
-            for o in range(rest.n_objects):
-                for s in natural_sieves_at(rest, o, run.scenario.caps["sieve_enum"]):
+            nat_omega = natural_omega(omega_presheaf(rest, run.scenario.caps["sieve_enum"]))
+            for stage in nat_omega.values:
+                for s in stage:
                     for a in s.arrows:
                         ok = ok and rest.rho_arrow_twin(a) in s.arrows
     verdict(9, ok, "semi-classifier laws, atom-set chains, and twin closure all verified")

@@ -11,7 +11,7 @@ from sieveval import (
     flat,
     full_space,
     heyting_iso_check,
-    is_natural,
+    is_natural_at,
     is_projective,
     make_bridge_context,
     natural_characteristic,
@@ -20,15 +20,13 @@ from sieveval import (
     ray_from_vector,
     restrict_down,
     sharp,
-    submonoid_commuting_with,
     subspace_from_vectors,
     trivial_observable,
     zero_space,
 )
 from sieveval.bridge import (
     _lift_mask,
-    is_natural_at,
-    natural_sieves_at,
+    natural_map_at,
     projectivity_matches_naturality,
     sharp_by_intersection,
 )
@@ -36,9 +34,10 @@ from sieveval.sieves import (
     atom_global_element,
     atom_presheaf,
     bottom_sieve,
-    build_presheaf,
-    enumerate_sieves,
+    is_subpresheaf,
+    omega_presheaf,
     proposition_presheaf,
+    subpresheaf,
     top_sieve,
     true_subobject,
 )
@@ -67,10 +66,14 @@ def bridge_setup():
     stage_full = extended.object_index(span([1, 1]), 0)
     rest = restrict_down(extended, stage_full)
     stage = rest.object_index(span([1, 1]), 0)
-    sub, op_map = submonoid_commuting_with(monoid, unit)
-    plain = build_plain_site(unit, sub, [ray_from_vector([1, 1])], cap=16)
+    plain, op_map = build_plain_site(unit, monoid, [ray_from_vector([1, 1])], cap=16)
     ctx = make_bridge_context(rest, stage, plain, op_map)
     return ctx
+
+
+def sieves_on(site, o, cap):
+    """The sieves on o, as the site lists them."""
+    return [Sieve(o, m) for m in site.sieve_masks(o, cap)]
 
 
 def plain_sieve_by_ops(ctx, ops):
@@ -120,7 +123,7 @@ def test_sharp_examples(bridge_setup):
 
 def test_sharp_matches_intersection_oracle(bridge_setup):
     ctx = bridge_setup
-    for s in enumerate_sieves(ctx.plain, ctx.plain_stage, 64):
+    for s in sieves_on(ctx.plain, ctx.plain_stage, 64):
         assert sharp(ctx, s) == sharp_by_intersection(ctx, s, 64)
 
 
@@ -130,7 +133,7 @@ def test_flat_examples(bridge_setup):
         ctx.plain, ctx.plain_stage
     )
     assert flat(ctx, bottom_sieve(ctx.stage)) == bottom_sieve(ctx.plain_stage)
-    for s in enumerate_sieves(ctx.plain, ctx.plain_stage, 64):
+    for s in sieves_on(ctx.plain, ctx.plain_stage, 64):
         assert flat(ctx, sharp(ctx, s)) == s
     # a purely raising sieve flattens to nothing
     raising = [
@@ -147,14 +150,14 @@ def test_natural_map_and_fixpoints(bridge_setup):
     ext_top = top_sieve(ctx.extended, ctx.stage)
     assert natural_map(ctx, ext_top) == ext_top
     assert natural_map(ctx, bottom_sieve(ctx.stage)) == bottom_sieve(ctx.stage)
-    sieves = enumerate_sieves(ctx.extended, ctx.stage, 64)
+    sieves = sieves_on(ctx.extended, ctx.stage, 64)
     assert len(sieves) == 10  # worked by hand for this stage
     for s in sieves:
         image = natural_map(ctx, s)
         assert image <= s
         assert natural_map(ctx, image) == image  # idempotent
-        assert is_natural(ctx, sharp(ctx, flat(ctx, s)))
-    fixpoints = [s for s in sieves if is_natural(ctx, s)]
+        assert is_natural_at(ctx.extended, ctx.stage, sharp(ctx, flat(ctx, s)))
+    fixpoints = [s for s in sieves if is_natural_at(ctx.extended, ctx.stage, s)]
     assert len(fixpoints) == 5
     raising = [
         a
@@ -170,10 +173,13 @@ def test_natural_map_and_fixpoints(bridge_setup):
 def test_natural_omega_presheaf(bridge_setup):
     ctx = bridge_setup
     rest = ctx.extended
-    presheaf = natural_omega(rest, cap=64)
+    omega = omega_presheaf(rest, cap=64)
+    presheaf = natural_omega(omega)
     presheaf.validate()
+    assert is_subpresheaf(presheaf, omega)
     for o in range(rest.n_objects):
-        assert set(presheaf.values[o]) == set(natural_sieves_at(rest, o, 64))
+        fixed = tuple(s for s in omega.values[o] if natural_map_at(rest, o, s) == s)
+        assert presheaf.values[o] == fixed
 
 
 def test_heyting_iso(bridge_setup):
@@ -189,7 +195,7 @@ def test_single_rho_site_is_trivially_natural():
     z = Observable("Z", (span([1, 0]), span([0, 1])))
     extended = build_extended_site([z], monoid, [ray_from_vector([1, 1])], cap=16)
     stage = extended.object_index(span([1, 1]), 0)
-    sieves = enumerate_sieves(extended, stage, 64)
+    sieves = sieves_on(extended, stage, 64)
     assert all(is_natural_at(extended, stage, s) for s in sieves)
     assert len(sieves) == 5
 
@@ -201,7 +207,7 @@ def extended_presheaves(bridge_setup):
     propositions = proposition_presheaf(rest, UNIVERSE)
     atoms = atom_presheaf(rest, lambda o: rest.observables[rest.object_rho(o)])
     sigma = atom_global_element(rest, atoms, full_space(2))
-    true_t = true_subobject(rest, sigma, propositions)
+    true_t = true_subobject(sigma, propositions)
     return rest, propositions, true_t
 
 
@@ -220,10 +226,7 @@ def adversarial_subpresheaf(rest, propositions):
     e1 = span([1, 0])
     target = rest.object_index(e1, 1)
 
-    def values_at(o):
-        return (e1,) if o == target else ()
-
-    return build_presheaf(rest, values_at, lambda a, p: propositions.map(a, p))
+    return subpresheaf(propositions, lambda o, p: o == target and p == e1)
 
 
 def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):

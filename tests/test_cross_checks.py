@@ -16,7 +16,6 @@ from sieveval import (
     bundled_scenario_path,
     close_monoid,
     diagonal_matrix,
-    enumerate_sieves,
     flat,
     full_space,
     gaussian,
@@ -26,7 +25,6 @@ from sieveval import (
     restrict_down,
     sharp,
     subspace_from_vectors,
-    submonoid_commuting_with,
     trivial_observable,
     valuation,
     zero_space,
@@ -72,12 +70,12 @@ def sample_sites():
     p1, p2, sz = diagonal_matrix([1, 0]), diagonal_matrix([0, 1]), diagonal_matrix([1, -1])
     monoid = close_monoid([p1, p2, sz], cap=16)
     psi = Ray(span([gaussian(1), gaussian(0, 1)]))
-    yield build_plain_site(z, monoid, [psi], cap=16)
+    yield build_plain_site(z, monoid, [psi], cap=16)[0]
     coarse3 = Observable("R", (span([1, 0, 0]), span([0, 1, 0], [0, 0, 1])))
     q1 = diagonal_matrix([1, 0, 0])
     q23 = diagonal_matrix([0, 1, 1])
     monoid3 = close_monoid([q1, q23], cap=16)
-    yield build_plain_site(coarse3, monoid3, [Ray(span([1, 1, 1]))], cap=16)
+    yield build_plain_site(coarse3, monoid3, [Ray(span([1, 1, 1]))], cap=16)[0]
     built = build_scenario(load_scenario(bundled_scenario_path("qubit_extended")))
     yield built.runs[0].extended_full  # a multi-observable site
 
@@ -85,7 +83,7 @@ def sample_sites():
 def test_sieve_enumeration_matches_subset_filtering():
     for site in sample_sites():
         for o in range(site.n_objects):
-            fast = {s.arrows for s in enumerate_sieves(site, o, 4096)}
+            fast = {Sieve(o, m).arrows for m in site.sieve_masks(o, 4096)}
             assert fast == brute_force_sieves(site, o)
 
 
@@ -94,7 +92,7 @@ def test_implication_is_the_maximum_sieve():
 
     for site in sample_sites():
         for o in range(site.n_objects):
-            sieves = [s.arrows for s in enumerate_sieves(site, o, 4096)]
+            sieves = [Sieve(o, m).arrows for m in site.sieve_masks(o, 4096)]
             for s in sieves:
                 for t in sieves:
                     imp = heyting_implies(site, Sieve(o, _mask(s)), Sieve(o, _mask(t)))
@@ -150,8 +148,7 @@ def build_fixture(state_vector, extra_props):
     stage_full = extended.object_index(state.space, 0)
     rest = restrict_down(extended, stage_full)
     stage = rest.object_index(state.space, 0)
-    sub, op_map = submonoid_commuting_with(monoid, unit)
-    plain = build_plain_site(unit, sub, [state], cap=32)
+    plain, op_map = build_plain_site(unit, monoid, [state], cap=32)
     ctx = make_bridge_context(rest, stage, plain, op_map)
     universe = {zero_space(2), full_space(2), state.space}
     universe.update(extra_props)
@@ -172,12 +169,13 @@ def test_random_states_oracle_and_bridge(state_vector, extra_props):
     atoms = atom_presheaf(plain, lambda o: plain.observable)
     r = full_space(2)
     sigma = atom_global_element(plain, atoms, r)
-    true_t = true_subobject(plain, sigma, propositions)
+    true_t = true_subobject(sigma, propositions)
     for o in range(plain.n_objects):
         for p in universe:
             chi = characteristic_unchecked(plain, true_t, propositions, o, p)
             assert chi == valuation(plain, o, r, p)
-    for s in enumerate_sieves(plain, ctx.plain_stage, 4096):
+    for m in plain.sieve_masks(ctx.plain_stage, 4096):
+        s = Sieve(ctx.plain_stage, m)
         assert flat(ctx, sharp(ctx, s)) == s
     for p in universe:
         plain_value = valuation(plain, ctx.plain_stage, r, p)
@@ -198,7 +196,7 @@ def test_random_states_fine_observable_floor_and_monotonicity(state_vector, extr
         cap=16,
     )
     state = Ray(subspace_from_vectors(2, [state_vector]))
-    site = build_plain_site(z, monoid, [state], cap=32)
+    site, _ = build_plain_site(z, monoid, [state], cap=32)
     stage = site.ray_index(state.space)
     universe = {zero_space(2), full_space(2), state.space}
     universe.update(extra_props)

@@ -22,7 +22,6 @@ from sieveval import (
     build_scenario,
     bundled_scenario_names,
     bundled_scenario_path,
-    enumerate_sieves,
     flat,
     heyting_implies,
     heyting_iso_check,
@@ -34,12 +33,14 @@ from sieveval import (
 )
 from sieveval import bridge as bridge_module
 from sieveval import checks as checks_module
-from sieveval.bridge import natural_sieves_at
+from sieveval.bridge import is_natural_at
 from sieveval.sieves import (
     build_presheaf,
     delta_omega_presheaf,
     is_heyting_family,
+    omega_presheaf,
     stage_implies,
+    subpresheaf,
     top_sieve,
 )
 
@@ -141,12 +142,12 @@ def stage_families():
     for scenario in scenarios:
         for run in build_scenario(scenario).runs:
             label = f"{scenario.name}/{run.spec.name}"
-            delta = delta_omega_presheaf(run.plain, run.r_space, CAP)
+            delta = delta_omega_presheaf(omega_presheaf(run.plain, CAP), run.r_space)
             for kind, site in (("plain", run.plain), ("extended", run.rest)):
                 if site is None:
                     continue
                 for o in range(site.n_objects):
-                    masks = [s.mask for s in enumerate_sieves(site, o, CAP)]
+                    masks = list(site.sieve_masks(o, CAP))
                     families.append(
                         (f"{label}/Ω {kind} {o}", masks, stage_implies(site, o), principal_probes(site, o))
                     )
@@ -157,7 +158,11 @@ def stage_families():
                 )
             if run.ctx is not None:
                 ctx = run.ctx
-                masks = [s.mask for s in natural_sieves_at(ctx.extended, ctx.stage, CAP)]
+                masks = [
+                    m
+                    for m in ctx.extended.sieve_masks(ctx.stage, CAP)
+                    if is_natural_at(ctx.extended, ctx.stage, Sieve(ctx.stage, m))
+                ]
                 families.append((f"{label}/fixpoints", masks, fixpoint_implies(ctx), masks))
     return tuple(families)
 
@@ -189,8 +194,11 @@ def test_memoised_stage_implication_is_the_kernel_on_every_pair(which):
     for run in build_scenario(scenario).runs:
         for site in (run.plain, run.rest):
             if site is not None:
-                stages += [(site, o, enumerate_sieves(site, o, CAP)) for o in range(site.n_objects)]
-        delta = delta_omega_presheaf(run.plain, run.r_space, CAP)
+                stages += [
+                    (site, o, [Sieve(o, m) for m in site.sieve_masks(o, CAP)])
+                    for o in range(site.n_objects)
+                ]
+        delta = delta_omega_presheaf(omega_presheaf(run.plain, CAP), run.r_space)
         stages += [(run.plain, o, delta.values[o]) for o in range(run.plain.n_objects)]
     for site, o, sieves in stages:
         implies = stage_implies(site, o)
@@ -253,8 +261,8 @@ def _qutrit_extended_stage():
     """The largest stage of the first extended run of `qutrit_extended`."""
     built = build_scenario(load_scenario(bundled_scenario_path("qutrit_extended")))
     site = built.runs[0].rest
-    o = max(range(site.n_objects), key=lambda o: len(enumerate_sieves(site, o, CAP)))
-    masks = [s.mask for s in enumerate_sieves(site, o, CAP)]
+    o = max(range(site.n_objects), key=lambda o: len(site.sieve_masks(o, CAP)))
+    masks = list(site.sieve_masks(o, CAP))
     return site, o, masks
 
 
@@ -330,10 +338,14 @@ def _without_the_empty_sieve(site, o, sieves):
 def test_audit_row_fails_on_a_stage_that_is_not_every_sieve(monkeypatch, name, doctor):
     # minimal's one stage has a single nonempty sieve, so only the
     # empty-sieve membership check sees it missing
-    honest = checks_module.enumerate_sieves
-    monkeypatch.setattr(
-        checks_module, "enumerate_sieves", lambda site, o, cap: doctor(site, o, honest(site, o, cap))
-    )
+    honest = checks_module.omega_presheaf
+
+    def doctored(site, cap):
+        omega = honest(site, cap)
+        kept = [set(doctor(site, o, stage)) for o, stage in enumerate(omega.values)]
+        return subpresheaf(omega, lambda o, s: s in kept[o])
+
+    monkeypatch.setattr(checks_module, "omega_presheaf", doctored)
     report = run_check(load_scenario(bundled_scenario_path(name)))
     rows = _rows(report, "§3.1 Heyting")
     assert rows and not any(row["passed"] for row in rows)
@@ -383,8 +395,9 @@ def test_a_false_fixpoint_adjunction_fails_thm_5_6(monkeypatch):
 
 
 def test_a_semiclassifier_holding_the_empty_sieve_fails_section_3_4(monkeypatch):
-    def with_empty_sieve(site, r, cap):
-        honest = delta_omega_presheaf(site, r, cap)
+    def with_empty_sieve(omega, r):
+        site = omega.site
+        honest = delta_omega_presheaf(omega, r)
         return build_presheaf(
             site,
             lambda o: tuple(dict.fromkeys((Sieve(o, 0), *honest.values[o]))),
@@ -401,8 +414,9 @@ def test_a_semiclassifier_holding_the_empty_sieve_fails_section_3_4(monkeypatch)
 
 
 def test_a_semiclassifier_missing_a_transition_image_fails_prop_3_5(monkeypatch):
-    def without_a_transition_image(site, r, cap):
-        honest = delta_omega_presheaf(site, r, cap)
+    def without_a_transition_image(omega, r):
+        site = omega.site
+        honest = delta_omega_presheaf(omega, r)
         a = next(a for a in range(len(site.arrows)) if a != site.identity_arrow(site.arrow_dom(a)))
         cod = site.arrow_cod(a)
         image = omega_transition(site, a, top_sieve(site, site.arrow_dom(a)))

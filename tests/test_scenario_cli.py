@@ -280,6 +280,26 @@ def test_cli_check_reports_internal_errors_with_exit_three(monkeypatch, capsys, 
     assert "Traceback" in err and str(exc) in err
 
 
+@pytest.mark.parametrize("where", ["listing", "natural-filter"])
+def test_valuate_reports_an_internal_error_while_listing_a_stage(monkeypatch, capsys, where):
+    # Only a cap hit means the stage tables do not fit; a bug while a stage is
+    # listed or filtered is an internal error, not "within_cap": false.
+    import sieveval.runner as runner_module
+    from sieveval.sites import Site
+
+    def broken(*args):
+        raise InternalCheckError("stage listing failed")
+
+    if where == "listing":
+        monkeypatch.setattr(Site, "sieve_masks", broken)
+    else:
+        monkeypatch.setattr(runner_module, "is_natural_at", broken)
+    path = str(bundled_scenario_path("qubit_extended"))
+    assert main(["valuate", path, "--run", "coarse", "--json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "stage listing failed" in err
+
+
 def _non_functorial_propositions(site, universe):
     """The proposition functor, except that the identity at object 0 sends
     every proposition to the whole space."""

@@ -1,0 +1,90 @@
+"""The per-object sieve table a site owns (`Site.sieve_masks`).
+
+A stage is listed once and kept for the life of its site, so the table must
+die with the site, must not grow across repeated checks of the same
+scenarios, and must still refuse a stage larger than the cap of each call.
+"""
+
+import gc
+import tracemalloc
+import weakref
+
+import pytest
+
+from sieveval import (
+    build_scenario,
+    bundled_scenario_names,
+    bundled_scenario_path,
+    load_scenario,
+    run_check,
+    valuate_run,
+)
+from sieveval.cli import main
+from sieveval.errors import EnumerationExceeded
+
+
+def qubit_site():
+    """A fresh plain site of the bundled qubit scenario, nothing listed yet."""
+    return build_scenario(load_scenario(bundled_scenario_path("qubit"))).runs[0].plain
+
+
+def _sites_after_valuating(name):
+    """Weak references to every site of a built scenario whose run stages
+    have been listed; the scenario itself is dropped on return."""
+    built = build_scenario(load_scenario(bundled_scenario_path(name)))
+    for run in built.runs:
+        valuate_run(run)
+    return [
+        weakref.ref(site)
+        for run in built.runs
+        for site in (run.plain, run.extended_full, run.rest)
+        if site is not None
+    ]
+
+
+def test_a_site_and_its_sieve_table_are_freed_with_the_scenario():
+    refs = _sites_after_valuating("qubit_extended")
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+
+
+def test_a_listed_stage_still_raises_under_a_smaller_cap():
+    message = r"^sieve enumeration exceeded the cap of 4 at object 0 \(3 arrows\)$"
+    fresh = qubit_site()
+    with pytest.raises(EnumerationExceeded, match=message):
+        fresh.sieve_masks(0, 4)
+    listed = qubit_site()
+    masks = listed.sieve_masks(0, 64)
+    assert len(masks) == 5
+    with pytest.raises(EnumerationExceeded, match=message):
+        listed.sieve_masks(0, 4)
+    assert listed.sieve_masks(0, 5) is masks
+    # a listing cut short by its cap leaves nothing behind
+    assert fresh.sieve_masks(0, 5) == masks
+
+
+def test_repeated_bundled_checks_hold_live_memory_flat():
+    names = bundled_scenario_names()
+    live = []
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            for name in names:
+                run_check(load_scenario(bundled_scenario_path(name)))
+            gc.collect()
+            live.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    after_round_two = live[1]
+    assert all(abs(size - after_round_two) <= 64 * 1024 for size in live[1:]), live
+
+
+@pytest.mark.parametrize(
+    "name, cap, arrows",
+    [("qutrit_extended", 16, 8), ("qubit_extended", 4, 3), ("qutrit", 4, 3)],
+)
+def test_cap_hits_name_the_cap_object_and_arrows(monkeypatch, capsys, name, cap, arrows):
+    monkeypatch.setenv("SIEVEVAL_CAP_SIEVE_ENUM", str(cap))
+    assert main(["check", str(bundled_scenario_path(name))]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: sieve enumeration exceeded the cap of {cap} at object 0 ({arrows} arrows)\n"

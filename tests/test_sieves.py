@@ -9,7 +9,6 @@ from sieveval import (
     characteristic,
     close_monoid,
     diagonal_matrix,
-    enumerate_sieves,
     filter_check,
     full_space,
     heyting_implies,
@@ -68,12 +67,17 @@ def qubit_setup(qubit_site):
     propositions = proposition_presheaf(site, QUBIT_UNIVERSE)
     atoms = atom_presheaf(site, lambda o: site.observable)
     sigma = atom_global_element(site, atoms, span([1, 0]))
-    true_t = true_subobject(site, sigma, propositions)
+    true_t = true_subobject(sigma, propositions)
     return site, propositions, atoms, sigma, true_t
 
 
+def sieves_on(site, o, cap):
+    """The sieves on o, as the site lists them."""
+    return [Sieve(o, m) for m in site.sieve_masks(o, cap)]
+
+
 def test_omega_census_qubit(qubit_site):
-    stage = enumerate_sieves(qubit_site, 0, cap=64)
+    stage = sieves_on(qubit_site, 0, 64)
     assert len(stage) == 5
     by_ops = {frozenset(arrows_by_op(qubit_site, 0, s)) for s in stage}
     assert by_ops == {
@@ -88,13 +92,13 @@ def test_omega_census_qubit(qubit_site):
 def test_omega_census_single_object():
     monoid = close_monoid([], cap=2, dim=2)
     z = Observable("Z", (span([1, 0]), span([0, 1])))
-    site = build_plain_site(z, monoid, [ray_from_vector([1, 0])], cap=4)
-    stage = enumerate_sieves(site, 0, cap=8)
+    site, _ = build_plain_site(z, monoid, [ray_from_vector([1, 0])], cap=4)
+    stage = sieves_on(site, 0, 8)
     assert len(stage) == 2  # empty and identity-only
 
 
 def test_omega_census_eigenray(qubit_site):
-    stage = enumerate_sieves(qubit_site, 1, cap=64)
+    stage = sieves_on(qubit_site, 1, 64)
     assert len(stage) == 3  # empty, projector-only, top
 
 
@@ -102,12 +106,12 @@ def test_enumeration_cap(qubit_site):
     arrows = len(qubit_site.arrows_from(0))
     message = rf"^sieve enumeration exceeded the cap of 2 at object 0 \({arrows} arrows\)$"
     with pytest.raises(EnumerationExceeded, match=message):
-        enumerate_sieves(qubit_site, 0, cap=2)
+        sieves_on(qubit_site, 0, 2)
 
 
 def test_sieves_are_postcomposition_closed(qubit_site):
     for o in range(qubit_site.n_objects):
-        for s in enumerate_sieves(qubit_site, o, cap=64):
+        for s in sieves_on(qubit_site, o, 64):
             assert is_sieve(qubit_site, s)
 
 
@@ -143,7 +147,7 @@ def test_heyting_ops_examples(qubit_site):
 
 def test_heyting_adjunction_exhaustive(qubit_site):
     site = qubit_site
-    sieves = enumerate_sieves(site, 0, cap=64)
+    sieves = sieves_on(site, 0, 64)
     for s in sieves:
         for t in sieves:
             imp = heyting_implies(site, s, t)
@@ -257,14 +261,14 @@ def test_bottom_annihilator_examples(qubit_site):
     assert bottom_annihilator(site, 0, zero_space(2)) == top_sieve(site, 0)
     monoid = close_monoid([diagonal_matrix([1, 0])], cap=4)
     z = Observable("Z", (span([1, 0]), span([0, 1])))
-    eigensite = build_plain_site(z, monoid, [ray_from_vector([1, 0])], cap=4)
+    eigensite, _ = build_plain_site(z, monoid, [ray_from_vector([1, 0])], cap=4)
     assert bottom_annihilator(eigensite, 0, span([1, 0])) == bottom_sieve(0)
 
 
 def above_floor(site, obj, e_r):
     """The delta-omega stage at obj: the sieves above the annihilator floor."""
     floor = bottom_annihilator(site, obj, e_r)
-    return [s for s in enumerate_sieves(site, obj, cap=64) if floor <= s]
+    return [s for s in sieves_on(site, obj, 64) if floor <= s]
 
 
 def test_delta_omega_chain(qubit_site):
@@ -284,7 +288,7 @@ def test_delta_omega_degenerate_cases(qubit_site):
     everything = above_floor(site, 0, zero_space(2))
     assert len(everything) == 1  # only the top survives a full floor
     no_floor = above_floor(site, 1, span([1, 0]))
-    assert len(no_floor) == len(enumerate_sieves(site, 1, cap=64))
+    assert len(no_floor) == len(sieves_on(site, 1, 64))
 
 
 def test_semiclassifier_on_full_classifier(qubit_setup):
@@ -299,7 +303,7 @@ def test_semiclassifier_on_full_classifier(qubit_setup):
 def test_semiclassifier_delta(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     omega = omega_presheaf(site, cap=64)
-    delta = delta_omega_presheaf(site, span([1, 0]), cap=64)
+    delta = delta_omega_presheaf(omega, span([1, 0]))
     rows = semiclassifier_check(
         site, delta, omega, tau_values(site), [(true_t, propositions)]
     )
@@ -310,10 +314,10 @@ def test_semiclassifier_delta(qubit_setup):
 def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
     site, propositions, atoms, _, _ = qubit_setup
     omega = omega_presheaf(site, cap=64)
-    delta = delta_omega_presheaf(site, span([1, 0]), cap=64)
+    delta = delta_omega_presheaf(omega, span([1, 0]))
     # the OTHER eigenray's true subobject classifies outside this delta
     sigma2 = atom_global_element(site, atoms, span([0, 1]))
-    other_t = true_subobject(site, sigma2, propositions)
+    other_t = true_subobject(sigma2, propositions)
     rows = semiclassifier_check(
         site, delta, omega, tau_values(site), [(other_t, propositions)]
     )
@@ -324,12 +328,12 @@ def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
 def test_semiclassifier_enumerated_uniqueness_small():
     monoid = close_monoid([], cap=2, dim=1)
     unit = Observable("unit", (full_space(1),))
-    site = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
+    site, _ = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
     universe = [zero_space(1), full_space(1)]
     propositions = proposition_presheaf(site, universe)
     atoms = atom_presheaf(site, lambda o: unit)
     sigma = atom_global_element(site, atoms, full_space(1))
-    true_t = true_subobject(site, sigma, propositions)
+    true_t = true_subobject(sigma, propositions)
     omega = omega_presheaf(site, cap=8)
     rows = semiclassifier_check(
         site, omega, omega, tau_values(site), [(true_t, propositions)]
@@ -359,9 +363,9 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
     propositions = proposition_presheaf(site, universe)
     atoms = atom_presheaf(site, lambda o: site.observable)
     omega = omega_presheaf(site, cap=64)
-    delta = delta_omega_presheaf(site, span([1, 0]), cap=64)
+    delta = delta_omega_presheaf(omega, span([1, 0]))
     pairs = [
-        (true_subobject(site, atom_global_element(site, atoms, r), propositions), propositions)
+        (true_subobject(atom_global_element(site, atoms, r), propositions), propositions)
         for r in (span([1, 0]), span([0, 1]))
     ]
     enumerated, forced = _forced_and_enumerated(monkeypatch, site, delta, omega, pairs)
@@ -372,10 +376,10 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
 def test_semiclassifier_uniqueness_modes_agree_single_object(monkeypatch):
     monoid = close_monoid([], cap=2, dim=1)
     unit = Observable("unit", (full_space(1),))
-    site = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
+    site, _ = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
     propositions = proposition_presheaf(site, [zero_space(1), full_space(1)])
     atoms = atom_presheaf(site, lambda o: unit)
-    true_t = true_subobject(site, atom_global_element(site, atoms, full_space(1)), propositions)
+    true_t = true_subobject(atom_global_element(site, atoms, full_space(1)), propositions)
     omega = omega_presheaf(site, cap=8)
     enumerated, forced = _forced_and_enumerated(monkeypatch, site, omega, omega, [(true_t, propositions)])
     assert _verdicts(enumerated) == _verdicts(forced) == [(True, True, True, True)]
@@ -395,7 +399,7 @@ def _doctored(delta, values=None, transition=None):
 
 def test_forced_uniqueness_rejects_a_doctored_semiclassifier(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
-    delta = delta_omega_presheaf(site, span([1, 0]), cap=64)
+    delta = delta_omega_presheaf(omega_presheaf(site, cap=64), span([1, 0]))
     chi = {
         (o, x): characteristic_unchecked(site, true_t, propositions, o, x)
         for o in range(site.n_objects)

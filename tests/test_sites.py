@@ -23,7 +23,6 @@ from sieveval import (
 from sieveval.errors import (
     ClosureExceeded,
     InternalCheckError,
-    NotInCommutant,
     OrbitExceeded,
     UnknownObjectError,
 )
@@ -98,23 +97,27 @@ def test_build_plain_site_qubit(qubit_site):
 
 def test_build_plain_site_eigenray():
     monoid = close_monoid([diagonal_matrix([1, 0]), diagonal_matrix([0, 1])], cap=8)
-    site = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 0])], cap=8)
+    site, _ = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 0])], cap=8)
     assert site.n_objects == 1
     assert len(site.arrows) == 2  # identity and the fixing projector
 
 
 def test_build_plain_site_discrete():
     monoid = close_monoid([], cap=2, dim=2)
-    site = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 0])], cap=8)
+    site, _ = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 0])], cap=8)
     assert site.n_objects == 1
     assert len(site.arrows) == 1
 
 
-def test_build_plain_site_rejects_noncommuting():
+def test_build_plain_site_keeps_the_commutant():
+    # the flip swaps Z's eigenspaces, so only the identity survives
     flip = matrix_from_rows([[0, 1], [1, 0]])
     monoid = close_monoid([flip], cap=8)
-    with pytest.raises(NotInCommutant):
-        build_plain_site(z_observable(), monoid, [ray_from_vector([1, 1])], cap=8)
+    site, op_map = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 1])], cap=8)
+    assert len(monoid) == 2
+    assert op_map == (monoid.identity_index,)
+    assert site.monoid.elements == (identity_matrix(2),)
+    assert len(site.arrows) == site.n_objects == 1
 
 
 def test_orbit_cap():

@@ -37,7 +37,6 @@ from .sieves import (
     Presheaf,
     Sieve,
     atom_global_element,
-    bottom_annihilator,
     characteristic,
     characteristic_table,
     delta_omega_presheaf,
@@ -66,7 +65,6 @@ from .sites import (
     restrict_to_rho,
 )
 from .subspaces import (
-    Ray,
     apply_operator,
     generate_sublattice,
     join,
@@ -410,16 +408,14 @@ def _prop32_33_rows(run: BuiltRun) -> list[dict]:
     site = run.plain
     stage = run.stage
     top = top_sieve(site, stage)
-    floor = bottom_annihilator(site, stage, run.e_r)
+    floor = run.floors[stage]
     prop32 = True
     for p in run.universe:
         if in_determinate_sublattice(p, run.atoms) and bub_valuation(run.e_r, p) == 1:
             if valuation(site, stage, run.r_space, p) != top:
                 prop32 = False
     prop33 = True
-    for o in range(site.n_objects):
-        atom = project_onto_eigenspace(Ray(site.object_ray(o)), run.r_space)
-        stage_floor = bottom_annihilator(site, o, atom)
+    for o, stage_floor in enumerate(run.floors):
         if not is_sieve(site, stage_floor):
             prop33 = False
         for p in run.universe:
@@ -483,8 +479,7 @@ def _delta_rows(run: BuiltRun, omega: Presheaf, delta: Presheaf) -> list[dict]:
     bottoms_differ_ok = True
     census = []
     for o in range(site.n_objects):
-        atom = project_onto_eigenspace(Ray(site.object_ray(o)), run.r_space)
-        floor = bottom_annihilator(site, o, atom).mask
+        floor = run.floors[o].mask
         top = top_sieve(site, o).mask
         masks = [s.mask for s in delta.values[o]]
         stage_masks = set(masks)
@@ -991,7 +986,7 @@ def _census_rows(run: BuiltRun, omega: Presheaf, delta: Presheaf) -> list[dict]:
     details = {
         "omega_stage_sizes": [len(stage) for stage in omega.values],
         "delta_stage_size": len(delta.values[run.stage]),
-        "floor_size": bottom_annihilator(run.plain, run.stage, run.e_r).mask.bit_count(),
+        "floor_size": run.floors[run.stage].mask.bit_count(),
     }
     if run.has_extended:
         # Listed alone, before the extended audit lists every stage, so that
@@ -1031,7 +1026,7 @@ def run_check(scenario: Scenario) -> dict:
         rows.extend(_prop32_33_rows(run))
         rows.extend(_ib_rows(run))
         omega = omega_presheaf(run.plain, cap)
-        delta = delta_omega_presheaf(omega, run.r_space)
+        delta = delta_omega_presheaf(omega, run.floors)
         rows.extend(_delta_rows(run, omega, delta))
         rows.extend(_heyting_audit_rows(run, omega, "plain"))
         rows.append(_restriction_row(run))

@@ -21,9 +21,9 @@ from .sieves import (
     GlobalElement,
     Presheaf,
     Sieve,
+    annihilator_floors,
     atom_global_element,
     atom_presheaf,
-    bottom_annihilator,
     proposition_presheaf,
     top_sieve,
     true_subobject,
@@ -59,6 +59,7 @@ class BuiltRun:
     stage: int  # plain-site object of the run state
     atoms: TrueAtomSet
     e_r: Subspace
+    floors: tuple[Sieve, ...]  # every plain-site object's annihilator floor
     propositions_l: Presheaf
     atoms_a: Presheaf
     sigma: GlobalElement
@@ -148,6 +149,7 @@ def _build_run(
         stage=stage,
         atoms=atoms,
         e_r=e_r,
+        floors=annihilator_floors(plain, r_space),
         propositions_l=propositions_l,
         atoms_a=atoms_a,
         sigma=sigma,
@@ -221,7 +223,7 @@ def valuate_run(run: BuiltRun) -> dict:
     plain = run.plain
     stage = run.stage
     top = top_sieve(plain, stage)
-    floor = bottom_annihilator(plain, stage, run.e_r)
+    floor = run.floors[stage]
     rows = []
     for p in _proposition_selection(run):
         sieve = valuation(plain, stage, run.r_space, p)
@@ -235,7 +237,7 @@ def valuate_run(run: BuiltRun) -> dict:
             "flags": {
                 "is_top": sieve == top,
                 "is_bottom_annihilator": sieve == floor,
-                "in_delta_omega": floor.arrows <= sieve.arrows,
+                "in_delta_omega": floor <= sieve,
             },
         }
         if run.has_extended:

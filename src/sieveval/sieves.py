@@ -431,14 +431,19 @@ def omega_presheaf(site, cap: int) -> Presheaf:
     )
 
 
-def delta_omega_presheaf(omega: Presheaf, r: Subspace) -> Presheaf:
-    """The semi-classifier: the sieves of Ω above each stage's annihilator floor."""
-    site = omega.site
-    floors = [
-        bottom_annihilator(site, o, project_onto_eigenspace(Ray(site.object_ray(o)), r)).mask
+def annihilator_floors(site, r: Subspace) -> tuple[Sieve, ...]:
+    """Every object's annihilator floor: the arrows sending its true atom,
+    the projection of its ray onto the eigenspace r, to the zero space."""
+    return tuple(
+        bottom_annihilator(site, o, project_onto_eigenspace(Ray(site.object_ray(o)), r))
         for o in range(site.n_objects)
-    ]
-    return subpresheaf(omega, lambda o, s: not floors[o] & ~s.mask)
+    )
+
+
+def delta_omega_presheaf(omega: Presheaf, floors: Sequence[Sieve]) -> Presheaf:
+    """The semi-classifier: the sieves of Ω above each stage's floor (one per
+    object, from `annihilator_floors`)."""
+    return subpresheaf(omega, lambda o, s: not floors[o].mask & ~s.mask)
 
 
 def tau_values(site) -> tuple[Sieve, ...]:

@@ -5,8 +5,10 @@ of any spanning set, each in the canonical primitive Gaussian-integer form
 of `linalg.integer_rref` ((re, im) int pairs, pivot a positive integer).
 That form is unique, so subspaces are hash-consed on it: equal subspaces
 are one object, equality is identity, and the hash is structural.  Join,
-meet, ortho, leq and the image under an operator are integer eliminations
-on these rows, and `projector_matrix` is computed on the integer
+ortho and the image under an operator are integer eliminations on these
+rows; meet is (P^⊥ ∨ Q^⊥)^⊥ by De Morgan, and leq reduces the rows of one
+subspace against the pivot rows of the other, so the order does not share
+an elimination with join.  `projector_matrix` is computed on the integer
 `ExactMatrix` of the basis.  Gaussian rationals appear only at the
 boundary: the input of `subspace_from_vectors`, the basis that `vectors`,
 `serialize` and `__str__` read, and the structural hash, computed once per
@@ -197,6 +199,8 @@ def join(p: Subspace, q: Subspace) -> Subspace:
 
 @lru_cache(maxsize=None)
 def meet(p: Subspace, q: Subspace) -> Subspace:
+    """P ∧ Q = (P^⊥ ∨ Q^⊥)^⊥, the orthocomplement being an involution that
+    reverses the order (De Morgan)."""
     _require_same_ambient(p, q)
     if p.is_zero or q.is_zero:
         return zero_space(p.ambient_dim)
@@ -204,16 +208,7 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
         return q
     if q.is_full:
         return p
-    # x in p∩q iff x = Σ a_j p_j = Σ b_k q_k: solve [Pᵀ | −Qᵀ] (a, b) = 0.
-    p_columns = list(zip(*p.rows))
-    system = [
-        pc + tuple((-a, -b) for a, b in qc) for pc, qc in zip(p_columns, zip(*q.rows))
-    ]
-    members = [
-        tuple(_dot(kv[: p.dim], pc) for pc in p_columns)
-        for kv in integer_kernel(system, p.dim + q.dim)
-    ]
-    return _span(p.ambient_dim, members)
+    return ortho(join(ortho(p), ortho(q)))
 
 
 @lru_cache(maxsize=None)
@@ -228,12 +223,30 @@ def ortho(p: Subspace) -> Subspace:
 
 @lru_cache(maxsize=None)
 def leq(p: Subspace, q: Subspace) -> bool:
+    """Whether every canonical row of p reduces to zero against q's.
+
+    Interning makes equality identity, so with dim p >= dim q, p <= q iff p
+    is q.  Otherwise each row v of p is reduced by q's canonical RREF rows:
+    a row with positive integer pivot c at column j turns v into
+    c v - v_j row.  q's rows vanish at each other's pivot columns, so one
+    pass clears them all, and v lies in q iff nothing is left.
+    """
     _require_same_ambient(p, q)
-    if p.is_zero or q.is_full:
-        return True
-    if p.dim > q.dim:
-        return False
-    return len(integer_rref(q.rows + p.rows, q.ambient_dim)[1]) == q.dim
+    if p.dim >= q.dim:
+        return p is q
+    for v in p.rows:
+        for row in q.rows:
+            j = next(j for j, (a, _) in enumerate(row) if a)
+            fr, fi = v[j]
+            if fr or fi:
+                c = row[j][0]
+                v = [
+                    (c * a - fr * x + fi * y, c * b - fr * y - fi * x)
+                    for (a, b), (x, y) in zip(v, row)
+                ]
+        if any(a or b for a, b in v):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +284,11 @@ def project_onto_eigenspace(e: Ray, r: Subspace) -> Subspace:
 def generate_sublattice(seeds: Iterable[Subspace], cap: int) -> list[Subspace]:
     """Close a seed set under meet, join, and ortho; reject at the cap.
 
-    Deterministic: elements are visited in insertion order, so repeated runs
+    Semi-naive: each round takes ortho of the elements new in the previous
+    round and combines only the pairs with at least one new element, every
+    other pair having been combined in an earlier round.  Deterministic:
+    elements are listed in the order they are first reached, visiting
+    pairs (p, q) with p at or before q in list order, so repeated runs
     yield the same list.
     """
     elements: list[Subspace] = []
@@ -286,18 +303,14 @@ def generate_sublattice(seeds: Iterable[Subspace], cap: int) -> list[Subspace]:
 
     for s in seeds:
         add(s)
-    if not elements:
-        return []
-    changed = True
-    while changed:
-        changed = False
+    fresh = 0
+    while fresh < len(elements):
         snapshot = list(elements)
-        before = len(elements)
-        for p in snapshot:
+        for p in snapshot[fresh:]:
             add(ortho(p))
         for i, p in enumerate(snapshot):
-            for q in snapshot[i:]:
+            for q in snapshot[max(i, fresh):]:
                 add(join(p, q))
                 add(meet(p, q))
-        changed = len(elements) != before
+        fresh = len(snapshot)
     return elements

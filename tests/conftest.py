@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from sieveval import (
@@ -41,3 +44,14 @@ def qutrit_observable():
 @pytest.fixture
 def w_state() -> Ray:
     return ray_from_vector([1, 1, 1])
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's scenario generators, `perfbench/workloads.py`, loaded
+    by path (it is not a package) and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

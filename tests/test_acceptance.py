@@ -236,7 +236,7 @@ def test_criterion_09_appendix_suites(built):
             site = run.plain
             cap = run.scenario.caps["sieve_enum"]
             omega = omega_presheaf(site, cap)
-            delta = delta_omega_presheaf(omega, run.r_space)
+            delta = delta_omega_presheaf(omega, run.floors)
             rows = semiclassifier_check(
                 site, delta, omega, tau_values(site), [(run.true_t, run.propositions_l)]
             )

@@ -373,6 +373,61 @@ def test_integer_core_matches_the_fraction_path(case):
     assert apply_operator(f, p).vectors() == fraction_apply(f, p_basis)
 
 
+@st.composite
+def related_pairs(draw):
+    """(n, kind, p, q) spanning sets that random draws rarely give.  q is
+    m <= n random vectors; p is Gaussian-integer combinations of them
+    ("nested", often a proper subspace) or m other random vectors ("equal",
+    generically a distinct space of the same dimension)."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["nested", "equal"]))
+    m = draw(st.integers(1, n))
+    vectors = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
+    q = draw(vectors)
+    if kind == "nested":
+        combo = st.lists(coefficients.filter(lambda c: not c.is_zero), min_size=m, max_size=m)
+        combos = draw(st.lists(combo, min_size=1, max_size=m))
+        p = [[sum((c * row[i] for c, row in zip(combo, q)), ZERO) for i in range(n)] for combo in combos]
+    else:
+        p = draw(vectors)
+    return n, kind, p, q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(related_pairs())
+def test_leq_and_meet_match_the_fraction_path_on_nested_and_equal_dimension_pairs(case):
+    n, kind, p_vectors, q_vectors = case
+    p, q = subspace_from_vectors(n, p_vectors), subspace_from_vectors(n, q_vectors)
+    p_basis, q_basis = fraction_span(n, p_vectors), fraction_span(n, q_vectors)
+    assert leq(p, q) == fraction_leq(n, p_basis, q_basis)
+    assert leq(q, p) == fraction_leq(n, q_basis, p_basis)
+    assert meet(p, q).vectors() == fraction_meet(n, p_basis, q_basis)
+    assert meet(q, p).vectors() == fraction_meet(n, q_basis, p_basis)
+    if kind == "nested":
+        assert leq(p, q) and meet(p, q) is p
+    if p.dim == q.dim:
+        assert leq(p, q) == (p is q) == leq(q, p)
+
+
+def test_related_pairs_reach_every_leq_branch():
+    """The draws above include proper subspaces, equal spaces of positive
+    dimension and distinct spaces of equal dimension."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(related_pairs())
+    def collect(case):
+        n, kind, p_vectors, q_vectors = case
+        p, q = subspace_from_vectors(n, p_vectors), subspace_from_vectors(n, q_vectors)
+        if p.dim < q.dim and leq(p, q) and not p.is_zero:
+            seen.add("proper")
+        if p.dim == q.dim > 0:
+            seen.add("same" if p is q else "distinct")
+
+    collect()
+    assert seen == {"proper", "same", "distinct"}
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(dimension_and(spanning_set))
 def test_canonical_rows_are_primitive_sympy_rref_rows(case):

@@ -2,11 +2,13 @@
 
 The digests are sha256 of each command's stdout for every bundled scenario
 (for `check` and `dump-site`, the same values the benchmark pins in
-`perfbench/expected.json`) and, for `valuate`, for every run of each.  A
-change that alters any report byte fails here.
+`perfbench/expected.json`) and, for `valuate`, for every run of each, and of
+`check --json` for the benchmark's generated `lattice` and `chain`
+scenarios.  A change that alters any report byte fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -89,3 +91,30 @@ def test_valuate_reports_are_byte_identical(name, run, capsys):
     assert main(["valuate", path, "--run", run, "--json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_VALUATE[(name, run)]
+
+
+# The benchmark's generated scenarios, larger than any bundled one (the
+# `lattice` sublattice has 36 elements): (generator, argument) -> check --json
+# sha256, for lattice_scenario(seed) and chain_scenario(13, dim).
+GOLDEN_GENERATED = {
+    ("lattice", 1): "2680446aeb1ca871a53992bfcf3f2781f85a0aa10069879b93f25312a4032146",
+    ("lattice", 7): "904fa82612eb4a500fa660dd5e9efd6c601f9639738f67bc3df646604303e20b",
+    ("lattice", 73): "de8e49598c3617b827202b70206ea47e3c0a5d45ef3729149c112b09dfaa8ce0",
+    ("chain", 2): "6831d2bb3d14da33d866f776793268b1db0ccdb112b7a2b47e2608f93c19faa8",
+    ("chain", 3): "f6d64c2b8d3e78d8e0d2aec3805ff92ff63fbda726b789acc7b025d8128c2164",
+    ("chain", 4): "d18b4246d9a6677083ac69a76c8893863ae34364cc45417334e2fb760d60e41b",
+    ("chain", 5): "39352211f66345301aa769ea117c41486074888a4c3fad4dd891b28d0109423d",
+}
+
+
+@pytest.mark.parametrize("generator, argument", sorted(GOLDEN_GENERATED))
+def test_generated_check_reports_are_byte_identical(generator, argument, workloads, tmp_path, capsys):
+    if generator == "lattice":
+        scenario = workloads.lattice_scenario(argument)
+    else:
+        scenario = workloads.chain_scenario(13, argument)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["check", str(path), "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_GENERATED[(generator, argument)]

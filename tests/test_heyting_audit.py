@@ -142,7 +142,7 @@ def stage_families():
     for scenario in scenarios:
         for run in build_scenario(scenario).runs:
             label = f"{scenario.name}/{run.spec.name}"
-            delta = delta_omega_presheaf(omega_presheaf(run.plain, CAP), run.r_space)
+            delta = delta_omega_presheaf(omega_presheaf(run.plain, CAP), run.floors)
             for kind, site in (("plain", run.plain), ("extended", run.rest)):
                 if site is None:
                     continue
@@ -198,7 +198,7 @@ def test_memoised_stage_implication_is_the_kernel_on_every_pair(which):
                     (site, o, [Sieve(o, m) for m in site.sieve_masks(o, CAP)])
                     for o in range(site.n_objects)
                 ]
-        delta = delta_omega_presheaf(omega_presheaf(run.plain, CAP), run.r_space)
+        delta = delta_omega_presheaf(omega_presheaf(run.plain, CAP), run.floors)
         stages += [(run.plain, o, delta.values[o]) for o in range(run.plain.n_objects)]
     for site, o, sieves in stages:
         implies = stage_implies(site, o)
@@ -395,9 +395,9 @@ def test_a_false_fixpoint_adjunction_fails_thm_5_6(monkeypatch):
 
 
 def test_a_semiclassifier_holding_the_empty_sieve_fails_section_3_4(monkeypatch):
-    def with_empty_sieve(omega, r):
+    def with_empty_sieve(omega, floors):
         site = omega.site
-        honest = delta_omega_presheaf(omega, r)
+        honest = delta_omega_presheaf(omega, floors)
         return build_presheaf(
             site,
             lambda o: tuple(dict.fromkeys((Sieve(o, 0), *honest.values[o]))),
@@ -414,9 +414,9 @@ def test_a_semiclassifier_holding_the_empty_sieve_fails_section_3_4(monkeypatch)
 
 
 def test_a_semiclassifier_missing_a_transition_image_fails_prop_3_5(monkeypatch):
-    def without_a_transition_image(omega, r):
+    def without_a_transition_image(omega, floors):
         site = omega.site
-        honest = delta_omega_presheaf(omega, r)
+        honest = delta_omega_presheaf(omega, floors)
         a = next(a for a in range(len(site.arrows)) if a != site.identity_arrow(site.arrow_dom(a)))
         cod = site.arrow_cod(a)
         image = omega_transition(site, a, top_sieve(site, site.arrow_dom(a)))

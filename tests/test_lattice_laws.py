@@ -27,6 +27,7 @@ from sieveval import (
     scenario_from_dict,
 )
 from sieveval import checks as checks_module
+from sieveval.errors import LatticeCapExceeded
 from sieveval.subspaces import generate_sublattice, join, leq, meet, ortho, subspace_from_vectors
 
 
@@ -66,6 +67,33 @@ def oracle_orthomodular(lattice) -> bool:
     return all(ortho(ortho(p)) == p for p in lattice) and all(
         join(p, meet(q, ortho(p))) == q for p in lattice for q in lattice if leq(p, q)
     )
+
+
+def naive_sublattice(seeds, cap):
+    """The closure `generate_sublattice` ran before it was semi-naive: each
+    round takes ortho of every element and combines every pair."""
+    elements, seen = [], set()
+
+    def add(s):
+        if s not in seen:
+            if len(elements) >= cap:
+                raise LatticeCapExceeded(cap)
+            seen.add(s)
+            elements.append(s)
+
+    for s in seeds:
+        add(s)
+    changed = bool(elements)
+    while changed:
+        snapshot = list(elements)
+        for p in snapshot:
+            add(ortho(p))
+        for i, p in enumerate(snapshot):
+            for q in snapshot[i:]:
+                add(join(p, q))
+                add(meet(p, q))
+        changed = len(elements) != len(snapshot)
+    return elements
 
 
 def built_scenarios():
@@ -199,3 +227,27 @@ def test_mo25_is_certified_exhaustively():
     laws, witness = checks_module._lattice_law_rows(built)
     assert laws["passed"] and witness["passed"]
     assert laws["details"] == {"size": 52, "mode": "exhaustive"}
+
+
+def test_semi_naive_closure_matches_the_naive_one(workloads):
+    """Same list, same order, and `LatticeCapExceeded` at the same caps, on
+    every bundled scenario, MO_1..MO_5 and the benchmark's 36-element
+    `lattice` scenario."""
+    scenarios = [load_scenario(bundled_scenario_path(name)) for name in bundled_scenario_names()]
+    scenarios += [scenario_from_dict(mo_scenario(k)) for k in range(1, 6)]
+    scenarios.append(scenario_from_dict(workloads.lattice_scenario(73)))
+    sizes = []
+    for sc in scenarios:
+        seeds = [sc.propositions[n] for n in sc.lattice_seeds]
+        expected = naive_sublattice(seeds, sc.caps["lattice"])
+        assert generate_sublattice(seeds, sc.caps["lattice"]) == expected, sc.name
+        for cap in range(1, len(expected) + 1):
+            try:
+                naive = naive_sublattice(seeds, cap)
+            except LatticeCapExceeded:
+                with pytest.raises(LatticeCapExceeded):
+                    generate_sublattice(seeds, cap)
+            else:
+                assert generate_sublattice(seeds, cap) == naive, (sc.name, cap)
+        sizes.append(len(expected))
+    assert sizes[-6:] == [4, 6, 8, 10, 12, 36]

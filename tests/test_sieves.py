@@ -2,10 +2,14 @@ import pytest
 
 from sieveval import (
     Observable,
+    Ray,
     Sieve,
     Subspace,
     bottom_annihilator,
     build_plain_site,
+    build_scenario,
+    bundled_scenario_names,
+    bundled_scenario_path,
     characteristic,
     close_monoid,
     diagonal_matrix,
@@ -15,7 +19,9 @@ from sieveval import (
     heyting_join,
     heyting_meet,
     ib_condition_check,
+    load_scenario,
     omega_transition,
+    project_onto_eigenspace,
     ray_from_vector,
     subspace_from_vectors,
     true_subobject,
@@ -28,6 +34,7 @@ from sieveval.sieves import (
     GlobalElement,
     Presheaf,
     _forced_pointwise_unique,
+    annihilator_floors,
     atom_global_element,
     atom_presheaf,
     build_presheaf,
@@ -265,6 +272,19 @@ def test_bottom_annihilator_examples(qubit_site):
     assert bottom_annihilator(eigensite, 0, span([1, 0])) == bottom_sieve(0)
 
 
+def test_a_run_reads_every_floor_from_one_table():
+    """`BuiltRun.floors` holds each plain object's floor, the floor of the
+    projection of its ray onto the run's eigenspace; at the stage that
+    projection is the run's true atom."""
+    for name in bundled_scenario_names():
+        for run in build_scenario(load_scenario(bundled_scenario_path(name))).runs:
+            site = run.plain
+            assert run.floors[run.stage] == bottom_annihilator(site, run.stage, run.e_r)
+            for o, floor in enumerate(run.floors):
+                atom = project_onto_eigenspace(Ray(site.object_ray(o)), run.r_space)
+                assert floor == bottom_annihilator(site, o, atom)
+
+
 def above_floor(site, obj, e_r):
     """The delta-omega stage at obj: the sieves above the annihilator floor."""
     floor = bottom_annihilator(site, obj, e_r)
@@ -303,7 +323,7 @@ def test_semiclassifier_on_full_classifier(qubit_setup):
 def test_semiclassifier_delta(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     omega = omega_presheaf(site, cap=64)
-    delta = delta_omega_presheaf(omega, span([1, 0]))
+    delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
     rows = semiclassifier_check(
         site, delta, omega, tau_values(site), [(true_t, propositions)]
     )
@@ -314,7 +334,7 @@ def test_semiclassifier_delta(qubit_setup):
 def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
     site, propositions, atoms, _, _ = qubit_setup
     omega = omega_presheaf(site, cap=64)
-    delta = delta_omega_presheaf(omega, span([1, 0]))
+    delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
     # the OTHER eigenray's true subobject classifies outside this delta
     sigma2 = atom_global_element(site, atoms, span([0, 1]))
     other_t = true_subobject(sigma2, propositions)
@@ -363,7 +383,7 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
     propositions = proposition_presheaf(site, universe)
     atoms = atom_presheaf(site, lambda o: site.observable)
     omega = omega_presheaf(site, cap=64)
-    delta = delta_omega_presheaf(omega, span([1, 0]))
+    delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
     pairs = [
         (true_subobject(atom_global_element(site, atoms, r), propositions), propositions)
         for r in (span([1, 0]), span([0, 1]))
@@ -399,7 +419,7 @@ def _doctored(delta, values=None, transition=None):
 
 def test_forced_uniqueness_rejects_a_doctored_semiclassifier(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
-    delta = delta_omega_presheaf(omega_presheaf(site, cap=64), span([1, 0]))
+    delta = delta_omega_presheaf(omega_presheaf(site, cap=64), annihilator_floors(site, span([1, 0])))
     chi = {
         (o, x): characteristic_unchecked(site, true_t, propositions, o, x)
         for o in range(site.n_objects)

@@ -26,6 +26,7 @@ from .sieves import (
     characteristic_table,
     is_heyting_family,
     is_subpresheaf,
+    lands_in,
     naturality_holds,
     omega_transition,
     pullback_holds,
@@ -277,12 +278,16 @@ def is_projective(
     fixed-rho twin.  Returns the verdict and the witnessing arrows."""
     if checked and not is_subpresheaf(n, m):
         raise NotASubPresheaf("projectivity is asked of a subfunctor")
-    witnesses: list[int] = []
-    for a in site.arrows_from(obj):
-        twin = site.rho_arrow_twin(a)
-        if m.map(a, x) in n.value_set(site.arrow_cod(a)):
-            if m.map(twin, x) not in n.value_set(site.arrow_cod(twin)):
-                witnesses.append(a)
+    return _projective_at(site, n, m, obj, m.index[obj][x])
+
+
+def _projective_at(site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, i: int):
+    """`is_projective` for m's value at position i of stage obj, unchecked."""
+    witnesses = [
+        a
+        for a in site.arrows_from(obj)
+        if lands_in(n, m, a, i) and not lands_in(n, m, site.rho_arrow_twin(a), i)
+    ]
     return (not witnesses, witnesses)
 
 
@@ -293,9 +298,10 @@ def projectivity_matches_naturality(
     if not is_subpresheaf(n, m):
         raise NotASubPresheaf("detector comparison needs a subfunctor")
     mismatches = [
-        (o, x)
-        for (o, x), chi in characteristic_table(site, n, m).items()
-        if is_projective(site, n, m, o, x, checked=False)[0] != is_natural_at(site, o, chi)
+        (o, m.values[o][i])
+        for o, stage in enumerate(characteristic_table(site, n, m))
+        for i, chi in enumerate(stage)
+        if _projective_at(site, n, m, o, i)[0] != is_natural_at(site, o, chi)
     ]
     return (not mismatches, mismatches)
 
@@ -307,13 +313,18 @@ def natural_characteristic(site: ExtendedSite, n: Presheaf, m: Presheaf) -> dict
     characteristic map is already a natural sieve (so the map factors through
     the fixpoints), that the factored map is natural, and that n is its
     pullback against the 'true' section.  Uniqueness is the semi-classifier
-    audit's (`sieves.semiclassifier_check`).
+    audit's (`sieves.semiclassifier_check`).  Both maps are laid out like
+    `characteristic_table`, by m's positions.
     """
     if not is_subpresheaf(n, m):
         raise NotASubPresheaf("characteristic factoring needs a subfunctor")
     chi = characteristic_table(site, n, m)
-    projective = all(is_projective(site, n, m, o, x, checked=False)[0] for o, x in chi)
-    natural_chi = {key: natural_map_at(site, key[0], value) for key, value in chi.items()}
+    projective = all(
+        _projective_at(site, n, m, o, i)[0] for o, stage in enumerate(chi) for i in range(len(stage))
+    )
+    natural_chi = tuple([
+        tuple([natural_map_at(site, o, value) for value in stage]) for o, stage in enumerate(chi)
+    ])
     factorization = natural_chi == chi
     naturality = naturality_holds(
         site, natural_chi, m, lambda a, s: omega_transition(site, a, s)

@@ -383,9 +383,9 @@ def _oracle_rows(run: BuiltRun) -> list[dict]:
         _row(
             "Eq 3.21 = Eq 3.37",
             "characteristic morphism equals the direct valuation at every stage",
-            all(value == valuation(site, o, run.r_space, p) for (o, p), value in chi.items()),
+            _is_valuation(site, chi, run.propositions_l, run.r_space),
             run=run.spec.name,
-            instances=len(chi),
+            instances=sum(len(stage) for stage in chi),
         ),
         _row(
             "diagram 3.24",
@@ -402,6 +402,15 @@ def _oracle_rows(run: BuiltRun) -> list[dict]:
             run=run.spec.name,
         ),
     ]
+
+
+def _is_valuation(site, chi, propositions: Presheaf, r) -> bool:
+    """chi, laid out like `characteristic_table`, is the direct valuation."""
+    return all(
+        value == valuation(site, o, r, p)
+        for o, stage in enumerate(propositions.values)
+        for p, value in zip(stage, chi[o])
+    )
 
 
 def _prop32_33_rows(run: BuiltRun) -> list[dict]:
@@ -439,7 +448,9 @@ def _prop32_33_rows(run: BuiltRun) -> list[dict]:
 
 
 def _ib_rows(run: BuiltRun) -> list[dict]:
-    verdict = ib_condition_check(run.plain, run.stage, run.r_space, run.universe)
+    verdict = ib_condition_check(
+        run.plain, run.stage, run.r_space, run.universe, run.floors[run.stage]
+    )
     core = (
         verdict["monotonicity"]
         and verdict["exclusivity"]
@@ -684,7 +695,7 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
         _row(
             "Eq 4.28",
             "extended characteristic morphism equals the direct valuation",
-            all(value == valuation(rest, o, run.r_space, p) for (o, p), value in chi.items()),
+            _is_valuation(rest, chi, run.propositions_l_ext, run.r_space),
             run=run.spec.name,
         )
     )

@@ -22,10 +22,19 @@ the probes that miss `s & ~t` and `~(s ⇒ t)`, memoised on the mask.  So a
 family of N sieves with k probes costs N² lookups plus k work per distinct
 key.  Neither table outlives the closure or the call that built it.
 
+Presheaves: a `Presheaf` lists each stage's values and stores each arrow's
+transition as a position table, a tuple giving for every position of the
+domain stage the position of the image in the codomain stage (None for an
+image outside it).  The audits compare tables of ints: identity tables are
+`range`s, closure is the absence of None, functoriality is table composition
+over the site's postcomposite pairs, and subfunctors, naturality squares,
+pullbacks and characteristic maps are read by position.  `map` is the
+value-level accessor.
+
 Subfunctors: the true subobject of the proposition functor, and the
 semi-classifiers δΩ and ♮Ω of the classifier Ω, are each cut from their
-parent by `subpresheaf`, which keeps a subset of every stage and reuses the
-parent's transition tables.
+parent by `subpresheaf`, which keeps a subset of every stage and re-indexes
+the parent's position tables to the kept values once per cut.
 
 Truth values: the valuation of a proposition P at a stage is the sieve of
 arrows F with F(P) above the transported true atom.  It is computed twice —
@@ -37,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, KeysView, Sequence
 
 from .errors import (
     InternalCheckError,
@@ -208,51 +217,72 @@ def is_heyting_family(masks: Sequence[int], implies: Callable, probes: Sequence[
 
 # ---------------------------------------------------------------------------
 # presheaves
+#
+# Tables are built as `tuple([...])`, not `tuple(<generator>)`: CPython sizes
+# a tuple built from a generator for ten items and then shrinks it, so each
+# such tuple, once freed, parks in the free list of its own size, and a pass
+# over many presheaves keeps hundreds of KB there (seen in peak RSS).
 
 
 @dataclass(frozen=True, eq=False)
 class Presheaf:
-    """A functor to finite sets, stored stage-wise with transition tables."""
+    """A functor to finite sets, stored stage-wise with position tables.
+
+    `values[o]` lists stage o (its values are distinct) and `index[o]` maps
+    each value to its position there.  `positions[a]` holds, for each
+    position i of the domain stage of arrow a, the position in the codomain
+    stage of the image of `values[dom][i]`, or None when the image lies
+    outside that stage.
+    """
 
     site: object
     values: tuple[tuple[Hashable, ...], ...]
-    transitions: tuple[dict, ...]  # per arrow: value at dom -> value at cod
-    value_sets: tuple[frozenset, ...]
+    positions: tuple[tuple[int | None, ...], ...]
+    index: tuple[dict, ...]
 
-    def value_set(self, o: int) -> frozenset:
-        return self.value_sets[o]
+    def value_set(self, o: int) -> KeysView:
+        return self.index[o].keys()
 
     def map(self, arrow: int, x):
-        return self.transitions[arrow][x]
+        """The image of the value x along an arrow (a value, not a position)."""
+        site = self.site
+        j = self.positions[arrow][self.index[site.arrow_dom(arrow)][x]]
+        if j is None:
+            raise InternalCheckError("transition leaves the codomain value set")
+        return self.values[site.arrow_cod(arrow)][j]
 
     def validate(self) -> None:
+        """Identities, closure, then functoriality: t_{g∘f} = t_g ∘ t_f."""
         site = self.site
-        for o in range(site.n_objects):
-            ident = site.identity_arrow(o)
-            for x in self.values[o]:
-                if self.map(ident, x) != x:
-                    raise InternalCheckError("identity transition is not the identity")
-        for f in range(len(site.arrows)):
-            dom_values = self.values[site.arrow_dom(f)]
-            cod_set = self.value_set(site.arrow_cod(f))
-            for x in dom_values:
-                if self.map(f, x) not in cod_set:
-                    raise InternalCheckError("transition leaves the codomain value set")
-            for g, gf in site.postcomposites[f]:
-                for x in dom_values:
-                    if self.map(gf, x) != self.map(g, self.map(f, x)):
-                        raise InternalCheckError("functoriality failure")
+        positions = self.positions
+        for o, stage in enumerate(self.values):
+            if positions[site.identity_arrow(o)] != tuple(range(len(stage))):
+                raise InternalCheckError("identity transition is not the identity")
+        if any(None in table for table in positions):
+            raise InternalCheckError("transition leaves the codomain value set")
+        for f, pairs in enumerate(site.postcomposites):
+            tf = positions[f]
+            for g, gf in pairs:
+                tg = positions[g]
+                if positions[gf] != tuple([tg[i] for i in tf]):
+                    raise InternalCheckError("functoriality failure")
 
 
 def build_presheaf(site, values_at: Callable[[int], Sequence], transition):
-    """Materialize values and transitions.  Functoriality is not checked here:
-    `Presheaf.validate` is the check, run by the row that reports it."""
+    """Materialize values and position tables.  Functoriality is not checked
+    here: `Presheaf.validate` is the check, run by the row that reports it."""
     values = tuple(tuple(values_at(o)) for o in range(site.n_objects))
-    transitions = []
-    for a in range(len(site.arrows)):
-        table = {x: transition(a, x) for x in values[site.arrow_dom(a)]}
-        transitions.append(table)
-    return Presheaf(site, values, tuple(transitions), tuple(frozenset(v) for v in values))
+    index = _index(values)
+    positions = tuple([
+        tuple([index[site.arrow_cod(a)].get(transition(a, x)) for x in values[site.arrow_dom(a)]])
+        for a in range(len(site.arrows))
+    ])
+    return Presheaf(site, values, positions, index)
+
+
+def _index(values) -> tuple[dict, ...]:
+    """Per stage, each value's position."""
+    return tuple({x: i for i, x in enumerate(stage)} for stage in values)
 
 
 def proposition_presheaf(site, universe: Sequence[Subspace]) -> Presheaf:
@@ -291,12 +321,16 @@ class GlobalElement:
     values: tuple[Hashable, ...]
 
     def validate(self) -> None:
-        site = self.presheaf.site
-        for o in range(site.n_objects):
-            if self.values[o] not in self.presheaf.value_set(o):
+        presheaf = self.presheaf
+        site = presheaf.site
+        chosen = []
+        for o, x in enumerate(self.values):
+            i = presheaf.index[o].get(x)
+            if i is None:
                 raise NaturalityError(f"chosen value at stage {o} is not in the presheaf")
-        for a in range(len(site.arrows)):
-            if self.presheaf.map(a, self.values[site.arrow_dom(a)]) != self.values[site.arrow_cod(a)]:
+            chosen.append(i)
+        for a, table in enumerate(presheaf.positions):
+            if table[chosen[site.arrow_dom(a)]] != chosen[site.arrow_cod(a)]:
                 raise NaturalityError(f"naturality square fails at arrow {a}")
 
 
@@ -311,10 +345,18 @@ def atom_global_element(site, atoms: Presheaf, r: Subspace) -> GlobalElement:
 
 def subpresheaf(m: Presheaf, keep: Callable[[int, Hashable], bool]) -> Presheaf:
     """The values x of m with keep(o, x) at each stage o, in m's order, under
-    m's own transition tables.  Whether the cut is closed under them is
-    `Presheaf.validate`'s check, run by the row that reports it."""
-    values = tuple(tuple(x for x in stage if keep(o, x)) for o, stage in enumerate(m.values))
-    return Presheaf(m.site, values, m.transitions, tuple(frozenset(v) for v in values))
+    m's position tables re-indexed to the kept values (an image that was cut
+    becomes None).  Whether the cut is closed is `Presheaf.validate`'s check,
+    run by the row that reports it."""
+    site = m.site
+    kept = [[i for i, x in enumerate(stage) if keep(o, x)] for o, stage in enumerate(m.values)]
+    renumber = [{old: new for new, old in enumerate(stage)} for stage in kept]
+    positions = tuple([
+        tuple([renumber[site.arrow_cod(a)].get(table[i]) for i in kept[site.arrow_dom(a)]])
+        for a, table in enumerate(m.positions)
+    ])
+    values = tuple([tuple([m.values[o][i] for i in stage]) for o, stage in enumerate(kept)])
+    return Presheaf(site, values, positions, _index(values))
 
 
 def true_subobject(sigma: GlobalElement, propositions: Presheaf) -> Presheaf:
@@ -322,17 +364,28 @@ def true_subobject(sigma: GlobalElement, propositions: Presheaf) -> Presheaf:
     return subpresheaf(propositions, lambda o, p: leq(sigma.values[o], p))
 
 
+def _inclusion(n: Presheaf, m: Presheaf) -> list[list[int]] | None:
+    """Per stage, the position in m of each value of n; None if n has a value
+    that m lacks at its stage."""
+    try:
+        return [[at[x] for x in stage] for stage, at in zip(n.values, m.index)]
+    except KeyError:
+        return None
+
+
 def is_subpresheaf(n: Presheaf, m: Presheaf) -> bool:
+    """n's stages lie in m's, n is closed, and n's tables are m's restricted:
+    for every arrow a, inclusion ∘ t^n_a = t^m_a ∘ inclusion."""
+    inclusion = _inclusion(n, m)
+    if inclusion is None:
+        return False
     site = m.site
-    for o in range(site.n_objects):
-        if not n.value_set(o) <= m.value_set(o):
+    for a, (tn, tm) in enumerate(zip(n.positions, m.positions)):
+        if None in tn:
             return False
-    for a in range(len(site.arrows)):
-        for x in n.values[site.arrow_dom(a)]:
-            if n.map(a, x) != m.map(a, x):
-                return False
-            if n.map(a, x) not in n.value_set(site.arrow_cod(a)):
-                return False
+        into, out_of = inclusion[site.arrow_cod(a)], inclusion[site.arrow_dom(a)]
+        if [into[j] for j in tn] != [tm[i] for i in out_of]:
+            return False
     return True
 
 
@@ -343,39 +396,58 @@ def characteristic(site, n: Presheaf, m: Presheaf, obj: int, x) -> Sieve:
     return characteristic_unchecked(site, n, m, obj, x)
 
 
-def characteristic_unchecked(site, n: Presheaf, m: Presheaf, obj: int, x) -> Sieve:
+def lands_in(n: Presheaf, m: Presheaf, a: int, i: int) -> bool:
+    """Whether m carries its value at position i of dom a, along a, to a value of n."""
+    site = m.site
+    j = m.positions[a][i]
+    if j is None:
+        return False
+    cod = site.arrow_cod(a)
+    return m.values[cod][j] in n.index[cod]
+
+
+def _characteristic_at(site, n: Presheaf, m: Presheaf, obj: int, i: int) -> Sieve:
     members = 0
     for a in site.arrows_from(obj):
-        if m.map(a, x) in n.value_set(site.arrow_cod(a)):
+        if lands_in(n, m, a, i):
             members |= 1 << a
     return Sieve(obj, members)
 
 
-def characteristic_table(site, n: Presheaf, m: Presheaf) -> dict[tuple[int, Hashable], Sieve]:
-    """chi(o, x) for every stage o and value x of m; n must be a subfunctor of m."""
-    return {
-        (o, x): characteristic_unchecked(site, n, m, o, x)
-        for o in range(site.n_objects)
-        for x in m.values[o]
-    }
+def characteristic_unchecked(site, n: Presheaf, m: Presheaf, obj: int, x) -> Sieve:
+    return _characteristic_at(site, n, m, obj, m.index[obj][x])
 
 
-def naturality_holds(site, zeta: dict, m: Presheaf, transition: Callable) -> bool:
-    """Every square commutes: transition(a, zeta(dom a, x)) = zeta(cod a, m(a)(x)).
-    An m(a)(x) outside m's codomain value set has no zeta entry: its square fails."""
-    for a in range(len(site.arrows)):
-        dom, cod = site.arrow_dom(a), site.arrow_cod(a)
-        for x in m.values[dom]:
-            image = zeta.get((cod, m.map(a, x)))
-            if image is None or transition(a, zeta[(dom, x)]) != image:
+def characteristic_table(site, n: Presheaf, m: Presheaf) -> tuple[tuple[Sieve, ...], ...]:
+    """chi per stage of m, in m's order: `chi[o][i]` classifies `m.values[o][i]`;
+    n must be a subfunctor of m."""
+    return tuple([
+        tuple([_characteristic_at(site, n, m, o, i) for i in range(len(stage))])
+        for o, stage in enumerate(m.values)
+    ])
+
+
+def naturality_holds(site, zeta: Sequence[Sequence], m: Presheaf, transition: Callable) -> bool:
+    """Every square commutes: transition(a, zeta[dom a][i]) = zeta[cod a][t^m_a(i)],
+    with zeta laid out like `characteristic_table`.  An image outside m's
+    codomain stage has no zeta entry: its square fails."""
+    for a, table in enumerate(m.positions):
+        source, target = zeta[site.arrow_dom(a)], zeta[site.arrow_cod(a)]
+        for i, j in enumerate(table):
+            if j is None or transition(a, source[i]) != target[j]:
                 return False
     return True
 
 
-def pullback_holds(site, zeta: dict, n: Presheaf, m: Presheaf, tau: Sequence[Sieve]) -> bool:
-    """n is the set-level pullback of the 'true' section tau along zeta at every stage."""
-    return all(
-        n.value_set(o) == {x for x in m.values[o] if zeta[(o, x)] == tau[o]}
+def pullback_holds(
+    site, zeta: Sequence[Sequence], n: Presheaf, m: Presheaf, tau: Sequence[Sieve]
+) -> bool:
+    """n is the set-level pullback of the 'true' section tau along zeta at
+    every stage: the positions of m holding n's values are exactly those
+    zeta sends to tau."""
+    inclusion = _inclusion(n, m)
+    return inclusion is not None and all(
+        set(inclusion[o]) == {i for i, z in enumerate(zeta[o]) if z == tau[o]}
         for o in range(site.n_objects)
     )
 
@@ -480,7 +552,7 @@ def semiclassifier_check(
             rows.append({"pair": idx, "passed": False, "reason": "not a subfunctor pair"})
             continue
         chi = characteristic_table(site, n, m)
-        factors = all(value in delta_omega.value_set(o) for (o, _), value in chi.items())
+        factors = _factors_through(chi, delta_omega)
         pullback = pullback_holds(site, chi, n, m, delta_tau)
         count = 1
         for o in range(site.n_objects):
@@ -507,13 +579,20 @@ def semiclassifier_check(
     return rows
 
 
-def _enumerate_pullback_maps(site, delta_omega, m, n, delta_tau) -> list[dict]:
-    """All natural maps into the semi-classifier with the pullback property."""
-    slots = [(o, x) for o in range(site.n_objects) for x in m.values[o]]
-    choices = [delta_omega.values[o] for o, _ in slots]
+def _factors_through(chi, delta_omega: Presheaf) -> bool:
+    """Every value of chi is a value of the semi-classifier at its stage."""
+    return all(value in at for stage, at in zip(chi, delta_omega.index) for value in stage)
+
+
+def _enumerate_pullback_maps(site, delta_omega, m, n, delta_tau) -> list[tuple]:
+    """All natural maps into the semi-classifier with the pullback property,
+    each laid out like `characteristic_table`."""
+    choices = [delta_omega.values[o] for o, stage in enumerate(m.values) for _ in stage]
+    ends = list(itertools.accumulate(len(stage) for stage in m.values))
+    bounds = list(zip([0] + ends, ends))
     survivors = []
     for assignment in itertools.product(*choices):
-        zeta = dict(zip(slots, assignment))
+        zeta = tuple([assignment[start:end] for start, end in bounds])
         if pullback_holds(site, zeta, n, m, delta_tau) and naturality_holds(
             site, zeta, m, delta_omega.map
         ):
@@ -529,15 +608,18 @@ def _forced_pointwise_unique(site, delta_omega, m, n, delta_tau, chi) -> bool:
     natural.  (3) chi has the pullback property.  For any natural zeta with
     the pullback property, (1), naturality and pullback give
     a ∈ zeta(x) iff m(a)(x) ∈ n, and (1)-(3) give the same for chi, so
-    zeta = chi.
+    zeta = chi.  (1) reads positions: a*(S) is 'true' iff its position is
+    the position of the 'true' sieve.
     """
-    for o in range(site.n_objects):
-        for s in delta_omega.values[o]:
-            for a in site.arrows_from(o):
-                if (a in s) != (delta_omega.map(a, s) == delta_tau[site.arrow_cod(a)]):
+    true_at = [at.get(tau) for at, tau in zip(delta_omega.index, delta_tau)]
+    for o, stage in enumerate(delta_omega.values):
+        for a in site.arrows_from(o):
+            table, true = delta_omega.positions[a], true_at[site.arrow_cod(a)]
+            for i, s in enumerate(stage):
+                if (a in s) != (table[i] is not None and table[i] == true):
                     return False
     return (
-        all(value in delta_omega.value_set(o) for (o, _), value in chi.items())
+        _factors_through(chi, delta_omega)
         and naturality_holds(site, chi, m, delta_omega.map)
         and pullback_holds(site, chi, n, m, delta_tau)
     )
@@ -548,12 +630,12 @@ def ib_condition_check(
     obj: int,
     r: Subspace,
     universe: Sequence[Subspace],
+    floor: Sieve,
 ) -> dict:
-    """Monotonicity, exclusivity, unit and null verdicts for one stage."""
+    """Monotonicity, exclusivity, unit and null verdicts for one stage, whose
+    annihilator floor (from `annihilator_floors`) is `floor`."""
     n = site.object_ray(obj).ambient_dim
-    atom = project_onto_eigenspace(Ray(site.object_ray(obj)), r)
     top = top_sieve(site, obj)
-    floor = bottom_annihilator(site, obj, atom)
     values = {p: valuation(site, obj, r, p) for p in universe}
     monotone = all(
         values[p] <= values[q]

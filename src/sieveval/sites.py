@@ -445,27 +445,39 @@ def restrict_to_rho(site: ExtendedSite, rho: int) -> tuple[PlainSite, tuple[int,
     )
 
 
+def _after(site) -> list[dict[int, int]]:
+    """Per arrow f, the map g -> g∘f, read from the postcomposite table."""
+    return [dict(pairs) for pairs in site.postcomposites]
+
+
 def associativity_violations(site) -> list[tuple[int, int, int]]:
-    """All composable triples where (h∘g)∘f != h∘(g∘f)."""
+    """All composable triples where (h∘g)∘f != h∘(g∘f), read from the
+    postcomposite table: `after[gf][h]` against `after[f][after[g][h]]`.
+    Over a product table that is not associative, g∘f may end at another
+    object than g, so h need not compose with it: that triple is reported."""
+    after = _after(site)
     bad: list[tuple[int, int, int]] = []
-    for f in range(len(site.arrows)):
-        for g in site.arrows_from(site.arrow_cod(f)):
-            gf = site.compose(g, f)
-            for h in site.arrows_from(site.arrow_cod(g)):
-                if site.compose(h, gf) != site.compose(site.compose(h, g), f):
+    for f, pairs in enumerate(site.postcomposites):
+        for g, gf in pairs:
+            for h, hg in site.postcomposites[g]:
+                if after[gf].get(h) != after[f][hg]:
                     bad.append((h, g, f))
     return bad
 
 
 def identity_violations(site) -> list[int]:
-    """Objects without an identity arrow, plus arrows not absorbed by identities."""
+    """Objects without an identity arrow, plus arrows not absorbed by the
+    identities that exist, read from the postcomposite table."""
+    after = _after(site)
     bad: list[int] = []
     for o in range(site.n_objects):
         if site.identity_arrow(o) < 0:
             bad.append(o)
     for a in range(len(site.arrows)):
-        if site.compose(site.identity_arrow(site.arrow_cod(a)), a) != a:
+        id_cod = site.identity_arrow(site.arrow_cod(a))
+        if id_cod >= 0 and after[a][id_cod] != a:
             bad.append(a)
-        if site.compose(a, site.identity_arrow(site.arrow_dom(a))) != a:
+        id_dom = site.identity_arrow(site.arrow_dom(a))
+        if id_dom >= 0 and after[id_dom][a] != a:
             bad.append(a)
     return bad

@@ -108,7 +108,8 @@ def test_criterion_03_valuation_conditions(built):
     for name, scenario in built.items():
         strict_seen[name] = False
         for run in scenario.runs:
-            v = ib_condition_check(run.plain, run.stage, run.r_space, run.universe)
+            floor = run.floors[run.stage]
+            v = ib_condition_check(run.plain, run.stage, run.r_space, run.universe, floor)
             ok = ok and v["monotonicity"] and v["exclusivity"] and v["unit"]
             ok = ok and v["null_equals_floor"] and v["null_passes_in_delta"]
             ok = ok and (v["null_fails_in_omega"] == v["floor_nonempty"])

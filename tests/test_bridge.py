@@ -252,11 +252,11 @@ def test_natural_characteristic_and_uniqueness(extended_presheaves):
     # perturbing one value breaks the pullback
     tau = {o: top_sieve(rest, o) for o in range(rest.n_objects)}
     stage = rest.object_index(span([1, 1]), 0)
-    perturbed = dict(result["natural_chi"])
-    perturbed[(stage, zero_space(2))] = tau[stage]
+    perturbed = [list(values) for values in result["natural_chi"]]
+    perturbed[stage][propositions.values[stage].index(zero_space(2))] = tau[stage]
     broken = any(
         set(true_t.values[o])
-        != {x for x in propositions.values[o] if perturbed[(o, x)] == tau[o]}
+        != {x for x, value in zip(propositions.values[o], perturbed[o]) if value == tau[o]}
         for o in range(rest.n_objects)
     )
     assert broken

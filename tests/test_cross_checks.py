@@ -216,6 +216,6 @@ def test_random_states_fine_observable_floor_and_monotonicity(state_vector, extr
             for q in ordered:
                 if leq(p, q):
                     assert value <= valuation(site, stage, r, q)
-        verdict = ib_condition_check(site, stage, r, ordered)
+        verdict = ib_condition_check(site, stage, r, ordered, floor)
         assert verdict["monotonicity"] and verdict["exclusivity"] and verdict["unit"]
         assert verdict["null_equals_floor"] and verdict["null_passes_in_delta"]

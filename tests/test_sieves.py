@@ -32,7 +32,6 @@ from sieveval import sieves
 from sieveval.errors import EnumerationExceeded, NaturalityError, NotASubPresheaf
 from sieveval.sieves import (
     GlobalElement,
-    Presheaf,
     _forced_pointwise_unique,
     annihilator_floors,
     atom_global_element,
@@ -410,21 +409,16 @@ def _doctored(delta, values=None, transition=None):
     site = delta.site
     values = values or delta.values
     transition = transition or (lambda a, s: omega_transition(site, a, s))
-    transitions = tuple(
-        {s: transition(a, s) for s in values[site.arrow_dom(a)]}
-        for a in range(len(site.arrows))
-    )
-    return Presheaf(site, values, transitions, tuple(frozenset(v) for v in values))
+    return build_presheaf(site, lambda o: values[o], transition)
 
 
 def test_forced_uniqueness_rejects_a_doctored_semiclassifier(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     delta = delta_omega_presheaf(omega_presheaf(site, cap=64), annihilator_floors(site, span([1, 0])))
-    chi = {
-        (o, x): characteristic_unchecked(site, true_t, propositions, o, x)
-        for o in range(site.n_objects)
-        for x in propositions.values[o]
-    }
+    chi = tuple(
+        tuple(characteristic_unchecked(site, true_t, propositions, o, x) for x in stage)
+        for o, stage in enumerate(propositions.values)
+    )
     tau = tau_values(site)
     assert _forced_pointwise_unique(site, delta, propositions, true_t, tau, chi)
     # Transitions that send every sieve to the top are not the pullback.
@@ -439,7 +433,8 @@ def test_forced_uniqueness_rejects_a_doctored_semiclassifier(qubit_setup):
 
 
 def test_ib_condition_check(qubit_site):
-    verdict = ib_condition_check(qubit_site, 0, span([1, 0]), QUBIT_UNIVERSE)
+    floor = annihilator_floors(qubit_site, span([1, 0]))[0]
+    verdict = ib_condition_check(qubit_site, 0, span([1, 0]), QUBIT_UNIVERSE, floor)
     assert verdict["monotonicity"]
     assert verdict["exclusivity"]
     assert verdict["unit"]
@@ -450,7 +445,8 @@ def test_ib_condition_check(qubit_site):
 
 
 def test_ib_degenerate_universe(qubit_site):
+    floor = annihilator_floors(qubit_site, span([1, 0]))[0]
     verdict = ib_condition_check(
-        qubit_site, 0, span([1, 0]), [zero_space(2), full_space(2)]
+        qubit_site, 0, span([1, 0]), [zero_space(2), full_space(2)], floor
     )
     assert verdict["monotonicity"] and verdict["unit"]

@@ -23,7 +23,6 @@ from .errors import InternalCheckError, NotASubPresheaf, UnknownObjectError
 from .sieves import (
     Presheaf,
     Sieve,
-    characteristic_table,
     is_heyting_family,
     is_subpresheaf,
     lands_in,
@@ -34,7 +33,6 @@ from .sieves import (
     subpresheaf,
     tau_values,
     top_sieve,
-    valuation,
 )
 from .sites import ExtendedSite, PlainSite
 
@@ -272,11 +270,11 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
 
 
 def is_projective(
-    site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, x, *, checked: bool = True
+    site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, x
 ) -> tuple[bool, list[int]]:
     """Membership along a rho-raising arrow must imply membership along its
     fixed-rho twin.  Returns the verdict and the witnessing arrows."""
-    if checked and not is_subpresheaf(n, m):
+    if not is_subpresheaf(n, m):
         raise NotASubPresheaf("projectivity is asked of a subfunctor")
     return _projective_at(site, n, m, obj, m.index[obj][x])
 
@@ -292,33 +290,33 @@ def _projective_at(site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, i: in
 
 
 def projectivity_matches_naturality(
-    site: ExtendedSite, n: Presheaf, m: Presheaf
+    site: ExtendedSite, n: Presheaf, m: Presheaf, chi
 ) -> tuple[bool, list[tuple[int, object]]]:
-    """The two detectors of the same property must agree on every (stage, x)."""
+    """The two detectors of the same property must agree on every (stage, x),
+    with chi the characteristic table of n in m (`sieves.characteristic_table`)."""
     if not is_subpresheaf(n, m):
         raise NotASubPresheaf("detector comparison needs a subfunctor")
     mismatches = [
         (o, m.values[o][i])
-        for o, stage in enumerate(characteristic_table(site, n, m))
-        for i, chi in enumerate(stage)
-        if _projective_at(site, n, m, o, i)[0] != is_natural_at(site, o, chi)
+        for o, stage in enumerate(chi)
+        for i, value in enumerate(stage)
+        if _projective_at(site, n, m, o, i)[0] != is_natural_at(site, o, value)
     ]
     return (not mismatches, mismatches)
 
 
-def natural_characteristic(site: ExtendedSite, n: Presheaf, m: Presheaf) -> dict:
+def natural_characteristic(site: ExtendedSite, n: Presheaf, m: Presheaf, chi) -> dict:
     """The classifying map with the fixpoint subfunctor as target.
 
-    Checks that n is projective, that every stage value of the plain
-    characteristic map is already a natural sieve (so the map factors through
-    the fixpoints), that the factored map is natural, and that n is its
-    pullback against the 'true' section.  Uniqueness is the semi-classifier
-    audit's (`sieves.semiclassifier_check`).  Both maps are laid out like
-    `characteristic_table`, by m's positions.
+    chi is the characteristic table of n in m (`sieves.characteristic_table`).
+    Checks that n is projective, that every stage value of chi is already a
+    natural sieve (so the map factors through the fixpoints), that the
+    factored map is natural, and that n is its pullback against the 'true'
+    section.  Uniqueness is the semi-classifier audit's
+    (`sieves.semiclassifier_check`).  `natural_chi` is laid out like chi.
     """
     if not is_subpresheaf(n, m):
         raise NotASubPresheaf("characteristic factoring needs a subfunctor")
-    chi = characteristic_table(site, n, m)
     projective = all(
         _projective_at(site, n, m, o, i)[0] for o, stage in enumerate(chi) for i in range(len(stage))
     )
@@ -335,19 +333,16 @@ def natural_characteristic(site: ExtendedSite, n: Presheaf, m: Presheaf) -> dict
         "factorization": factorization,
         "naturality": naturality,
         "pullback": pullback,
-        "chi": chi,
         "natural_chi": natural_chi,
         "passed": projective and factorization and naturality and pullback,
     }
 
 
-def proposition_equivalence(ctx: BridgeContext, r, p) -> dict:
-    """One proposition's plain and extended values and the three verdicts:
-    (a) flattening the extended value gives the plain value; (b) so does
-    flattening its fixpoint image; (c) sharpening the plain value gives the
-    fixpoint image."""
-    plain_value = valuation(ctx.plain, ctx.plain_stage, r, p)
-    ext_value = valuation(ctx.extended, ctx.stage, r, p)
+def proposition_equivalence(ctx: BridgeContext, p, plain_value: Sieve, ext_value: Sieve) -> dict:
+    """One proposition's plain and extended values, as valued at the two
+    bridge stages, and the three verdicts: (a) flattening the extended value
+    gives the plain value; (b) so does flattening its fixpoint image; (c)
+    sharpening the plain value gives the fixpoint image."""
     nat_value = natural_map(ctx, ext_value)
     flat_value = flat(ctx, ext_value)
     return {
@@ -362,8 +357,9 @@ def proposition_equivalence(ctx: BridgeContext, r, p) -> dict:
     }
 
 
-def equivalence_check(ctx: BridgeContext, r, universe) -> dict:
+def equivalence_check(ctx: BridgeContext, universe, plain_row, ext_row) -> dict:
     """The two valuation families agree through the stage isomorphism, for
-    every proposition (see `proposition_equivalence`)."""
-    rows = [proposition_equivalence(ctx, r, p) for p in universe]
+    every proposition (see `proposition_equivalence`), given as the plain and
+    extended bridge stages' rows of `sieves.valuation_table`."""
+    rows = [proposition_equivalence(ctx, *entry) for entry in zip(universe, plain_row, ext_row)]
     return {"rows": rows, "passed": all(row["a"] and row["b"] and row["c"] for row in rows)}

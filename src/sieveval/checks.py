@@ -37,7 +37,6 @@ from .sieves import (
     Presheaf,
     Sieve,
     atom_global_element,
-    characteristic,
     characteristic_table,
     delta_omega_presheaf,
     filter_check,
@@ -376,16 +375,27 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
     return rows
 
 
+def _witness(run: BuiltRun, chi, values) -> dict:
+    """The first entry where the characteristic table and the value table
+    differ, as a `witness` detail naming the stage and the proposition."""
+    for o, (chi_row, value_row) in enumerate(zip(chi, values)):
+        for p, x, y in zip(run.universe, chi_row, value_row):
+            if x != y:
+                return {"witness": {"stage": o, "proposition": run.universe_names.get(p, "?")}}
+    return {}
+
+
 def _oracle_rows(run: BuiltRun) -> list[dict]:
     site = run.plain
-    chi = characteristic_table(site, run.true_t, run.propositions_l)
+    chi = run.chi
     return [
         _row(
             "Eq 3.21 = Eq 3.37",
             "characteristic morphism equals the direct valuation at every stage",
-            _is_valuation(site, chi, run.propositions_l, run.r_space),
+            chi == run.values,
             run=run.spec.name,
             instances=sum(len(stage) for stage in chi),
+            **_witness(run, chi, run.values),
         ),
         _row(
             "diagram 3.24",
@@ -404,32 +414,21 @@ def _oracle_rows(run: BuiltRun) -> list[dict]:
     ]
 
 
-def _is_valuation(site, chi, propositions: Presheaf, r) -> bool:
-    """chi, laid out like `characteristic_table`, is the direct valuation."""
-    return all(
-        value == valuation(site, o, r, p)
-        for o, stage in enumerate(propositions.values)
-        for p, value in zip(stage, chi[o])
-    )
-
-
 def _prop32_33_rows(run: BuiltRun) -> list[dict]:
     site = run.plain
-    stage = run.stage
-    top = top_sieve(site, stage)
-    floor = run.floors[stage]
-    prop32 = True
-    for p in run.universe:
-        if in_determinate_sublattice(p, run.atoms) and bub_valuation(run.e_r, p) == 1:
-            if valuation(site, stage, run.r_space, p) != top:
-                prop32 = False
+    top = top_sieve(site, run.stage)
+    floor = run.floors[run.stage]
+    prop32 = all(
+        value == top
+        for p, value in zip(run.universe, run.values[run.stage])
+        if in_determinate_sublattice(p, run.atoms) and bub_valuation(run.e_r, p) == 1
+    )
     prop33 = True
-    for o, stage_floor in enumerate(run.floors):
+    for stage_floor, value_row in zip(run.floors, run.values):
         if not is_sieve(site, stage_floor):
             prop33 = False
-        for p in run.universe:
-            if not stage_floor <= valuation(site, o, run.r_space, p):
-                prop33 = False
+        if not all(stage_floor <= value for value in value_row):
+            prop33 = False
     return [
         _row(
             "Prop 3.2",
@@ -448,8 +447,9 @@ def _prop32_33_rows(run: BuiltRun) -> list[dict]:
 
 
 def _ib_rows(run: BuiltRun) -> list[dict]:
+    stage = run.stage
     verdict = ib_condition_check(
-        run.plain, run.stage, run.r_space, run.universe, run.floors[run.stage]
+        run.plain, stage, run.r_space, run.universe, run.values[stage], run.floors[stage]
     )
     core = (
         verdict["monotonicity"]
@@ -536,7 +536,7 @@ def _delta_rows(run: BuiltRun, omega: Presheaf, delta: Presheaf) -> list[dict]:
     )
     delta_tau = tau_values(site)
     semi = semiclassifier_check(
-        site, delta, omega, delta_tau, [(run.true_t, run.propositions_l)]
+        site, delta, omega, delta_tau, [(run.true_t, run.propositions_l, run.chi)]
     )
     rows.append(
         _row(
@@ -580,8 +580,7 @@ def _restriction_row(run: BuiltRun) -> dict:
     restricted = restrict_down(site, run.stage)
     base = restricted.ray_index(run.state.space)
     ok = True
-    for p in run.universe:
-        full_sieve = valuation(site, run.stage, run.r_space, p)
+    for p, full_sieve in zip(run.universe, run.values[run.stage]):
         down_sieve = valuation(restricted, base, run.r_space, p)
         full_keys = {
             (site.arrow_op(a), site.object_ray(site.arrow_cod(a))) for a in full_sieve
@@ -690,13 +689,13 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
             violations=len(violations),
         )
     )
-    chi = characteristic_table(rest, run.true_t_ext, run.propositions_l_ext)
     rows.append(
         _row(
             "Eq 4.28",
             "extended characteristic morphism equals the direct valuation",
-            _is_valuation(rest, chi, run.propositions_l_ext, run.r_space),
+            run.chi_ext == run.values_ext,
             run=run.spec.name,
+            **_witness(run, run.chi_ext, run.values_ext),
         )
     )
     return rows
@@ -840,36 +839,69 @@ def _find_adversarial_subpresheaf(run: BuiltRun):
     return None
 
 
-def _projectivity_rows(run: BuiltRun) -> list[dict]:
+def _characteristic_rows(run: BuiltRun, nat_omega: Presheaf, omega: Presheaf) -> list[dict]:
+    """§5.2, Prop 5.10, Def 5.4 and Thms 5.11–5.13 on the extended true
+    subobject; §5.2 and Thm 5.11 read one `natural_characteristic` result."""
     rest = run.rest
-    rows = []
-    t_projective = all(
-        is_projective(rest, run.true_t_ext, run.propositions_l_ext, o, x, checked=False)[0]
-        for o in range(rest.n_objects)
-        for x in run.propositions_l_ext.values[o]
-    )
-    rows.append(
+    try:
+        result = natural_characteristic(rest, run.true_t_ext, run.propositions_l_ext, run.chi_ext)
+        failure = {}
+    except NotASubPresheaf as exc:
+        result = dict.fromkeys(("projective", "factorization", "naturality", "pullback"), False)
+        failure = {"error": str(exc)}
+    rows = [
         _row(
             "§5.2",
             "the extended true subobject is projective",
-            t_projective,
+            result["projective"],
             run=run.spec.name,
+            **failure,
         )
-    )
+    ]
     try:
         rows.extend(_detector_rows(run))
     except NotASubPresheaf as exc:
         title = "projectivity and naturality detectors agree"
         rows.append(_row("Prop 5.10", title, False, run=run.spec.name, error=str(exc)))
+    rows += [
+        _row(
+            "Thm 5.11",
+            "the fixpoint-valued characteristic map is natural and factors",
+            result["projective"] and result["factorization"] and result["naturality"],
+            run=run.spec.name,
+            **failure,
+        ),
+        _row(
+            "Thm 5.12",
+            "pullback against the fixpoint 'true' at every stage",
+            result["pullback"],
+            run=run.spec.name,
+            **failure,
+        ),
+    ]
+    failure = _validate(omega)
+    pair = (run.true_t_ext, run.propositions_l_ext, run.chi_ext)
+    semi = semiclassifier_check(rest, nat_omega, omega, tau_values(rest), [pair])
+    rows.append(
+        _row(
+            "Thm 5.13 / Props A3–A4 (♮Ω)",
+            "fixpoint subfunctor is a semi-classifier: pullback and uniqueness",
+            not failure and all(r["passed"] for r in semi),
+            run=run.spec.name,
+            results=semi,
+            **failure,
+        )
+    )
     return rows
 
 
 def _detector_rows(run: BuiltRun) -> list[dict]:
     """Prop 5.10 and Def 5.4; raises NotASubPresheaf on a non-subfunctor input."""
     rest = run.rest
+    propositions = run.propositions_l_ext
     rows = []
     agree_t, mismatches_t = projectivity_matches_naturality(
-        rest, run.true_t_ext, run.propositions_l_ext
+        rest, run.true_t_ext, propositions, run.chi_ext
     )
     adversarial = _find_adversarial_subpresheaf(run)
     if adversarial is None:
@@ -885,17 +917,10 @@ def _detector_rows(run: BuiltRun) -> list[dict]:
         )
         return rows
     candidate, obj, x, witness_arrow = adversarial
-    agree_adv, mismatches_adv = projectivity_matches_naturality(
-        rest, candidate, run.propositions_l_ext
-    )
-    projective_adv, witnesses = is_projective(
-        rest, candidate, run.propositions_l_ext, obj, x
-    )
-    natural_adv = is_natural_at(
-        rest,
-        obj,
-        characteristic(rest, candidate, run.propositions_l_ext, obj, x),
-    )
+    chi = characteristic_table(rest, candidate, propositions)
+    agree_adv, mismatches_adv = projectivity_matches_naturality(rest, candidate, propositions, chi)
+    projective_adv, witnesses = is_projective(rest, candidate, propositions, obj, x)
+    natural_adv = is_natural_at(rest, obj, chi[obj][propositions.index[obj][x]])
     rows.append(
         _row(
             "Prop 5.10",
@@ -927,55 +952,10 @@ def _detector_rows(run: BuiltRun) -> list[dict]:
     return rows
 
 
-def _natural_characteristic_rows(
-    run: BuiltRun, nat_omega: Presheaf, omega: Presheaf
-) -> list[dict]:
-    rest = run.rest
-    try:
-        result = natural_characteristic(rest, run.true_t_ext, run.propositions_l_ext)
-        failure = {}
-    except NotASubPresheaf as exc:
-        result = dict.fromkeys(("projective", "factorization", "naturality", "pullback"), False)
-        failure = {"error": str(exc)}
-    rows = [
-        _row(
-            "Thm 5.11",
-            "the fixpoint-valued characteristic map is natural and factors",
-            result["projective"] and result["factorization"] and result["naturality"],
-            run=run.spec.name,
-            **failure,
-        ),
-        _row(
-            "Thm 5.12",
-            "pullback against the fixpoint 'true' at every stage",
-            result["pullback"],
-            run=run.spec.name,
-            **failure,
-        ),
-    ]
-    failure = _validate(omega)
-    semi = semiclassifier_check(
-        rest,
-        nat_omega,
-        omega,
-        tau_values(rest),
-        [(run.true_t_ext, run.propositions_l_ext)],
-    )
-    rows.append(
-        _row(
-            "Thm 5.13 / Props A3–A4 (♮Ω)",
-            "fixpoint subfunctor is a semi-classifier: pullback and uniqueness",
-            not failure and all(r["passed"] for r in semi),
-            run=run.spec.name,
-            results=semi,
-            **failure,
-        )
-    )
-    return rows
-
-
 def _equivalence_rows(run: BuiltRun) -> list[dict]:
-    result = equivalence_check(run.ctx, run.r_space, run.universe)
+    result = equivalence_check(
+        run.ctx, run.universe, run.values[run.stage], run.values_ext[run.rest_stage]
+    )
     failures = [
         run.universe_names.get(row["proposition"], "?")
         for row in result["rows"]
@@ -1049,8 +1029,7 @@ def run_check(scenario: Scenario) -> dict:
             # ♮Ω, cut once from Ω: Prop 5.7/Thm 5.8 validates it, Thm 5.13 audits it.
             nat_omega = natural_omega(omega_ext)
             rows.extend(_bridge_rows(run, nat_omega))
-            rows.extend(_projectivity_rows(run))
-            rows.extend(_natural_characteristic_rows(run, nat_omega, omega_ext))
+            rows.extend(_characteristic_rows(run, nat_omega, omega_ext))
             rows.extend(_equivalence_rows(run))
     return {
         "scenario": scenario.name,

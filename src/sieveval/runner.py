@@ -7,6 +7,7 @@ JSON rendering is byte-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bridge import (
     BridgeContext,
@@ -24,10 +25,12 @@ from .sieves import (
     annihilator_floors,
     atom_global_element,
     atom_presheaf,
+    characteristic_table,
     proposition_presheaf,
     top_sieve,
     true_subobject,
     valuation,
+    valuation_table,
 )
 from .sites import (
     ExtendedSite,
@@ -78,6 +81,25 @@ class BuiltRun:
     @property
     def has_extended(self) -> bool:
         return self.rest is not None
+
+    # Truth-value tables, each built on first use (see `sieves`): the direct
+    # valuation and the true subobject's characteristic table, per site.
+
+    @cached_property
+    def values(self) -> tuple[tuple[Sieve, ...], ...]:
+        return valuation_table(self.plain, self.r_space, self.propositions_l)
+
+    @cached_property
+    def chi(self) -> tuple[tuple[Sieve, ...], ...]:
+        return characteristic_table(self.plain, self.true_t, self.propositions_l)
+
+    @cached_property
+    def values_ext(self) -> tuple[tuple[Sieve, ...], ...]:
+        return valuation_table(self.rest, self.r_space, self.propositions_l_ext)
+
+    @cached_property
+    def chi_ext(self) -> tuple[tuple[Sieve, ...], ...]:
+        return characteristic_table(self.rest, self.true_t_ext, self.propositions_l_ext)
 
 
 @dataclass
@@ -219,7 +241,7 @@ def _proposition_selection(run: BuiltRun) -> list[Subspace]:
 
 
 def valuate_run(run: BuiltRun) -> dict:
-    """Per-proposition truth values at the run's stage, all layers."""
+    """Per-proposition truth values at the run's stage, all layers (no run table is built)."""
     plain = run.plain
     stage = run.stage
     top = top_sieve(plain, stage)
@@ -241,7 +263,8 @@ def valuate_run(run: BuiltRun) -> dict:
             },
         }
         if run.has_extended:
-            bridged = proposition_equivalence(run.ctx, run.r_space, p)
+            ext_sieve = valuation(run.rest, run.rest_stage, run.r_space, p)
+            bridged = proposition_equivalence(run.ctx, p, sieve, ext_sieve)
             row["extended"] = {
                 "sieve": serialize_extended_sieve(run.rest, bridged["extended"]),
                 "natural_image": serialize_extended_sieve(run.rest, bridged["natural_image"]),

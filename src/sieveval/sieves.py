@@ -37,9 +37,11 @@ parent by `subpresheaf`, which keeps a subset of every stage and re-indexes
 the parent's position tables to the kept values once per cut.
 
 Truth values: the valuation of a proposition P at a stage is the sieve of
-arrows F with F(P) above the transported true atom.  It is computed twice —
-once directly, once as the characteristic morphism of the true subobject —
-and the two must agree arrow for arrow.
+arrows F with F(P) above the transported true atom.  A built run tabulates
+it twice per site, each table built once, on first use: directly
+(`valuation_table`, `BuiltRun.values`) and as the characteristic table of
+the true subobject (`characteristic_table`, `BuiltRun.chi`).  The two must
+be equal, and every row that needs a truth value reads them.
 """
 
 from __future__ import annotations
@@ -48,11 +50,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, KeysView, Sequence
 
-from .errors import (
-    InternalCheckError,
-    NaturalityError,
-    NotASubPresheaf,
-)
+from .errors import InternalCheckError, NaturalityError
 from .modal import compute_atoms
 from .subspaces import (
     Ray,
@@ -255,6 +253,9 @@ class Presheaf:
         """Identities, closure, then functoriality: t_{g∘f} = t_g ∘ t_f."""
         site = self.site
         positions = self.positions
+        for o in range(len(self.values)):
+            if site.identity_arrow(o) < 0:
+                raise InternalCheckError(f"object {o} has no identity arrow")
         for o, stage in enumerate(self.values):
             if positions[site.identity_arrow(o)] != tuple(range(len(stage))):
                 raise InternalCheckError("identity transition is not the identity")
@@ -389,13 +390,6 @@ def is_subpresheaf(n: Presheaf, m: Presheaf) -> bool:
     return True
 
 
-def characteristic(site, n: Presheaf, m: Presheaf, obj: int, x) -> Sieve:
-    """The classifying sieve of x against the subfunctor n of m."""
-    if not is_subpresheaf(n, m):
-        raise NotASubPresheaf("characteristic morphism needs a subfunctor")
-    return characteristic_unchecked(site, n, m, obj, x)
-
-
 def lands_in(n: Presheaf, m: Presheaf, a: int, i: int) -> bool:
     """Whether m carries its value at position i of dom a, along a, to a value of n."""
     site = m.site
@@ -406,23 +400,14 @@ def lands_in(n: Presheaf, m: Presheaf, a: int, i: int) -> bool:
     return m.values[cod][j] in n.index[cod]
 
 
-def _characteristic_at(site, n: Presheaf, m: Presheaf, obj: int, i: int) -> Sieve:
-    members = 0
-    for a in site.arrows_from(obj):
-        if lands_in(n, m, a, i):
-            members |= 1 << a
-    return Sieve(obj, members)
-
-
-def characteristic_unchecked(site, n: Presheaf, m: Presheaf, obj: int, x) -> Sieve:
-    return _characteristic_at(site, n, m, obj, m.index[obj][x])
-
-
 def characteristic_table(site, n: Presheaf, m: Presheaf) -> tuple[tuple[Sieve, ...], ...]:
-    """chi per stage of m, in m's order: `chi[o][i]` classifies `m.values[o][i]`;
-    n must be a subfunctor of m."""
+    """chi per stage of m, in m's order: `chi[o][i]` classifies `m.values[o][i]`,
+    the sieve of arrows along which m carries it into n (a subfunctor of m)."""
     return tuple([
-        tuple([_characteristic_at(site, n, m, o, i) for i in range(len(stage))])
+        tuple([
+            Sieve(o, sum(1 << a for a in site.arrows_from(o) if lands_in(n, m, a, i)))
+            for i in range(len(stage))
+        ])
         for o, stage in enumerate(m.values)
     ])
 
@@ -484,6 +469,15 @@ def valuation(site, obj: int, r: Subspace, p: Subspace) -> Sieve:
     return Sieve(obj, members)
 
 
+def valuation_table(site, r: Subspace, propositions: Presheaf) -> tuple[tuple[Sieve, ...], ...]:
+    """`valuation` of every value of `propositions` at every stage, laid out
+    like `characteristic_table`: `values[o][i]` values `propositions.values[o][i]`."""
+    return tuple([
+        tuple([valuation(site, o, r, p) for p in stage])
+        for o, stage in enumerate(propositions.values)
+    ])
+
+
 def bottom_annihilator(site, obj: int, e_r: Subspace) -> Sieve:
     """Arrows sending the true atom to the zero space; the valuation floor."""
     members = 0
@@ -528,15 +522,15 @@ def semiclassifier_check(
     delta_omega: Presheaf,
     omega: Presheaf,
     delta_tau: tuple[Sieve, ...],
-    pairs: Sequence[tuple[Presheaf, Presheaf]],
+    pairs: Sequence[tuple[Presheaf, Presheaf, tuple]],
 ) -> list[dict]:
     """Per-object semi-classifier audit for a subfunctor of the classifier.
 
-    For every (N, M) pair: (a) the characteristic morphism factors through
-    the stage sets of delta_omega; (b) the square against delta_tau is a
-    set-level pullback at every object; (c) the factored map is the only
-    natural map with that pullback property (full candidate enumeration when
-    the count fits `CANDIDATE_BUDGET`, otherwise a pointwise forcing argument).
+    For every (N, M, chi), chi the `characteristic_table` of N in M: (a) chi
+    factors through the stage sets of delta_omega; (b) the square against
+    delta_tau is a set-level pullback at every object; (c) the factored map is
+    the only natural map with that pullback property (full candidate enumeration
+    when the count fits `CANDIDATE_BUDGET`, otherwise a pointwise forcing argument).
     """
     rows: list[dict] = []
     if not is_subpresheaf(delta_omega, omega):
@@ -547,11 +541,10 @@ def semiclassifier_check(
         if lhs != delta_tau[site.arrow_cod(a)]:
             rows.append({"pair": None, "passed": False, "reason": "the 'true' section is not natural"})
             return rows
-    for idx, (n, m) in enumerate(pairs):
+    for idx, (n, m, chi) in enumerate(pairs):
         if not is_subpresheaf(n, m):
             rows.append({"pair": idx, "passed": False, "reason": "not a subfunctor pair"})
             continue
-        chi = characteristic_table(site, n, m)
         factors = _factors_through(chi, delta_omega)
         pullback = pullback_holds(site, chi, n, m, delta_tau)
         count = 1
@@ -630,13 +623,21 @@ def ib_condition_check(
     obj: int,
     r: Subspace,
     universe: Sequence[Subspace],
+    row: Sequence[Sieve],
     floor: Sieve,
 ) -> dict:
     """Monotonicity, exclusivity, unit and null verdicts for one stage, whose
-    annihilator floor (from `annihilator_floors`) is `floor`."""
+    annihilator floor (from `annihilator_floors`) is `floor`.  `row[i]` values
+    `universe[i]` at obj (a stage row of `valuation_table`); `valuation`
+    values a meet, unit or null outside the universe."""
+    values = dict(zip(universe, row))
+
+    def value(p: Subspace) -> Sieve:
+        found = values.get(p)
+        return valuation(site, obj, r, p) if found is None else found
+
     n = site.object_ray(obj).ambient_dim
     top = top_sieve(site, obj)
-    values = {p: valuation(site, obj, r, p) for p in universe}
     monotone = all(
         values[p] <= values[q]
         for p in universe
@@ -648,11 +649,11 @@ def ib_condition_check(
         if values[p] != top:
             continue
         for q in universe:
-            conj = valuation(site, obj, r, meet(p, q))
+            conj = value(meet(p, q))
             if conj != top and values[q] == top:
                 exclusive = False
-    unit = valuation(site, obj, r, full_space(n)) == top
-    null_value = valuation(site, obj, r, zero_space(n))
+    unit = value(full_space(n)) == top
+    null_value = value(zero_space(n))
     return {
         "monotonicity": monotone,
         "exclusivity": exclusive,

@@ -32,7 +32,7 @@ from sieveval.modal import observable_leq, zero_augmented_atom_set
 from sieveval.sieves import (
     Sieve,
     bottom_annihilator,
-    characteristic_unchecked,
+    characteristic_table,
     delta_omega_presheaf,
     ib_condition_check,
     omega_presheaf,
@@ -109,7 +109,8 @@ def test_criterion_03_valuation_conditions(built):
         strict_seen[name] = False
         for run in scenario.runs:
             floor = run.floors[run.stage]
-            v = ib_condition_check(run.plain, run.stage, run.r_space, run.universe, floor)
+            row = [valuation(run.plain, run.stage, run.r_space, p) for p in run.universe]
+            v = ib_condition_check(run.plain, run.stage, run.r_space, run.universe, row, floor)
             ok = ok and v["monotonicity"] and v["exclusivity"] and v["unit"]
             ok = ok and v["null_equals_floor"] and v["null_passes_in_delta"]
             ok = ok and (v["null_fails_in_omega"] == v["floor_nonempty"])
@@ -132,11 +133,10 @@ def test_criterion_04_oracle_equality(built):
     for scenario in built.values():
         for run in scenario.runs:
             site = run.plain
+            table = characteristic_table(site, run.true_t, run.propositions_l)
             for o in range(site.n_objects):
                 for p in run.universe:
-                    chi = characteristic_unchecked(
-                        site, run.true_t, run.propositions_l, o, p
-                    )
+                    chi = table[o][run.propositions_l.index[o][p]]
                     checked += 1
                     ok = ok and chi == valuation(site, o, run.r_space, p)
     verdict(4, ok, f"characteristic equals direct valuation on {checked} stage/proposition pairs")
@@ -190,7 +190,10 @@ def test_criterion_07_projectivity_biconditional(built):
             if not run.has_extended:
                 continue
             agree, _ = projectivity_matches_naturality(
-                run.rest, run.true_t_ext, run.propositions_l_ext
+                run.rest,
+                run.true_t_ext,
+                run.propositions_l_ext,
+                characteristic_table(run.rest, run.true_t_ext, run.propositions_l_ext),
             )
             ok = ok and agree
             found = _find_adversarial_subpresheaf(run)
@@ -203,7 +206,10 @@ def test_criterion_07_projectivity_biconditional(built):
             )
             ok = ok and not projective
             agree_adv, _ = projectivity_matches_naturality(
-                run.rest, candidate, run.propositions_l_ext
+                run.rest,
+                candidate,
+                run.propositions_l_ext,
+                characteristic_table(run.rest, candidate, run.propositions_l_ext),
             )
             ok = ok and agree_adv
     ok = ok and adversarial_found
@@ -238,8 +244,9 @@ def test_criterion_09_appendix_suites(built):
             cap = run.scenario.caps["sieve_enum"]
             omega = omega_presheaf(site, cap)
             delta = delta_omega_presheaf(omega, run.floors)
+            chi = characteristic_table(site, run.true_t, run.propositions_l)
             rows = semiclassifier_check(
-                site, delta, omega, tau_values(site), [(run.true_t, run.propositions_l)]
+                site, delta, omega, tau_values(site), [(run.true_t, run.propositions_l, chi)]
             )
             ok = ok and all(r["passed"] for r in rows)
             if run.has_extended:
@@ -250,7 +257,13 @@ def test_criterion_09_appendix_suites(built):
                     natural_omega(omega_ext),
                     omega_ext,
                     tau_values(rest),
-                    [(run.true_t_ext, run.propositions_l_ext)],
+                    [
+                        (
+                            run.true_t_ext,
+                            run.propositions_l_ext,
+                            characteristic_table(rest, run.true_t_ext, run.propositions_l_ext),
+                        )
+                    ],
                 )
                 ok = ok and all(r["passed"] for r in rows)
     # atom-set identities over every ray and comparable chain

@@ -34,12 +34,14 @@ from sieveval.sieves import (
     atom_global_element,
     atom_presheaf,
     bottom_sieve,
+    characteristic_table,
     is_subpresheaf,
     omega_presheaf,
     proposition_presheaf,
     subpresheaf,
     top_sieve,
     true_subobject,
+    valuation,
 )
 
 
@@ -217,7 +219,8 @@ def test_true_subobject_is_projective(extended_presheaves):
         for x in propositions.values[o]:
             projective, witnesses = is_projective(rest, true_t, propositions, o, x)
             assert projective and not witnesses
-    agree, mismatches = projectivity_matches_naturality(rest, true_t, propositions)
+    chi = characteristic_table(rest, true_t, propositions)
+    agree, mismatches = projectivity_matches_naturality(rest, true_t, propositions, chi)
     assert agree and not mismatches
 
 
@@ -236,18 +239,18 @@ def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):
     x = span([1, 0])
     projective, witnesses = is_projective(rest, bad, propositions, stage, x)
     assert not projective and witnesses
-    from sieveval.sieves import characteristic
-
-    chi = characteristic(rest, bad, propositions, stage, x)
+    table = characteristic_table(rest, bad, propositions)
+    chi = table[stage][propositions.index[stage][x]]
     assert not is_natural_at(rest, stage, chi)
-    agree, mismatches = projectivity_matches_naturality(rest, bad, propositions)
+    agree, mismatches = projectivity_matches_naturality(rest, bad, propositions, table)
     assert agree  # the two detectors fire together, never apart
     assert (stage, x) in mismatches or not mismatches
 
 
 def test_natural_characteristic_and_uniqueness(extended_presheaves):
     rest, propositions, true_t = extended_presheaves
-    result = natural_characteristic(rest, true_t, propositions)
+    chi = characteristic_table(rest, true_t, propositions)
+    result = natural_characteristic(rest, true_t, propositions, chi)
     assert result["passed"]
     # perturbing one value breaks the pullback
     tau = {o: top_sieve(rest, o) for o in range(rest.n_objects)}
@@ -262,9 +265,16 @@ def test_natural_characteristic_and_uniqueness(extended_presheaves):
     assert broken
 
 
+def stage_rows(ctx, r, universe):
+    """The plain and the extended bridge stage's valuations of the universe."""
+    plain = [valuation(ctx.plain, ctx.plain_stage, r, p) for p in universe]
+    extended = [valuation(ctx.extended, ctx.stage, r, p) for p in universe]
+    return plain, extended
+
+
 def test_equivalence_families_agree(bridge_setup):
     ctx = bridge_setup
-    result = equivalence_check(ctx, full_space(2), UNIVERSE)
+    result = equivalence_check(ctx, UNIVERSE, *stage_rows(ctx, full_space(2), UNIVERSE))
     assert result["passed"]
     for row in result["rows"]:
         assert row["a"] and row["b"] and row["c"]
@@ -272,7 +282,7 @@ def test_equivalence_families_agree(bridge_setup):
 
 def test_equivalence_unit_and_zero_rows(bridge_setup):
     ctx = bridge_setup
-    result = equivalence_check(ctx, full_space(2), UNIVERSE)
+    result = equivalence_check(ctx, UNIVERSE, *stage_rows(ctx, full_space(2), UNIVERSE))
     rows = {str(row["proposition"]): row for row in result["rows"]}
     unit_row = rows[str(full_space(2))]
     assert unit_row["plain"] == top_sieve(ctx.plain, ctx.plain_stage)

@@ -33,7 +33,7 @@ from sieveval.errors import UnknownObjectError
 from sieveval.sieves import (
     atom_global_element,
     atom_presheaf,
-    characteristic_unchecked,
+    characteristic_table,
     is_sieve,
     proposition_presheaf,
     true_subobject,
@@ -170,9 +170,10 @@ def test_random_states_oracle_and_bridge(state_vector, extra_props):
     r = full_space(2)
     sigma = atom_global_element(plain, atoms, r)
     true_t = true_subobject(sigma, propositions)
+    table = characteristic_table(plain, true_t, propositions)
     for o in range(plain.n_objects):
         for p in universe:
-            chi = characteristic_unchecked(plain, true_t, propositions, o, p)
+            chi = table[o][propositions.index[o][p]]
             assert chi == valuation(plain, o, r, p)
     for m in plain.sieve_masks(ctx.plain_stage, 4096):
         s = Sieve(ctx.plain_stage, m)
@@ -216,6 +217,7 @@ def test_random_states_fine_observable_floor_and_monotonicity(state_vector, extr
             for q in ordered:
                 if leq(p, q):
                     assert value <= valuation(site, stage, r, q)
-        verdict = ib_condition_check(site, stage, r, ordered, floor)
+        row = [valuation(site, stage, r, p) for p in ordered]
+        verdict = ib_condition_check(site, stage, r, ordered, row, floor)
         assert verdict["monotonicity"] and verdict["exclusivity"] and verdict["unit"]
         assert verdict["null_equals_floor"] and verdict["null_passes_in_delta"]

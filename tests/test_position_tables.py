@@ -337,17 +337,34 @@ def test_a_non_associative_product_table_is_found():
         assert site.compose(site.compose(h, g), f) != site.compose(h, site.compose(g, f))
 
 
-def test_a_missing_identity_is_reported():
+def two_rays_without_identity_at_1():
+    """The two-ray, identity-only site, and a copy with object 1's identity removed."""
     e1, e2 = span([1, 0]), span([0, 1])
     monoid = close_monoid([], cap=1, dim=2)
     site, _ = build_plain_site(
         Observable("Z", (e1, e2)), monoid, [ray_from_vector([1, 0]), ray_from_vector([0, 1])], cap=2
     )
-    assert identity_violations(site) == []
     kept = tuple(a for a in site.arrows if a.dom == 0)
     without = PlainSite(site.observables, site.monoid, site.rays, site.objects, kept, site.rho_leq)
+    return site, without
+
+
+def test_a_missing_identity_is_reported():
+    site, without = two_rays_without_identity_at_1()
+    assert identity_violations(site) == []
     assert identity_violations(without) == [1]
     assert associativity_violations(without) == []
+
+
+@pytest.mark.parametrize("stage_1", [(span([0, 1]),), (span([1, 0]), span([0, 1]))])
+def test_a_presheaf_on_a_site_missing_an_identity_names_the_object(stage_1):
+    # One value at stage 1 used to validate, two used to report the identity
+    # table as wrong: both read the last arrow's table for the missing identity.
+    _, without = two_rays_without_identity_at_1()
+    values = ((span([1, 0]),), stage_1)
+    presheaf = build_presheaf(without, lambda o: values[o], lambda a, x: x)
+    with pytest.raises(SievevalError, match="^object 1 has no identity arrow$"):
+        presheaf.validate()
 
 
 # ---------------------------------------------------------------------------

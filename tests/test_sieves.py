@@ -10,7 +10,6 @@ from sieveval import (
     build_scenario,
     bundled_scenario_names,
     bundled_scenario_path,
-    characteristic,
     close_monoid,
     diagonal_matrix,
     filter_check,
@@ -29,7 +28,7 @@ from sieveval import (
     zero_space,
 )
 from sieveval import sieves
-from sieveval.errors import EnumerationExceeded, NaturalityError, NotASubPresheaf
+from sieveval.errors import EnumerationExceeded, NaturalityError
 from sieveval.sieves import (
     GlobalElement,
     _forced_pointwise_unique,
@@ -38,7 +37,7 @@ from sieveval.sieves import (
     atom_presheaf,
     build_presheaf,
     bottom_sieve,
-    characteristic_unchecked,
+    characteristic_table,
     is_sieve,
     omega_presheaf,
     delta_omega_presheaf,
@@ -161,27 +160,23 @@ def test_heyting_adjunction_exhaustive(qubit_site):
                 assert (heyting_meet(s, x) <= t) == (x <= imp)
 
 
+def classify(site, true_t, propositions, obj, x):
+    """The entry of the characteristic table that classifies x at obj."""
+    return characteristic_table(site, true_t, propositions)[obj][propositions.index[obj][x]]
+
+
 def test_characteristic_examples(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     top = top_sieve(site, 0)
     # membership at the stage forces the top sieve
-    assert characteristic(site, true_t, propositions, 0, span([1, 0])) == top
-    assert characteristic(site, true_t, propositions, 0, full_space(2)) == top
+    assert classify(site, true_t, propositions, 0, span([1, 0])) == top
+    assert classify(site, true_t, propositions, 0, full_space(2)) == top
     # a value never reaching the subobject classifies to the bottom
-    chi_zero = characteristic(site, true_t, propositions, 1, zero_space(2))
+    chi_zero = classify(site, true_t, propositions, 1, zero_space(2))
     assert chi_zero == bottom_sieve(1)
     # the worked example: the opposite eigenray classifies to the annihilator
-    chi = characteristic(site, true_t, propositions, 0, span([0, 1]))
+    chi = classify(site, true_t, propositions, 0, span([0, 1]))
     assert arrows_by_op(site, 0, chi) == {2}
-
-
-def test_characteristic_requires_subpresheaf(qubit_setup):
-    site, propositions, _, _, _ = qubit_setup
-    constant_full = build_presheaf(
-        site, lambda o: (full_space(2),), lambda a, p: full_space(2)
-    )
-    with pytest.raises(NotASubPresheaf):
-        characteristic(site, constant_full, propositions, 0, span([1, 0]))
 
 
 def test_true_subobject_values(qubit_setup):
@@ -256,7 +251,7 @@ def test_valuation_equals_characteristic_everywhere(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     for o in range(site.n_objects):
         for p in QUBIT_UNIVERSE:
-            assert characteristic(site, true_t, propositions, o, p) == valuation(
+            assert classify(site, true_t, propositions, o, p) == valuation(
                 site, o, span([1, 0]), p
             )
 
@@ -310,11 +305,16 @@ def test_delta_omega_degenerate_cases(qubit_site):
     assert len(no_floor) == len(sieves_on(site, 1, 64))
 
 
+def pair(site, n, m):
+    """A semi-classifier audit input: n, m and the characteristic table of n in m."""
+    return (n, m, characteristic_table(site, n, m))
+
+
 def test_semiclassifier_on_full_classifier(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     omega = omega_presheaf(site, cap=64)
     rows = semiclassifier_check(
-        site, omega, omega, tau_values(site), [(true_t, propositions)]
+        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)]
     )
     assert all(r["passed"] for r in rows)
 
@@ -324,7 +324,7 @@ def test_semiclassifier_delta(qubit_setup):
     omega = omega_presheaf(site, cap=64)
     delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
     rows = semiclassifier_check(
-        site, delta, omega, tau_values(site), [(true_t, propositions)]
+        site, delta, omega, tau_values(site), [pair(site, true_t, propositions)]
     )
     assert all(r["passed"] for r in rows)
     assert rows[0]["uniqueness_mode"] in ("enumerated", "forced-pointwise")
@@ -338,7 +338,7 @@ def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
     sigma2 = atom_global_element(site, atoms, span([0, 1]))
     other_t = true_subobject(sigma2, propositions)
     rows = semiclassifier_check(
-        site, delta, omega, tau_values(site), [(other_t, propositions)]
+        site, delta, omega, tau_values(site), [pair(site, other_t, propositions)]
     )
     assert not rows[0]["factors"]
     assert not rows[0]["passed"]
@@ -355,7 +355,7 @@ def test_semiclassifier_enumerated_uniqueness_small():
     true_t = true_subobject(sigma, propositions)
     omega = omega_presheaf(site, cap=8)
     rows = semiclassifier_check(
-        site, omega, omega, tau_values(site), [(true_t, propositions)]
+        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)]
     )
     assert rows[0]["passed"]
     assert rows[0]["uniqueness_mode"] == "enumerated"
@@ -383,10 +383,11 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
     atoms = atom_presheaf(site, lambda o: site.observable)
     omega = omega_presheaf(site, cap=64)
     delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
-    pairs = [
-        (true_subobject(atom_global_element(site, atoms, r), propositions), propositions)
+    subobjects = [
+        true_subobject(atom_global_element(site, atoms, r), propositions)
         for r in (span([1, 0]), span([0, 1]))
     ]
+    pairs = [pair(site, t, propositions) for t in subobjects]
     enumerated, forced = _forced_and_enumerated(monkeypatch, site, delta, omega, pairs)
     assert _verdicts(enumerated) == _verdicts(forced)
     assert [r["passed"] for r in forced] == [True, False]
@@ -400,7 +401,7 @@ def test_semiclassifier_uniqueness_modes_agree_single_object(monkeypatch):
     atoms = atom_presheaf(site, lambda o: unit)
     true_t = true_subobject(atom_global_element(site, atoms, full_space(1)), propositions)
     omega = omega_presheaf(site, cap=8)
-    enumerated, forced = _forced_and_enumerated(monkeypatch, site, omega, omega, [(true_t, propositions)])
+    enumerated, forced = _forced_and_enumerated(monkeypatch, site, omega, omega, [pair(site, true_t, propositions)])
     assert _verdicts(enumerated) == _verdicts(forced) == [(True, True, True, True)]
 
 
@@ -415,10 +416,7 @@ def _doctored(delta, values=None, transition=None):
 def test_forced_uniqueness_rejects_a_doctored_semiclassifier(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     delta = delta_omega_presheaf(omega_presheaf(site, cap=64), annihilator_floors(site, span([1, 0])))
-    chi = tuple(
-        tuple(characteristic_unchecked(site, true_t, propositions, o, x) for x in stage)
-        for o, stage in enumerate(propositions.values)
-    )
+    chi = characteristic_table(site, true_t, propositions)
     tau = tau_values(site)
     assert _forced_pointwise_unique(site, delta, propositions, true_t, tau, chi)
     # Transitions that send every sieve to the top are not the pullback.
@@ -434,7 +432,8 @@ def test_forced_uniqueness_rejects_a_doctored_semiclassifier(qubit_setup):
 
 def test_ib_condition_check(qubit_site):
     floor = annihilator_floors(qubit_site, span([1, 0]))[0]
-    verdict = ib_condition_check(qubit_site, 0, span([1, 0]), QUBIT_UNIVERSE, floor)
+    row = [valuation(qubit_site, 0, span([1, 0]), p) for p in QUBIT_UNIVERSE]
+    verdict = ib_condition_check(qubit_site, 0, span([1, 0]), QUBIT_UNIVERSE, row, floor)
     assert verdict["monotonicity"]
     assert verdict["exclusivity"]
     assert verdict["unit"]
@@ -446,7 +445,7 @@ def test_ib_condition_check(qubit_site):
 
 def test_ib_degenerate_universe(qubit_site):
     floor = annihilator_floors(qubit_site, span([1, 0]))[0]
-    verdict = ib_condition_check(
-        qubit_site, 0, span([1, 0]), [zero_space(2), full_space(2)], floor
-    )
+    universe = [zero_space(2), full_space(2)]
+    row = [valuation(qubit_site, 0, span([1, 0]), p) for p in universe]
+    verdict = ib_condition_check(qubit_site, 0, span([1, 0]), universe, row, floor)
     assert verdict["monotonicity"] and verdict["unit"]

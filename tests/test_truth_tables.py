@@ -1,0 +1,147 @@
+"""The per-run truth-value tables.
+
+A built run holds, per site, the direct valuation of every proposition at
+every stage (`BuiltRun.values`, `values_ext` on the extended site) and the
+characteristic table of the true subobject (`chi`, `chi_ext`).
+
+Differential: every table entry equals a fresh `valuation` call and every
+chi a fresh `characteristic_table`, on the bundled scenarios and on
+generated chains.  Counts: one cold `run_check` of the bundled scenarios
+builds each table once, and `dump-site` and `valuate` build none.  Witness:
+a doctored table entry fails its oracle row, which names the entry.
+"""
+
+from collections import Counter
+
+import pytest
+
+from sieveval import (
+    build_scenario,
+    bundled_scenario_names,
+    bundled_scenario_path,
+    dump_site,
+    load_scenario,
+    run_check,
+    run_valuate,
+    scenario_from_dict,
+)
+from sieveval import bridge, checks, runner, sieves
+from sieveval.sieves import bottom_sieve, characteristic_table, top_sieve, valuation
+
+
+def bundled(name):
+    return build_scenario(load_scenario(bundled_scenario_path(name)))
+
+
+def table_sites(run):
+    """(site, propositions, true subobject, values, chi) per site of a run."""
+    sites = [(run.plain, run.propositions_l, run.true_t, run.values, run.chi)]
+    if run.has_extended:
+        sites.append(
+            (run.rest, run.propositions_l_ext, run.true_t_ext, run.values_ext, run.chi_ext)
+        )
+    return sites
+
+
+def assert_tables_are_fresh(built):
+    entries = 0
+    for run in built.runs:
+        for site, propositions, true_t, values, chi in table_sites(run):
+            assert chi == characteristic_table(site, true_t, propositions)
+            assert [len(row) for row in values] == [len(stage) for stage in propositions.values]
+            for o, stage in enumerate(propositions.values):
+                for p, value in zip(stage, values[o]):
+                    assert value == valuation(site, o, run.r_space, p)
+                    entries += 1
+    assert entries
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_tables_equal_fresh_valuations_on_bundled_scenarios(name):
+    assert_tables_are_fresh(bundled(name))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_tables_equal_fresh_valuations_on_chains(dim, workloads):
+    built = build_scenario(scenario_from_dict(workloads.chain_scenario(13, dim)))
+    assert any(run.has_extended for run in built.runs)
+    assert_tables_are_fresh(built)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of `valuation` and `characteristic_table` calls, through every
+    module that binds either name."""
+    counts = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for module in (sieves, runner, checks, bridge):
+        for name in ("valuation", "characteristic_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
+def test_one_cold_check_builds_each_table_once(calls):
+    for name in bundled_scenario_names():
+        assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
+    # 682 table entries over the plain and extended sites, plus one value per
+    # proposition on each run's reachable-part restriction (Eq 3.56).
+    assert calls["valuation"] <= 777
+    # One chi per site of each run, plus one per constructed adversarial subobject.
+    assert calls["characteristic_table"] == 24
+
+
+def test_dump_site_and_valuate_build_no_table(calls):
+    path = bundled_scenario_path("qubit_extended")
+    dump_site(load_scenario(path))
+    assert calls == Counter()
+    report = run_valuate(load_scenario(path), "coarse")
+    # One plain and one extended value per proposition, at the run's stage only.
+    assert calls == Counter(valuation=2 * len(report["valuation"]["propositions"]))
+
+
+def doctor(site, table, o, i):
+    """The table with entry (o, i) replaced by a different sieve on the same object."""
+    rows = [list(row) for row in table]
+    rows[o][i] = bottom_sieve(o) if table[o][i].mask else top_sieve(site, o)
+    return tuple(tuple(row) for row in rows)
+
+
+def test_a_doctored_plain_entry_fails_eq_3_37_and_is_named():
+    run = bundled("qubit").runs[0]
+    o, i = run.plain.n_objects - 1, len(run.universe) - 1
+    run.values = doctor(run.plain, run.values, o, i)
+    row = checks._oracle_rows(run)[0]
+    assert row["tag"] == "Eq 3.21 = Eq 3.37"
+    assert not row["passed"]
+    assert row["details"]["witness"] == {
+        "stage": o,
+        "proposition": run.universe_names[run.universe[i]],
+    }
+
+
+def test_a_doctored_extended_entry_fails_eq_4_28_and_is_named():
+    run = next(run for run in bundled("qubit_extended").runs if run.has_extended)
+    o, i = run.rest_stage, 2
+    run.values_ext = doctor(run.rest, run.values_ext, o, i)
+    (row,) = [row for row in checks._extended_site_rows(run) if row["tag"] == "Eq 4.28"]
+    assert not row["passed"]
+    assert row["details"]["witness"] == {
+        "stage": o,
+        "proposition": run.universe_names[run.universe[i]],
+    }
+
+
+def test_passing_oracle_rows_carry_no_witness():
+    run = bundled("qubit_extended").runs[0]
+    (row,) = [row for row in checks._extended_site_rows(run) if row["tag"] == "Eq 4.28"]
+    assert row["passed"] and "details" not in row
+    row = checks._oracle_rows(run)[0]
+    assert row["passed"] and "witness" not in row["details"]

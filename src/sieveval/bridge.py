@@ -11,16 +11,19 @@ masks of the lifted arrows, flattening relabels the fixed-observable bits.
 The stages they range over are listed by the sites themselves
 (`Site.sieve_masks`), and each listing lives as long as its site.  The
 fixpoint subfunctor ♮Ω is cut from the extended classifier by the one
-natural-sieve filter, `is_natural_at`.
+natural-sieve filter, `is_natural_at`.  The stage-isomorphism audit
+(`heyting_iso_check`) reads `sieves.LazyTable`s of sharp, flat, the
+natural map and the implications, each local to the call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import InternalCheckError, NotASubPresheaf, UnknownObjectError
 from .sieves import (
+    LazyTable,
     Presheaf,
     Sieve,
     is_heyting_family,
@@ -148,124 +151,87 @@ def natural_omega(omega: Presheaf) -> Presheaf:
     return subpresheaf(omega, lambda o, s: is_natural_at(site, o, s))
 
 
-def _memo(fn, ctx: BridgeContext, base: int) -> Callable[[int], int]:
-    """`fn` on the masks of sieves based at `base`, computed once per mask."""
-    table: dict[int, int] = {}
-
-    def image(mask: int) -> int:
-        found = table.get(mask)
-        if found is None:
-            found = table[mask] = fn(ctx, Sieve(base, mask)).mask
-        return found
-
-    return image
-
-
-def _preserves_lattice(f: Callable[[int], int], masks: list[int]) -> bool:
-    """f preserves the join and the meet of every pair."""
+def _preserves_lattice(f: LazyTable, masks: list[int]) -> bool:
+    """f preserves the join and the meet of every pair, compared row by row."""
+    images = [f[t] for t in masks]
     return all(
-        f(s | t) == f(s) | f(t) and f(s & t) == f(s) & f(t) for s in masks for t in masks
+        [f[s | t] for t in masks] == [fs | ft for ft in images]
+        and [f[s & t] for t in masks] == [fs & ft for ft in images]
+        for s, fs in zip(masks, images)
     )
 
 
-def _dominates_transport(f: Callable[[int], int], implies_from, implies_to, masks) -> bool:
-    """f(s ⇒ t) lies below f(s) ⇒ f(t) for every pair."""
-    return all(
-        not f(implies_from(s, t)) & ~implies_to(f(s), f(t)) for s in masks for t in masks
-    )
+def _dominates_transport(f: LazyTable, implies_from, implies_to, masks: list[int]) -> bool:
+    """f(s ⇒ t) lies below f(s) ⇒ f(t) for every pair, compared row by row
+    (a <= b iff a | b == b); both implications are keyed on s minus t
+    (`sieves.stage_implies`)."""
+    images = [f[t] for t in masks]
+    for s, fs in zip(masks, images):
+        bounds = [implies_to[fs & ~ft] for ft in images]
+        if [f[implies_from[s & ~t]] | b for t, b in zip(masks, bounds)] != bounds:
+            return False
+    return True
 
 
 def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     """Exhaustive audit of the stage isomorphism and its implication transport.
 
-    `sharp`, `flat` and `natural_map` run once per distinct sieve, and each
-    stage implication once per distinct `s & ~t` (`stage_implies`), into
-    tables local to this call; the pairs are then dictionary lookups on
-    masks, since every sieve here is based at the plain stage or at the
-    extended stage.  The fixpoints are the sieves the natural-sieve filter
-    `is_natural_at` accepts, so the up-down round trip is a check, and
-    `is_heyting_family` audits them under the transported implication.
+    `sharp`, `flat` and `natural_map` are tables filled once per distinct
+    mask, and each stage implication a table filled once per distinct
+    `s & ~t` (`stage_implies`), all local to this call; every sieve here is
+    based at the plain stage or at the extended stage, so the pair loops
+    are table reads on masks.  The fixpoints are the sieves the
+    natural-sieve filter `is_natural_at` accepts, so the up-down round trip
+    is a check.  The transported implication `y ↦ up[plain[down[y]]]` is
+    keyed on `y = s & ~t` too (flat commutes with `&` and `~`), so the
+    transport, domination and closure clauses run once per distinct y of
+    the fixpoint pairs (closure failures counted per pair), and
+    `is_heyting_family` audits the fixpoints under it.
     """
     plain_masks = ctx.plain.sieve_masks(ctx.plain_stage, cap)
     ext_masks = ctx.extended.sieve_masks(ctx.stage, cap)
     fixpoints = [
         m for m in ext_masks if is_natural_at(ctx.extended, ctx.stage, Sieve(ctx.stage, m))
     ]
-    up = _memo(sharp, ctx, ctx.plain_stage)
-    down = _memo(flat, ctx, ctx.stage)
+    up = LazyTable(lambda m: sharp(ctx, Sieve(ctx.plain_stage, m)).mask)
+    down = LazyTable(lambda m: flat(ctx, Sieve(ctx.stage, m)).mask)
+    natural = LazyTable(lambda m: natural_map(ctx, Sieve(ctx.stage, m)).mask)
     plain_implies = stage_implies(ctx.plain, ctx.plain_stage)
     ext_implies = stage_implies(ctx.extended, ctx.stage)
-
-    round_trip_down_up = all(down(up(s)) == s for s in plain_masks)
-    round_trip_up_down = all(up(down(s)) == s for s in fixpoints)
-    bijection = len(fixpoints) == len(plain_masks)
-    image_is_fixpoints = {up(s) for s in plain_masks} == set(fixpoints)
+    # The plain implication carried to the fixpoints, keyed like the others.
+    fix = LazyTable(lambda y: up[plain_implies[down[y]]])
+    pairs = Counter(s1 & ~s2 for s1 in fixpoints for s2 in fixpoints)
     plain_top = top_sieve(ctx.plain, ctx.plain_stage).mask
     ext_top = top_sieve(ctx.extended, ctx.stage).mask
-    tops_and_bottoms = (
-        up(plain_top) == ext_top and down(ext_top) == plain_top and up(0) == 0 and down(0) == 0
-    )
-    lattice_preserved = _preserves_lattice(up, plain_masks) and _preserves_lattice(
-        down, ext_masks
-    )
-
-    def fixpoint_implies(s: int, t: int) -> int:
-        """The plain implication carried to the fixpoints."""
-        return up(plain_implies(down(s), down(t)))
-
-    natural = _memo(natural_map, ctx, ctx.stage)
-    implies_transport = True
-    implies_dominates = True
-    strict_somewhere = False
-    closure_failures = 0
-    for s1 in fixpoints:
-        for s2 in fixpoints:
-            imp = fixpoint_implies(s1, s2)
-            if down(imp) != plain_implies(down(s1), down(s2)):
-                implies_transport = False
-            amb = ext_implies(s1, s2)
-            if imp & ~amb:
-                implies_dominates = False
-            elif imp != amb:
-                strict_somewhere = True
-            if natural(amb) != amb:
-                closure_failures += 1
-    fixpoint_adjunction = is_heyting_family(fixpoints, fixpoint_implies, fixpoints)
-
-    pseudo_inequality = _dominates_transport(
-        up, plain_implies, ext_implies, plain_masks
-    ) and _dominates_transport(down, ext_implies, plain_implies, ext_masks)
-
+    verdicts = {
+        "round_trip_down_up": all(down[up[s]] == s for s in plain_masks),
+        "round_trip_up_down": all(up[down[s]] == s for s in fixpoints),
+        "bijection": len(fixpoints) == len(plain_masks),
+        "image_is_fixpoints": {up[s] for s in plain_masks} == set(fixpoints),
+        "tops_and_bottoms": (up[plain_top], down[ext_top], up[0], down[0]) == (ext_top, plain_top, 0, 0),
+        "lattice_preserved": (
+            _preserves_lattice(up, plain_masks) and _preserves_lattice(down, ext_masks)
+        ),
+        "implies_transport": all(down[fix[y]] == plain_implies[down[y]] for y in pairs),
+        "implies_dominates": all(not fix[y] & ~ext_implies[y] for y in pairs),
+        "fixpoint_adjunction": is_heyting_family(fixpoints, fix, fixpoints),
+        "pseudocomplement_inequality": (
+            _dominates_transport(up, plain_implies, ext_implies, plain_masks)
+            and _dominates_transport(down, ext_implies, plain_implies, ext_masks)
+        ),
+    }
     return {
         "plain_count": len(plain_masks),
         "extended_count": len(ext_masks),
         "fixpoint_count": len(fixpoints),
-        "round_trip_down_up": round_trip_down_up,
-        "round_trip_up_down": round_trip_up_down,
-        "bijection": bijection,
-        "image_is_fixpoints": image_is_fixpoints,
-        "tops_and_bottoms": tops_and_bottoms,
-        "lattice_preserved": lattice_preserved,
-        "implies_transport": implies_transport,
-        "implies_dominates": implies_dominates,
-        "fixpoint_adjunction": fixpoint_adjunction,
-        "implies_strict_somewhere": strict_somewhere,
-        "implies_closure_failures": closure_failures,
-        "pseudocomplement_inequality": pseudo_inequality,
-        "passed": all(
-            [
-                round_trip_down_up,
-                round_trip_up_down,
-                bijection,
-                image_is_fixpoints,
-                tops_and_bottoms,
-                lattice_preserved,
-                implies_transport,
-                implies_dominates,
-                fixpoint_adjunction,
-                pseudo_inequality,
-            ]
+        **verdicts,
+        "implies_strict_somewhere": any(
+            fix[y] != ext_implies[y] and not fix[y] & ~ext_implies[y] for y in pairs
         ),
+        "implies_closure_failures": sum(
+            count for y, count in pairs.items() if natural[ext_implies[y]] != ext_implies[y]
+        ),
+        "passed": all(verdicts.values()),
     }
 
 

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrixError
-from .rationals import ZERO, GaussianRational, gaussian
+from .rationals import ZERO, GaussianRational, fraction_hash, gaussian
 
 Vector = tuple[GaussianRational, ...]
 IntegerRow = tuple[tuple[int, int], ...]
@@ -35,7 +35,7 @@ class ExactMatrix:
     The constructor brings the fraction to lowest terms: the denominator is
     positive and no integer above 1 divides it and every part of every
     numerator.  The hash is the structural hash of (rows, cols, entries),
-    computed once, on first use.
+    computed once, on first use, from the integers.
     """
 
     __slots__ = ("rows", "cols", "numerators", "denominator", "_hash")
@@ -65,8 +65,18 @@ class ExactMatrix:
         )
 
     def __hash__(self) -> int:
+        # A tuple's hash reads only its items' hashes, and an entry hashes as
+        # the pair of its parts, so pairs of part hashes stand in for `entries`.
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.entries)))
+            d = self.denominator
+            if d == 1:  # an int hashes as the Fraction equal to it
+                parts = self.numerators
+            else:
+                parts = tuple(
+                    tuple((fraction_hash(a, d), fraction_hash(b, d)) for a, b in row)
+                    for row in self.numerators
+                )
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, parts)))
         return self._hash
 
     def __repr__(self) -> str:

@@ -12,7 +12,9 @@ equality and hashing are exact.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
@@ -20,6 +22,21 @@ _RAT = r"[+-]?\d+(?:/\d+)?"
 _REAL_ONLY = re.compile(rf"({_RAT})\Z")
 _IMAG_ONLY = re.compile(rf"([+-]?)((?:\d+(?:/\d+)?)?)\s*i\Z")
 _REAL_IMAG = re.compile(rf"({_RAT})\s*([+-])\s*((?:\d+(?:/\d+)?)?)\s*i\Z")
+
+
+def fraction_hash(a: int, d: int) -> int:
+    """`hash(Fraction(a, d))` for d > 0 without building the Fraction, by
+    CPython's rule: reduce to p/q, hash |p| times q's inverse modulo the hash
+    prime (infinite if q has none), give it p's sign, and read -1 as -2."""
+    common = gcd(a, d)
+    p, q = a // common, d // common
+    try:
+        value = hash(hash(abs(p)) * pow(q, -1, sys.hash_info.modulus))
+    except ValueError:
+        value = sys.hash_info.inf
+    if p < 0:
+        value = -value
+    return -2 if value == -1 else value
 
 
 class GaussianRational:

@@ -15,12 +15,14 @@ from tables the site owns: per arrow f, the pairs (g, g∘f) and the principal
 mask of f.  Implication is then m ∈ (S ⇒ T) iff `principal[m] & S & ~T` is
 empty, and pulling S back along m is one pass over the pairs of m.
 
-The stage audits check every pair of sieves, at O(1) amortised per pair:
-`stage_implies` memoises the implication on `s & ~t`, the only part of s
-and t it reads, and `is_heyting_family` compares, per pair, two bitsets of
-the probes that miss `s & ~t` and `~(s ⇒ t)`, memoised on the mask.  So a
-family of N sieves with k probes costs N² lookups plus k work per distinct
-key.  Neither table outlives the closure or the call that built it.
+The stage audits read tables.  In a lattice of down-sets, s ⇒ t is the
+largest sieve missing s minus t, so it depends on `y = s & ~t` alone:
+`stage_implies` is a `LazyTable` keyed on y, filled once per distinct y.
+`is_heyting_family` checks closure under `|` and `&` on every pair, one
+row at a time, and the implication's clauses (membership, modus ponens,
+the probe adjunction) once per distinct y.  So a family of N sieves with k
+probes costs N² closure reads plus O(k) work per distinct y.  A table
+lives as long as the call that uses it.
 
 Presheaves: a `Presheaf` lists each stage's values and stores each arrow's
 transition as a position table, a tuple giving for every position of the
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, KeysView, Sequence
+from typing import Callable, Hashable, Iterator, KeysView, Mapping, Sequence
 
 from .errors import InternalCheckError, NaturalityError
 from .modal import compute_atoms
@@ -165,51 +167,49 @@ def heyting_implies(site, s1: Sieve, s2: Sieve) -> Sieve:
     return Sieve(s1.base, members)
 
 
-def stage_implies(site, base: int) -> Callable[[int, int], int]:
-    """`heyting_implies` on the masks of sieves based at `base`, memoised on
-    `s & ~t`: the implication reads nothing else of s and t, so the table is
-    exact.  It lives as long as the returned function."""
-    table: dict[int, int] = {}
+class LazyTable(dict):
+    """A dict that fills a missing key with `fn(key)`, computed once."""
 
-    def implies(s: int, t: int) -> int:
-        outside = s & ~t
-        found = table.get(outside)
-        if found is None:
-            found = table[outside] = heyting_implies(site, Sieve(base, s), Sieve(base, t)).mask
-        return found
+    def __init__(self, fn: Callable):
+        self.fn = fn
 
-    return implies
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-def is_heyting_family(masks: Sequence[int], implies: Callable, probes: Sequence[int]) -> bool:
+def stage_implies(site, base: int) -> LazyTable:
+    """`heyting_implies` on sieves based at `base`, keyed on `y = s & ~t`:
+    `table[s & ~t]` is the mask of s ⇒ t, which reads nothing else of s and
+    t.  Each key costs one `heyting_implies` call."""
+    return LazyTable(lambda y: heyting_implies(site, Sieve(base, y), Sieve(base, 0)).mask)
+
+
+def is_heyting_family(masks: Sequence[int], implication: Mapping[int, int], probes: Sequence[int]) -> bool:
     """Whether masks on one base form a Heyting algebra under `|`, `&` and
-    `implies`: each pair's join, meet and implication are members, s ⇒ t
-    misses s minus t, and x ∧ s <= t iff x <= (s ⇒ t) for every probe x.
-    Probes need only join-generate the family, as the principal sieves of a
-    base do for its sieves: every sieve is the union of the principal ones.
-
-    x ∧ s <= t iff x misses s minus t, and x <= imp iff x misses ~imp, so the
-    adjunction holds on every probe iff `missed_by(s & ~t) == missed_by(~imp)`,
-    where bit i of `missed_by(y)` is set iff probe i misses y.  Each distinct
-    y costs one pass over the probes, in a table local to this call.
+    `implication[s & ~t]` as s ⇒ t (a `stage_implies` table): each pair's
+    join, meet and implication are members, s ⇒ t misses s minus t, and
+    x ∧ s <= t iff x <= (s ⇒ t) for every probe x.  Probes need only
+    join-generate the family, as the principal sieves of a base do for its
+    sieves.  Closure is read on every pair; the other clauses see the pair
+    only through y = s & ~t (x ∧ s <= t iff x misses y, x <= imp iff x
+    misses ~imp), so they run once per distinct y.
     """
     members = set(masks)
-    missed: dict[int, int] = {}
-
-    def missed_by(y: int) -> int:
-        found = missed.get(y)
-        if found is None:
-            found = missed[y] = sum(1 << i for i, x in enumerate(probes) if not x & y)
-        return found
-
+    distinct: set[int] = set()
     for s in masks:
-        for t in masks:
-            imp = implies(s, t)
-            outside = s & ~t
-            if s | t not in members or s & t not in members or imp not in members or imp & outside:
-                return False
-            if missed_by(outside) != missed_by(~imp):
-                return False
+        if not (
+            members.issuperset([s | t for t in masks]) and members.issuperset([s & t for t in masks])
+        ):
+            return False
+        distinct.update([s & ~t for t in masks])
+    for y in distinct:
+        imp = implication[y]
+        if imp not in members or imp & y:
+            return False
+        not_imp = ~imp
+        if any((not x & y) != (not x & not_imp) for x in probes):
+            return False
     return True
 
 
@@ -458,24 +458,28 @@ def filter_check(site, s: Presheaf, universe: Presheaf) -> list[tuple]:
 # valuations
 
 
+def _valuation_row(site, obj: int, r: Subspace, propositions: Sequence[Subspace]) -> tuple[Sieve, ...]:
+    """Arrows F with F(P) above F of the stage atom, for each P.  The direct
+    formula: the stage atom and each arrow's image of it are computed once
+    per row."""
+    atom = project_onto_eigenspace(Ray(site.object_ray(obj)), r)
+    operators = [(1 << a, site.operator_matrix(site.arrow_op(a))) for a in site.arrows_from(obj)]
+    arrows = [(bit, f, apply_operator(f, atom)) for bit, f in operators]
+    return tuple([
+        Sieve(obj, sum(bit for bit, f, image in arrows if leq(image, apply_operator(f, p))))
+        for p in propositions
+    ])
+
+
 def valuation(site, obj: int, r: Subspace, p: Subspace) -> Sieve:
     """Arrows F with F(P) above F of the stage atom.  The direct formula."""
-    atom = project_onto_eigenspace(Ray(site.object_ray(obj)), r)
-    members = 0
-    for a in site.arrows_from(obj):
-        f = site.operator_matrix(site.arrow_op(a))
-        if leq(apply_operator(f, atom), apply_operator(f, p)):
-            members |= 1 << a
-    return Sieve(obj, members)
+    return _valuation_row(site, obj, r, (p,))[0]
 
 
 def valuation_table(site, r: Subspace, propositions: Presheaf) -> tuple[tuple[Sieve, ...], ...]:
     """`valuation` of every value of `propositions` at every stage, laid out
     like `characteristic_table`: `values[o][i]` values `propositions.values[o][i]`."""
-    return tuple([
-        tuple([valuation(site, o, r, p) for p in stage])
-        for o, stage in enumerate(propositions.values)
-    ])
+    return tuple([_valuation_row(site, o, r, stage) for o, stage in enumerate(propositions.values)])
 
 
 def bottom_annihilator(site, obj: int, e_r: Subspace) -> Sieve:
@@ -630,12 +634,8 @@ def ib_condition_check(
     annihilator floor (from `annihilator_floors`) is `floor`.  `row[i]` values
     `universe[i]` at obj (a stage row of `valuation_table`); `valuation`
     values a meet, unit or null outside the universe."""
-    values = dict(zip(universe, row))
-
-    def value(p: Subspace) -> Sieve:
-        found = values.get(p)
-        return valuation(site, obj, r, p) if found is None else found
-
+    values = LazyTable(lambda p: valuation(site, obj, r, p))
+    values.update(zip(universe, row))
     n = site.object_ray(obj).ambient_dim
     top = top_sieve(site, obj)
     monotone = all(
@@ -649,11 +649,11 @@ def ib_condition_check(
         if values[p] != top:
             continue
         for q in universe:
-            conj = value(meet(p, q))
+            conj = values[meet(p, q)]
             if conj != top and values[q] == top:
                 exclusive = False
-    unit = value(full_space(n)) == top
-    null_value = value(zero_space(n))
+    unit = values[full_space(n)] == top
+    null_value = values[zero_space(n)]
     return {
         "monotonicity": monotone,
         "exclusivity": exclusive,

@@ -8,10 +8,15 @@ the bundled scenarios and of a dim-4 chain, whose 85-sieve extended stage
 the old audit sampled.  The distributivity triple loop the old audit also
 ran holds for any family of ints; the rejection tests keep it as a foil.
 
-The helper and `stage_implies` memoise (on probe bitsets and on s minus t);
-the guard tests below hold them to the unmemoised loop and kernel on every
-pair, and on random families, probes and implications.
+The helper reads the implication as a table keyed on s minus t, as
+`stage_implies` builds it, and checks its clauses once per distinct key;
+the oracle reads the same table on every pair.  The guard tests below hold
+the table to the kernel on every pair, the helper to the oracle on random
+families, probes and implications, and count the kernel calls one audit
+makes.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +38,10 @@ from sieveval import (
 )
 from sieveval import bridge as bridge_module
 from sieveval import checks as checks_module
+from sieveval import sieves as sieves_module
 from sieveval.bridge import is_natural_at
 from sieveval.sieves import (
+    LazyTable,
     build_presheaf,
     delta_omega_presheaf,
     is_heyting_family,
@@ -98,7 +105,8 @@ CHAIN = chain(4)
 
 
 def oracle_is_heyting(masks, implies, probes=None) -> bool:
-    """The audit loop, probing every member unless `probes` are given."""
+    """The audit loop, probing every member unless `probes` are given;
+    `implies(s, t)` is read on every pair."""
     probes = masks if probes is None else probes
     members = set(masks)
     for s in masks:
@@ -123,18 +131,22 @@ def principal_probes(site, o):
     return [site.principal_masks[a] for a in site.arrows_from(o)]
 
 
+def pairwise(table):
+    """A table keyed on s minus t, read on a pair."""
+    return lambda s, t: table[s & ~t]
+
+
 def fixpoint_implies(ctx):
-    """The plain implication carried to the fixpoints through flat and sharp."""
-
-    def implies(s, t):
-        down_s, down_t = (flat(ctx, Sieve(ctx.stage, m)) for m in (s, t))
-        return sharp(ctx, heyting_implies(ctx.plain, down_s, down_t)).mask
-
-    return implies
+    """The plain implication carried to the fixpoints through flat and sharp,
+    keyed on s minus t: flat of s minus t is flat s minus flat t."""
+    empty = Sieve(ctx.plain_stage, 0)
+    return LazyTable(
+        lambda y: sharp(ctx, heyting_implies(ctx.plain, flat(ctx, Sieve(ctx.stage, y)), empty)).mask
+    )
 
 
 def stage_families():
-    """(label, masks, implies, probes) for every Ω stage, δΩ stage and
+    """(label, masks, implication table, probes) for every Ω stage, δΩ stage and
     fixpoint family of the bundled scenarios and of the chain."""
     scenarios = [load_scenario(bundled_scenario_path(n)) for n in bundled_scenario_names()]
     scenarios.append(scenario_from_dict(CHAIN))
@@ -172,9 +184,9 @@ def test_helper_agrees_with_the_exhaustive_oracle_on_every_stage_family():
     kinds = {label.rsplit("/", 1)[1].split(" ")[0] for label, *_ in families}
     assert kinds == {"Ω", "δΩ", "fixpoints"}
     assert any(len(masks) == 85 for _, masks, _, _ in families)
-    for label, masks, implies, probes in families:
-        assert is_heyting_family(masks, implies, probes), label
-        assert oracle_is_heyting(masks, implies), label
+    for label, masks, table, probes in families:
+        assert is_heyting_family(masks, table, probes), label
+        assert oracle_is_heyting(masks, pairwise(table)), label
 
 
 GUARDED = [
@@ -191,6 +203,7 @@ def test_memoised_stage_implication_is_the_kernel_on_every_pair(which):
         scenario = scenario_from_dict(chain(which))
     assert run_check(scenario)["passed"]
     stages = []
+    fixpoint_families = []
     for run in build_scenario(scenario).runs:
         for site in (run.plain, run.rest):
             if site is not None:
@@ -200,11 +213,22 @@ def test_memoised_stage_implication_is_the_kernel_on_every_pair(which):
                 ]
         delta = delta_omega_presheaf(omega_presheaf(run.plain, CAP), run.floors)
         stages += [(run.plain, o, delta.values[o]) for o in range(run.plain.n_objects)]
+        if run.ctx is not None:
+            ctx = run.ctx
+            sieves = [Sieve(ctx.stage, m) for m in ctx.extended.sieve_masks(ctx.stage, CAP)]
+            fixpoint_families.append((ctx, [s for s in sieves if is_natural_at(ctx.extended, ctx.stage, s)]))
     for site, o, sieves in stages:
-        implies = stage_implies(site, o)
+        table = stage_implies(site, o)
         for s in sieves:
             for t in sieves:
-                assert implies(s.mask, t.mask) == heyting_implies(site, s, t).mask
+                assert table[s.mask & ~t.mask] == heyting_implies(site, s, t).mask
+    # The fixpoint implication keyed on s minus t is the per-pair transport.
+    for ctx, fixpoints in fixpoint_families:
+        table = fixpoint_implies(ctx)
+        for s in fixpoints:
+            for t in fixpoints:
+                transported = sharp(ctx, heyting_implies(ctx.plain, flat(ctx, s), flat(ctx, t)))
+                assert table[s.mask & ~t.mask] == transported.mask
 
 
 @st.composite
@@ -234,25 +258,26 @@ def test_helper_agrees_with_the_oracle_on_random_families(data):
     masks, principal, dropped = data.draw(sieve_families())
     top = (1 << len(principal)) - 1
 
-    def honest(s, t):
-        outside = s & ~t
-        return sum(1 << m for m, p in enumerate(principal) if not p & outside)
+    def honest(y):
+        return sum(1 << m for m, p in enumerate(principal) if not p & y)
 
-    kind = data.draw(st.sampled_from(["honest", "top", "consequent", "non-member"]))
-    implies = {
-        "honest": honest,
-        "top": lambda s, t: top,
-        "consequent": lambda s, t: t,
-        "non-member": lambda s, t: (~s | t) & top,
-    }[kind]
+    kind = data.draw(st.sampled_from(["honest", "top", "bottom", "non-member"]))
+    table = LazyTable(
+        {
+            "honest": honest,
+            "top": lambda y: top,
+            "bottom": lambda y: 0,
+            "non-member": lambda y: ~y & top,
+        }[kind]
+    )
     probe_kind = data.draw(st.sampled_from(["principal", "family", "random"]))
     probes = {
         "principal": principal,
         "family": masks,
         "random": data.draw(st.lists(st.integers(0, top), max_size=6)),
     }[probe_kind]
-    verdict = is_heyting_family(masks, implies, probes)
-    assert verdict == oracle_is_heyting(masks, implies, probes)
+    verdict = is_heyting_family(masks, table, probes)
+    assert verdict == oracle_is_heyting(masks, pairwise(table), probes)
     if kind == "honest" and not dropped and probe_kind != "random":
         assert verdict
 
@@ -281,26 +306,24 @@ def test_helper_rejects_a_stage_missing_one_sieve():
 @pytest.mark.parametrize(
     "wrong",
     [
-        pytest.param(lambda top: lambda s, t: top, id="top"),  # modus ponens fails
-        pytest.param(lambda top: lambda s, t: t, id="consequent"),  # adjunction fails
-        pytest.param(lambda top: lambda s, t: (~s | t) & top, id="non-sieve"),  # not a member
+        pytest.param(lambda top: lambda y: top, id="top"),  # modus ponens fails
+        pytest.param(lambda top: lambda y: 0, id="bottom"),  # adjunction fails
+        pytest.param(lambda top: lambda y: ~y & top, id="non-sieve"),  # not a member
     ],
 )
 def test_helper_rejects_a_wrong_implication(wrong):
     site, o, masks = _qutrit_extended_stage()
-    implies = wrong(top_sieve(site, o).mask)
-    assert not is_heyting_family(masks, implies, principal_probes(site, o))
+    table = LazyTable(wrong(top_sieve(site, o).mask))
+    assert not is_heyting_family(masks, table, principal_probes(site, o))
     assert distributivity_loop(masks)
 
 
 def test_helper_rejects_a_family_not_closed_under_meets():
     # subsets of {0, 1, 2} with the Boolean implication; {0,1} ∧ {1,2} is missing
     family = [0b011, 0b110, 0b111]
+    implies = LazyTable(lambda y: ~y & 0b111)
 
-    def implies(s, t):
-        return (~s | t) & 0b111
-
-    assert all(implies(s, t) in family for s in family for t in family)
+    assert all(implies[s & ~t] in family for s in family for t in family)
     assert not is_heyting_family(family, implies, [0b001, 0b010, 0b100])
     assert distributivity_loop(family)
 
@@ -310,12 +333,59 @@ def test_helper_rejects_a_family_not_closed_under_joins():
     # {0} and {1} is not their union; probed on itself, as the fixpoints are
     a, b, top = 0b001, 0b010, 0b111
     family = [0, a, b, top]
-
-    def implies(s, t):
-        return max((x for x in family if not x & s & ~t), key=int.bit_count)
+    implies = LazyTable(lambda y: max((x for x in family if not x & y), key=int.bit_count))
 
     assert not is_heyting_family(family, implies, family)
     assert distributivity_loop(family)
+
+
+def _chain_85_sieve_stage():
+    """The chain's largest stage: 85 sieves on the extended site of `mid`."""
+    for run in build_scenario(scenario_from_dict(CHAIN)).runs:
+        if run.rest is not None:
+            for o in range(run.rest.n_objects):
+                masks = list(run.rest.sieve_masks(o, CAP))
+                if len(masks) == 85:
+                    return run.rest, o, masks
+    raise AssertionError("the chain has no 85-sieve stage")
+
+
+def test_one_audit_makes_one_kernel_call_per_distinct_key(monkeypatch):
+    site, o, masks = _chain_85_sieve_stage()
+    calls = Counter()
+    honest = sieves_module.heyting_implies
+
+    def counted(*args):
+        calls["heyting_implies"] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(sieves_module, "heyting_implies", counted)
+    assert is_heyting_family(masks, stage_implies(site, o), principal_probes(site, o))
+    assert len({s & ~t for s in masks for t in masks}) == 448
+    assert calls["heyting_implies"] == 448
+
+
+def _wrong_at_top(table, top):
+    """The table with top ⇒ ∅ (honestly ∅) read as top: wrong at one key."""
+    table[top] = top
+    return table
+
+
+def test_a_table_wrong_at_one_key_fails_the_helper_and_the_audit_row(monkeypatch):
+    site, o, masks = _chain_85_sieve_stage()
+    top = top_sieve(site, o).mask
+    probes = principal_probes(site, o)
+    assert stage_implies(site, o)[top] == 0
+    assert not is_heyting_family(masks, _wrong_at_top(stage_implies(site, o), top), probes)
+
+    honest = checks_module.stage_implies
+
+    def doctored(site, base):
+        return _wrong_at_top(honest(site, base), site.out_masks[base])
+
+    monkeypatch.setattr(checks_module, "stage_implies", doctored)
+    rows = _rows(run_check(scenario_from_dict(CHAIN)), "§3.1 Heyting")
+    assert rows and not any(row["passed"] for row in rows)
 
 
 def _rows(report, tag):
@@ -365,7 +435,7 @@ def test_modus_ponens_is_checked_without_probes():
     site, o, masks = _qutrit_extended_stage()
     top = top_sieve(site, o).mask
     assert is_heyting_family(masks, stage_implies(site, o), [])
-    assert not is_heyting_family(masks, lambda s, t: top, [])
+    assert not is_heyting_family(masks, LazyTable(lambda y: top), [])
 
 
 def test_fixpoint_adjunction_fails_under_a_wrong_plain_implication(monkeypatch):
@@ -374,7 +444,7 @@ def test_fixpoint_adjunction_fails_under_a_wrong_plain_implication(monkeypatch):
 
     def top_for_plain(site, base):
         if site is ctx.plain:
-            return lambda s, t: site.out_masks[base]
+            return LazyTable(lambda y: site.out_masks[base])
         return honest(site, base)
 
     assert heyting_iso_check(ctx, CAP)["fixpoint_adjunction"]

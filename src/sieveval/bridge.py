@@ -14,6 +14,10 @@ fixpoint subfunctor ♮Ω is cut from the extended classifier by the one
 natural-sieve filter, `is_natural_at`.  The stage-isomorphism audit
 (`heyting_iso_check`) reads `sieves.LazyTable`s of sharp, flat, the
 natural map and the implications, each local to the call.
+
+Prop 5.10's two detectors are tabulated once per subfunctor pair
+(`detector_tables`); Thm 5.11 reads the same tables, and reads its map's
+naturality from the position tables of the extended classifier Ω.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .sieves import (
     is_subpresheaf,
     lands_in,
     naturality_holds,
-    omega_transition,
     pullback_holds,
     stage_implies,
     subpresheaf,
@@ -235,71 +238,60 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     }
 
 
-def is_projective(
-    site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, x
-) -> tuple[bool, list[int]]:
-    """Membership along a rho-raising arrow must imply membership along its
-    fixed-rho twin.  Returns the verdict and the witnessing arrows."""
-    if not is_subpresheaf(n, m):
-        raise NotASubPresheaf("projectivity is asked of a subfunctor")
-    return _projective_at(site, n, m, obj, m.index[obj][x])
-
-
-def _projective_at(site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, i: int):
-    """`is_projective` for m's value at position i of stage obj, unchecked."""
-    witnesses = [
+def _projective_at(site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, i: int) -> list[int]:
+    """Projectivity of n at m's value at position i of stage obj: membership
+    along a rho-raising arrow must imply membership along its fixed-rho
+    twin.  Returns the arrows that break it (none if it holds)."""
+    return [
         a
         for a in site.arrows_from(obj)
         if lands_in(n, m, a, i) and not lands_in(n, m, site.rho_arrow_twin(a), i)
     ]
-    return (not witnesses, witnesses)
 
 
-def projectivity_matches_naturality(
-    site: ExtendedSite, n: Presheaf, m: Presheaf, chi
-) -> tuple[bool, list[tuple[int, object]]]:
-    """The two detectors of the same property must agree on every (stage, x),
-    with chi the characteristic table of n in m (`sieves.characteristic_table`)."""
+def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi) -> dict:
+    """Prop 5.10's two detectors at every value of m, once each, for a
+    subfunctor n of m with characteristic table chi, laid out like chi:
+    `witnesses`, the arrows along which n fails projectivity there
+    (`_projective_at`), and `natural_chi`, chi's value after the round trip,
+    equal to it iff it is natural (`is_natural_at`).  `mismatches` lists
+    the (stage, value) pairs where the detectors disagree."""
     if not is_subpresheaf(n, m):
-        raise NotASubPresheaf("detector comparison needs a subfunctor")
+        raise NotASubPresheaf("the detectors are asked of a subfunctor")
+    witnesses = tuple([
+        tuple([_projective_at(site, n, m, o, i) for i in range(len(stage))])
+        for o, stage in enumerate(chi)
+    ])
+    natural_chi = tuple([
+        tuple([natural_map_at(site, o, value) for value in stage]) for o, stage in enumerate(chi)
+    ])
     mismatches = [
         (o, m.values[o][i])
         for o, stage in enumerate(chi)
         for i, value in enumerate(stage)
-        if _projective_at(site, n, m, o, i)[0] != is_natural_at(site, o, value)
+        if (not witnesses[o][i]) != (natural_chi[o][i] == value)
     ]
-    return (not mismatches, mismatches)
+    return {"witnesses": witnesses, "natural_chi": natural_chi, "mismatches": mismatches}
 
 
-def natural_characteristic(site: ExtendedSite, n: Presheaf, m: Presheaf, chi) -> dict:
-    """The classifying map with the fixpoint subfunctor as target.
-
-    chi is the characteristic table of n in m (`sieves.characteristic_table`).
-    Checks that n is projective, that every stage value of chi is already a
-    natural sieve (so the map factors through the fixpoints), that the
-    factored map is natural, and that n is its pullback against the 'true'
-    section.  Uniqueness is the semi-classifier audit's
-    (`sieves.semiclassifier_check`).  `natural_chi` is laid out like chi.
-    """
-    if not is_subpresheaf(n, m):
-        raise NotASubPresheaf("characteristic factoring needs a subfunctor")
-    projective = all(
-        _projective_at(site, n, m, o, i)[0] for o, stage in enumerate(chi) for i in range(len(stage))
-    )
-    natural_chi = tuple([
-        tuple([natural_map_at(site, o, value) for value in stage]) for o, stage in enumerate(chi)
-    ])
+def natural_characteristic(n: Presheaf, m: Presheaf, chi, detectors: dict, omega: Presheaf) -> dict:
+    """The classifying map with the fixpoint subfunctor as target, from the
+    `detector_tables` of n in m: n is projective, every value of chi is
+    already a natural sieve (so the map factors through the fixpoints), the
+    factored map is natural into the extended classifier omega, and n is
+    its pullback against the 'true' section.  Uniqueness is the
+    semi-classifier audit's (`sieves.semiclassifier_check`)."""
+    site = m.site
+    natural_chi = detectors["natural_chi"]
+    projective = not any(any(stage) for stage in detectors["witnesses"])
     factorization = natural_chi == chi
-    naturality = naturality_holds(
-        site, natural_chi, m, lambda a, s: omega_transition(site, a, s)
-    )
+    naturality = naturality_holds(natural_chi, m, omega)
     pullback = pullback_holds(site, natural_chi, n, m, tau_values(site))
     return {
         "projective": projective,
         "factorization": factorization,
         "naturality": naturality,
         "pullback": pullback,
-        "natural_chi": natural_chi,
         "passed": projective and factorization and naturality and pullback,
     }
 

@@ -11,14 +11,12 @@ stage Heyting algebras are audited on principal probes.
 from __future__ import annotations
 
 from .bridge import (
+    detector_tables,
     equivalence_check,
     heyting_iso_check,
     is_natural_at,
-    is_projective,
     natural_characteristic,
     natural_map_at,
-    natural_omega,
-    projectivity_matches_naturality,
     sharp,
     sharp_by_intersection,
 )
@@ -38,15 +36,12 @@ from .sieves import (
     Sieve,
     atom_global_element,
     characteristic_table,
-    delta_omega_presheaf,
     filter_check,
     ib_condition_check,
     is_heyting_family,
     is_sieve,
     is_subpresheaf,
     naturality_holds,
-    omega_presheaf,
-    omega_transition,
     principal_sieve,
     pullback_holds,
     semiclassifier_check,
@@ -54,7 +49,7 @@ from .sieves import (
     subpresheaf,
     tau_values,
     top_sieve,
-    valuation,
+    valuation_row,
 )
 from .sites import (
     associativity_violations,
@@ -406,9 +401,7 @@ def _oracle_rows(run: BuiltRun) -> list[dict]:
         _row(
             "Eq 3.21",
             "characteristic morphism is natural",
-            naturality_holds(
-                site, chi, run.propositions_l, lambda a, s: omega_transition(site, a, s)
-            ),
+            naturality_holds(chi, run.propositions_l, run.omega),
             run=run.spec.name,
         ),
     ]
@@ -470,8 +463,8 @@ def _ib_rows(run: BuiltRun) -> list[dict]:
     ]
 
 
-def _delta_rows(run: BuiltRun, omega: Presheaf, delta: Presheaf) -> list[dict]:
-    site = run.plain
+def _delta_rows(run: BuiltRun) -> list[dict]:
+    site, omega, delta = run.plain, run.omega, run.delta
     rows = []
     # δΩ's transitions are the classifier's, so its validation (transitions
     # stay in the codomain stage) is the Prop 3.5 check.
@@ -550,7 +543,10 @@ def _delta_rows(run: BuiltRun, omega: Presheaf, delta: Presheaf) -> list[dict]:
     return rows
 
 
-def _heyting_audit_rows(run, omega: Presheaf, label: str) -> list[dict]:
+def _heyting_audit_rows(run: BuiltRun, label: str) -> list[dict]:
+    """The stages of Ω on the plain site, or on the extended one if `label`
+    is "extended"."""
+    omega = run.omega_ext if label == "extended" else run.omega
     site = omega.site
     ok = True
     for o, sieves in enumerate(omega.values):
@@ -580,8 +576,8 @@ def _restriction_row(run: BuiltRun) -> dict:
     restricted = restrict_down(site, run.stage)
     base = restricted.ray_index(run.state.space)
     ok = True
-    for p, full_sieve in zip(run.universe, run.values[run.stage]):
-        down_sieve = valuation(restricted, base, run.r_space, p)
+    down_row = valuation_row(restricted, base, run.r_space, run.universe)
+    for full_sieve, down_sieve in zip(run.values[run.stage], down_row):
         full_keys = {
             (site.arrow_op(a), site.object_ray(site.arrow_cod(a))) for a in full_sieve
         }
@@ -701,8 +697,9 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
     return rows
 
 
-def _bridge_rows(run: BuiltRun, nat_omega: Presheaf) -> list[dict]:
+def _bridge_rows(run: BuiltRun) -> list[dict]:
     ctx = run.ctx
+    nat_omega = run.nat_omega
     rest = run.rest
     sc = run.scenario
     cap = sc.caps["sieve_enum"]
@@ -803,52 +800,61 @@ def _bridge_rows(run: BuiltRun, nat_omega: Presheaf) -> list[dict]:
     return rows
 
 
-def _forward_closure_subpresheaf(rest, propositions: Presheaf, seed_obj: int, seed_value):
-    """Smallest transition-closed family containing one value at one stage."""
-    members: dict[int, set] = {o: set() for o in range(rest.n_objects)}
-    members[seed_obj].add(seed_value)
-    frontier = [(seed_obj, seed_value)]
+def _forward_closure(propositions: Presheaf, seed_obj: int, seed: int) -> list[set[int]]:
+    """Per stage, the positions of the smallest transition-closed family
+    holding the value at position `seed` of stage `seed_obj`."""
+    site = propositions.site
+    members: list[set[int]] = [set() for _ in range(site.n_objects)]
+    members[seed_obj].add(seed)
+    frontier = [(seed_obj, seed)]
     while frontier:
-        o, x = frontier.pop()
-        for a in rest.arrows_from(o):
-            cod = rest.arrow_cod(a)
-            image = propositions.map(a, x)
-            if image not in members[cod]:
-                members[cod].add(image)
-                frontier.append((cod, image))
-    return subpresheaf(propositions, lambda o, p: p in members[o])
+        o, i = frontier.pop()
+        for a in site.arrows_from(o):
+            cod, j = site.arrow_cod(a), propositions.positions[a][i]
+            if j not in members[cod]:
+                members[cod].add(j)
+                frontier.append((cod, j))
+    return members
 
 
 def _find_adversarial_subpresheaf(run: BuiltRun):
-    """A subfunctor of the propositions violating the twin condition somewhere."""
+    """A subfunctor of the propositions violating the twin condition somewhere:
+    the forward closure of the image of x along a raising arrow a that misses
+    the image of x along a's twin.  Returns (subfunctor, stage, x, a) or None."""
     rest = run.rest
     propositions = run.propositions_l_ext
+    positions, index = propositions.positions, propositions.index
     for o in range(rest.n_objects):
         for a in rest.arrows_from(o):
             if rest.arrow_cod_rho(a) == rest.object_rho(o):
                 continue
             twin = rest.rho_arrow_twin(a)
-            for x in propositions.values[o]:
-                seed_value = propositions.map(a, x)
-                candidate = _forward_closure_subpresheaf(
-                    rest, propositions, rest.arrow_cod(a), seed_value
-                )
-                twin_cod = rest.arrow_cod(twin)
-                if propositions.map(twin, x) not in candidate.value_set(twin_cod):
+            twin_cod = rest.arrow_cod(twin)
+            for i, x in enumerate(propositions.values[o]):
+                members = _forward_closure(propositions, rest.arrow_cod(a), positions[a][i])
+                if positions[twin][i] not in members[twin_cod]:
+                    candidate = subpresheaf(
+                        propositions, lambda stage, p: index[stage][p] in members[stage]
+                    )
                     return candidate, o, x, a
     return None
 
 
-def _characteristic_rows(run: BuiltRun, nat_omega: Presheaf, omega: Presheaf) -> list[dict]:
+def _characteristic_rows(run: BuiltRun) -> list[dict]:
     """§5.2, Prop 5.10, Def 5.4 and Thms 5.11–5.13 on the extended true
-    subobject; §5.2 and Thm 5.11 read one `natural_characteristic` result."""
+    subobject; §5.2, Prop 5.10 and Thm 5.11 read one `detector_tables` result."""
     rest = run.rest
+    propositions = run.propositions_l_ext
     try:
-        result = natural_characteristic(rest, run.true_t_ext, run.propositions_l_ext, run.chi_ext)
-        failure = {}
+        detectors = detector_tables(rest, run.true_t_ext, propositions, run.chi_ext)
     except NotASubPresheaf as exc:
         result = dict.fromkeys(("projective", "factorization", "naturality", "pullback"), False)
         failure = {"error": str(exc)}
+    else:
+        result = natural_characteristic(
+            run.true_t_ext, propositions, run.chi_ext, detectors, run.omega_ext
+        )
+        failure = {}
     rows = [
         _row(
             "§5.2",
@@ -858,11 +864,11 @@ def _characteristic_rows(run: BuiltRun, nat_omega: Presheaf, omega: Presheaf) ->
             **failure,
         )
     ]
-    try:
-        rows.extend(_detector_rows(run))
-    except NotASubPresheaf as exc:
+    if failure:
         title = "projectivity and naturality detectors agree"
-        rows.append(_row("Prop 5.10", title, False, run=run.spec.name, error=str(exc)))
+        rows.append(_row("Prop 5.10", title, False, run=run.spec.name, **failure))
+    else:
+        rows.extend(_detector_rows(run, detectors))
     rows += [
         _row(
             "Thm 5.11",
@@ -879,9 +885,9 @@ def _characteristic_rows(run: BuiltRun, nat_omega: Presheaf, omega: Presheaf) ->
             **failure,
         ),
     ]
-    failure = _validate(omega)
-    pair = (run.true_t_ext, run.propositions_l_ext, run.chi_ext)
-    semi = semiclassifier_check(rest, nat_omega, omega, tau_values(rest), [pair])
+    failure = _validate(run.omega_ext)
+    pair = (run.true_t_ext, propositions, run.chi_ext)
+    semi = semiclassifier_check(rest, run.nat_omega, run.omega_ext, tau_values(rest), [pair])
     rows.append(
         _row(
             "Thm 5.13 / Props A3–A4 (♮Ω)",
@@ -895,41 +901,41 @@ def _characteristic_rows(run: BuiltRun, nat_omega: Presheaf, omega: Presheaf) ->
     return rows
 
 
-def _detector_rows(run: BuiltRun) -> list[dict]:
-    """Prop 5.10 and Def 5.4; raises NotASubPresheaf on a non-subfunctor input."""
+def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
+    """Prop 5.10 and Def 5.4, given the true subobject's `detector_tables`."""
     rest = run.rest
     propositions = run.propositions_l_ext
     rows = []
-    agree_t, mismatches_t = projectivity_matches_naturality(
-        rest, run.true_t_ext, propositions, run.chi_ext
-    )
+    mismatches = detectors["mismatches"]
     adversarial = _find_adversarial_subpresheaf(run)
     if adversarial is None:
         rows.append(
             _row(
                 "Prop 5.10",
                 "projectivity and naturality detectors agree",
-                agree_t,
+                not mismatches,
                 run=run.spec.name,
                 adversarial="none available (no strict observable raise)",
-                mismatches=len(mismatches_t),
+                mismatches=len(mismatches),
             )
         )
         return rows
     candidate, obj, x, witness_arrow = adversarial
     chi = characteristic_table(rest, candidate, propositions)
-    agree_adv, mismatches_adv = projectivity_matches_naturality(rest, candidate, propositions, chi)
-    projective_adv, witnesses = is_projective(rest, candidate, propositions, obj, x)
-    natural_adv = is_natural_at(rest, obj, chi[obj][propositions.index[obj][x]])
+    detectors_adv = detector_tables(rest, candidate, propositions, chi)
+    i = propositions.index[obj][x]
+    witnesses = detectors_adv["witnesses"][obj][i]
+    natural_adv = detectors_adv["natural_chi"][obj][i] == chi[obj][i]
+    mismatches = mismatches + detectors_adv["mismatches"]
     rows.append(
         _row(
             "Prop 5.10",
             "projectivity and naturality detectors agree (including an adversarial subobject)",
-            agree_t and agree_adv and not projective_adv and not natural_adv,
+            not mismatches and bool(witnesses) and not natural_adv,
             run=run.spec.name,
             adversarial="constructed",
             witness_arrows=sorted(witnesses),
-            mismatches=len(mismatches_t) + len(mismatches_adv),
+            mismatches=len(mismatches),
         )
     )
     strict = [
@@ -973,15 +979,15 @@ def _equivalence_rows(run: BuiltRun) -> list[dict]:
     ]
 
 
-def _census_rows(run: BuiltRun, omega: Presheaf, delta: Presheaf) -> list[dict]:
+def _census_rows(run: BuiltRun) -> list[dict]:
     details = {
-        "omega_stage_sizes": [len(stage) for stage in omega.values],
-        "delta_stage_size": len(delta.values[run.stage]),
+        "omega_stage_sizes": [len(stage) for stage in run.omega.values],
+        "delta_stage_size": len(run.delta.values[run.stage]),
         "floor_size": run.floors[run.stage].mask.bit_count(),
     }
     if run.has_extended:
-        # Listed alone, before the extended audit lists every stage, so that
-        # a cap hit names this stage first.
+        # Listed alone, before `run.omega_ext` lists every stage, so that a
+        # cap hit names this stage first.
         rest, stage = run.rest, run.rest_stage
         masks = rest.sieve_masks(stage, run.scenario.caps["sieve_enum"])
         details["extended_stage_size"] = len(masks)
@@ -1008,7 +1014,6 @@ def run_check(scenario: Scenario) -> dict:
     rows.append(_operator_monotone_row(built))
     rows.extend(_observable_order_rows(built))
     rows.extend(_atom_set_rows(built))
-    cap = scenario.caps["sieve_enum"]
     for run in built.runs:
         rows.extend(_bub_rows(run))
         rows.extend(_plain_site_rows(run))
@@ -1016,20 +1021,15 @@ def run_check(scenario: Scenario) -> dict:
         rows.extend(_oracle_rows(run))
         rows.extend(_prop32_33_rows(run))
         rows.extend(_ib_rows(run))
-        omega = omega_presheaf(run.plain, cap)
-        delta = delta_omega_presheaf(omega, run.floors)
-        rows.extend(_delta_rows(run, omega, delta))
-        rows.extend(_heyting_audit_rows(run, omega, "plain"))
+        rows.extend(_delta_rows(run))
+        rows.extend(_heyting_audit_rows(run, "plain"))
         rows.append(_restriction_row(run))
-        rows.extend(_census_rows(run, omega, delta))
+        rows.extend(_census_rows(run))
         if run.has_extended:
             rows.extend(_extended_site_rows(run))
-            omega_ext = omega_presheaf(run.rest, cap)
-            rows.extend(_heyting_audit_rows(run, omega_ext, "extended"))
-            # ♮Ω, cut once from Ω: Prop 5.7/Thm 5.8 validates it, Thm 5.13 audits it.
-            nat_omega = natural_omega(omega_ext)
-            rows.extend(_bridge_rows(run, nat_omega))
-            rows.extend(_characteristic_rows(run, nat_omega, omega_ext))
+            rows.extend(_heyting_audit_rows(run, "extended"))
+            rows.extend(_bridge_rows(run))
+            rows.extend(_characteristic_rows(run))
             rows.extend(_equivalence_rows(run))
     return {
         "scenario": scenario.name,

@@ -13,6 +13,7 @@ from .bridge import (
     BridgeContext,
     is_natural_at,
     make_bridge_context,
+    natural_omega,
     proposition_equivalence,
 )
 from .errors import EnumerationExceeded, ValidationError
@@ -26,6 +27,8 @@ from .sieves import (
     atom_global_element,
     atom_presheaf,
     characteristic_table,
+    delta_omega_presheaf,
+    omega_presheaf,
     proposition_presheaf,
     top_sieve,
     true_subobject,
@@ -83,7 +86,9 @@ class BuiltRun:
         return self.rest is not None
 
     # Truth-value tables, each built on first use (see `sieves`): the direct
-    # valuation and the true subobject's characteristic table, per site.
+    # valuation and the true subobject's characteristic table, per site; and
+    # the classifiers every naturality square reads: Ω and δΩ on the plain
+    # site, Ω and ♮Ω on the extended one.
 
     @cached_property
     def values(self) -> tuple[tuple[Sieve, ...], ...]:
@@ -100,6 +105,22 @@ class BuiltRun:
     @cached_property
     def chi_ext(self) -> tuple[tuple[Sieve, ...], ...]:
         return characteristic_table(self.rest, self.true_t_ext, self.propositions_l_ext)
+
+    @cached_property
+    def omega(self) -> Presheaf:
+        return omega_presheaf(self.plain, self.scenario.caps["sieve_enum"])
+
+    @cached_property
+    def delta(self) -> Presheaf:
+        return delta_omega_presheaf(self.omega, self.floors)
+
+    @cached_property
+    def omega_ext(self) -> Presheaf:
+        return omega_presheaf(self.rest, self.scenario.caps["sieve_enum"])
+
+    @cached_property
+    def nat_omega(self) -> Presheaf:
+        return natural_omega(self.omega_ext)
 
 
 @dataclass

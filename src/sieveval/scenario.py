@@ -104,6 +104,13 @@ def _parse_vector(raw, dim: int, where: str) -> list:
     return out
 
 
+def _parse_matrix(raw, dim: int, where: str) -> ExactMatrix:
+    """A dim x dim matrix given as a list of rows; `where` names its field."""
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise ValidationError(where, f"expected {dim} rows")
+    return matrix_from_rows([_parse_vector(row, dim, f"{where}[{j}]") for j, row in enumerate(raw)])
+
+
 def _parse_subspace(raw, dim: int, where: str) -> Subspace:
     if not isinstance(raw, list):
         raise ValidationError(where, "expected a list of basis vectors")
@@ -190,13 +197,7 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
             )
         obs = Observable(oname, spaces, labels)
         if "matrix" in raw:
-            rows = raw["matrix"]
-            if not isinstance(rows, list) or len(rows) != dim:
-                raise ValidationError(f"{where}.matrix", f"expected {dim} rows")
-            matrix = matrix_from_rows(
-                [_parse_vector(row, dim, f"{where}.matrix[{j}]") for j, row in enumerate(rows)]
-            )
-            validate_matrix_decomposition(matrix, obs)
+            validate_matrix_decomposition(_parse_matrix(raw["matrix"], dim, f"{where}.matrix"), obs)
         observable_index[oname] = len(observables)
         observables.append(obs)
 
@@ -206,12 +207,7 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
         where = f"generators[{i}]"
         if not isinstance(raw, dict) or "matrix" not in raw:
             raise ValidationError(where, "expected an object with a matrix")
-        rows = raw["matrix"]
-        if not isinstance(rows, list) or len(rows) != dim:
-            raise ValidationError(f"{where}.matrix", f"expected {dim} rows")
-        matrix = matrix_from_rows(
-            [_parse_vector(row, dim, f"{where}.matrix[{j}]") for j, row in enumerate(rows)]
-        )
+        matrix = _parse_matrix(raw["matrix"], dim, f"{where}.matrix")
         gname = raw.get("name", f"g{i}")
         declared_under = raw.get("commutant_of")
         if declared_under is not None:

@@ -29,9 +29,12 @@ transition as a position table, a tuple giving for every position of the
 domain stage the position of the image in the codomain stage (None for an
 image outside it).  The audits compare tables of ints: identity tables are
 `range`s, closure is the absence of None, functoriality is table composition
-over the site's postcomposite pairs, and subfunctors, naturality squares,
-pullbacks and characteristic maps are read by position.  `map` is the
-value-level accessor.
+over the site's postcomposite pairs, and subfunctors, pullbacks and
+characteristic maps are read by position.  A map between presheaves is
+read by position too: `naturality_holds` turns its values into positions of
+the target once and compares the two presheaves' tables square by square,
+so no audit moves a value along an arrow; only `omega_presheaf` does, to
+fill Ω's tables.
 
 Subfunctors: the true subobject of the proposition functor, and the
 semi-classifiers δΩ and ♮Ω of the classifier Ω, are each cut from their
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, KeysView, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import InternalCheckError, NaturalityError
 from .modal import compute_atoms
@@ -142,16 +145,6 @@ def omega_transition(site, m: int, s: Sieve) -> Sieve:
     return Sieve(site.arrow_cod(m), pulled)
 
 
-def heyting_join(s1: Sieve, s2: Sieve) -> Sieve:
-    _require_same_base(s1, s2)
-    return Sieve(s1.base, s1.mask | s2.mask)
-
-
-def heyting_meet(s1: Sieve, s2: Sieve) -> Sieve:
-    _require_same_base(s1, s2)
-    return Sieve(s1.base, s1.mask & s2.mask)
-
-
 def heyting_implies(site, s1: Sieve, s2: Sieve) -> Sieve:
     """Relative pseudocomplement: m is in, iff every postcomposite taking m
     into s1 also lands in s2, i.e. `principal[m] & s1 & ~s2` is empty."""
@@ -237,17 +230,6 @@ class Presheaf:
     values: tuple[tuple[Hashable, ...], ...]
     positions: tuple[tuple[int | None, ...], ...]
     index: tuple[dict, ...]
-
-    def value_set(self, o: int) -> KeysView:
-        return self.index[o].keys()
-
-    def map(self, arrow: int, x):
-        """The image of the value x along an arrow (a value, not a position)."""
-        site = self.site
-        j = self.positions[arrow][self.index[site.arrow_dom(arrow)][x]]
-        if j is None:
-            raise InternalCheckError("transition leaves the codomain value set")
-        return self.values[site.arrow_cod(arrow)][j]
 
     def validate(self) -> None:
         """Identities, closure, then functoriality: t_{g∘f} = t_g ∘ t_f."""
@@ -412,14 +394,22 @@ def characteristic_table(site, n: Presheaf, m: Presheaf) -> tuple[tuple[Sieve, .
     ])
 
 
-def naturality_holds(site, zeta: Sequence[Sequence], m: Presheaf, transition: Callable) -> bool:
-    """Every square commutes: transition(a, zeta[dom a][i]) = zeta[cod a][t^m_a(i)],
-    with zeta laid out like `characteristic_table`.  An image outside m's
-    codomain stage has no zeta entry: its square fails."""
-    for a, table in enumerate(m.positions):
-        source, target = zeta[site.arrow_dom(a)], zeta[site.arrow_cod(a)]
+def naturality_holds(zeta: Sequence[Sequence], m: Presheaf, target: Presheaf) -> bool:
+    """zeta is a natural map from m to target, laid out like
+    `characteristic_table`: its values, turned into positions of target once,
+    satisfy t^target_a(zeta[dom a][i]) = zeta[cod a][t^m_a(i)] for every
+    arrow a.  A value missing from target's stage fails (zeta must land in
+    target), and so does an image outside m's codomain stage, which has no
+    zeta entry."""
+    try:
+        at = [[index[z] for z in stage] for stage, index in zip(zeta, target.index)]
+    except KeyError:
+        return False
+    site = m.site
+    for a, (table, moved) in enumerate(zip(m.positions, target.positions)):
+        source, image = at[site.arrow_dom(a)], at[site.arrow_cod(a)]
         for i, j in enumerate(table):
-            if j is None or transition(a, source[i]) != target[j]:
+            if j is None or moved[source[i]] != image[j]:
                 return False
     return True
 
@@ -458,7 +448,7 @@ def filter_check(site, s: Presheaf, universe: Presheaf) -> list[tuple]:
 # valuations
 
 
-def _valuation_row(site, obj: int, r: Subspace, propositions: Sequence[Subspace]) -> tuple[Sieve, ...]:
+def valuation_row(site, obj: int, r: Subspace, propositions: Sequence[Subspace]) -> tuple[Sieve, ...]:
     """Arrows F with F(P) above F of the stage atom, for each P.  The direct
     formula: the stage atom and each arrow's image of it are computed once
     per row."""
@@ -473,13 +463,13 @@ def _valuation_row(site, obj: int, r: Subspace, propositions: Sequence[Subspace]
 
 def valuation(site, obj: int, r: Subspace, p: Subspace) -> Sieve:
     """Arrows F with F(P) above F of the stage atom.  The direct formula."""
-    return _valuation_row(site, obj, r, (p,))[0]
+    return valuation_row(site, obj, r, (p,))[0]
 
 
 def valuation_table(site, r: Subspace, propositions: Presheaf) -> tuple[tuple[Sieve, ...], ...]:
     """`valuation` of every value of `propositions` at every stage, laid out
     like `characteristic_table`: `values[o][i]` values `propositions.values[o][i]`."""
-    return tuple([_valuation_row(site, o, r, stage) for o, stage in enumerate(propositions.values)])
+    return tuple([valuation_row(site, o, r, stage) for o, stage in enumerate(propositions.values)])
 
 
 def bottom_annihilator(site, obj: int, e_r: Subspace) -> Sieve:
@@ -540,11 +530,11 @@ def semiclassifier_check(
     if not is_subpresheaf(delta_omega, omega):
         rows.append({"pair": None, "passed": False, "reason": "not a subfunctor of the classifier"})
         return rows
-    for a in range(len(site.arrows)):
-        lhs = omega_transition(site, a, delta_tau[site.arrow_dom(a)])
-        if lhs != delta_tau[site.arrow_cod(a)]:
-            rows.append({"pair": None, "passed": False, "reason": "the 'true' section is not natural"})
-            return rows
+    try:
+        GlobalElement(omega, delta_tau).validate()
+    except NaturalityError:
+        rows.append({"pair": None, "passed": False, "reason": "the 'true' section is not natural"})
+        return rows
     for idx, (n, m, chi) in enumerate(pairs):
         if not is_subpresheaf(n, m):
             rows.append({"pair": idx, "passed": False, "reason": "not a subfunctor pair"})
@@ -590,9 +580,7 @@ def _enumerate_pullback_maps(site, delta_omega, m, n, delta_tau) -> list[tuple]:
     survivors = []
     for assignment in itertools.product(*choices):
         zeta = tuple([assignment[start:end] for start, end in bounds])
-        if pullback_holds(site, zeta, n, m, delta_tau) and naturality_holds(
-            site, zeta, m, delta_omega.map
-        ):
+        if pullback_holds(site, zeta, n, m, delta_tau) and naturality_holds(zeta, m, delta_omega):
             survivors.append(zeta)
     return survivors
 
@@ -617,7 +605,7 @@ def _forced_pointwise_unique(site, delta_omega, m, n, delta_tau, chi) -> bool:
                     return False
     return (
         _factors_through(chi, delta_omega)
-        and naturality_holds(site, chi, m, delta_omega.map)
+        and naturality_holds(chi, m, delta_omega)
         and pullback_holds(site, chi, n, m, delta_tau)
     )
 

@@ -12,11 +12,11 @@ import pytest
 from sieveval import (
     bub_valuation,
     build_scenario,
+    detector_tables,
     bundled_scenario_path,
     enumerate_determinate_sublattice,
     flat,
     heyting_iso_check,
-    is_projective,
     join,
     load_scenario,
     meet,
@@ -25,7 +25,7 @@ from sieveval import (
     sharp,
     valuation,
 )
-from sieveval.bridge import natural_omega, projectivity_matches_naturality
+from sieveval.bridge import natural_omega
 from sieveval.checks import _find_adversarial_subpresheaf
 from sieveval.cli import main
 from sieveval.modal import observable_leq, zero_augmented_atom_set
@@ -189,29 +189,20 @@ def test_criterion_07_projectivity_biconditional(built):
         for run in built[name].runs:
             if not run.has_extended:
                 continue
-            agree, _ = projectivity_matches_naturality(
-                run.rest,
-                run.true_t_ext,
-                run.propositions_l_ext,
-                characteristic_table(run.rest, run.true_t_ext, run.propositions_l_ext),
-            )
-            ok = ok and agree
+            propositions = run.propositions_l_ext
+            chi = characteristic_table(run.rest, run.true_t_ext, propositions)
+            detectors = detector_tables(run.rest, run.true_t_ext, propositions, chi)
+            ok = ok and not detectors["mismatches"]
             found = _find_adversarial_subpresheaf(run)
             if found is None:
                 continue
             adversarial_found = True
             candidate, obj, x, _ = found
-            projective, _ = is_projective(
-                run.rest, candidate, run.propositions_l_ext, obj, x
-            )
-            ok = ok and not projective
-            agree_adv, _ = projectivity_matches_naturality(
-                run.rest,
-                candidate,
-                run.propositions_l_ext,
-                characteristic_table(run.rest, candidate, run.propositions_l_ext),
-            )
-            ok = ok and agree_adv
+            chi = characteristic_table(run.rest, candidate, propositions)
+            detectors = detector_tables(run.rest, candidate, propositions, chi)
+            # not projective at the seed value
+            ok = ok and bool(detectors["witnesses"][obj][propositions.index[obj][x]])
+            ok = ok and not detectors["mismatches"]
     ok = ok and adversarial_found
     verdict(7, ok, "both detectors agree on projective and adversarial subobjects alike")
 

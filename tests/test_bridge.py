@@ -6,13 +6,13 @@ from sieveval import (
     build_extended_site,
     build_plain_site,
     close_monoid,
+    detector_tables,
     diagonal_matrix,
     equivalence_check,
     flat,
     full_space,
     heyting_iso_check,
     is_natural_at,
-    is_projective,
     make_bridge_context,
     natural_characteristic,
     natural_map,
@@ -27,7 +27,6 @@ from sieveval import (
 from sieveval.bridge import (
     _lift_mask,
     natural_map_at,
-    projectivity_matches_naturality,
     sharp_by_intersection,
 )
 from sieveval.sieves import (
@@ -116,11 +115,8 @@ def test_sharp_examples(bridge_setup):
     assert {ctx.extended.arrow_cod_rho(a) for a in sharped.arrows} == {0, 1}
     # join preservation on the worked pair
     s_p1 = plain_sieve_by_ops(ctx, {1})
-    from sieveval.sieves import heyting_join
-
-    assert sharp(ctx, heyting_join(s_p1, s_p2)) == heyting_join(
-        sharp(ctx, s_p1), sharp(ctx, s_p2)
-    )
+    joined = Sieve(ctx.plain_stage, s_p1.mask | s_p2.mask)
+    assert sharp(ctx, joined) == Sieve(ctx.stage, sharp(ctx, s_p1).mask | sharp(ctx, s_p2).mask)
 
 
 def test_sharp_matches_intersection_oracle(bridge_setup):
@@ -215,13 +211,12 @@ def extended_presheaves(bridge_setup):
 
 def test_true_subobject_is_projective(extended_presheaves):
     rest, propositions, true_t = extended_presheaves
-    for o in range(rest.n_objects):
-        for x in propositions.values[o]:
-            projective, witnesses = is_projective(rest, true_t, propositions, o, x)
-            assert projective and not witnesses
     chi = characteristic_table(rest, true_t, propositions)
-    agree, mismatches = projectivity_matches_naturality(rest, true_t, propositions, chi)
-    assert agree and not mismatches
+    detectors = detector_tables(rest, true_t, propositions, chi)
+    # one (empty) witness list per value of every stage
+    assert [len(stage) for stage in detectors["witnesses"]] == [len(s) for s in propositions.values]
+    assert not any(any(stage) for stage in detectors["witnesses"])
+    assert not detectors["mismatches"]
 
 
 def adversarial_subpresheaf(rest, propositions):
@@ -237,25 +232,25 @@ def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):
     bad = adversarial_subpresheaf(rest, propositions)
     stage = rest.object_index(span([1, 1]), 0)
     x = span([1, 0])
-    projective, witnesses = is_projective(rest, bad, propositions, stage, x)
-    assert not projective and witnesses
+    i = propositions.index[stage][x]
     table = characteristic_table(rest, bad, propositions)
-    chi = table[stage][propositions.index[stage][x]]
-    assert not is_natural_at(rest, stage, chi)
-    agree, mismatches = projectivity_matches_naturality(rest, bad, propositions, table)
-    assert agree  # the two detectors fire together, never apart
-    assert (stage, x) in mismatches or not mismatches
+    detectors = detector_tables(rest, bad, propositions, table)
+    assert detectors["witnesses"][stage][i]
+    assert not is_natural_at(rest, stage, table[stage][i])
+    assert detectors["natural_chi"][stage][i] != table[stage][i]
+    assert not detectors["mismatches"]  # the two detectors fire together, never apart
 
 
 def test_natural_characteristic_and_uniqueness(extended_presheaves):
     rest, propositions, true_t = extended_presheaves
     chi = characteristic_table(rest, true_t, propositions)
-    result = natural_characteristic(rest, true_t, propositions, chi)
+    detectors = detector_tables(rest, true_t, propositions, chi)
+    result = natural_characteristic(true_t, propositions, chi, detectors, omega_presheaf(rest, cap=64))
     assert result["passed"]
     # perturbing one value breaks the pullback
     tau = {o: top_sieve(rest, o) for o in range(rest.n_objects)}
     stage = rest.object_index(span([1, 1]), 0)
-    perturbed = [list(values) for values in result["natural_chi"]]
+    perturbed = [list(values) for values in detectors["natural_chi"]]
     perturbed[stage][propositions.values[stage].index(zero_space(2))] = tau[stage]
     broken = any(
         set(true_t.values[o])

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sieveval import (
+    ExtendedSite,
     Sieve,
     build_scenario,
     bundled_scenario_names,
@@ -38,6 +39,7 @@ from sieveval import (
 )
 from sieveval import bridge as bridge_module
 from sieveval import checks as checks_module
+from sieveval import runner as runner_module
 from sieveval import sieves as sieves_module
 from sieveval.bridge import is_natural_at
 from sieveval.sieves import (
@@ -408,14 +410,14 @@ def _without_the_empty_sieve(site, o, sieves):
 def test_audit_row_fails_on_a_stage_that_is_not_every_sieve(monkeypatch, name, doctor):
     # minimal's one stage has a single nonempty sieve, so only the
     # empty-sieve membership check sees it missing
-    honest = checks_module.omega_presheaf
+    honest = runner_module.omega_presheaf
 
     def doctored(site, cap):
         omega = honest(site, cap)
         kept = [set(doctor(site, o, stage)) for o, stage in enumerate(omega.values)]
         return subpresheaf(omega, lambda o, s: s in kept[o])
 
-    monkeypatch.setattr(checks_module, "omega_presheaf", doctored)
+    monkeypatch.setattr(runner_module, "omega_presheaf", doctored)
     report = run_check(load_scenario(bundled_scenario_path(name)))
     rows = _rows(report, "§3.1 Heyting")
     assert rows and not any(row["passed"] for row in rows)
@@ -464,6 +466,26 @@ def test_a_false_fixpoint_adjunction_fails_thm_5_6(monkeypatch):
     assert rows and not any(row["passed"] for row in rows)
 
 
+def test_an_ambient_implication_below_the_fixpoint_one_fails_eq_5_17(monkeypatch):
+    """With the extended implication doctored to the empty sieve, the
+    fixpoint implication (the plain one carried up) no longer sits below it:
+    at s = t it is the top sieve."""
+    scenario = load_scenario(bundled_scenario_path("qubit_extended"))
+    ctx = build_scenario(scenario).runs[0].ctx
+    honest = bridge_module.stage_implies
+
+    def empty_on_extended_sites(site, base):
+        if isinstance(site, ExtendedSite):
+            return LazyTable(lambda y: 0)
+        return honest(site, base)
+
+    assert heyting_iso_check(ctx, CAP)["implies_dominates"]
+    monkeypatch.setattr(bridge_module, "stage_implies", empty_on_extended_sites)
+    assert not heyting_iso_check(ctx, CAP)["implies_dominates"]
+    rows = _rows(run_check(scenario), "Eq 5.17")
+    assert rows and not any(row["passed"] for row in rows)
+
+
 def test_a_semiclassifier_holding_the_empty_sieve_fails_section_3_4(monkeypatch):
     def with_empty_sieve(omega, floors):
         site = omega.site
@@ -474,7 +496,7 @@ def test_a_semiclassifier_holding_the_empty_sieve_fails_section_3_4(monkeypatch)
             lambda a, s: omega_transition(site, a, s),
         )
 
-    monkeypatch.setattr(checks_module, "delta_omega_presheaf", with_empty_sieve)
+    monkeypatch.setattr(runner_module, "delta_omega_presheaf", with_empty_sieve)
     # every run of the qubit scenario has a nonempty floor; the doctored
     # stages are not closed under the classifier's implication either
     report = run_check(load_scenario(bundled_scenario_path("qubit")))
@@ -496,7 +518,7 @@ def test_a_semiclassifier_missing_a_transition_image_fails_prop_3_5(monkeypatch)
             lambda b, s: omega_transition(site, b, s),
         )
 
-    monkeypatch.setattr(checks_module, "delta_omega_presheaf", without_a_transition_image)
+    monkeypatch.setattr(runner_module, "delta_omega_presheaf", without_a_transition_image)
     report = run_check(load_scenario(bundled_scenario_path("qubit")))
     rows = _rows(report, "Prop 3.5")
     assert rows

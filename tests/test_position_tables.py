@@ -11,7 +11,9 @@ site that `run_check` builds for the bundled scenarios and for
 `chain_scenario(13, 2..5)`, and on the doctored inputs, the table audits
 give the same verdict and the same first message.  The one exception is a
 presheaf with two distinct faults: closure is now checked for every arrow
-before functoriality, so a closure fault is reported first.
+before functoriality, so a closure fault is reported first.  Every square
+family `run_check` asks maps into a classifier (Ω, δΩ or ♮Ω), so the
+value-keyed naturality audit moves its values by `omega_transition`.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from sieveval import (
     bundled_scenario_path,
     close_monoid,
     diagonal_matrix,
+    apply_operator,
     full_space,
     gaussian,
     load_scenario,
@@ -44,6 +47,7 @@ from sieveval.sieves import (
     build_presheaf,
     is_subpresheaf,
     naturality_holds,
+    omega_transition,
     proposition_presheaf,
     subpresheaf,
 )
@@ -185,13 +189,18 @@ def value_keyed(zeta, m):
 # leave e2 by I, P2.
 
 
+def act(site):
+    """The proposition functor's transition: each arrow's operator applied."""
+    return lambda a, p: apply_operator(site.operator_matrix(site.arrow_op(a)), p)
+
+
 def doctored_pair(site, doctor):
     """The proposition functor with `doctor(a, p, image)` replacing each
     image, built both ways."""
-    honest = proposition_presheaf(site, QUBIT_UNIVERSE)
+    honest = act(site)
 
     def transition(a, p):
-        return doctor(a, p, honest.map(a, p))
+        return doctor(a, p, honest(a, p))
 
     new = build_presheaf(site, lambda o: QUBIT_UNIVERSE, transition)
     old = old_build_presheaf(site, lambda o: QUBIT_UNIVERSE, transition)
@@ -251,9 +260,7 @@ def test_closure_is_reported_before_functoriality(qubit_site):
 
 def test_a_cut_that_is_not_transition_closed_is_not_a_subfunctor(qubit_site):
     propositions = proposition_presheaf(qubit_site, QUBIT_UNIVERSE)
-    old_propositions = old_build_presheaf(
-        qubit_site, lambda o: QUBIT_UNIVERSE, propositions.map
-    )
+    old_propositions = old_build_presheaf(qubit_site, lambda o: QUBIT_UNIVERSE, act(qubit_site))
 
     # Keep the full space at (1, 1) only: P1 carries it to e1, which is cut.
     def keep(o, p):
@@ -275,27 +282,33 @@ def test_a_cut_re_indexes_its_parent_tables(qubit_site):
     for a, table in enumerate(cut.positions):
         dom, cod = qubit_site.arrow_dom(a), qubit_site.arrow_cod(a)
         for x, j in zip(cut.values[dom], table):
-            assert cut.values[cod][j] == propositions.map(a, x) == cut.map(a, x)
+            assert cut.values[cod][j] == act(qubit_site)(a, x)
 
 
 def test_a_naturality_square_that_fails_is_found(qubit_site):
     propositions = proposition_presheaf(qubit_site, QUBIT_UNIVERSE)
+    transition = act(qubit_site)
     # The functor as a map to itself is natural; reversing one stage is not.
     zeta = propositions.values
-    assert naturality_holds(qubit_site, zeta, propositions, propositions.map)
+    assert naturality_holds(zeta, propositions, propositions)
     swapped = (tuple(reversed(zeta[0])),) + zeta[1:]
-    assert not naturality_holds(qubit_site, swapped, propositions, propositions.map)
-    old = old_build_presheaf(qubit_site, lambda o: QUBIT_UNIVERSE, propositions.map)
+    assert not naturality_holds(swapped, propositions, propositions)
+    old = old_build_presheaf(qubit_site, lambda o: QUBIT_UNIVERSE, transition)
     for candidate in (zeta, swapped):
         assert old_naturality_holds(
-            qubit_site, value_keyed(candidate, propositions), old, propositions.map
-        ) == naturality_holds(qubit_site, candidate, propositions, propositions.map)
+            qubit_site, value_keyed(candidate, propositions), old, transition
+        ) == naturality_holds(candidate, propositions, propositions)
     # A square whose image leaves m's codomain stage has no zeta entry.
     leaving, old_leaving = doctored_pair(qubit_site, leaves_the_universe(qubit_site))
-    assert not naturality_holds(qubit_site, zeta, leaving, propositions.map)
-    assert not old_naturality_holds(
-        qubit_site, value_keyed(zeta, leaving), old_leaving, propositions.map
-    )
+    assert not naturality_holds(zeta, leaving, propositions)
+    assert not old_naturality_holds(qubit_site, value_keyed(zeta, leaving), old_leaving, transition)
+    # A value missing from the target's stage fails: the map must land there,
+    # even where every square would commute.
+    zero = subpresheaf(propositions, lambda o, p: p == zero_space(2))
+    to_zero = tuple((zero_space(2),) * len(stage) for stage in zeta)
+    to_full = tuple((full_space(2),) * len(stage) for stage in zeta)
+    assert naturality_holds(to_zero, propositions, zero)
+    assert not naturality_holds(to_full, propositions, zero)
 
 
 def test_a_section_with_a_failing_square_is_rejected(qubit_site):
@@ -398,9 +411,9 @@ class Recorder:
             self.subfunctor_pairs.append((n, m))
             return subfunctor(n, m)
 
-        def recording_natural(site, zeta, m, transition):
-            self.squares.append((site, zeta, m, transition))
-            return natural(site, zeta, m, transition)
+        def recording_natural(zeta, m, target):
+            self.squares.append((zeta, m, target))
+            return natural(zeta, m, target)
 
         def recording_assoc(site):
             self.sites.append(site)
@@ -424,9 +437,14 @@ class Recorder:
         for n, m in self.subfunctor_pairs:
             assert is_subpresheaf(n, m) == old_is_subpresheaf(self.twin(n), self.twin(m))
             counts["pairs"] += 1
-        for site, zeta, m, transition in self.squares:
+        for zeta, m, target in self.squares:
+            site = target.site
+
+            def transition(a, s):
+                return omega_transition(site, a, s)
+
             old = old_naturality_holds(site, value_keyed(zeta, m), self.twin(m), transition)
-            assert naturality_holds(site, zeta, m, transition) == old
+            assert naturality_holds(zeta, m, target) == old
             counts["squares"] += 1
         for site in self.sites:
             assert associativity_violations(site) == old_associativity_violations(site)

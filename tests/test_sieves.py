@@ -5,6 +5,7 @@ from sieveval import (
     Ray,
     Sieve,
     Subspace,
+    apply_operator,
     bottom_annihilator,
     build_plain_site,
     build_scenario,
@@ -15,8 +16,6 @@ from sieveval import (
     filter_check,
     full_space,
     heyting_implies,
-    heyting_join,
-    heyting_meet,
     ib_condition_check,
     load_scenario,
     omega_transition,
@@ -50,6 +49,11 @@ from sieveval.sieves import (
 
 def span(*vs):
     return subspace_from_vectors(len(vs[0]), list(vs))
+
+
+def act(site):
+    """The proposition functor's transition: each arrow's operator applied."""
+    return lambda a, p: apply_operator(site.operator_matrix(site.arrow_op(a)), p)
 
 
 def arrows_by_op(site, obj, sieve):
@@ -141,10 +145,10 @@ def test_heyting_ops_examples(qubit_site):
     s2 = Sieve(0, 1 << p2)
     top = top_sieve(site, 0)
     bottom = bottom_sieve(0)
-    assert heyting_join(s1, bottom) == s1
-    assert heyting_meet(s1, top) == s1
-    assert heyting_join(s1, s2).arrows == {p1, p2}
-    assert heyting_meet(heyting_join(s1, s2), s2) == s2
+    assert Sieve(0, s1.mask | bottom.mask) == s1
+    assert Sieve(0, s1.mask & top.mask) == s1
+    assert Sieve(0, s1.mask | s2.mask).arrows == {p1, p2}
+    assert Sieve(0, (s1.mask | s2.mask) & s2.mask) == s2
     assert heyting_implies(site, s1, s1) == top
     assert heyting_implies(site, bottom, s1) == top
     assert heyting_implies(site, s1, s2) == s2
@@ -157,7 +161,7 @@ def test_heyting_adjunction_exhaustive(qubit_site):
         for t in sieves:
             imp = heyting_implies(site, s, t)
             for x in sieves:
-                assert (heyting_meet(s, x) <= t) == (x <= imp)
+                assert (Sieve(s.base, s.mask & x.mask) <= t) == (x <= imp)
 
 
 def classify(site, true_t, propositions, obj, x):
@@ -206,9 +210,7 @@ def test_filter_check_positive_and_negative(qubit_setup):
         1: (span([1, 0]),),
         2: (zero_space(2), span([1, 0])),
     }
-    not_up = build_presheaf(
-        site, lambda o: not_up_values[o], lambda a, p: propositions.map(a, p)
-    )
+    not_up = build_presheaf(site, lambda o: not_up_values[o], act(site))
     assert any(kind == "up-set" for kind, *_ in filter_check(site, not_up, propositions))
     # two incomparable members without their meet
     no_meet_values = {
@@ -216,9 +218,7 @@ def test_filter_check_positive_and_negative(qubit_setup):
         1: (span([1, 0]), full_space(2)),
         2: (span([0, 1]), zero_space(2), full_space(2)),
     }
-    no_meet = build_presheaf(
-        site, lambda o: no_meet_values[o], lambda a, p: propositions.map(a, p)
-    )
+    no_meet = build_presheaf(site, lambda o: no_meet_values[o], act(site))
     assert any(kind == "meet" for kind, *_ in filter_check(site, no_meet, propositions))
 
 
@@ -342,6 +342,19 @@ def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
     )
     assert not rows[0]["factors"]
     assert not rows[0]["passed"]
+
+
+def test_semiclassifier_rejects_a_true_section_that_is_not_natural(qubit_setup):
+    site, propositions, _, _, true_t = qubit_setup
+    omega = omega_presheaf(site, cap=64)
+    pairs = [pair(site, true_t, propositions)]
+    # The top sieve at the base stage pulls back to the top sieve, not the
+    # bottom one; a non-sieve is not a value of the classifier at all.
+    crooked = (top_sieve(site, 0),) + tuple(bottom_sieve(o) for o in range(1, site.n_objects))
+    outside = (Sieve(0, 1 << site.identity_arrow(0)),) + tau_values(site)[1:]
+    for tau in (crooked, outside):
+        rows = semiclassifier_check(site, omega, omega, tau, pairs)
+        assert rows == [{"pair": None, "passed": False, "reason": "the 'true' section is not natural"}]
 
 
 def test_semiclassifier_enumerated_uniqueness_small():

@@ -7,8 +7,10 @@ characteristic table of the true subobject (`chi`, `chi_ext`).
 Differential: every table entry equals a fresh `valuation` call and every
 chi a fresh `characteristic_table`, on the bundled scenarios and on
 generated chains.  Counts: one cold `run_check` of the bundled scenarios
-builds each table once, and `dump-site` and `valuate` build none.  Witness:
-a doctored table entry fails its oracle row, which names the entry.
+builds each table once, moves sieves along arrows only to fill the
+classifier tables, and asks each projectivity question once; `dump-site`
+and `valuate` build no table.  Witness: a doctored table entry fails its
+oracle row, which names the entry.
 """
 
 from collections import Counter
@@ -68,34 +70,61 @@ def test_tables_equal_fresh_valuations_on_chains(dim, workloads):
     assert_tables_are_fresh(built)
 
 
+COUNTED = ("valuation", "valuation_row", "characteristic_table", "omega_transition", "_projective_at")
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of `valuation` and `characteristic_table` calls, through every
-    module that binds either name."""
+    """Counts of calls to the functions in `COUNTED`, through every module
+    that binds one, and of `omega_transition` calls made outside
+    `omega_presheaf`."""
     counts = Counter()
+    building = []
 
     def counted(name, original):
         def wrapper(*args):
             counts[name] += 1
+            if name == "omega_transition" and not building:
+                counts["omega_transition outside omega_presheaf"] += 1
             return original(*args)
 
         return wrapper
 
+    def building_omega(original):
+        def wrapper(*args):
+            building.append(True)
+            try:
+                return original(*args)
+            finally:
+                building.pop()
+
+        return wrapper
+
     for module in (sieves, runner, checks, bridge):
-        for name in ("valuation", "characteristic_table"):
+        for name in COUNTED:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        if hasattr(module, "omega_presheaf"):
+            monkeypatch.setattr(module, "omega_presheaf", building_omega(module.omega_presheaf))
     return counts
 
 
 def test_one_cold_check_builds_each_table_once(calls):
     for name in bundled_scenario_names():
         assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
-    # 682 table entries over the plain and extended sites, plus one value per
-    # proposition on each run's reachable-part restriction (Eq 3.56).
-    assert calls["valuation"] <= 777
+    # One row per stage of each site's value table, plus one row per run on
+    # its reachable-part restriction (Eq 3.56); no value is computed alone.
+    assert calls["valuation"] == 0
+    assert calls["valuation_row"] == 95
     # One chi per site of each run, plus one per constructed adversarial subobject.
     assert calls["characteristic_table"] == 24
+    # Sieves move along arrows only to fill Ω's tables; every naturality
+    # square reads them.
+    assert calls["omega_transition"] == 2193
+    assert calls["omega_transition outside omega_presheaf"] == 0
+    # One projectivity verdict per position of the extended propositions, for
+    # the true subobject and for each adversarial one.
+    assert calls["_projective_at"] == 559
 
 
 def test_dump_site_and_valuate_build_no_table(calls):
@@ -104,7 +133,8 @@ def test_dump_site_and_valuate_build_no_table(calls):
     assert calls == Counter()
     report = run_valuate(load_scenario(path), "coarse")
     # One plain and one extended value per proposition, at the run's stage only.
-    assert calls == Counter(valuation=2 * len(report["valuation"]["propositions"]))
+    values = 2 * len(report["valuation"]["propositions"])
+    assert calls == Counter(valuation=values, valuation_row=values)
 
 
 def doctor(site, table, o, i):

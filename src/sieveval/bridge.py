@@ -8,12 +8,12 @@ Heyting algebra isomorphic to the plain stage's sieve lattice.
 
 Sieves are bitmasks (see `sieves`): sharpening ORs the extended principal
 masks of the lifted arrows, flattening relabels the fixed-observable bits.
-The stages they range over are listed by the sites themselves
-(`Site.sieve_masks`), and each listing lives as long as its site.  The
-fixpoint subfunctor ♮Ω is cut from the extended classifier by the one
+The stages they range over belong to the sites (`Site.stage`): each
+stage's sieve list, top and implication table live as long as its site.
+The fixpoint subfunctor ♮Ω is cut from the extended classifier by the one
 natural-sieve filter, `is_natural_at`.  The stage-isomorphism audit
-(`heyting_iso_check`) reads `sieves.LazyTable`s of sharp, flat, the
-natural map and the implications, each local to the call.
+(`heyting_iso_check`) reads the two stages' implication tables and
+`sieves.LazyTable`s of sharp, flat and the natural map, local to the call.
 
 Prop 5.10's two detectors are tabulated once per subfunctor pair
 (`detector_tables`); Thm 5.11 reads the same tables, and reads its map's
@@ -35,10 +35,8 @@ from .sieves import (
     lands_in,
     naturality_holds,
     pullback_holds,
-    stage_implies,
     subpresheaf,
     tau_values,
-    top_sieve,
 )
 from .sites import ExtendedSite, PlainSite
 
@@ -106,7 +104,7 @@ def sharp(ctx: BridgeContext, s_e: Sieve) -> Sieve:
 def sharp_by_intersection(ctx: BridgeContext, s_e: Sieve, cap: int) -> Sieve:
     """Oracle for `sharp`: intersect every enumerated sieve containing the lift."""
     lifted = _lift_mask(ctx, s_e)
-    candidates = [m for m in ctx.extended.sieve_masks(ctx.stage, cap) if not lifted & ~m]
+    candidates = [m for m in ctx.extended.stage(ctx.stage).sieves(cap) if not lifted & ~m]
     if not candidates:  # pragma: no cover - the top sieve always qualifies
         raise InternalCheckError("no sieve contains the lift")
     members = candidates[0]
@@ -167,7 +165,7 @@ def _preserves_lattice(f: LazyTable, masks: list[int]) -> bool:
 def _dominates_transport(f: LazyTable, implies_from, implies_to, masks: list[int]) -> bool:
     """f(s ⇒ t) lies below f(s) ⇒ f(t) for every pair, compared row by row
     (a <= b iff a | b == b); both implications are keyed on s minus t
-    (`sieves.stage_implies`)."""
+    (`sieves.Stage.implies`)."""
     images = [f[t] for t in masks]
     for s, fs in zip(masks, images):
         bounds = [implies_to[fs & ~ft] for ft in images]
@@ -180,47 +178,43 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     """Exhaustive audit of the stage isomorphism and its implication transport.
 
     `sharp`, `flat` and `natural_map` are tables filled once per distinct
-    mask, and each stage implication a table filled once per distinct
-    `s & ~t` (`stage_implies`), all local to this call; every sieve here is
-    based at the plain stage or at the extended stage, so the pair loops
-    are table reads on masks.  The fixpoints are the sieves the
-    natural-sieve filter `is_natural_at` accepts, so the up-down round trip
-    is a check.  The transported implication `y ↦ up[plain[down[y]]]` is
+    mask, local to this call, and each stage implication is its stage's
+    table keyed on `s & ~t` (`Stage.implies`); every sieve here is based at
+    the plain stage or at the extended stage, so the pair loops are table
+    reads on masks.  The fixpoints are the sieves the natural map fixes
+    (the filter `is_natural_at`), so the up-down round trip is a check, and
+    `deflation` says the natural map shrinks every extended sieve (Prop
+    5.3).  The transported implication `y ↦ up[plain[down[y]]]` is
     keyed on `y = s & ~t` too (flat commutes with `&` and `~`), so the
     transport, domination and closure clauses run once per distinct y of
     the fixpoint pairs (closure failures counted per pair), and
     `is_heyting_family` audits the fixpoints under it.
     """
-    plain_masks = ctx.plain.sieve_masks(ctx.plain_stage, cap)
-    ext_masks = ctx.extended.sieve_masks(ctx.stage, cap)
-    fixpoints = [
-        m for m in ext_masks if is_natural_at(ctx.extended, ctx.stage, Sieve(ctx.stage, m))
-    ]
+    plain, ext = ctx.plain.stage(ctx.plain_stage), ctx.extended.stage(ctx.stage)
+    plain_masks, ext_masks = plain.sieves(cap), ext.sieves(cap)
     up = LazyTable(lambda m: sharp(ctx, Sieve(ctx.plain_stage, m)).mask)
     down = LazyTable(lambda m: flat(ctx, Sieve(ctx.stage, m)).mask)
     natural = LazyTable(lambda m: natural_map(ctx, Sieve(ctx.stage, m)).mask)
-    plain_implies = stage_implies(ctx.plain, ctx.plain_stage)
-    ext_implies = stage_implies(ctx.extended, ctx.stage)
+    fixpoints = [m for m in ext_masks if natural[m] == m]
     # The plain implication carried to the fixpoints, keyed like the others.
-    fix = LazyTable(lambda y: up[plain_implies[down[y]]])
+    fix = LazyTable(lambda y: up[plain.implies[down[y]]])
     pairs = Counter(s1 & ~s2 for s1 in fixpoints for s2 in fixpoints)
-    plain_top = top_sieve(ctx.plain, ctx.plain_stage).mask
-    ext_top = top_sieve(ctx.extended, ctx.stage).mask
     verdicts = {
         "round_trip_down_up": all(down[up[s]] == s for s in plain_masks),
         "round_trip_up_down": all(up[down[s]] == s for s in fixpoints),
+        "deflation": all(not natural[m] & ~m for m in ext_masks),
         "bijection": len(fixpoints) == len(plain_masks),
         "image_is_fixpoints": {up[s] for s in plain_masks} == set(fixpoints),
-        "tops_and_bottoms": (up[plain_top], down[ext_top], up[0], down[0]) == (ext_top, plain_top, 0, 0),
+        "tops_and_bottoms": (up[plain.top], down[ext.top], up[0], down[0]) == (ext.top, plain.top, 0, 0),
         "lattice_preserved": (
             _preserves_lattice(up, plain_masks) and _preserves_lattice(down, ext_masks)
         ),
-        "implies_transport": all(down[fix[y]] == plain_implies[down[y]] for y in pairs),
-        "implies_dominates": all(not fix[y] & ~ext_implies[y] for y in pairs),
+        "implies_transport": all(down[fix[y]] == plain.implies[down[y]] for y in pairs),
+        "implies_dominates": all(not fix[y] & ~ext.implies[y] for y in pairs),
         "fixpoint_adjunction": is_heyting_family(fixpoints, fix, fixpoints),
         "pseudocomplement_inequality": (
-            _dominates_transport(up, plain_implies, ext_implies, plain_masks)
-            and _dominates_transport(down, ext_implies, plain_implies, ext_masks)
+            _dominates_transport(up, plain.implies, ext.implies, plain_masks)
+            and _dominates_transport(down, ext.implies, plain.implies, ext_masks)
         ),
     }
     return {
@@ -229,10 +223,10 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
         "fixpoint_count": len(fixpoints),
         **verdicts,
         "implies_strict_somewhere": any(
-            fix[y] != ext_implies[y] and not fix[y] & ~ext_implies[y] for y in pairs
+            fix[y] != ext.implies[y] and not fix[y] & ~ext.implies[y] for y in pairs
         ),
         "implies_closure_failures": sum(
-            count for y, count in pairs.items() if natural[ext_implies[y]] != ext_implies[y]
+            count for y, count in pairs.items() if natural[ext.implies[y]] != ext.implies[y]
         ),
         "passed": all(verdicts.values()),
     }
@@ -249,14 +243,15 @@ def _projective_at(site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, i: in
     ]
 
 
-def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi) -> dict:
+def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi, subfunctor=None) -> dict:
     """Prop 5.10's two detectors at every value of m, once each, for a
     subfunctor n of m with characteristic table chi, laid out like chi:
     `witnesses`, the arrows along which n fails projectivity there
     (`_projective_at`), and `natural_chi`, chi's value after the round trip,
     equal to it iff it is natural (`is_natural_at`).  `mismatches` lists
-    the (stage, value) pairs where the detectors disagree."""
-    if not is_subpresheaf(n, m):
+    the (stage, value) pairs where the detectors disagree.  n must be a
+    subfunctor of m: `subfunctor[n, m]` when given (`BuiltRun.subfunctor`)."""
+    if not (is_subpresheaf(n, m) if subfunctor is None else subfunctor[n, m]):
         raise NotASubPresheaf("the detectors are asked of a subfunctor")
     witnesses = tuple([
         tuple([_projective_at(site, n, m, o, i) for i in range(len(stage))])

@@ -16,7 +16,6 @@ from .bridge import (
     heyting_iso_check,
     is_natural_at,
     natural_characteristic,
-    natural_map_at,
     sharp,
     sharp_by_intersection,
 )
@@ -40,12 +39,10 @@ from .sieves import (
     ib_condition_check,
     is_heyting_family,
     is_sieve,
-    is_subpresheaf,
     naturality_holds,
     principal_sieve,
     pullback_holds,
     semiclassifier_check,
-    stage_implies,
     subpresheaf,
     tau_values,
     top_sieve,
@@ -353,7 +350,7 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
             **failure,
         )
     )
-    violations = filter_check(run.plain, run.true_t, run.propositions_l)
+    violations, outside = filter_check(run.plain, run.true_t, run.propositions_l)
     rows.append(
         _row(
             "Eqs 3.26–3.27",
@@ -361,9 +358,10 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
             not violations,
             run=run.spec.name,
             violations=len(violations),
+            **({"meets_outside": outside} if outside else {}),
         )
     )
-    sub_ok = is_subpresheaf(run.true_t, run.propositions_l)
+    sub_ok = run.subfunctor[run.true_t, run.propositions_l]
     rows.append(
         _row("Eq 3.12", "true subobject is a subfunctor of the propositions", sub_ok, run=run.spec.name)
     )
@@ -474,7 +472,7 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
         _row(
             "Thm 3.6",
             "annihilator-floored sieves form a subfunctor of the classifier",
-            not failure and is_subpresheaf(delta, omega),
+            not failure and run.subfunctor[delta, omega],
             run=run.spec.name,
             **failure,
         )
@@ -483,20 +481,19 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     bottoms_differ_ok = True
     census = []
     for o in range(site.n_objects):
+        stage = site.stage(o)
         floor = run.floors[o].mask
-        top = top_sieve(site, o).mask
         masks = [s.mask for s in delta.values[o]]
         stage_masks = set(masks)
         census.append(len(stage_masks))
-        principal = [site.principal_masks[a] for a in site.arrows_from(o)]
         if not (
-            top in stage_masks
+            stage.top in stage_masks
             and floor in stage_masks
-            and is_heyting_family(masks, stage_implies(site, o), principal)
+            and is_heyting_family(masks, stage.implies, stage.principals)
         ):
             heyting_ok = False
         # The stage's bottom is the floor; it is the empty sieve only if the floor is.
-        bottom = top
+        bottom = stage.top
         for m in masks:
             bottom &= m
         if bottom not in stage_masks or bottom != floor or (floor and 0 in stage_masks):
@@ -529,7 +526,7 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     )
     delta_tau = tau_values(site)
     semi = semiclassifier_check(
-        site, delta, omega, delta_tau, [(run.true_t, run.propositions_l, run.chi)]
+        site, delta, omega, delta_tau, [(run.true_t, run.propositions_l, run.chi)], run.subfunctor
     )
     rows.append(
         _row(
@@ -550,14 +547,14 @@ def _heyting_audit_rows(run: BuiltRun, label: str) -> list[dict]:
     site = omega.site
     ok = True
     for o, sieves in enumerate(omega.values):
+        stage = site.stage(o)
         masks = [s.mask for s in sieves]
-        principal = [site.principal_masks[a] for a in site.arrows_from(o)]
         # Exactly the sieves on o: sieves only, the empty and the principal
         # ones, and (by the helper) every union of them.
         if not (
             all(is_sieve(site, s) for s in sieves)
-            and {0, *principal} <= set(masks)
-            and is_heyting_family(masks, stage_implies(site, o), principal)
+            and {0, *stage.principals} <= set(masks)
+            and is_heyting_family(masks, stage.implies, stage.principals)
         ):
             ok = False
     return [
@@ -675,7 +672,7 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
             **failure,
         )
     )
-    violations = filter_check(rest, run.true_t_ext, run.propositions_l_ext)
+    violations, outside = filter_check(rest, run.true_t_ext, run.propositions_l_ext)
     rows.append(
         _row(
             "Eq 4.26",
@@ -683,6 +680,7 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
             not violations,
             run=run.spec.name,
             violations=len(violations),
+            **({"meets_outside": outside} if outside else {}),
         )
     )
     rows.append(
@@ -701,8 +699,7 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
     ctx = run.ctx
     nat_omega = run.nat_omega
     rest = run.rest
-    sc = run.scenario
-    cap = sc.caps["sieve_enum"]
+    cap = run.scenario.caps["sieve_enum"]
     rows = []
     iso = heyting_iso_check(ctx, cap)
     rows.append(
@@ -713,21 +710,16 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
             run=run.spec.name,
         )
     )
-    ext_sieves = [Sieve(ctx.stage, m) for m in rest.sieve_masks(ctx.stage, cap)]
-    deflation_ok = all(natural_map_at(rest, ctx.stage, s) <= s for s in ext_sieves)
     rows.append(
         _row(
             "Prop 5.3",
             "down-then-up is the identity; up-then-down deflates",
-            iso["round_trip_down_up"] and deflation_ok,
+            iso["round_trip_down_up"] and iso["deflation"],
             run=run.spec.name,
         )
     )
-    sharp_oracle_ok = True
-    for m in ctx.plain.sieve_masks(ctx.plain_stage, cap):
-        s = Sieve(ctx.plain_stage, m)
-        if sharp(ctx, s) != sharp_by_intersection(ctx, s, cap):
-            sharp_oracle_ok = False
+    plain = [Sieve(ctx.plain_stage, m) for m in ctx.plain.stage(ctx.plain_stage).sieves(cap)]
+    sharp_oracle_ok = all(sharp(ctx, s) == sharp_by_intersection(ctx, s, cap) for s in plain)
     rows.append(
         _row(
             "Eq 5.4",
@@ -846,7 +838,7 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
     rest = run.rest
     propositions = run.propositions_l_ext
     try:
-        detectors = detector_tables(rest, run.true_t_ext, propositions, run.chi_ext)
+        detectors = detector_tables(rest, run.true_t_ext, propositions, run.chi_ext, run.subfunctor)
     except NotASubPresheaf as exc:
         result = dict.fromkeys(("projective", "factorization", "naturality", "pullback"), False)
         failure = {"error": str(exc)}
@@ -887,7 +879,9 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
     ]
     failure = _validate(run.omega_ext)
     pair = (run.true_t_ext, propositions, run.chi_ext)
-    semi = semiclassifier_check(rest, run.nat_omega, run.omega_ext, tau_values(rest), [pair])
+    semi = semiclassifier_check(
+        rest, run.nat_omega, run.omega_ext, tau_values(rest), [pair], run.subfunctor
+    )
     rows.append(
         _row(
             "Thm 5.13 / Props A3–A4 (♮Ω)",
@@ -989,11 +983,9 @@ def _census_rows(run: BuiltRun) -> list[dict]:
         # Listed alone, before `run.omega_ext` lists every stage, so that a
         # cap hit names this stage first.
         rest, stage = run.rest, run.rest_stage
-        masks = rest.sieve_masks(stage, run.scenario.caps["sieve_enum"])
+        masks = rest.stage(stage).sieves(run.scenario.caps["sieve_enum"])
         details["extended_stage_size"] = len(masks)
-        details["natural_stage_size"] = sum(
-            is_natural_at(rest, stage, Sieve(stage, m)) for m in masks
-        )
+        details["natural_stage_size"] = sum(is_natural_at(rest, stage, Sieve(stage, m)) for m in masks)
     return [
         _row(
             "Eq 3.13",

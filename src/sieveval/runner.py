@@ -6,7 +6,7 @@ JSON rendering is byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .bridge import (
@@ -21,6 +21,7 @@ from .modal import TrueAtomSet, bub_valuation, compute_atoms, in_determinate_sub
 from .scenario import RunSpec, Scenario, proposition_universe
 from .sieves import (
     GlobalElement,
+    LazyTable,
     Presheaf,
     Sieve,
     annihilator_floors,
@@ -30,6 +31,7 @@ from .sieves import (
     delta_omega_presheaf,
     omega_presheaf,
     proposition_presheaf,
+    subfunctor_table,
     top_sieve,
     true_subobject,
     valuation,
@@ -80,6 +82,8 @@ class BuiltRun:
     atoms_a_ext: Presheaf | None = None
     sigma_ext: GlobalElement | None = None
     true_t_ext: Presheaf | None = None
+    # `subfunctor[n, m]`: whether n is a subfunctor of m, decided once per pair
+    subfunctor: LazyTable = field(default_factory=subfunctor_table)
 
     @property
     def has_extended(self) -> bool:
@@ -311,7 +315,7 @@ def _stage_heyting_tables(run: BuiltRun) -> dict:
     cap = run.scenario.caps["sieve_enum"]
     plain, stage = run.plain, run.stage
     try:
-        plain_masks = plain.sieve_masks(stage, cap)
+        plain_masks = plain.stage(stage).sieves(cap)
     except EnumerationExceeded:
         return {"within_cap": False}
     tables = {
@@ -321,7 +325,7 @@ def _stage_heyting_tables(run: BuiltRun) -> dict:
     if run.has_extended:
         rest, stage = run.rest, run.rest_stage
         try:
-            ext = [Sieve(stage, m) for m in rest.sieve_masks(stage, cap)]
+            ext = [Sieve(stage, m) for m in rest.stage(stage).sieves(cap)]
         except EnumerationExceeded:
             tables["within_cap"] = False
             return tables

@@ -1,11 +1,11 @@
 """Sieves over a built site: stage Heyting algebras, presheaves, valuations.
 
 A sieve on an object is a postcomposition-closed set of arrows out of it.
-Equivalently it is a union of principal sieves, which is how a site lists
-the sieves on an object (`Site.sieve_masks`): it closes the distinct
-principal sieves under union, which avoids filtering all 2^k arrow subsets.
-The site keeps each listed stage for its own lifetime; this module holds no
-table that outlives a call.
+Equivalently it is a union of principal sieves.  A site keeps one `Stage`
+per object (`Site.stage`), built on first use, for its own lifetime: the
+object's top mask, principal masks and implication table, and the list of
+its sieves (`Stage.sieves`), made by closing the distinct principal sieves
+under union rather than by filtering all 2^k arrow subsets.
 
 Representation: a `Sieve` stores an `int` bitmask over the site's global
 arrow ids, bit a set iff arrow a is a member.  The arrows out of one object
@@ -15,14 +15,14 @@ from tables the site owns: per arrow f, the pairs (g, g∘f) and the principal
 mask of f.  Implication is then m ∈ (S ⇒ T) iff `principal[m] & S & ~T` is
 empty, and pulling S back along m is one pass over the pairs of m.
 
-The stage audits read tables.  In a lattice of down-sets, s ⇒ t is the
-largest sieve missing s minus t, so it depends on `y = s & ~t` alone:
-`stage_implies` is a `LazyTable` keyed on y, filled once per distinct y.
+The stage audits read the stage's masks.  In a lattice of down-sets, s ⇒ t
+is the largest sieve missing s minus t, so it depends on `y = s & ~t`
+alone: `Stage.implies` is a `LazyTable` keyed on y, filled once per
+distinct y for the life of the site, so every audit of a stage shares it.
 `is_heyting_family` checks closure under `|` and `&` on every pair, one
 row at a time, and the implication's clauses (membership, modus ponens,
 the probe adjunction) once per distinct y.  So a family of N sieves with k
-probes costs N² closure reads plus O(k) work per distinct y.  A table
-lives as long as the call that uses it.
+probes costs N² closure reads plus O(k) work per distinct y.
 
 Presheaves: a `Presheaf` lists each stage's values and stores each arrow's
 transition as a position table, a tuple giving for every position of the
@@ -52,10 +52,11 @@ be equal, and every row that needs a truth value reads them.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
-from .errors import InternalCheckError, NaturalityError
+from .errors import EnumerationExceeded, InternalCheckError, NaturalityError
 from .modal import compute_atoms
 from .subspaces import (
     Ray,
@@ -114,10 +115,8 @@ def _require_same_base(a: Sieve, b: Sieve) -> None:
 
 def is_sieve(site, s: Sieve) -> bool:
     """Members start at the base and every member's principal sieve is inside."""
-    if s.mask & ~site.out_masks[s.base]:
-        return False
-    principal = site.principal_masks
-    return not any(principal[m] & ~s.mask for m in _bits(s.mask))
+    mask, principal = s.mask, site.principal_masks
+    return not mask & ~site.stage(s.base).top and not any(principal[m] & ~mask for m in _bits(mask))
 
 
 def principal_sieve(site, arrow: int) -> Sieve:
@@ -126,7 +125,7 @@ def principal_sieve(site, arrow: int) -> Sieve:
 
 
 def top_sieve(site, obj: int) -> Sieve:
-    return Sieve(obj, site.out_masks[obj])
+    return Sieve(obj, site.stage(obj).top)
 
 
 def bottom_sieve(obj: int) -> Sieve:
@@ -150,14 +149,8 @@ def heyting_implies(site, s1: Sieve, s2: Sieve) -> Sieve:
     into s1 also lands in s2, i.e. `principal[m] & s1 & ~s2` is empty."""
     _require_same_base(s1, s2)
     outside = s1.mask & ~s2.mask
-    if not outside:
-        return top_sieve(site, s1.base)
     principal = site.principal_masks
-    members = 0
-    for m in site.arrows_from(s1.base):
-        if not principal[m] & outside:
-            members |= 1 << m
-    return Sieve(s1.base, members)
+    return Sieve(s1.base, sum(1 << m for m in site.arrows_from(s1.base) if not principal[m] & outside))
 
 
 class LazyTable(dict):
@@ -171,16 +164,43 @@ class LazyTable(dict):
         return value
 
 
-def stage_implies(site, base: int) -> LazyTable:
-    """`heyting_implies` on sieves based at `base`, keyed on `y = s & ~t`:
-    `table[s & ~t]` is the mask of s ⇒ t, which reads nothing else of s and
-    t.  Each key costs one `heyting_implies` call."""
-    return LazyTable(lambda y: heyting_implies(site, Sieve(base, y), Sieve(base, 0)).mask)
+class Stage:
+    """The sieve lattice of one object as masks, built by `Site.stage`: `top`
+    has every arrow out of `base`, `principals` their principal masks in
+    arrow order, and `implies[s & ~t]` is the mask of s ⇒ t, which reads
+    nothing else of s and t (one `heyting_implies` call per key, while the
+    site lives)."""
+
+    def __init__(self, site, base: int):
+        arrows = site.arrows_from(base)
+        self.base = base
+        self.top = ((1 << len(arrows)) - 1) << arrows[0] if arrows else 0
+        self.principals = tuple([site.principal_masks[a] for a in arrows])
+        site = weakref.proxy(site)  # the site owns its stages: no reference cycle
+        self.implies = LazyTable(lambda y: heyting_implies(site, Sieve(base, y), Sieve(base, 0)).mask)
+        self._sieves: tuple[int, ...] | None = None
+
+    def sieves(self, cap: int) -> tuple[int, ...]:
+        """Every sieve on the base as a mask (the unions of its principal
+        sieves and the empty one, by size, then by ascending arrow ids),
+        listed on first use.  More than `cap` sieves raise
+        `EnumerationExceeded`, listed or not; a listing cut short is not kept."""
+        masks = self._sieves
+        if masks is None:
+            collected = {0}
+            for p in dict.fromkeys(self.principals):
+                collected |= {existing | p for existing in collected}
+                if len(collected) > cap:
+                    raise EnumerationExceeded(cap, self.base, len(self.principals))
+            masks = self._sieves = tuple(sorted(collected, key=lambda m: (m.bit_count(), tuple(_bits(m)))))
+        if len(masks) > cap:
+            raise EnumerationExceeded(cap, self.base, len(self.principals))
+        return masks
 
 
 def is_heyting_family(masks: Sequence[int], implication: Mapping[int, int], probes: Sequence[int]) -> bool:
     """Whether masks on one base form a Heyting algebra under `|`, `&` and
-    `implication[s & ~t]` as s ⇒ t (a `stage_implies` table): each pair's
+    `implication[s & ~t]` as s ⇒ t (a `Stage.implies` table): each pair's
     join, meet and implication are members, s ⇒ t misses s minus t, and
     x ∧ s <= t iff x <= (s ⇒ t) for every probe x.  Probes need only
     join-generate the family, as the principal sieves of a base do for its
@@ -356,6 +376,11 @@ def _inclusion(n: Presheaf, m: Presheaf) -> list[list[int]] | None:
         return None
 
 
+def subfunctor_table() -> LazyTable:
+    """`is_subpresheaf(n, m)` keyed on the pair (n, m), each computed once."""
+    return LazyTable(lambda pair: is_subpresheaf(*pair))
+
+
 def is_subpresheaf(n: Presheaf, m: Presheaf) -> bool:
     """n's stages lie in m's, n is closed, and n's tables are m's restricted:
     for every arrow a, inclusion ∘ t^n_a = t^m_a ∘ inclusion."""
@@ -427,10 +452,12 @@ def pullback_holds(
     )
 
 
-def filter_check(site, s: Presheaf, universe: Presheaf) -> list[tuple]:
+def filter_check(site, s: Presheaf, universe: Presheaf) -> tuple[list[tuple], int]:
     """Up-set and meet-closure violations of a proposition-set functor,
-    relative to the enclosing proposition functor."""
+    relative to the enclosing proposition functor, and the number of ordered
+    pairs of members whose meet that functor lacks (not a violation)."""
     violations: list[tuple] = []
+    outside = 0
     for o in range(site.n_objects):
         stage = set(s.values[o])
         ordered = sorted(stage, key=Subspace.sort_key)
@@ -439,9 +466,12 @@ def filter_check(site, s: Presheaf, universe: Presheaf) -> list[tuple]:
                 if leq(p, q) and q not in stage:
                     violations.append(("up-set", o, p, q))
             for q in ordered:
-                if meet(p, q) not in stage:
+                pq = meet(p, q)
+                if pq not in universe.index[o]:
+                    outside += 1
+                elif pq not in stage:
                     violations.append(("meet", o, p, q))
-    return violations
+    return violations, outside
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +516,7 @@ def omega_presheaf(site, cap: int) -> Presheaf:
     """The subobject classifier: every sieve at every stage, listed by the site."""
     return build_presheaf(
         site,
-        lambda o: tuple(Sieve(o, m) for m in site.sieve_masks(o, cap)),
+        lambda o: tuple(Sieve(o, m) for m in site.stage(o).sieves(cap)),
         lambda a, s: omega_transition(site, a, s),
     )
 
@@ -517,6 +547,7 @@ def semiclassifier_check(
     omega: Presheaf,
     delta_tau: tuple[Sieve, ...],
     pairs: Sequence[tuple[Presheaf, Presheaf, tuple]],
+    subfunctor: Mapping[tuple[Presheaf, Presheaf], bool] | None = None,
 ) -> list[dict]:
     """Per-object semi-classifier audit for a subfunctor of the classifier.
 
@@ -525,9 +556,11 @@ def semiclassifier_check(
     delta_tau is a set-level pullback at every object; (c) the factored map is
     the only natural map with that pullback property (full candidate enumeration
     when the count fits `CANDIDATE_BUDGET`, otherwise a pointwise forcing argument).
+    Subfunctor verdicts are read from `subfunctor[n, m]` (`BuiltRun.subfunctor`).
     """
+    subfunctor = subfunctor_table() if subfunctor is None else subfunctor
     rows: list[dict] = []
-    if not is_subpresheaf(delta_omega, omega):
+    if not subfunctor[delta_omega, omega]:
         rows.append({"pair": None, "passed": False, "reason": "not a subfunctor of the classifier"})
         return rows
     try:
@@ -536,7 +569,7 @@ def semiclassifier_check(
         rows.append({"pair": None, "passed": False, "reason": "the 'true' section is not natural"})
         return rows
     for idx, (n, m, chi) in enumerate(pairs):
-        if not is_subpresheaf(n, m):
+        if not subfunctor[n, m]:
             rows.append({"pair": idx, "passed": False, "reason": "not a subfunctor pair"})
             continue
         factors = _factors_through(chi, delta_omega)

@@ -9,10 +9,10 @@ is written once against the site protocol — `arrows_from`, `compose`,
 `arrow_dom`/`arrow_cod`, `identity_arrow`, `object_ray`.  Arrows out of one
 object have consecutive ids, so a sieve is stored as an `int` bitmask over
 global arrow ids; each site owns the per-arrow tables that sieve algebra
-reads (`postcomposites`, `principal_masks`, `out_masks`), computed once on
-first use, and the per-object table of every sieve as a mask
-(`sieve_masks`), filled stage by stage on first use.  All of them live as
-long as the site: nothing outside it holds a reference.
+reads (`postcomposites`, `principal_masks`), computed once on first use,
+and one `sieves.Stage` per object (`stage`), built on first use, which
+holds the object's top, principals, implication table and sieve list.  All
+of them live as long as the site: nothing outside it holds a reference.
 
 Truncation policy: objects are the orbit of the declared seed states under
 the declared generator monoid, which is required to close within its cap.
@@ -27,13 +27,13 @@ from typing import Sequence
 
 from .errors import (
     ClosureExceeded,
-    EnumerationExceeded,
     InternalCheckError,
     OrbitExceeded,
     UnknownObjectError,
 )
 from .linalg import ExactMatrix, identity_matrix, mat_mul
 from .modal import Observable, in_commutant, observable_leq, zero_augmented_atom_set
+from .sieves import Stage
 from .subspaces import Ray, Subspace, apply_operator
 
 
@@ -168,7 +168,7 @@ class Site:
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _by_dom_op_rho: dict[tuple[int, int, int], int] = field(init=False, repr=False)
     _identity: tuple[int, ...] = field(init=False, repr=False)
-    _sieves: list[tuple[int, ...] | None] = field(init=False, repr=False)
+    _stages: list[Stage | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         out: list[list[int]] = [[] for _ in self.objects]
@@ -185,7 +185,7 @@ class Site:
         object.__setattr__(self, "_out", tuple(tuple(x) for x in out))
         object.__setattr__(self, "_by_dom_op_rho", by_dom_op_rho)
         object.__setattr__(self, "_identity", tuple(identity))
-        object.__setattr__(self, "_sieves", [None] * len(self.objects))
+        object.__setattr__(self, "_stages", [None] * len(self.objects))
 
     # -- category protocol -------------------------------------------------
     @property
@@ -240,37 +240,11 @@ class Site:
             masks.append(mask)
         return tuple(masks)
 
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        """Per object: the mask of every arrow out of it (its top sieve)."""
-        return tuple(((1 << len(a)) - 1) << a[0] if a else 0 for a in self._out)
-
-    def sieve_masks(self, o: int, cap: int) -> tuple[int, ...]:
-        """Every sieve on o as a mask: the unions of its principal sieves and
-        the empty one, by size and then by ascending arrow ids.
-
-        The stage is listed on first use and kept for the life of the site.
-        A stage with more than `cap` sieves raises `EnumerationExceeded`,
-        listed already or not; a listing cut short by its cap is not kept.
-        """
-        arrows = self._out[o]
-        masks = self._sieves[o]
-        if masks is None:
-            principal = self.principal_masks
-            collected = {0}
-            for p in dict.fromkeys(principal[a] for a in arrows):
-                collected |= {existing | p for existing in collected}
-                if len(collected) > cap:
-                    raise EnumerationExceeded(cap, o, len(arrows))
-            masks = self._sieves[o] = tuple(
-                sorted(
-                    collected,
-                    key=lambda m: (m.bit_count(), tuple(a for a in arrows if m >> a & 1)),
-                )
-            )
-        if len(masks) > cap:
-            raise EnumerationExceeded(cap, o, len(arrows))
-        return masks
+    def stage(self, o: int) -> Stage:
+        """The sieve lattice of object o, built on first use and kept."""
+        if self._stages[o] is None:
+            self._stages[o] = Stage(self, o)
+        return self._stages[o]
 
     def compose(self, g: int, f: int) -> int:
         """g∘f for cod(f) = dom(g); arrows compose by operator product."""

@@ -88,7 +88,7 @@ def test_criterion_02_sieve_census(built):
     started = time.monotonic()
     run = next(r for r in built["qubit"].runs if r.spec.name == "z-up")
     site, stage = run.plain, run.stage
-    sieves = [Sieve(stage, m) for m in site.sieve_masks(stage, 4096)]
+    sieves = [Sieve(stage, m) for m in site.stage(stage).sieves(4096)]
     ok = len(sieves) == 5
     floor = bottom_annihilator(site, stage, run.e_r)
     delta = [s for s in sieves if floor.arrows <= s.arrows]
@@ -169,7 +169,7 @@ def test_criterion_06_bridge_identities(built):
     report = heyting_iso_check(ctx, cap=4096)
     ok = report["passed"]
     ok = ok and report["plain_count"] == 5 and report["fixpoint_count"] == 5
-    ext_sieves = [Sieve(ctx.stage, m) for m in ctx.extended.sieve_masks(ctx.stage, 4096)]
+    ext_sieves = [Sieve(ctx.stage, m) for m in ctx.extended.stage(ctx.stage).sieves(4096)]
     images = set()
     for s in ext_sieves:
         image = natural_map(ctx, s)

@@ -74,7 +74,7 @@ def bridge_setup():
 
 def sieves_on(site, o, cap):
     """The sieves on o, as the site lists them."""
-    return [Sieve(o, m) for m in site.sieve_masks(o, cap)]
+    return [Sieve(o, m) for m in site.stage(o).sieves(cap)]
 
 
 def plain_sieve_by_ops(ctx, ops):

@@ -83,7 +83,7 @@ def sample_sites():
 def test_sieve_enumeration_matches_subset_filtering():
     for site in sample_sites():
         for o in range(site.n_objects):
-            fast = {Sieve(o, m).arrows for m in site.sieve_masks(o, 4096)}
+            fast = {Sieve(o, m).arrows for m in site.stage(o).sieves(4096)}
             assert fast == brute_force_sieves(site, o)
 
 
@@ -92,7 +92,7 @@ def test_implication_is_the_maximum_sieve():
 
     for site in sample_sites():
         for o in range(site.n_objects):
-            sieves = [Sieve(o, m).arrows for m in site.sieve_masks(o, 4096)]
+            sieves = [Sieve(o, m).arrows for m in site.stage(o).sieves(4096)]
             for s in sieves:
                 for t in sieves:
                     imp = heyting_implies(site, Sieve(o, _mask(s)), Sieve(o, _mask(t)))
@@ -175,7 +175,7 @@ def test_random_states_oracle_and_bridge(state_vector, extra_props):
         for p in universe:
             chi = table[o][propositions.index[o][p]]
             assert chi == valuation(plain, o, r, p)
-    for m in plain.sieve_masks(ctx.plain_stage, 4096):
+    for m in plain.stage(ctx.plain_stage).sieves(4096):
         s = Sieve(ctx.plain_stage, m)
         assert flat(ctx, sharp(ctx, s)) == s
     for p in universe:

@@ -8,8 +8,8 @@ the bundled scenarios and of a dim-4 chain, whose 85-sieve extended stage
 the old audit sampled.  The distributivity triple loop the old audit also
 ran holds for any family of ints; the rejection tests keep it as a foil.
 
-The helper reads the implication as a table keyed on s minus t, as
-`stage_implies` builds it, and checks its clauses once per distinct key;
+The helper reads the implication as a table keyed on s minus t, as a
+site's `Stage.implies` holds it, and checks its clauses once per distinct key;
 the oracle reads the same table on every pair.  The guard tests below hold
 the table to the kernel on every pair, the helper to the oracle on random
 families, probes and implications, and count the kernel calls one audit
@@ -37,18 +37,18 @@ from sieveval import (
     scenario_from_dict,
     sharp,
 )
-from sieveval import bridge as bridge_module
 from sieveval import checks as checks_module
 from sieveval import runner as runner_module
 from sieveval import sieves as sieves_module
+from sieveval import sites as sites_module
 from sieveval.bridge import is_natural_at
 from sieveval.sieves import (
     LazyTable,
     build_presheaf,
     delta_omega_presheaf,
     is_heyting_family,
+    Stage,
     omega_presheaf,
-    stage_implies,
     subpresheaf,
     top_sieve,
 )
@@ -149,40 +149,42 @@ def fixpoint_implies(ctx):
 
 def stage_families():
     """(label, masks, implication table, probes) for every Ω stage, δΩ stage and
-    fixpoint family of the bundled scenarios and of the chain."""
+    fixpoint family of the bundled scenarios and of the chain, and the built
+    scenarios, whose sites own the stage tables."""
     scenarios = [load_scenario(bundled_scenario_path(n)) for n in bundled_scenario_names()]
     scenarios.append(scenario_from_dict(CHAIN))
     families = []
-    for scenario in scenarios:
-        for run in build_scenario(scenario).runs:
+    built = [build_scenario(scenario) for scenario in scenarios]
+    for scenario, runs in zip(scenarios, (b.runs for b in built)):
+        for run in runs:
             label = f"{scenario.name}/{run.spec.name}"
             delta = delta_omega_presheaf(omega_presheaf(run.plain, CAP), run.floors)
             for kind, site in (("plain", run.plain), ("extended", run.rest)):
                 if site is None:
                     continue
                 for o in range(site.n_objects):
-                    masks = list(site.sieve_masks(o, CAP))
+                    masks = list(site.stage(o).sieves(CAP))
                     families.append(
-                        (f"{label}/Ω {kind} {o}", masks, stage_implies(site, o), principal_probes(site, o))
+                        (f"{label}/Ω {kind} {o}", masks, site.stage(o).implies, principal_probes(site, o))
                     )
             for o in range(run.plain.n_objects):
                 masks = [s.mask for s in delta.values[o]]
                 families.append(
-                    (f"{label}/δΩ {o}", masks, stage_implies(run.plain, o), principal_probes(run.plain, o))
+                    (f"{label}/δΩ {o}", masks, run.plain.stage(o).implies, principal_probes(run.plain, o))
                 )
             if run.ctx is not None:
                 ctx = run.ctx
                 masks = [
                     m
-                    for m in ctx.extended.sieve_masks(ctx.stage, CAP)
+                    for m in ctx.extended.stage(ctx.stage).sieves(CAP)
                     if is_natural_at(ctx.extended, ctx.stage, Sieve(ctx.stage, m))
                 ]
                 families.append((f"{label}/fixpoints", masks, fixpoint_implies(ctx), masks))
-    return tuple(families)
+    return tuple(families), built
 
 
 def test_helper_agrees_with_the_exhaustive_oracle_on_every_stage_family():
-    families = stage_families()
+    families, _built = stage_families()
     kinds = {label.rsplit("/", 1)[1].split(" ")[0] for label, *_ in families}
     assert kinds == {"Ω", "δΩ", "fixpoints"}
     assert any(len(masks) == 85 for _, masks, _, _ in families)
@@ -210,17 +212,17 @@ def test_memoised_stage_implication_is_the_kernel_on_every_pair(which):
         for site in (run.plain, run.rest):
             if site is not None:
                 stages += [
-                    (site, o, [Sieve(o, m) for m in site.sieve_masks(o, CAP)])
+                    (site, o, [Sieve(o, m) for m in site.stage(o).sieves(CAP)])
                     for o in range(site.n_objects)
                 ]
         delta = delta_omega_presheaf(omega_presheaf(run.plain, CAP), run.floors)
         stages += [(run.plain, o, delta.values[o]) for o in range(run.plain.n_objects)]
         if run.ctx is not None:
             ctx = run.ctx
-            sieves = [Sieve(ctx.stage, m) for m in ctx.extended.sieve_masks(ctx.stage, CAP)]
+            sieves = [Sieve(ctx.stage, m) for m in ctx.extended.stage(ctx.stage).sieves(CAP)]
             fixpoint_families.append((ctx, [s for s in sieves if is_natural_at(ctx.extended, ctx.stage, s)]))
     for site, o, sieves in stages:
-        table = stage_implies(site, o)
+        table = site.stage(o).implies
         for s in sieves:
             for t in sieves:
                 assert table[s.mask & ~t.mask] == heyting_implies(site, s, t).mask
@@ -288,8 +290,8 @@ def _qutrit_extended_stage():
     """The largest stage of the first extended run of `qutrit_extended`."""
     built = build_scenario(load_scenario(bundled_scenario_path("qutrit_extended")))
     site = built.runs[0].rest
-    o = max(range(site.n_objects), key=lambda o: len(site.sieve_masks(o, CAP)))
-    masks = list(site.sieve_masks(o, CAP))
+    o = max(range(site.n_objects), key=lambda o: len(site.stage(o).sieves(CAP)))
+    masks = list(site.stage(o).sieves(CAP))
     return site, o, masks
 
 
@@ -301,7 +303,7 @@ def test_helper_rejects_a_stage_missing_one_sieve():
         s for s in masks if any(x | y == s for x in members for y in members if x != s and y != s)
     )
     family = [m for m in masks if m != dropped]
-    assert not is_heyting_family(family, stage_implies(site, o), principal_probes(site, o))
+    assert not is_heyting_family(family, site.stage(o).implies, principal_probes(site, o))
     assert distributivity_loop(family)
 
 
@@ -346,7 +348,7 @@ def _chain_85_sieve_stage():
     for run in build_scenario(scenario_from_dict(CHAIN)).runs:
         if run.rest is not None:
             for o in range(run.rest.n_objects):
-                masks = list(run.rest.sieve_masks(o, CAP))
+                masks = list(run.rest.stage(o).sieves(CAP))
                 if len(masks) == 85:
                     return run.rest, o, masks
     raise AssertionError("the chain has no 85-sieve stage")
@@ -362,7 +364,7 @@ def test_one_audit_makes_one_kernel_call_per_distinct_key(monkeypatch):
         return honest(*args)
 
     monkeypatch.setattr(sieves_module, "heyting_implies", counted)
-    assert is_heyting_family(masks, stage_implies(site, o), principal_probes(site, o))
+    assert is_heyting_family(masks, site.stage(o).implies, principal_probes(site, o))
     assert len({s & ~t for s in masks for t in masks}) == 448
     assert calls["heyting_implies"] == 448
 
@@ -373,19 +375,26 @@ def _wrong_at_top(table, top):
     return table
 
 
+def _doctor_stages(monkeypatch, doctor):
+    """Every stage a site builds from now on gets `doctor(site, stage)` as
+    its implication table."""
+
+    class Doctored(Stage):
+        def __init__(self, site, base):
+            super().__init__(site, base)
+            self.implies = doctor(site, self)
+
+    monkeypatch.setattr(sites_module, "Stage", Doctored)
+
+
 def test_a_table_wrong_at_one_key_fails_the_helper_and_the_audit_row(monkeypatch):
     site, o, masks = _chain_85_sieve_stage()
-    top = top_sieve(site, o).mask
+    stage = site.stage(o)
     probes = principal_probes(site, o)
-    assert stage_implies(site, o)[top] == 0
-    assert not is_heyting_family(masks, _wrong_at_top(stage_implies(site, o), top), probes)
+    assert stage.implies[stage.top] == 0
+    assert not is_heyting_family(masks, _wrong_at_top(stage.implies, stage.top), probes)
 
-    honest = checks_module.stage_implies
-
-    def doctored(site, base):
-        return _wrong_at_top(honest(site, base), site.out_masks[base])
-
-    monkeypatch.setattr(checks_module, "stage_implies", doctored)
+    _doctor_stages(monkeypatch, lambda site, stage: _wrong_at_top(stage.implies, stage.top))
     rows = _rows(run_check(scenario_from_dict(CHAIN)), "§3.1 Heyting")
     assert rows and not any(row["passed"] for row in rows)
 
@@ -396,7 +405,7 @@ def _rows(report, tag):
 
 def _without_principal_sieves(site, o, sieves):
     principal = {site.principal_masks[a] for a in site.arrows_from(o)}
-    return tuple(s for s in sieves if s.mask == site.out_masks[o] or s.mask not in principal)
+    return tuple(s for s in sieves if s.mask == site.stage(o).top or s.mask not in principal)
 
 
 def _without_the_empty_sieve(site, o, sieves):
@@ -436,21 +445,15 @@ def test_chain_extended_audit_is_exhaustive():
 def test_modus_ponens_is_checked_without_probes():
     site, o, masks = _qutrit_extended_stage()
     top = top_sieve(site, o).mask
-    assert is_heyting_family(masks, stage_implies(site, o), [])
+    assert is_heyting_family(masks, site.stage(o).implies, [])
     assert not is_heyting_family(masks, LazyTable(lambda y: top), [])
 
 
 def test_fixpoint_adjunction_fails_under_a_wrong_plain_implication(monkeypatch):
     ctx = build_scenario(load_scenario(bundled_scenario_path("qubit_extended"))).runs[0].ctx
-    honest = bridge_module.stage_implies
-
-    def top_for_plain(site, base):
-        if site is ctx.plain:
-            return LazyTable(lambda y: site.out_masks[base])
-        return honest(site, base)
-
+    plain = ctx.plain.stage(ctx.plain_stage)
     assert heyting_iso_check(ctx, CAP)["fixpoint_adjunction"]
-    monkeypatch.setattr(bridge_module, "stage_implies", top_for_plain)
+    monkeypatch.setattr(plain, "implies", LazyTable(lambda y: plain.top))
     assert not heyting_iso_check(ctx, CAP)["fixpoint_adjunction"]
 
 
@@ -472,16 +475,15 @@ def test_an_ambient_implication_below_the_fixpoint_one_fails_eq_5_17(monkeypatch
     at s = t it is the top sieve."""
     scenario = load_scenario(bundled_scenario_path("qubit_extended"))
     ctx = build_scenario(scenario).runs[0].ctx
-    honest = bridge_module.stage_implies
-
-    def empty_on_extended_sites(site, base):
-        if isinstance(site, ExtendedSite):
-            return LazyTable(lambda y: 0)
-        return honest(site, base)
-
+    extended = ctx.extended.stage(ctx.stage)
     assert heyting_iso_check(ctx, CAP)["implies_dominates"]
-    monkeypatch.setattr(bridge_module, "stage_implies", empty_on_extended_sites)
+    monkeypatch.setattr(extended, "implies", LazyTable(lambda y: 0))
     assert not heyting_iso_check(ctx, CAP)["implies_dominates"]
+
+    def empty_on_extended_sites(site, stage):
+        return LazyTable(lambda y: 0) if isinstance(site, ExtendedSite) else stage.implies
+
+    _doctor_stages(monkeypatch, empty_on_extended_sites)
     rows = _rows(run_check(scenario), "Eq 5.17")
     assert rows and not any(row["passed"] for row in rows)
 

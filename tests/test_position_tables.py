@@ -422,7 +422,8 @@ class Recorder:
         monkeypatch.setattr(sieves_module, "build_presheaf", recording_build)
         for module in (sieves_module, checks_module, bridge_module):
             monkeypatch.setattr(module, "subpresheaf", recording_cut)
-            monkeypatch.setattr(module, "is_subpresheaf", recording_subfunctor)
+            if hasattr(module, "is_subpresheaf"):
+                monkeypatch.setattr(module, "is_subpresheaf", recording_subfunctor)
             monkeypatch.setattr(module, "naturality_holds", recording_natural)
         monkeypatch.setattr(checks_module, "associativity_violations", recording_assoc)
 

@@ -285,13 +285,13 @@ def test_valuate_reports_an_internal_error_while_listing_a_stage(monkeypatch, ca
     # Only a cap hit means the stage tables do not fit; a bug while a stage is
     # listed or filtered is an internal error, not "within_cap": false.
     import sieveval.runner as runner_module
-    from sieveval.sites import Site
+    from sieveval.sieves import Stage
 
     def broken(*args):
         raise InternalCheckError("stage listing failed")
 
     if where == "listing":
-        monkeypatch.setattr(Site, "sieve_masks", broken)
+        monkeypatch.setattr(Stage, "sieves", broken)
     else:
         monkeypatch.setattr(runner_module, "is_natural_at", broken)
     path = str(bundled_scenario_path("qubit_extended"))

@@ -132,7 +132,7 @@ def mask_of(arrows) -> int:
 
 def arrow_sets(site, obj):
     """Stage sieves, and arbitrary subsets of the arrows out of obj."""
-    sieves = [Sieve(obj, m).arrows for m in site.sieve_masks(obj, CAP)]
+    sieves = [Sieve(obj, m).arrows for m in site.stage(obj).sieves(CAP)]
     return st.one_of(
         st.sampled_from(sieves), st.frozensets(st.sampled_from(site.arrows_from(obj)))
     )
@@ -152,7 +152,7 @@ def test_principal_sieves_match_reference():
 def test_enumeration_matches_reference_in_order():
     for label, site in bundled_sites()[0]:
         for o in range(site.n_objects):
-            sieves = [Sieve(o, m) for m in site.sieve_masks(o, CAP)]
+            sieves = [Sieve(o, m) for m in site.stage(o).sieves(CAP)]
             assert [s.arrows for s in sieves] == ref_enumerate_sieves(site, o), label
             by_size_then_ids = sorted(
                 sieves, key=lambda s: (len(s.arrows), tuple(sorted(s.arrows)))

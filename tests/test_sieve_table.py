@@ -1,8 +1,9 @@
-"""The per-object sieve table a site owns (`Site.sieve_masks`).
+"""The per-object stages a site owns (`Site.stage`, `Stage.sieves`).
 
-A stage is listed once and kept for the life of its site, so the table must
-die with the site, must not grow across repeated checks of the same
-scenarios, and must still refuse a stage larger than the cap of each call.
+A site builds one stage per object and keeps it for its own life; a stage
+is listed once, so the table must die with the site, must not grow across
+repeated checks of the same scenarios, and must still refuse a stage larger
+than the cap of each call.
 """
 
 import gc
@@ -16,6 +17,7 @@ from sieveval import (
     bundled_scenario_names,
     bundled_scenario_path,
     load_scenario,
+    restrict_down,
     run_check,
     valuate_run,
 )
@@ -48,19 +50,34 @@ def test_a_site_and_its_sieve_table_are_freed_with_the_scenario():
     assert refs and all(ref() is None for ref in refs)
 
 
+def test_a_site_keeps_one_stage_per_object_and_a_restriction_builds_its_own():
+    site = qubit_site()
+    stages = [site.stage(o) for o in range(site.n_objects)]
+    assert all(site.stage(o) is stage for o, stage in enumerate(stages))
+    assert len(set(map(id, stages))) == site.n_objects
+    stages[0].sieves(64)
+    assert stages[0].implies[stages[0].top] == 0
+    down = restrict_down(site, 1)
+    for o in range(down.n_objects):
+        stage = down.stage(o)
+        assert all(stage is not old for old in stages)
+        assert not stage.implies
+        assert stage.base == o and stage.top == sum(1 << a for a in down.arrows_from(o))
+
+
 def test_a_listed_stage_still_raises_under_a_smaller_cap():
     message = r"^sieve enumeration exceeded the cap of 4 at object 0 \(3 arrows\)$"
-    fresh = qubit_site()
+    fresh = qubit_site().stage(0)
     with pytest.raises(EnumerationExceeded, match=message):
-        fresh.sieve_masks(0, 4)
-    listed = qubit_site()
-    masks = listed.sieve_masks(0, 64)
+        fresh.sieves(4)
+    listed = qubit_site().stage(0)
+    masks = listed.sieves(64)
     assert len(masks) == 5
     with pytest.raises(EnumerationExceeded, match=message):
-        listed.sieve_masks(0, 4)
-    assert listed.sieve_masks(0, 5) is masks
+        listed.sieves(4)
+    assert listed.sieves(5) is masks
     # a listing cut short by its cap leaves nothing behind
-    assert fresh.sieve_masks(0, 5) == masks
+    assert fresh.sieves(5) == masks
 
 
 def test_repeated_bundled_checks_hold_live_memory_flat():

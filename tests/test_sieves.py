@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sieveval import (
@@ -21,6 +23,8 @@ from sieveval import (
     omega_transition,
     project_onto_eigenspace,
     ray_from_vector,
+    run_check,
+    scenario_from_dict,
     subspace_from_vectors,
     true_subobject,
     valuation,
@@ -82,7 +86,7 @@ def qubit_setup(qubit_site):
 
 def sieves_on(site, o, cap):
     """The sieves on o, as the site lists them."""
-    return [Sieve(o, m) for m in site.sieve_masks(o, cap)]
+    return [Sieve(o, m) for m in site.stage(o).sieves(cap)]
 
 
 def test_omega_census_qubit(qubit_site):
@@ -203,7 +207,7 @@ def test_sigma_naturality_error(qubit_setup):
 
 def test_filter_check_positive_and_negative(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
-    assert filter_check(site, true_t, propositions) == []
+    assert filter_check(site, true_t, propositions) == ([], 0)
     # a lone ray is a presheaf (images stay inside) but not up-closed
     not_up_values = {
         0: (span([1, 0]),),
@@ -211,7 +215,7 @@ def test_filter_check_positive_and_negative(qubit_setup):
         2: (zero_space(2), span([1, 0])),
     }
     not_up = build_presheaf(site, lambda o: not_up_values[o], act(site))
-    assert any(kind == "up-set" for kind, *_ in filter_check(site, not_up, propositions))
+    assert any(kind == "up-set" for kind, *_ in filter_check(site, not_up, propositions)[0])
     # two incomparable members without their meet
     no_meet_values = {
         0: (span([1, 1]), span([1, 0]), full_space(2)),
@@ -219,7 +223,54 @@ def test_filter_check_positive_and_negative(qubit_setup):
         2: (span([0, 1]), zero_space(2), full_space(2)),
     }
     no_meet = build_presheaf(site, lambda o: no_meet_values[o], act(site))
-    assert any(kind == "meet" for kind, *_ in filter_check(site, no_meet, propositions))
+    assert any(kind == "meet" for kind, *_ in filter_check(site, no_meet, propositions)[0])
+
+
+def _tilted_qutrit(name):
+    """A bundled qutrit scenario with B and Bm tilted, so that some meets of
+    two true propositions are rays outside the finite universe."""
+    data = json.loads(bundled_scenario_path(name).read_text(encoding="utf-8"))
+    data["propositions"]["B"][0][2] = "1/2"
+    data["propositions"]["Bm"][1][0] = "1"
+    return scenario_from_dict(data)
+
+
+def test_meets_outside_the_universe_are_counted_not_violations():
+    report = run_check(_tilted_qutrit("qutrit"))
+    assert report["passed"]
+    rows = [row for row in report["rows"] if row["tag"] == "Eqs 3.26–3.27"]
+    assert [(row["run"], row["details"]) for row in rows] == [
+        ("r1", {"violations": 0, "meets_outside": 2}),
+        ("r23", {"violations": 0, "meets_outside": 2}),
+    ]
+
+
+def test_extended_filter_rows_count_meets_outside_the_universe():
+    rows = [row for row in run_check(_tilted_qutrit("qutrit_extended"))["rows"] if row["tag"] == "Eq 4.26"]
+    assert [(row["passed"], row["details"]) for row in rows] == [
+        (True, {"violations": 0, "meets_outside": n}) for n in (4, 10, 4)
+    ]
+
+
+def test_a_true_subobject_that_is_no_subfunctor_fails_every_row_reading_the_verdict(monkeypatch):
+    from sieveval import runner
+
+    def without_a_transition_image(sigma, propositions):
+        """The true subobject less one image of a kept value along an arrow."""
+        honest = true_subobject(sigma, propositions)
+        site = propositions.site
+        a = next(a for a in range(len(site.arrows)) if site.arrow_dom(a) != site.arrow_cod(a))
+        cod = site.arrow_cod(a)
+        image = honest.values[cod][honest.positions[a][0]]
+        return sieves.subpresheaf(honest, lambda o, p: o != cod or p != image)
+
+    monkeypatch.setattr(runner, "true_subobject", without_a_transition_image)
+    report = run_check(load_scenario(bundled_scenario_path("qubit")))
+    for tag in ("Eq 3.12", "Props A3–A4 (δΩ)"):
+        rows = [row for row in report["rows"] if row["tag"] == tag]
+        assert rows and not any(row["passed"] for row in rows), tag
+    semi = [row for row in report["rows"] if row["tag"] == "Props A3–A4 (δΩ)"]
+    assert all(r["reason"] == "not a subfunctor pair" for row in semi for r in row["details"]["results"])
 
 
 def test_filter_check_sorts_each_stage_once(qubit_setup, monkeypatch):
@@ -232,7 +283,7 @@ def test_filter_check_sorts_each_stage_once(qubit_setup, monkeypatch):
         return sort_key(p)
 
     monkeypatch.setattr(Subspace, "sort_key", counting_sort_key)
-    assert filter_check(site, true_t, propositions) == []
+    assert filter_check(site, true_t, propositions) == ([], 0)
     assert len(keyed) == sum(len(set(stage)) for stage in true_t.values) > 0
 
 

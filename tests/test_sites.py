@@ -246,7 +246,7 @@ def test_one_observable_extended_site_is_the_plain_site(name):
 def test_site_tables_and_consecutive_arrow_ids(qubit_site):
     site = qubit_site
     for o in range(site.n_objects):
-        assert site.out_masks[o] == sum(1 << a for a in site.arrows_from(o))
+        assert site.stage(o).top == sum(1 << a for a in site.arrows_from(o))
     for f in range(len(site.arrows)):
         pairs = site.postcomposites[f]
         assert [g for g, _ in pairs] == list(site.arrows_from(site.arrow_cod(f)))

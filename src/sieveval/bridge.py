@@ -31,7 +31,6 @@ from .sieves import (
     Presheaf,
     Sieve,
     is_heyting_family,
-    is_subpresheaf,
     lands_in,
     naturality_holds,
     pullback_holds,
@@ -243,15 +242,15 @@ def _projective_at(site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, i: in
     ]
 
 
-def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi, subfunctor=None) -> dict:
+def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi, subfunctor) -> dict:
     """Prop 5.10's two detectors at every value of m, once each, for a
     subfunctor n of m with characteristic table chi, laid out like chi:
     `witnesses`, the arrows along which n fails projectivity there
     (`_projective_at`), and `natural_chi`, chi's value after the round trip,
     equal to it iff it is natural (`is_natural_at`).  `mismatches` lists
     the (stage, value) pairs where the detectors disagree.  n must be a
-    subfunctor of m: `subfunctor[n, m]` when given (`BuiltRun.subfunctor`)."""
-    if not (is_subpresheaf(n, m) if subfunctor is None else subfunctor[n, m]):
+    subfunctor of m, read from `subfunctor[n, m]` (`BuiltRun.subfunctor`)."""
+    if not subfunctor[n, m]:
         raise NotASubPresheaf("the detectors are asked of a subfunctor")
     witnesses = tuple([
         tuple([_projective_at(site, n, m, o, i) for i in range(len(stage))])

@@ -718,8 +718,11 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
             run=run.spec.name,
         )
     )
-    plain = [Sieve(ctx.plain_stage, m) for m in ctx.plain.stage(ctx.plain_stage).sieves(cap)]
-    sharp_oracle_ok = all(sharp(ctx, s) == sharp_by_intersection(ctx, s, cap) for s in plain)
+    sharp_oracle_ok = True
+    for m in ctx.plain.stage(ctx.plain_stage).sieves(cap):
+        s = Sieve(ctx.plain_stage, m)
+        if sharp(ctx, s) != sharp_by_intersection(ctx, s, cap):
+            sharp_oracle_ok = False
     rows.append(
         _row(
             "Eq 5.4",
@@ -916,7 +919,7 @@ def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
         return rows
     candidate, obj, x, witness_arrow = adversarial
     chi = characteristic_table(rest, candidate, propositions)
-    detectors_adv = detector_tables(rest, candidate, propositions, chi)
+    detectors_adv = detector_tables(rest, candidate, propositions, chi, run.subfunctor)
     i = propositions.index[obj][x]
     witnesses = detectors_adv["witnesses"][obj][i]
     natural_adv = detectors_adv["natural_chi"][obj][i] == chi[obj][i]
@@ -985,7 +988,9 @@ def _census_rows(run: BuiltRun) -> list[dict]:
         rest, stage = run.rest, run.rest_stage
         masks = rest.stage(stage).sieves(run.scenario.caps["sieve_enum"])
         details["extended_stage_size"] = len(masks)
-        details["natural_stage_size"] = sum(is_natural_at(rest, stage, Sieve(stage, m)) for m in masks)
+        details["natural_stage_size"] = sum(
+            is_natural_at(rest, stage, Sieve(stage, m)) for m in masks
+        )
     return [
         _row(
             "Eq 3.13",

@@ -6,7 +6,7 @@ JSON rendering is byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .bridge import (
@@ -82,8 +82,6 @@ class BuiltRun:
     atoms_a_ext: Presheaf | None = None
     sigma_ext: GlobalElement | None = None
     true_t_ext: Presheaf | None = None
-    # `subfunctor[n, m]`: whether n is a subfunctor of m, decided once per pair
-    subfunctor: LazyTable = field(default_factory=subfunctor_table)
 
     @property
     def has_extended(self) -> bool:
@@ -92,7 +90,8 @@ class BuiltRun:
     # Truth-value tables, each built on first use (see `sieves`): the direct
     # valuation and the true subobject's characteristic table, per site; and
     # the classifiers every naturality square reads: Ω and δΩ on the plain
-    # site, Ω and ♮Ω on the extended one.
+    # site, Ω and ♮Ω on the extended one.  `subfunctor[n, m]` says whether
+    # n is a subfunctor of m, decided once per pair.
 
     @cached_property
     def values(self) -> tuple[tuple[Sieve, ...], ...]:
@@ -125,6 +124,10 @@ class BuiltRun:
     @cached_property
     def nat_omega(self) -> Presheaf:
         return natural_omega(self.omega_ext)
+
+    @cached_property
+    def subfunctor(self) -> LazyTable:
+        return subfunctor_table()
 
 
 @dataclass

@@ -115,8 +115,10 @@ def _require_same_base(a: Sieve, b: Sieve) -> None:
 
 def is_sieve(site, s: Sieve) -> bool:
     """Members start at the base and every member's principal sieve is inside."""
-    mask, principal = s.mask, site.principal_masks
-    return not mask & ~site.stage(s.base).top and not any(principal[m] & ~mask for m in _bits(mask))
+    if s.mask & ~site.stage(s.base).top:
+        return False
+    principal = site.principal_masks
+    return not any(principal[m] & ~s.mask for m in _bits(s.mask))
 
 
 def principal_sieve(site, arrow: int) -> Sieve:
@@ -150,7 +152,11 @@ def heyting_implies(site, s1: Sieve, s2: Sieve) -> Sieve:
     _require_same_base(s1, s2)
     outside = s1.mask & ~s2.mask
     principal = site.principal_masks
-    return Sieve(s1.base, sum(1 << m for m in site.arrows_from(s1.base) if not principal[m] & outside))
+    members = 0
+    for m in site.arrows_from(s1.base):
+        if not principal[m] & outside:
+            members |= 1 << m
+    return Sieve(s1.base, members)
 
 
 class LazyTable(dict):
@@ -192,7 +198,12 @@ class Stage:
                 collected |= {existing | p for existing in collected}
                 if len(collected) > cap:
                     raise EnumerationExceeded(cap, self.base, len(self.principals))
-            masks = self._sieves = tuple(sorted(collected, key=lambda m: (m.bit_count(), tuple(_bits(m)))))
+            masks = self._sieves = tuple(
+                sorted(
+                    collected,
+                    key=lambda m: (m.bit_count(), tuple(_bits(m))),
+                )
+            )
         if len(masks) > cap:
             raise EnumerationExceeded(cap, self.base, len(self.principals))
         return masks
@@ -547,7 +558,7 @@ def semiclassifier_check(
     omega: Presheaf,
     delta_tau: tuple[Sieve, ...],
     pairs: Sequence[tuple[Presheaf, Presheaf, tuple]],
-    subfunctor: Mapping[tuple[Presheaf, Presheaf], bool] | None = None,
+    subfunctor: Mapping[tuple[Presheaf, Presheaf], bool],
 ) -> list[dict]:
     """Per-object semi-classifier audit for a subfunctor of the classifier.
 
@@ -558,7 +569,6 @@ def semiclassifier_check(
     when the count fits `CANDIDATE_BUDGET`, otherwise a pointwise forcing argument).
     Subfunctor verdicts are read from `subfunctor[n, m]` (`BuiltRun.subfunctor`).
     """
-    subfunctor = subfunctor_table() if subfunctor is None else subfunctor
     rows: list[dict] = []
     if not subfunctor[delta_omega, omega]:
         rows.append({"pair": None, "passed": False, "reason": "not a subfunctor of the classifier"})

@@ -241,7 +241,10 @@ class Site:
         return tuple(masks)
 
     def stage(self, o: int) -> Stage:
-        """The sieve lattice of object o, built on first use and kept."""
+        """The sieve lattice of object o, built on first use and kept.  The
+        stage reaches this site through a weak proxy, so the caller keeps the
+        site alive while using it: once the site is freed, a key missing
+        from `implies` raises `ReferenceError`."""
         if self._stages[o] is None:
             self._stages[o] = Stage(self, o)
         return self._stages[o]

@@ -37,6 +37,7 @@ from sieveval.sieves import (
     is_subpresheaf,
     omega_presheaf,
     proposition_presheaf,
+    subfunctor_table,
     subpresheaf,
     top_sieve,
     true_subobject,
@@ -212,7 +213,7 @@ def extended_presheaves(bridge_setup):
 def test_true_subobject_is_projective(extended_presheaves):
     rest, propositions, true_t = extended_presheaves
     chi = characteristic_table(rest, true_t, propositions)
-    detectors = detector_tables(rest, true_t, propositions, chi)
+    detectors = detector_tables(rest, true_t, propositions, chi, subfunctor_table())
     # one (empty) witness list per value of every stage
     assert [len(stage) for stage in detectors["witnesses"]] == [len(s) for s in propositions.values]
     assert not any(any(stage) for stage in detectors["witnesses"])
@@ -234,7 +235,7 @@ def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):
     x = span([1, 0])
     i = propositions.index[stage][x]
     table = characteristic_table(rest, bad, propositions)
-    detectors = detector_tables(rest, bad, propositions, table)
+    detectors = detector_tables(rest, bad, propositions, table, subfunctor_table())
     assert detectors["witnesses"][stage][i]
     assert not is_natural_at(rest, stage, table[stage][i])
     assert detectors["natural_chi"][stage][i] != table[stage][i]
@@ -244,7 +245,7 @@ def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):
 def test_natural_characteristic_and_uniqueness(extended_presheaves):
     rest, propositions, true_t = extended_presheaves
     chi = characteristic_table(rest, true_t, propositions)
-    detectors = detector_tables(rest, true_t, propositions, chi)
+    detectors = detector_tables(rest, true_t, propositions, chi, subfunctor_table())
     result = natural_characteristic(true_t, propositions, chi, detectors, omega_presheaf(rest, cap=64))
     assert result["passed"]
     # perturbing one value breaks the pullback

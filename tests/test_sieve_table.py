@@ -67,10 +67,10 @@ def test_a_site_keeps_one_stage_per_object_and_a_restriction_builds_its_own():
 
 def test_a_listed_stage_still_raises_under_a_smaller_cap():
     message = r"^sieve enumeration exceeded the cap of 4 at object 0 \(3 arrows\)$"
-    fresh = qubit_site().stage(0)
+    sites = [qubit_site(), qubit_site()]  # a stage is used while its site lives
+    fresh, listed = (site.stage(0) for site in sites)
     with pytest.raises(EnumerationExceeded, match=message):
         fresh.sieves(4)
-    listed = qubit_site().stage(0)
     masks = listed.sieves(64)
     assert len(masks) == 5
     with pytest.raises(EnumerationExceeded, match=message):
@@ -78,6 +78,18 @@ def test_a_listed_stage_still_raises_under_a_smaller_cap():
     assert listed.sieves(5) is masks
     # a listing cut short by its cap leaves nothing behind
     assert fresh.sieves(5) == masks
+
+
+def test_a_stage_outliving_its_site_answers_only_what_it_already_holds():
+    site = qubit_site()
+    stage = site.stage(0)
+    masks = stage.sieves(64)
+    held = stage.implies[stage.top]
+    del site
+    gc.collect()
+    assert stage.sieves(64) is masks and stage.implies[stage.top] == held
+    with pytest.raises(ReferenceError):
+        stage.implies[masks[1]]
 
 
 def test_repeated_bundled_checks_hold_live_memory_flat():

@@ -46,6 +46,7 @@ from sieveval.sieves import (
     delta_omega_presheaf,
     proposition_presheaf,
     semiclassifier_check,
+    subfunctor_table,
     tau_values,
     top_sieve,
 )
@@ -365,7 +366,7 @@ def test_semiclassifier_on_full_classifier(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     omega = omega_presheaf(site, cap=64)
     rows = semiclassifier_check(
-        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)]
+        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)], subfunctor_table()
     )
     assert all(r["passed"] for r in rows)
 
@@ -375,7 +376,7 @@ def test_semiclassifier_delta(qubit_setup):
     omega = omega_presheaf(site, cap=64)
     delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
     rows = semiclassifier_check(
-        site, delta, omega, tau_values(site), [pair(site, true_t, propositions)]
+        site, delta, omega, tau_values(site), [pair(site, true_t, propositions)], subfunctor_table()
     )
     assert all(r["passed"] for r in rows)
     assert rows[0]["uniqueness_mode"] in ("enumerated", "forced-pointwise")
@@ -389,7 +390,7 @@ def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
     sigma2 = atom_global_element(site, atoms, span([0, 1]))
     other_t = true_subobject(sigma2, propositions)
     rows = semiclassifier_check(
-        site, delta, omega, tau_values(site), [pair(site, other_t, propositions)]
+        site, delta, omega, tau_values(site), [pair(site, other_t, propositions)], subfunctor_table()
     )
     assert not rows[0]["factors"]
     assert not rows[0]["passed"]
@@ -404,7 +405,7 @@ def test_semiclassifier_rejects_a_true_section_that_is_not_natural(qubit_setup):
     crooked = (top_sieve(site, 0),) + tuple(bottom_sieve(o) for o in range(1, site.n_objects))
     outside = (Sieve(0, 1 << site.identity_arrow(0)),) + tau_values(site)[1:]
     for tau in (crooked, outside):
-        rows = semiclassifier_check(site, omega, omega, tau, pairs)
+        rows = semiclassifier_check(site, omega, omega, tau, pairs, subfunctor_table())
         assert rows == [{"pair": None, "passed": False, "reason": "the 'true' section is not natural"}]
 
 
@@ -419,16 +420,16 @@ def test_semiclassifier_enumerated_uniqueness_small():
     true_t = true_subobject(sigma, propositions)
     omega = omega_presheaf(site, cap=8)
     rows = semiclassifier_check(
-        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)]
+        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)], subfunctor_table()
     )
     assert rows[0]["passed"]
     assert rows[0]["uniqueness_mode"] == "enumerated"
 
 
 def _forced_and_enumerated(monkeypatch, site, delta, omega, pairs):
-    enumerated = semiclassifier_check(site, delta, omega, tau_values(site), pairs)
+    enumerated = semiclassifier_check(site, delta, omega, tau_values(site), pairs, subfunctor_table())
     monkeypatch.setattr(sieves, "CANDIDATE_BUDGET", 0)
-    forced = semiclassifier_check(site, delta, omega, tau_values(site), pairs)
+    forced = semiclassifier_check(site, delta, omega, tau_values(site), pairs, subfunctor_table())
     assert {r["uniqueness_mode"] for r in enumerated} == {"enumerated"}
     assert {r["uniqueness_mode"] for r in forced} == {"forced-pointwise"}
     return enumerated, forced

@@ -15,9 +15,9 @@ natural-sieve filter, `is_natural_at`.  The stage-isomorphism audit
 (`heyting_iso_check`) reads the two stages' implication tables and
 `sieves.LazyTable`s of sharp, flat and the natural map, local to the call.
 
-Prop 5.10's two detectors are tabulated once per subfunctor pair
-(`detector_tables`); Thm 5.11 reads the same tables, and reads its map's
-naturality from the position tables of the extended classifier Ω.
+Prop 5.10's two detectors are tabulated once per closed cut of the extended
+propositions (`detector_tables`); Thm 5.11 reads the same tables, and reads
+its map's naturality from the position tables of the extended classifier Ω.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .sieves import (
     LazyTable,
     Presheaf,
     Sieve,
+    is_closed,
     is_heyting_family,
     lands_in,
     naturality_holds,
@@ -242,15 +243,15 @@ def _projective_at(site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, i: in
     ]
 
 
-def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi, subfunctor) -> dict:
+def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi) -> dict:
     """Prop 5.10's two detectors at every value of m, once each, for a
     subfunctor n of m with characteristic table chi, laid out like chi:
     `witnesses`, the arrows along which n fails projectivity there
     (`_projective_at`), and `natural_chi`, chi's value after the round trip,
     equal to it iff it is natural (`is_natural_at`).  `mismatches` lists
     the (stage, value) pairs where the detectors disagree.  n must be a
-    subfunctor of m, read from `subfunctor[n, m]` (`BuiltRun.subfunctor`)."""
-    if not subfunctor[n, m]:
+    closed cut of m (`is_closed`)."""
+    if not is_closed(n):
         raise NotASubPresheaf("the detectors are asked of a subfunctor")
     witnesses = tuple([
         tuple([_projective_at(site, n, m, o, i) for i in range(len(stage))])

@@ -36,7 +36,9 @@ from .sieves import (
     atom_global_element,
     characteristic_table,
     filter_check,
+    floors_pull_back_above_floors,
     ib_condition_check,
+    is_closed,
     is_heyting_family,
     is_sieve,
     naturality_holds,
@@ -361,7 +363,13 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
             **({"meets_outside": outside} if outside else {}),
         )
     )
-    sub_ok = run.subfunctor[run.true_t, run.propositions_l]
+    # P's valuation at o is the top sieve iff it holds the identity, iff σ(o) ≤ P.
+    true_by_value = [
+        {p for p, value in zip(stage, row) if value.mask == run.plain.stage(o).top}
+        for o, (stage, row) in enumerate(zip(run.propositions_l.values, run.values))
+    ]
+    true_sets = [set(stage) for stage in run.true_t.values]
+    sub_ok = is_closed(run.true_t) and true_sets == true_by_value
     rows.append(
         _row("Eq 3.12", "true subobject is a subfunctor of the propositions", sub_ok, run=run.spec.name)
     )
@@ -467,12 +475,12 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     # δΩ's transitions are the classifier's, so its validation (transitions
     # stay in the codomain stage) is the Prop 3.5 check.
     delta_failure = _validate(delta)
-    failure = _validate(omega) or delta_failure
+    failure = _validate(omega)
     rows.append(
         _row(
             "Thm 3.6",
             "annihilator-floored sieves form a subfunctor of the classifier",
-            not failure and run.subfunctor[delta, omega],
+            not failure and floors_pull_back_above_floors(omega, run.floors),
             run=run.spec.name,
             **failure,
         )
@@ -526,7 +534,7 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     )
     delta_tau = tau_values(site)
     semi = semiclassifier_check(
-        site, delta, omega, delta_tau, [(run.true_t, run.propositions_l, run.chi)], run.subfunctor
+        site, delta, omega, delta_tau, [(run.true_t, run.propositions_l, run.chi)]
     )
     rows.append(
         _row(
@@ -841,7 +849,7 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
     rest = run.rest
     propositions = run.propositions_l_ext
     try:
-        detectors = detector_tables(rest, run.true_t_ext, propositions, run.chi_ext, run.subfunctor)
+        detectors = detector_tables(rest, run.true_t_ext, propositions, run.chi_ext)
     except NotASubPresheaf as exc:
         result = dict.fromkeys(("projective", "factorization", "naturality", "pullback"), False)
         failure = {"error": str(exc)}
@@ -882,9 +890,7 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
     ]
     failure = _validate(run.omega_ext)
     pair = (run.true_t_ext, propositions, run.chi_ext)
-    semi = semiclassifier_check(
-        rest, run.nat_omega, run.omega_ext, tau_values(rest), [pair], run.subfunctor
-    )
+    semi = semiclassifier_check(rest, run.nat_omega, run.omega_ext, tau_values(rest), [pair])
     rows.append(
         _row(
             "Thm 5.13 / Props A3–A4 (♮Ω)",
@@ -919,7 +925,7 @@ def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
         return rows
     candidate, obj, x, witness_arrow = adversarial
     chi = characteristic_table(rest, candidate, propositions)
-    detectors_adv = detector_tables(rest, candidate, propositions, chi, run.subfunctor)
+    detectors_adv = detector_tables(rest, candidate, propositions, chi)
     i = propositions.index[obj][x]
     witnesses = detectors_adv["witnesses"][obj][i]
     natural_adv = detectors_adv["natural_chi"][obj][i] == chi[obj][i]

@@ -80,7 +80,7 @@ class NaturalityError(SievevalError):
 
 
 class NotASubPresheaf(SievevalError):
-    """Claimed subfunctor is not value-wise included or not transition-stable."""
+    """A cut asked for as a subfunctor of its parent is not closed."""
 
 
 class InternalCheckError(SievevalError):

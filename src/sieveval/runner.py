@@ -21,7 +21,6 @@ from .modal import TrueAtomSet, bub_valuation, compute_atoms, in_determinate_sub
 from .scenario import RunSpec, Scenario, proposition_universe
 from .sieves import (
     GlobalElement,
-    LazyTable,
     Presheaf,
     Sieve,
     annihilator_floors,
@@ -31,7 +30,6 @@ from .sieves import (
     delta_omega_presheaf,
     omega_presheaf,
     proposition_presheaf,
-    subfunctor_table,
     top_sieve,
     true_subobject,
     valuation,
@@ -90,8 +88,7 @@ class BuiltRun:
     # Truth-value tables, each built on first use (see `sieves`): the direct
     # valuation and the true subobject's characteristic table, per site; and
     # the classifiers every naturality square reads: Ω and δΩ on the plain
-    # site, Ω and ♮Ω on the extended one.  `subfunctor[n, m]` says whether
-    # n is a subfunctor of m, decided once per pair.
+    # site, Ω and ♮Ω on the extended one.
 
     @cached_property
     def values(self) -> tuple[tuple[Sieve, ...], ...]:
@@ -124,10 +121,6 @@ class BuiltRun:
     @cached_property
     def nat_omega(self) -> Presheaf:
         return natural_omega(self.omega_ext)
-
-    @cached_property
-    def subfunctor(self) -> LazyTable:
-        return subfunctor_table()
 
 
 @dataclass

@@ -154,11 +154,15 @@ def effective_caps(declared: dict | None, env: dict | None = None) -> dict[str, 
 def load_scenario(path: str | Path, env: dict | None = None) -> Scenario:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests its JSON too deeply to parse") from exc
     return scenario_from_dict(data, default_name=path.stem, env=env)
 
 

@@ -39,7 +39,8 @@ fill Ω's tables.
 Subfunctors: the true subobject of the proposition functor, and the
 semi-classifiers δΩ and ♮Ω of the classifier Ω, are each cut from their
 parent by `subpresheaf`, which keeps a subset of every stage and re-indexes
-the parent's position tables to the kept values once per cut.
+the parent's position tables to the kept values once per cut; a cut is a
+subfunctor of its parent iff it `is_closed`.
 
 Truth values: the valuation of a proposition P at a stage is the sieve of
 arrows F with F(P) above the transported true atom.  A built run tabulates
@@ -272,7 +273,7 @@ class Presheaf:
         for o, stage in enumerate(self.values):
             if positions[site.identity_arrow(o)] != tuple(range(len(stage))):
                 raise InternalCheckError("identity transition is not the identity")
-        if any(None in table for table in positions):
+        if not is_closed(self):
             raise InternalCheckError("transition leaves the codomain value set")
         for f, pairs in enumerate(site.postcomposites):
             tf = positions[f]
@@ -357,11 +358,16 @@ def atom_global_element(site, atoms: Presheaf, r: Subspace) -> GlobalElement:
     return GlobalElement(atoms, values)
 
 
+def is_closed(presheaf: Presheaf) -> bool:
+    """No position table holds None: every transition stays in its codomain
+    stage.  A cut of m (`subpresheaf`) is a subfunctor of m iff it is closed."""
+    return not any(None in table for table in presheaf.positions)
+
+
 def subpresheaf(m: Presheaf, keep: Callable[[int, Hashable], bool]) -> Presheaf:
     """The values x of m with keep(o, x) at each stage o, in m's order, under
     m's position tables re-indexed to the kept values (an image that was cut
-    becomes None).  Whether the cut is closed is `Presheaf.validate`'s check,
-    run by the row that reports it."""
+    becomes None).  The cut is a subfunctor of m iff it `is_closed`."""
     site = m.site
     kept = [[i for i, x in enumerate(stage) if keep(o, x)] for o, stage in enumerate(m.values)]
     renumber = [{old: new for new, old in enumerate(stage)} for stage in kept]
@@ -376,36 +382,6 @@ def subpresheaf(m: Presheaf, keep: Callable[[int, Hashable], bool]) -> Presheaf:
 def true_subobject(sigma: GlobalElement, propositions: Presheaf) -> Presheaf:
     """Stage-wise up-sets of the transported atom inside the proposition functor."""
     return subpresheaf(propositions, lambda o, p: leq(sigma.values[o], p))
-
-
-def _inclusion(n: Presheaf, m: Presheaf) -> list[list[int]] | None:
-    """Per stage, the position in m of each value of n; None if n has a value
-    that m lacks at its stage."""
-    try:
-        return [[at[x] for x in stage] for stage, at in zip(n.values, m.index)]
-    except KeyError:
-        return None
-
-
-def subfunctor_table() -> LazyTable:
-    """`is_subpresheaf(n, m)` keyed on the pair (n, m), each computed once."""
-    return LazyTable(lambda pair: is_subpresheaf(*pair))
-
-
-def is_subpresheaf(n: Presheaf, m: Presheaf) -> bool:
-    """n's stages lie in m's, n is closed, and n's tables are m's restricted:
-    for every arrow a, inclusion ∘ t^n_a = t^m_a ∘ inclusion."""
-    inclusion = _inclusion(n, m)
-    if inclusion is None:
-        return False
-    site = m.site
-    for a, (tn, tm) in enumerate(zip(n.positions, m.positions)):
-        if None in tn:
-            return False
-        into, out_of = inclusion[site.arrow_cod(a)], inclusion[site.arrow_dom(a)]
-        if [into[j] for j in tn] != [tm[i] for i in out_of]:
-            return False
-    return True
 
 
 def lands_in(n: Presheaf, m: Presheaf, a: int, i: int) -> bool:
@@ -455,10 +431,9 @@ def pullback_holds(
 ) -> bool:
     """n is the set-level pullback of the 'true' section tau along zeta at
     every stage: the positions of m holding n's values are exactly those
-    zeta sends to tau."""
-    inclusion = _inclusion(n, m)
-    return inclusion is not None and all(
-        set(inclusion[o]) == {i for i, z in enumerate(zeta[o]) if z == tau[o]}
+    zeta sends to tau.  A value of n that m lacks fails."""
+    return all(
+        {m.index[o].get(x) for x in n.values[o]} == {i for i, z in enumerate(zeta[o]) if z == tau[o]}
         for o in range(site.n_objects)
     )
 
@@ -547,6 +522,21 @@ def delta_omega_presheaf(omega: Presheaf, floors: Sequence[Sieve]) -> Presheaf:
     return subpresheaf(omega, lambda o, s: not floors[o].mask & ~s.mask)
 
 
+def floors_pull_back_above_floors(omega: Presheaf, floors: Sequence[Sieve]) -> bool:
+    """Along every arrow a, Ω's pullback of the floor at dom a, read from Ω's
+    position tables, contains the floor at cod a.  Pullback is monotone, so
+    every sieve above a floor then pulls back above the next one (Thm 3.6).
+    A floor, or the image of one, missing from its stage of Ω fails."""
+    site = omega.site
+    at = [index.get(floor) for index, floor in zip(omega.index, floors)]
+    for a, table in enumerate(omega.positions):
+        i, cod = at[site.arrow_dom(a)], site.arrow_cod(a)
+        j = None if i is None else table[i]
+        if j is None or floors[cod].mask & ~omega.values[cod][j].mask:
+            return False
+    return True
+
+
 def tau_values(site) -> tuple[Sieve, ...]:
     """The 'true' section: the top sieve at every stage."""
     return tuple(top_sieve(site, o) for o in range(site.n_objects))
@@ -558,19 +548,19 @@ def semiclassifier_check(
     omega: Presheaf,
     delta_tau: tuple[Sieve, ...],
     pairs: Sequence[tuple[Presheaf, Presheaf, tuple]],
-    subfunctor: Mapping[tuple[Presheaf, Presheaf], bool],
 ) -> list[dict]:
-    """Per-object semi-classifier audit for a subfunctor of the classifier.
+    """Per-object semi-classifier audit for a cut of the classifier.
 
     For every (N, M, chi), chi the `characteristic_table` of N in M: (a) chi
     factors through the stage sets of delta_omega; (b) the square against
     delta_tau is a set-level pullback at every object; (c) the factored map is
     the only natural map with that pullback property (full candidate enumeration
     when the count fits `CANDIDATE_BUDGET`, otherwise a pointwise forcing argument).
-    Subfunctor verdicts are read from `subfunctor[n, m]` (`BuiltRun.subfunctor`).
+    delta_omega is omega or a cut of it, and each n a cut of its m, so each is
+    a subfunctor iff it `is_closed`.
     """
     rows: list[dict] = []
-    if not subfunctor[delta_omega, omega]:
+    if not is_closed(delta_omega):
         rows.append({"pair": None, "passed": False, "reason": "not a subfunctor of the classifier"})
         return rows
     try:
@@ -579,7 +569,7 @@ def semiclassifier_check(
         rows.append({"pair": None, "passed": False, "reason": "the 'true' section is not natural"})
         return rows
     for idx, (n, m, chi) in enumerate(pairs):
-        if not subfunctor[n, m]:
+        if not is_closed(n):
             rows.append({"pair": idx, "passed": False, "reason": "not a subfunctor pair"})
             continue
         factors = _factors_through(chi, delta_omega)

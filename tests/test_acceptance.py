@@ -37,7 +37,6 @@ from sieveval.sieves import (
     ib_condition_check,
     omega_presheaf,
     semiclassifier_check,
-    subfunctor_table,
     tau_values,
 )
 from sieveval.subspaces import subspace_from_vectors
@@ -192,7 +191,7 @@ def test_criterion_07_projectivity_biconditional(built):
                 continue
             propositions = run.propositions_l_ext
             chi = characteristic_table(run.rest, run.true_t_ext, propositions)
-            detectors = detector_tables(run.rest, run.true_t_ext, propositions, chi, subfunctor_table())
+            detectors = detector_tables(run.rest, run.true_t_ext, propositions, chi)
             ok = ok and not detectors["mismatches"]
             found = _find_adversarial_subpresheaf(run)
             if found is None:
@@ -200,7 +199,7 @@ def test_criterion_07_projectivity_biconditional(built):
             adversarial_found = True
             candidate, obj, x, _ = found
             chi = characteristic_table(run.rest, candidate, propositions)
-            detectors = detector_tables(run.rest, candidate, propositions, chi, subfunctor_table())
+            detectors = detector_tables(run.rest, candidate, propositions, chi)
             # not projective at the seed value
             ok = ok and bool(detectors["witnesses"][obj][propositions.index[obj][x]])
             ok = ok and not detectors["mismatches"]
@@ -238,8 +237,7 @@ def test_criterion_09_appendix_suites(built):
             delta = delta_omega_presheaf(omega, run.floors)
             chi = characteristic_table(site, run.true_t, run.propositions_l)
             rows = semiclassifier_check(
-                site, delta, omega, tau_values(site), [(run.true_t, run.propositions_l, chi)],
-                subfunctor_table(),
+                site, delta, omega, tau_values(site), [(run.true_t, run.propositions_l, chi)]
             )
             ok = ok and all(r["passed"] for r in rows)
             if run.has_extended:
@@ -257,7 +255,6 @@ def test_criterion_09_appendix_suites(built):
                             characteristic_table(rest, run.true_t_ext, run.propositions_l_ext),
                         )
                     ],
-                    subfunctor_table(),
                 )
                 ok = ok and all(r["passed"] for r in rows)
     # atom-set identities over every ray and comparable chain

@@ -34,10 +34,9 @@ from sieveval.sieves import (
     atom_presheaf,
     bottom_sieve,
     characteristic_table,
-    is_subpresheaf,
+    is_closed,
     omega_presheaf,
     proposition_presheaf,
-    subfunctor_table,
     subpresheaf,
     top_sieve,
     true_subobject,
@@ -175,7 +174,7 @@ def test_natural_omega_presheaf(bridge_setup):
     omega = omega_presheaf(rest, cap=64)
     presheaf = natural_omega(omega)
     presheaf.validate()
-    assert is_subpresheaf(presheaf, omega)
+    assert is_closed(presheaf)
     for o in range(rest.n_objects):
         fixed = tuple(s for s in omega.values[o] if natural_map_at(rest, o, s) == s)
         assert presheaf.values[o] == fixed
@@ -213,7 +212,7 @@ def extended_presheaves(bridge_setup):
 def test_true_subobject_is_projective(extended_presheaves):
     rest, propositions, true_t = extended_presheaves
     chi = characteristic_table(rest, true_t, propositions)
-    detectors = detector_tables(rest, true_t, propositions, chi, subfunctor_table())
+    detectors = detector_tables(rest, true_t, propositions, chi)
     # one (empty) witness list per value of every stage
     assert [len(stage) for stage in detectors["witnesses"]] == [len(s) for s in propositions.values]
     assert not any(any(stage) for stage in detectors["witnesses"])
@@ -235,7 +234,7 @@ def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):
     x = span([1, 0])
     i = propositions.index[stage][x]
     table = characteristic_table(rest, bad, propositions)
-    detectors = detector_tables(rest, bad, propositions, table, subfunctor_table())
+    detectors = detector_tables(rest, bad, propositions, table)
     assert detectors["witnesses"][stage][i]
     assert not is_natural_at(rest, stage, table[stage][i])
     assert detectors["natural_chi"][stage][i] != table[stage][i]
@@ -245,7 +244,7 @@ def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):
 def test_natural_characteristic_and_uniqueness(extended_presheaves):
     rest, propositions, true_t = extended_presheaves
     chi = characteristic_table(rest, true_t, propositions)
-    detectors = detector_tables(rest, true_t, propositions, chi, subfunctor_table())
+    detectors = detector_tables(rest, true_t, propositions, chi)
     result = natural_characteristic(true_t, propositions, chi, detectors, omega_presheaf(rest, cap=64))
     assert result["passed"]
     # perturbing one value breaks the pullback

@@ -6,14 +6,15 @@ and a site missing an identity must each fail their audit.
 
 Differential oracle: the value-keyed audits that stored one dict per arrow
 (value at the domain -> value at the codomain) are kept here as `Old*`
-copies.  On every presheaf, subfunctor pair, naturality square family and
-site that `run_check` builds for the bundled scenarios and for
-`chain_scenario(13, 2..5)`, and on the doctored inputs, the table audits
-give the same verdict and the same first message.  The one exception is a
-presheaf with two distinct faults: closure is now checked for every arrow
-before functoriality, so a closure fault is reported first.  Every square
-family `run_check` asks maps into a classifier (Ω, δΩ or ♮Ω), so the
-value-keyed naturality audit moves its values by `omega_transition`.
+copies.  On every presheaf, cut asked whether it is a subfunctor of its
+parent, naturality square family and site that `run_check` builds for the
+bundled scenarios and for `chain_scenario(13, 2..5)`, and on the doctored
+inputs, the table audits give the same verdict and the same first message.
+The one exception is a presheaf with two distinct faults: closure is now
+checked for every arrow before functoriality, so a closure fault is
+reported first.  Every square family `run_check` asks maps into a
+classifier (Ω, δΩ or ♮Ω), so the value-keyed naturality audit moves its
+values by `omega_transition`.
 """
 
 import dataclasses
@@ -45,7 +46,7 @@ from sieveval.sieves import (
     GlobalElement,
     atom_presheaf,
     build_presheaf,
-    is_subpresheaf,
+    is_closed,
     naturality_holds,
     omega_transition,
     proposition_presheaf,
@@ -268,12 +269,15 @@ def test_a_cut_that_is_not_transition_closed_is_not_a_subfunctor(qubit_site):
 
     cut = subpresheaf(propositions, keep)
     assert cut.positions[1] == (None,)
-    assert not is_subpresheaf(cut, propositions)
+    assert not is_closed(cut)
     assert not old_is_subpresheaf(old_subpresheaf(old_propositions, keep), old_propositions)
     assert first_message(cut) == "transition leaves the codomain value set"
     # The closed cut of everything under e1 is one.
-    below_e1 = subpresheaf(propositions, lambda o, p: p in (zero_space(2), span([1, 0])))
-    assert is_subpresheaf(below_e1, propositions)
+    def below_e1(o, p):
+        return p in (zero_space(2), span([1, 0]))
+
+    assert is_closed(subpresheaf(propositions, below_e1))
+    assert old_is_subpresheaf(old_subpresheaf(old_propositions, below_e1), old_propositions)
 
 
 def test_a_cut_re_indexes_its_parent_tables(qubit_site):
@@ -390,11 +394,12 @@ class Recorder:
 
     def __init__(self, monkeypatch):
         self.old = {}  # id(new presheaf) -> (new, old)
-        self.subfunctor_pairs = []
+        self.parent = {}  # id(cut) -> the presheaf it was cut from
+        self.asked = []  # presheaves whose closure was asked
         self.squares = []
         self.sites = []
         build, cut = sieves_module.build_presheaf, sieves_module.subpresheaf
-        subfunctor, natural = sieves_module.is_subpresheaf, sieves_module.naturality_holds
+        closed, natural = sieves_module.is_closed, sieves_module.naturality_holds
         assoc = checks_module.associativity_violations
 
         def recording_build(site, values_at, transition):
@@ -405,11 +410,12 @@ class Recorder:
         def recording_cut(m, keep):
             new = cut(m, keep)
             self.old[id(new)] = (new, old_subpresheaf(self.twin(m), keep))
+            self.parent[id(new)] = m
             return new
 
-        def recording_subfunctor(n, m):
-            self.subfunctor_pairs.append((n, m))
-            return subfunctor(n, m)
+        def recording_closed(n):
+            self.asked.append(n)
+            return closed(n)
 
         def recording_natural(zeta, m, target):
             self.squares.append((zeta, m, target))
@@ -422,8 +428,7 @@ class Recorder:
         monkeypatch.setattr(sieves_module, "build_presheaf", recording_build)
         for module in (sieves_module, checks_module, bridge_module):
             monkeypatch.setattr(module, "subpresheaf", recording_cut)
-            if hasattr(module, "is_subpresheaf"):
-                monkeypatch.setattr(module, "is_subpresheaf", recording_subfunctor)
+            monkeypatch.setattr(module, "is_closed", recording_closed)
             monkeypatch.setattr(module, "naturality_holds", recording_natural)
         monkeypatch.setattr(checks_module, "associativity_violations", recording_assoc)
 
@@ -435,9 +440,12 @@ class Recorder:
         for new, old in self.old.values():
             assert first_message(new) == first_message(old)
             counts["presheaves"] += 1
-        for n, m in self.subfunctor_pairs:
-            assert is_subpresheaf(n, m) == old_is_subpresheaf(self.twin(n), self.twin(m))
-            counts["pairs"] += 1
+        # A cut is a subfunctor of its parent iff it is closed.
+        for n in self.asked:
+            if id(n) in self.parent:
+                old = old_is_subpresheaf(self.twin(n), self.twin(self.parent[id(n)]))
+                assert is_closed(n) == old
+                counts["pairs"] += 1
         for zeta, m, target in self.squares:
             site = target.site
 

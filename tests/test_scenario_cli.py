@@ -185,6 +185,18 @@ def test_parse_error_on_bad_file(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["utf-16-byte-order-mark", "deep-nesting"]
+)
+def test_cli_rejects_an_unparseable_file_with_one_error_line(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_validate_ok(capsys):
     code = main(["validate", str(bundled_scenario_path("qubit"))])
     assert code == 0

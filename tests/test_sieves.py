@@ -46,7 +46,6 @@ from sieveval.sieves import (
     delta_omega_presheaf,
     proposition_presheaf,
     semiclassifier_check,
-    subfunctor_table,
     tau_values,
     top_sieve,
 )
@@ -274,6 +273,35 @@ def test_a_true_subobject_that_is_no_subfunctor_fails_every_row_reading_the_verd
     assert all(r["reason"] == "not a subfunctor pair" for row in semi for r in row["details"]["results"])
 
 
+def test_a_closed_true_subobject_that_is_not_the_true_propositions_fails_eq_3_12(monkeypatch):
+    """The empty cut is closed, so it is a subfunctor, but no proposition
+    whose valuation is the top sieve is in it."""
+    from sieveval import runner
+
+    def empty(sigma, propositions):
+        return sieves.subpresheaf(propositions, lambda o, p: False)
+
+    monkeypatch.setattr(runner, "true_subobject", empty)
+    report = run_check(load_scenario(bundled_scenario_path("qubit")))
+    rows = [row for row in report["rows"] if row["tag"] == "Eq 3.12"]
+    assert rows and not any(row["passed"] for row in rows)
+
+
+def test_a_floor_that_is_no_sieve_fails_thm_3_6_without_raising(monkeypatch):
+    """The identity arrow alone is no sieve on an object with other arrows
+    out of it, so Ω's stage lacks the doctored floor."""
+    from sieveval import runner
+
+    def doctored_floors(site, r):
+        floors = annihilator_floors(site, r)
+        return (Sieve(0, 1 << site.identity_arrow(0)),) + floors[1:]
+
+    monkeypatch.setattr(runner, "annihilator_floors", doctored_floors)
+    report = run_check(load_scenario(bundled_scenario_path("qubit")))
+    rows = [row for row in report["rows"] if row["tag"] == "Thm 3.6"]
+    assert rows and not any(row["passed"] for row in rows)
+
+
 def test_filter_check_sorts_each_stage_once(qubit_setup, monkeypatch):
     site, propositions, _, _, true_t = qubit_setup
     keyed = []
@@ -366,7 +394,7 @@ def test_semiclassifier_on_full_classifier(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     omega = omega_presheaf(site, cap=64)
     rows = semiclassifier_check(
-        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)], subfunctor_table()
+        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)]
     )
     assert all(r["passed"] for r in rows)
 
@@ -376,7 +404,7 @@ def test_semiclassifier_delta(qubit_setup):
     omega = omega_presheaf(site, cap=64)
     delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
     rows = semiclassifier_check(
-        site, delta, omega, tau_values(site), [pair(site, true_t, propositions)], subfunctor_table()
+        site, delta, omega, tau_values(site), [pair(site, true_t, propositions)]
     )
     assert all(r["passed"] for r in rows)
     assert rows[0]["uniqueness_mode"] in ("enumerated", "forced-pointwise")
@@ -390,7 +418,7 @@ def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
     sigma2 = atom_global_element(site, atoms, span([0, 1]))
     other_t = true_subobject(sigma2, propositions)
     rows = semiclassifier_check(
-        site, delta, omega, tau_values(site), [pair(site, other_t, propositions)], subfunctor_table()
+        site, delta, omega, tau_values(site), [pair(site, other_t, propositions)]
     )
     assert not rows[0]["factors"]
     assert not rows[0]["passed"]
@@ -405,7 +433,7 @@ def test_semiclassifier_rejects_a_true_section_that_is_not_natural(qubit_setup):
     crooked = (top_sieve(site, 0),) + tuple(bottom_sieve(o) for o in range(1, site.n_objects))
     outside = (Sieve(0, 1 << site.identity_arrow(0)),) + tau_values(site)[1:]
     for tau in (crooked, outside):
-        rows = semiclassifier_check(site, omega, omega, tau, pairs, subfunctor_table())
+        rows = semiclassifier_check(site, omega, omega, tau, pairs)
         assert rows == [{"pair": None, "passed": False, "reason": "the 'true' section is not natural"}]
 
 
@@ -420,16 +448,16 @@ def test_semiclassifier_enumerated_uniqueness_small():
     true_t = true_subobject(sigma, propositions)
     omega = omega_presheaf(site, cap=8)
     rows = semiclassifier_check(
-        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)], subfunctor_table()
+        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)]
     )
     assert rows[0]["passed"]
     assert rows[0]["uniqueness_mode"] == "enumerated"
 
 
 def _forced_and_enumerated(monkeypatch, site, delta, omega, pairs):
-    enumerated = semiclassifier_check(site, delta, omega, tau_values(site), pairs, subfunctor_table())
+    enumerated = semiclassifier_check(site, delta, omega, tau_values(site), pairs)
     monkeypatch.setattr(sieves, "CANDIDATE_BUDGET", 0)
-    forced = semiclassifier_check(site, delta, omega, tau_values(site), pairs, subfunctor_table())
+    forced = semiclassifier_check(site, delta, omega, tau_values(site), pairs)
     assert {r["uniqueness_mode"] for r in enumerated} == {"enumerated"}
     assert {r["uniqueness_mode"] for r in forced} == {"forced-pointwise"}
     return enumerated, forced

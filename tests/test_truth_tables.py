@@ -8,8 +8,8 @@ Differential: every table entry equals a fresh `valuation` call and every
 chi a fresh `characteristic_table`, on the bundled scenarios and on
 generated chains.  Counts: one cold `run_check` of the bundled scenarios
 builds each table once, moves sieves along arrows only to fill the
-classifier tables, and asks each projectivity question, each stage
-implication and each subfunctor question once; `dump-site` and `valuate`
+classifier tables, and asks each projectivity question and each stage
+implication once; `dump-site` and `valuate`
 build no table.  Witness: a doctored table entry fails its
 oracle row, which names the entry.
 """
@@ -78,7 +78,6 @@ COUNTED = (
     "omega_transition",
     "_projective_at",
     "heyting_implies",
-    "is_subpresheaf",
 )
 
 
@@ -137,9 +136,6 @@ def test_one_cold_check_builds_each_table_once(calls):
     # One implication per distinct s minus t of each stage of each site: the
     # stage's table is shared by every audit that reads it.
     assert calls["heyting_implies"] == 1083
-    # One verdict per subfunctor pair of each run (`BuiltRun.subfunctor`),
-    # plus one per constructed adversarial subobject.
-    assert calls["is_subpresheaf"] == 44
 
 
 def test_dump_site_and_valuate_build_no_table(calls):

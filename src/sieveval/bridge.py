@@ -9,11 +9,12 @@ Heyting algebra isomorphic to the plain stage's sieve lattice.
 Sieves are bitmasks (see `sieves`): sharpening ORs the extended principal
 masks of the lifted arrows, flattening relabels the fixed-observable bits.
 The stages they range over belong to the sites (`Site.stage`): each
-stage's sieve list, top and implication table live as long as its site.
-The fixpoint subfunctor ♮Ω is cut from the extended classifier by the one
-natural-sieve filter, `is_natural_at`.  The stage-isomorphism audit
-(`heyting_iso_check`) reads the two stages' implication tables and
-`sieves.LazyTable`s of sharp, flat and the natural map, local to the call.
+stage's sieve list, top, implication table and round-trip table
+(`Stage.natural`) live as long as its site.  Every reader of the round
+trip reads that table: the fixpoint subfunctor ♮Ω, cut from the extended
+classifier, keeps the sieves it fixes.  The stage-isomorphism audit
+(`heyting_iso_check`) reads the two stages' tables and `sieves.LazyTable`s
+of sharp and flat, local to the call.
 
 Prop 5.10's two detectors are tabulated once per closed cut of the extended
 propositions (`detector_tables`); Thm 5.11 reads the same tables, and reads
@@ -34,6 +35,7 @@ from .sieves import (
     is_heyting_family,
     lands_in,
     naturality_holds,
+    principal_union,
     pullback_holds,
     subpresheaf,
     tau_values,
@@ -94,11 +96,7 @@ def _lift_mask(ctx: BridgeContext, s_e: Sieve) -> int:
 
 def sharp(ctx: BridgeContext, s_e: Sieve) -> Sieve:
     """Smallest extended sieve containing the lift: postcomposites of lifts."""
-    principal = ctx.extended.principal_masks
-    members = 0
-    for a in Sieve(ctx.stage, _lift_mask(ctx, s_e)):
-        members |= principal[a]
-    return Sieve(ctx.stage, members)
+    return Sieve(ctx.stage, principal_union(ctx.extended.principal_masks, _lift_mask(ctx, s_e)))
 
 
 def sharp_by_intersection(ctx: BridgeContext, s_e: Sieve, cap: int) -> Sieve:
@@ -126,30 +124,11 @@ def flat(ctx: BridgeContext, s: Sieve) -> Sieve:
     return Sieve(ctx.plain_stage, members)
 
 
-def natural_map_at(site: ExtendedSite, obj: int, s: Sieve) -> Sieve:
-    """Down-and-up at an arbitrary stage: regenerate from the fixed-rho part."""
-    rho = site.object_rho(obj)
-    principal = site.principal_masks
-    members = 0
-    for a in s:
-        if site.arrow_cod_rho(a) == rho:
-            members |= principal[a]
-    return Sieve(obj, members)
-
-
-def natural_map(ctx: BridgeContext, s: Sieve) -> Sieve:
-    return natural_map_at(ctx.extended, ctx.stage, s)
-
-
-def is_natural_at(site: ExtendedSite, obj: int, s: Sieve) -> bool:
-    """The natural-sieve filter: s is a fixpoint of the down-and-up round trip."""
-    return natural_map_at(site, obj, s) == s
-
-
 def natural_omega(omega: Presheaf) -> Presheaf:
-    """The fixpoint subfunctor ♮Ω, cut from the extended classifier Ω."""
+    """The fixpoint subfunctor ♮Ω, cut from the extended classifier Ω: the
+    sieves that the round trip of their stage (`Stage.natural`) fixes."""
     site = omega.site
-    return subpresheaf(omega, lambda o, s: is_natural_at(site, o, s))
+    return subpresheaf(omega, lambda o, s: site.stage(o).natural[s.mask] == s.mask)
 
 
 def _preserves_lattice(f: LazyTable, masks: list[int]) -> bool:
@@ -177,14 +156,14 @@ def _dominates_transport(f: LazyTable, implies_from, implies_to, masks: list[int
 def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     """Exhaustive audit of the stage isomorphism and its implication transport.
 
-    `sharp`, `flat` and `natural_map` are tables filled once per distinct
-    mask, local to this call, and each stage implication is its stage's
-    table keyed on `s & ~t` (`Stage.implies`); every sieve here is based at
-    the plain stage or at the extended stage, so the pair loops are table
-    reads on masks.  The fixpoints are the sieves the natural map fixes
-    (the filter `is_natural_at`), so the up-down round trip is a check, and
-    `deflation` says the natural map shrinks every extended sieve (Prop
-    5.3).  The transported implication `y ↦ up[plain[down[y]]]` is
+    `sharp` and `flat` are tables filled once per distinct mask, local to
+    this call; each stage implication is its stage's table keyed on
+    `s & ~t` (`Stage.implies`), and the round trip ♮ is the extended
+    stage's table (`Stage.natural`).  Every sieve here is based at the
+    plain stage or at the extended stage, so the pair loops are table reads
+    on masks.  The fixpoints are the sieves ♮ fixes, so the up-down round
+    trip is a check, and `deflation` says ♮ shrinks every extended sieve
+    (Prop 5.3).  The transported implication `y ↦ up[plain[down[y]]]` is
     keyed on `y = s & ~t` too (flat commutes with `&` and `~`), so the
     transport, domination and closure clauses run once per distinct y of
     the fixpoint pairs (closure failures counted per pair), and
@@ -194,15 +173,14 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     plain_masks, ext_masks = plain.sieves(cap), ext.sieves(cap)
     up = LazyTable(lambda m: sharp(ctx, Sieve(ctx.plain_stage, m)).mask)
     down = LazyTable(lambda m: flat(ctx, Sieve(ctx.stage, m)).mask)
-    natural = LazyTable(lambda m: natural_map(ctx, Sieve(ctx.stage, m)).mask)
-    fixpoints = [m for m in ext_masks if natural[m] == m]
+    fixpoints = [m for m in ext_masks if ext.natural[m] == m]
     # The plain implication carried to the fixpoints, keyed like the others.
     fix = LazyTable(lambda y: up[plain.implies[down[y]]])
     pairs = Counter(s1 & ~s2 for s1 in fixpoints for s2 in fixpoints)
     verdicts = {
         "round_trip_down_up": all(down[up[s]] == s for s in plain_masks),
         "round_trip_up_down": all(up[down[s]] == s for s in fixpoints),
-        "deflation": all(not natural[m] & ~m for m in ext_masks),
+        "deflation": all(not ext.natural[m] & ~m for m in ext_masks),
         "bijection": len(fixpoints) == len(plain_masks),
         "image_is_fixpoints": {up[s] for s in plain_masks} == set(fixpoints),
         "tops_and_bottoms": (up[plain.top], down[ext.top], up[0], down[0]) == (ext.top, plain.top, 0, 0),
@@ -226,7 +204,7 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
             fix[y] != ext.implies[y] and not fix[y] & ~ext.implies[y] for y in pairs
         ),
         "implies_closure_failures": sum(
-            count for y, count in pairs.items() if natural[ext.implies[y]] != ext.implies[y]
+            count for y, count in pairs.items() if ext.natural[ext.implies[y]] != ext.implies[y]
         ),
         "passed": all(verdicts.values()),
     }
@@ -247,8 +225,8 @@ def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi) -> dict:
     """Prop 5.10's two detectors at every value of m, once each, for a
     subfunctor n of m with characteristic table chi, laid out like chi:
     `witnesses`, the arrows along which n fails projectivity there
-    (`_projective_at`), and `natural_chi`, chi's value after the round trip,
-    equal to it iff it is natural (`is_natural_at`).  `mismatches` lists
+    (`_projective_at`), and `natural_chi`, chi's value after the round trip
+    (`Stage.natural`), equal to it iff it is natural.  `mismatches` lists
     the (stage, value) pairs where the detectors disagree.  n must be a
     closed cut of m (`is_closed`)."""
     if not is_closed(n):
@@ -258,7 +236,8 @@ def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi) -> dict:
         for o, stage in enumerate(chi)
     ])
     natural_chi = tuple([
-        tuple([natural_map_at(site, o, value) for value in stage]) for o, stage in enumerate(chi)
+        tuple([Sieve(o, site.stage(o).natural[value.mask]) for value in stage])
+        for o, stage in enumerate(chi)
     ])
     mismatches = [
         (o, m.values[o][i])
@@ -296,7 +275,7 @@ def proposition_equivalence(ctx: BridgeContext, p, plain_value: Sieve, ext_value
     bridge stages, and the three verdicts: (a) flattening the extended value
     gives the plain value; (b) so does flattening its fixpoint image; (c)
     sharpening the plain value gives the fixpoint image."""
-    nat_value = natural_map(ctx, ext_value)
+    nat_value = Sieve(ctx.stage, ctx.extended.stage(ctx.stage).natural[ext_value.mask])
     flat_value = flat(ctx, ext_value)
     return {
         "proposition": p,

@@ -14,7 +14,6 @@ from .bridge import (
     detector_tables,
     equivalence_check,
     heyting_iso_check,
-    is_natural_at,
     natural_characteristic,
     sharp,
     sharp_by_intersection,
@@ -28,7 +27,7 @@ from .modal import (
     observable_leq,
     zero_augmented_atom_set,
 )
-from .runner import BuiltRun, BuiltScenario, build_scenario, truncation_summary
+from .runner import BuiltRun, BuiltScenario, SiteRun, build_scenario, truncation_summary
 from .scenario import Scenario
 from .sieves import (
     Presheaf,
@@ -329,17 +328,31 @@ def _plain_site_rows(run: BuiltRun) -> list[dict]:
     ]
 
 
+def _filter_row(tag: str, title: str, run: BuiltRun, side: SiteRun) -> dict:
+    """Eqs 3.26–3.27 or Eq 4.26: one side's true subobject is stage-wise a filter."""
+    violations, outside = filter_check(side.site, side.true_t, side.propositions_l)
+    return _row(
+        tag,
+        title,
+        not violations,
+        run=run.spec.name,
+        violations=len(violations),
+        **({"meets_outside": outside} if outside else {}),
+    )
+
+
 def _presheaf_rows(run: BuiltRun) -> list[dict]:
+    side = run.plain_side
     rows = []
     for tag, title, presheaf in (
-        ("Eq 3.11", "proposition functor is functorial", run.propositions_l),
-        ("Eq 3.9", "atom functor is functorial", run.atoms_a),
-        ("Eq 3.35", "true subobject is functorial", run.true_t),
+        ("Eq 3.11", "proposition functor is functorial", side.propositions_l),
+        ("Eq 3.9", "atom functor is functorial", side.atoms_a),
+        ("Eq 3.35", "true subobject is functorial", side.true_t),
     ):
         failure = _validate(presheaf)
         rows.append(_row(tag, title, not failure, run=run.spec.name, **failure))
     sections = [
-        run.sigma if r is run.r_space else atom_global_element(run.plain, run.atoms_a, r)
+        side.sigma if r is run.r_space else atom_global_element(side.site, side.atoms_a, r)
         for r in run.atoms.observable.eigenspaces
     ]
     failure = _validate(*sections)
@@ -352,34 +365,24 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
             **failure,
         )
     )
-    violations, outside = filter_check(run.plain, run.true_t, run.propositions_l)
-    rows.append(
-        _row(
-            "Eqs 3.26–3.27",
-            "true subobject is stage-wise a filter",
-            not violations,
-            run=run.spec.name,
-            violations=len(violations),
-            **({"meets_outside": outside} if outside else {}),
-        )
-    )
+    rows.append(_filter_row("Eqs 3.26–3.27", "true subobject is stage-wise a filter", run, side))
     # P's valuation at o is the top sieve iff it holds the identity, iff σ(o) ≤ P.
     true_by_value = [
-        {p for p, value in zip(stage, row) if value.mask == run.plain.stage(o).top}
-        for o, (stage, row) in enumerate(zip(run.propositions_l.values, run.values))
+        {p for p, value in zip(stage, row) if value.mask == side.site.stage(o).top}
+        for o, (stage, row) in enumerate(zip(side.propositions_l.values, side.values))
     ]
-    true_sets = [set(stage) for stage in run.true_t.values]
-    sub_ok = is_closed(run.true_t) and true_sets == true_by_value
+    true_sets = [set(stage) for stage in side.true_t.values]
+    sub_ok = is_closed(side.true_t) and true_sets == true_by_value
     rows.append(
         _row("Eq 3.12", "true subobject is a subfunctor of the propositions", sub_ok, run=run.spec.name)
     )
     return rows
 
 
-def _witness(run: BuiltRun, chi, values) -> dict:
-    """The first entry where the characteristic table and the value table
+def _witness(run: BuiltRun, side: SiteRun) -> dict:
+    """The first entry where one side's characteristic table and value table
     differ, as a `witness` detail naming the stage and the proposition."""
-    for o, (chi_row, value_row) in enumerate(zip(chi, values)):
+    for o, (chi_row, value_row) in enumerate(zip(side.chi, side.values)):
         for p, x, y in zip(run.universe, chi_row, value_row):
             if x != y:
                 return {"witness": {"stage": o, "proposition": run.universe_names.get(p, "?")}}
@@ -387,43 +390,43 @@ def _witness(run: BuiltRun, chi, values) -> dict:
 
 
 def _oracle_rows(run: BuiltRun) -> list[dict]:
-    site = run.plain
-    chi = run.chi
+    side = run.plain_side
+    site, chi = side.site, side.chi
     return [
         _row(
             "Eq 3.21 = Eq 3.37",
             "characteristic morphism equals the direct valuation at every stage",
-            chi == run.values,
+            chi == side.values,
             run=run.spec.name,
             instances=sum(len(stage) for stage in chi),
-            **_witness(run, chi, run.values),
+            **_witness(run, side),
         ),
         _row(
             "diagram 3.24",
             "set-level pullback square at every stage",
-            pullback_holds(site, chi, run.true_t, run.propositions_l, tau_values(site)),
+            pullback_holds(site, chi, side.true_t, side.propositions_l, tau_values(site)),
             run=run.spec.name,
         ),
         _row(
             "Eq 3.21",
             "characteristic morphism is natural",
-            naturality_holds(chi, run.propositions_l, run.omega),
+            naturality_holds(chi, side.propositions_l, side.omega),
             run=run.spec.name,
         ),
     ]
 
 
 def _prop32_33_rows(run: BuiltRun) -> list[dict]:
-    site = run.plain
-    top = top_sieve(site, run.stage)
-    floor = run.floors[run.stage]
+    site, stage, values = run.plain, run.plain_side.stage, run.plain_side.values
+    top = top_sieve(site, stage)
+    floor = run.floors[stage]
     prop32 = all(
         value == top
-        for p, value in zip(run.universe, run.values[run.stage])
+        for p, value in zip(run.universe, values[stage])
         if in_determinate_sublattice(p, run.atoms) and bub_valuation(run.e_r, p) == 1
     )
     prop33 = True
-    for stage_floor, value_row in zip(run.floors, run.values):
+    for stage_floor, value_row in zip(run.floors, values):
         if not is_sieve(site, stage_floor):
             prop33 = False
         if not all(stage_floor <= value for value in value_row):
@@ -446,9 +449,9 @@ def _prop32_33_rows(run: BuiltRun) -> list[dict]:
 
 
 def _ib_rows(run: BuiltRun) -> list[dict]:
-    stage = run.stage
+    stage = run.plain_side.stage
     verdict = ib_condition_check(
-        run.plain, stage, run.r_space, run.universe, run.values[stage], run.floors[stage]
+        run.plain, stage, run.r_space, run.universe, run.plain_side.values[stage], run.floors[stage]
     )
     core = (
         verdict["monotonicity"]
@@ -470,7 +473,8 @@ def _ib_rows(run: BuiltRun) -> list[dict]:
 
 
 def _delta_rows(run: BuiltRun) -> list[dict]:
-    site, omega, delta = run.plain, run.omega, run.delta
+    side, delta = run.plain_side, run.delta
+    site, omega = side.site, side.omega
     rows = []
     # δΩ's transitions are the classifier's, so its validation (transitions
     # stay in the codomain stage) is the Prop 3.5 check.
@@ -534,7 +538,7 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     )
     delta_tau = tau_values(site)
     semi = semiclassifier_check(
-        site, delta, omega, delta_tau, [(run.true_t, run.propositions_l, run.chi)]
+        site, delta, omega, delta_tau, [(side.true_t, side.propositions_l, side.chi)]
     )
     rows.append(
         _row(
@@ -548,13 +552,11 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     return rows
 
 
-def _heyting_audit_rows(run: BuiltRun, label: str) -> list[dict]:
-    """The stages of Ω on the plain site, or on the extended one if `label`
-    is "extended"."""
-    omega = run.omega_ext if label == "extended" else run.omega
-    site = omega.site
+def _heyting_audit_rows(run: BuiltRun, side: SiteRun, label: str) -> list[dict]:
+    """The stages of Ω on one side of the run, named by `label`."""
+    site = side.site
     ok = True
-    for o, sieves in enumerate(omega.values):
+    for o, sieves in enumerate(side.omega.values):
         stage = site.stage(o)
         masks = [s.mask for s in sieves]
         # Exactly the sieves on o: sieves only, the empty and the principal
@@ -577,12 +579,12 @@ def _heyting_audit_rows(run: BuiltRun, label: str) -> list[dict]:
 
 
 def _restriction_row(run: BuiltRun) -> dict:
-    site = run.plain
-    restricted = restrict_down(site, run.stage)
+    site, stage = run.plain, run.plain_side.stage
+    restricted = restrict_down(site, stage)
     base = restricted.ray_index(run.state.space)
     ok = True
     down_row = valuation_row(restricted, base, run.r_space, run.universe)
-    for full_sieve, down_sieve in zip(run.values[run.stage], down_row):
+    for full_sieve, down_sieve in zip(run.plain_side.values[stage], down_row):
         full_keys = {
             (site.arrow_op(a), site.object_ray(site.arrow_cod(a))) for a in full_sieve
         }
@@ -607,7 +609,7 @@ def _restriction_row(run: BuiltRun) -> dict:
 
 def _extended_site_rows(run: BuiltRun) -> list[dict]:
     full = run.extended_full
-    rest = run.rest
+    side = run.ext_side
     rows = [
         _row(
             "Eq 4.9",
@@ -663,41 +665,31 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
         )
     )
     for tag, title, presheaf in (
-        ("Eq 4.17", "extended atom functor is functorial", run.atoms_a_ext),
-        ("Eq 4.19", "extended proposition functor is functorial", run.propositions_l_ext),
-        ("Eq 4.27", "extended true subobject is functorial", run.true_t_ext),
+        ("Eq 4.17", "extended atom functor is functorial", side.atoms_a),
+        ("Eq 4.19", "extended proposition functor is functorial", side.propositions_l),
+        ("Eq 4.27", "extended true subobject is functorial", side.true_t),
     ):
         failure = _validate(presheaf)
         rows.append(_row(tag, title, not failure, run=run.spec.name, **failure))
-    failure = _validate(run.sigma_ext)
+    failure = _validate(side.sigma)
     rows.append(
         _row(
             "Eq 4.25",
             "the chosen atom extends to a section over the reachable part",
             not failure,
             run=run.spec.name,
-            stages=rest.n_objects,
+            stages=side.site.n_objects,
             **failure,
         )
     )
-    violations, outside = filter_check(rest, run.true_t_ext, run.propositions_l_ext)
-    rows.append(
-        _row(
-            "Eq 4.26",
-            "extended true subobject is stage-wise a filter",
-            not violations,
-            run=run.spec.name,
-            violations=len(violations),
-            **({"meets_outside": outside} if outside else {}),
-        )
-    )
+    rows.append(_filter_row("Eq 4.26", "extended true subobject is stage-wise a filter", run, side))
     rows.append(
         _row(
             "Eq 4.28",
             "extended characteristic morphism equals the direct valuation",
-            run.chi_ext == run.values_ext,
+            side.chi == side.values,
             run=run.spec.name,
-            **_witness(run, run.chi_ext, run.values_ext),
+            **_witness(run, side),
         )
     )
     return rows
@@ -825,7 +817,7 @@ def _find_adversarial_subpresheaf(run: BuiltRun):
     the forward closure of the image of x along a raising arrow a that misses
     the image of x along a's twin.  Returns (subfunctor, stage, x, a) or None."""
     rest = run.rest
-    propositions = run.propositions_l_ext
+    propositions = run.ext_side.propositions_l
     positions, index = propositions.positions, propositions.index
     for o in range(rest.n_objects):
         for a in rest.arrows_from(o):
@@ -846,17 +838,15 @@ def _find_adversarial_subpresheaf(run: BuiltRun):
 def _characteristic_rows(run: BuiltRun) -> list[dict]:
     """§5.2, Prop 5.10, Def 5.4 and Thms 5.11–5.13 on the extended true
     subobject; §5.2, Prop 5.10 and Thm 5.11 read one `detector_tables` result."""
-    rest = run.rest
-    propositions = run.propositions_l_ext
+    side = run.ext_side
+    pair = (side.true_t, side.propositions_l, side.chi)
     try:
-        detectors = detector_tables(rest, run.true_t_ext, propositions, run.chi_ext)
+        detectors = detector_tables(side.site, *pair)
     except NotASubPresheaf as exc:
         result = dict.fromkeys(("projective", "factorization", "naturality", "pullback"), False)
         failure = {"error": str(exc)}
     else:
-        result = natural_characteristic(
-            run.true_t_ext, propositions, run.chi_ext, detectors, run.omega_ext
-        )
+        result = natural_characteristic(*pair, detectors, side.omega)
         failure = {}
     rows = [
         _row(
@@ -888,9 +878,8 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
             **failure,
         ),
     ]
-    failure = _validate(run.omega_ext)
-    pair = (run.true_t_ext, propositions, run.chi_ext)
-    semi = semiclassifier_check(rest, run.nat_omega, run.omega_ext, tau_values(rest), [pair])
+    failure = _validate(side.omega)
+    semi = semiclassifier_check(side.site, run.nat_omega, side.omega, tau_values(side.site), [pair])
     rows.append(
         _row(
             "Thm 5.13 / Props A3–A4 (♮Ω)",
@@ -907,7 +896,7 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
 def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
     """Prop 5.10 and Def 5.4, given the true subobject's `detector_tables`."""
     rest = run.rest
-    propositions = run.propositions_l_ext
+    propositions = run.ext_side.propositions_l
     rows = []
     mismatches = detectors["mismatches"]
     adversarial = _find_adversarial_subpresheaf(run)
@@ -948,13 +937,12 @@ def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
         if rest.arrow_cod_rho(a) != rest.object_rho(o)
     ]
     if strict:
-        pure = principal_sieve(rest, strict[0])
+        pure = principal_sieve(rest, strict[0]).mask
         rows.append(
             _row(
                 "Def 5.4",
                 "a purely observable-raising sieve is not natural",
-                bool(pure.mask)
-                and not is_natural_at(rest, rest.arrow_dom(strict[0]), pure),
+                bool(pure) and rest.stage(rest.arrow_dom(strict[0])).natural[pure] != pure,
                 run=run.spec.name,
             )
         )
@@ -962,8 +950,9 @@ def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
 
 
 def _equivalence_rows(run: BuiltRun) -> list[dict]:
+    plain, ext = run.plain_side, run.ext_side
     result = equivalence_check(
-        run.ctx, run.universe, run.values[run.stage], run.values_ext[run.rest_stage]
+        run.ctx, run.universe, plain.values[plain.stage], ext.values[ext.stage]
     )
     failures = [
         run.universe_names.get(row["proposition"], "?")
@@ -983,20 +972,19 @@ def _equivalence_rows(run: BuiltRun) -> list[dict]:
 
 
 def _census_rows(run: BuiltRun) -> list[dict]:
+    plain = run.plain_side
     details = {
-        "omega_stage_sizes": [len(stage) for stage in run.omega.values],
-        "delta_stage_size": len(run.delta.values[run.stage]),
-        "floor_size": run.floors[run.stage].mask.bit_count(),
+        "omega_stage_sizes": [len(values) for values in plain.omega.values],
+        "delta_stage_size": len(run.delta.values[plain.stage]),
+        "floor_size": run.floors[plain.stage].mask.bit_count(),
     }
-    if run.has_extended:
-        # Listed alone, before `run.omega_ext` lists every stage, so that a
+    if run.ext_side:
+        # Listed alone, before the extended Ω lists every stage, so that a
         # cap hit names this stage first.
-        rest, stage = run.rest, run.rest_stage
-        masks = rest.stage(stage).sieves(run.scenario.caps["sieve_enum"])
+        stage = run.rest.stage(run.ext_side.stage)
+        masks = stage.sieves(run.scenario.caps["sieve_enum"])
         details["extended_stage_size"] = len(masks)
-        details["natural_stage_size"] = sum(
-            is_natural_at(rest, stage, Sieve(stage, m)) for m in masks
-        )
+        details["natural_stage_size"] = sum(stage.natural[m] == m for m in masks)
     return [
         _row(
             "Eq 3.13",
@@ -1025,12 +1013,12 @@ def run_check(scenario: Scenario) -> dict:
         rows.extend(_prop32_33_rows(run))
         rows.extend(_ib_rows(run))
         rows.extend(_delta_rows(run))
-        rows.extend(_heyting_audit_rows(run, "plain"))
+        rows.extend(_heyting_audit_rows(run, run.plain_side, "plain"))
         rows.append(_restriction_row(run))
         rows.extend(_census_rows(run))
-        if run.has_extended:
+        if run.ext_side:
             rows.extend(_extended_site_rows(run))
-            rows.extend(_heyting_audit_rows(run, "extended"))
+            rows.extend(_heyting_audit_rows(run, run.ext_side, "extended"))
             rows.extend(_bridge_rows(run))
             rows.extend(_characteristic_rows(run))
             rows.extend(_equivalence_rows(run))

@@ -1,5 +1,10 @@
 """Orchestration: build sites and functors for a scenario, emit valuations.
 
+A run is valued on two sides: the plain site of its observable, and, when
+it declares an observable family, the extended site of that family below
+the run's stage.  The paper builds the same objects on both, so each side
+is one `SiteRun`, built by `site_run` for any site.
+
 Reports are plain dicts with deterministic key and list ordering, so the
 JSON rendering is byte-identical across runs.
 """
@@ -11,7 +16,6 @@ from functools import cached_property
 
 from .bridge import (
     BridgeContext,
-    is_natural_at,
     make_bridge_context,
     natural_omega,
     proposition_equivalence,
@@ -39,6 +43,7 @@ from .sites import (
     ExtendedSite,
     OperatorMonoid,
     PlainSite,
+    Site,
     build_extended_site,
     build_plain_site,
     close_monoid,
@@ -49,78 +54,82 @@ from .subspaces import Ray, Subspace
 
 
 @dataclass
-class BuiltRun:
-    """Everything a run needs, constructed once and reused by all checks."""
+class SiteRun:
+    """One side of a run: a site, the run's stage on it, and what the paper
+    builds over it, namely the proposition functor L, the atom functor A,
+    the true-atom section σ and the true subobject T.  The truth-value
+    tables, the direct valuation and T's characteristic table, and the
+    classifier Ω are each built on first use (see `sieves`)."""
 
-    scenario: Scenario
-    spec: RunSpec
-    state: Ray
-    rho_index: int
+    site: Site
+    stage: int
     r_space: Subspace  # the chosen eigenspace of the run observable
-    monoid: OperatorMonoid  # full generator closure
-    universe: list[Subspace]
-    universe_names: dict[Subspace, str]
-    plain: PlainSite
-    plain_op_map: tuple[int, ...]
-    stage: int  # plain-site object of the run state
-    atoms: TrueAtomSet
-    e_r: Subspace
-    floors: tuple[Sieve, ...]  # every plain-site object's annihilator floor
+    cap: int  # the sieve enumeration cap, for Ω
     propositions_l: Presheaf
     atoms_a: Presheaf
     sigma: GlobalElement
     true_t: Presheaf
-    # populated only when the run declares an observable family
-    family: tuple[int, ...] = ()
-    extended_full: ExtendedSite | None = None
-    rest: ExtendedSite | None = None
-    rest_stage: int = -1
-    ctx: BridgeContext | None = None
-    propositions_l_ext: Presheaf | None = None
-    atoms_a_ext: Presheaf | None = None
-    sigma_ext: GlobalElement | None = None
-    true_t_ext: Presheaf | None = None
-
-    @property
-    def has_extended(self) -> bool:
-        return self.rest is not None
-
-    # Truth-value tables, each built on first use (see `sieves`): the direct
-    # valuation and the true subobject's characteristic table, per site; and
-    # the classifiers every naturality square reads: Ω and δΩ on the plain
-    # site, Ω and ♮Ω on the extended one.
 
     @cached_property
     def values(self) -> tuple[tuple[Sieve, ...], ...]:
-        return valuation_table(self.plain, self.r_space, self.propositions_l)
+        return valuation_table(self.site, self.r_space, self.propositions_l)
 
     @cached_property
     def chi(self) -> tuple[tuple[Sieve, ...], ...]:
-        return characteristic_table(self.plain, self.true_t, self.propositions_l)
-
-    @cached_property
-    def values_ext(self) -> tuple[tuple[Sieve, ...], ...]:
-        return valuation_table(self.rest, self.r_space, self.propositions_l_ext)
-
-    @cached_property
-    def chi_ext(self) -> tuple[tuple[Sieve, ...], ...]:
-        return characteristic_table(self.rest, self.true_t_ext, self.propositions_l_ext)
+        return characteristic_table(self.site, self.true_t, self.propositions_l)
 
     @cached_property
     def omega(self) -> Presheaf:
-        return omega_presheaf(self.plain, self.scenario.caps["sieve_enum"])
+        return omega_presheaf(self.site, self.cap)
+
+
+def site_run(site: Site, stage: int, universe: list[Subspace], r_space: Subspace, cap: int) -> SiteRun:
+    """The functors of a run on one site, σ picking the projection onto r_space."""
+    propositions_l = proposition_presheaf(site, universe)
+    atoms_a = atom_presheaf(site)
+    sigma = atom_global_element(site, atoms_a, r_space)
+    true_t = true_subobject(sigma, propositions_l)
+    return SiteRun(site, stage, r_space, cap, propositions_l, atoms_a, sigma, true_t)
+
+
+@dataclass
+class BuiltRun:
+    """Everything a run needs, constructed once and reused by all checks:
+    its plain side, and its extended side when it declares a family."""
+
+    scenario: Scenario
+    spec: RunSpec
+    state: Ray
+    r_space: Subspace  # the chosen eigenspace of the run observable
+    universe: list[Subspace]
+    universe_names: dict[Subspace, str]
+    plain_op_map: tuple[int, ...]
+    atoms: TrueAtomSet
+    e_r: Subspace
+    floors: tuple[Sieve, ...]  # every plain-site object's annihilator floor
+    plain_side: SiteRun
+    ext_side: SiteRun | None = None  # on the extended site below the run's stage
+    extended_full: ExtendedSite | None = None
+    ctx: BridgeContext | None = None
+
+    @property
+    def plain(self) -> PlainSite:
+        return self.plain_side.site
+
+    @property
+    def rest(self) -> ExtendedSite | None:
+        return self.ext_side.site if self.ext_side else None
+
+    # The semi-classifiers every naturality square reads besides Ω, each
+    # built on first use: δΩ on the plain site and ♮Ω on the extended one.
 
     @cached_property
     def delta(self) -> Presheaf:
-        return delta_omega_presheaf(self.omega, self.floors)
-
-    @cached_property
-    def omega_ext(self) -> Presheaf:
-        return omega_presheaf(self.rest, self.scenario.caps["sieve_enum"])
+        return delta_omega_presheaf(self.plain_side.omega, self.floors)
 
     @cached_property
     def nat_omega(self) -> Presheaf:
-        return natural_omega(self.omega_ext)
+        return natural_omega(self.ext_side.omega)
 
 
 @dataclass
@@ -157,6 +166,7 @@ def _build_run(
     rho_index = scenario.observable_index[spec.observable]
     observable = scenario.observables[rho_index]
     r_space = observable.eigenspaces[spec.eigenspace]
+    cap = scenario.caps["sieve_enum"]
 
     plain, op_map = build_plain_site(
         observable,
@@ -164,7 +174,6 @@ def _build_run(
         list(scenario.states.values()),
         scenario.caps["orbit"],
     )
-    stage = plain.ray_index(state.space)
     atoms = compute_atoms(state, observable)
     e_r = atoms.atom_for_eigenspace(spec.eigenspace)
     if e_r.is_zero:
@@ -172,63 +181,28 @@ def _build_run(
             f"runs.{spec.name}.eigenspace",
             "the state projects to zero on the chosen eigenspace; no true atom there",
         )
+    plain_side = site_run(plain, plain.ray_index(state.space), universe, r_space, cap)
+    floors = annihilator_floors(plain, r_space)
 
-    propositions_l = proposition_presheaf(plain, universe)
-    atoms_a = atom_presheaf(plain, lambda o: observable)
-    sigma = atom_global_element(plain, atoms_a, r_space)
-    true_t = true_subobject(sigma, propositions_l)
-
-    run = BuiltRun(
-        scenario=scenario,
-        spec=spec,
-        state=state,
-        rho_index=rho_index,
-        r_space=r_space,
-        monoid=monoid,
-        universe=universe,
-        universe_names=names,
-        plain=plain,
-        plain_op_map=op_map,
-        stage=stage,
-        atoms=atoms,
-        e_r=e_r,
-        floors=annihilator_floors(plain, r_space),
-        propositions_l=propositions_l,
-        atoms_a=atoms_a,
-        sigma=sigma,
-        true_t=true_t,
-    )
-
+    ext_side = extended_full = ctx = None
     if spec.extended:
-        family = tuple(scenario.observable_index[name] for name in spec.extended)
-        key = tuple(sorted(family))
-        if key not in extended_cache:
-            extended_cache[key] = build_extended_site(
-                [scenario.observables[i] for i in sorted(family)],
+        family = tuple(sorted(scenario.observable_index[name] for name in spec.extended))
+        if family not in extended_cache:
+            extended_cache[family] = build_extended_site(
+                [scenario.observables[i] for i in family],
                 monoid,
                 list(scenario.states.values()),
                 scenario.caps["orbit"],
             )
-        extended_full = extended_cache[key]
-        family_sorted = tuple(sorted(family))
-        rho_in_family = family_sorted.index(rho_index)
-        stage_full = extended_full.object_index(state.space, rho_in_family)
-        rest = restrict_down(extended_full, stage_full)
-        rest_stage = rest.object_index(state.space, rho_in_family)
-        ctx = make_bridge_context(rest, rest_stage, plain, op_map)
-
-        run.family = family_sorted
-        run.extended_full = extended_full
-        run.rest = rest
-        run.rest_stage = rest_stage
-        run.ctx = ctx
-        run.propositions_l_ext = proposition_presheaf(rest, universe)
-        run.atoms_a_ext = atom_presheaf(
-            rest, lambda o: rest.observables[rest.object_rho(o)]
-        )
-        run.sigma_ext = atom_global_element(rest, run.atoms_a_ext, r_space)
-        run.true_t_ext = true_subobject(run.sigma_ext, run.propositions_l_ext)
-    return run
+        extended_full = extended_cache[family]
+        rho = family.index(rho_index)
+        rest = restrict_down(extended_full, extended_full.object_index(state.space, rho))
+        ext_side = site_run(rest, rest.object_index(state.space, rho), universe, r_space, cap)
+        ctx = make_bridge_context(rest, ext_side.stage, plain, op_map)
+    return BuiltRun(
+        scenario, spec, state, r_space, universe, names, op_map, atoms, e_r, floors,
+        plain_side, ext_side, extended_full, ctx,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +237,7 @@ def _proposition_selection(run: BuiltRun) -> list[Subspace]:
 
 def valuate_run(run: BuiltRun) -> dict:
     """Per-proposition truth values at the run's stage, all layers (no run table is built)."""
-    plain = run.plain
-    stage = run.stage
+    plain, stage = run.plain, run.plain_side.stage
     top = top_sieve(plain, stage)
     floor = run.floors[stage]
     rows = []
@@ -283,8 +256,8 @@ def valuate_run(run: BuiltRun) -> dict:
                 "in_delta_omega": floor <= sieve,
             },
         }
-        if run.has_extended:
-            ext_sieve = valuation(run.rest, run.rest_stage, run.r_space, p)
+        if run.ext_side:
+            ext_sieve = valuation(run.rest, run.ext_side.stage, run.r_space, p)
             bridged = proposition_equivalence(run.ctx, p, sieve, ext_sieve)
             row["extended"] = {
                 "sieve": serialize_extended_sieve(run.rest, bridged["extended"]),
@@ -309,7 +282,7 @@ def valuate_run(run: BuiltRun) -> dict:
 def _stage_heyting_tables(run: BuiltRun) -> dict:
     """The fully enumerated sieve lattices at the run's stage, if they fit."""
     cap = run.scenario.caps["sieve_enum"]
-    plain, stage = run.plain, run.stage
+    plain, stage = run.plain, run.plain_side.stage
     try:
         plain_masks = plain.stage(stage).sieves(cap)
     except EnumerationExceeded:
@@ -318,16 +291,16 @@ def _stage_heyting_tables(run: BuiltRun) -> dict:
         "within_cap": True,
         "plain_sieves": [serialize_plain_sieve(plain, Sieve(stage, m)) for m in plain_masks],
     }
-    if run.has_extended:
-        rest, stage = run.rest, run.rest_stage
+    if run.ext_side:
+        rest, ext_stage = run.rest, run.rest.stage(run.ext_side.stage)
         try:
-            ext = [Sieve(stage, m) for m in rest.stage(stage).sieves(cap)]
+            ext = [Sieve(ext_stage.base, m) for m in ext_stage.sieves(cap)]
         except EnumerationExceeded:
             tables["within_cap"] = False
             return tables
         tables["extended_sieves"] = [serialize_extended_sieve(rest, s) for s in ext]
         tables["natural_sieves"] = [
-            serialize_extended_sieve(rest, s) for s in ext if is_natural_at(rest, stage, s)
+            serialize_extended_sieve(rest, s) for s in ext if ext_stage.natural[s.mask] == s.mask
         ]
     return tables
 
@@ -386,7 +359,7 @@ def dump_site(scenario: Scenario) -> dict:
                 ],
             },
         }
-        if run.has_extended:
+        if run.ext_side:
             rest = run.rest
             product_arrows = 0
             for i, k in rest.objects:

@@ -279,6 +279,9 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
         if raw.get("propositions") is not None:
             selection = _names(raw, "propositions", f"{where}.propositions", propositions, "proposition")
         extended = _names(raw, "extended", f"{where}.extended", observable_index, "observable")
+        for k, ename in enumerate(extended):
+            if ename in extended[:k]:
+                raise ValidationError(f"{where}.extended", f"duplicate observable {ename!r}")
         if extended and oname not in extended:
             raise ValidationError(f"{where}.extended", "family must contain the run observable")
         remainder = _names(raw, "remainder_rays", f"{where}.remainder_rays", propositions, "proposition")

@@ -19,6 +19,9 @@ The stage audits read the stage's masks.  In a lattice of down-sets, s ⇒ t
 is the largest sieve missing s minus t, so it depends on `y = s & ~t`
 alone: `Stage.implies` is a `LazyTable` keyed on y, filled once per
 distinct y for the life of the site, so every audit of a stage shares it.
+The round trip ♮ of the bridge (see `bridge`) is the stage's other table,
+`Stage.natural`: the union of the principal masks of the arrows of a mask
+that stay at the base's observable, filled once per mask.
 `is_heyting_family` checks closure under `|` and `&` on every pair, one
 row at a time, and the implication's clauses (membership, modus ponens,
 the probe adjunction) once per distinct y.  So a family of N sieves with k
@@ -43,11 +46,12 @@ the parent's position tables to the kept values once per cut; a cut is a
 subfunctor of its parent iff it `is_closed`.
 
 Truth values: the valuation of a proposition P at a stage is the sieve of
-arrows F with F(P) above the transported true atom.  A built run tabulates
-it twice per site, each table built once, on first use: directly
-(`valuation_table`, `BuiltRun.values`) and as the characteristic table of
-the true subobject (`characteristic_table`, `BuiltRun.chi`).  The two must
-be equal, and every row that needs a truth value reads them.
+arrows F with F(P) above the transported true atom.  Each side of a built
+run (`runner.SiteRun`) tabulates it twice, each table built once, on first
+use: directly (`valuation_table`, `SiteRun.values`) and as the
+characteristic table of the true subobject (`characteristic_table`,
+`SiteRun.chi`).  The two must be equal, and every row that needs a truth
+value reads them.
 """
 
 from __future__ import annotations
@@ -114,12 +118,20 @@ def _require_same_base(a: Sieve, b: Sieve) -> None:
         raise InternalCheckError(f"sieves based at {a.base} and {b.base}")
 
 
+def principal_union(principal: Sequence[int], mask: int) -> int:
+    """The smallest sieve holding the arrows of `mask`: the union of their
+    principal masks, read from a site's `principal_masks`."""
+    members = 0
+    for a in _bits(mask):
+        members |= principal[a]
+    return members
+
+
 def is_sieve(site, s: Sieve) -> bool:
     """Members start at the base and every member's principal sieve is inside."""
     if s.mask & ~site.stage(s.base).top:
         return False
-    principal = site.principal_masks
-    return not any(principal[m] & ~s.mask for m in _bits(s.mask))
+    return not principal_union(site.principal_masks, s.mask) & ~s.mask
 
 
 def principal_sieve(site, arrow: int) -> Sieve:
@@ -176,13 +188,19 @@ class Stage:
     has every arrow out of `base`, `principals` their principal masks in
     arrow order, and `implies[s & ~t]` is the mask of s ⇒ t, which reads
     nothing else of s and t (one `heyting_implies` call per key, while the
-    site lives)."""
+    site lives).  `natural[m]` is the round trip ♮ of m: down to the arrows
+    that stay at the base's observable, then up to the sieve they generate.
+    On a plain site every arrow stays, so ♮ fixes every sieve."""
 
     def __init__(self, site, base: int):
         arrows = site.arrows_from(base)
         self.base = base
         self.top = ((1 << len(arrows)) - 1) << arrows[0] if arrows else 0
-        self.principals = tuple([site.principal_masks[a] for a in arrows])
+        principal = site.principal_masks
+        self.principals = tuple([principal[a] for a in arrows])
+        rho = site.object_rho(base)
+        fixed = sum(1 << a for a in arrows if site.arrow_cod_rho(a) == rho)
+        self.natural = LazyTable(lambda m: principal_union(principal, m & fixed))
         site = weakref.proxy(site)  # the site owns its stages: no reference cycle
         self.implies = LazyTable(lambda y: heyting_implies(site, Sieve(base, y), Sieve(base, 0)).mask)
         self._sieves: tuple[int, ...] | None = None
@@ -316,10 +334,10 @@ def proposition_presheaf(site, universe: Sequence[Subspace]) -> Presheaf:
     return build_presheaf(site, lambda o: universe, transition)
 
 
-def atom_presheaf(site, observable_of: Callable[[int], object]) -> Presheaf:
+def atom_presheaf(site) -> Presheaf:
     """Zero-augmented atom sets per stage (the stage ray against its observable)."""
     def values_at(o: int):
-        atoms = compute_atoms(Ray(site.object_ray(o)), observable_of(o))
+        atoms = compute_atoms(Ray(site.object_ray(o)), site.observables[site.object_rho(o)])
         return atoms.zero_augmented
 
     def transition(a: int, atom: Subspace) -> Subspace:

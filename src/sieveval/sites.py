@@ -11,8 +11,9 @@ object have consecutive ids, so a sieve is stored as an `int` bitmask over
 global arrow ids; each site owns the per-arrow tables that sieve algebra
 reads (`postcomposites`, `principal_masks`), computed once on first use,
 and one `sieves.Stage` per object (`stage`), built on first use, which
-holds the object's top, principals, implication table and sieve list.  All
-of them live as long as the site: nothing outside it holds a reference.
+holds the object's top, principals, implication and round-trip tables and
+sieve list.  All of them live as long as the site: nothing outside it
+holds a reference.
 
 Truncation policy: objects are the orbit of the declared seed states under
 the declared generator monoid, which is required to close within its cap.

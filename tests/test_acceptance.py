@@ -20,7 +20,6 @@ from sieveval import (
     join,
     load_scenario,
     meet,
-    natural_map,
     restrict_down,
     sharp,
     valuation,
@@ -87,7 +86,7 @@ def test_criterion_01_bub_layer(built):
 def test_criterion_02_sieve_census(built):
     started = time.monotonic()
     run = next(r for r in built["qubit"].runs if r.spec.name == "z-up")
-    site, stage = run.plain, run.stage
+    site, stage = run.plain, run.plain_side.stage
     sieves = [Sieve(stage, m) for m in site.stage(stage).sieves(4096)]
     ok = len(sieves) == 5
     floor = bottom_annihilator(site, stage, run.e_r)
@@ -108,9 +107,10 @@ def test_criterion_03_valuation_conditions(built):
     for name, scenario in built.items():
         strict_seen[name] = False
         for run in scenario.runs:
-            floor = run.floors[run.stage]
-            row = [valuation(run.plain, run.stage, run.r_space, p) for p in run.universe]
-            v = ib_condition_check(run.plain, run.stage, run.r_space, run.universe, row, floor)
+            stage = run.plain_side.stage
+            floor = run.floors[stage]
+            row = [valuation(run.plain, stage, run.r_space, p) for p in run.universe]
+            v = ib_condition_check(run.plain, stage, run.r_space, run.universe, row, floor)
             ok = ok and v["monotonicity"] and v["exclusivity"] and v["unit"]
             ok = ok and v["null_equals_floor"] and v["null_passes_in_delta"]
             ok = ok and (v["null_fails_in_omega"] == v["floor_nonempty"])
@@ -132,11 +132,11 @@ def test_criterion_04_oracle_equality(built):
     checked = 0
     for scenario in built.values():
         for run in scenario.runs:
-            site = run.plain
-            table = characteristic_table(site, run.true_t, run.propositions_l)
+            site, propositions = run.plain, run.plain_side.propositions_l
+            table = characteristic_table(site, run.plain_side.true_t, propositions)
             for o in range(site.n_objects):
                 for p in run.universe:
-                    chi = table[o][run.propositions_l.index[o][p]]
+                    chi = table[o][propositions.index[o][p]]
                     checked += 1
                     ok = ok and chi == valuation(site, o, run.r_space, p)
     verdict(4, ok, f"characteristic equals direct valuation on {checked} stage/proposition pairs")
@@ -146,13 +146,13 @@ def test_criterion_05_restriction_equivalence(built):
     ok = True
     for scenario in built.values():
         for run in scenario.runs:
-            site = run.plain
-            restricted = restrict_down(site, run.stage)
+            site, stage = run.plain, run.plain_side.stage
+            restricted = restrict_down(site, stage)
             base = restricted.ray_index(run.state.space)
             for p in run.universe:
                 full_keys = {
                     (site.arrow_op(a), site.object_ray(site.arrow_cod(a)))
-                    for a in valuation(site, run.stage, run.r_space, p).arrows
+                    for a in valuation(site, stage, run.r_space, p).arrows
                 }
                 down_keys = {
                     (restricted.arrow_op(a), restricted.object_ray(restricted.arrow_cod(a)))
@@ -170,12 +170,13 @@ def test_criterion_06_bridge_identities(built):
     ok = report["passed"]
     ok = ok and report["plain_count"] == 5 and report["fixpoint_count"] == 5
     ext_sieves = [Sieve(ctx.stage, m) for m in ctx.extended.stage(ctx.stage).sieves(4096)]
+    natural = ctx.extended.stage(ctx.stage).natural
     images = set()
     for s in ext_sieves:
-        image = natural_map(ctx, s)
+        image = Sieve(ctx.stage, natural[s.mask])
         ok = ok and image <= s
         images.add(image.arrows)
-    fixpoints = {s.arrows for s in ext_sieves if natural_map(ctx, s) == s}
+    fixpoints = {s.arrows for s in ext_sieves if natural[s.mask] == s.mask}
     ok = ok and images == fixpoints
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 10.0
@@ -187,11 +188,11 @@ def test_criterion_07_projectivity_biconditional(built):
     adversarial_found = False
     for name in ("qubit_extended", "qutrit_extended", "qubit_complex"):
         for run in built[name].runs:
-            if not run.has_extended:
+            if run.ext_side is None:
                 continue
-            propositions = run.propositions_l_ext
-            chi = characteristic_table(run.rest, run.true_t_ext, propositions)
-            detectors = detector_tables(run.rest, run.true_t_ext, propositions, chi)
+            propositions = run.ext_side.propositions_l
+            chi = characteristic_table(run.rest, run.ext_side.true_t, propositions)
+            detectors = detector_tables(run.rest, run.ext_side.true_t, propositions, chi)
             ok = ok and not detectors["mismatches"]
             found = _find_adversarial_subpresheaf(run)
             if found is None:
@@ -212,13 +213,13 @@ def test_criterion_08_equivalence_theorem(built):
     checked = 0
     for scenario in built.values():
         for run in scenario.runs:
-            if not run.has_extended:
+            if run.ext_side is None:
                 continue
             ctx = run.ctx
             for p in run.universe:
                 plain_value = valuation(ctx.plain, ctx.plain_stage, run.r_space, p)
                 ext_value = valuation(ctx.extended, ctx.stage, run.r_space, p)
-                nat_value = natural_map(ctx, ext_value)
+                nat_value = Sieve(ctx.stage, ctx.extended.stage(ctx.stage).natural[ext_value.mask])
                 checked += 1
                 ok = ok and flat(ctx, ext_value) == plain_value
                 ok = ok and sharp(ctx, plain_value) == nat_value
@@ -235,26 +236,20 @@ def test_criterion_09_appendix_suites(built):
             cap = run.scenario.caps["sieve_enum"]
             omega = omega_presheaf(site, cap)
             delta = delta_omega_presheaf(omega, run.floors)
-            chi = characteristic_table(site, run.true_t, run.propositions_l)
-            rows = semiclassifier_check(
-                site, delta, omega, tau_values(site), [(run.true_t, run.propositions_l, chi)]
-            )
+            pair = (run.plain_side.true_t, run.plain_side.propositions_l)
+            chi = characteristic_table(site, *pair)
+            rows = semiclassifier_check(site, delta, omega, tau_values(site), [(*pair, chi)])
             ok = ok and all(r["passed"] for r in rows)
-            if run.has_extended:
+            if run.ext_side:
                 rest = run.rest
                 omega_ext = omega_presheaf(rest, cap)
+                pair = (run.ext_side.true_t, run.ext_side.propositions_l)
                 rows = semiclassifier_check(
                     rest,
                     natural_omega(omega_ext),
                     omega_ext,
                     tau_values(rest),
-                    [
-                        (
-                            run.true_t_ext,
-                            run.propositions_l_ext,
-                            characteristic_table(rest, run.true_t_ext, run.propositions_l_ext),
-                        )
-                    ],
+                    [(*pair, characteristic_table(rest, *pair))],
                 )
                 ok = ok and all(r["passed"] for r in rows)
     # atom-set identities over every ray and comparable chain
@@ -263,7 +258,7 @@ def test_criterion_09_appendix_suites(built):
         rays = set()
         for run in scenario.runs:
             rays.update(run.plain.rays)
-            if run.has_extended:
+            if run.ext_side:
                 rays.update(run.rest.rays)
         for ray in rays:
             for a in sc.observables:
@@ -281,7 +276,7 @@ def test_criterion_09_appendix_suites(built):
     # natural sieves contain the fixed-observable twins of their members
     for scenario in built.values():
         for run in scenario.runs:
-            if not run.has_extended:
+            if run.ext_side is None:
                 continue
             rest = run.rest
             nat_omega = natural_omega(omega_presheaf(rest, run.scenario.caps["sieve_enum"]))

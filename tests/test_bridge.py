@@ -12,10 +12,8 @@ from sieveval import (
     flat,
     full_space,
     heyting_iso_check,
-    is_natural_at,
     make_bridge_context,
     natural_characteristic,
-    natural_map,
     natural_omega,
     ray_from_vector,
     restrict_down,
@@ -26,7 +24,6 @@ from sieveval import (
 )
 from sieveval.bridge import (
     _lift_mask,
-    natural_map_at,
     sharp_by_intersection,
 )
 from sieveval.sieves import (
@@ -36,6 +33,7 @@ from sieveval.sieves import (
     characteristic_table,
     is_closed,
     omega_presheaf,
+    principal_sieve,
     proposition_presheaf,
     subpresheaf,
     top_sieve,
@@ -143,29 +141,41 @@ def test_flat_examples(bridge_setup):
     assert flat(ctx, pure).arrows == frozenset()
 
 
+def round_trip(site, o, s):
+    """♮ by its definition: the sieve generated by the members of s that
+    stay at the observable of o."""
+    members = 0
+    for a in s:
+        if site.arrow_cod_rho(a) == site.object_rho(o):
+            members |= principal_sieve(site, a).mask
+    return Sieve(o, members)
+
+
+def natural(site, o, s):
+    """♮ as the stage's table holds it."""
+    return Sieve(o, site.stage(o).natural[s.mask])
+
+
 def test_natural_map_and_fixpoints(bridge_setup):
     ctx = bridge_setup
-    ext_top = top_sieve(ctx.extended, ctx.stage)
-    assert natural_map(ctx, ext_top) == ext_top
-    assert natural_map(ctx, bottom_sieve(ctx.stage)) == bottom_sieve(ctx.stage)
-    sieves = sieves_on(ctx.extended, ctx.stage, 64)
+    ext, stage = ctx.extended, ctx.stage
+    ext_top = top_sieve(ext, stage)
+    assert natural(ext, stage, ext_top) == ext_top
+    assert natural(ext, stage, bottom_sieve(stage)) == bottom_sieve(stage)
+    sieves = sieves_on(ext, stage, 64)
     assert len(sieves) == 10  # worked by hand for this stage
     for s in sieves:
-        image = natural_map(ctx, s)
+        image = natural(ext, stage, s)
+        assert image == round_trip(ext, stage, s)
         assert image <= s
-        assert natural_map(ctx, image) == image  # idempotent
-        assert is_natural_at(ctx.extended, ctx.stage, sharp(ctx, flat(ctx, s)))
-    fixpoints = [s for s in sieves if is_natural_at(ctx.extended, ctx.stage, s)]
+        assert natural(ext, stage, image) == image  # idempotent
+        fixed = sharp(ctx, flat(ctx, s))
+        assert natural(ext, stage, fixed) == fixed
+    fixpoints = [s for s in sieves if natural(ext, stage, s) == s]
     assert len(fixpoints) == 5
-    raising = [
-        a
-        for a in ctx.extended.arrows_from(ctx.stage)
-        if ctx.extended.arrow_cod_rho(a) != ctx.rho
-    ]
-    from sieveval.sieves import principal_sieve
-
-    pure = principal_sieve(ctx.extended, raising[0])
-    assert pure.arrows and not is_natural_at(ctx.extended, ctx.stage, pure)
+    raising = [a for a in ext.arrows_from(stage) if ext.arrow_cod_rho(a) != ctx.rho]
+    pure = principal_sieve(ext, raising[0])
+    assert pure.arrows and natural(ext, stage, pure) != pure
 
 
 def test_natural_omega_presheaf(bridge_setup):
@@ -176,7 +186,7 @@ def test_natural_omega_presheaf(bridge_setup):
     presheaf.validate()
     assert is_closed(presheaf)
     for o in range(rest.n_objects):
-        fixed = tuple(s for s in omega.values[o] if natural_map_at(rest, o, s) == s)
+        fixed = tuple(s for s in omega.values[o] if round_trip(rest, o, s) == s)
         assert presheaf.values[o] == fixed
 
 
@@ -194,7 +204,7 @@ def test_single_rho_site_is_trivially_natural():
     extended = build_extended_site([z], monoid, [ray_from_vector([1, 1])], cap=16)
     stage = extended.object_index(span([1, 1]), 0)
     sieves = sieves_on(extended, stage, 64)
-    assert all(is_natural_at(extended, stage, s) for s in sieves)
+    assert all(natural(extended, stage, s) == s for s in sieves)
     assert len(sieves) == 5
 
 
@@ -203,7 +213,7 @@ def extended_presheaves(bridge_setup):
     ctx = bridge_setup
     rest = ctx.extended
     propositions = proposition_presheaf(rest, UNIVERSE)
-    atoms = atom_presheaf(rest, lambda o: rest.observables[rest.object_rho(o)])
+    atoms = atom_presheaf(rest)
     sigma = atom_global_element(rest, atoms, full_space(2))
     true_t = true_subobject(sigma, propositions)
     return rest, propositions, true_t
@@ -236,7 +246,7 @@ def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):
     table = characteristic_table(rest, bad, propositions)
     detectors = detector_tables(rest, bad, propositions, table)
     assert detectors["witnesses"][stage][i]
-    assert not is_natural_at(rest, stage, table[stage][i])
+    assert round_trip(rest, stage, table[stage][i]) != table[stage][i]
     assert detectors["natural_chi"][stage][i] != table[stage][i]
     assert not detectors["mismatches"]  # the two detectors fire together, never apart
 

@@ -21,7 +21,6 @@ from sieveval import (
     gaussian,
     load_scenario,
     make_bridge_context,
-    natural_map,
     restrict_down,
     sharp,
     subspace_from_vectors,
@@ -166,7 +165,7 @@ def test_random_states_oracle_and_bridge(state_vector, extra_props):
     ctx, state, universe = build_fixture(state_vector, extra_props)
     plain = ctx.plain
     propositions = proposition_presheaf(plain, universe)
-    atoms = atom_presheaf(plain, lambda o: plain.observable)
+    atoms = atom_presheaf(plain)
     r = full_space(2)
     sigma = atom_global_element(plain, atoms, r)
     true_t = true_subobject(sigma, propositions)
@@ -182,7 +181,8 @@ def test_random_states_oracle_and_bridge(state_vector, extra_props):
         plain_value = valuation(plain, ctx.plain_stage, r, p)
         ext_value = valuation(ctx.extended, ctx.stage, r, p)
         assert flat(ctx, ext_value) == plain_value
-        assert sharp(ctx, plain_value) == natural_map(ctx, ext_value)
+        natural = ctx.extended.stage(ctx.stage).natural[ext_value.mask]
+        assert sharp(ctx, plain_value) == Sieve(ctx.stage, natural)
 
 
 @settings(max_examples=25, deadline=None)

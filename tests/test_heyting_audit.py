@@ -41,7 +41,6 @@ from sieveval import checks as checks_module
 from sieveval import runner as runner_module
 from sieveval import sieves as sieves_module
 from sieveval import sites as sites_module
-from sieveval.bridge import is_natural_at
 from sieveval.sieves import (
     LazyTable,
     build_presheaf,
@@ -174,11 +173,8 @@ def stage_families():
                 )
             if run.ctx is not None:
                 ctx = run.ctx
-                masks = [
-                    m
-                    for m in ctx.extended.stage(ctx.stage).sieves(CAP)
-                    if is_natural_at(ctx.extended, ctx.stage, Sieve(ctx.stage, m))
-                ]
+                stage = ctx.extended.stage(ctx.stage)
+                masks = [m for m in stage.sieves(CAP) if stage.natural[m] == m]
                 families.append((f"{label}/fixpoints", masks, fixpoint_implies(ctx), masks))
     return tuple(families), built
 
@@ -219,8 +215,9 @@ def test_memoised_stage_implication_is_the_kernel_on_every_pair(which):
         stages += [(run.plain, o, delta.values[o]) for o in range(run.plain.n_objects)]
         if run.ctx is not None:
             ctx = run.ctx
-            sieves = [Sieve(ctx.stage, m) for m in ctx.extended.stage(ctx.stage).sieves(CAP)]
-            fixpoint_families.append((ctx, [s for s in sieves if is_natural_at(ctx.extended, ctx.stage, s)]))
+            stage = ctx.extended.stage(ctx.stage)
+            fixpoints = [Sieve(ctx.stage, m) for m in stage.sieves(CAP) if stage.natural[m] == m]
+            fixpoint_families.append((ctx, fixpoints))
     for site, o, sieves in stages:
         table = site.stage(o).implies
         for s in sieves:

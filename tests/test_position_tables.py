@@ -316,7 +316,7 @@ def test_a_naturality_square_that_fails_is_found(qubit_site):
 
 
 def test_a_section_with_a_failing_square_is_rejected(qubit_site):
-    atoms = atom_presheaf(qubit_site, lambda o: qubit_site.observable)
+    atoms = atom_presheaf(qubit_site)
     e1, e2 = span([1, 0]), span([0, 1])
     GlobalElement(atoms, (e1, e1, zero_space(2))).validate()
     # Every value lies in its stage, but P1 sends e2 at (1, 1) to 0, not e1.

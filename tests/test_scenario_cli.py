@@ -296,8 +296,7 @@ def test_cli_check_reports_internal_errors_with_exit_three(monkeypatch, capsys, 
 def test_valuate_reports_an_internal_error_while_listing_a_stage(monkeypatch, capsys, where):
     # Only a cap hit means the stage tables do not fit; a bug while a stage is
     # listed or filtered is an internal error, not "within_cap": false.
-    import sieveval.runner as runner_module
-    from sieveval.sieves import Stage
+    from sieveval.sieves import LazyTable, Stage
 
     def broken(*args):
         raise InternalCheckError("stage listing failed")
@@ -305,11 +304,32 @@ def test_valuate_reports_an_internal_error_while_listing_a_stage(monkeypatch, ca
     if where == "listing":
         monkeypatch.setattr(Stage, "sieves", broken)
     else:
-        monkeypatch.setattr(runner_module, "is_natural_at", broken)
+        listing = Stage.sieves
+
+        def list_then_break_the_filter(stage, cap):
+            # From the listing on, every round trip the natural filter asks fails.
+            stage.natural = LazyTable(broken)
+            return listing(stage, cap)
+
+        monkeypatch.setattr(Stage, "sieves", list_then_break_the_filter)
     path = str(bundled_scenario_path("qubit_extended"))
     assert main(["valuate", path, "--run", "coarse", "--json"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and "stage listing failed" in err
+
+
+@pytest.mark.parametrize("family", [["unit", "unit", "Z"], ["unit", "Z", "Z"]])
+@pytest.mark.parametrize("command", [["check"], ["valuate", "--run", "coarse"], ["dump-site"]])
+def test_a_repeated_observable_in_a_run_family_is_an_input_error(tmp_path, capsys, family, command):
+    data = json.loads(bundled_scenario_path("qubit_extended").read_text())
+    data["runs"][0]["extended"] = family
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    repeated = family[1] if family[0] == family[1] else family[2]
+    assert captured.err == f"error: runs[0].extended: duplicate observable {repeated!r}\n"
+    assert captured.out == ""
 
 
 def _non_functorial_propositions(site, universe):

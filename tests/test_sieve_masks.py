@@ -23,7 +23,7 @@ from sieveval import (
     restrict_down,
     sharp,
 )
-from sieveval.bridge import _lift_mask, natural_map_at
+from sieveval.bridge import _lift_mask
 from sieveval.sieves import is_sieve, principal_sieve
 
 CAP = 4096
@@ -112,7 +112,7 @@ def bundled_sites():
     for name in bundled_scenario_names():
         built = build_scenario(load_scenario(bundled_scenario_path(name)))
         for run in built.runs:
-            restricted_plain = restrict_down(run.plain, run.stage)
+            restricted_plain = restrict_down(run.plain, run.plain_side.stage)
             for kind, site in (
                 ("plain", run.plain),
                 ("plain restricted", restricted_plain),
@@ -187,7 +187,8 @@ def test_stage_algebra_matches_reference(data):
         pulled = omega_transition(site, m, s_mask)
         assert pulled.base == site.arrow_cod(m)
         assert pulled.arrows == ref_omega_transition(site, m, s), label
-    assert natural_map_at(site, o, s_mask).arrows == ref_natural_map_at(site, o, s), label
+    natural = site.stage(o).natural[s_mask.mask]
+    assert Sieve(o, natural).arrows == ref_natural_map_at(site, o, s), label
 
 
 @settings(max_examples=100, deadline=None)

@@ -78,7 +78,7 @@ QUBIT_UNIVERSE = [
 def qubit_setup(qubit_site):
     site = qubit_site
     propositions = proposition_presheaf(site, QUBIT_UNIVERSE)
-    atoms = atom_presheaf(site, lambda o: site.observable)
+    atoms = atom_presheaf(site)
     sigma = atom_global_element(site, atoms, span([1, 0]))
     true_t = true_subobject(sigma, propositions)
     return site, propositions, atoms, sigma, true_t
@@ -353,7 +353,8 @@ def test_a_run_reads_every_floor_from_one_table():
     for name in bundled_scenario_names():
         for run in build_scenario(load_scenario(bundled_scenario_path(name))).runs:
             site = run.plain
-            assert run.floors[run.stage] == bottom_annihilator(site, run.stage, run.e_r)
+            stage = run.plain_side.stage
+            assert run.floors[stage] == bottom_annihilator(site, stage, run.e_r)
             for o, floor in enumerate(run.floors):
                 atom = project_onto_eigenspace(Ray(site.object_ray(o)), run.r_space)
                 assert floor == bottom_annihilator(site, o, atom)
@@ -443,7 +444,7 @@ def test_semiclassifier_enumerated_uniqueness_small():
     site, _ = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
     universe = [zero_space(1), full_space(1)]
     propositions = proposition_presheaf(site, universe)
-    atoms = atom_presheaf(site, lambda o: unit)
+    atoms = atom_presheaf(site)
     sigma = atom_global_element(site, atoms, full_space(1))
     true_t = true_subobject(sigma, propositions)
     omega = omega_presheaf(site, cap=8)
@@ -473,7 +474,7 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
     site = qubit_site
     universe = [zero_space(2), full_space(2), span([1, 0]), span([0, 1])]
     propositions = proposition_presheaf(site, universe)
-    atoms = atom_presheaf(site, lambda o: site.observable)
+    atoms = atom_presheaf(site)
     omega = omega_presheaf(site, cap=64)
     delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
     subobjects = [
@@ -491,7 +492,7 @@ def test_semiclassifier_uniqueness_modes_agree_single_object(monkeypatch):
     unit = Observable("unit", (full_space(1),))
     site, _ = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
     propositions = proposition_presheaf(site, [zero_space(1), full_space(1)])
-    atoms = atom_presheaf(site, lambda o: unit)
+    atoms = atom_presheaf(site)
     true_t = true_subobject(atom_global_element(site, atoms, full_space(1)), propositions)
     omega = omega_presheaf(site, cap=8)
     enumerated, forced = _forced_and_enumerated(monkeypatch, site, omega, omega, [pair(site, true_t, propositions)])

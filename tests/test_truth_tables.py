@@ -1,15 +1,15 @@
 """The per-run truth-value tables.
 
-A built run holds, per site, the direct valuation of every proposition at
-every stage (`BuiltRun.values`, `values_ext` on the extended site) and the
-characteristic table of the true subobject (`chi`, `chi_ext`).
+Each side of a built run (`SiteRun`, the plain one and the extended one)
+holds the direct valuation of every proposition at every stage (`values`)
+and the characteristic table of the true subobject (`chi`).
 
 Differential: every table entry equals a fresh `valuation` call and every
 chi a fresh `characteristic_table`, on the bundled scenarios and on
 generated chains.  Counts: one cold `run_check` of the bundled scenarios
 builds each table once, moves sieves along arrows only to fill the
-classifier tables, and asks each projectivity question and each stage
-implication once; `dump-site` and `valuate`
+classifier tables, and asks each projectivity question, each stage
+implication and each round trip once; `dump-site` and `valuate`
 build no table.  Witness: a doctored table entry fails its
 oracle row, which names the entry.
 """
@@ -28,7 +28,7 @@ from sieveval import (
     run_valuate,
     scenario_from_dict,
 )
-from sieveval import bridge, checks, runner, sieves
+from sieveval import bridge, checks, runner, sieves, sites
 from sieveval.sieves import bottom_sieve, characteristic_table, top_sieve, valuation
 
 
@@ -36,24 +36,15 @@ def bundled(name):
     return build_scenario(load_scenario(bundled_scenario_path(name)))
 
 
-def table_sites(run):
-    """(site, propositions, true subobject, values, chi) per site of a run."""
-    sites = [(run.plain, run.propositions_l, run.true_t, run.values, run.chi)]
-    if run.has_extended:
-        sites.append(
-            (run.rest, run.propositions_l_ext, run.true_t_ext, run.values_ext, run.chi_ext)
-        )
-    return sites
-
-
 def assert_tables_are_fresh(built):
     entries = 0
     for run in built.runs:
-        for site, propositions, true_t, values, chi in table_sites(run):
-            assert chi == characteristic_table(site, true_t, propositions)
-            assert [len(row) for row in values] == [len(stage) for stage in propositions.values]
+        for side in filter(None, (run.plain_side, run.ext_side)):
+            site, propositions = side.site, side.propositions_l
+            assert side.chi == characteristic_table(site, side.true_t, propositions)
+            assert [len(row) for row in side.values] == [len(stage) for stage in propositions.values]
             for o, stage in enumerate(propositions.values):
-                for p, value in zip(stage, values[o]):
+                for p, value in zip(stage, side.values[o]):
                     assert value == valuation(site, o, run.r_space, p)
                     entries += 1
     assert entries
@@ -67,7 +58,7 @@ def test_tables_equal_fresh_valuations_on_bundled_scenarios(name):
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_tables_equal_fresh_valuations_on_chains(dim, workloads):
     built = build_scenario(scenario_from_dict(workloads.chain_scenario(13, dim)))
-    assert any(run.has_extended for run in built.runs)
+    assert any(run.ext_side for run in built.runs)
     assert_tables_are_fresh(built)
 
 
@@ -138,6 +129,34 @@ def test_one_cold_check_builds_each_table_once(calls):
     assert calls["heyting_implies"] == 1083
 
 
+def test_one_cold_check_fills_each_round_trip_once(monkeypatch):
+    stages = []
+
+    class Counted(sieves.Stage):
+        """A stage that counts the fills of its round-trip table."""
+
+        def __init__(self, site, base):
+            super().__init__(site, base)
+            self.fills = 0
+            fill = self.natural.fn
+
+            def counted(m):
+                self.fills += 1
+                return fill(m)
+
+            self.natural.fn = counted
+            stages.append(self)
+
+    monkeypatch.setattr(sites, "Stage", Counted)
+    for name in bundled_scenario_names():
+        assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
+    # One round trip per distinct mask of each stage: ♮Ω, the census, the
+    # stage isomorphism, the detectors, Def 5.4 and Prop 5.14 read one table
+    # per stage, and nothing computes a round trip outside it.
+    assert sum(len(stage.natural) for stage in stages) == 265
+    assert sum(stage.fills for stage in stages) == 265
+
+
 def test_dump_site_and_valuate_build_no_table(calls):
     path = bundled_scenario_path("qubit_extended")
     dump_site(load_scenario(path))
@@ -158,7 +177,7 @@ def doctor(site, table, o, i):
 def test_a_doctored_plain_entry_fails_eq_3_37_and_is_named():
     run = bundled("qubit").runs[0]
     o, i = run.plain.n_objects - 1, len(run.universe) - 1
-    run.values = doctor(run.plain, run.values, o, i)
+    run.plain_side.values = doctor(run.plain, run.plain_side.values, o, i)
     row = checks._oracle_rows(run)[0]
     assert row["tag"] == "Eq 3.21 = Eq 3.37"
     assert not row["passed"]
@@ -169,9 +188,9 @@ def test_a_doctored_plain_entry_fails_eq_3_37_and_is_named():
 
 
 def test_a_doctored_extended_entry_fails_eq_4_28_and_is_named():
-    run = next(run for run in bundled("qubit_extended").runs if run.has_extended)
-    o, i = run.rest_stage, 2
-    run.values_ext = doctor(run.rest, run.values_ext, o, i)
+    run = next(run for run in bundled("qubit_extended").runs if run.ext_side)
+    o, i = run.ext_side.stage, 2
+    run.ext_side.values = doctor(run.rest, run.ext_side.values, o, i)
     (row,) = [row for row in checks._extended_site_rows(run) if row["tag"] == "Eq 4.28"]
     assert not row["passed"]
     assert row["details"]["witness"] == {

@@ -133,6 +133,14 @@ def in_determinate_sublattice(p: Subspace, atoms: TrueAtomSet) -> bool:
     return all(leq(a, p) or leq(a, complement) for a in atoms.atoms)
 
 
+def orthogonal_remainder(atoms: TrueAtomSet) -> Subspace:
+    """The orthocomplement of the join of the true atoms."""
+    spanned = zero_space(atoms.state.ambient_dim)
+    for a in atoms.atoms:
+        spanned = join(spanned, a)
+    return ortho(spanned)
+
+
 def enumerate_determinate_sublattice(
     atoms: TrueAtomSet, cap: int, extra_rays: tuple[Subspace, ...] = ()
 ) -> list[Subspace]:
@@ -141,11 +149,7 @@ def enumerate_determinate_sublattice(
     Generators are the atoms plus the orthogonal remainder of their join,
     treated as one block; callers may name extra rays inside that remainder.
     """
-    n = atoms.state.ambient_dim
-    spanned = zero_space(n)
-    for a in atoms.atoms:
-        spanned = join(spanned, a)
-    remainder = ortho(spanned)
+    remainder = orthogonal_remainder(atoms)
     generators: list[Subspace] = list(atoms.atoms)
     if not remainder.is_zero:
         generators.append(remainder)

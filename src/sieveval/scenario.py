@@ -16,13 +16,20 @@ from pathlib import Path
 
 from .errors import CommutantViolation, ParseError, ValidationError
 from .linalg import ExactMatrix, matrix_from_rows
-from .modal import Observable, non_invariant_eigenspace, validate_matrix_decomposition
+from .modal import (
+    Observable,
+    compute_atoms,
+    non_invariant_eigenspace,
+    orthogonal_remainder,
+    validate_matrix_decomposition,
+)
 from .rationals import parse_scalar
 from .subspaces import (
     Ray,
     Subspace,
     apply_operator,
     full_space,
+    leq,
     subspace_from_vectors,
     zero_space,
 )
@@ -82,11 +89,14 @@ def _container(raw: dict, key: str, kind: type, where: str):
 
 
 def _names(raw: dict, key: str, where: str, known, what: str) -> tuple[str, ...]:
-    """A list of names under `raw[key]`, each one of `known`."""
+    """A list of names under `raw[key]`, each one of `known`, none twice."""
     names = _container(raw, key, list, where)
     for name in names:
         if not isinstance(name, str) or name not in known:
             raise ValidationError(where, f"unknown {what} {name!r}")
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValidationError(where, f"duplicate {what} {name!r}")
     return tuple(names)
 
 
@@ -279,15 +289,18 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
         if raw.get("propositions") is not None:
             selection = _names(raw, "propositions", f"{where}.propositions", propositions, "proposition")
         extended = _names(raw, "extended", f"{where}.extended", observable_index, "observable")
-        for k, ename in enumerate(extended):
-            if ename in extended[:k]:
-                raise ValidationError(f"{where}.extended", f"duplicate observable {ename!r}")
         if extended and oname not in extended:
             raise ValidationError(f"{where}.extended", "family must contain the run observable")
         remainder = _names(raw, "remainder_rays", f"{where}.remainder_rays", propositions, "proposition")
+        if remainder:
+            outside = orthogonal_remainder(compute_atoms(states[state], obs))
         for pname in remainder:
             if propositions[pname].dim != 1:
                 raise ValidationError(f"{where}.remainder_rays", f"{pname!r} is not a ray")
+            if not leq(propositions[pname], outside):
+                raise ValidationError(
+                    f"{where}.remainder_rays", f"{pname!r} is not inside the orthogonal remainder"
+                )
         runs.append(RunSpec(rname, state, oname, eigenspace, selection, extended, remainder))
     if not runs:
         raise ValidationError("runs", "at least one run is required")

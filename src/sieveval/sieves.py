@@ -22,10 +22,10 @@ distinct y for the life of the site, so every audit of a stage shares it.
 The round trip ♮ of the bridge (see `bridge`) is the stage's other table,
 `Stage.natural`: the union of the principal masks of the arrows of a mask
 that stay at the base's observable, filled once per mask.
-`is_heyting_family` checks closure under `|` and `&` on every pair, one
-row at a time, and the implication's clauses (membership, modus ponens,
-the probe adjunction) once per distinct y.  So a family of N sieves with k
-probes costs N² closure reads plus O(k) work per distinct y.
+`is_heyting_family` checks closure under `|` and `&` once per unordered
+pair, one row at a time, and the implication's clauses (membership, modus
+ponens, the probe adjunction) once per distinct y.  So a family of N sieves
+with k probes costs N(N+1)/2 closure reads plus O(k) work per distinct y.
 
 Presheaves: a `Presheaf` lists each stage's values and stores each arrow's
 transition as a position table, a tuple giving for every position of the
@@ -234,15 +234,17 @@ def is_heyting_family(masks: Sequence[int], implication: Mapping[int, int], prob
     join, meet and implication are members, s ⇒ t misses s minus t, and
     x ∧ s <= t iff x <= (s ⇒ t) for every probe x.  Probes need only
     join-generate the family, as the principal sieves of a base do for its
-    sieves.  Closure is read on every pair; the other clauses see the pair
-    only through y = s & ~t (x ∧ s <= t iff x misses y, x <= imp iff x
-    misses ~imp), so they run once per distinct y.
+    sieves.  Closure is read once per unordered pair, as `|` and `&`
+    commute; the other clauses see the ordered pair only through y = s & ~t
+    (x ∧ s <= t iff x misses y, x <= imp iff x misses ~imp), so they run
+    once per distinct y.
     """
     members = set(masks)
     distinct: set[int] = set()
-    for s in masks:
+    for i, s in enumerate(masks):
+        later = masks[i:]
         if not (
-            members.issuperset([s | t for t in masks]) and members.issuperset([s & t for t in masks])
+            members.issuperset([s | t for t in later]) and members.issuperset([s & t for t in later])
         ):
             return False
         distinct.update([s & ~t for t in masks])

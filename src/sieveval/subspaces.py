@@ -13,7 +13,10 @@ an elimination with join.  `projector_matrix` is computed on the integer
 boundary: the input of `subspace_from_vectors`, the basis that `vectors`,
 `serialize` and `__str__` read, and the structural hash, computed once per
 interned subspace.  The zero space ({0}, dim 0) and the whole space (the
-unit proposition) are first-class values.
+unit proposition) are first-class values.  Join and meet commute, so each
+unordered pair is eliminated once: the argument order with the larger object
+id calls the other, and both orders return the one interned result, so no
+output depends on memory addresses.
 """
 
 from __future__ import annotations
@@ -193,15 +196,20 @@ def _require_same_ambient(p: Subspace, q: Subspace) -> None:
 
 @lru_cache(maxsize=None)
 def join(p: Subspace, q: Subspace) -> Subspace:
+    """P ∨ Q, once per unordered pair: the order with the larger id defers."""
     _require_same_ambient(p, q)
+    if id(q) < id(p):
+        return join(q, p)
     return _span(p.ambient_dim, p.rows + q.rows)
 
 
 @lru_cache(maxsize=None)
 def meet(p: Subspace, q: Subspace) -> Subspace:
     """P ∧ Q = (P^⊥ ∨ Q^⊥)^⊥, the orthocomplement being an involution that
-    reverses the order (De Morgan)."""
+    reverses the order (De Morgan); once per unordered pair, as `join`."""
     _require_same_ambient(p, q)
+    if id(q) < id(p):
+        return meet(q, p)
     if p.is_zero or q.is_zero:
         return zero_space(p.ambient_dim)
     if p.is_full:

@@ -1,8 +1,12 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sieveval
 from sieveval import (
     Observable,
     Ray,
@@ -55,3 +59,22 @@ def workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """`run_fresh(script, *args)` runs `script` in a fresh interpreter that
+    imports this checkout's package, so no process-wide cache or intern
+    table is warm, and returns the completed process."""
+    package_root = str(Path(sieveval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+    def run(script: str, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+
+    return run

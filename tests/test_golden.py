@@ -118,3 +118,57 @@ def test_generated_check_reports_are_byte_identical(generator, argument, workloa
     assert main(["check", str(path), "--json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_GENERATED[(generator, argument)]
+
+
+# Join and meet are memoised once per unordered pair, and which argument
+# order eliminates depends on object ids.  In a fresh interpreter, every pair
+# of each scenario's proposition universe is first asked in the order
+# opposite to its listing, and then every command runs, in reverse order.
+REVERSED_PAIRS = """
+import contextlib, hashlib, io, json, sys
+from sieveval import build_scenario, load_scenario
+from sieveval.cli import main
+from sieveval.subspaces import join, meet
+
+spec = json.loads(sys.argv[1])
+for path in spec["paths"]:
+    universe = build_scenario(load_scenario(path)).universe
+    for i, p in enumerate(universe):
+        for q in universe[i + 1:]:
+            join(q, p)
+            meet(q, p)
+digests = {}
+for key, argv in reversed(spec["jobs"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    digests[key] = [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()]
+print(json.dumps(digests))
+"""
+
+
+def test_reports_do_not_depend_on_pair_order(workloads, run_fresh, tmp_path):
+    paths, jobs, expected = [], [], {}
+    for name in sorted(GOLDEN):
+        path = str(bundled_scenario_path(name))
+        paths.append(path)
+        jobs += [[f"check {name}", ["check", path, "--json"]], [f"dump-site {name}", ["dump-site", path]]]
+        expected[f"check {name}"], expected[f"dump-site {name}"] = GOLDEN[name]
+    for (name, run), digest in sorted(GOLDEN_VALUATE.items()):
+        path = str(bundled_scenario_path(name))
+        jobs.append([f"valuate {name} {run}", ["valuate", path, "--run", run, "--json"]])
+        expected[f"valuate {name} {run}"] = digest
+    for (generator, argument), digest in sorted(GOLDEN_GENERATED.items()):
+        if generator == "lattice":
+            scenario = workloads.lattice_scenario(argument)
+        else:
+            scenario = workloads.chain_scenario(13, argument)
+        path = tmp_path / f"{generator}{argument}.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        paths.append(str(path))
+        jobs.append([f"check {generator} {argument}", ["check", str(path), "--json"]])
+        expected[f"check {generator} {argument}"] = digest
+    done = run_fresh(REVERSED_PAIRS, json.dumps({"paths": paths, "jobs": jobs}))
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout)
+    assert digests == {key: [0, digest] for key, digest in expected.items()}

@@ -340,6 +340,25 @@ def test_helper_rejects_a_family_not_closed_under_joins():
     assert distributivity_loop(family)
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
+@pytest.mark.parametrize(
+    "family, missing",
+    [
+        pytest.param([0, 0b001, 0b010], 0b011, id="join"),
+        pytest.param([0b011, 0b101, 0b111], 0b001, id="meet"),
+    ],
+)
+def test_helper_rejects_a_family_missing_one_pairs_bound_in_either_order(family, missing, reverse):
+    # Closure is read once per unordered pair; the pair whose join (or meet)
+    # is missing must be caught whichever of the two is listed first.
+    complete = family + [missing]
+    implies = LazyTable(lambda y: max((x for x in complete if not x & y), key=int.bit_count))
+    assert is_heyting_family(complete, implies, complete)
+    if reverse:
+        family = family[::-1]
+    assert not is_heyting_family(family, implies, family)
+
+
 def _chain_85_sieve_stage():
     """The chain's largest stage: 85 sieves on the extended site of `mid`."""
     for run in build_scenario(scenario_from_dict(CHAIN)).runs:

@@ -15,6 +15,7 @@ the certificate rejects, because the certificate also requires `join` and
 doctored operations below are each wrong on one pair or one element.
 """
 
+import json
 from collections import Counter
 
 import pytest
@@ -29,6 +30,7 @@ from sieveval import (
 from sieveval import checks as checks_module
 from sieveval.errors import LatticeCapExceeded
 from sieveval.subspaces import generate_sublattice, join, leq, meet, ortho, subspace_from_vectors
+from test_exact_core import fraction_meet
 
 
 def mo_scenario(k: int) -> dict:
@@ -45,13 +47,27 @@ def mo_scenario(k: int) -> dict:
     }
 
 
+def reference_join(p, q):
+    """The span of the stacked bases, eliminated afresh: no memo shared with `join`."""
+    return subspace_from_vectors(p.ambient_dim, p.vectors() + q.vectors())
+
+
+def reference_meet(p, q):
+    """The kernel of the stacked bases over Gaussian rationals: no memo shared with `meet`."""
+    n = p.ambient_dim
+    return subspace_from_vectors(n, fraction_meet(n, p.vectors(), q.vectors()))
+
+
 def oracle_lattice_laws(lattice, join=join, meet=meet) -> bool:
     for p in lattice:
         if join(p, p) != p or meet(p, p) != p:
             return False
     for p in lattice:
         for q in lattice:
-            if join(p, q) != join(q, p) or meet(p, q) != meet(q, p):
+            # commutativity, with each order held to the unmemoised reference
+            if join(p, q) != reference_join(p, q) or join(q, p) != reference_join(q, p):
+                return False
+            if meet(p, q) != reference_meet(p, q) or meet(q, p) != reference_meet(q, p):
                 return False
             if join(p, meet(p, q)) != p or meet(p, join(p, q)) != p:
                 return False
@@ -122,6 +138,44 @@ def test_certificate_agrees_with_the_oracle():
         assert laws["passed"] and oracle_lattice_laws(lattice), name
         assert witness["passed"] and oracle_orthomodular(lattice), name
     assert [sizes[f"mo{k}"] for k in (1, 2, 3, 5)] == [4, 6, 8, 12]
+
+
+# In a fresh interpreter, so that no subspace operation is cached before the
+# rows run; scenario parsing and the build are not counted.
+COLD_LATTICE_ROWS = """
+import importlib.util, json, sys
+from sieveval import build_scenario, checks, linalg, scenario_from_dict, subspaces
+
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+built = build_scenario(scenario_from_dict(workloads.lattice_scenario(73)))
+calls = 0
+rref = linalg.integer_rref
+
+
+def counted(*args):
+    global calls
+    calls += 1
+    return rref(*args)
+
+
+linalg.integer_rref = subspaces.integer_rref = counted
+rows = checks._lattice_law_rows(built)
+passed = [row["passed"] for row in rows]
+print(json.dumps({"size": rows[0]["details"]["size"], "passed": passed, "calls": calls}))
+"""
+
+
+def test_cold_lattice_rows_eliminate_each_unordered_pair_once(workloads, run_fresh):
+    """Each join and meet of the 36-element sublattice is asked in both
+    argument orders; one elimination serves both (1,356 eliminations when
+    each order ran its own)."""
+    done = run_fresh(COLD_LATTICE_ROWS, workloads.__file__)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["size"] == 36 and result["passed"] == [True, True]
+    assert result["calls"] <= 840, result
 
 
 def test_rows_make_quadratically_many_lattice_calls(monkeypatch):

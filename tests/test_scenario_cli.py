@@ -332,6 +332,54 @@ def test_a_repeated_observable_in_a_run_family_is_an_input_error(tmp_path, capsy
     assert captured.out == ""
 
 
+FOUR_COMMANDS = [["validate"], ["check"], ["valuate", "--run", "z-up"], ["dump-site"]]
+
+
+@pytest.mark.parametrize(
+    "field, names, error",
+    [
+        pytest.param(
+            "propositions", ["P_e1", "P_e1"], "runs[0].propositions: duplicate proposition 'P_e1'",
+            id="propositions",
+        ),
+        pytest.param(
+            "lattice_seeds", ["P_e1", "P_e1", "P_plus"], "lattice_seeds: duplicate proposition 'P_e1'",
+            id="lattice_seeds",
+        ),
+        pytest.param(
+            "remainder_rays", ["P_plus"],
+            "runs[0].remainder_rays: 'P_plus' is not inside the orthogonal remainder",
+            id="remainder_rays",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", FOUR_COMMANDS, ids=lambda command: command[0])
+def test_a_repeated_name_or_a_ray_outside_the_remainder_is_an_input_error(
+    tmp_path, capsys, field, names, error, command
+):
+    data = json.loads(bundled_scenario_path("qubit").read_text())
+    if field == "lattice_seeds":
+        data["lattice_seeds"] = names
+    else:
+        data["runs"][0][field] = names
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
+def test_a_ray_inside_the_remainder_is_accepted(tmp_path):
+    # qutrit run r1: the state (1, 1, 1) leaves the ray (0, 1, -1) outside its atoms
+    data = json.loads(bundled_scenario_path("qutrit").read_text())
+    data["runs"][0]["remainder_rays"] = ["P_e23m"]
+    path = tmp_path / "remainder.json"
+    path.write_text(json.dumps(data))
+    assert load_scenario(path).runs[0].remainder_rays == ("P_e23m",)
+    assert main(["check", str(path)]) == 0
+
+
 def _non_functorial_propositions(site, universe):
     """The proposition functor, except that the identity at object 0 sends
     every proposition to the whole space."""

@@ -8,15 +8,10 @@ than the cap of each call.
 
 import gc
 import json
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import pytest
 
-import sieveval
 from sieveval import (
     build_scenario,
     bundled_scenario_path,
@@ -117,15 +112,8 @@ print(json.dumps(live))
 """
 
 
-def test_repeated_bundled_checks_hold_live_memory_flat():
-    package_root = str(Path(sieveval.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", REPEATED_CHECKS],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+def test_repeated_bundled_checks_hold_live_memory_flat(run_fresh):
+    done = run_fresh(REPEATED_CHECKS)
     assert done.returncode == 0, done.stderr
     live = json.loads(done.stdout)
     assert len(live) == 20

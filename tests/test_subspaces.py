@@ -20,9 +20,11 @@ from sieveval import (
     subspace_from_vectors,
     zero_space,
 )
+from sieveval import subspaces
 from sieveval.errors import AmbientMismatch, LatticeCapExceeded
-from sieveval.linalg import conj_transpose
+from sieveval.linalg import conj_transpose, integer_rref
 from sieveval.subspaces import generate_sublattice
+from test_exact_core import fraction_meet
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 entries = st.builds(gaussian, small, small)
@@ -126,8 +128,40 @@ def test_generate_sublattice_cap():
 @settings(max_examples=40)
 @given(subspaces3, subspaces3)
 def test_lattice_commutativity(p, q):
-    assert join(p, q) == join(q, p)
-    assert meet(p, q) == meet(q, p)
+    # Both argument orders against references that share no memo with
+    # `join` and `meet`: the stacked vectors in each order, and the kernel
+    # of the stacked bases.
+    for a, b in ((p, q), (q, p)):
+        assert join(a, b) == subspace_from_vectors(3, a.vectors() + b.vectors())
+        assert meet(a, b).vectors() == fraction_meet(3, a.vectors(), b.vectors())
+
+
+@pytest.mark.parametrize("operation", [join, meet], ids=["join", "meet"])
+def test_the_reversed_pair_runs_no_elimination(monkeypatch, operation):
+    # vectors no other test spans, so the first call is a cache miss
+    p = span([1, 2, 3, 5], [0, 1, -7, 2])
+    q = span([3, -1, 4, 1], [2, 0, 5, -3])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return integer_rref(*args)
+
+    monkeypatch.setattr(subspaces, "integer_rref", counted)
+    first = operation(p, q)
+    assert calls
+    del calls[:]
+    assert operation(q, p) is first
+    assert calls == []
+
+
+@pytest.mark.parametrize("operation", [join, meet], ids=["join", "meet"])
+def test_mismatched_ambients_are_named_in_argument_order(operation):
+    p, q = span([1, 0]), span([1, 0, 0])
+    for a, b, message in ((p, q, "ambient 2 vs 3"), (q, p, "ambient 3 vs 2")):
+        with pytest.raises(AmbientMismatch) as raised:
+            operation(a, b)
+        assert str(raised.value) == message
 
 
 @settings(max_examples=40)

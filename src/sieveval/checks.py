@@ -54,7 +54,6 @@ from .sites import (
     identity_violations,
     orbit,
     restrict_down,
-    restrict_to_rho,
 )
 from .subspaces import (
     apply_operator,
@@ -622,7 +621,7 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
     ]
     embedding_ok = True
     for k in range(len(full.observables)):
-        plain_k, op_map_k = restrict_to_rho(full, k)
+        plain_k, _ = run.slices[k]
         fixed = {
             (full.objects[m.dom][0], full.monoid.operator(m.op), full.objects[m.cod][0])
             for m in full.arrows

@@ -3,7 +3,16 @@
 A run is valued on two sides: the plain site of its observable, and, when
 it declares an observable family, the extended site of that family below
 the run's stage.  The paper builds the same objects on both, so each side
-is one `SiteRun`, built by `site_run` for any site.
+is one `SiteRun`.
+
+A build shares what does not depend on the run.  Its `SiteMemo` makes
+each site once, keyed by what the site depends on, and with it the site's
+`SiteFunctors`: L, A and Ω depend only on the site, the universe and the
+sieve cap, so every run on the site reads the same objects and the same
+`Site.stage` tables.  σ, T and the truth-value tables depend on the run's
+eigenspace and stay in its `SiteRun`.  No verdict is shared: every row
+runs once per run.  No site points to its functors, so every site dies
+with its `BuiltScenario`.
 
 Reports are plain dicts with deterministic key and list ordering, so the
 JSON rendering is byte-identical across runs.
@@ -13,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Mapping
 
 from .bridge import (
     BridgeContext,
@@ -25,6 +35,7 @@ from .modal import TrueAtomSet, bub_valuation, compute_atoms, in_determinate_sub
 from .scenario import RunSpec, Scenario, proposition_universe
 from .sieves import (
     GlobalElement,
+    LazyTable,
     Presheaf,
     Sieve,
     annihilator_floors,
@@ -49,26 +60,56 @@ from .sites import (
     close_monoid,
     in_product_category,
     restrict_down,
+    restrict_to_rho,
 )
 from .subspaces import Ray, Subspace
 
 
 @dataclass
-class SiteRun:
-    """One side of a run: a site, the run's stage on it, and what the paper
-    builds over it, namely the proposition functor L, the atom functor A,
-    the true-atom section σ and the true subobject T.  The truth-value
-    tables, the direct valuation and T's characteristic table, and the
-    classifier Ω are each built on first use (see `sieves`)."""
+class SiteFunctors:
+    """What the paper builds over one site for a scenario, shared by every
+    run on the site: the proposition functor L on the scenario's universe,
+    the atom functor A and, built on first use, the classifier Ω."""
 
     site: Site
-    stage: int
-    r_space: Subspace  # the chosen eigenspace of the run observable
     cap: int  # the sieve enumeration cap, for Ω
     propositions_l: Presheaf
     atoms_a: Presheaf
+
+    @cached_property
+    def omega(self) -> Presheaf:
+        return omega_presheaf(self.site, self.cap)
+
+
+@dataclass
+class SiteRun:
+    """One side of a run: the functors of its site, the run's stage on it,
+    and what depends on the run's eigenspace, namely the true-atom section σ
+    and the true subobject T.  The truth-value tables, the direct valuation
+    and T's characteristic table, are each built on first use (see
+    `sieves`)."""
+
+    functors: SiteFunctors
+    stage: int
+    r_space: Subspace  # the chosen eigenspace of the run observable
     sigma: GlobalElement
     true_t: Presheaf
+
+    @property
+    def site(self) -> Site:
+        return self.functors.site
+
+    @property
+    def propositions_l(self) -> Presheaf:
+        return self.functors.propositions_l
+
+    @property
+    def atoms_a(self) -> Presheaf:
+        return self.functors.atoms_a
+
+    @property
+    def omega(self) -> Presheaf:
+        return self.functors.omega
 
     @cached_property
     def values(self) -> tuple[tuple[Sieve, ...], ...]:
@@ -78,18 +119,47 @@ class SiteRun:
     def chi(self) -> tuple[tuple[Sieve, ...], ...]:
         return characteristic_table(self.site, self.true_t, self.propositions_l)
 
-    @cached_property
-    def omega(self) -> Presheaf:
-        return omega_presheaf(self.site, self.cap)
+
+def site_run(functors: SiteFunctors, stage: int, r_space: Subspace) -> SiteRun:
+    """A run on one site, σ picking the projection onto r_space."""
+    sigma = atom_global_element(functors.site, functors.atoms_a, r_space)
+    return SiteRun(functors, stage, r_space, sigma, true_subobject(sigma, functors.propositions_l))
 
 
-def site_run(site: Site, stage: int, universe: list[Subspace], r_space: Subspace, cap: int) -> SiteRun:
-    """The functors of a run on one site, σ picking the projection onto r_space."""
-    propositions_l = proposition_presheaf(site, universe)
-    atoms_a = atom_presheaf(site)
-    sigma = atom_global_element(site, atoms_a, r_space)
-    true_t = true_subobject(sigma, propositions_l)
-    return SiteRun(site, stage, r_space, cap, propositions_l, atoms_a, sigma, true_t)
+class SiteMemo:
+    """Every site one build makes, each made on its first read and kept,
+    keyed by what it depends on: `plain[rho]` is the plain site of
+    observable index rho, with its functors, and its op map;
+    `extended[family]` the full extended site of a sorted tuple of
+    observable indices; `restricted[family, obj]` that site below its
+    object obj, with its functors; and `slices[family][k]` its §4.1 slice
+    at k (`restrict_to_rho`).  The tables' functions hold the build's
+    inputs and one another, never the memo."""
+
+    def __init__(self, scenario: Scenario, monoid: OperatorMonoid, universe: list[Subspace]):
+        seeds = list(scenario.states.values())
+        orbit_cap, sieve_cap = scenario.caps["orbit"], scenario.caps["sieve_enum"]
+
+        def functors(site: Site) -> SiteFunctors:
+            return SiteFunctors(site, sieve_cap, proposition_presheaf(site, universe), atom_presheaf(site))
+
+        def plain(rho: int) -> tuple[SiteFunctors, tuple[int, ...]]:
+            site, op_map = build_plain_site(scenario.observables[rho], monoid, seeds, orbit_cap)
+            return functors(site), op_map
+
+        def extended_site(family: tuple[int, ...]) -> ExtendedSite:
+            observables = [scenario.observables[i] for i in family]
+            return build_extended_site(observables, monoid, seeds, orbit_cap)
+
+        def slices(family: tuple[int, ...]) -> LazyTable:
+            full = extended[family]
+            return LazyTable(lambda k: restrict_to_rho(full, k))
+
+        extended = LazyTable(extended_site)
+        self.plain = LazyTable(plain)
+        self.extended = extended
+        self.restricted = LazyTable(lambda key: functors(restrict_down(extended[key[0]], key[1])))
+        self.slices = LazyTable(slices)
 
 
 @dataclass
@@ -110,6 +180,7 @@ class BuiltRun:
     plain_side: SiteRun
     ext_side: SiteRun | None = None  # on the extended site below the run's stage
     extended_full: ExtendedSite | None = None
+    slices: Mapping[int, tuple[PlainSite, tuple[int, ...]]] | None = None  # §4.1, by observable
     ctx: BridgeContext | None = None
 
     @property
@@ -146,34 +217,25 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
         scenario.generators, scenario.caps["monoid"], dim=scenario.dimension
     )
     universe, names = proposition_universe(scenario, monoid)
-    extended_cache: dict[tuple[int, ...], ExtendedSite] = {}
-    runs = [
-        _build_run(scenario, spec, monoid, universe, names, extended_cache)
-        for spec in scenario.runs
-    ]
+    sites = SiteMemo(scenario, monoid, universe)
+    runs = [_build_run(scenario, spec, universe, names, sites) for spec in scenario.runs]
     return BuiltScenario(scenario, monoid, universe, names, runs)
 
 
 def _build_run(
     scenario: Scenario,
     spec: RunSpec,
-    monoid: OperatorMonoid,
     universe: list[Subspace],
     names: dict[Subspace, str],
-    extended_cache: dict[tuple[int, ...], ExtendedSite],
+    sites: SiteMemo,
 ) -> BuiltRun:
     state = scenario.states[spec.state]
     rho_index = scenario.observable_index[spec.observable]
     observable = scenario.observables[rho_index]
     r_space = observable.eigenspaces[spec.eigenspace]
-    cap = scenario.caps["sieve_enum"]
 
-    plain, op_map = build_plain_site(
-        observable,
-        monoid,
-        list(scenario.states.values()),
-        scenario.caps["orbit"],
-    )
+    plain_functors, op_map = sites.plain[rho_index]
+    plain = plain_functors.site
     atoms = compute_atoms(state, observable)
     e_r = atoms.atom_for_eigenspace(spec.eigenspace)
     if e_r.is_zero:
@@ -181,27 +243,21 @@ def _build_run(
             f"runs.{spec.name}.eigenspace",
             "the state projects to zero on the chosen eigenspace; no true atom there",
         )
-    plain_side = site_run(plain, plain.ray_index(state.space), universe, r_space, cap)
+    plain_side = site_run(plain_functors, plain.ray_index(state.space), r_space)
     floors = annihilator_floors(plain, r_space)
 
-    ext_side = extended_full = ctx = None
+    ext_side = extended_full = slices = ctx = None
     if spec.extended:
         family = tuple(sorted(scenario.observable_index[name] for name in spec.extended))
-        if family not in extended_cache:
-            extended_cache[family] = build_extended_site(
-                [scenario.observables[i] for i in family],
-                monoid,
-                list(scenario.states.values()),
-                scenario.caps["orbit"],
-            )
-        extended_full = extended_cache[family]
+        extended_full = sites.extended[family]
+        slices = sites.slices[family]
         rho = family.index(rho_index)
-        rest = restrict_down(extended_full, extended_full.object_index(state.space, rho))
-        ext_side = site_run(rest, rest.object_index(state.space, rho), universe, r_space, cap)
-        ctx = make_bridge_context(rest, ext_side.stage, plain, op_map)
+        rest = sites.restricted[family, extended_full.object_index(state.space, rho)]
+        ext_side = site_run(rest, rest.site.object_index(state.space, rho), r_space)
+        ctx = make_bridge_context(rest.site, ext_side.stage, plain, op_map)
     return BuiltRun(
         scenario, spec, state, r_space, universe, names, op_map, atoms, e_r, floors,
-        plain_side, ext_side, extended_full, ctx,
+        plain_side, ext_side, extended_full, slices, ctx,
     )
 
 

@@ -7,7 +7,8 @@ and the characteristic table of the true subobject (`chi`).
 Differential: every table entry equals a fresh `valuation` call and every
 chi a fresh `characteristic_table`, on the bundled scenarios and on
 generated chains.  Counts: one cold `run_check` of the bundled scenarios
-builds each table once, moves sieves along arrows only to fill the
+builds each site, its stages and its classifier once for all the runs on
+it, builds each table once, moves sieves along arrows only to fill the
 classifier tables, and asks each projectivity question, each stage
 implication and each round trip once; `dump-site` and `valuate`
 build no table.  Witness: a doctored table entry fails its
@@ -119,14 +120,14 @@ def test_one_cold_check_builds_each_table_once(calls):
     assert calls["characteristic_table"] == 24
     # Sieves move along arrows only to fill Ω's tables; every naturality
     # square reads them.
-    assert calls["omega_transition"] == 2193
+    assert calls["omega_transition"] == 1471
     assert calls["omega_transition outside omega_presheaf"] == 0
     # One projectivity verdict per position of the extended propositions, for
     # the true subobject and for each adversarial one.
     assert calls["_projective_at"] == 559
     # One implication per distinct s minus t of each stage of each site: the
-    # stage's table is shared by every audit that reads it.
-    assert calls["heyting_implies"] == 1083
+    # stage's table is shared by every audit and every run that reads it.
+    assert calls["heyting_implies"] == 708
 
 
 def test_one_cold_check_fills_each_round_trip_once(monkeypatch):
@@ -153,8 +154,34 @@ def test_one_cold_check_fills_each_round_trip_once(monkeypatch):
     # One round trip per distinct mask of each stage: ♮Ω, the census, the
     # stage isomorphism, the detectors, Def 5.4 and Prop 5.14 read one table
     # per stage, and nothing computes a round trip outside it.
-    assert sum(len(stage.natural) for stage in stages) == 265
-    assert sum(stage.fills for stage in stages) == 265
+    assert sum(len(stage.natural) for stage in stages) == 186
+    assert sum(stage.fills for stage in stages) == 186
+
+
+def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
+    counts = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    build_plain_site = counted("plain", sites.build_plain_site)
+    for module in (sites, runner):
+        monkeypatch.setattr(module, "build_plain_site", build_plain_site)
+    monkeypatch.setattr(runner, "omega_presheaf", counted("omega", runner.omega_presheaf))
+    monkeypatch.setattr(sites, "Stage", counted("stage", sites.Stage))
+    for name in bundled_scenario_names():
+        assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
+    # One plain site per observable that a run is at, and one §4.1 slice per
+    # observable of each declared family: 9 + 8 for 13 runs.
+    assert counts["plain"] == 17
+    # One Ω per plain site and one per restricted extended site.
+    assert counts["omega"] == 15
+    # One stage per object of each site that a row reads.
+    assert counts["stage"] == 59
 
 
 def test_dump_site_and_valuate_build_no_table(calls):

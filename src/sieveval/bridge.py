@@ -35,6 +35,7 @@ from .sieves import (
     is_heyting_family,
     lands_in,
     naturality_holds,
+    position_masks,
     principal_union,
     pullback_holds,
     subpresheaf,
@@ -210,14 +211,15 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     }
 
 
-def _projective_at(site: ExtendedSite, n: Presheaf, m: Presheaf, obj: int, i: int) -> list[int]:
-    """Projectivity of n at m's value at position i of stage obj: membership
-    along a rho-raising arrow must imply membership along its fixed-rho
-    twin.  Returns the arrows that break it (none if it holds)."""
+def _projective_at(site: ExtendedSite, held, m: Presheaf, obj: int, i: int) -> list[int]:
+    """Projectivity of n, given as its `position_masks` in m, at m's value at
+    position i of stage obj: membership along a rho-raising arrow must imply
+    membership along its fixed-rho twin.  Returns the arrows that break it
+    (none if it holds)."""
     return [
         a
         for a in site.arrows_from(obj)
-        if lands_in(n, m, a, i) and not lands_in(n, m, site.rho_arrow_twin(a), i)
+        if lands_in(held, m, a, i) and not lands_in(held, m, site.rho_arrow_twin(a), i)
     ]
 
 
@@ -231,8 +233,9 @@ def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi) -> dict:
     closed cut of m (`is_closed`)."""
     if not is_closed(n):
         raise NotASubPresheaf("the detectors are asked of a subfunctor")
+    held = position_masks(n, m)
     witnesses = tuple([
-        tuple([_projective_at(site, n, m, o, i) for i in range(len(stage))])
+        tuple([_projective_at(site, held, m, o, i) for i in range(len(stage))])
         for o, stage in enumerate(chi)
     ])
     natural_chi = tuple([

@@ -41,6 +41,7 @@ from .sieves import (
     is_heyting_family,
     is_sieve,
     naturality_holds,
+    position_masks,
     principal_sieve,
     pullback_holds,
     semiclassifier_check,
@@ -53,7 +54,6 @@ from .sites import (
     associativity_violations,
     identity_violations,
     orbit,
-    restrict_down,
 )
 from .subspaces import (
     apply_operator,
@@ -168,16 +168,18 @@ def _atom_agreement_row(built: BuiltScenario) -> dict:
 
 
 def _operator_monotone_row(built: BuiltScenario) -> dict:
+    """Eq 3.2 on the universe's tables: along each operator's action row,
+    every pair i <= j maps to a pair image(i) <= image(j)."""
     ok = True
     checked = 0
-    universe = built.universe
+    above = built.universe.above
     for f in built.monoid.elements:
-        images = {p: apply_operator(f, p) for p in universe}
-        for p in universe:
-            for q in universe:
-                if leq(p, q):
+        image = built.universe.action[f]
+        for i, up in enumerate(above):
+            for j in range(len(above)):
+                if (up >> j) & 1:
                     checked += 1
-                    if not leq(images[p], images[q]):
+                    if not (above[image[i]] >> image[j]) & 1:
                         ok = False
     return _row("Eq 3.2", "monoid action preserves the proposition order", ok, pairs=checked)
 
@@ -329,7 +331,8 @@ def _plain_site_rows(run: BuiltRun) -> list[dict]:
 
 def _filter_row(tag: str, title: str, run: BuiltRun, side: SiteRun) -> dict:
     """Eqs 3.26–3.27 or Eq 4.26: one side's true subobject is stage-wise a filter."""
-    violations, outside = filter_check(side.site, side.true_t, side.propositions_l)
+    masks = position_masks(side.true_t, side.propositions_l)
+    violations, outside = filter_check(run.universe, masks)
     return _row(
         tag,
         title,
@@ -579,7 +582,7 @@ def _heyting_audit_rows(run: BuiltRun, side: SiteRun, label: str) -> list[dict]:
 
 def _restriction_row(run: BuiltRun) -> dict:
     site, stage = run.plain, run.plain_side.stage
-    restricted = restrict_down(site, stage)
+    restricted = run.plain_below[stage]
     base = restricted.ray_index(run.state.space)
     ok = True
     down_row = valuation_row(restricted, base, run.r_space, run.universe)

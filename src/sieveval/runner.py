@@ -5,14 +5,18 @@ it declares an observable family, the extended site of that family below
 the run's stage.  The paper builds the same objects on both, so each side
 is one `SiteRun`.
 
-A build shares what does not depend on the run.  Its `SiteMemo` makes
-each site once, keyed by what the site depends on, and with it the site's
-`SiteFunctors`: L, A and Ω depend only on the site, the universe and the
-sieve cap, so every run on the site reads the same objects and the same
-`Site.stage` tables.  σ, T and the truth-value tables depend on the run's
-eigenspace and stay in its `SiteRun`.  No verdict is shared: every row
-runs once per run.  No site points to its functors, so every site dies
-with its `BuiltScenario`.
+A build shares what does not depend on the run.  It closes the declared
+propositions under the monoid into one `subspaces.Universe`, owned by its
+`BuiltScenario`: the members with their order, meets and operator action
+as position tables, read by L, the filter rows, Eq 3.2 and the IB
+conditions.  Its `SiteMemo` makes each site once, keyed by what the site
+depends on, and with it the site's `SiteFunctors`: L, A, Ω and ♮Ω depend
+only on the site, the universe and the sieve cap, so every run on the site
+reads the same objects and the same `Site.stage` tables, and so do the
+bridge context of a stage and Eq 3.56's plain site below it.  σ, T and
+the truth-value tables depend on the run's eigenspace and stay in its
+`SiteRun`.  No verdict is shared: every row runs once per run.  No site
+points to its functors, so every site dies with its `BuiltScenario`.
 
 Reports are plain dicts with deterministic key and list ordering, so the
 JSON rendering is byte-identical across runs.
@@ -62,7 +66,7 @@ from .sites import (
     restrict_down,
     restrict_to_rho,
 )
-from .subspaces import Ray, Subspace
+from .subspaces import Ray, Subspace, Universe
 
 
 @dataclass
@@ -79,6 +83,11 @@ class SiteFunctors:
     @cached_property
     def omega(self) -> Presheaf:
         return omega_presheaf(self.site, self.cap)
+
+    @cached_property
+    def nat_omega(self) -> Presheaf:
+        """♮Ω, cut from Ω on first use (extended sites only)."""
+        return natural_omega(self.omega)
 
 
 @dataclass
@@ -130,22 +139,29 @@ class SiteMemo:
     """Every site one build makes, each made on its first read and kept,
     keyed by what it depends on: `plain[rho]` is the plain site of
     observable index rho, with its functors, and its op map;
+    `plain_below[rho][obj]` that site below its object obj (Eq 3.56);
     `extended[family]` the full extended site of a sorted tuple of
     observable indices; `restricted[family, obj]` that site below its
-    object obj, with its functors; and `slices[family][k]` its §4.1 slice
-    at k (`restrict_to_rho`).  The tables' functions hold the build's
-    inputs and one another, never the memo."""
+    object obj, with its functors; `slices[family][k]` its §4.1 slice at k
+    (`restrict_to_rho`); and `contexts[family, obj, rho]` the bridge from
+    the restricted site's stage at obj to the plain site of observable index
+    rho.  The tables' functions hold the build's inputs and one another,
+    never the memo."""
 
-    def __init__(self, scenario: Scenario, monoid: OperatorMonoid, universe: list[Subspace]):
+    def __init__(self, scenario: Scenario, monoid: OperatorMonoid, universe: Universe):
         seeds = list(scenario.states.values())
         orbit_cap, sieve_cap = scenario.caps["orbit"], scenario.caps["sieve_enum"]
 
         def functors(site: Site) -> SiteFunctors:
             return SiteFunctors(site, sieve_cap, proposition_presheaf(site, universe), atom_presheaf(site))
 
-        def plain(rho: int) -> tuple[SiteFunctors, tuple[int, ...]]:
+        def plain_site(rho: int) -> tuple[SiteFunctors, tuple[int, ...]]:
             site, op_map = build_plain_site(scenario.observables[rho], monoid, seeds, orbit_cap)
             return functors(site), op_map
+
+        def plain_below(rho: int) -> LazyTable:
+            site = plain[rho][0].site
+            return LazyTable(lambda obj: restrict_down(site, obj))
 
         def extended_site(family: tuple[int, ...]) -> ExtendedSite:
             observables = [scenario.observables[i] for i in family]
@@ -155,11 +171,22 @@ class SiteMemo:
             full = extended[family]
             return LazyTable(lambda k: restrict_to_rho(full, k))
 
+        def context(key: tuple[tuple[int, ...], int, int]) -> BridgeContext:
+            family, obj, rho = key
+            full, rest = extended[family], restricted[family, obj].site
+            plain_functors, op_map = plain[rho]
+            stage = rest.object_index(full.object_ray(obj), full.object_rho(obj))
+            return make_bridge_context(rest, stage, plain_functors.site, op_map)
+
+        plain = LazyTable(plain_site)
         extended = LazyTable(extended_site)
-        self.plain = LazyTable(plain)
+        restricted = LazyTable(lambda key: functors(restrict_down(extended[key[0]], key[1])))
+        self.plain = plain
+        self.plain_below = LazyTable(plain_below)
         self.extended = extended
-        self.restricted = LazyTable(lambda key: functors(restrict_down(extended[key[0]], key[1])))
+        self.restricted = restricted
         self.slices = LazyTable(slices)
+        self.contexts = LazyTable(context)
 
 
 @dataclass
@@ -171,13 +198,14 @@ class BuiltRun:
     spec: RunSpec
     state: Ray
     r_space: Subspace  # the chosen eigenspace of the run observable
-    universe: list[Subspace]
+    universe: Universe
     universe_names: dict[Subspace, str]
     plain_op_map: tuple[int, ...]
     atoms: TrueAtomSet
     e_r: Subspace
     floors: tuple[Sieve, ...]  # every plain-site object's annihilator floor
     plain_side: SiteRun
+    plain_below: Mapping[int, PlainSite]  # the plain site below each object, for Eq 3.56
     ext_side: SiteRun | None = None  # on the extended site below the run's stage
     extended_full: ExtendedSite | None = None
     slices: Mapping[int, tuple[PlainSite, tuple[int, ...]]] | None = None  # §4.1, by observable
@@ -191,23 +219,24 @@ class BuiltRun:
     def rest(self) -> ExtendedSite | None:
         return self.ext_side.site if self.ext_side else None
 
-    # The semi-classifiers every naturality square reads besides Ω, each
-    # built on first use: δΩ on the plain site and ♮Ω on the extended one.
+    # The semi-classifiers every naturality square reads besides Ω: δΩ on
+    # the plain site, built on first use for the run's eigenspace, and ♮Ω,
+    # shared by every run on the extended site.
 
     @cached_property
     def delta(self) -> Presheaf:
         return delta_omega_presheaf(self.plain_side.omega, self.floors)
 
-    @cached_property
+    @property
     def nat_omega(self) -> Presheaf:
-        return natural_omega(self.ext_side.omega)
+        return self.ext_side.functors.nat_omega
 
 
 @dataclass
 class BuiltScenario:
     scenario: Scenario
     monoid: OperatorMonoid
-    universe: list[Subspace]
+    universe: Universe
     universe_names: dict[Subspace, str]
     runs: list[BuiltRun]
 
@@ -225,7 +254,7 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
 def _build_run(
     scenario: Scenario,
     spec: RunSpec,
-    universe: list[Subspace],
+    universe: Universe,
     names: dict[Subspace, str],
     sites: SiteMemo,
 ) -> BuiltRun:
@@ -251,13 +280,12 @@ def _build_run(
         family = tuple(sorted(scenario.observable_index[name] for name in spec.extended))
         extended_full = sites.extended[family]
         slices = sites.slices[family]
-        rho = family.index(rho_index)
-        rest = sites.restricted[family, extended_full.object_index(state.space, rho)]
-        ext_side = site_run(rest, rest.site.object_index(state.space, rho), r_space)
-        ctx = make_bridge_context(rest.site, ext_side.stage, plain, op_map)
+        obj = extended_full.object_index(state.space, family.index(rho_index))
+        ctx = sites.contexts[family, obj, rho_index]
+        ext_side = site_run(sites.restricted[family, obj], ctx.stage, r_space)
     return BuiltRun(
         scenario, spec, state, r_space, universe, names, op_map, atoms, e_r, floors,
-        plain_side, ext_side, extended_full, slices, ctx,
+        plain_side, sites.plain_below[rho_index], ext_side, extended_full, slices, ctx,
     )
 
 

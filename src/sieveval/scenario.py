@@ -27,7 +27,8 @@ from .rationals import parse_scalar
 from .subspaces import (
     Ray,
     Subspace,
-    apply_operator,
+    Universe,
+    close_universe,
     full_space,
     leq,
     subspace_from_vectors,
@@ -320,33 +321,22 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
     )
 
 
-def proposition_universe(scenario: Scenario, monoid) -> tuple[list[Subspace], dict[Subspace, str]]:
+def proposition_universe(scenario: Scenario, monoid) -> tuple[Universe, dict[Subspace, str]]:
     """Declared propositions plus {0} and I, closed under the monoid action.
 
-    Returns the ordered universe and a naming map (closure-added members get
-    deterministic derived names).
+    Returns the universe (`close_universe`, {0} at position 0 and I at 1)
+    and a naming map: a member the closure adds is named after the first
+    member and operator index that reach it, as `name@op`.
     """
-    ordered: list[Subspace] = []
-    names: dict[Subspace, str] = {}
-
-    def add(space: Subspace, label: str) -> None:
-        if space not in names:
-            names[space] = label
-            ordered.append(space)
-
-    add(zero_space(scenario.dimension), ZERO_NAME)
-    add(full_space(scenario.dimension), UNIT_NAME)
+    seeds = {zero_space(scenario.dimension): ZERO_NAME, full_space(scenario.dimension): UNIT_NAME}
     for pname, space in scenario.propositions.items():
-        add(space, pname)
-    cursor = 0
-    while cursor < len(ordered):
-        base = ordered[cursor]
-        base_name = names[base]
-        cursor += 1
+        seeds.setdefault(space, pname)
+    universe = close_universe(seeds, monoid.elements)
+    names = dict(seeds)
+    for i, base in enumerate(universe):
         for op_index, f in enumerate(monoid.elements):
-            image = apply_operator(f, base)
-            add(image, f"{base_name}@{op_index}")
-    return ordered, names
+            names.setdefault(universe[universe.action[f][i]], f"{names[base]}@{op_index}")
+    return universe, names
 
 
 def bundled_scenario_path(name: str) -> Path:

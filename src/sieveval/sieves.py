@@ -39,6 +39,15 @@ the target once and compares the two presheaves' tables square by square,
 so no audit moves a value along an arrow; only `omega_presheaf` does, to
 fill Ω's tables.
 
+The proposition functor L has the build's whole universe
+(`subspaces.Universe`) at every stage, so its positions are the
+universe's: each arrow's table is its operator's action row, one tuple
+shared by every arrow of that operator, and no operator is applied to
+build it.  A cut of L, such as the true subobject T, is read as one mask of
+positions per stage (`position_masks`): `filter_check` tests each stage
+mask against the universe's order and meet tables, and
+`characteristic_table` asks whether a transition lands in the mask.
+
 Subfunctors: the true subobject of the proposition functor, and the
 semi-classifiers δΩ and ♮Ω of the classifier Ω, are each cut from their
 parent by `subpresheaf`, which keeps a subset of every stage and re-indexes
@@ -66,6 +75,7 @@ from .modal import compute_atoms
 from .subspaces import (
     Ray,
     Subspace,
+    Universe,
     apply_operator,
     full_space,
     leq,
@@ -320,20 +330,14 @@ def _index(values) -> tuple[dict, ...]:
     return tuple({x: i for i, x in enumerate(stage)} for stage in values)
 
 
-def proposition_presheaf(site, universe: Sequence[Subspace]) -> Presheaf:
-    """The proposition functor: the same universe at every stage, operators act."""
-    universe = tuple(universe)
-    members = set(universe)
-
-    def transition(a: int, p: Subspace) -> Subspace:
-        image = apply_operator(site.operator_matrix(site.arrow_op(a)), p)
-        if image not in members:
-            raise InternalCheckError(
-                f"proposition universe is not closed under the monoid action: {image}"
-            )
-        return image
-
-    return build_presheaf(site, lambda o: universe, transition)
+def proposition_presheaf(site, universe: Universe) -> Presheaf:
+    """The proposition functor: the universe at every stage, and along each
+    arrow its operator's action row, one tuple shared by the arrows of an
+    operator.  The universe must be closed under the site's operators."""
+    values = (universe.members,) * site.n_objects
+    rows = [universe.action[site.operator_matrix(op)] for op in range(len(site.monoid))]
+    positions = tuple([rows[arrow.op] for arrow in site.arrows])
+    return Presheaf(site, values, positions, (universe.position,) * site.n_objects)
 
 
 def atom_presheaf(site) -> Presheaf:
@@ -404,22 +408,27 @@ def true_subobject(sigma: GlobalElement, propositions: Presheaf) -> Presheaf:
     return subpresheaf(propositions, lambda o, p: leq(sigma.values[o], p))
 
 
-def lands_in(n: Presheaf, m: Presheaf, a: int, i: int) -> bool:
-    """Whether m carries its value at position i of dom a, along a, to a value of n."""
-    site = m.site
+def position_masks(n: Presheaf, m: Presheaf) -> tuple[int, ...]:
+    """Per stage of m, the mask of the positions of m whose values n holds."""
+    return tuple([
+        sum(1 << i for i, x in enumerate(stage) if x in held) for stage, held in zip(m.values, n.index)
+    ])
+
+
+def lands_in(held: Sequence[int], m: Presheaf, a: int, i: int) -> bool:
+    """Whether m carries its value at position i of dom a, along a, to a
+    value of n, given n's `position_masks` in m."""
     j = m.positions[a][i]
-    if j is None:
-        return False
-    cod = site.arrow_cod(a)
-    return m.values[cod][j] in n.index[cod]
+    return j is not None and (held[m.site.arrow_cod(a)] >> j) & 1 == 1
 
 
 def characteristic_table(site, n: Presheaf, m: Presheaf) -> tuple[tuple[Sieve, ...], ...]:
     """chi per stage of m, in m's order: `chi[o][i]` classifies `m.values[o][i]`,
     the sieve of arrows along which m carries it into n (a subfunctor of m)."""
+    held = position_masks(n, m)
     return tuple([
         tuple([
-            Sieve(o, sum(1 << a for a in site.arrows_from(o) if lands_in(n, m, a, i)))
+            Sieve(o, sum(1 << a for a in site.arrows_from(o) if lands_in(held, m, a, i)))
             for i in range(len(stage))
         ])
         for o, stage in enumerate(m.values)
@@ -458,25 +467,24 @@ def pullback_holds(
     )
 
 
-def filter_check(site, s: Presheaf, universe: Presheaf) -> tuple[list[tuple], int]:
-    """Up-set and meet-closure violations of a proposition-set functor,
-    relative to the enclosing proposition functor, and the number of ordered
-    pairs of members whose meet that functor lacks (not a violation)."""
+def filter_check(universe: Universe, stages: Sequence[int]) -> tuple[list[tuple], int]:
+    """Up-set and meet-closure violations of a proposition-set functor given
+    as one mask of universe positions per stage (its `position_masks` in the
+    proposition functor), and the number of ordered pairs of members whose
+    meet lies outside the universe (not a violation)."""
+    members, above, meets = universe.members, universe.above, universe.meets
     violations: list[tuple] = []
     outside = 0
-    for o in range(site.n_objects):
-        stage = set(s.values[o])
-        ordered = sorted(stage, key=Subspace.sort_key)
-        for p in ordered:
-            for q in universe.values[o]:
-                if leq(p, q) and q not in stage:
-                    violations.append(("up-set", o, p, q))
-            for q in ordered:
-                pq = meet(p, q)
-                if pq not in universe.index[o]:
+    for o, t in enumerate(stages):
+        for i in _bits(t):
+            violations += [("up-set", o, members[i], members[j]) for j in _bits(above[i] & ~t)]
+            row = meets[i]
+            for j in _bits(t):
+                k = row[j]
+                if k is None:
                     outside += 1
-                elif pq not in stage:
-                    violations.append(("meet", o, p, q))
+                elif not (t >> k) & 1:
+                    violations.append(("meet", o, members[i], members[j]))
     return violations, outside
 
 
@@ -667,34 +675,30 @@ def ib_condition_check(
     site,
     obj: int,
     r: Subspace,
-    universe: Sequence[Subspace],
+    universe: Universe,
     row: Sequence[Sieve],
     floor: Sieve,
 ) -> dict:
     """Monotonicity, exclusivity, unit and null verdicts for one stage, whose
     annihilator floor (from `annihilator_floors`) is `floor`.  `row[i]` values
-    `universe[i]` at obj (a stage row of `valuation_table`); `valuation`
-    values a meet, unit or null outside the universe."""
-    values = LazyTable(lambda p: valuation(site, obj, r, p))
-    values.update(zip(universe, row))
-    n = site.object_ray(obj).ambient_dim
+    member i of the universe at obj (a stage row of `valuation_table`); the
+    order and the meets are the universe's tables, and `valuation` values a
+    meet outside the universe.  The universe holds {0} and the whole space."""
+    members, above, meets = universe.members, universe.above, universe.meets
     top = top_sieve(site, obj)
-    monotone = all(
-        values[p] <= values[q]
-        for p in universe
-        for q in universe
-        if leq(p, q)
-    )
+    monotone = all(row[i] <= row[j] for i in range(len(members)) for j in _bits(above[i]))
     exclusive = True
-    for p in universe:
-        if values[p] != top:
+    for i, p in enumerate(members):
+        if row[i] != top:
             continue
-        for q in universe:
-            conj = values[meet(p, q)]
-            if conj != top and values[q] == top:
+        for j, q in enumerate(members):
+            k = meets[i][j]
+            conj = row[k] if k is not None else valuation(site, obj, r, meet(p, q))
+            if conj != top and row[j] == top:
                 exclusive = False
-    unit = values[full_space(n)] == top
-    null_value = values[zero_space(n)]
+    n = site.object_ray(obj).ambient_dim
+    unit = row[universe.position[full_space(n)]] == top
+    null_value = row[universe.position[zero_space(n)]]
     return {
         "monotonicity": monotone,
         "exclusivity": exclusive,

@@ -13,7 +13,9 @@ an elimination with join.  `projector_matrix` is computed on the integer
 boundary: the input of `subspace_from_vectors`, the basis that `vectors`,
 `serialize` and `__str__` read, and the structural hash, computed once per
 interned subspace.  The zero space ({0}, dim 0) and the whole space (the
-unit proposition) are first-class values.  Join and meet commute, so each
+unit proposition) are first-class values.  A finite `Universe` of
+subspaces tabulates its order, meets and operator action by position, once
+(`close_universe`).  Join and meet commute, so each
 unordered pair is eliminated once: the argument order with the larger object
 id calls the other, and both orders return the one interned result, so no
 output depends on memory addresses.
@@ -25,8 +27,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import AmbientMismatch, DimensionMismatch, LatticeCapExceeded, ValidationError
 from .linalg import (
@@ -101,20 +102,6 @@ class Subspace:
         numerators, scale = _over_pivots(self.rows)
         n = self.ambient_dim
         return ExactMatrix(n, self.dim, tuple(zip(*numerators)) or ((),) * n, scale)
-
-    def sort_key(self) -> tuple:
-        """(dim, the basis entries coordinate by coordinate): entry
-        (a + b i) / d of the basis matrix is keyed (a/g, d/g, b/h, d/h) with
-        g = gcd(a, d), h = gcd(b, d), its parts in lowest terms like a
-        Fraction's (numerator, denominator)."""
-        basis = self._basis()
-        d = basis.denominator
-        key = []
-        for row in basis.numerators:
-            for a, b in row:
-                g, h = gcd(a, d), gcd(b, d)
-                key.append((a // g, d // g, b // h, d // h))
-        return (self.dim, tuple(key))
 
     def serialize(self) -> list[list[str]]:
         return [[format_scalar(e) for e in v] for v in self.vectors()]
@@ -196,10 +183,15 @@ def _require_same_ambient(p: Subspace, q: Subspace) -> None:
 
 @lru_cache(maxsize=None)
 def join(p: Subspace, q: Subspace) -> Subspace:
-    """P ∨ Q, once per unordered pair: the order with the larger id defers."""
+    """P ∨ Q, once per unordered pair: the order with the larger id defers.
+    Equal operands, {0} and the whole space need no elimination."""
     _require_same_ambient(p, q)
     if id(q) < id(p):
         return join(q, p)
+    if p is q or q.is_zero or p.is_full:
+        return p
+    if p.is_zero or q.is_full:
+        return q
     return _span(p.ambient_dim, p.rows + q.rows)
 
 
@@ -265,6 +257,64 @@ def apply_operator(f: ExactMatrix, p: Subspace) -> Subspace:
             f"operator {f.rows}x{f.cols} on ambient {p.ambient_dim}"
         )
     return _span(p.ambient_dim, [tuple(_dot(frow, v) for frow in f.numerators) for v in p.rows])
+
+
+class Universe:
+    """A finite list of distinct subspaces, read by position, with its order,
+    meets and operator action tabulated once: bit j of `above[i]` is set iff
+    member i <= member j, `meets[i][j]` is the position of the meet of
+    members i and j (None when it is not a member), and `action[f][i]` the
+    position of F(member i), for each operator F.  Iterating, indexing and
+    `len` read the members."""
+
+    __slots__ = ("members", "action", "position", "above", "meets", "__weakref__")
+
+    def __init__(self, members: tuple[Subspace, ...], action: Mapping[ExactMatrix, tuple[int, ...]]):
+        position = {p: i for i, p in enumerate(members)}
+        meets = [[None] * len(members) for _ in members]
+        for i, p in enumerate(members):
+            for j in range(i, len(members)):
+                meets[i][j] = meets[j][i] = position.get(meet(p, members[j]))
+        self.members = members
+        self.action = action
+        self.position = position
+        self.above = tuple([sum(1 << j for j, q in enumerate(members) if leq(p, q)) for p in members])
+        self.meets = tuple([tuple(row) for row in meets])
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __getitem__(self, i):
+        return self.members[i]
+
+
+def close_universe(seeds: Iterable[Subspace], operators: Sequence[ExactMatrix]) -> Universe:
+    """The seeds and their images under the operators, closed: members are
+    listed as first reached, the seeds first, then the images of each member
+    in turn, operator by operator.  Each image is computed once, and its
+    position recorded in the operator's action row."""
+    members: list[Subspace] = []
+    position: dict[Subspace, int] = {}
+
+    def add(space: Subspace) -> int:
+        if space not in position:
+            position[space] = len(members)
+            members.append(space)
+        return position[space]
+
+    for space in seeds:
+        add(space)
+    rows: list[list[int]] = [[] for _ in operators]
+    cursor = 0
+    while cursor < len(members):
+        base = members[cursor]
+        cursor += 1
+        for row, f in zip(rows, operators):
+            row.append(add(apply_operator(f, base)))
+    return Universe(tuple(members), {f: tuple(row) for f, row in zip(operators, rows)})
 
 
 @lru_cache(maxsize=None)

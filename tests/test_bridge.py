@@ -6,6 +6,7 @@ from sieveval import (
     build_extended_site,
     build_plain_site,
     close_monoid,
+    close_universe,
     detector_tables,
     diagonal_matrix,
     equivalence_check,
@@ -212,7 +213,7 @@ def test_single_rho_site_is_trivially_natural():
 def extended_presheaves(bridge_setup):
     ctx = bridge_setup
     rest = ctx.extended
-    propositions = proposition_presheaf(rest, UNIVERSE)
+    propositions = proposition_presheaf(rest, close_universe(UNIVERSE, rest.monoid.elements))
     atoms = atom_presheaf(rest)
     sigma = atom_global_element(rest, atoms, full_space(2))
     true_t = true_subobject(sigma, propositions)

@@ -15,6 +15,7 @@ from sieveval import (
     build_scenario,
     bundled_scenario_path,
     close_monoid,
+    close_universe,
     diagonal_matrix,
     flat,
     full_space,
@@ -155,7 +156,7 @@ def build_fixture(state_vector, extra_props):
         from sieveval import apply_operator
 
         universe.update(apply_operator(f, p) for p in list(universe))
-    ordered = sorted(universe, key=lambda s: s.sort_key())
+    ordered = sorted(universe, key=lambda s: (s.dim, s.rows))
     return ctx, state, ordered
 
 
@@ -164,7 +165,7 @@ def build_fixture(state_vector, extra_props):
 def test_random_states_oracle_and_bridge(state_vector, extra_props):
     ctx, state, universe = build_fixture(state_vector, extra_props)
     plain = ctx.plain
-    propositions = proposition_presheaf(plain, universe)
+    propositions = proposition_presheaf(plain, close_universe(universe, plain.monoid.elements))
     atoms = atom_presheaf(plain)
     r = full_space(2)
     sigma = atom_global_element(plain, atoms, r)
@@ -205,7 +206,7 @@ def test_random_states_fine_observable_floor_and_monotonicity(state_vector, extr
 
     for f in monoid.elements:
         universe.update(apply_operator(f, p) for p in list(universe))
-    ordered = sorted(universe, key=lambda s: s.sort_key())
+    ordered = sorted(universe, key=lambda s: (s.dim, s.rows))
     atoms = compute_atoms(state, z)
     for atom, index in zip(atoms.atoms, atoms.eigenspace_indices):
         r = z.eigenspaces[index]
@@ -218,6 +219,6 @@ def test_random_states_fine_observable_floor_and_monotonicity(state_vector, extr
                 if leq(p, q):
                     assert value <= valuation(site, stage, r, q)
         row = [valuation(site, stage, r, p) for p in ordered]
-        verdict = ib_condition_check(site, stage, r, ordered, row, floor)
+        verdict = ib_condition_check(site, stage, r, close_universe(ordered, ()), row, floor)
         assert verdict["monotonicity"] and verdict["exclusivity"] and verdict["unit"]
         assert verdict["null_equals_floor"] and verdict["null_passes_in_delta"]

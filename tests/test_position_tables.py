@@ -28,6 +28,7 @@ from sieveval import (
     bundled_scenario_names,
     bundled_scenario_path,
     close_monoid,
+    close_universe,
     diagonal_matrix,
     apply_operator,
     full_space,
@@ -40,6 +41,7 @@ from sieveval import (
 )
 from sieveval import bridge as bridge_module
 from sieveval import checks as checks_module
+from sieveval import runner as runner_module
 from sieveval import sieves as sieves_module
 from sieveval.errors import NaturalityError, SievevalError
 from sieveval.sieves import (
@@ -260,7 +262,7 @@ def test_closure_is_reported_before_functoriality(qubit_site):
 
 
 def test_a_cut_that_is_not_transition_closed_is_not_a_subfunctor(qubit_site):
-    propositions = proposition_presheaf(qubit_site, QUBIT_UNIVERSE)
+    propositions = proposition_presheaf(qubit_site, close_universe(QUBIT_UNIVERSE, qubit_site.monoid.elements))
     old_propositions = old_build_presheaf(qubit_site, lambda o: QUBIT_UNIVERSE, act(qubit_site))
 
     # Keep the full space at (1, 1) only: P1 carries it to e1, which is cut.
@@ -281,7 +283,7 @@ def test_a_cut_that_is_not_transition_closed_is_not_a_subfunctor(qubit_site):
 
 
 def test_a_cut_re_indexes_its_parent_tables(qubit_site):
-    propositions = proposition_presheaf(qubit_site, QUBIT_UNIVERSE)
+    propositions = proposition_presheaf(qubit_site, close_universe(QUBIT_UNIVERSE, qubit_site.monoid.elements))
     cut = subpresheaf(propositions, lambda o, p: p != span([1, -1]))
     for a, table in enumerate(cut.positions):
         dom, cod = qubit_site.arrow_dom(a), qubit_site.arrow_cod(a)
@@ -290,7 +292,7 @@ def test_a_cut_re_indexes_its_parent_tables(qubit_site):
 
 
 def test_a_naturality_square_that_fails_is_found(qubit_site):
-    propositions = proposition_presheaf(qubit_site, QUBIT_UNIVERSE)
+    propositions = proposition_presheaf(qubit_site, close_universe(QUBIT_UNIVERSE, qubit_site.monoid.elements))
     transition = act(qubit_site)
     # The functor as a map to itself is natural; reversing one stage is not.
     zeta = propositions.values
@@ -399,12 +401,20 @@ class Recorder:
         self.squares = []
         self.sites = []
         build, cut = sieves_module.build_presheaf, sieves_module.subpresheaf
+        propositions = runner_module.proposition_presheaf
         closed, natural = sieves_module.is_closed, sieves_module.naturality_holds
         assoc = checks_module.associativity_violations
 
         def recording_build(site, values_at, transition):
             new = build(site, values_at, transition)
             self.old[id(new)] = (new, old_build_presheaf(site, values_at, transition))
+            return new
+
+        # L is read from the universe's action rows; its twin applies each
+        # arrow's operator to each value.
+        def recording_propositions(site, universe):
+            new = propositions(site, universe)
+            self.old[id(new)] = (new, old_build_presheaf(site, lambda o: tuple(universe), act(site)))
             return new
 
         def recording_cut(m, keep):
@@ -426,6 +436,7 @@ class Recorder:
             return assoc(site)
 
         monkeypatch.setattr(sieves_module, "build_presheaf", recording_build)
+        monkeypatch.setattr(runner_module, "proposition_presheaf", recording_propositions)
         for module in (sieves_module, checks_module, bridge_module):
             monkeypatch.setattr(module, "subpresheaf", recording_cut)
             monkeypatch.setattr(module, "is_closed", recording_closed)

@@ -6,7 +6,6 @@ from sieveval import (
     Observable,
     Ray,
     Sieve,
-    Subspace,
     apply_operator,
     bottom_annihilator,
     build_plain_site,
@@ -14,6 +13,7 @@ from sieveval import (
     bundled_scenario_names,
     bundled_scenario_path,
     close_monoid,
+    close_universe,
     diagonal_matrix,
     filter_check,
     full_space,
@@ -44,6 +44,7 @@ from sieveval.sieves import (
     is_sieve,
     omega_presheaf,
     delta_omega_presheaf,
+    position_masks,
     proposition_presheaf,
     semiclassifier_check,
     tau_values,
@@ -74,10 +75,15 @@ QUBIT_UNIVERSE = [
 ]
 
 
+def qubit_universe(site):
+    """QUBIT_UNIVERSE with its tables; it is closed under the site's operators."""
+    return close_universe(QUBIT_UNIVERSE, site.monoid.elements)
+
+
 @pytest.fixture
 def qubit_setup(qubit_site):
     site = qubit_site
-    propositions = proposition_presheaf(site, QUBIT_UNIVERSE)
+    propositions = proposition_presheaf(site, qubit_universe(site))
     atoms = atom_presheaf(site)
     sigma = atom_global_element(site, atoms, span([1, 0]))
     true_t = true_subobject(sigma, propositions)
@@ -207,7 +213,8 @@ def test_sigma_naturality_error(qubit_setup):
 
 def test_filter_check_positive_and_negative(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
-    assert filter_check(site, true_t, propositions) == ([], 0)
+    universe = qubit_universe(site)
+    assert filter_check(universe, position_masks(true_t, propositions)) == ([], 0)
     # a lone ray is a presheaf (images stay inside) but not up-closed
     not_up_values = {
         0: (span([1, 0]),),
@@ -215,7 +222,8 @@ def test_filter_check_positive_and_negative(qubit_setup):
         2: (zero_space(2), span([1, 0])),
     }
     not_up = build_presheaf(site, lambda o: not_up_values[o], act(site))
-    assert any(kind == "up-set" for kind, *_ in filter_check(site, not_up, propositions)[0])
+    violations, _ = filter_check(universe, position_masks(not_up, propositions))
+    assert any(kind == "up-set" for kind, *_ in violations)
     # two incomparable members without their meet
     no_meet_values = {
         0: (span([1, 1]), span([1, 0]), full_space(2)),
@@ -223,7 +231,8 @@ def test_filter_check_positive_and_negative(qubit_setup):
         2: (span([0, 1]), zero_space(2), full_space(2)),
     }
     no_meet = build_presheaf(site, lambda o: no_meet_values[o], act(site))
-    assert any(kind == "meet" for kind, *_ in filter_check(site, no_meet, propositions)[0])
+    violations, _ = filter_check(universe, position_masks(no_meet, propositions))
+    assert any(kind == "meet" for kind, *_ in violations)
 
 
 def _tilted_qutrit(name):
@@ -302,18 +311,51 @@ def test_a_floor_that_is_no_sieve_fails_thm_3_6_without_raising(monkeypatch):
     assert rows and not any(row["passed"] for row in rows)
 
 
-def test_filter_check_sorts_each_stage_once(qubit_setup, monkeypatch):
-    site, propositions, _, _, true_t = qubit_setup
-    keyed = []
-    sort_key = Subspace.sort_key
+def test_a_check_reads_the_filter_and_proposition_tables(monkeypatch):
+    """The filter rows read the universe's order and meet tables, and the
+    proposition functor its action rows: checking every bundled scenario
+    makes no `leq` or `meet` call inside `filter_check` and no
+    `apply_operator` call inside `proposition_presheaf`, while the counted
+    functions are called elsewhere."""
+    from collections import Counter
 
-    def counting_sort_key(p):
-        keyed.append(p)
-        return sort_key(p)
+    from sieveval import checks, runner, subspaces
 
-    monkeypatch.setattr(Subspace, "sort_key", counting_sort_key)
-    assert filter_check(site, true_t, propositions) == ([], 0)
-    assert len(keyed) == sum(len(set(stage)) for stage in true_t.values) > 0
+    entered = Counter()
+    inside = []
+    calls = Counter()
+
+    def within(name, fn):
+        def wrapped(*args):
+            entered[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[inside[-1] if inside else None, name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(checks, "filter_check", within("filter_check", checks.filter_check))
+    monkeypatch.setattr(
+        runner, "proposition_presheaf", within("proposition_presheaf", runner.proposition_presheaf)
+    )
+    for module in (sieves, subspaces):
+        for name in ("leq", "meet", "apply_operator"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name in bundled_scenario_names():
+        assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
+    assert entered["filter_check"] > 0 and entered["proposition_presheaf"] > 0
+    assert calls["filter_check", "leq"] == calls["filter_check", "meet"] == 0
+    assert calls["proposition_presheaf", "apply_operator"] == 0
+    assert calls[None, "leq"] and calls[None, "meet"] and calls[None, "apply_operator"]
 
 
 def test_valuation_examples(qubit_site):
@@ -443,7 +485,7 @@ def test_semiclassifier_enumerated_uniqueness_small():
     unit = Observable("unit", (full_space(1),))
     site, _ = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
     universe = [zero_space(1), full_space(1)]
-    propositions = proposition_presheaf(site, universe)
+    propositions = proposition_presheaf(site, close_universe(universe, site.monoid.elements))
     atoms = atom_presheaf(site)
     sigma = atom_global_element(site, atoms, full_space(1))
     true_t = true_subobject(sigma, propositions)
@@ -473,7 +515,7 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
     # default budget, so the default run enumerates every candidate map.
     site = qubit_site
     universe = [zero_space(2), full_space(2), span([1, 0]), span([0, 1])]
-    propositions = proposition_presheaf(site, universe)
+    propositions = proposition_presheaf(site, close_universe(universe, site.monoid.elements))
     atoms = atom_presheaf(site)
     omega = omega_presheaf(site, cap=64)
     delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
@@ -491,7 +533,7 @@ def test_semiclassifier_uniqueness_modes_agree_single_object(monkeypatch):
     monoid = close_monoid([], cap=2, dim=1)
     unit = Observable("unit", (full_space(1),))
     site, _ = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
-    propositions = proposition_presheaf(site, [zero_space(1), full_space(1)])
+    propositions = proposition_presheaf(site, close_universe([zero_space(1), full_space(1)], site.monoid.elements))
     atoms = atom_presheaf(site)
     true_t = true_subobject(atom_global_element(site, atoms, full_space(1)), propositions)
     omega = omega_presheaf(site, cap=8)
@@ -527,7 +569,7 @@ def test_forced_uniqueness_rejects_a_doctored_semiclassifier(qubit_setup):
 def test_ib_condition_check(qubit_site):
     floor = annihilator_floors(qubit_site, span([1, 0]))[0]
     row = [valuation(qubit_site, 0, span([1, 0]), p) for p in QUBIT_UNIVERSE]
-    verdict = ib_condition_check(qubit_site, 0, span([1, 0]), QUBIT_UNIVERSE, row, floor)
+    verdict = ib_condition_check(qubit_site, 0, span([1, 0]), qubit_universe(qubit_site), row, floor)
     assert verdict["monotonicity"]
     assert verdict["exclusivity"]
     assert verdict["unit"]
@@ -541,5 +583,5 @@ def test_ib_degenerate_universe(qubit_site):
     floor = annihilator_floors(qubit_site, span([1, 0]))[0]
     universe = [zero_space(2), full_space(2)]
     row = [valuation(qubit_site, 0, span([1, 0]), p) for p in universe]
-    verdict = ib_condition_check(qubit_site, 0, span([1, 0]), universe, row, floor)
+    verdict = ib_condition_check(qubit_site, 0, span([1, 0]), close_universe(universe, ()), row, floor)
     assert verdict["monotonicity"] and verdict["unit"]

@@ -191,17 +191,3 @@ def test_orthomodularity(p, q):
 def test_leq_antisymmetry_is_equality(p, q):
     if leq(p, q) and leq(q, p):
         assert p == q
-
-
-@settings(max_examples=60)
-@given(subspaces3)
-def test_sort_key_reads_the_basis_fractions(p):
-    # The basis matrix entry by entry, coordinate by coordinate: each entry
-    # as the numerators and denominators of its Fraction parts.
-    vectors = p.vectors()
-    key = tuple(
-        (e.re.numerator, e.re.denominator, e.im.numerator, e.im.denominator)
-        for i in range(3)
-        for e in (v[i] for v in vectors)
-    )
-    assert p.sort_key() == (p.dim, key)

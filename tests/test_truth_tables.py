@@ -173,6 +173,15 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
         monkeypatch.setattr(module, "build_plain_site", build_plain_site)
     monkeypatch.setattr(runner, "omega_presheaf", counted("omega", runner.omega_presheaf))
     monkeypatch.setattr(sites, "Stage", counted("stage", sites.Stage))
+    restrict_down = runner.restrict_down
+
+    def counted_restriction(site, obj):
+        counts["restricted " + type(site).__name__] += 1
+        return restrict_down(site, obj)
+
+    monkeypatch.setattr(runner, "restrict_down", counted_restriction)
+    monkeypatch.setattr(runner, "natural_omega", counted("natural omega", runner.natural_omega))
+    monkeypatch.setattr(runner, "make_bridge_context", counted("context", runner.make_bridge_context))
     for name in bundled_scenario_names():
         assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
     # One plain site per observable that a run is at, and one §4.1 slice per
@@ -182,6 +191,14 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
     assert counts["omega"] == 15
     # One stage per object of each site that a row reads.
     assert counts["stage"] == 59
+    # Eq 3.56's plain site below a run's stage, once per (observable, stage):
+    # 9 for 13 runs; one restricted extended site per (family, stage).
+    assert counts["restricted PlainSite"] == 9
+    assert counts["restricted ExtendedSite"] == 6
+    # ♮Ω and the bridge context once per restricted extended site, although
+    # qutrit_extended's mid and mid-r1 both read them.
+    assert counts["natural omega"] == 6
+    assert counts["context"] == 6
 
 
 def test_dump_site_and_valuate_build_no_table(calls):

@@ -6,6 +6,14 @@ as a coverage index.  No row samples: the §2 lattice laws are certified
 from the inclusion order on the generated sublattice (a partial order whose
 pairs have least upper and greatest lower bounds is a lattice), and the
 stage Heyting algebras are audited on principal probes.
+
+`run_check` calls the row families in report order, scenario-wide rows
+first, and alone sets a row's `run`: it stamps every row a run's families
+return with the run's name, and the other rows keep None.  Six statements
+are checked on either side of a run, by one function over a `SiteRun`:
+functoriality of L, A and T (`_functor_rows`), χ equal to the direct
+valuation (`_chi_row`), the filter property of T (`_filter_row`) and the
+Heyting stages of Ω (`_heyting_audit_rows`).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .modal import (
 from .runner import BuiltRun, BuiltScenario, SiteRun, build_scenario, truncation_summary
 from .scenario import Scenario
 from .sieves import (
+    LazyTable,
     Presheaf,
     Sieve,
     atom_global_element,
@@ -67,8 +76,9 @@ from .subspaces import (
 )
 
 
-def _row(tag: str, title: str, passed: bool, run: str | None = None, **details) -> dict:
-    out = {"tag": tag, "title": title, "run": run, "passed": bool(passed)}
+def _row(tag: str, title: str, passed: bool, **details) -> dict:
+    """A report row; its `run` stays None unless `run_check` stamps it."""
+    out = {"tag": tag, "title": title, "run": None, "passed": bool(passed)}
     if details:
         out["details"] = details
     return out
@@ -83,6 +93,28 @@ def _validate(*values) -> dict:
         except SievevalError as exc:
             return {"error": str(exc)}
     return {}
+
+
+def _validation_row(tag: str, title: str, *values, **details) -> dict:
+    """A row that holds iff every one of `values` validates (`_validate`)."""
+    failure = _validate(*values)
+    return _row(tag, title, not failure, **details, **failure)
+
+
+def _verdict_rows(verdict: dict, table: tuple, **details) -> list[dict]:
+    """One row per (tag, title, keys, named) entry of `table`: it holds iff
+    every verdict in `keys` does, and each `named` detail reads the verdict
+    it maps to; `details` go on every row."""
+    return [
+        _row(
+            tag,
+            title,
+            all(verdict[key] for key in keys),
+            **{name: verdict[key] for name, key in named.items()},
+            **details,
+        )
+        for tag, title, keys, named in table
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +220,10 @@ def _observable_order_rows(built: BuiltScenario) -> list[dict]:
     sc = built.scenario
     obs = sc.observables
     reflexive = all(observable_leq(a, a) for a in obs)
+    # The decomposition is the invariant (see `modal`), not the order of its eigenspaces.
     antisymmetric = all(
-        not (observable_leq(a, b) and observable_leq(b, a)) or a.eigenspaces == b.eigenspaces
+        not (observable_leq(a, b) and observable_leq(b, a))
+        or set(a.eigenspaces) == set(b.eigenspaces)
         for a in obs
         for b in obs
     )
@@ -263,13 +297,16 @@ def _bub_rows(run: BuiltRun) -> list[dict]:
     sc = run.scenario
     extra = tuple(sc.propositions[name] for name in run.spec.remainder_rays)
     lattice = enumerate_determinate_sublattice(run.atoms, sc.caps["lattice"], extra)
+    # Each distinct subspace is valued once; Eq 2.4 still values the computed
+    # meet and join of every pair.
+    value = LazyTable(lambda p: bub_valuation(run.e_r, p))
     hom_ok = True
     for p in lattice:
         for q in lattice:
-            vp, vq = bub_valuation(run.e_r, p), bub_valuation(run.e_r, q)
-            if bub_valuation(run.e_r, meet(p, q)) != vp * vq:
+            vp, vq = value[p], value[q]
+            if value[meet(p, q)] != vp * vq:
                 hom_ok = False
-            if bub_valuation(run.e_r, join(p, q)) != max(vp, vq):
+            if value[join(p, q)] != max(vp, vq):
                 hom_ok = False
     dichotomy = True
     for p in lattice:
@@ -283,16 +320,9 @@ def _bub_rows(run: BuiltRun) -> list[dict]:
             "Eq 2.3",
             "determinate sublattice: closure, membership, atom dichotomy",
             membership and dichotomy,
-            run=run.spec.name,
             size=len(lattice),
         ),
-        _row(
-            "Eq 2.4",
-            "two-valued valuation is a lattice homomorphism",
-            hom_ok,
-            run=run.spec.name,
-            pairs=len(lattice) ** 2,
-        ),
+        _row("Eq 2.4", "two-valued valuation is a lattice homomorphism", hom_ok, pairs=len(lattice) ** 2),
     ]
 
 
@@ -316,16 +346,10 @@ def _plain_site_rows(run: BuiltRun) -> list[dict]:
             "§3.1",
             "plain site: associativity and identities",
             not assoc and not ident,
-            run=run.spec.name,
             objects=site.n_objects,
             arrows=len(site.arrows),
         ),
-        _row(
-            "Eq 3.6",
-            "hom-sets partition the nonzero monoid action",
-            partition_ok,
-            run=run.spec.name,
-        ),
+        _row("Eq 3.6", "hom-sets partition the nonzero monoid action", partition_ok),
     ]
 
 
@@ -337,36 +361,43 @@ def _filter_row(tag: str, title: str, run: BuiltRun, side: SiteRun) -> dict:
         tag,
         title,
         not violations,
-        run=run.spec.name,
         violations=len(violations),
         **({"meets_outside": outside} if outside else {}),
     )
 
 
+def _functor_rows(side: SiteRun, *table: tuple[str, str, str]) -> list[dict]:
+    """Eqs 3.9, 3.11, 3.35 or Eqs 4.17, 4.19, 4.27: one row per (tag, title,
+    attribute) entry, holding iff that functor of the side is functorial."""
+    return [_validation_row(tag, title, getattr(side, attribute)) for tag, title, attribute in table]
+
+
+def _chi_row(tag: str, title: str, run: BuiltRun, side: SiteRun, **details) -> dict:
+    """Eq 3.21 = Eq 3.37 or Eq 4.28: one side's characteristic table equals
+    its direct valuation; the first entry where they differ is the `witness`,
+    naming the stage and the proposition."""
+    for o, (chi_row, value_row) in enumerate(zip(side.chi, side.values)):
+        for p, x, y in zip(run.universe, chi_row, value_row):
+            if x != y:
+                details["witness"] = {"stage": o, "proposition": run.universe_names.get(p, "?")}
+                return _row(tag, title, False, **details)
+    return _row(tag, title, side.chi == side.values, **details)
+
+
 def _presheaf_rows(run: BuiltRun) -> list[dict]:
     side = run.plain_side
-    rows = []
-    for tag, title, presheaf in (
-        ("Eq 3.11", "proposition functor is functorial", side.propositions_l),
-        ("Eq 3.9", "atom functor is functorial", side.atoms_a),
-        ("Eq 3.35", "true subobject is functorial", side.true_t),
-    ):
-        failure = _validate(presheaf)
-        rows.append(_row(tag, title, not failure, run=run.spec.name, **failure))
+    rows = _functor_rows(
+        side,
+        ("Eq 3.11", "proposition functor is functorial", "propositions_l"),
+        ("Eq 3.9", "atom functor is functorial", "atoms_a"),
+        ("Eq 3.35", "true subobject is functorial", "true_t"),
+    )
     sections = [
         side.sigma if r is run.r_space else atom_global_element(side.site, side.atoms_a, r)
         for r in run.atoms.observable.eigenspaces
     ]
-    failure = _validate(*sections)
-    rows.append(
-        _row(
-            "Prop 3.1",
-            "every eigenspace section is a global element of the atom functor",
-            not failure,
-            run=run.spec.name,
-            **failure,
-        )
-    )
+    title = "every eigenspace section is a global element of the atom functor"
+    rows.append(_validation_row("Prop 3.1", title, *sections))
     rows.append(_filter_row("Eqs 3.26–3.27", "true subobject is stage-wise a filter", run, side))
     # P's valuation at o is the top sieve iff it holds the identity, iff σ(o) ≤ P.
     true_by_value = [
@@ -375,45 +406,30 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
     ]
     true_sets = [set(stage) for stage in side.true_t.values]
     sub_ok = is_closed(side.true_t) and true_sets == true_by_value
-    rows.append(
-        _row("Eq 3.12", "true subobject is a subfunctor of the propositions", sub_ok, run=run.spec.name)
-    )
+    rows.append(_row("Eq 3.12", "true subobject is a subfunctor of the propositions", sub_ok))
     return rows
-
-
-def _witness(run: BuiltRun, side: SiteRun) -> dict:
-    """The first entry where one side's characteristic table and value table
-    differ, as a `witness` detail naming the stage and the proposition."""
-    for o, (chi_row, value_row) in enumerate(zip(side.chi, side.values)):
-        for p, x, y in zip(run.universe, chi_row, value_row):
-            if x != y:
-                return {"witness": {"stage": o, "proposition": run.universe_names.get(p, "?")}}
-    return {}
 
 
 def _oracle_rows(run: BuiltRun) -> list[dict]:
     side = run.plain_side
     site, chi = side.site, side.chi
     return [
-        _row(
+        _chi_row(
             "Eq 3.21 = Eq 3.37",
             "characteristic morphism equals the direct valuation at every stage",
-            chi == side.values,
-            run=run.spec.name,
+            run,
+            side,
             instances=sum(len(stage) for stage in chi),
-            **_witness(run, side),
         ),
         _row(
             "diagram 3.24",
             "set-level pullback square at every stage",
             pullback_holds(site, chi, side.true_t, side.propositions_l, tau_values(site)),
-            run=run.spec.name,
         ),
         _row(
             "Eq 3.21",
             "characteristic morphism is natural",
             naturality_holds(chi, side.propositions_l, side.omega),
-            run=run.spec.name,
         ),
     ]
 
@@ -434,17 +450,11 @@ def _prop32_33_rows(run: BuiltRun) -> list[dict]:
         if not all(stage_floor <= value for value in value_row):
             prop33 = False
     return [
-        _row(
-            "Prop 3.2",
-            "true determinate propositions valuate to the top sieve",
-            prop32,
-            run=run.spec.name,
-        ),
+        _row("Prop 3.2", "true determinate propositions valuate to the top sieve", prop32),
         _row(
             "Prop 3.3",
             "the annihilator sieve bounds every valuation from below",
             prop33,
-            run=run.spec.name,
             floor_size=floor.mask.bit_count(),
         ),
     ]
@@ -468,7 +478,6 @@ def _ib_rows(run: BuiltRun) -> list[dict]:
             "Eqs 3.28–3.30, 3.44–3.45",
             "monotonicity, exclusivity, unit; null repaired by the semi-classifier",
             core,
-            run=run.spec.name,
             **verdict,
         )
     ]
@@ -478,16 +487,12 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     side, delta = run.plain_side, run.delta
     site, omega = side.site, side.omega
     rows = []
-    # δΩ's transitions are the classifier's, so its validation (transitions
-    # stay in the codomain stage) is the Prop 3.5 check.
-    delta_failure = _validate(delta)
     failure = _validate(omega)
     rows.append(
         _row(
             "Thm 3.6",
             "annihilator-floored sieves form a subfunctor of the classifier",
             not failure and floors_pull_back_above_floors(omega, run.floors),
-            run=run.spec.name,
             **failure,
         )
     )
@@ -517,27 +522,15 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
             "Prop 3.4",
             "each stage of the semi-classifier is a Heyting algebra",
             heyting_ok,
-            run=run.spec.name,
             stage_sizes=census,
         )
     )
-    rows.append(
-        _row(
-            "Prop 3.5",
-            "classifier transitions preserve the semi-classifier stages",
-            not delta_failure,
-            run=run.spec.name,
-            **delta_failure,
-        )
-    )
-    rows.append(
-        _row(
-            "§3.4",
-            "semi-classifier bottoms differ from the classifier bottom when nonempty",
-            bottoms_differ_ok,
-            run=run.spec.name,
-        )
-    )
+    # δΩ's transitions are the classifier's, so its validation (transitions
+    # stay in the codomain stage) is the Prop 3.5 check.
+    title = "classifier transitions preserve the semi-classifier stages"
+    rows.append(_validation_row("Prop 3.5", title, delta))
+    title = "semi-classifier bottoms differ from the classifier bottom when nonempty"
+    rows.append(_row("§3.4", title, bottoms_differ_ok))
     delta_tau = tau_values(site)
     semi = semiclassifier_check(
         site, delta, omega, delta_tau, [(side.true_t, side.propositions_l, side.chi)]
@@ -547,15 +540,14 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
             "Props A3–A4 (δΩ)",
             "semi-classifier pullback and uniqueness for the true subobject",
             all(r["passed"] for r in semi),
-            run=run.spec.name,
             results=semi,
         )
     )
     return rows
 
 
-def _heyting_audit_rows(run: BuiltRun, side: SiteRun, label: str) -> list[dict]:
-    """The stages of Ω on one side of the run, named by `label`."""
+def _heyting_audit_rows(side: SiteRun, label: str) -> list[dict]:
+    """The stages of Ω on one side of a run, named by `label`."""
     site = side.site
     ok = True
     for o, sieves in enumerate(side.omega.values):
@@ -569,15 +561,8 @@ def _heyting_audit_rows(run: BuiltRun, side: SiteRun, label: str) -> list[dict]:
             and is_heyting_family(masks, stage.implies, stage.principals)
         ):
             ok = False
-    return [
-        _row(
-            "§3.1 Heyting",
-            f"stage lattices are Heyting algebras ({label})",
-            ok,
-            run=run.spec.name,
-            modes=["exhaustive"],
-        )
-    ]
+    title = f"stage lattices are Heyting algebras ({label})"
+    return [_row("§3.1 Heyting", title, ok, modes=["exhaustive"])]
 
 
 def _restriction_row(run: BuiltRun) -> dict:
@@ -600,7 +585,6 @@ def _restriction_row(run: BuiltRun) -> dict:
         "Eq 3.56",
         "valuations agree on the reachable-part restriction",
         ok,
-        run=run.spec.name,
         restricted_objects=restricted.n_objects,
     )
 
@@ -617,7 +601,6 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
             "Eq 4.9",
             "extended site: associativity, identities, closed composition",
             not associativity_violations(full) and not identity_violations(full),
-            run=run.spec.name,
             objects=full.n_objects,
             arrows=len(full.arrows),
         )
@@ -636,14 +619,7 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
         ray_match = plain_k.rays == full.rays
         if not ray_match or fixed != rebuilt:
             embedding_ok = False
-    rows.append(
-        _row(
-            "§4.1",
-            "fixed-observable slice equals the plain site",
-            embedding_ok,
-            run=run.spec.name,
-        )
-    )
+    rows.append(_row("§4.1", "fixed-observable slice equals the plain site", embedding_ok))
     monoid_ops = set(full.monoid.elements)
     reach_ok = True
     for n, (i, k) in enumerate(full.objects):
@@ -658,42 +634,19 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
                 continue
             if not any(full.arrow_cod_rho(a) == k2 for a in full.arrows_from(n)):
                 reach_ok = False
-    rows.append(
-        _row(
-            "§4.1 reachability",
-            "finer stages are reachable whenever their projectors are present",
-            reach_ok,
-            run=run.spec.name,
-        )
+    title = "finer stages are reachable whenever their projectors are present"
+    rows.append(_row("§4.1 reachability", title, reach_ok))
+    rows += _functor_rows(
+        side,
+        ("Eq 4.17", "extended atom functor is functorial", "atoms_a"),
+        ("Eq 4.19", "extended proposition functor is functorial", "propositions_l"),
+        ("Eq 4.27", "extended true subobject is functorial", "true_t"),
     )
-    for tag, title, presheaf in (
-        ("Eq 4.17", "extended atom functor is functorial", side.atoms_a),
-        ("Eq 4.19", "extended proposition functor is functorial", side.propositions_l),
-        ("Eq 4.27", "extended true subobject is functorial", side.true_t),
-    ):
-        failure = _validate(presheaf)
-        rows.append(_row(tag, title, not failure, run=run.spec.name, **failure))
-    failure = _validate(side.sigma)
-    rows.append(
-        _row(
-            "Eq 4.25",
-            "the chosen atom extends to a section over the reachable part",
-            not failure,
-            run=run.spec.name,
-            stages=side.site.n_objects,
-            **failure,
-        )
-    )
+    title = "the chosen atom extends to a section over the reachable part"
+    rows.append(_validation_row("Eq 4.25", title, side.sigma, stages=side.site.n_objects))
     rows.append(_filter_row("Eq 4.26", "extended true subobject is stage-wise a filter", run, side))
-    rows.append(
-        _row(
-            "Eq 4.28",
-            "extended characteristic morphism equals the direct valuation",
-            side.chi == side.values,
-            run=run.spec.name,
-            **_witness(run, side),
-        )
-    )
+    title = "extended characteristic morphism equals the direct valuation"
+    rows.append(_chi_row("Eq 4.28", title, run, side))
     return rows
 
 
@@ -702,98 +655,64 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
     nat_omega = run.nat_omega
     rest = run.rest
     cap = run.scenario.caps["sieve_enum"]
-    rows = []
-    iso = heyting_iso_check(ctx, cap)
-    rows.append(
-        _row(
-            "Prop 5.1/5.2",
-            "flats and sharps preserve joins, meets, top, bottom",
-            iso["lattice_preserved"] and iso["tops_and_bottoms"],
-            run=run.spec.name,
-        )
+    verdict = heyting_iso_check(ctx, cap)
+    sieves = [Sieve(ctx.plain_stage, m) for m in ctx.plain.stage(ctx.plain_stage).sieves(cap)]
+    oracle = all(sharp(ctx, s) == sharp_by_intersection(ctx, s, cap) for s in sieves)
+    rows = _verdict_rows(
+        {**verdict, "sharp_oracle": oracle},
+        (
+            (
+                "Prop 5.1/5.2",
+                "flats and sharps preserve joins, meets, top, bottom",
+                ("lattice_preserved", "tops_and_bottoms"),
+                {},
+            ),
+            (
+                "Prop 5.3",
+                "down-then-up is the identity; up-then-down deflates",
+                ("round_trip_down_up", "deflation"),
+                {},
+            ),
+            ("Eq 5.4", "closed-form sharp equals the intersection definition", ("sharp_oracle",), {}),
+            (
+                "Prop 5.5",
+                "fixpoints of the round trip are exactly its image",
+                ("image_is_fixpoints", "round_trip_up_down"),
+                {},
+            ),
+            (
+                "Eq 5.6",
+                "flats and sharps dominate transported implications",
+                ("pseudocomplement_inequality",),
+                {},
+            ),
+            (
+                "Thm 5.6",
+                "fixpoint stage is Heyting-isomorphic to the plain stage",
+                ("bijection", "implies_transport", "fixpoint_adjunction"),
+                {"plain": "plain_count", "extended": "extended_count", "fixpoints": "fixpoint_count"},
+            ),
+            (
+                "Eq 5.17",
+                "fixpoint implication sits below the ambient implication",
+                ("implies_dominates",),
+                {
+                    "strict_somewhere": "implies_strict_somewhere",
+                    "closure_failures": "implies_closure_failures",
+                },
+            ),
+        ),
     )
-    rows.append(
-        _row(
-            "Prop 5.3",
-            "down-then-up is the identity; up-then-down deflates",
-            iso["round_trip_down_up"] and iso["deflation"],
-            run=run.spec.name,
-        )
-    )
-    sharp_oracle_ok = True
-    for m in ctx.plain.stage(ctx.plain_stage).sieves(cap):
-        s = Sieve(ctx.plain_stage, m)
-        if sharp(ctx, s) != sharp_by_intersection(ctx, s, cap):
-            sharp_oracle_ok = False
-    rows.append(
-        _row(
-            "Eq 5.4",
-            "closed-form sharp equals the intersection definition",
-            sharp_oracle_ok,
-            run=run.spec.name,
-        )
-    )
-    rows.append(
-        _row(
-            "Prop 5.5",
-            "fixpoints of the round trip are exactly its image",
-            iso["image_is_fixpoints"] and iso["round_trip_up_down"],
-            run=run.spec.name,
-        )
-    )
-    rows.append(
-        _row(
-            "Eq 5.6",
-            "flats and sharps dominate transported implications",
-            iso["pseudocomplement_inequality"],
-            run=run.spec.name,
-        )
-    )
-    rows.append(
-        _row(
-            "Thm 5.6",
-            "fixpoint stage is Heyting-isomorphic to the plain stage",
-            iso["bijection"] and iso["implies_transport"] and iso["fixpoint_adjunction"],
-            run=run.spec.name,
-            plain=iso["plain_count"],
-            extended=iso["extended_count"],
-            fixpoints=iso["fixpoint_count"],
-        )
-    )
-    rows.append(
-        _row(
-            "Eq 5.17",
-            "fixpoint implication sits below the ambient implication",
-            iso["implies_dominates"],
-            run=run.spec.name,
-            strict_somewhere=iso["implies_strict_somewhere"],
-            closure_failures=iso["implies_closure_failures"],
-        )
-    )
-    failure = _validate(nat_omega)
-    rows.append(
-        _row(
-            "Prop 5.7/Thm 5.8",
-            "classifier transitions preserve natural sieves",
-            not failure,
-            run=run.spec.name,
-            **failure,
-        )
-    )
+    title = "classifier transitions preserve natural sieves"
+    rows.append(_validation_row("Prop 5.7/Thm 5.8", title, nat_omega))
     c1_ok = True
     for stage in nat_omega.values:
         for s in stage:
             for a in s:
                 if rest.rho_arrow_twin(a) not in s:
                     c1_ok = False
-    rows.append(
-        _row(
-            "Prop C1",
-            "natural sieves contain the fixed-observable twin of each member",
-            c1_ok,
-            run=run.spec.name,
-        )
-    )
+    title = "natural sieves contain the fixed-observable twin of each member"
+    rows.append(_row("Prop C1", title, c1_ok))
     return rows
 
 
@@ -850,36 +769,26 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
     else:
         result = natural_characteristic(*pair, detectors, side.omega)
         failure = {}
-    rows = [
-        _row(
-            "§5.2",
-            "the extended true subobject is projective",
-            result["projective"],
-            run=run.spec.name,
-            **failure,
-        )
-    ]
+    title = "the extended true subobject is projective"
+    rows = [_row("§5.2", title, result["projective"], **failure)]
     if failure:
         title = "projectivity and naturality detectors agree"
-        rows.append(_row("Prop 5.10", title, False, run=run.spec.name, **failure))
+        rows.append(_row("Prop 5.10", title, False, **failure))
     else:
         rows.extend(_detector_rows(run, detectors))
-    rows += [
-        _row(
-            "Thm 5.11",
-            "the fixpoint-valued characteristic map is natural and factors",
-            result["projective"] and result["factorization"] and result["naturality"],
-            run=run.spec.name,
-            **failure,
+    rows += _verdict_rows(
+        result,
+        (
+            (
+                "Thm 5.11",
+                "the fixpoint-valued characteristic map is natural and factors",
+                ("projective", "factorization", "naturality"),
+                {},
+            ),
+            ("Thm 5.12", "pullback against the fixpoint 'true' at every stage", ("pullback",), {}),
         ),
-        _row(
-            "Thm 5.12",
-            "pullback against the fixpoint 'true' at every stage",
-            result["pullback"],
-            run=run.spec.name,
-            **failure,
-        ),
-    ]
+        **failure,
+    )
     failure = _validate(side.omega)
     semi = semiclassifier_check(side.site, run.nat_omega, side.omega, tau_values(side.site), [pair])
     rows.append(
@@ -887,7 +796,6 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
             "Thm 5.13 / Props A3–A4 (♮Ω)",
             "fixpoint subfunctor is a semi-classifier: pullback and uniqueness",
             not failure and all(r["passed"] for r in semi),
-            run=run.spec.name,
             results=semi,
             **failure,
         )
@@ -908,7 +816,6 @@ def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
                 "Prop 5.10",
                 "projectivity and naturality detectors agree",
                 not mismatches,
-                run=run.spec.name,
                 adversarial="none available (no strict observable raise)",
                 mismatches=len(mismatches),
             )
@@ -926,7 +833,6 @@ def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
             "Prop 5.10",
             "projectivity and naturality detectors agree (including an adversarial subobject)",
             not mismatches and bool(witnesses) and not natural_adv,
-            run=run.spec.name,
             adversarial="constructed",
             witness_arrows=sorted(witnesses),
             mismatches=len(mismatches),
@@ -945,7 +851,6 @@ def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
                 "Def 5.4",
                 "a purely observable-raising sieve is not natural",
                 bool(pure) and rest.stage(rest.arrow_dom(strict[0])).natural[pure] != pure,
-                run=run.spec.name,
             )
         )
     return rows
@@ -966,7 +871,6 @@ def _equivalence_rows(run: BuiltRun) -> list[dict]:
             "Prop 5.14 / diagram 5.30",
             "plain and extended valuations agree through the isomorphism",
             result["passed"],
-            run=run.spec.name,
             propositions=len(result["rows"]),
             failures=failures,
         )
@@ -987,15 +891,7 @@ def _census_rows(run: BuiltRun) -> list[dict]:
         masks = stage.sieves(run.scenario.caps["sieve_enum"])
         details["extended_stage_size"] = len(masks)
         details["natural_stage_size"] = sum(stage.natural[m] == m for m in masks)
-    return [
-        _row(
-            "Eq 3.13",
-            "stage census",
-            True,
-            run=run.spec.name,
-            **details,
-        )
-    ]
+    return [_row("Eq 3.13", "stage census", True, **details)]
 
 
 def run_check(scenario: Scenario) -> dict:
@@ -1008,22 +904,27 @@ def run_check(scenario: Scenario) -> dict:
     rows.extend(_observable_order_rows(built))
     rows.extend(_atom_set_rows(built))
     for run in built.runs:
-        rows.extend(_bub_rows(run))
-        rows.extend(_plain_site_rows(run))
-        rows.extend(_presheaf_rows(run))
-        rows.extend(_oracle_rows(run))
-        rows.extend(_prop32_33_rows(run))
-        rows.extend(_ib_rows(run))
-        rows.extend(_delta_rows(run))
-        rows.extend(_heyting_audit_rows(run, run.plain_side, "plain"))
-        rows.append(_restriction_row(run))
-        rows.extend(_census_rows(run))
+        run_rows = [
+            *_bub_rows(run),
+            *_plain_site_rows(run),
+            *_presheaf_rows(run),
+            *_oracle_rows(run),
+            *_prop32_33_rows(run),
+            *_ib_rows(run),
+            *_delta_rows(run),
+            *_heyting_audit_rows(run.plain_side, "plain"),
+            _restriction_row(run),
+            *_census_rows(run),
+        ]
         if run.ext_side:
-            rows.extend(_extended_site_rows(run))
-            rows.extend(_heyting_audit_rows(run, run.ext_side, "extended"))
-            rows.extend(_bridge_rows(run))
-            rows.extend(_characteristic_rows(run))
-            rows.extend(_equivalence_rows(run))
+            run_rows += _extended_site_rows(run)
+            run_rows += _heyting_audit_rows(run.ext_side, "extended")
+            run_rows += _bridge_rows(run)
+            run_rows += _characteristic_rows(run)
+            run_rows += _equivalence_rows(run)
+        for row in run_rows:
+            row["run"] = run.spec.name
+        rows += run_rows
     return {
         "scenario": scenario.name,
         "dimension": scenario.dimension,

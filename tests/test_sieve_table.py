@@ -19,7 +19,6 @@ from sieveval import (
     restrict_down,
     valuate_run,
 )
-from sieveval.cli import main
 from sieveval.errors import EnumerationExceeded
 
 
@@ -119,14 +118,3 @@ def test_repeated_bundled_checks_hold_live_memory_flat(run_fresh):
     assert len(live) == 20
     after_round_two = live[1]
     assert all(abs(size - after_round_two) <= 64 * 1024 for size in live[1:]), live
-
-
-@pytest.mark.parametrize(
-    "name, cap, arrows",
-    [("qutrit_extended", 16, 8), ("qubit_extended", 4, 3), ("qutrit", 4, 3)],
-)
-def test_cap_hits_name_the_cap_object_and_arrows(monkeypatch, capsys, name, cap, arrows):
-    monkeypatch.setenv("SIEVEVAL_CAP_SIEVE_ENUM", str(cap))
-    assert main(["check", str(bundled_scenario_path(name))]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: sieve enumeration exceeded the cap of {cap} at object 0 ({arrows} arrows)\n"

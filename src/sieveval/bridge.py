@@ -24,7 +24,7 @@ its map's naturality from the position tables of the extended classifier Ω.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalCheckError, NotASubPresheaf, UnknownObjectError
 from .sieves import (
@@ -44,8 +44,7 @@ from .sieves import (
 from .sites import ExtendedSite, PlainSite
 
 
-@dataclass(frozen=True)
-class BridgeContext:
+class BridgeContext(NamedTuple):
     """A fixed extended stage paired with its plain counterpart.
 
     Arrow correspondence: a plain arrow out of the stage ray matches the

@@ -293,13 +293,13 @@ def _atom_set_rows(built: BuiltScenario) -> list[dict]:
 # per-run plain rows
 
 
-def _bub_rows(run: BuiltRun) -> list[dict]:
+def _bub_rows(run: BuiltRun, value: LazyTable) -> list[dict]:
+    """Eqs 2.3–2.4 on the run's determinate sublattice; `value` is the run's
+    two-valued valuation table.  Eq 2.4 values the computed meet and join of
+    every pair."""
     sc = run.scenario
     extra = tuple(sc.propositions[name] for name in run.spec.remainder_rays)
     lattice = enumerate_determinate_sublattice(run.atoms, sc.caps["lattice"], extra)
-    # Each distinct subspace is valued once; Eq 2.4 still values the computed
-    # meet and join of every pair.
-    value = LazyTable(lambda p: bub_valuation(run.e_r, p))
     hom_ok = True
     for p in lattice:
         for q in lattice:
@@ -434,14 +434,15 @@ def _oracle_rows(run: BuiltRun) -> list[dict]:
     ]
 
 
-def _prop32_33_rows(run: BuiltRun) -> list[dict]:
+def _prop32_33_rows(run: BuiltRun, two_valued: LazyTable) -> list[dict]:
+    """Props 3.2–3.3; `two_valued` is the run's two-valued valuation table."""
     site, stage, values = run.plain, run.plain_side.stage, run.plain_side.values
     top = top_sieve(site, stage)
     floor = run.floors[stage]
     prop32 = all(
         value == top
         for p, value in zip(run.universe, values[stage])
-        if in_determinate_sublattice(p, run.atoms) and bub_valuation(run.e_r, p) == 1
+        if in_determinate_sublattice(p, run.atoms) and two_valued[p] == 1
     )
     prop33 = True
     for stage_floor, value_row in zip(run.floors, values):
@@ -904,12 +905,15 @@ def run_check(scenario: Scenario) -> dict:
     rows.extend(_observable_order_rows(built))
     rows.extend(_atom_set_rows(built))
     for run in built.runs:
+        # The run's two-valued valuation, one `bub_valuation` per distinct
+        # subspace, read by Eqs 2.3–2.4 and Prop 3.2.
+        two_valued = LazyTable(lambda p, e_r=run.e_r: bub_valuation(e_r, p))
         run_rows = [
-            *_bub_rows(run),
+            *_bub_rows(run, two_valued),
             *_plain_site_rows(run),
             *_presheaf_rows(run),
             *_oracle_rows(run),
-            *_prop32_33_rows(run),
+            *_prop32_33_rows(run, two_valued),
             *_ib_rows(run),
             *_delta_rows(run),
             *_heyting_audit_rows(run.plain_side, "plain"),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .checks import run_check
 from .errors import InternalCheckError, SievevalError
@@ -125,6 +124,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _internal_error() -> int:
     """Report an exception that is a bug, not bad input, with its traceback."""
+    import traceback  # here, not at start-up: it loads linecache and tokenize
+
     print("internal error:", file=sys.stderr)
     traceback.print_exc()
     return EXIT_INTERNAL_ERROR

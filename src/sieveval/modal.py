@@ -7,8 +7,8 @@ means same commutant), so no operator matrix is ever stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import AmbientMismatch, OrthogonalityViolation, ValidationError
 from .linalg import ExactMatrix
@@ -27,15 +27,19 @@ from .subspaces import (
 )
 
 
-@dataclass(frozen=True)
 class Observable:
-    """An orthogonal eigenspace decomposition of complex n-space."""
+    """An orthogonal eigenspace decomposition of complex n-space, validated
+    on construction.  Immutable; equal to an observable of the same name,
+    eigenspaces and labels."""
 
-    name: str
-    eigenspaces: tuple[Subspace, ...]
-    labels: tuple[Fraction, ...] | None = None
+    __slots__ = ("name", "eigenspaces", "labels")
 
-    def __post_init__(self):
+    def __init__(
+        self, name: str, eigenspaces: tuple[Subspace, ...], labels: tuple[Fraction, ...] | None = None
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "eigenspaces", eigenspaces)
+        object.__setattr__(self, "labels", labels)
         if not self.eigenspaces:
             raise ValidationError(self.name, "no eigenspaces")
         n = self.eigenspaces[0].ambient_dim
@@ -60,6 +64,23 @@ class Observable:
             if len(set(self.labels)) != len(self.labels):
                 raise ValidationError(self.name, "labels are not distinct")
 
+    def __setattr__(self, name, value):
+        raise AttributeError("Observable is immutable")
+
+    def _key(self) -> tuple:
+        return self.name, self.eigenspaces, self.labels
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Observable({self.name!r}, {self.eigenspaces!r}, {self.labels!r})"
+
     @property
     def ambient_dim(self) -> int:
         return self.eigenspaces[0].ambient_dim
@@ -83,14 +104,13 @@ def validate_matrix_decomposition(matrix: ExactMatrix, observable: Observable) -
                 )
 
 
-@dataclass(frozen=True)
-class TrueAtomSet:
+class TrueAtomSet(NamedTuple):
     """The nonzero projections of a state onto an observable's eigenspaces."""
 
     state: Ray
     observable: Observable
     atoms: tuple[Subspace, ...]
-    eigenspace_indices: tuple[int, ...] = field(default=())
+    eigenspace_indices: tuple[int, ...] = ()
 
     @property
     def zero_augmented(self) -> tuple[Subspace, ...]:

@@ -24,9 +24,8 @@ JSON rendering is byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .bridge import (
     BridgeContext,
@@ -69,16 +68,16 @@ from .sites import (
 from .subspaces import Ray, Subspace, Universe
 
 
-@dataclass
 class SiteFunctors:
     """What the paper builds over one site for a scenario, shared by every
     run on the site: the proposition functor L on the scenario's universe,
     the atom functor A and, built on first use, the classifier Ω."""
 
-    site: Site
-    cap: int  # the sieve enumeration cap, for Ω
-    propositions_l: Presheaf
-    atoms_a: Presheaf
+    def __init__(self, site: Site, cap: int, propositions_l: Presheaf, atoms_a: Presheaf):
+        self.site = site
+        self.cap = cap  # the sieve enumeration cap, for Ω
+        self.propositions_l = propositions_l
+        self.atoms_a = atoms_a
 
     @cached_property
     def omega(self) -> Presheaf:
@@ -90,7 +89,6 @@ class SiteFunctors:
         return natural_omega(self.omega)
 
 
-@dataclass
 class SiteRun:
     """One side of a run: the functors of its site, the run's stage on it,
     and what depends on the run's eigenspace, namely the true-atom section σ
@@ -98,11 +96,14 @@ class SiteRun:
     and T's characteristic table, are each built on first use (see
     `sieves`)."""
 
-    functors: SiteFunctors
-    stage: int
-    r_space: Subspace  # the chosen eigenspace of the run observable
-    sigma: GlobalElement
-    true_t: Presheaf
+    def __init__(
+        self, functors: SiteFunctors, stage: int, r_space: Subspace, sigma: GlobalElement, true_t: Presheaf
+    ):
+        self.functors = functors
+        self.stage = stage
+        self.r_space = r_space  # the chosen eigenspace of the run observable
+        self.sigma = sigma
+        self.true_t = true_t
 
     @property
     def site(self) -> Site:
@@ -189,27 +190,45 @@ class SiteMemo:
         self.contexts = LazyTable(context)
 
 
-@dataclass
 class BuiltRun:
     """Everything a run needs, constructed once and reused by all checks:
     its plain side, and its extended side when it declares a family."""
 
-    scenario: Scenario
-    spec: RunSpec
-    state: Ray
-    r_space: Subspace  # the chosen eigenspace of the run observable
-    universe: Universe
-    universe_names: dict[Subspace, str]
-    plain_op_map: tuple[int, ...]
-    atoms: TrueAtomSet
-    e_r: Subspace
-    floors: tuple[Sieve, ...]  # every plain-site object's annihilator floor
-    plain_side: SiteRun
-    plain_below: Mapping[int, PlainSite]  # the plain site below each object, for Eq 3.56
-    ext_side: SiteRun | None = None  # on the extended site below the run's stage
-    extended_full: ExtendedSite | None = None
-    slices: Mapping[int, tuple[PlainSite, tuple[int, ...]]] | None = None  # §4.1, by observable
-    ctx: BridgeContext | None = None
+    def __init__(
+        self,
+        scenario: Scenario,
+        spec: RunSpec,
+        state: Ray,
+        r_space: Subspace,
+        universe: Universe,
+        universe_names: dict[Subspace, str],
+        plain_op_map: tuple[int, ...],
+        atoms: TrueAtomSet,
+        e_r: Subspace,
+        floors: tuple[Sieve, ...],
+        plain_side: SiteRun,
+        plain_below: Mapping[int, PlainSite],
+        ext_side: SiteRun | None = None,
+        extended_full: ExtendedSite | None = None,
+        slices: Mapping[int, tuple[PlainSite, tuple[int, ...]]] | None = None,
+        ctx: BridgeContext | None = None,
+    ):
+        self.scenario = scenario
+        self.spec = spec
+        self.state = state
+        self.r_space = r_space  # the chosen eigenspace of the run observable
+        self.universe = universe
+        self.universe_names = universe_names
+        self.plain_op_map = plain_op_map
+        self.atoms = atoms
+        self.e_r = e_r
+        self.floors = floors  # every plain-site object's annihilator floor
+        self.plain_side = plain_side
+        self.plain_below = plain_below  # the plain site below each object, for Eq 3.56
+        self.ext_side = ext_side  # on the extended site below the run's stage
+        self.extended_full = extended_full
+        self.slices = slices  # §4.1, the slice of the full extended site at each observable
+        self.ctx = ctx
 
     @property
     def plain(self) -> PlainSite:
@@ -232,8 +251,7 @@ class BuiltRun:
         return self.ext_side.functors.nat_omega
 
 
-@dataclass
-class BuiltScenario:
+class BuiltScenario(NamedTuple):
     scenario: Scenario
     monoid: OperatorMonoid
     universe: Universe

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CommutantViolation, ParseError, ValidationError
 from .linalg import ExactMatrix, matrix_from_rows
@@ -42,8 +42,7 @@ ZERO_NAME = "0"
 UNIT_NAME = "I"
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(NamedTuple):
     name: str
     state: str
     observable: str
@@ -53,8 +52,7 @@ class RunSpec:
     remainder_rays: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     dimension: int
     observables: tuple[Observable, ...]

@@ -67,8 +67,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EnumerationExceeded, InternalCheckError, NaturalityError
 from .modal import compute_atoms
@@ -97,9 +96,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True, slots=True)
-class Sieve:
-    """A sieve on object `base`; bit a of `mask` is set iff arrow a is in it."""
+class Sieve(NamedTuple):
+    """A sieve on object `base`; bit a of `mask` is set iff arrow a is in it.
+
+    Iterating a sieve yields its arrows and `in` tests an arrow, so the
+    tuple helpers that iterate (`_replace`, `_asdict`) do not apply: build
+    a new `Sieve(base, mask)`.  The order is inclusion, and a sieve equals
+    the plain tuple (base, mask); no stage mixes the two."""
 
     base: int
     mask: int
@@ -111,6 +114,9 @@ class Sieve:
     def __iter__(self) -> Iterator[int]:
         return _bits(self.mask)
 
+    def __reduce__(self):  # copy and pickle by field, not by iteration
+        return Sieve, (self.base, self.mask)
+
     def __contains__(self, arrow: int) -> bool:
         return arrow >= 0 and (self.mask >> arrow) & 1 == 1
 
@@ -121,6 +127,13 @@ class Sieve:
     def __lt__(self, other: "Sieve") -> bool:
         _require_same_base(self, other)
         return self.mask != other.mask and not self.mask & ~other.mask
+
+    # `>=` and `>` are inclusion too, read through `<=` and `<`: not tuple order.
+    def __ge__(self, other: "Sieve") -> bool:
+        return Sieve.__le__(other, self)
+
+    def __gt__(self, other: "Sieve") -> bool:
+        return Sieve.__lt__(other, self)
 
 
 def _require_same_base(a: Sieve, b: Sieve) -> None:
@@ -277,7 +290,6 @@ def is_heyting_family(masks: Sequence[int], implication: Mapping[int, int], prob
 # over many presheaves keeps hundreds of KB there (seen in peak RSS).
 
 
-@dataclass(frozen=True, eq=False)
 class Presheaf:
     """A functor to finite sets, stored stage-wise with position tables.
 
@@ -285,13 +297,25 @@ class Presheaf:
     each value to its position there.  `positions[a]` holds, for each
     position i of the domain stage of arrow a, the position in the codomain
     stage of the image of `values[dom][i]`, or None when the image lies
-    outside that stage.
+    outside that stage.  Immutable; equal only to itself.
     """
 
-    site: object
-    values: tuple[tuple[Hashable, ...], ...]
-    positions: tuple[tuple[int | None, ...], ...]
-    index: tuple[dict, ...]
+    __slots__ = ("site", "values", "positions", "index", "__weakref__")
+
+    def __init__(
+        self,
+        site,
+        values: tuple[tuple[Hashable, ...], ...],
+        positions: tuple[tuple[int | None, ...], ...],
+        index: tuple[dict, ...],
+    ):
+        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Presheaf is immutable")
 
     def validate(self) -> None:
         """Identities, closure, then functoriality: t_{g∘f} = t_g ∘ t_f."""
@@ -352,8 +376,7 @@ def atom_presheaf(site) -> Presheaf:
     return build_presheaf(site, values_at, transition)
 
 
-@dataclass(frozen=True)
-class GlobalElement:
+class GlobalElement(NamedTuple):
     """A compatible choice of one value per stage (a point of the presheaf)."""
 
     presheaf: Presheaf

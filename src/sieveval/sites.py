@@ -22,9 +22,8 @@ Every verified statement is a statement about this finite sub-site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ClosureExceeded,
@@ -38,9 +37,11 @@ from .sieves import Stage
 from .subspaces import Ray, Subspace, apply_operator
 
 
-@dataclass(frozen=True)
-class OperatorMonoid:
-    """A multiplicatively closed set of exact operators with its product table."""
+class OperatorMonoid(NamedTuple):
+    """A multiplicatively closed set of exact operators with its product table.
+
+    `len` is the number of elements, not of fields, so the tuple helpers
+    that check it (`_make`, `_replace`) do not apply: use the constructor."""
 
     elements: tuple[ExactMatrix, ...]
     identity_index: int
@@ -141,8 +142,7 @@ def orbit(
     return tuple(rays)
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """An arrow of a site; `dom` and `cod` are object indices."""
 
     dom: int
@@ -150,43 +150,52 @@ class Arrow:
     cod: int
 
 
-@dataclass(frozen=True, eq=False)
 class Site:
     """Truncation of the base category over a family of observables.
 
     An arrow (i, k) -> (j, k2) is a monoid operator f that commutes with
     observable k and maps ray i onto ray j, where k <= k2 and ray j has the
     same atom set under k and k2.  Arrows are numbered per domain object in
-    operator order, then by codomain observable.
+    operator order, then by codomain observable.  `objects` lists (ray
+    index, observable index) pairs.  Immutable; equal only to itself.
     """
 
-    observables: tuple[Observable, ...]
-    monoid: OperatorMonoid
-    rays: tuple[Subspace, ...]
-    objects: tuple[tuple[int, int], ...]  # (ray index, observable index)
-    arrows: tuple[Arrow, ...]
-    rho_leq: tuple[tuple[bool, ...], ...]
-    _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    _by_dom_op_rho: dict[tuple[int, int, int], int] = field(init=False, repr=False)
-    _identity: tuple[int, ...] = field(init=False, repr=False)
-    _stages: list[Stage | None] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        out: list[list[int]] = [[] for _ in self.objects]
+    def __init__(
+        self,
+        observables: tuple[Observable, ...],
+        monoid: OperatorMonoid,
+        rays: tuple[Subspace, ...],
+        objects: tuple[tuple[int, int], ...],
+        arrows: tuple[Arrow, ...],
+        rho_leq: tuple[tuple[bool, ...], ...],
+    ) -> None:
+        out: list[list[int]] = [[] for _ in objects]
         by_dom_op_rho: dict[tuple[int, int, int], int] = {}
-        identity = [-1] * len(self.objects)
-        for a, arr in enumerate(self.arrows):
+        identity = [-1] * len(objects)
+        for a, arr in enumerate(arrows):
             out[arr.dom].append(a)
-            by_dom_op_rho[(arr.dom, arr.op, self.objects[arr.cod][1])] = a
-            if arr.op == self.monoid.identity_index and arr.cod == arr.dom:
+            by_dom_op_rho[(arr.dom, arr.op, objects[arr.cod][1])] = a
+            if arr.op == monoid.identity_index and arr.cod == arr.dom:
                 identity[arr.dom] = a
         for arrows_out in out:
             if arrows_out and arrows_out[-1] - arrows_out[0] + 1 != len(arrows_out):
                 raise InternalCheckError("arrows out of one object must have consecutive ids")
-        object.__setattr__(self, "_out", tuple(tuple(x) for x in out))
-        object.__setattr__(self, "_by_dom_op_rho", by_dom_op_rho)
-        object.__setattr__(self, "_identity", tuple(identity))
-        object.__setattr__(self, "_stages", [None] * len(self.objects))
+        # The instance dict also holds the `cached_property` tables.
+        vars(self).update(
+            observables=observables,
+            monoid=monoid,
+            rays=rays,
+            objects=objects,
+            arrows=arrows,
+            rho_leq=rho_leq,
+            _out=tuple(tuple(x) for x in out),
+            _by_dom_op_rho=by_dom_op_rho,
+            _identity=tuple(identity),
+            _stages=[None] * len(objects),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Site is immutable")
 
     # -- category protocol -------------------------------------------------
     @property

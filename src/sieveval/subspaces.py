@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -157,15 +156,30 @@ def full_space(ambient_dim: int) -> Subspace:
     return _interned(ambient_dim, identity_matrix(ambient_dim).numerators)
 
 
-@dataclass(frozen=True, slots=True)
 class Ray:
-    """A one-dimensional subspace; the carrier of a pure state."""
+    """A one-dimensional subspace; the carrier of a pure state.  Immutable;
+    equal to a ray of the same space."""
 
-    space: Subspace
+    __slots__ = ("space",)
 
-    def __post_init__(self):
-        if self.space.dim != 1:
-            raise ValidationError("ray", f"expected dim 1, got {self.space.dim}")
+    def __init__(self, space: Subspace):
+        if space.dim != 1:
+            raise ValidationError("ray", f"expected dim 1, got {space.dim}")
+        object.__setattr__(self, "space", space)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ray is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space is other.space  # subspaces are interned
+
+    def __hash__(self) -> int:
+        return hash((self.space,))
+
+    def __repr__(self) -> str:
+        return f"Ray({self.space!r})"
 
     @property
     def ambient_dim(self) -> int:

@@ -17,7 +17,6 @@ classifier (Ω, δΩ or ♮Ω), so the value-keyed naturality audit moves its
 values by `omega_transition`.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -54,7 +53,7 @@ from sieveval.sieves import (
     proposition_presheaf,
     subpresheaf,
 )
-from sieveval.sites import PlainSite, associativity_violations, identity_violations
+from sieveval.sites import OperatorMonoid, PlainSite, associativity_violations, identity_violations
 
 
 def span(*vs):
@@ -329,7 +328,7 @@ def test_a_section_with_a_failing_square_is_rejected(qubit_site):
 def _cyclic_site(table):
     """The one-object site of {1, i, -1, -i} acting on C^1, over `table`."""
     monoid = close_monoid([diagonal_matrix([gaussian(0, 1)])], cap=4)
-    monoid = dataclasses.replace(monoid, table=table(monoid.table))
+    monoid = OperatorMonoid(monoid.elements, monoid.identity_index, monoid.generator_indices, table(monoid.table))
     unit = Observable("unit", (full_space(1),))
     site, _ = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=1)
     return site

@@ -94,7 +94,7 @@ def test_a_check_leaves_no_site_or_presheaf_alive_without_the_collector(monkeypa
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    track(sites.Site, "__post_init__")
+    track(sites.Site, "__init__")
     track(sieves.Presheaf, "__init__")
     gc.collect()
     gc.disable()

@@ -30,9 +30,18 @@ from .subspaces import (
 class Observable:
     """An orthogonal eigenspace decomposition of complex n-space, validated
     on construction.  Immutable; equal to an observable of the same name,
-    eigenspaces and labels."""
+    eigenspaces and labels.
 
-    __slots__ = ("name", "eigenspaces", "labels")
+    `answers` is the table of the questions this observable has answered,
+    each computed once for its lifetime: `observable_leq(self, other)` keyed
+    on ("leq", other.eigenspaces), `zero_augmented_atom_set(ray, self)` on
+    ("atoms", ray) and `in_commutant(f, self)` on ("commutant", f), each
+    key being what its answer reads besides the eigenspaces.  The table
+    belongs to this instance alone: it is not part of equality or the hash,
+    and an equal observable keeps its own.  No key refers to an observable,
+    so the table makes no reference cycle."""
+
+    __slots__ = ("name", "eigenspaces", "labels", "answers")
 
     def __init__(
         self, name: str, eigenspaces: tuple[Subspace, ...], labels: tuple[Fraction, ...] | None = None
@@ -40,6 +49,7 @@ class Observable:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "eigenspaces", eigenspaces)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "answers", {})
         if not self.eigenspaces:
             raise ValidationError(self.name, "no eigenspaces")
         n = self.eigenspaces[0].ambient_dim
@@ -140,9 +150,13 @@ def compute_atoms(e: Ray, observable: Observable) -> TrueAtomSet:
 
 
 def zero_augmented_atom_set(e: Subspace, observable: Observable) -> frozenset[Subspace]:
-    """The atom set of a ray (given as its subspace), zero space included."""
-    ray = Ray(e)
-    return frozenset(compute_atoms(ray, observable).zero_augmented)
+    """The atom set of a ray (given as its subspace), zero space included;
+    computed once per ray in the observable's `answers`."""
+    key = ("atoms", e)
+    answer = observable.answers.get(key)
+    if answer is None:
+        answer = observable.answers[key] = frozenset(compute_atoms(Ray(e), observable).zero_augmented)
+    return answer
 
 
 def in_determinate_sublattice(p: Subspace, atoms: TrueAtomSet) -> bool:
@@ -205,12 +219,26 @@ def non_invariant_eigenspace(f: ExactMatrix, observable: Observable) -> int | No
 def in_commutant(f: ExactMatrix, observable: Observable) -> bool:
     """Exact commutation with every eigenprojector P_i, checked on eigenspaces:
     f P_i = P_i f for all i iff f(R_i) ⊆ R_i for all i.  (⇒) f(R_i) = f P_i(ℂⁿ)
-    = P_i f(ℂⁿ) ⊆ R_i; (⇐) with v = Σ v_j, v_j in R_j, P_i f v = f v_i = f P_i v."""
-    return non_invariant_eigenspace(f, observable) is None
+    = P_i f(ℂⁿ) ⊆ R_i; (⇐) with v = Σ v_j, v_j in R_j, P_i f v = f v_i = f P_i v.
+    Computed once per operator in the observable's `answers`."""
+    key = ("commutant", f)
+    answer = observable.answers.get(key)
+    if answer is None:
+        answer = observable.answers[key] = non_invariant_eigenspace(f, observable) is None
+    return answer
 
 
 def observable_leq(rho: Observable, rho_prime: Observable) -> bool:
-    """Refinement order: every eigenspace of rho is a join of rho_prime's."""
+    """Refinement order: every eigenspace of rho is a join of rho_prime's.
+    Computed once per eigenspace tuple of rho_prime in rho's `answers`."""
+    key = ("leq", rho_prime.eigenspaces)
+    answer = rho.answers.get(key)
+    if answer is None:
+        answer = rho.answers[key] = _refines(rho, rho_prime)
+    return answer
+
+
+def _refines(rho: Observable, rho_prime: Observable) -> bool:
     if rho.ambient_dim != rho_prime.ambient_dim:
         raise AmbientMismatch("observables in different ambient spaces")
     for r in rho.eigenspaces:

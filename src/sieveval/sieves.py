@@ -36,8 +36,11 @@ over the site's postcomposite pairs, and subfunctors, pullbacks and
 characteristic maps are read by position.  A map between presheaves is
 read by position too: `naturality_holds` turns its values into positions of
 the target once and compares the two presheaves' tables square by square,
-so no audit moves a value along an arrow; only `omega_presheaf` does, to
-fill Ω's tables.
+so no audit moves a value along an arrow.  Ω's tables are filled from the
+stage masks: `omega_presheaf` pulls each listed mask of an arrow's domain
+stage back over the arrow's postcomposite pairs (`pull_back`, once per
+arrow and mask) and reads the image's position in the codomain stage from
+a mask-keyed dict; `omega_transition` is the same pullback on one `Sieve`.
 
 The proposition functor L has the build's whole universe
 (`subspaces.Universe`) at every stage, so its positions are the
@@ -170,16 +173,21 @@ def bottom_sieve(obj: int) -> Sieve:
     return Sieve(obj, 0)
 
 
+def pull_back(pairs: Sequence[tuple[int, int]], mask: int) -> int:
+    """The mask pulled back along an arrow m, given m's postcomposite pairs
+    (g, g∘m): the arrows g whose composite with m lands in the mask."""
+    pulled = 0
+    for g, gm in pairs:
+        if (mask >> gm) & 1:
+            pulled |= 1 << g
+    return pulled
+
+
 def omega_transition(site, m: int, s: Sieve) -> Sieve:
     """Pull a sieve along an arrow: arrows whose composite with m lands in s."""
     if site.arrow_dom(m) != s.base:
         raise InternalCheckError("transition arrow does not start at the sieve's base")
-    mask = s.mask
-    pulled = 0
-    for a, am in site.postcomposites[m]:
-        if (mask >> am) & 1:
-            pulled |= 1 << a
-    return Sieve(site.arrow_cod(m), pulled)
+    return Sieve(site.arrow_cod(m), pull_back(site.postcomposites[m], s.mask))
 
 
 def heyting_implies(site, s1: Sieve, s2: Sieve) -> Sieve:
@@ -550,12 +558,17 @@ def bottom_annihilator(site, obj: int, e_r: Subspace) -> Sieve:
 
 
 def omega_presheaf(site, cap: int) -> Presheaf:
-    """The subobject classifier: every sieve at every stage, listed by the site."""
-    return build_presheaf(
-        site,
-        lambda o: tuple(Sieve(o, m) for m in site.stage(o).sieves(cap)),
-        lambda a, s: omega_transition(site, a, s),
-    )
+    """The subobject classifier: every sieve at every stage, listed by the
+    site.  Each arrow's table pulls the masks of its domain stage back over
+    its postcomposite pairs and reads their positions by mask."""
+    masks = [site.stage(o).sieves(cap) for o in range(site.n_objects)]
+    at = [{m: i for i, m in enumerate(stage)} for stage in masks]
+    positions = tuple([
+        tuple([at[arrow.cod].get(pull_back(pairs, m)) for m in masks[arrow.dom]])
+        for arrow, pairs in zip(site.arrows, site.postcomposites)
+    ])
+    values = tuple([tuple([Sieve(o, m) for m in stage]) for o, stage in enumerate(masks)])
+    return Presheaf(site, values, positions, _index(values))
 
 
 def annihilator_floors(site, r: Subspace) -> tuple[Sieve, ...]:

@@ -22,7 +22,7 @@ Every verified statement is a statement about this finite sub-site.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -326,11 +326,9 @@ def _build(
         images.append([None if image.is_zero else ray_index[image] for image in row])
 
     # Atom sets are compared only across distinct observables, so a
-    # one-observable site computes none.
-    @cache
-    def atom_set(i: int, k: int) -> frozenset[Subspace]:
-        return zero_augmented_atom_set(rays[i], observables[k])
-
+    # one-observable site computes none; each observable keeps the ones it
+    # computes (`Observable.answers`).
+    atom_set = zero_augmented_atom_set
     width = len(observables)
     # Ray-major, so object (i, k) has index i * width + k.
     objects = tuple((i, k) for i in range(len(rays)) for k in range(width))
@@ -340,10 +338,11 @@ def _build(
             cod_ray = images[op][i]
             if cod_ray is None or not commutes[op][k]:
                 continue
+            ray = rays[cod_ray]
             for k2 in range(width):
                 if not rho_leq[k][k2]:
                     continue
-                if k2 == k or atom_set(cod_ray, k) == atom_set(cod_ray, k2):
+                if k2 == k or atom_set(ray, observables[k]) == atom_set(ray, observables[k2]):
                     arrows.append(Arrow(n, op, cod_ray * width + k2))
     site = cls(observables, monoid, rays, objects, tuple(arrows), rho_leq)
     _validate_composition(site)

@@ -16,13 +16,16 @@ interned subspace.  The zero space ({0}, dim 0) and the whole space (the
 unit proposition) are first-class values.  A finite `Universe` of
 subspaces tabulates its order, meets and operator action by position, once
 (`close_universe`).  Join and meet commute, so each
-unordered pair is eliminated once: the argument order with the larger object
-id calls the other, and both orders return the one interned result, so no
-output depends on memory addresses.
+unordered pair is eliminated once: the argument order whose first operand
+has the larger interning serial calls the other, and both orders return the
+one interned result.  Serials count interning events, so which order
+eliminates, and every count of calls and cache entries, is the same in any
+interpreter that makes the same calls, whatever its memory addresses.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 from functools import lru_cache
@@ -59,13 +62,16 @@ class Subspace:
     the basis being the rows divided by their pivots as Gaussian-rational
     columns; it is computed once, when the subspace is interned, so set and
     dict iteration orders do not depend on interning or on the row form.
+    `serial` numbers the subspaces in the order they were interned; it
+    orients the pairs of `join` and `meet` and nothing else.
     """
 
-    __slots__ = ("ambient_dim", "rows", "_hash", "__weakref__")
+    __slots__ = ("ambient_dim", "rows", "serial", "_hash", "__weakref__")
 
-    def __init__(self, ambient_dim: int, rows: tuple[IntegerRow, ...]):
+    def __init__(self, ambient_dim: int, rows: tuple[IntegerRow, ...], serial: int):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "serial", serial)
         object.__setattr__(self, "_hash", hash((ambient_dim, self._basis())))
 
     def __setattr__(self, name, value):
@@ -118,6 +124,7 @@ class Subspace:
 # identity; weak-valued, so it keeps nothing alive.
 _INTERNED: "weakref.WeakValueDictionary[tuple, Subspace]" = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
+_SERIALS = itertools.count()  # advanced under the lock
 
 
 def _interned(ambient_dim: int, rows: tuple[IntegerRow, ...]) -> Subspace:
@@ -127,7 +134,7 @@ def _interned(ambient_dim: int, rows: tuple[IntegerRow, ...]) -> Subspace:
         with _INTERN_LOCK:
             space = _INTERNED.get(key)
             if space is None:
-                space = Subspace(ambient_dim, rows)
+                space = Subspace(ambient_dim, rows, next(_SERIALS))
                 _INTERNED[key] = space
     return space
 
@@ -197,10 +204,11 @@ def _require_same_ambient(p: Subspace, q: Subspace) -> None:
 
 @lru_cache(maxsize=None)
 def join(p: Subspace, q: Subspace) -> Subspace:
-    """P ∨ Q, once per unordered pair: the order with the larger id defers.
-    Equal operands, {0} and the whole space need no elimination."""
+    """P ∨ Q, once per unordered pair: the order whose first operand has the
+    larger serial defers.  Equal operands, {0} and the whole space need no
+    elimination."""
     _require_same_ambient(p, q)
-    if id(q) < id(p):
+    if q.serial < p.serial:
         return join(q, p)
     if p is q or q.is_zero or p.is_full:
         return p
@@ -214,7 +222,7 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
     """P ∧ Q = (P^⊥ ∨ Q^⊥)^⊥, the orthocomplement being an involution that
     reverses the order (De Morgan); once per unordered pair, as `join`."""
     _require_same_ambient(p, q)
-    if id(q) < id(p):
+    if q.serial < p.serial:
         return meet(q, p)
     if p.is_zero or q.is_zero:
         return zero_space(p.ambient_dim)

@@ -170,12 +170,59 @@ print(json.dumps({"size": rows[0]["details"]["size"], "passed": passed, "calls":
 def test_cold_lattice_rows_eliminate_each_unordered_pair_once(workloads, run_fresh):
     """Each join and meet of the 36-element sublattice is asked in both
     argument orders; one elimination serves both (1,356 eliminations when
-    each order ran its own)."""
+    each order ran its own).  Pairs are oriented by interning serial, not by
+    address, so the count is exact."""
     done = run_fresh(COLD_LATTICE_ROWS, workloads.__file__)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["size"] == 36 and result["passed"] == [True, True]
-    assert result["calls"] <= 840, result
+    assert result["calls"] == 594, result
+
+
+# A cold check of a generated chain after `argv[2]` allocations of assorted
+# sizes, a third of them freed, so that later objects land at other addresses.
+CHAIN_AFTER_ALLOCATIONS = """
+import importlib.util, json, sys
+
+junk = [bytearray(i % 97 + 1) for i in range(int(sys.argv[2]))]
+del junk[::3]
+from sieveval import linalg, run_check, scenario_from_dict, subspaces
+
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+calls = 0
+rref = linalg.integer_rref
+
+
+def counted(*args):
+    global calls
+    calls += 1
+    return rref(*args)
+
+
+linalg.integer_rref = subspaces.integer_rref = counted
+report = run_check(scenario_from_dict(workloads.chain_scenario(1)))
+print(json.dumps({
+    "passed": report["passed"],
+    "calls": calls,
+    "join_entries": subspaces.join.cache_info().currsize,
+    "meet_entries": subspaces.meet.cache_info().currsize,
+}))
+"""
+
+
+def test_pair_orientation_does_not_depend_on_allocation_history(workloads, run_fresh):
+    """Two interpreters whose heaps differ before the package loads make the
+    same eliminations and keep the same join and meet cache entries (with
+    pairs oriented by address, the entries moved with the heap)."""
+    results = []
+    for allocations in ("0", "20000"):
+        done = run_fresh(CHAIN_AFTER_ALLOCATIONS, workloads.__file__, allocations)
+        assert done.returncode == 0, done.stderr
+        results.append(json.loads(done.stdout))
+    assert results[0]["passed"] and results[0]["calls"]
+    assert results[0] == results[1]
 
 
 def test_rows_make_quadratically_many_lattice_calls(monkeypatch):

@@ -14,7 +14,10 @@ The one exception is a presheaf with two distinct faults: closure is now
 checked for every arrow before functoriality, so a closure fault is
 reported first.  Every square family `run_check` asks maps into a
 classifier (Ω, δΩ or ♮Ω), so the value-keyed naturality audit moves its
-values by `omega_transition`.
+values by `omega_transition`.  Ω itself is built from stage masks, not
+through `build_presheaf`; its twin moves every listed sieve by
+`omega_transition`, and Ω's position tables must equal the twin's, entry by
+entry.  An Ω with one wrong position fails the oracle.
 """
 
 import json
@@ -23,6 +26,7 @@ import pytest
 
 from sieveval import (
     Observable,
+    Sieve,
     build_plain_site,
     bundled_scenario_names,
     bundled_scenario_path,
@@ -175,6 +179,16 @@ def first_message(presheaf):
     except SievevalError as exc:
         return str(exc)
     return None
+
+
+def old_positions(old):
+    """A value-keyed presheaf's transitions as position tables."""
+    site = old.site
+    index = [{x: i for i, x in enumerate(stage)} for stage in old.values]
+    return tuple(
+        tuple(index[site.arrow_cod(a)].get(old.map(a, x)) for x in old.values[site.arrow_dom(a)])
+        for a in range(len(site.arrows))
+    )
 
 
 def value_keyed(zeta, m):
@@ -395,12 +409,14 @@ class Recorder:
 
     def __init__(self, monkeypatch):
         self.old = {}  # id(new presheaf) -> (new, old)
+        self.omegas = []  # (Ω, its value-keyed twin)
         self.parent = {}  # id(cut) -> the presheaf it was cut from
         self.asked = []  # presheaves whose closure was asked
         self.squares = []
         self.sites = []
         build, cut = sieves_module.build_presheaf, sieves_module.subpresheaf
         propositions = runner_module.proposition_presheaf
+        omega = runner_module.omega_presheaf
         closed, natural = sieves_module.is_closed, sieves_module.naturality_holds
         assoc = checks_module.associativity_violations
 
@@ -414,6 +430,19 @@ class Recorder:
         def recording_propositions(site, universe):
             new = propositions(site, universe)
             self.old[id(new)] = (new, old_build_presheaf(site, lambda o: tuple(universe), act(site)))
+            return new
+
+        # Ω is built from stage masks; its twin moves each listed sieve along
+        # each arrow by `omega_transition`.
+        def recording_omega(site, cap):
+            new = omega(site, cap)
+            old = old_build_presheaf(
+                site,
+                lambda o: tuple(Sieve(o, m) for m in site.stage(o).sieves(cap)),
+                lambda a, s: omega_transition(site, a, s),
+            )
+            self.old[id(new)] = (new, old)
+            self.omegas.append((new, old))
             return new
 
         def recording_cut(m, keep):
@@ -436,6 +465,7 @@ class Recorder:
 
         monkeypatch.setattr(sieves_module, "build_presheaf", recording_build)
         monkeypatch.setattr(runner_module, "proposition_presheaf", recording_propositions)
+        monkeypatch.setattr(runner_module, "omega_presheaf", recording_omega)
         for module in (sieves_module, checks_module, bridge_module):
             monkeypatch.setattr(module, "subpresheaf", recording_cut)
             monkeypatch.setattr(module, "is_closed", recording_closed)
@@ -446,7 +476,11 @@ class Recorder:
         return self.old[id(new)][1]
 
     def compare(self):
-        counts = {"presheaves": 0, "pairs": 0, "squares": 0, "sites": 0}
+        counts = {"presheaves": 0, "omegas": 0, "pairs": 0, "squares": 0, "sites": 0}
+        for new, old in self.omegas:
+            assert new.values == old.values
+            assert new.positions == old_positions(old), "Ω's position tables differ from its twin's"
+            counts["omegas"] += 1
         for new, old in self.old.values():
             assert first_message(new) == first_message(old)
             counts["presheaves"] += 1
@@ -478,7 +512,7 @@ def test_table_audits_match_the_value_keyed_ones_on_bundled_scenarios(name, monk
     report = run_check(load_scenario(bundled_scenario_path(name)))
     counts = recorder.compare()
     assert report["passed"]
-    assert counts["presheaves"] and counts["pairs"] and counts["squares"] and counts["sites"]
+    assert all(counts.values()), counts
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -489,4 +523,33 @@ def test_table_audits_match_the_value_keyed_ones_on_chains(dim, workloads, tmp_p
     recorder = Recorder(monkeypatch)
     run_check(scenario)
     counts = recorder.compare()
-    assert counts["presheaves"] and counts["pairs"] and counts["squares"] and counts["sites"]
+    assert all(counts.values()), counts
+
+
+def test_an_omega_with_one_wrong_position_fails_the_oracle(monkeypatch):
+    honest = runner_module.omega_presheaf
+    doctored = []
+
+    def with_one_wrong_position(site, cap):
+        omega = honest(site, cap)
+        if doctored:
+            return omega
+        # The first arrow that is no identity and whose codomain stage has a
+        # second sieve: send the domain's first sieve to another listed sieve.
+        a = next(
+            a
+            for a in range(len(site.arrows))
+            if a != site.identity_arrow(site.arrow_dom(a)) and len(omega.values[site.arrow_cod(a)]) > 1
+        )
+        table = list(omega.positions[a])
+        table[0] = 1 - table[0] if table[0] in (0, 1) else 0
+        positions = omega.positions[:a] + (tuple(table),) + omega.positions[a + 1 :]
+        doctored.append(a)
+        return sieves_module.Presheaf(site, omega.values, positions, omega.index)
+
+    monkeypatch.setattr(runner_module, "omega_presheaf", with_one_wrong_position)
+    recorder = Recorder(monkeypatch)
+    report = run_check(load_scenario(bundled_scenario_path("qubit")))
+    assert doctored and not report["passed"]
+    with pytest.raises(AssertionError, match="Ω's position tables differ from its twin's"):
+        recorder.compare()

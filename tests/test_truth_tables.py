@@ -67,7 +67,7 @@ COUNTED = (
     "valuation",
     "valuation_row",
     "characteristic_table",
-    "omega_transition",
+    "pull_back",
     "_projective_at",
     "heyting_implies",
 )
@@ -76,16 +76,15 @@ COUNTED = (
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of calls to the functions in `COUNTED`, through every module
-    that binds one, and of `omega_transition` calls made outside
-    `omega_presheaf`."""
+    that binds one, and of `pull_back` calls made outside `omega_presheaf`."""
     counts = Counter()
     building = []
 
     def counted(name, original):
         def wrapper(*args):
             counts[name] += 1
-            if name == "omega_transition" and not building:
-                counts["omega_transition outside omega_presheaf"] += 1
+            if name == "pull_back" and not building:
+                counts["pull_back outside omega_presheaf"] += 1
             return original(*args)
 
         return wrapper
@@ -118,10 +117,10 @@ def test_one_cold_check_builds_each_table_once(calls):
     assert calls["valuation_row"] == 95
     # One chi per site of each run, plus one per constructed adversarial subobject.
     assert calls["characteristic_table"] == 24
-    # Sieves move along arrows only to fill Ω's tables; every naturality
-    # square reads them.
-    assert calls["omega_transition"] == 1471
-    assert calls["omega_transition outside omega_presheaf"] == 0
+    # Sieves move along arrows only to fill Ω's tables, one mask pulled back
+    # per (arrow, listed sieve); every naturality square reads them.
+    assert calls["pull_back"] == 1471
+    assert calls["pull_back outside omega_presheaf"] == 0
     # One projectivity verdict per position of the extended propositions, for
     # the true subobject and for each adversarial one.
     assert calls["_projective_at"] == 559

@@ -48,7 +48,8 @@ class BridgeContext(NamedTuple):
     """A fixed extended stage paired with its plain counterpart.
 
     Arrow correspondence: a plain arrow out of the stage ray matches the
-    extended arrow with the same operator that stays at the stage observable.
+    extended arrow with the same operator matrix that stays at the stage
+    observable, whichever monoid object each site numbers its operators in.
     """
 
     extended: ExtendedSite
@@ -60,22 +61,19 @@ class BridgeContext(NamedTuple):
     ext_to_plain: dict[int, int]
 
 
-def make_bridge_context(
-    extended: ExtendedSite, stage: int, plain: PlainSite, op_map: tuple[int, ...]
-) -> BridgeContext:
+def make_bridge_context(extended: ExtendedSite, stage: int, plain: PlainSite) -> BridgeContext:
     rho = extended.object_rho(stage)
     ray = extended.object_ray(stage)
     plain_stage = plain.ray_index(ray)
     plain_to_ext: dict[int, int] = {}
     ext_to_plain: dict[int, int] = {}
     ext_by_op = {
-        extended.arrow_op(a): a
+        extended.operator_matrix(extended.arrow_op(a)): a
         for a in extended.arrows_from(stage)
         if extended.arrow_cod_rho(a) == rho
     }
     for a in plain.arrows_from(plain_stage):
-        full_op = op_map[plain.arrow_op(a)]
-        twin = ext_by_op.get(full_op)
+        twin = ext_by_op.get(plain.operator_matrix(plain.arrow_op(a)))
         if twin is None:
             raise InternalCheckError("plain arrow without an extended twin")
         plain_to_ext[a] = twin

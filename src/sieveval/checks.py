@@ -254,7 +254,7 @@ def _atom_set_rows(built: BuiltScenario) -> list[dict]:
     sc = built.scenario
     seeds = [state.space for state in sc.states.values()]
     # An orbit has at most |monoid| * |seeds| rays, so this cap is never hit.
-    rays = orbit(built.monoid, seeds, len(built.monoid) * len(seeds))
+    rays, _ = orbit(built.monoid, seeds, len(built.monoid) * len(seeds))
     b1_ok = True
     b1_checked = 0
     for ray in rays:
@@ -333,7 +333,7 @@ def _plain_site_rows(run: BuiltRun) -> list[dict]:
     partition_ok = True
     for o, ray in enumerate(site.rays):
         for op in range(len(site.monoid)):
-            image = apply_operator(site.monoid.operator(op), ray)
+            image = apply_operator(site.operator_matrix(op), ray)
             arrows = [a for a in site.arrows_from(o) if site.arrow_op(a) == op]
             if image.is_zero:
                 if arrows:
@@ -608,14 +608,14 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
     ]
     embedding_ok = True
     for k in range(len(full.observables)):
-        plain_k, _ = run.slices[k]
+        plain_k = run.slices[k]
         fixed = {
-            (full.objects[m.dom][0], full.monoid.operator(m.op), full.objects[m.cod][0])
+            (full.objects[m.dom][0], full.operator_matrix(m.op), full.objects[m.cod][0])
             for m in full.arrows
             if full.object_rho(m.dom) == k == full.object_rho(m.cod)
         }
         rebuilt = {
-            (a.dom, plain_k.monoid.operator(a.op), a.cod) for a in plain_k.arrows
+            (a.dom, plain_k.operator_matrix(a.op), a.cod) for a in plain_k.arrows
         }
         ray_match = plain_k.rays == full.rays
         if not ray_match or fixed != rebuilt:

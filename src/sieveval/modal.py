@@ -35,11 +35,12 @@ class Observable:
     `answers` is the table of the questions this observable has answered,
     each computed once for its lifetime: `observable_leq(self, other)` keyed
     on ("leq", other.eigenspaces), `zero_augmented_atom_set(ray, self)` on
-    ("atoms", ray) and `in_commutant(f, self)` on ("commutant", f), each
-    key being what its answer reads besides the eigenspaces.  The table
-    belongs to this instance alone: it is not part of equality or the hash,
-    and an equal observable keeps its own.  No key refers to an observable,
-    so the table makes no reference cycle."""
+    ("atoms", ray) and `non_invariant_eigenspace(f, self)`, which
+    `in_commutant` reads, on ("commutant", f), each key being what its
+    answer reads besides the eigenspaces.  The table belongs to this
+    instance alone: it is not part of equality or the hash, and an equal
+    observable keeps its own.  No key refers to an observable, so the table
+    makes no reference cycle."""
 
     __slots__ = ("name", "eigenspaces", "labels", "answers")
 
@@ -206,7 +207,15 @@ def bub_valuation(e_r: Subspace, p: Subspace) -> int:
 
 
 def non_invariant_eigenspace(f: ExactMatrix, observable: Observable) -> int | None:
-    """The index of the first eigenspace R_i with f(R_i) not inside R_i, else None."""
+    """The index of the first eigenspace R_i with f(R_i) not inside R_i, else
+    None.  Computed once per operator in the observable's `answers`."""
+    key = ("commutant", f)
+    if key not in observable.answers:
+        observable.answers[key] = _first_non_invariant(f, observable)
+    return observable.answers[key]
+
+
+def _first_non_invariant(f: ExactMatrix, observable: Observable) -> int | None:
     n = observable.ambient_dim
     if f.rows != n or f.cols != n:
         raise AmbientMismatch(f"operator {f.rows}x{f.cols} vs ambient {n}")
@@ -219,13 +228,8 @@ def non_invariant_eigenspace(f: ExactMatrix, observable: Observable) -> int | No
 def in_commutant(f: ExactMatrix, observable: Observable) -> bool:
     """Exact commutation with every eigenprojector P_i, checked on eigenspaces:
     f P_i = P_i f for all i iff f(R_i) ⊆ R_i for all i.  (⇒) f(R_i) = f P_i(ℂⁿ)
-    = P_i f(ℂⁿ) ⊆ R_i; (⇐) with v = Σ v_j, v_j in R_j, P_i f v = f v_i = f P_i v.
-    Computed once per operator in the observable's `answers`."""
-    key = ("commutant", f)
-    answer = observable.answers.get(key)
-    if answer is None:
-        answer = observable.answers[key] = non_invariant_eigenspace(f, observable) is None
-    return answer
+    = P_i f(ℂⁿ) ⊆ R_i; (⇐) with v = Σ v_j, v_j in R_j, P_i f v = f v_i = f P_i v."""
+    return non_invariant_eigenspace(f, observable) is None
 
 
 def observable_leq(rho: Observable, rho_prime: Observable) -> bool:

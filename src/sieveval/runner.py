@@ -130,20 +130,20 @@ class SiteRun:
         return characteristic_table(self.site, self.true_t, self.propositions_l)
 
 
-def site_run(functors: SiteFunctors, stage: int, r_space: Subspace) -> SiteRun:
-    """A run on one site, σ picking the projection onto r_space."""
+def site_run(functors: SiteFunctors, stage: int, r_space: Subspace, universe: Universe) -> SiteRun:
+    """A run on one site: σ picks the projection onto r_space, T is cut from L over `universe`."""
     sigma = atom_global_element(functors.site, functors.atoms_a, r_space)
-    return SiteRun(functors, stage, r_space, sigma, true_subobject(sigma, functors.propositions_l))
+    return SiteRun(functors, stage, r_space, sigma, true_subobject(sigma, functors.propositions_l, universe))
 
 
 class SiteMemo:
     """Every site one build makes, each made on its first read and kept,
     keyed by what it depends on: `plain[rho]` is the plain site of
-    observable index rho, with its functors, and its op map;
-    `plain_below[rho][obj]` that site below its object obj (Eq 3.56);
-    `extended[family]` the full extended site of a sorted tuple of
-    observable indices; `restricted[family, obj]` that site below its
-    object obj, with its functors; `slices[family][k]` its §4.1 slice at k
+    observable index rho, with its functors; `plain_below[rho][obj]` that
+    site below its object obj (Eq 3.56); `extended[family]` the full
+    extended site of a sorted tuple of observable indices;
+    `restricted[family, obj]` that site below its object obj, with its
+    functors; `slices[family][k]` its §4.1 slice at k, a plain site
     (`restrict_to_rho`); and `contexts[family, obj, rho]` the bridge from
     the restricted site's stage at obj to the plain site of observable index
     rho.  The tables' functions hold the build's inputs and one another,
@@ -156,12 +156,11 @@ class SiteMemo:
         def functors(site: Site) -> SiteFunctors:
             return SiteFunctors(site, sieve_cap, proposition_presheaf(site, universe), atom_presheaf(site))
 
-        def plain_site(rho: int) -> tuple[SiteFunctors, tuple[int, ...]]:
-            site, op_map = build_plain_site(scenario.observables[rho], monoid, seeds, orbit_cap)
-            return functors(site), op_map
+        def plain_site(rho: int) -> SiteFunctors:
+            return functors(build_plain_site(scenario.observables[rho], monoid, seeds, orbit_cap))
 
         def plain_below(rho: int) -> LazyTable:
-            site = plain[rho][0].site
+            site = plain[rho].site
             return LazyTable(lambda obj: restrict_down(site, obj))
 
         def extended_site(family: tuple[int, ...]) -> ExtendedSite:
@@ -175,9 +174,8 @@ class SiteMemo:
         def context(key: tuple[tuple[int, ...], int, int]) -> BridgeContext:
             family, obj, rho = key
             full, rest = extended[family], restricted[family, obj].site
-            plain_functors, op_map = plain[rho]
             stage = rest.object_index(full.object_ray(obj), full.object_rho(obj))
-            return make_bridge_context(rest, stage, plain_functors.site, op_map)
+            return make_bridge_context(rest, stage, plain[rho].site)
 
         plain = LazyTable(plain_site)
         extended = LazyTable(extended_site)
@@ -202,7 +200,6 @@ class BuiltRun:
         r_space: Subspace,
         universe: Universe,
         universe_names: dict[Subspace, str],
-        plain_op_map: tuple[int, ...],
         atoms: TrueAtomSet,
         e_r: Subspace,
         floors: tuple[Sieve, ...],
@@ -210,7 +207,7 @@ class BuiltRun:
         plain_below: Mapping[int, PlainSite],
         ext_side: SiteRun | None = None,
         extended_full: ExtendedSite | None = None,
-        slices: Mapping[int, tuple[PlainSite, tuple[int, ...]]] | None = None,
+        slices: Mapping[int, PlainSite] | None = None,
         ctx: BridgeContext | None = None,
     ):
         self.scenario = scenario
@@ -219,7 +216,6 @@ class BuiltRun:
         self.r_space = r_space  # the chosen eigenspace of the run observable
         self.universe = universe
         self.universe_names = universe_names
-        self.plain_op_map = plain_op_map
         self.atoms = atoms
         self.e_r = e_r
         self.floors = floors  # every plain-site object's annihilator floor
@@ -281,7 +277,7 @@ def _build_run(
     observable = scenario.observables[rho_index]
     r_space = observable.eigenspaces[spec.eigenspace]
 
-    plain_functors, op_map = sites.plain[rho_index]
+    plain_functors = sites.plain[rho_index]
     plain = plain_functors.site
     atoms = compute_atoms(state, observable)
     e_r = atoms.atom_for_eigenspace(spec.eigenspace)
@@ -290,7 +286,7 @@ def _build_run(
             f"runs.{spec.name}.eigenspace",
             "the state projects to zero on the chosen eigenspace; no true atom there",
         )
-    plain_side = site_run(plain_functors, plain.ray_index(state.space), r_space)
+    plain_side = site_run(plain_functors, plain.ray_index(state.space), r_space, universe)
     floors = annihilator_floors(plain, r_space)
 
     ext_side = extended_full = slices = ctx = None
@@ -300,9 +296,9 @@ def _build_run(
         slices = sites.slices[family]
         obj = extended_full.object_index(state.space, family.index(rho_index))
         ctx = sites.contexts[family, obj, rho_index]
-        ext_side = site_run(sites.restricted[family, obj], ctx.stage, r_space)
+        ext_side = site_run(sites.restricted[family, obj], ctx.stage, r_space, universe)
     return BuiltRun(
-        scenario, spec, state, r_space, universe, names, op_map, atoms, e_r, floors,
+        scenario, spec, state, r_space, universe, names, atoms, e_r, floors,
         plain_side, sites.plain_below[rho_index], ext_side, extended_full, slices, ctx,
     )
 
@@ -434,6 +430,7 @@ def dump_site(scenario: Scenario) -> dict:
     """Deterministic dump of every site a scenario builds."""
     built = build_scenario(scenario)
     monoid = built.monoid
+    index = {f: i for i, f in enumerate(monoid.elements)}  # each operator's build-monoid index
     out = {
         "scenario": scenario.name,
         "dimension": scenario.dimension,
@@ -453,10 +450,10 @@ def dump_site(scenario: Scenario) -> dict:
             "run": run.spec.name,
             "plain": {
                 "observable": run.spec.observable,
-                "operator_indices": list(run.plain_op_map),
+                "operator_indices": [index[f] for f in plain.monoid.elements],
                 "objects": [serialize_subspace(r) for r in plain.rays],
                 "morphisms": [
-                    {"dom": a.dom, "op": run.plain_op_map[a.op], "cod": a.cod}
+                    {"dom": a.dom, "op": index[plain.operator_matrix(a.op)], "cod": a.cod}
                     for a in plain.arrows
                 ],
             },

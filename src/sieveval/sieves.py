@@ -46,10 +46,12 @@ The proposition functor L has the build's whole universe
 (`subspaces.Universe`) at every stage, so its positions are the
 universe's: each arrow's table is its operator's action row, one tuple
 shared by every arrow of that operator, and no operator is applied to
-build it.  A cut of L, such as the true subobject T, is read as one mask of
-positions per stage (`position_masks`): `filter_check` tests each stage
-mask against the universe's order and meet tables, and
-`characteristic_table` asks whether a transition lands in the mask.
+build it.  The true subobject T is cut from L by the universe's `above`
+mask of each stage's atom (by `leq` where the atom is not a member).  A cut
+of L is read as one mask of positions per stage (`position_masks`):
+`filter_check` tests each stage mask against the universe's order and meet
+tables, and `characteristic_table` asks whether a transition lands in the
+mask.
 
 Subfunctors: the true subobject of the proposition functor, and the
 semi-classifiers δΩ and ♮Ω of the classifier Ω, are each cut from their
@@ -434,9 +436,17 @@ def subpresheaf(m: Presheaf, keep: Callable[[int, Hashable], bool]) -> Presheaf:
     return Presheaf(site, values, positions, _index(values))
 
 
-def true_subobject(sigma: GlobalElement, propositions: Presheaf) -> Presheaf:
-    """Stage-wise up-sets of the transported atom inside the proposition functor."""
-    return subpresheaf(propositions, lambda o, p: leq(sigma.values[o], p))
+def true_subobject(sigma: GlobalElement, propositions: Presheaf, universe: Universe) -> Presheaf:
+    """Stage-wise up-sets of the transported atom inside the proposition
+    functor over `universe`, as masks of member positions: a member atom's
+    `above` mask, and `leq` against every member for any other atom."""
+    position = universe.position
+    masks = [
+        universe.above[position[atom]] if atom in position
+        else sum(1 << i for i, p in enumerate(universe) if leq(atom, p))
+        for atom in sigma.values
+    ]
+    return subpresheaf(propositions, lambda o, p: (masks[o] >> position[p]) & 1 == 1)
 
 
 def position_masks(n: Presheaf, m: Presheaf) -> tuple[int, ...]:

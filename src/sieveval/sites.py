@@ -15,8 +15,13 @@ holds the object's top, principals, implication and round-trip tables and
 sieve list.  All of them live as long as the site: nothing outside it
 holds a reference.
 
+An arrow's `op` indexes its own site's monoid; across sites an operator is
+named by its exact matrix (`operator_matrix`), so a plain site's arrow and
+its twin in an extended site share a matrix, not an index.
+
 Truncation policy: objects are the orbit of the declared seed states under
-the declared generator monoid, which is required to close within its cap.
+the declared generator monoid (`orbit`, read from the walk of
+`subspaces.operator_closure`), which is required to close within its cap.
 Every verified statement is a statement about this finite sub-site.
 """
 
@@ -34,7 +39,7 @@ from .errors import (
 from .linalg import ExactMatrix, identity_matrix, mat_mul
 from .modal import Observable, in_commutant, observable_leq, zero_augmented_atom_set
 from .sieves import Stage
-from .subspaces import Ray, Subspace, apply_operator
+from .subspaces import Ray, Subspace, apply_operator, operator_closure
 
 
 class OperatorMonoid(NamedTuple):
@@ -53,9 +58,6 @@ class OperatorMonoid(NamedTuple):
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def operator(self, i: int) -> ExactMatrix:
-        return self.elements[i]
 
 
 def close_monoid(
@@ -99,11 +101,8 @@ def close_monoid(
     return OperatorMonoid(tuple(elements), 0, tuple(generator_indices), table)
 
 
-def submonoid_commuting_with(
-    monoid: OperatorMonoid, observable: Observable
-) -> tuple[OperatorMonoid, tuple[int, ...]]:
-    """Intersect with a commutant.  Returns the sub-monoid and the index map
-    from sub-monoid positions back into the original element list."""
+def submonoid_commuting_with(monoid: OperatorMonoid, observable: Observable) -> OperatorMonoid:
+    """Intersect with a commutant, keeping the elements in their order."""
     keep = [i for i, f in enumerate(monoid.elements) if in_commutant(f, observable)]
     position = {orig: new for new, orig in enumerate(keep)}
     elements = tuple(monoid.elements[i] for i in keep)
@@ -111,35 +110,24 @@ def submonoid_commuting_with(
         tuple(position[monoid.mul(i, j)] for j in keep) for i in keep
     )
     generator_indices = tuple(position[g] for g in monoid.generator_indices if g in position)
-    return (
-        OperatorMonoid(elements, position[monoid.identity_index], generator_indices, table),
-        tuple(keep),
-    )
+    return OperatorMonoid(elements, position[monoid.identity_index], generator_indices, table)
 
 
 def orbit(
     monoid: OperatorMonoid, seeds: Sequence[Subspace], cap: int
-) -> tuple[Subspace, ...]:
-    """The nonzero images of the seeds under the monoid, seeds first."""
-    rays: list[Subspace] = []
-    seen: set[Subspace] = set()
-    for s in seeds:
-        if s not in seen:
-            seen.add(s)
-            rays.append(s)
-    cursor = 0
-    while cursor < len(rays):
-        base = rays[cursor]
-        cursor += 1
-        for f in monoid.elements:
-            image = apply_operator(f, base)
-            if image.is_zero or image in seen:
-                continue
-            if len(rays) >= cap:
-                raise OrbitExceeded(cap)
-            seen.add(image)
-            rays.append(image)
-    return tuple(rays)
+) -> tuple[tuple[Subspace, ...], tuple[tuple[int | None, ...], ...]]:
+    """The nonzero images of the seeds under the monoid, seeds first, and
+    per operator the index of each ray's image (None where it is zero),
+    read from the walk of `operator_closure`.  Every image is f(seed) for
+    some f of the finite monoid, so the walk ends; then more rays than both
+    the cap and the distinct seeds raise `OrbitExceeded`."""
+    members, action = operator_closure(seeds, monoid.elements)
+    keep = [i for i, space in enumerate(members) if not space.is_zero]
+    if len(keep) > max(cap, len(set(seeds))):
+        raise OrbitExceeded(cap)
+    ray_index = {i: r for r, i in enumerate(keep)}
+    images = tuple(tuple([ray_index.get(row[i]) for i in keep]) for row in action.values())
+    return tuple(members[i] for i in keep), images
 
 
 class Arrow(NamedTuple):
@@ -224,7 +212,7 @@ class Site:
         return self.objects[self.arrows[a].cod][1]
 
     def operator_matrix(self, op: int) -> ExactMatrix:
-        return self.monoid.operator(op)
+        return self.monoid.elements[op]
 
     def identity_arrow(self, o: int) -> int:
         return self._identity[o]
@@ -318,12 +306,7 @@ def _build(
     rho_leq = tuple(
         tuple(observable_leq(a, b) for b in observables) for a in observables
     )
-    rays = orbit(monoid, [s.space for s in seed_states], cap)
-    ray_index = {ray: i for i, ray in enumerate(rays)}
-    images: list[list[int | None]] = []
-    for f in monoid.elements:
-        row = (apply_operator(f, ray) for ray in rays)
-        images.append([None if image.is_zero else ray_index[image] for image in row])
+    rays, images = orbit(monoid, [s.space for s in seed_states], cap)
 
     # Atom sets are compared only across distinct observables, so a
     # one-observable site computes none; each observable keeps the ones it
@@ -354,14 +337,12 @@ def build_plain_site(
     monoid: OperatorMonoid,
     seed_states: Sequence[Ray],
     cap: int,
-) -> tuple[PlainSite, tuple[int, ...]]:
+) -> PlainSite:
     """The site of one observable over the part of `monoid` that commutes
-    with it.  Returns the site and the map from its operator indices back
-    into `monoid` (see `submonoid_commuting_with`)."""
-    submonoid, op_map = submonoid_commuting_with(monoid, observable)
+    with it (`submonoid_commuting_with`)."""
+    submonoid = submonoid_commuting_with(monoid, observable)
     commutes = [[True]] * len(submonoid)
-    site = _build(PlainSite, (observable,), submonoid, commutes, seed_states, cap)
-    return site, op_map
+    return _build(PlainSite, (observable,), submonoid, commutes, seed_states, cap)
 
 
 def build_extended_site(
@@ -381,7 +362,7 @@ def in_product_category(
     """Membership before the atom condition: the product-order category."""
     if not site.rho_leq[dom_rho][cod_rho]:
         return False
-    f = site.monoid.operator(op)
+    f = site.operator_matrix(op)
     if not in_commutant(f, site.observables[dom_rho]):
         return False
     return not apply_operator(f, site.rays[dom_ray]).is_zero
@@ -417,12 +398,10 @@ def restrict_down(site: Site, obj: int) -> Site:
     return type(site)(site.observables, site.monoid, site.rays, objects, arrows, site.rho_leq)
 
 
-def restrict_to_rho(site: ExtendedSite, rho: int) -> tuple[PlainSite, tuple[int, ...]]:
+def restrict_to_rho(site: ExtendedSite, rho: int) -> PlainSite:
     """The fixed-rho wide subcategory, rebuilt independently as a plain site.
-
-    Returns the plain site together with the map from sub-monoid operator
-    indices back to the extended site's monoid indices.
-    """
+    Its operators are the extended site's that commute with observable rho,
+    in the same order; an arrow's twin is the one with the same matrix."""
     return build_plain_site(
         site.observables[rho],
         site.monoid,

@@ -13,7 +13,8 @@ an elimination with join.  `projector_matrix` is computed on the integer
 boundary: the input of `subspace_from_vectors`, the basis that `vectors`,
 `serialize` and `__str__` read, and the structural hash, computed once per
 interned subspace.  The zero space ({0}, dim 0) and the whole space (the
-unit proposition) are first-class values.  A finite `Universe` of
+unit proposition) are first-class values.  `operator_closure` is the one
+walk that closes subspaces under operator images; a finite `Universe` of
 subspaces tabulates its order, meets and operator action by position, once
 (`close_universe`).  Join and meet commute, so each
 unordered pair is eliminated once: the argument order whose first operand
@@ -313,11 +314,14 @@ class Universe:
         return self.members[i]
 
 
-def close_universe(seeds: Iterable[Subspace], operators: Sequence[ExactMatrix]) -> Universe:
+def operator_closure(
+    seeds: Iterable[Subspace], operators: Sequence[ExactMatrix]
+) -> tuple[tuple[Subspace, ...], dict[ExactMatrix, tuple[int, ...]]]:
     """The seeds and their images under the operators, closed: members are
     listed as first reached, the seeds first, then the images of each member
     in turn, operator by operator.  Each image is computed once, and its
-    position recorded in the operator's action row."""
+    position recorded in the operator's row, keyed by the operator.  The
+    package's one walk that applies operators to a growing set of subspaces."""
     members: list[Subspace] = []
     position: dict[Subspace, int] = {}
 
@@ -336,7 +340,12 @@ def close_universe(seeds: Iterable[Subspace], operators: Sequence[ExactMatrix]) 
         cursor += 1
         for row, f in zip(rows, operators):
             row.append(add(apply_operator(f, base)))
-    return Universe(tuple(members), {f: tuple(row) for f, row in zip(operators, rows)})
+    return tuple(members), {f: tuple(row) for f, row in zip(operators, rows)}
+
+
+def close_universe(seeds: Iterable[Subspace], operators: Sequence[ExactMatrix]) -> Universe:
+    """The `operator_closure` of the seeds, as a `Universe`."""
+    return Universe(*operator_closure(seeds, operators))
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ def qubit_monoid():
 
 @pytest.fixture
 def qubit_site():
-    site, _ = build_plain_site(
+    site = build_plain_site(
         qubit_observable(), qubit_monoid(), [ray_from_vector([1, 1])], cap=16
     )
     return site

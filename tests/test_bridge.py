@@ -27,6 +27,7 @@ from sieveval.bridge import (
     _lift_mask,
     sharp_by_intersection,
 )
+from sieveval.errors import InternalCheckError
 from sieveval.sieves import (
     atom_global_element,
     atom_presheaf,
@@ -66,9 +67,59 @@ def bridge_setup():
     stage_full = extended.object_index(span([1, 1]), 0)
     rest = restrict_down(extended, stage_full)
     stage = rest.object_index(span([1, 1]), 0)
-    plain, op_map = build_plain_site(unit, monoid, [ray_from_vector([1, 1])], cap=16)
-    ctx = make_bridge_context(rest, stage, plain, op_map)
+    plain = build_plain_site(unit, monoid, [ray_from_vector([1, 1])], cap=16)
+    ctx = make_bridge_context(rest, stage, plain)
     return ctx
+
+
+def _named(ctx):
+    """The arrow correspondence with each arrow named by its operator matrix
+    and codomain ray, so that it reads the same whatever the numbering."""
+    plain, ext = ctx.plain, ctx.extended
+
+    def name(site, a):
+        return site.operator_matrix(site.arrow_op(a)), site.object_ray(site.arrow_cod(a))
+
+    return {name(plain, a): name(ext, b) for a, b in ctx.plain_to_ext.items()}
+
+
+def test_arrows_are_matched_by_operator_matrix(bridge_setup):
+    """Twin arrows carry the same matrix and reach the same ray.  A plain site
+    over a separately closed, equal monoid, or over one closed from the
+    generators in the other order (so numbered differently), gets the same
+    correspondence."""
+    ctx = bridge_setup
+    named = _named(ctx)
+    assert len(named) == len(ctx.ext_to_plain) == 3
+    assert all(plain == ext for plain, ext in named.items())
+    unit, state = ctx.plain.observable, [ray_from_vector([1, 1])]
+    p1, p2 = diagonal_matrix([1, 0]), diagonal_matrix([0, 1])
+    for generators in ([p1, p2], [p2, p1]):
+        monoid = close_monoid(generators, cap=8)
+        assert monoid is not ctx.extended.monoid
+        other = make_bridge_context(ctx.extended, ctx.stage, build_plain_site(unit, monoid, state, cap=16))
+        assert _named(other) == named
+    assert close_monoid([p2, p1], cap=8).elements != ctx.extended.monoid.elements
+
+
+def test_a_plain_arrow_without_an_extended_twin_is_an_internal_error(bridge_setup):
+    """The plain site's monoid also holds Z, which the extended site lacks."""
+    ctx = bridge_setup
+    generators = [diagonal_matrix([1, 0]), diagonal_matrix([0, 1]), diagonal_matrix([1, -1])]
+    monoid = close_monoid(generators, cap=16)
+    plain = build_plain_site(ctx.plain.observable, monoid, [ray_from_vector([1, 1])], cap=16)
+    with pytest.raises(InternalCheckError, match="plain arrow without an extended twin"):
+        make_bridge_context(ctx.extended, ctx.stage, plain)
+
+
+def test_an_extended_arrow_without_a_plain_twin_is_an_internal_error(bridge_setup):
+    """The plain site's monoid is the identity alone, so the projector arrows
+    that stay at the stage observable have no plain twin."""
+    ctx = bridge_setup
+    monoid = close_monoid([], cap=1, dim=2)
+    plain = build_plain_site(ctx.plain.observable, monoid, [ray_from_vector([1, 1])], cap=16)
+    with pytest.raises(InternalCheckError, match="extended fixed-rho arrow without a plain twin"):
+        make_bridge_context(ctx.extended, ctx.stage, plain)
 
 
 def sieves_on(site, o, cap):
@@ -213,10 +264,11 @@ def test_single_rho_site_is_trivially_natural():
 def extended_presheaves(bridge_setup):
     ctx = bridge_setup
     rest = ctx.extended
-    propositions = proposition_presheaf(rest, close_universe(UNIVERSE, rest.monoid.elements))
+    universe = close_universe(UNIVERSE, rest.monoid.elements)
+    propositions = proposition_presheaf(rest, universe)
     atoms = atom_presheaf(rest)
     sigma = atom_global_element(rest, atoms, full_space(2))
-    true_t = true_subobject(sigma, propositions)
+    true_t = true_subobject(sigma, propositions, universe)
     return rest, propositions, true_t
 
 

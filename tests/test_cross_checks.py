@@ -70,12 +70,12 @@ def sample_sites():
     p1, p2, sz = diagonal_matrix([1, 0]), diagonal_matrix([0, 1]), diagonal_matrix([1, -1])
     monoid = close_monoid([p1, p2, sz], cap=16)
     psi = Ray(span([gaussian(1), gaussian(0, 1)]))
-    yield build_plain_site(z, monoid, [psi], cap=16)[0]
+    yield build_plain_site(z, monoid, [psi], cap=16)
     coarse3 = Observable("R", (span([1, 0, 0]), span([0, 1, 0], [0, 0, 1])))
     q1 = diagonal_matrix([1, 0, 0])
     q23 = diagonal_matrix([0, 1, 1])
     monoid3 = close_monoid([q1, q23], cap=16)
-    yield build_plain_site(coarse3, monoid3, [Ray(span([1, 1, 1]))], cap=16)[0]
+    yield build_plain_site(coarse3, monoid3, [Ray(span([1, 1, 1]))], cap=16)
     built = build_scenario(load_scenario(bundled_scenario_path("qubit_extended")))
     yield built.runs[0].extended_full  # a multi-observable site
 
@@ -148,8 +148,8 @@ def build_fixture(state_vector, extra_props):
     stage_full = extended.object_index(state.space, 0)
     rest = restrict_down(extended, stage_full)
     stage = rest.object_index(state.space, 0)
-    plain, op_map = build_plain_site(unit, monoid, [state], cap=32)
-    ctx = make_bridge_context(rest, stage, plain, op_map)
+    plain = build_plain_site(unit, monoid, [state], cap=32)
+    ctx = make_bridge_context(rest, stage, plain)
     universe = {zero_space(2), full_space(2), state.space}
     universe.update(extra_props)
     for f in monoid.elements:
@@ -165,11 +165,12 @@ def build_fixture(state_vector, extra_props):
 def test_random_states_oracle_and_bridge(state_vector, extra_props):
     ctx, state, universe = build_fixture(state_vector, extra_props)
     plain = ctx.plain
-    propositions = proposition_presheaf(plain, close_universe(universe, plain.monoid.elements))
+    closed = close_universe(universe, plain.monoid.elements)
+    propositions = proposition_presheaf(plain, closed)
     atoms = atom_presheaf(plain)
     r = full_space(2)
     sigma = atom_global_element(plain, atoms, r)
-    true_t = true_subobject(sigma, propositions)
+    true_t = true_subobject(sigma, propositions, closed)
     table = characteristic_table(plain, true_t, propositions)
     for o in range(plain.n_objects):
         for p in universe:
@@ -198,7 +199,7 @@ def test_random_states_fine_observable_floor_and_monotonicity(state_vector, extr
         cap=16,
     )
     state = Ray(subspace_from_vectors(2, [state_vector]))
-    site, _ = build_plain_site(z, monoid, [state], cap=32)
+    site = build_plain_site(z, monoid, [state], cap=32)
     stage = site.ray_index(state.space)
     universe = {zero_space(2), full_space(2), state.space}
     universe.update(extra_props)

@@ -1,14 +1,18 @@
 """Each observable's table of answers (`Observable.answers`).
 
-An observable answers `observable_leq(self, other)`, `in_commutant(f, self)`
-and `zero_augmented_atom_set(ray, self)` once each and keeps the answer.
+An observable answers `observable_leq(self, other)`,
+`non_invariant_eigenspace(f, self)` (which `in_commutant` and the scenario's
+`commutant_of` check read) and `zero_augmented_atom_set(ray, self)` once
+each and keeps the answer.
 Differential: after a cold check of every bundled scenario, every kept
 answer equals a fresh computation that reads no answer table.  Growth: repeated
 checks of one loaded scenario ask nothing new.  Ownership: equal
 observables keep separate tables.
 """
 
+import json
 from collections import Counter
+from pathlib import Path
 
 from sieveval import (
     Observable,
@@ -20,6 +24,7 @@ from sieveval import (
     subspace_from_vectors,
     zero_space,
 )
+from sieveval import modal
 from sieveval.modal import (
     compute_atoms,
     in_commutant,
@@ -27,7 +32,7 @@ from sieveval.modal import (
     observable_leq,
     zero_augmented_atom_set,
 )
-from sieveval.subspaces import Ray, leq
+from sieveval.subspaces import Ray, apply_operator, leq
 
 
 def span(*vs):
@@ -44,7 +49,8 @@ def fresh_answer(observable, kind, key):
     if kind == "leq":
         return fresh_refines(observable, key)
     if kind == "commutant":
-        return non_invariant_eigenspace(key, observable) is None
+        images = [apply_operator(key, r) for r in observable.eigenspaces]
+        return next((i for i, r in enumerate(observable.eigenspaces) if not leq(images[i], r)), None)
     assert kind == "atoms", kind
     return frozenset(compute_atoms(Ray(key), observable).zero_augmented)
 
@@ -64,6 +70,40 @@ def test_every_kept_answer_equals_a_fresh_computation():
                 assert answer == fresh_answer(observable, kind, key), (observable.name, kind)
                 kinds[kind] += 1
     assert set(kinds) == {"leq", "commutant", "atoms"}, kinds
+
+
+def test_a_cold_check_evaluates_each_commutant_question_once(monkeypatch):
+    """Loading (each generator's `commutant_of`) and checking every bundled
+    scenario evaluate each (operator, observable) pair once."""
+    evaluations = Counter()
+    evaluate = modal._first_non_invariant
+
+    def counted(f, observable):
+        # Equal observables of two scenarios are two keys; every scenario is
+        # loaded before the first check, so no id is reused.
+        evaluations[f, id(observable)] += 1
+        return evaluate(f, observable)
+
+    monkeypatch.setattr(modal, "_first_non_invariant", counted)
+    checked_scenarios()
+    assert sum(evaluations.values()) == 47
+    assert set(evaluations.values()) == {1}
+
+
+def test_a_declared_commutant_is_answered_by_the_table():
+    """The `commutant_of` check at load keeps its answer, for the sites to
+    read: each declared generator's entry says it commutes."""
+    declared = 0
+    for name in bundled_scenario_names():
+        path = bundled_scenario_path(name)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))["generators"]
+        scenario = load_scenario(path)
+        observables = {observable.name: observable for observable in scenario.observables}
+        for entry, f in zip(raw, scenario.generators):
+            if "commutant_of" in entry:
+                assert observables[entry["commutant_of"]].answers[("commutant", f)] is None
+                declared += 1
+    assert declared == 13
 
 
 def test_repeated_checks_ask_no_new_question():

@@ -344,7 +344,7 @@ def _cyclic_site(table):
     monoid = close_monoid([diagonal_matrix([gaussian(0, 1)])], cap=4)
     monoid = OperatorMonoid(monoid.elements, monoid.identity_index, monoid.generator_indices, table(monoid.table))
     unit = Observable("unit", (full_space(1),))
-    site, _ = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=1)
+    site = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=1)
     return site
 
 
@@ -373,7 +373,7 @@ def two_rays_without_identity_at_1():
     """The two-ray, identity-only site, and a copy with object 1's identity removed."""
     e1, e2 = span([1, 0]), span([0, 1])
     monoid = close_monoid([], cap=1, dim=2)
-    site, _ = build_plain_site(
+    site = build_plain_site(
         Observable("Z", (e1, e2)), monoid, [ray_from_vector([1, 0]), ray_from_vector([0, 1])], cap=2
     )
     kept = tuple(a for a in site.arrows if a.dom == 0)

@@ -145,7 +145,7 @@ def test_sites_and_presheaves_are_equal_only_to_themselves():
     def site():
         z = Observable("Z", (span([1, 0]), span([0, 1])))
         monoid = close_monoid([diagonal_matrix([1, 0]), diagonal_matrix([0, 1])], cap=16)
-        return build_plain_site(z, monoid, [ray_from_vector([1, 1])], cap=16)[0]
+        return build_plain_site(z, monoid, [ray_from_vector([1, 1])], cap=16)
 
     a, b = site(), site()
     assert a == a and a != b and len({a, b}) == 2

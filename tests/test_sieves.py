@@ -83,10 +83,11 @@ def qubit_universe(site):
 @pytest.fixture
 def qubit_setup(qubit_site):
     site = qubit_site
-    propositions = proposition_presheaf(site, qubit_universe(site))
+    universe = qubit_universe(site)
+    propositions = proposition_presheaf(site, universe)
     atoms = atom_presheaf(site)
     sigma = atom_global_element(site, atoms, span([1, 0]))
-    true_t = true_subobject(sigma, propositions)
+    true_t = true_subobject(sigma, propositions, universe)
     return site, propositions, atoms, sigma, true_t
 
 
@@ -111,7 +112,7 @@ def test_omega_census_qubit(qubit_site):
 def test_omega_census_single_object():
     monoid = close_monoid([], cap=2, dim=2)
     z = Observable("Z", (span([1, 0]), span([0, 1])))
-    site, _ = build_plain_site(z, monoid, [ray_from_vector([1, 0])], cap=4)
+    site = build_plain_site(z, monoid, [ray_from_vector([1, 0])], cap=4)
     stage = sieves_on(site, 0, 8)
     assert len(stage) == 2  # empty and identity-only
 
@@ -264,9 +265,9 @@ def test_extended_filter_rows_count_meets_outside_the_universe():
 def test_a_true_subobject_that_is_no_subfunctor_fails_every_row_reading_the_verdict(monkeypatch):
     from sieveval import runner
 
-    def without_a_transition_image(sigma, propositions):
+    def without_a_transition_image(sigma, propositions, universe):
         """The true subobject less one image of a kept value along an arrow."""
-        honest = true_subobject(sigma, propositions)
+        honest = true_subobject(sigma, propositions, universe)
         site = propositions.site
         a = next(a for a in range(len(site.arrows)) if site.arrow_dom(a) != site.arrow_cod(a))
         cod = site.arrow_cod(a)
@@ -287,7 +288,7 @@ def test_a_closed_true_subobject_that_is_not_the_true_propositions_fails_eq_3_12
     whose valuation is the top sieve is in it."""
     from sieveval import runner
 
-    def empty(sigma, propositions):
+    def empty(sigma, propositions, universe):
         return sieves.subpresheaf(propositions, lambda o, p: False)
 
     monkeypatch.setattr(runner, "true_subobject", empty)
@@ -384,7 +385,7 @@ def test_bottom_annihilator_examples(qubit_site):
     assert bottom_annihilator(site, 0, zero_space(2)) == top_sieve(site, 0)
     monoid = close_monoid([diagonal_matrix([1, 0])], cap=4)
     z = Observable("Z", (span([1, 0]), span([0, 1])))
-    eigensite, _ = build_plain_site(z, monoid, [ray_from_vector([1, 0])], cap=4)
+    eigensite = build_plain_site(z, monoid, [ray_from_vector([1, 0])], cap=4)
     assert bottom_annihilator(eigensite, 0, span([1, 0])) == bottom_sieve(0)
 
 
@@ -459,7 +460,7 @@ def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
     delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
     # the OTHER eigenray's true subobject classifies outside this delta
     sigma2 = atom_global_element(site, atoms, span([0, 1]))
-    other_t = true_subobject(sigma2, propositions)
+    other_t = true_subobject(sigma2, propositions, qubit_universe(site))
     rows = semiclassifier_check(
         site, delta, omega, tau_values(site), [pair(site, other_t, propositions)]
     )
@@ -483,12 +484,12 @@ def test_semiclassifier_rejects_a_true_section_that_is_not_natural(qubit_setup):
 def test_semiclassifier_enumerated_uniqueness_small():
     monoid = close_monoid([], cap=2, dim=1)
     unit = Observable("unit", (full_space(1),))
-    site, _ = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
-    universe = [zero_space(1), full_space(1)]
-    propositions = proposition_presheaf(site, close_universe(universe, site.monoid.elements))
+    site = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
+    universe = close_universe([zero_space(1), full_space(1)], site.monoid.elements)
+    propositions = proposition_presheaf(site, universe)
     atoms = atom_presheaf(site)
     sigma = atom_global_element(site, atoms, full_space(1))
-    true_t = true_subobject(sigma, propositions)
+    true_t = true_subobject(sigma, propositions, universe)
     omega = omega_presheaf(site, cap=8)
     rows = semiclassifier_check(
         site, omega, omega, tau_values(site), [pair(site, true_t, propositions)]
@@ -514,13 +515,14 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
     # A four-proposition universe keeps the delta candidate count under the
     # default budget, so the default run enumerates every candidate map.
     site = qubit_site
-    universe = [zero_space(2), full_space(2), span([1, 0]), span([0, 1])]
-    propositions = proposition_presheaf(site, close_universe(universe, site.monoid.elements))
+    members = [zero_space(2), full_space(2), span([1, 0]), span([0, 1])]
+    universe = close_universe(members, site.monoid.elements)
+    propositions = proposition_presheaf(site, universe)
     atoms = atom_presheaf(site)
     omega = omega_presheaf(site, cap=64)
     delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
     subobjects = [
-        true_subobject(atom_global_element(site, atoms, r), propositions)
+        true_subobject(atom_global_element(site, atoms, r), propositions, universe)
         for r in (span([1, 0]), span([0, 1]))
     ]
     pairs = [pair(site, t, propositions) for t in subobjects]
@@ -532,10 +534,11 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
 def test_semiclassifier_uniqueness_modes_agree_single_object(monkeypatch):
     monoid = close_monoid([], cap=2, dim=1)
     unit = Observable("unit", (full_space(1),))
-    site, _ = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
-    propositions = proposition_presheaf(site, close_universe([zero_space(1), full_space(1)], site.monoid.elements))
+    site = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=2)
+    universe = close_universe([zero_space(1), full_space(1)], site.monoid.elements)
+    propositions = proposition_presheaf(site, universe)
     atoms = atom_presheaf(site)
-    true_t = true_subobject(atom_global_element(site, atoms, full_space(1)), propositions)
+    true_t = true_subobject(atom_global_element(site, atoms, full_space(1)), propositions, universe)
     omega = omega_presheaf(site, cap=8)
     enumerated, forced = _forced_and_enumerated(monkeypatch, site, omega, omega, [pair(site, true_t, propositions)])
     assert _verdicts(enumerated) == _verdicts(forced) == [(True, True, True, True)]

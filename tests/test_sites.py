@@ -9,6 +9,7 @@ from sieveval import (
     close_monoid,
     diagonal_matrix,
     identity_matrix,
+    in_commutant,
     load_scenario,
     mat_mul,
     matrix_from_rows,
@@ -97,14 +98,14 @@ def test_build_plain_site_qubit(qubit_site):
 
 def test_build_plain_site_eigenray():
     monoid = close_monoid([diagonal_matrix([1, 0]), diagonal_matrix([0, 1])], cap=8)
-    site, _ = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 0])], cap=8)
+    site = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 0])], cap=8)
     assert site.n_objects == 1
     assert len(site.arrows) == 2  # identity and the fixing projector
 
 
 def test_build_plain_site_discrete():
     monoid = close_monoid([], cap=2, dim=2)
-    site, _ = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 0])], cap=8)
+    site = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 0])], cap=8)
     assert site.n_objects == 1
     assert len(site.arrows) == 1
 
@@ -113,9 +114,8 @@ def test_build_plain_site_keeps_the_commutant():
     # the flip swaps Z's eigenspaces, so only the identity survives
     flip = matrix_from_rows([[0, 1], [1, 0]])
     monoid = close_monoid([flip], cap=8)
-    site, op_map = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 1])], cap=8)
+    site = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 1])], cap=8)
     assert len(monoid) == 2
-    assert op_map == (monoid.identity_index,)
     assert site.monoid.elements == (identity_matrix(2),)
     assert len(site.arrows) == site.n_objects == 1
 
@@ -124,6 +124,15 @@ def test_orbit_cap():
     monoid = close_monoid([diagonal_matrix([1, 0]), diagonal_matrix([0, 1])], cap=8)
     with pytest.raises(OrbitExceeded):
         build_plain_site(z_observable(), monoid, [ray_from_vector([1, 1])], cap=1)
+    # The cap counts rays beyond the seeds: distinct seeds that outnumber it
+    # pass while no operator reaches a new ray, and fail once one does.
+    seeds = [ray_from_vector(v) for v in ([1, 0], [0, 1], [1, 1], [1, 0])]
+    trivial = close_monoid([], cap=1, dim=2)
+    assert build_plain_site(z_observable(), trivial, seeds, cap=1).n_objects == 3
+    assert build_plain_site(z_observable(), monoid, seeds, cap=1).n_objects == 3
+    sign = close_monoid([diagonal_matrix([1, -1])], cap=2)  # reaches (1, -1) from (1, 1)
+    with pytest.raises(OrbitExceeded):
+        build_plain_site(z_observable(), sign, seeds, cap=3)
 
 
 def test_plain_site_category_laws(qubit_site):
@@ -190,17 +199,19 @@ def test_extended_site_category_laws():
 def test_restrict_to_rho_matches_plain():
     site = extended_qubit()
     for rho in (0, 1):
-        plain, op_map = restrict_to_rho(site, rho)
+        plain = restrict_to_rho(site, rho)
         fixed = {
-            (site.objects[m.dom][0], site.monoid.operator(m.op), site.objects[m.cod][0])
+            (site.objects[m.dom][0], site.operator_matrix(m.op), site.objects[m.cod][0])
             for m in site.arrows
             if site.object_rho(m.dom) == rho == site.object_rho(m.cod)
         }
-        rebuilt = {(a.dom, plain.monoid.operator(a.op), a.cod) for a in plain.arrows}
+        rebuilt = {(a.dom, plain.operator_matrix(a.op), a.cod) for a in plain.arrows}
         assert plain.rays == site.rays
         assert fixed == rebuilt
-        for sub_index, full_index in enumerate(op_map):
-            assert plain.monoid.operator(sub_index) == site.monoid.operator(full_index)
+        # The slice keeps the extended monoid's operators that commute with
+        # observable rho, in their order.
+        commuting = [f for f in site.monoid.elements if in_commutant(f, site.observables[rho])]
+        assert list(plain.monoid.elements) == commuting
 
 
 def arrow_keys(site):

@@ -8,7 +8,10 @@ Eq 3.2 row and the IB conditions read the order and the meets.
 Oracle: on every stage of both sides of every run of the bundled
 scenarios and of `chain_scenario(13, 2..5)`, `filter_check` on the
 stage's mask, and on each mask one member away from it, reports what a
-brute-force `leq`/`meet` loop over the stage's values reports.  Doctored
+brute-force `leq`/`meet` loop over the stage's values reports.  The true
+subobject is cut by the `above` mask of each stage's atom, with no `leq`
+call where the atom is a member (all 82 bundled stage atoms), and by `leq`
+elsewhere; both are the brute-force up-sets.  Doctored
 inputs: a true subobject missing an up-set member or an inner meet fails
 the filter rows, one wrong entry of an action row fails Eqs 3.11 and 4.19
 and the comparison of chi with the direct valuation, which never reads the
@@ -21,14 +24,24 @@ import weakref
 import pytest
 
 from sieveval import (
+    Observable,
+    Ray,
+    atom_global_element,
+    atom_presheaf,
+    build_plain_site,
     build_scenario,
     bundled_scenario_names,
     bundled_scenario_path,
+    close_monoid,
+    close_universe,
+    full_space,
     load_scenario,
+    proposition_presheaf,
     run_check,
     scenario_from_dict,
+    zero_space,
 )
-from sieveval import runner, subspaces
+from sieveval import runner, sieves, subspaces
 from sieveval.sieves import (
     bottom_sieve,
     filter_check,
@@ -115,6 +128,44 @@ def test_the_tables_are_what_leq_meet_and_the_operators_give():
                 assert universe[row[i]] is subspaces.apply_operator(f, p)
 
 
+def _up_sets(true_t, universe):
+    """T by brute force: at each stage, the members above the stage's atom."""
+    return tuple(tuple(p for p in universe if leq(atom, p)) for atom in true_t)
+
+
+def test_the_true_subobject_is_cut_by_the_order_table_at_member_atoms(monkeypatch):
+    """Every stage atom of the bundled runs is a universe member, so T is cut
+    by the universe's `above` masks alone: `sieves.leq` broken, it is the
+    brute-force up-sets."""
+    built = [_bundled(name) for name in bundled_scenario_names()]
+
+    def no_leq(p, q):
+        raise AssertionError("the cut called leq")
+
+    monkeypatch.setattr(sieves, "leq", no_leq)
+    atoms = 0
+    for b in built:
+        for side in _sides(b):
+            t = sieves.true_subobject(side.sigma, side.propositions_l, b.universe)
+            assert t.values == _up_sets(side.sigma.values, b.universe)
+            atoms += len(side.sigma.values)
+    assert atoms == 82
+
+
+def test_a_stage_atom_outside_the_universe_is_cut_by_leq():
+    z = Observable("Z", (_span(2, [[(1, 0), (0, 0)]]), _span(2, [[(0, 0), (1, 0)]])))
+    e1, plus = z.eigenspaces[0], _span(2, [[(1, 0), (1, 0)]])
+    monoid = close_monoid([], cap=1, dim=2)
+    site = build_plain_site(z, monoid, [Ray(plus)], cap=1)
+    sigma = atom_global_element(site, atom_presheaf(site), e1)
+    assert sigma.values == (e1,)
+    for seeds in ([zero_space(2), full_space(2), plus], [zero_space(2), e1, full_space(2)]):
+        universe = close_universe(seeds, monoid.elements)
+        t = sieves.true_subobject(sigma, proposition_presheaf(site, universe), universe)
+        assert t.values == _up_sets(sigma.values, universe)
+    assert t.values == ((e1, full_space(2)),)
+
+
 def test_a_build_frees_its_universe_with_it():
     built = _bundled("qutrit_extended")
     ref = weakref.ref(built.universe)
@@ -140,7 +191,9 @@ def _failed(report, tag):
 
 def _check_with_doctored_truth(monkeypatch, doctor):
     original = runner.true_subobject
-    monkeypatch.setattr(runner, "true_subobject", lambda sigma, l: doctor(original(sigma, l)))
+    monkeypatch.setattr(
+        runner, "true_subobject", lambda sigma, l, universe: doctor(original(sigma, l, universe))
+    )
     return run_check(load_scenario(bundled_scenario_path("qutrit_extended")))
 
 

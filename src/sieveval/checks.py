@@ -191,7 +191,7 @@ def _atom_agreement_row(built: BuiltScenario) -> dict:
     for state in sc.states.values():
         for obs in sc.observables:
             for r in obs.eigenspaces:
-                lattice_way = project_onto_eigenspace(state, r)
+                lattice_way = project_onto_eigenspace(state.space, r)
                 projector_way = apply_operator(projector_matrix(r), state.space)
                 pairs += 1
                 if lattice_way != projector_way:

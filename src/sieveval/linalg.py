@@ -3,7 +3,7 @@
 Scenario dimensions are tiny, so everything is dense and immutable.  An
 `ExactMatrix` stores its entries as (re, im) int pairs over one positive
 integer denominator, in lowest terms, so equal matrices have equal fields
-and compare as ints.  Products, conjugate transposes and inverses are
+and compare and hash as ints.  Products, conjugate transposes and inverses are
 computed on these integers; Gaussian rationals are read (`entries`) and
 written (`matrix_from_rows`, `diagonal_matrix`) only at
 the boundary.
@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrixError
-from .rationals import ZERO, GaussianRational, fraction_hash, gaussian
+from .rationals import ZERO, GaussianRational, gaussian
 
 Vector = tuple[GaussianRational, ...]
 IntegerRow = tuple[tuple[int, int], ...]
@@ -34,8 +34,9 @@ class ExactMatrix:
 
     The constructor brings the fraction to lowest terms: the denominator is
     positive and no integer above 1 divides it and every part of every
-    numerator.  The hash is the structural hash of (rows, cols, entries),
-    computed once, on first use, from the integers.
+    numerator.  These stored fields are the matrix's canonical form: equal
+    matrices have equal fields, and the hash, computed once on first use,
+    reads nothing else.
     """
 
     __slots__ = ("rows", "cols", "numerators", "denominator", "_hash")
@@ -65,18 +66,8 @@ class ExactMatrix:
         )
 
     def __hash__(self) -> int:
-        # A tuple's hash reads only its items' hashes, and an entry hashes as
-        # the pair of its parts, so pairs of part hashes stand in for `entries`.
         if self._hash is None:
-            d = self.denominator
-            if d == 1:  # an int hashes as the Fraction equal to it
-                parts = self.numerators
-            else:
-                parts = tuple(
-                    tuple((fraction_hash(a, d), fraction_hash(b, d)) for a, b in row)
-                    for row in self.numerators
-                )
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, parts)))
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.numerators, self.denominator)))
         return self._hash
 
     def __repr__(self) -> str:

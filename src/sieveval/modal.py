@@ -143,7 +143,7 @@ def compute_atoms(e: Ray, observable: Observable) -> TrueAtomSet:
     atoms: list[Subspace] = []
     indices: list[int] = []
     for i, r in enumerate(observable.eigenspaces):
-        projected = project_onto_eigenspace(e, r)
+        projected = project_onto_eigenspace(e.space, r)
         if not projected.is_zero:
             atoms.append(projected)
             indices.append(i)

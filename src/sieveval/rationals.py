@@ -12,9 +12,7 @@ equality and hashing are exact.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
-from math import gcd
 
 from .errors import ParseError
 
@@ -24,30 +22,15 @@ _IMAG_ONLY = re.compile(rf"([+-]?)((?:\d+(?:/\d+)?)?)\s*i\Z")
 _REAL_IMAG = re.compile(rf"({_RAT})\s*([+-])\s*((?:\d+(?:/\d+)?)?)\s*i\Z")
 
 
-def fraction_hash(a: int, d: int) -> int:
-    """`hash(Fraction(a, d))` for d > 0 without building the Fraction, by
-    CPython's rule: reduce to p/q, hash |p| times q's inverse modulo the hash
-    prime (infinite if q has none), give it p's sign, and read -1 as -2."""
-    common = gcd(a, d)
-    p, q = a // common, d // common
-    try:
-        value = hash(hash(abs(p)) * pow(q, -1, sys.hash_info.modulus))
-    except ValueError:
-        value = sys.hash_info.inf
-    if p < 0:
-        value = -value
-    return -2 if value == -1 else value
-
-
 class GaussianRational:
-    """Immutable; the hash is computed once (these values key many caches)."""
+    """Immutable; hashes as the pair of its parts, on each call (no cache is
+    keyed on scalars)."""
 
-    __slots__ = ("re", "im", "_hash")
+    __slots__ = ("re", "im")
 
     def __init__(self, re: Fraction, im: Fraction):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -58,9 +41,7 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.re, self.im)))
-        return self._hash
+        return hash((self.re, self.im))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"

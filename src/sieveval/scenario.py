@@ -178,7 +178,11 @@ def load_scenario(path: str | Path, env: dict | None = None) -> Scenario:
 def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("$", "scenario root must be an object")
-    name = data.get("name", default_name)
+    name = data.get("name")
+    if name is None:
+        name = default_name
+    elif not isinstance(name, str):
+        raise ValidationError("name", "expected a string")
     dim = data.get("dimension")
     if not _is_int(dim) or dim < 1:
         raise ValidationError("dimension", "must be a positive integer")
@@ -222,6 +226,10 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
             raise ValidationError(where, "expected an object with a matrix")
         matrix = _parse_matrix(raw["matrix"], dim, f"{where}.matrix")
         gname = raw.get("name", f"g{i}")
+        if not isinstance(gname, str):
+            raise ValidationError(f"{where}.name", "expected a string")
+        if gname in generator_names:
+            raise ValidationError(f"{where}.name", f"duplicate generator {gname!r}")
         declared_under = raw.get("commutant_of")
         if declared_under is not None:
             if not isinstance(declared_under, str) or declared_under not in observable_index:

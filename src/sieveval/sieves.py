@@ -410,7 +410,7 @@ def atom_global_element(site, atoms: Presheaf, r: Subspace) -> GlobalElement:
     """The section picking the projection onto a fixed eigenspace at each stage;
     `GlobalElement.validate` checks that it is one."""
     values = tuple(
-        project_onto_eigenspace(Ray(site.object_ray(o)), r) for o in range(site.n_objects)
+        project_onto_eigenspace(site.object_ray(o), r) for o in range(site.n_objects)
     )
     return GlobalElement(atoms, values)
 
@@ -537,7 +537,7 @@ def valuation_row(site, obj: int, r: Subspace, propositions: Sequence[Subspace])
     """Arrows F with F(P) above F of the stage atom, for each P.  The direct
     formula: the stage atom and each arrow's image of it are computed once
     per row."""
-    atom = project_onto_eigenspace(Ray(site.object_ray(obj)), r)
+    atom = project_onto_eigenspace(site.object_ray(obj), r)
     operators = [(1 << a, site.operator_matrix(site.arrow_op(a))) for a in site.arrows_from(obj)]
     arrows = [(bit, f, apply_operator(f, atom)) for bit, f in operators]
     return tuple([
@@ -585,7 +585,7 @@ def annihilator_floors(site, r: Subspace) -> tuple[Sieve, ...]:
     """Every object's annihilator floor: the arrows sending its true atom,
     the projection of its ray onto the eigenspace r, to the zero space."""
     return tuple(
-        bottom_annihilator(site, o, project_onto_eigenspace(Ray(site.object_ray(o)), r))
+        bottom_annihilator(site, o, project_onto_eigenspace(site.object_ray(o), r))
         for o in range(site.n_objects)
     )
 

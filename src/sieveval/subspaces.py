@@ -4,29 +4,28 @@ A subspace is stored as the nonzero rows of the reduced row echelon form
 of any spanning set, each in the canonical primitive Gaussian-integer form
 of `linalg.integer_rref` ((re, im) int pairs, pivot a positive integer).
 That form is unique, so subspaces are hash-consed on it: equal subspaces
-are one object, equality is identity, and the hash is structural.  Join,
-ortho and the image under an operator are integer eliminations on these
-rows; meet is (P^⊥ ∨ Q^⊥)^⊥ by De Morgan, and leq reduces the rows of one
-subspace against the pivot rows of the other, so the order does not share
-an elimination with join.  `projector_matrix` is computed on the integer
-`ExactMatrix` of the basis.  Gaussian rationals appear only at the
-boundary: the input of `subspace_from_vectors`, the basis that `vectors`,
-`serialize` and `__str__` read, and the structural hash, computed once per
-interned subspace.  The zero space ({0}, dim 0) and the whole space (the
-unit proposition) are first-class values.  `operator_closure` is the one
-walk that closes subspaces under operator images; a finite `Universe` of
+are one object, equality is identity, and the hash is the hash of
+(ambient_dim, rows).  Join, ortho and the image under an operator are
+integer eliminations on these rows; meet is (P^⊥ ∨ Q^⊥)^⊥ by De Morgan,
+and leq reduces the rows of one subspace against the pivot rows of the
+other, so the order does not share an elimination with join.
+`projector_matrix` is computed on the integer `ExactMatrix` of the basis.
+Gaussian rationals appear only at the boundary: the input of
+`subspace_from_vectors` and the basis that `vectors`, `serialize` and
+`__str__` read.  The zero space ({0}, dim 0) and the whole space (the unit
+proposition) are first-class values.  `operator_closure` is the one walk
+that closes subspaces under operator images; a finite `Universe` of
 subspaces tabulates its order, meets and operator action by position, once
-(`close_universe`).  Join and meet commute, so each
-unordered pair is eliminated once: the argument order whose first operand
-has the larger interning serial calls the other, and both orders return the
-one interned result.  Serials count interning events, so which order
-eliminates, and every count of calls and cache entries, is the same in any
-interpreter that makes the same calls, whatever its memory addresses.
+(`close_universe`).  Join and meet commute, so each unordered pair is
+eliminated once: the argument order whose first operand has the larger
+rows calls the other, and both orders return the one interned result.
+Which order eliminates, and so every count of calls and cache entries, is
+a function of the two values, not of which one the process met first or
+where it lives in memory.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import weakref
 from functools import lru_cache
@@ -59,21 +58,17 @@ class Subspace:
     `full_space`.  They take their instance from a process-wide weak-valued
     intern table, so equal subspaces are the same object and equality is
     identity.  `rows` are the canonical Gaussian-integer RREF rows, one per
-    basis vector.  The hash is the structural hash of (ambient_dim, basis),
-    the basis being the rows divided by their pivots as Gaussian-rational
-    columns; it is computed once, when the subspace is interned, so set and
-    dict iteration orders do not depend on interning or on the row form.
-    `serial` numbers the subspaces in the order they were interned; it
-    orients the pairs of `join` and `meet` and nothing else.
+    basis vector, and with `ambient_dim` they are the subspace's one key:
+    the intern table's, and the hash's, computed once when the subspace is
+    interned.
     """
 
-    __slots__ = ("ambient_dim", "rows", "serial", "_hash", "__weakref__")
+    __slots__ = ("ambient_dim", "rows", "_hash", "__weakref__")
 
-    def __init__(self, ambient_dim: int, rows: tuple[IntegerRow, ...], serial: int):
+    def __init__(self, ambient_dim: int, rows: tuple[IntegerRow, ...]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "serial", serial)
-        object.__setattr__(self, "_hash", hash((ambient_dim, self._basis())))
+        object.__setattr__(self, "_hash", hash((ambient_dim, rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -103,12 +98,6 @@ class Subspace:
         """The basis: each canonical row divided by its pivot."""
         return [rational_row(row) for row in self.rows]
 
-    def _basis(self) -> ExactMatrix:
-        """The basis vectors as the columns of a matrix."""
-        numerators, scale = _over_pivots(self.rows)
-        n = self.ambient_dim
-        return ExactMatrix(n, self.dim, tuple(zip(*numerators)) or ((),) * n, scale)
-
     def serialize(self) -> list[list[str]]:
         return [[format_scalar(e) for e in v] for v in self.vectors()]
 
@@ -125,7 +114,6 @@ class Subspace:
 # identity; weak-valued, so it keeps nothing alive.
 _INTERNED: "weakref.WeakValueDictionary[tuple, Subspace]" = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
-_SERIALS = itertools.count()  # advanced under the lock
 
 
 def _interned(ambient_dim: int, rows: tuple[IntegerRow, ...]) -> Subspace:
@@ -135,7 +123,7 @@ def _interned(ambient_dim: int, rows: tuple[IntegerRow, ...]) -> Subspace:
         with _INTERN_LOCK:
             space = _INTERNED.get(key)
             if space is None:
-                space = Subspace(ambient_dim, rows, next(_SERIALS))
+                space = Subspace(ambient_dim, rows)
                 _INTERNED[key] = space
     return space
 
@@ -206,10 +194,10 @@ def _require_same_ambient(p: Subspace, q: Subspace) -> None:
 @lru_cache(maxsize=None)
 def join(p: Subspace, q: Subspace) -> Subspace:
     """P ∨ Q, once per unordered pair: the order whose first operand has the
-    larger serial defers.  Equal operands, {0} and the whole space need no
+    larger rows defers.  Equal operands, {0} and the whole space need no
     elimination."""
     _require_same_ambient(p, q)
-    if q.serial < p.serial:
+    if q.rows < p.rows:
         return join(q, p)
     if p is q or q.is_zero or p.is_full:
         return p
@@ -223,7 +211,7 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
     """P ∧ Q = (P^⊥ ∨ Q^⊥)^⊥, the orthocomplement being an involution that
     reverses the order (De Morgan); once per unordered pair, as `join`."""
     _require_same_ambient(p, q)
-    if q.serial < p.serial:
+    if q.rows < p.rows:
         return meet(q, p)
     if p.is_zero or q.is_zero:
         return zero_space(p.ambient_dim)
@@ -351,20 +339,21 @@ def close_universe(seeds: Iterable[Subspace], operators: Sequence[ExactMatrix]) 
 @lru_cache(maxsize=None)
 def projector_matrix(p: Subspace) -> ExactMatrix:
     """Exact orthogonal projector onto p: B (B*B)^-1 B*."""
+    n = p.ambient_dim
     if p.is_zero:
-        return zero_matrix(p.ambient_dim, p.ambient_dim)
-    b = p._basis()
+        return zero_matrix(n, n)
+    numerators, scale = _over_pivots(p.rows)
+    b = ExactMatrix(n, p.dim, tuple(zip(*numerators)), scale)  # the basis as columns
     b_star = conj_transpose(b)
     gram_inv = inverse(mat_mul(b_star, b))
     return mat_mul(b, mat_mul(gram_inv, b_star))
 
 
 @lru_cache(maxsize=None)
-def project_onto_eigenspace(e: Ray, r: Subspace) -> Subspace:
-    """The atom (e ∨ r^⊥) ∧ r, always of dim 0 or 1."""
-    space = e.space if isinstance(e, Ray) else e
-    _require_same_ambient(space, r)
-    result = meet(join(space, ortho(r)), r)
+def project_onto_eigenspace(e: Subspace, r: Subspace) -> Subspace:
+    """The atom (e ∨ r^⊥) ∧ r of the ray e, always of dim 0 or 1."""
+    _require_same_ambient(e, r)
+    result = meet(join(e, ortho(r)), r)
     if result.dim > 1:
         raise AmbientMismatch("projection of a ray produced dim > 1")  # pragma: no cover
     return result

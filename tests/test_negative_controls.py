@@ -1,0 +1,125 @@
+"""Negative controls: each row can fail.
+
+A row that says a statement holds shows something only if it fails when the
+statement does not.  Each control swaps one function that `checks` reads for
+a doctored one, runs `run_check` on a bundled scenario, and pins the exact
+set of (tag, run) rows that fail, so a control that starts failing another
+row, or stops failing its own, is noticed.  Each also asserts that the
+doctored function was called, so a row that stops reading it is noticed too.
+Undoctored, the same scenarios pass every row (`tests/test_golden.py`).
+
+The controls cover the rows that read the lattice of subspaces and the
+observables' answers: Eqs 2.1, 2.3, 2.4, 4.1 and 4.15 and Props B1 and B2.
+"""
+
+import pytest
+
+from sieveval import bundled_scenario_path, checks, load_scenario, subspace_from_vectors
+from sieveval.subspaces import ortho
+
+
+def span(*vectors):
+    return subspace_from_vectors(len(vectors[0]), list(vectors))
+
+
+def wrong_projector(projector_matrix):
+    """The projector onto e1 replaced by the projector onto its complement."""
+    e1 = span([1, 0])
+    return lambda r: projector_matrix(ortho(r) if r is e1 else r)
+
+
+def wrong_meet(meet):
+    """e1 ∧ e2 answered as e1 instead of {0}."""
+    e1, e2 = span([1, 0]), span([0, 1])
+    return lambda p, q: p if {p, q} == {e1, e2} else meet(p, q)
+
+
+def outsider_in_sublattice(enumerate_determinate_sublattice):
+    """Each run's determinate sublattice with the ray (1, 1) added, which
+    is neither above nor orthogonal to the run's atom."""
+    plus = span([1, 1])
+    return lambda atoms, cap, extra=(): enumerate_determinate_sublattice(atoms, cap, extra) + [plus]
+
+
+def irreflexive_order(observable_leq):
+    """No observable refines itself."""
+    return lambda a, b: a is not b and observable_leq(a, b)
+
+
+def no_unit_commutant(in_commutant):
+    """The trivial observable, the coarsest, commutes with nothing."""
+    return lambda f, observable: observable.name != "unit" and in_commutant(f, observable)
+
+
+def shrunken_atom_set(zero_augmented_atom_set):
+    """The `coarse` observable's atom sets lose their first nonzero atom."""
+
+    def doctored(ray, observable):
+        atoms = zero_augmented_atom_set(ray, observable)
+        if observable.name != "coarse":
+            return atoms
+        nonzero = sorted((a for a in atoms if not a.is_zero), key=lambda a: a.rows)
+        return atoms - {nonzero[0]}
+
+    return doctored
+
+
+def grown_atom_set(zero_augmented_atom_set):
+    """The `coarse` observable's atom sets gain the ray's complement, which
+    no finer atom set holds."""
+
+    def doctored(ray, observable):
+        atoms = zero_augmented_atom_set(ray, observable)
+        return atoms | {ortho(ray)} if observable.name == "coarse" else atoms
+
+    return doctored
+
+
+# tag -> (scenario, the function of `checks` doctored, doctor, the failing (tag, run) rows)
+CONTROLS = {
+    "Eq 2.1": ("qubit", "projector_matrix", wrong_projector, {("Eq 2.1", None)}),
+    "Eq 2.3": (
+        "qubit",
+        "enumerate_determinate_sublattice",
+        outsider_in_sublattice,
+        {("Eq 2.3", "z-up"), ("Eq 2.3", "z-down"), ("Eq 2.4", "z-up"), ("Eq 2.4", "z-down")},
+    ),
+    "Eq 2.4": ("qubit", "meet", wrong_meet, {("§2", None), ("Eq 2.4", "z-up"), ("Eq 2.4", "z-down")}),
+    "Eq 4.1": ("qutrit_extended", "observable_leq", irreflexive_order, {("Eq 4.1", None)}),
+    "Eq 4.15": ("qutrit_extended", "in_commutant", no_unit_commutant, {("Eq 4.15", None)}),
+    "Prop B1": (
+        "qutrit_extended",
+        "zero_augmented_atom_set",
+        shrunken_atom_set,
+        {("Prop B1", None), ("Prop B2", None)},
+    ),
+    "Prop B2": (
+        "qutrit_extended",
+        "zero_augmented_atom_set",
+        grown_atom_set,
+        {("Prop B1", None), ("Prop B2", None)},
+    ),
+}
+
+
+def failing_rows(name):
+    report = checks.run_check(load_scenario(bundled_scenario_path(name)))
+    return {(row["tag"], row["run"]) for row in report["rows"] if not row["passed"]}
+
+
+@pytest.mark.parametrize("tag", sorted(CONTROLS))
+def test_a_doctored_function_fails_its_row(tag, monkeypatch):
+    scenario, attribute, doctor, expected = CONTROLS[tag]
+    doctored = doctor(getattr(checks, attribute))
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return doctored(*args)
+
+    monkeypatch.setattr(checks, attribute, counted)
+    failing = failing_rows(scenario)
+    assert calls
+    assert tag in {row_tag for row_tag, _ in expected}
+    assert failing == expected

@@ -1,13 +1,11 @@
-import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sieveval import GaussianRational, format_scalar, gaussian, parse_scalar
 from sieveval.errors import ParseError
-from sieveval.rationals import fraction_hash
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -74,18 +72,3 @@ def test_multiplication_of_units():
     assert i * i == gaussian(-1)
     assert format_scalar(i * i) == "-1"
 
-
-MODULUS = sys.hash_info.modulus
-
-
-@given(st.integers(-(2**70), 2**70), st.integers(1, 2**70))
-@example(-1, 1)  # hashes to -2, not -1
-@example(-5, 5)  # a = -d
-@example(-(2**62), 2**62)
-@example(2**61 + 3, 7)
-@example(-(2**64), 3)
-@example(1, MODULUS)  # no inverse modulo the hash prime: the infinite hash
-@example(-2, 3 * MODULUS)
-@example(0, 9)
-def test_fraction_hash_is_the_fraction_hash(a, d):
-    assert fraction_hash(a, d) == hash(Fraction(a, d))

@@ -466,6 +466,10 @@ def test_extended_valuate_verdicts(capsys):
         assert verdicts["a"] and verdicts["b"] and verdicts["c"]
 
 
+# the projectors onto the two coordinate axes of the plane
+P1, P2 = [["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]
+
+
 @pytest.mark.parametrize(
     "overrides, field",
     [
@@ -486,6 +490,18 @@ def test_extended_valuate_verdicts(capsys):
         ),
         ({"caps": {"lattice": True}}, "caps.lattice: caps must be positive integers"),
         ({"caps": [1]}, "caps: expected an object"),
+        ({"name": ["a", 1]}, "name: expected a string"),
+        ({"name": 7}, "name: expected a string"),
+        ({"generators": [{"name": 1, "matrix": P1}]}, "generators[0].name: expected a string"),
+        ({"generators": [{"name": None, "matrix": P1}]}, "generators[0].name: expected a string"),
+        (
+            {"generators": [{"name": "p1", "matrix": P1}, {"name": "p1", "matrix": P2}]},
+            "generators[1].name: duplicate generator 'p1'",
+        ),
+        (
+            {"generators": [{"name": "g1", "matrix": P1}, {"matrix": P2}]},
+            "generators[1].name: duplicate generator 'g1'",
+        ),
     ],
 )
 def test_cli_rejects_malformed_fields(tmp_path, capsys, overrides, field):
@@ -506,3 +522,15 @@ def test_cli_rejects_nonpositive_env_caps(monkeypatch, capsys, raw):
     assert "Traceback" not in err
     with pytest.raises(ValidationError):
         effective_caps(None, env={"SIEVEVAL_CAP_MONOID": raw})
+
+
+@pytest.mark.parametrize("name", [None, "absent"])
+def test_an_absent_or_null_name_takes_the_file_name(tmp_path, capsys, name):
+    data = minimal_dict(name=name)
+    if name == "absent":
+        del data["name"]
+    path = tmp_path / "unnamed.json"
+    path.write_text(json.dumps(data))
+    assert load_scenario(path).name == "unnamed"
+    assert main(["check", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"] == "unnamed"

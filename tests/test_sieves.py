@@ -4,7 +4,6 @@ import pytest
 
 from sieveval import (
     Observable,
-    Ray,
     Sieve,
     apply_operator,
     bottom_annihilator,
@@ -399,7 +398,7 @@ def test_a_run_reads_every_floor_from_one_table():
             stage = run.plain_side.stage
             assert run.floors[stage] == bottom_annihilator(site, stage, run.e_r)
             for o, floor in enumerate(run.floors):
-                atom = project_onto_eigenspace(Ray(site.object_ray(o)), run.r_space)
+                atom = project_onto_eigenspace(site.object_ray(o), run.r_space)
                 assert floor == bottom_annihilator(site, o, atom)
 
 

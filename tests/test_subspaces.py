@@ -16,7 +16,6 @@ from sieveval import (
     ortho,
     project_onto_eigenspace,
     projector_matrix,
-    ray_from_vector,
     subspace_from_vectors,
     zero_space,
 )
@@ -92,18 +91,18 @@ def test_projector_matrix_is_hermitian_idempotent():
 
 
 def test_project_onto_eigenspace_examples():
-    e1 = ray_from_vector([1, 0])
+    e1 = span([1, 0])
     assert project_onto_eigenspace(e1, span([1, 0])) == span([1, 0])
     assert project_onto_eigenspace(e1, span([0, 1])) == zero_space(2)
-    w = ray_from_vector([1, 1, 1])
+    w = span([1, 1, 1])
     r23 = span([0, 1, 0], [0, 0, 1])
     assert project_onto_eigenspace(w, r23) == span([0, 1, 1])
 
 
 def test_projection_agrees_with_projector():
-    w = ray_from_vector([1, 1, 1])
+    w = span([1, 1, 1])
     for r in (span([1, 0, 0]), span([0, 1, 0], [0, 0, 1]), span([1, 1, 0])):
-        assert project_onto_eigenspace(w, r) == apply_operator(projector_matrix(r), w.space)
+        assert project_onto_eigenspace(w, r) == apply_operator(projector_matrix(r), w)
 
 
 def test_ray_requires_dim_one():

@@ -2,11 +2,12 @@
 
 Scenario dimensions are tiny, so everything is dense and immutable.  An
 `ExactMatrix` stores its entries as (re, im) int pairs over one positive
-integer denominator, in lowest terms, so equal matrices have equal fields
-and compare and hash as ints.  Products, conjugate transposes and inverses are
-computed on these integers; Gaussian rationals are read (`entries`) and
-written (`matrix_from_rows`, `diagonal_matrix`) only at
-the boundary.
+integer denominator, in lowest terms, so equal matrices have equal fields.
+Matrices are hash-consed on those fields, as subspaces are on theirs
+(`_interned`): equal matrices are one object, and equality and hash are
+identity.  Products, conjugate transposes and inverses are computed on these
+integers; Gaussian rationals are read (`entries`) and written
+(`matrix_from_rows`, `diagonal_matrix`) only at the boundary.
 
 There is one elimination, `integer_rref`: fraction-free Gauss-Jordan on
 Gaussian-integer rows, returning each row of the reduced row echelon form
@@ -18,6 +19,8 @@ nonzero entry, the one exact division.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -29,46 +32,55 @@ Vector = tuple[GaussianRational, ...]
 IntegerRow = tuple[tuple[int, int], ...]
 
 
+# One lock for every intern table: a lookup that misses looks again and
+# stores under it, so two threads never store two equal values.
+_INTERN_LOCK = threading.Lock()
+
+
+def _interned(table: weakref.WeakValueDictionary, cls: type, fields: tuple):
+    """The one instance of `cls` whose slots hold `fields`, in slot order.
+
+    `fields` is a canonical form, so equal values have equal fields; it is
+    the key of `table`, which is weak-valued and so keeps nothing alive.
+    The hash-consing of both exact value types: `ExactMatrix` and
+    `subspaces.Subspace`, whose equality and hash are identity.
+    """
+    value = table.get(fields)
+    if value is None:
+        with _INTERN_LOCK:
+            value = table.get(fields)
+            if value is None:
+                value = object.__new__(cls)
+                for name, field in zip(cls.__slots__, fields):
+                    object.__setattr__(value, name, field)
+                table[fields] = value
+    return value
+
+
 class ExactMatrix:
-    """Immutable dense matrix: entry (i, j) is numerators[i][j] / denominator.
+    """Immutable and hash-consed dense matrix: entry (i, j) is
+    numerators[i][j] / denominator.
 
     The constructor brings the fraction to lowest terms: the denominator is
     positive and no integer above 1 divides it and every part of every
-    numerator.  These stored fields are the matrix's canonical form: equal
-    matrices have equal fields, and the hash, computed once on first use,
-    reads nothing else.
+    numerator.  These stored fields are the matrix's canonical form, and the
+    constructor returns the one instance with them, so equal matrices are
+    one object and compare and hash by identity.
     """
 
-    __slots__ = ("rows", "cols", "numerators", "denominator", "_hash")
+    __slots__ = ("rows", "cols", "numerators", "denominator", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, rows: int, cols: int, numerators: tuple[IntegerRow, ...], denominator: int = 1):
+    def __new__(cls, rows: int, cols: int, numerators: tuple[IntegerRow, ...], denominator: int = 1):
         common = gcd(denominator, *(x for row in numerators for pair in row for x in pair))
         if common != 1:
             numerators = tuple(tuple((a // common, b // common) for a, b in row) for row in numerators)
             denominator //= common
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "_hash", None)
+        return _interned(_MATRICES, cls, (rows, cols, numerators, denominator))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.denominator == other.denominator
-            and self.numerators == other.numerators
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.numerators, self.denominator)))
-        return self._hash
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}, {self.cols}, {self.numerators!r}, {self.denominator})"
@@ -88,6 +100,10 @@ class ExactMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.entries) + "]"
+
+
+# (rows, cols, numerators, denominator) -> the one ExactMatrix with them.
+_MATRICES: "weakref.WeakValueDictionary[tuple, ExactMatrix]" = weakref.WeakValueDictionary()
 
 
 def _from_scalars(rows: int, cols: int, entries: Sequence[Sequence[GaussianRational]]) -> ExactMatrix:

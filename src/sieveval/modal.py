@@ -40,7 +40,10 @@ class Observable:
     answer reads besides the eigenspaces.  The table belongs to this
     instance alone: it is not part of equality or the hash, and an equal
     observable keeps its own.  No key refers to an observable, so the table
-    makes no reference cycle."""
+    makes no reference cycle.
+
+    A decomposition that is not valid raises `ValidationError` whose field
+    is the observable's own: "eigenspaces" or "labels"."""
 
     __slots__ = ("name", "eigenspaces", "labels", "answers")
 
@@ -52,28 +55,29 @@ class Observable:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "answers", {})
         if not self.eigenspaces:
-            raise ValidationError(self.name, "no eigenspaces")
+            raise ValidationError("eigenspaces", "no eigenspaces")
         n = self.eigenspaces[0].ambient_dim
         if any(r.ambient_dim != n for r in self.eigenspaces):
-            raise ValidationError(self.name, "eigenspaces in different ambient spaces")
-        if any(r.is_zero for r in self.eigenspaces):
-            raise OrthogonalityViolation(self.name, "zero eigenspace declared")
+            raise ValidationError("eigenspaces", "eigenspaces in different ambient spaces")
         for i, r in enumerate(self.eigenspaces):
-            for s in self.eigenspaces[i + 1 :]:
-                if not leq(r, ortho(s)):
-                    raise OrthogonalityViolation(
-                        self.name, f"eigenspaces {i} and later one are not orthogonal"
-                    )
+            if r.is_zero:
+                raise OrthogonalityViolation("eigenspaces", f"eigenspace {i} is the zero space")
+        for i, r in enumerate(self.eigenspaces):
+            for j in range(i + 1, len(self.eigenspaces)):
+                if not leq(r, ortho(self.eigenspaces[j])):
+                    raise OrthogonalityViolation("eigenspaces", f"eigenspaces {i} and {j} are not orthogonal")
         total = zero_space(n)
         for r in self.eigenspaces:
             total = join(total, r)
         if not total.is_full:
-            raise OrthogonalityViolation(self.name, "eigenspaces do not span the space")
+            raise OrthogonalityViolation("eigenspaces", "eigenspaces do not span the space")
         if self.labels is not None:
             if len(self.labels) != len(self.eigenspaces):
-                raise ValidationError(self.name, "label count != eigenspace count")
+                raise ValidationError(
+                    "labels", f"{len(self.labels)} labels for {len(self.eigenspaces)} eigenspaces"
+                )
             if len(set(self.labels)) != len(self.labels):
-                raise ValidationError(self.name, "labels are not distinct")
+                raise ValidationError("labels", "labels are not distinct")
 
     def __setattr__(self, name, value):
         raise AttributeError("Observable is immutable")
@@ -98,21 +102,21 @@ class Observable:
 
 
 def validate_matrix_decomposition(matrix: ExactMatrix, observable: Observable) -> None:
-    """Check that a matrix is scalar (with its declared label) on each eigenspace."""
+    """Check that a matrix is scalar (with its declared label) on each
+    eigenspace; a failure raises `ValidationError` at the observable's own
+    field "matrix"."""
     if observable.labels is None:
-        raise ValidationError(observable.name, "labels required to validate a matrix")
+        raise ValidationError("matrix", "labels required to validate a matrix")
     n = observable.ambient_dim
     if matrix.rows != n or matrix.cols != n:
-        raise ValidationError(observable.name, "matrix shape does not match ambient")
-    for r, label in zip(observable.eigenspaces, observable.labels):
+        raise ValidationError("matrix", "matrix shape does not match ambient")
+    for i, (r, label) in enumerate(zip(observable.eigenspaces, observable.labels)):
         lam = gaussian(label)
         for v in r.vectors():
             image = matrix.apply(v)
             expected = tuple(lam * e for e in v)
             if image != expected:
-                raise ValidationError(
-                    observable.name, f"matrix is not scalar {label} on eigenspace"
-                )
+                raise ValidationError("matrix", f"matrix is not scalar {label} on eigenspace {i}")
 
 
 class TrueAtomSet(NamedTuple):

@@ -212,9 +212,13 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
                 _parse_fraction(x, f"{where}.labels[{j}]")
                 for j, x in enumerate(_container(raw, "labels", list, f"{where}.labels"))
             )
-        obs = Observable(oname, spaces, labels)
-        if "matrix" in raw:
-            validate_matrix_decomposition(_parse_matrix(raw["matrix"], dim, f"{where}.matrix"), obs)
+        matrix = _parse_matrix(raw["matrix"], dim, f"{where}.matrix") if "matrix" in raw else None
+        try:
+            obs = Observable(oname, spaces, labels)
+            if matrix is not None:
+                validate_matrix_decomposition(matrix, obs)
+        except ValidationError as exc:  # anchored at the observable's own field
+            raise exc.__class__(f"{where}.{exc.field}", exc.reason) from None
         observable_index[oname] = len(observables)
         observables.append(obs)
 

@@ -3,9 +3,9 @@
 A subspace is stored as the nonzero rows of the reduced row echelon form
 of any spanning set, each in the canonical primitive Gaussian-integer form
 of `linalg.integer_rref` ((re, im) int pairs, pivot a positive integer).
-That form is unique, so subspaces are hash-consed on it: equal subspaces
-are one object, equality is identity, and the hash is the hash of
-(ambient_dim, rows).  Join, ortho and the image under an operator are
+That form is unique, so subspaces are hash-consed on it, as matrices are
+(`linalg._interned`): equal subspaces are one object, and equality and hash
+are identity.  Join, ortho and the image under an operator are
 integer eliminations on these rows; meet is (P^⊥ ∨ Q^⊥)^⊥ by De Morgan,
 and leq reduces the rows of one subspace against the pivot rows of the
 other, so the order does not share an elimination with join.
@@ -26,7 +26,6 @@ where it lives in memory.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -37,6 +36,7 @@ from .linalg import (
     IntegerRow,
     Vector,
     _dot,
+    _interned,
     _over_pivots,
     conj_transpose,
     identity_matrix,
@@ -54,30 +54,24 @@ from .rationals import GaussianRational, format_scalar, gaussian
 class Subspace:
     """Immutable and hash-consed: one instance per (ambient_dim, rows).
 
-    Build subspaces only through `subspace_from_vectors`, `zero_space` and
-    `full_space`.  They take their instance from a process-wide weak-valued
-    intern table, so equal subspaces are the same object and equality is
-    identity.  `rows` are the canonical Gaussian-integer RREF rows, one per
-    basis vector, and with `ambient_dim` they are the subspace's one key:
-    the intern table's, and the hash's, computed once when the subspace is
-    interned.
+    `rows` are the canonical Gaussian-integer RREF rows, one per basis
+    vector, and with `ambient_dim` they are the subspace's one key: the
+    constructor returns the one instance with them, from a process-wide
+    weak-valued intern table, so equal subspaces are the same object and
+    equality and hash are identity.  Build subspaces only through
+    `subspace_from_vectors`, `zero_space` and `full_space`, which bring the
+    rows to their canonical form.
     """
 
-    __slots__ = ("ambient_dim", "rows", "_hash", "__weakref__")
+    __slots__ = ("ambient_dim", "rows", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, ambient_dim: int, rows: tuple[IntegerRow, ...]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash((ambient_dim, rows)))
+    def __new__(cls, ambient_dim: int, rows: tuple[IntegerRow, ...]):
+        return _interned(_INTERNED, cls, (ambient_dim, rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
-
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Subspace({self.ambient_dim}, dim={self.dim})"
@@ -111,26 +105,13 @@ class Subspace:
 
 # (ambient_dim, rows) -> the one Subspace with those canonical rows.
 # Process-wide, so that subspaces from different builds are comparable by
-# identity; weak-valued, so it keeps nothing alive.
+# identity.
 _INTERNED: "weakref.WeakValueDictionary[tuple, Subspace]" = weakref.WeakValueDictionary()
-_INTERN_LOCK = threading.Lock()
-
-
-def _interned(ambient_dim: int, rows: tuple[IntegerRow, ...]) -> Subspace:
-    key = (ambient_dim, rows)
-    space = _INTERNED.get(key)
-    if space is None:
-        with _INTERN_LOCK:
-            space = _INTERNED.get(key)
-            if space is None:
-                space = Subspace(ambient_dim, rows)
-                _INTERNED[key] = space
-    return space
 
 
 def _span(ambient_dim: int, rows: Iterable[Sequence[tuple[int, int]]]) -> Subspace:
     """The subspace spanned by Gaussian-integer rows."""
-    return _interned(ambient_dim, integer_rref(rows, ambient_dim)[0])
+    return Subspace(ambient_dim, integer_rref(rows, ambient_dim)[0])
 
 
 def subspace_from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> Subspace:
@@ -145,11 +126,11 @@ def subspace_from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> Subs
 
 
 def zero_space(ambient_dim: int) -> Subspace:
-    return _interned(ambient_dim, ())
+    return Subspace(ambient_dim, ())
 
 
 def full_space(ambient_dim: int) -> Subspace:
-    return _interned(ambient_dim, identity_matrix(ambient_dim).numerators)
+    return Subspace(ambient_dim, identity_matrix(ambient_dim).numerators)
 
 
 class Ray:

@@ -370,6 +370,47 @@ def test_a_repeated_name_or_a_ray_outside_the_remainder_is_an_input_error(
     assert captured.out == ""
 
 
+E1, E2, E12 = [["1", "0"]], [["0", "1"]], [["1", "1"]]
+
+
+@pytest.mark.parametrize(
+    "observable, error",
+    [
+        pytest.param(
+            {"eigenspaces": [E1, E12]}, "eigenspaces: eigenspaces 0 and 1 are not orthogonal", id="orthogonal"
+        ),
+        pytest.param(
+            {"name": "dimension", "eigenspaces": [E1, E12]},
+            "eigenspaces: eigenspaces 0 and 1 are not orthogonal",
+            id="named-like-a-field",
+        ),
+        pytest.param(
+            {"eigenspaces": [E1, [["0", "0"]], E2]}, "eigenspaces: eigenspace 1 is the zero space", id="zero"
+        ),
+        pytest.param({"eigenspaces": [E1]}, "eigenspaces: eigenspaces do not span the space", id="span"),
+        pytest.param({"labels": ["1", "-1", "0"]}, "labels: 3 labels for 2 eigenspaces", id="label-count"),
+        pytest.param({"labels": ["1", "1"]}, "labels: labels are not distinct", id="distinct"),
+        pytest.param(
+            {"labels": None, "matrix": [["1", "0"], ["0", "-1"]]},
+            "matrix: labels required to validate a matrix",
+            id="labels-required",
+        ),
+        pytest.param(
+            {"matrix": [["1", "0"], ["0", "1"]]}, "matrix: matrix is not scalar -1 on eigenspace 1", id="scalar"
+        ),
+    ],
+)
+def test_an_invalid_observable_is_anchored_at_its_field(tmp_path, capsys, observable, error):
+    data = json.loads(bundled_scenario_path("qubit").read_text())
+    data["observables"][0].update(observable)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: observables[0].{error}\n"
+    assert captured.out == ""
+
+
 def test_a_ray_inside_the_remainder_is_accepted(tmp_path):
     # qutrit run r1: the state (1, 1, 1) leaves the ray (0, 1, -1) outside its atoms
     data = json.loads(bundled_scenario_path("qutrit").read_text())

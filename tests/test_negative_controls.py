@@ -10,14 +10,18 @@ Undoctored, the same scenarios pass every row (`tests/test_golden.py`).
 
 The controls cover the rows that read the lattice of subspaces and the
 observables' answers, Eqs 2.1, 2.3, 2.4, 4.1 and 4.15 and Props B1 and B2,
-and the two extended-site rows that read operators by matrix, §4.1 and
-§4.1 reachability.
+the two extended-site rows that read operators by matrix, §4.1 and
+§4.1 reachability, and the rows that read a cut of a presheaf: the true
+subobject T of the propositions on either side of a run (Eqs 3.21, 3.35
+and 4.27, diagram 3.24, §5.2) and the fixpoint subfunctor ♮Ω of the
+extended classifier (Prop 5.7/Thm 5.8, Prop C1, Thm 5.13).
 """
 
 import pytest
 
 from sieveval import bundled_scenario_path, checks, load_scenario, subspace_from_vectors
 from sieveval.scenario import scenario_from_dict
+from sieveval.sieves import subpresheaf
 from sieveval.subspaces import ortho
 
 
@@ -142,6 +146,122 @@ def finer_stage_unreached(build_scenario):
     return doctored
 
 
+def cut(parent, held):
+    """The cut of `parent` holding, at each stage o, the positions set in `held[o]`."""
+    return subpresheaf(parent, lambda o, x: (held[o] >> parent.index[o][x]) & 1 == 1)
+
+
+def held_in(n, parent):
+    """Per stage, the mask of the positions of `parent` whose values the cut n holds."""
+    return [sum(1 << parent.index[o][x] for x in stage) for o, stage in enumerate(n.values)]
+
+
+def less_one_image(n, parent):
+    """The cut n of `parent` less one value it holds that is the image, along
+    the first arrow between two objects, of another value it holds: a cut
+    that is not closed."""
+    held = held_in(n, parent)
+    site = parent.site
+    for a, table in enumerate(parent.positions):
+        dom, cod = site.arrow_dom(a), site.arrow_cod(a)
+        if dom == cod:
+            continue
+        for i, j in enumerate(table):
+            if (held[dom] >> i) & 1 and j is not None and (held[cod] >> j) & 1:
+                held[cod] &= ~(1 << j)
+                return cut(parent, held)
+    raise AssertionError("no image to drop")
+
+
+def plus_non_natural(nat_omega, omega):
+    """♮Ω plus the first sieve of Ω that it lacks and that holds an
+    observable-raising arrow (so no round trip fixes it), where there is one."""
+    held = held_in(nat_omega, omega)
+    site = omega.site
+    for o, stage in enumerate(omega.values):
+        for i, s in enumerate(stage):
+            if not (held[o] >> i) & 1 and any(site.arrow_cod_rho(a) != site.object_rho(o) for a in s):
+                held[o] |= 1 << i
+                return cut(omega, held)
+    return nat_omega
+
+
+def each_run(change):
+    """A doctor of `build_scenario` that applies `change` to each built run."""
+
+    def doctor(build_scenario):
+        def doctored(scenario):
+            built = build_scenario(scenario)
+            for run in built.runs:
+                change(run)
+            return built
+
+        return doctored
+
+    return doctor
+
+
+def plain_true_less_one_image(run):
+    side = run.plain_side
+    side.true_t = less_one_image(side.true_t, side.propositions_l)
+
+
+def extended_true_less_one_image(run):
+    side = run.ext_side
+    if side is not None:
+        side.true_t = less_one_image(side.true_t, side.propositions_l)
+
+
+def extended_true_adversarial(run):
+    """The extended T replaced by Prop 5.10's adversarial cut, where one is found."""
+    adversarial = checks._find_adversarial_subpresheaf(run) if run.ext_side is not None else None
+    if adversarial is not None:
+        run.ext_side.true_t = adversarial[0]
+
+
+def natural_omega_doctor(change):
+    """A doctor of `build_scenario` that replaces ♮Ω, once per extended site,
+    by `change(♮Ω, Ω)`; runs on one site share its ♮Ω."""
+
+    def doctor(build_scenario):
+        def doctored(scenario):
+            built = build_scenario(scenario)
+            shared = {id(run.ext_side.functors): run.ext_side.functors for run in built.runs if run.ext_side}
+            for functors in shared.values():
+                functors.nat_omega = change(functors.nat_omega, functors.omega)
+            return built
+
+        return doctored
+
+    return doctor
+
+
+def both(runs, *tags):
+    return {(tag, run) for tag in tags for run in runs}
+
+
+PLAIN_TRUE_LESS_ONE_IMAGE = (
+    "qubit",
+    "build_scenario",
+    each_run(plain_true_less_one_image),
+    both(
+        ("z-up", "z-down"),
+        "Eq 3.12",
+        "Eq 3.21",
+        "Eq 3.21 = Eq 3.37",
+        "Eq 3.35",
+        "diagram 3.24",
+        "Props A3–A4 (δΩ)",
+    )
+    | {("Eqs 3.26–3.27", "z-down")},
+)
+NATURAL_OMEGA_LESS_ONE_IMAGE = (
+    "qubit_extended",
+    "build_scenario",
+    natural_omega_doctor(less_one_image),
+    both(("coarse", "fine"), "Prop 5.7/Thm 5.8", "Thm 5.13 / Props A3–A4 (♮Ω)"),
+)
+
 # tag -> (scenario, the function of `checks` doctored, doctor, the failing (tag, run) rows)
 CONTROLS = {
     "Eq 2.1": ("qubit", "projector_matrix", wrong_projector, {("Eq 2.1", None)}),
@@ -177,6 +297,38 @@ CONTROLS = {
         "zero_augmented_atom_set",
         grown_atom_set,
         {("Prop B1", None), ("Prop B2", None)},
+    ),
+    "Eq 3.21": PLAIN_TRUE_LESS_ONE_IMAGE,
+    "Eq 3.35": PLAIN_TRUE_LESS_ONE_IMAGE,
+    "diagram 3.24": PLAIN_TRUE_LESS_ONE_IMAGE,
+    "Eq 4.27": (
+        "qubit_extended",
+        "build_scenario",
+        each_run(extended_true_less_one_image),
+        both(
+            ("coarse", "fine"),
+            "Eq 4.27",
+            "Eq 4.28",
+            "Prop 5.10",
+            "Thm 5.11",
+            "Thm 5.12",
+            "Thm 5.13 / Props A3–A4 (♮Ω)",
+            "§5.2",
+        ),
+    ),
+    "§5.2": (
+        "qubit_extended",
+        "build_scenario",
+        each_run(extended_true_adversarial),
+        both(("coarse",), "§5.2", "Eq 4.26", "Eq 4.28", "Thm 5.11", "Thm 5.13 / Props A3–A4 (♮Ω)"),
+    ),
+    "Prop 5.7/Thm 5.8": NATURAL_OMEGA_LESS_ONE_IMAGE,
+    "Thm 5.13 / Props A3–A4 (♮Ω)": NATURAL_OMEGA_LESS_ONE_IMAGE,
+    "Prop C1": (
+        "qubit_extended",
+        "build_scenario",
+        natural_omega_doctor(plus_non_natural),
+        both(("coarse",), "Prop 5.7/Thm 5.8", "Prop C1", "Thm 5.13 / Props A3–A4 (♮Ω)"),
     ),
 }
 

@@ -17,8 +17,8 @@ classifier, keeps the sieves it fixes.  The stage-isomorphism audit
 of sharp and flat, local to the call.
 
 Prop 5.10's two detectors are tabulated once per closed cut of the extended
-propositions (`detector_tables`); Thm 5.11 reads the same tables, and reads
-its map's naturality from the position tables of the extended classifier Ω.
+propositions (`detector_tables`, from the cut alone); Thm 5.11 reads the
+same tables, and its map's naturality from the position tables of Ω.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError, NotASubPresheaf, UnknownObjectError
 from .sieves import (
+    Cut,
     LazyTable,
     Presheaf,
     Sieve,
@@ -35,7 +36,6 @@ from .sieves import (
     is_heyting_family,
     lands_in,
     naturality_holds,
-    position_masks,
     principal_union,
     pullback_holds,
     subpresheaf,
@@ -122,11 +122,14 @@ def flat(ctx: BridgeContext, s: Sieve) -> Sieve:
     return Sieve(ctx.plain_stage, members)
 
 
-def natural_omega(omega: Presheaf) -> Presheaf:
+def natural_omega(omega: Presheaf) -> Cut:
     """The fixpoint subfunctor ♮Ω, cut from the extended classifier Ω: the
     sieves that the round trip of their stage (`Stage.natural`) fixes."""
     site = omega.site
-    return subpresheaf(omega, lambda o, s: site.stage(o).natural[s.mask] == s.mask)
+    return subpresheaf(omega, [
+        sum(1 << i for i, s in enumerate(stage) if site.stage(o).natural[s.mask] == s.mask)
+        for o, stage in enumerate(omega.values)
+    ])
 
 
 def _preserves_lattice(f: LazyTable, masks: list[int]) -> bool:
@@ -209,39 +212,38 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     }
 
 
-def _projective_at(site: ExtendedSite, held, m: Presheaf, obj: int, i: int) -> list[int]:
-    """Projectivity of n, given as its `position_masks` in m, at m's value at
-    position i of stage obj: membership along a rho-raising arrow must imply
-    membership along its fixed-rho twin.  Returns the arrows that break it
-    (none if it holds)."""
+def _projective_at(n: Cut, obj: int, i: int) -> list[int]:
+    """Projectivity of the cut n at its parent's value at position i of stage
+    obj: membership along a rho-raising arrow must imply membership along
+    its fixed-rho twin.  Returns the arrows that break it (none if it holds)."""
+    site = n.site
     return [
         a
         for a in site.arrows_from(obj)
-        if lands_in(held, m, a, i) and not lands_in(held, m, site.rho_arrow_twin(a), i)
+        if lands_in(n, a, i) and not lands_in(n, site.rho_arrow_twin(a), i)
     ]
 
 
-def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi) -> dict:
-    """Prop 5.10's two detectors at every value of m, once each, for a
-    subfunctor n of m with characteristic table chi, laid out like chi:
+def detector_tables(n: Cut, chi) -> dict:
+    """Prop 5.10's two detectors at every value of n's parent, once each,
+    for a subfunctor n with characteristic table chi, laid out like chi:
     `witnesses`, the arrows along which n fails projectivity there
     (`_projective_at`), and `natural_chi`, chi's value after the round trip
     (`Stage.natural`), equal to it iff it is natural.  `mismatches` lists
     the (stage, value) pairs where the detectors disagree.  n must be a
-    closed cut of m (`is_closed`)."""
+    closed cut (`is_closed`)."""
     if not is_closed(n):
         raise NotASubPresheaf("the detectors are asked of a subfunctor")
-    held = position_masks(n, m)
     witnesses = tuple([
-        tuple([_projective_at(site, held, m, o, i) for i in range(len(stage))])
+        tuple([_projective_at(n, o, i) for i in range(len(stage))])
         for o, stage in enumerate(chi)
     ])
     natural_chi = tuple([
-        tuple([Sieve(o, site.stage(o).natural[value.mask]) for value in stage])
+        tuple([Sieve(o, n.site.stage(o).natural[value.mask]) for value in stage])
         for o, stage in enumerate(chi)
     ])
     mismatches = [
-        (o, m.values[o][i])
+        (o, n.parent.values[o][i])
         for o, stage in enumerate(chi)
         for i, value in enumerate(stage)
         if (not witnesses[o][i]) != (natural_chi[o][i] == value)
@@ -249,19 +251,18 @@ def detector_tables(site: ExtendedSite, n: Presheaf, m: Presheaf, chi) -> dict:
     return {"witnesses": witnesses, "natural_chi": natural_chi, "mismatches": mismatches}
 
 
-def natural_characteristic(n: Presheaf, m: Presheaf, chi, detectors: dict, omega: Presheaf) -> dict:
+def natural_characteristic(n: Cut, chi, detectors: dict, omega: Presheaf) -> dict:
     """The classifying map with the fixpoint subfunctor as target, from the
-    `detector_tables` of n in m: n is projective, every value of chi is
+    `detector_tables` of the cut n: n is projective, every value of chi is
     already a natural sieve (so the map factors through the fixpoints), the
     factored map is natural into the extended classifier omega, and n is
     its pullback against the 'true' section.  Uniqueness is the
     semi-classifier audit's (`sieves.semiclassifier_check`)."""
-    site = m.site
     natural_chi = detectors["natural_chi"]
     projective = not any(any(stage) for stage in detectors["witnesses"])
     factorization = natural_chi == chi
-    naturality = naturality_holds(natural_chi, m, omega)
-    pullback = pullback_holds(site, natural_chi, n, m, tau_values(site))
+    naturality = naturality_holds(natural_chi, n.parent, omega)
+    pullback = pullback_holds(natural_chi, n, tau_values(n.site))
     return {
         "projective": projective,
         "factorization": factorization,

@@ -50,7 +50,6 @@ from .sieves import (
     is_heyting_family,
     is_sieve,
     naturality_holds,
-    position_masks,
     principal_sieve,
     pullback_holds,
     semiclassifier_check,
@@ -355,8 +354,7 @@ def _plain_site_rows(run: BuiltRun) -> list[dict]:
 
 def _filter_row(tag: str, title: str, run: BuiltRun, side: SiteRun) -> dict:
     """Eqs 3.26–3.27 or Eq 4.26: one side's true subobject is stage-wise a filter."""
-    masks = position_masks(side.true_t, side.propositions_l)
-    violations, outside = filter_check(run.universe, masks)
+    violations, outside = filter_check(run.universe, side.true_t.held)
     return _row(
         tag,
         title,
@@ -400,12 +398,12 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
     rows.append(_validation_row("Prop 3.1", title, *sections))
     rows.append(_filter_row("Eqs 3.26–3.27", "true subobject is stage-wise a filter", run, side))
     # P's valuation at o is the top sieve iff it holds the identity, iff σ(o) ≤ P.
-    true_by_value = [
-        {p for p, value in zip(stage, row) if value.mask == side.site.stage(o).top}
-        for o, (stage, row) in enumerate(zip(side.propositions_l.values, side.values))
-    ]
-    true_sets = [set(stage) for stage in side.true_t.values]
-    sub_ok = is_closed(side.true_t) and true_sets == true_by_value
+    true_by_value = tuple([
+        sum(1 << i for i, value in enumerate(row) if value.mask == side.site.stage(o).top)
+        for o, row in enumerate(side.values)
+    ])
+    true_t = side.true_t
+    sub_ok = is_closed(true_t) and true_t.parent is side.propositions_l and true_t.held == true_by_value
     rows.append(_row("Eq 3.12", "true subobject is a subfunctor of the propositions", sub_ok))
     return rows
 
@@ -424,7 +422,7 @@ def _oracle_rows(run: BuiltRun) -> list[dict]:
         _row(
             "diagram 3.24",
             "set-level pullback square at every stage",
-            pullback_holds(site, chi, side.true_t, side.propositions_l, tau_values(site)),
+            pullback_holds(chi, side.true_t, tau_values(site)),
         ),
         _row(
             "Eq 3.21",
@@ -533,9 +531,7 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     title = "semi-classifier bottoms differ from the classifier bottom when nonempty"
     rows.append(_row("§3.4", title, bottoms_differ_ok))
     delta_tau = tau_values(site)
-    semi = semiclassifier_check(
-        site, delta, omega, delta_tau, [(side.true_t, side.propositions_l, side.chi)]
-    )
+    semi = semiclassifier_check(site, delta, omega, delta_tau, [(side.true_t, side.chi)])
     rows.append(
         _row(
             "Props A3–A4 (δΩ)",
@@ -717,43 +713,40 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
     return rows
 
 
-def _forward_closure(propositions: Presheaf, seed_obj: int, seed: int) -> list[set[int]]:
-    """Per stage, the positions of the smallest transition-closed family
-    holding the value at position `seed` of stage `seed_obj`."""
+def _forward_closure(propositions: Presheaf, seed_obj: int, seed: int) -> list[int]:
+    """Per stage, the mask of the positions of the smallest transition-closed
+    family holding the value at position `seed` of stage `seed_obj`."""
     site = propositions.site
-    members: list[set[int]] = [set() for _ in range(site.n_objects)]
-    members[seed_obj].add(seed)
+    members = [0] * site.n_objects
+    members[seed_obj] = 1 << seed
     frontier = [(seed_obj, seed)]
     while frontier:
         o, i = frontier.pop()
         for a in site.arrows_from(o):
             cod, j = site.arrow_cod(a), propositions.positions[a][i]
-            if j not in members[cod]:
-                members[cod].add(j)
+            if not (members[cod] >> j) & 1:
+                members[cod] |= 1 << j
                 frontier.append((cod, j))
     return members
 
 
 def _find_adversarial_subpresheaf(run: BuiltRun):
     """A subfunctor of the propositions violating the twin condition somewhere:
-    the forward closure of the image of x along a raising arrow a that misses
-    the image of x along a's twin.  Returns (subfunctor, stage, x, a) or None."""
+    the forward closure of the image of position i along a raising arrow a
+    that misses i's image along a's twin.  Returns (subfunctor, stage, i, a) or None."""
     rest = run.rest
     propositions = run.ext_side.propositions_l
-    positions, index = propositions.positions, propositions.index
+    positions = propositions.positions
     for o in range(rest.n_objects):
         for a in rest.arrows_from(o):
             if rest.arrow_cod_rho(a) == rest.object_rho(o):
                 continue
             twin = rest.rho_arrow_twin(a)
             twin_cod = rest.arrow_cod(twin)
-            for i, x in enumerate(propositions.values[o]):
+            for i in range(len(propositions.values[o])):
                 members = _forward_closure(propositions, rest.arrow_cod(a), positions[a][i])
-                if positions[twin][i] not in members[twin_cod]:
-                    candidate = subpresheaf(
-                        propositions, lambda stage, p: index[stage][p] in members[stage]
-                    )
-                    return candidate, o, x, a
+                if not (members[twin_cod] >> positions[twin][i]) & 1:
+                    return subpresheaf(propositions, members), o, i, a
     return None
 
 
@@ -761,9 +754,9 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
     """§5.2, Prop 5.10, Def 5.4 and Thms 5.11–5.13 on the extended true
     subobject; §5.2, Prop 5.10 and Thm 5.11 read one `detector_tables` result."""
     side = run.ext_side
-    pair = (side.true_t, side.propositions_l, side.chi)
+    pair = (side.true_t, side.chi)
     try:
-        detectors = detector_tables(side.site, *pair)
+        detectors = detector_tables(*pair)
     except NotASubPresheaf as exc:
         result = dict.fromkeys(("projective", "factorization", "naturality", "pullback"), False)
         failure = {"error": str(exc)}
@@ -807,7 +800,6 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
 def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
     """Prop 5.10 and Def 5.4, given the true subobject's `detector_tables`."""
     rest = run.rest
-    propositions = run.ext_side.propositions_l
     rows = []
     mismatches = detectors["mismatches"]
     adversarial = _find_adversarial_subpresheaf(run)
@@ -822,10 +814,9 @@ def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
             )
         )
         return rows
-    candidate, obj, x, witness_arrow = adversarial
-    chi = characteristic_table(rest, candidate, propositions)
-    detectors_adv = detector_tables(rest, candidate, propositions, chi)
-    i = propositions.index[obj][x]
+    candidate, obj, i, witness_arrow = adversarial
+    chi = characteristic_table(candidate)
+    detectors_adv = detector_tables(candidate, chi)
     witnesses = detectors_adv["witnesses"][obj][i]
     natural_adv = detectors_adv["natural_chi"][obj][i] == chi[obj][i]
     mismatches = mismatches + detectors_adv["mismatches"]

@@ -37,6 +37,7 @@ from .errors import EnumerationExceeded, ValidationError
 from .modal import TrueAtomSet, bub_valuation, compute_atoms, in_determinate_sublattice
 from .scenario import RunSpec, Scenario, proposition_universe
 from .sieves import (
+    Cut,
     GlobalElement,
     LazyTable,
     Presheaf,
@@ -84,7 +85,7 @@ class SiteFunctors:
         return omega_presheaf(self.site, self.cap)
 
     @cached_property
-    def nat_omega(self) -> Presheaf:
+    def nat_omega(self) -> Cut:
         """♮Ω, cut from Ω on first use (extended sites only)."""
         return natural_omega(self.omega)
 
@@ -97,7 +98,7 @@ class SiteRun:
     `sieves`)."""
 
     def __init__(
-        self, functors: SiteFunctors, stage: int, r_space: Subspace, sigma: GlobalElement, true_t: Presheaf
+        self, functors: SiteFunctors, stage: int, r_space: Subspace, sigma: GlobalElement, true_t: Cut
     ):
         self.functors = functors
         self.stage = stage
@@ -127,7 +128,7 @@ class SiteRun:
 
     @cached_property
     def chi(self) -> tuple[tuple[Sieve, ...], ...]:
-        return characteristic_table(self.site, self.true_t, self.propositions_l)
+        return characteristic_table(self.true_t)
 
 
 def site_run(functors: SiteFunctors, stage: int, r_space: Subspace, universe: Universe) -> SiteRun:
@@ -239,11 +240,11 @@ class BuiltRun:
     # shared by every run on the extended site.
 
     @cached_property
-    def delta(self) -> Presheaf:
+    def delta(self) -> Cut:
         return delta_omega_presheaf(self.plain_side.omega, self.floors)
 
     @property
-    def nat_omega(self) -> Presheaf:
+    def nat_omega(self) -> Cut:
         return self.ext_side.functors.nat_omega
 
 

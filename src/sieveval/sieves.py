@@ -47,17 +47,17 @@ The proposition functor L has the build's whole universe
 universe's: each arrow's table is its operator's action row, one tuple
 shared by every arrow of that operator, and no operator is applied to
 build it.  The true subobject T is cut from L by the universe's `above`
-mask of each stage's atom (by `leq` where the atom is not a member).  A cut
-of L is read as one mask of positions per stage (`position_masks`):
-`filter_check` tests each stage mask against the universe's order and meet
-tables, and `characteristic_table` asks whether a transition lands in the
-mask.
+mask of each stage's atom (by `leq` where the atom is not a member).
+`filter_check` tests each of T's stage masks against the universe's order
+and meet tables.
 
 Subfunctors: the true subobject of the proposition functor, and the
-semi-classifiers δΩ and ♮Ω of the classifier Ω, are each cut from their
-parent by `subpresheaf`, which keeps a subset of every stage and re-indexes
-the parent's position tables to the kept values once per cut; a cut is a
-subfunctor of its parent iff it `is_closed`.
+semi-classifiers δΩ and ♮Ω of the classifier Ω, are each a `Cut` of their
+parent, made by `subpresheaf` from one mask of the parent's positions per
+stage (`held`) and re-indexed once into a presheaf of its own; it is a
+subfunctor of its parent iff it `is_closed`.  Its readers take the cut
+alone: `characteristic_table` asks whether a parent's transition lands in
+the held mask, and `pullback_holds` compares the masks with a map's 'true'.
 
 Truth values: the valuation of a proposition P at a stage is the sieve of
 arrows F with F(P) above the transported true atom.  Each side of a built
@@ -421,58 +421,62 @@ def is_closed(presheaf: Presheaf) -> bool:
     return not any(None in table for table in presheaf.positions)
 
 
-def subpresheaf(m: Presheaf, keep: Callable[[int, Hashable], bool]) -> Presheaf:
-    """The values x of m with keep(o, x) at each stage o, in m's order, under
-    m's position tables re-indexed to the kept values (an image that was cut
-    becomes None).  The cut is a subfunctor of m iff it `is_closed`."""
+class Cut(Presheaf):
+    """A presheaf cut from `parent` by `subpresheaf`, holding at each stage o
+    the parent's positions set in `held[o]`, re-indexed as its own."""
+
+    __slots__ = ("parent", "held")
+
+    def __init__(self, parent: Presheaf, held: tuple[int, ...], values, positions, index):
+        super().__init__(parent.site, values, positions, index)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "held", held)
+
+
+def subpresheaf(m: Presheaf, held: Sequence[int]) -> Cut:
+    """The values of m at the positions set in `held[o]` at each stage o, in
+    m's order, under m's position tables re-indexed to the kept values (an
+    image that was cut becomes None).  The cut is a subfunctor of m iff it
+    `is_closed`."""
     site = m.site
-    kept = [[i for i, x in enumerate(stage) if keep(o, x)] for o, stage in enumerate(m.values)]
+    kept = [list(_bits(mask)) for mask in held]
     renumber = [{old: new for new, old in enumerate(stage)} for stage in kept]
     positions = tuple([
         tuple([renumber[site.arrow_cod(a)].get(table[i]) for i in kept[site.arrow_dom(a)]])
         for a, table in enumerate(m.positions)
     ])
     values = tuple([tuple([m.values[o][i] for i in stage]) for o, stage in enumerate(kept)])
-    return Presheaf(site, values, positions, _index(values))
+    return Cut(m, tuple(held), values, positions, _index(values))
 
 
-def true_subobject(sigma: GlobalElement, propositions: Presheaf, universe: Universe) -> Presheaf:
+def true_subobject(sigma: GlobalElement, propositions: Presheaf, universe: Universe) -> Cut:
     """Stage-wise up-sets of the transported atom inside the proposition
     functor over `universe`, as masks of member positions: a member atom's
     `above` mask, and `leq` against every member for any other atom."""
     position = universe.position
-    masks = [
+    return subpresheaf(propositions, [
         universe.above[position[atom]] if atom in position
         else sum(1 << i for i, p in enumerate(universe) if leq(atom, p))
         for atom in sigma.values
-    ]
-    return subpresheaf(propositions, lambda o, p: (masks[o] >> position[p]) & 1 == 1)
-
-
-def position_masks(n: Presheaf, m: Presheaf) -> tuple[int, ...]:
-    """Per stage of m, the mask of the positions of m whose values n holds."""
-    return tuple([
-        sum(1 << i for i, x in enumerate(stage) if x in held) for stage, held in zip(m.values, n.index)
     ])
 
 
-def lands_in(held: Sequence[int], m: Presheaf, a: int, i: int) -> bool:
-    """Whether m carries its value at position i of dom a, along a, to a
-    value of n, given n's `position_masks` in m."""
-    j = m.positions[a][i]
-    return j is not None and (held[m.site.arrow_cod(a)] >> j) & 1 == 1
+def lands_in(n: Cut, a: int, i: int) -> bool:
+    """Whether n's parent carries its value at position i of dom a into n along a."""
+    j = n.parent.positions[a][i]
+    return j is not None and (n.held[n.site.arrow_cod(a)] >> j) & 1 == 1
 
 
-def characteristic_table(site, n: Presheaf, m: Presheaf) -> tuple[tuple[Sieve, ...], ...]:
-    """chi per stage of m, in m's order: `chi[o][i]` classifies `m.values[o][i]`,
-    the sieve of arrows along which m carries it into n (a subfunctor of m)."""
-    held = position_masks(n, m)
+def characteristic_table(n: Cut) -> tuple[tuple[Sieve, ...], ...]:
+    """chi per stage of n's parent m, in m's order: `chi[o][i]` classifies
+    `m.values[o][i]`, the sieve of arrows along which m carries it into n."""
+    site = n.site
     return tuple([
         tuple([
-            Sieve(o, sum(1 << a for a in site.arrows_from(o) if lands_in(held, m, a, i)))
+            Sieve(o, sum(1 << a for a in site.arrows_from(o) if lands_in(n, a, i)))
             for i in range(len(stage))
         ])
-        for o, stage in enumerate(m.values)
+        for o, stage in enumerate(n.parent.values)
     ])
 
 
@@ -496,22 +500,19 @@ def naturality_holds(zeta: Sequence[Sequence], m: Presheaf, target: Presheaf) ->
     return True
 
 
-def pullback_holds(
-    site, zeta: Sequence[Sequence], n: Presheaf, m: Presheaf, tau: Sequence[Sieve]
-) -> bool:
-    """n is the set-level pullback of the 'true' section tau along zeta at
-    every stage: the positions of m holding n's values are exactly those
-    zeta sends to tau.  A value of n that m lacks fails."""
+def pullback_holds(zeta: Sequence[Sequence], n: Cut, tau: Sequence[Sieve]) -> bool:
+    """n is the set-level pullback of the 'true' section tau along zeta: at
+    every stage, n holds exactly the positions of its parent that zeta sends to tau."""
     return all(
-        {m.index[o].get(x) for x in n.values[o]} == {i for i, z in enumerate(zeta[o]) if z == tau[o]}
-        for o in range(site.n_objects)
+        held == sum(1 << i for i, z in enumerate(stage) if z == true)
+        for held, stage, true in zip(n.held, zeta, tau)
     )
 
 
 def filter_check(universe: Universe, stages: Sequence[int]) -> tuple[list[tuple], int]:
     """Up-set and meet-closure violations of a proposition-set functor given
-    as one mask of universe positions per stage (its `position_masks` in the
-    proposition functor), and the number of ordered pairs of members whose
+    as one mask of universe positions per stage (the `held` masks of a cut
+    of the proposition functor), and the number of ordered pairs of members whose
     meet lies outside the universe (not a violation)."""
     members, above, meets = universe.members, universe.above, universe.meets
     violations: list[tuple] = []
@@ -590,10 +591,13 @@ def annihilator_floors(site, r: Subspace) -> tuple[Sieve, ...]:
     )
 
 
-def delta_omega_presheaf(omega: Presheaf, floors: Sequence[Sieve]) -> Presheaf:
+def delta_omega_presheaf(omega: Presheaf, floors: Sequence[Sieve]) -> Cut:
     """The semi-classifier: the sieves of Ω above each stage's floor (one per
     object, from `annihilator_floors`)."""
-    return subpresheaf(omega, lambda o, s: not floors[o].mask & ~s.mask)
+    return subpresheaf(omega, [
+        sum(1 << i for i, s in enumerate(stage) if not floor.mask & ~s.mask)
+        for stage, floor in zip(omega.values, floors)
+    ])
 
 
 def floors_pull_back_above_floors(omega: Presheaf, floors: Sequence[Sieve]) -> bool:
@@ -621,17 +625,17 @@ def semiclassifier_check(
     delta_omega: Presheaf,
     omega: Presheaf,
     delta_tau: tuple[Sieve, ...],
-    pairs: Sequence[tuple[Presheaf, Presheaf, tuple]],
+    pairs: Sequence[tuple[Cut, tuple]],
 ) -> list[dict]:
     """Per-object semi-classifier audit for a cut of the classifier.
 
-    For every (N, M, chi), chi the `characteristic_table` of N in M: (a) chi
+    For every (N, chi), chi the `characteristic_table` of N in its parent: (a) chi
     factors through the stage sets of delta_omega; (b) the square against
     delta_tau is a set-level pullback at every object; (c) the factored map is
     the only natural map with that pullback property (full candidate enumeration
     when the count fits `CANDIDATE_BUDGET`, otherwise a pointwise forcing argument).
-    delta_omega is omega or a cut of it, and each n a cut of its m, so each is
-    a subfunctor iff it `is_closed`.
+    delta_omega is omega or a cut of it, and each n a cut, so each is a
+    subfunctor of its parent iff it `is_closed`.
     """
     rows: list[dict] = []
     if not is_closed(delta_omega):
@@ -642,23 +646,23 @@ def semiclassifier_check(
     except NaturalityError:
         rows.append({"pair": None, "passed": False, "reason": "the 'true' section is not natural"})
         return rows
-    for idx, (n, m, chi) in enumerate(pairs):
+    for idx, (n, chi) in enumerate(pairs):
         if not is_closed(n):
             rows.append({"pair": idx, "passed": False, "reason": "not a subfunctor pair"})
             continue
         factors = _factors_through(chi, delta_omega)
-        pullback = pullback_holds(site, chi, n, m, delta_tau)
+        pullback = pullback_holds(chi, n, delta_tau)
         count = 1
-        for o in range(site.n_objects):
-            count *= len(delta_omega.values[o]) ** len(m.values[o])
+        for o, stage in enumerate(n.parent.values):
+            count *= len(delta_omega.values[o]) ** len(stage)
             if count > CANDIDATE_BUDGET:
                 break
         if count <= CANDIDATE_BUDGET:
-            survivors = _enumerate_pullback_maps(site, delta_omega, m, n, delta_tau)
+            survivors = _enumerate_pullback_maps(delta_omega, n, delta_tau)
             unique = survivors == [chi]
             mode = "enumerated"
         else:
-            unique = _forced_pointwise_unique(site, delta_omega, m, n, delta_tau, chi)
+            unique = _forced_pointwise_unique(site, delta_omega, n, delta_tau, chi)
             mode = "forced-pointwise"
         rows.append(
             {
@@ -678,28 +682,28 @@ def _factors_through(chi, delta_omega: Presheaf) -> bool:
     return all(value in at for stage, at in zip(chi, delta_omega.index) for value in stage)
 
 
-def _enumerate_pullback_maps(site, delta_omega, m, n, delta_tau) -> list[tuple]:
-    """All natural maps into the semi-classifier with the pullback property,
-    each laid out like `characteristic_table`."""
-    choices = [delta_omega.values[o] for o, stage in enumerate(m.values) for _ in stage]
-    ends = list(itertools.accumulate(len(stage) for stage in m.values))
+def _enumerate_pullback_maps(delta_omega, n, delta_tau) -> list[tuple]:
+    """All natural maps from n's parent into the semi-classifier with the
+    pullback property, each laid out like `characteristic_table`."""
+    choices = [delta_omega.values[o] for o, stage in enumerate(n.parent.values) for _ in stage]
+    ends = list(itertools.accumulate(len(stage) for stage in n.parent.values))
     bounds = list(zip([0] + ends, ends))
     survivors = []
     for assignment in itertools.product(*choices):
         zeta = tuple([assignment[start:end] for start, end in bounds])
-        if pullback_holds(site, zeta, n, m, delta_tau) and naturality_holds(zeta, m, delta_omega):
+        if pullback_holds(zeta, n, delta_tau) and naturality_holds(zeta, n.parent, delta_omega):
             survivors.append(zeta)
     return survivors
 
 
-def _forced_pointwise_unique(site, delta_omega, m, n, delta_tau, chi) -> bool:
+def _forced_pointwise_unique(site, delta_omega, n, delta_tau, chi) -> bool:
     """Uniqueness without enumerating candidates, checked exhaustively.
 
     (1) At every stage o, for every S in the semi-classifier and every arrow
     a out of o: a ∈ S iff a*(S) is the 'true' sieve at cod a.  (2) chi is
     natural.  (3) chi has the pullback property.  For any natural zeta with
     the pullback property, (1), naturality and pullback give
-    a ∈ zeta(x) iff m(a)(x) ∈ n, and (1)-(3) give the same for chi, so
+    a ∈ zeta(x) iff m(a)(x) ∈ n, m the parent of n, and (1)-(3) give the same for chi, so
     zeta = chi.  (1) reads positions: a*(S) is 'true' iff its position is
     the position of the 'true' sieve.
     """
@@ -712,8 +716,8 @@ def _forced_pointwise_unique(site, delta_omega, m, n, delta_tau, chi) -> bool:
                     return False
     return (
         _factors_through(chi, delta_omega)
-        and naturality_holds(chi, m, delta_omega)
-        and pullback_holds(site, chi, n, m, delta_tau)
+        and naturality_holds(chi, n.parent, delta_omega)
+        and pullback_holds(chi, n, delta_tau)
     )
 
 

@@ -133,7 +133,7 @@ def test_criterion_04_oracle_equality(built):
     for scenario in built.values():
         for run in scenario.runs:
             site, propositions = run.plain, run.plain_side.propositions_l
-            table = characteristic_table(site, run.plain_side.true_t, propositions)
+            table = characteristic_table(run.plain_side.true_t)
             for o in range(site.n_objects):
                 for p in run.universe:
                     chi = table[o][propositions.index[o][p]]
@@ -190,19 +190,18 @@ def test_criterion_07_projectivity_biconditional(built):
         for run in built[name].runs:
             if run.ext_side is None:
                 continue
-            propositions = run.ext_side.propositions_l
-            chi = characteristic_table(run.rest, run.ext_side.true_t, propositions)
-            detectors = detector_tables(run.rest, run.ext_side.true_t, propositions, chi)
+            chi = characteristic_table(run.ext_side.true_t)
+            detectors = detector_tables(run.ext_side.true_t, chi)
             ok = ok and not detectors["mismatches"]
             found = _find_adversarial_subpresheaf(run)
             if found is None:
                 continue
             adversarial_found = True
-            candidate, obj, x, _ = found
-            chi = characteristic_table(run.rest, candidate, propositions)
-            detectors = detector_tables(run.rest, candidate, propositions, chi)
+            candidate, obj, i, _ = found
+            chi = characteristic_table(candidate)
+            detectors = detector_tables(candidate, chi)
             # not projective at the seed value
-            ok = ok and bool(detectors["witnesses"][obj][propositions.index[obj][x]])
+            ok = ok and bool(detectors["witnesses"][obj][i])
             ok = ok and not detectors["mismatches"]
     ok = ok and adversarial_found
     verdict(7, ok, "both detectors agree on projective and adversarial subobjects alike")
@@ -236,20 +235,19 @@ def test_criterion_09_appendix_suites(built):
             cap = run.scenario.caps["sieve_enum"]
             omega = omega_presheaf(site, cap)
             delta = delta_omega_presheaf(omega, run.floors)
-            pair = (run.plain_side.true_t, run.plain_side.propositions_l)
-            chi = characteristic_table(site, *pair)
-            rows = semiclassifier_check(site, delta, omega, tau_values(site), [(*pair, chi)])
+            true_t = run.plain_side.true_t
+            rows = semiclassifier_check(site, delta, omega, tau_values(site), [(true_t, characteristic_table(true_t))])
             ok = ok and all(r["passed"] for r in rows)
             if run.ext_side:
                 rest = run.rest
                 omega_ext = omega_presheaf(rest, cap)
-                pair = (run.ext_side.true_t, run.ext_side.propositions_l)
+                true_t = run.ext_side.true_t
                 rows = semiclassifier_check(
                     rest,
                     natural_omega(omega_ext),
                     omega_ext,
                     tau_values(rest),
-                    [(*pair, characteristic_table(rest, *pair))],
+                    [(true_t, characteristic_table(true_t))],
                 )
                 ok = ok and all(r["passed"] for r in rows)
     # atom-set identities over every ray and comparable chain

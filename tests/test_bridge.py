@@ -274,8 +274,8 @@ def extended_presheaves(bridge_setup):
 
 def test_true_subobject_is_projective(extended_presheaves):
     rest, propositions, true_t = extended_presheaves
-    chi = characteristic_table(rest, true_t, propositions)
-    detectors = detector_tables(rest, true_t, propositions, chi)
+    chi = characteristic_table(true_t)
+    detectors = detector_tables(true_t, chi)
     # one (empty) witness list per value of every stage
     assert [len(stage) for stage in detectors["witnesses"]] == [len(s) for s in propositions.values]
     assert not any(any(stage) for stage in detectors["witnesses"])
@@ -287,7 +287,9 @@ def adversarial_subpresheaf(rest, propositions):
     e1 = span([1, 0])
     target = rest.object_index(e1, 1)
 
-    return subpresheaf(propositions, lambda o, p: o == target and p == e1)
+    held = [0] * rest.n_objects
+    held[target] = 1 << propositions.index[target][e1]
+    return subpresheaf(propositions, held)
 
 
 def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):
@@ -296,8 +298,8 @@ def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):
     stage = rest.object_index(span([1, 1]), 0)
     x = span([1, 0])
     i = propositions.index[stage][x]
-    table = characteristic_table(rest, bad, propositions)
-    detectors = detector_tables(rest, bad, propositions, table)
+    table = characteristic_table(bad)
+    detectors = detector_tables(bad, table)
     assert detectors["witnesses"][stage][i]
     assert round_trip(rest, stage, table[stage][i]) != table[stage][i]
     assert detectors["natural_chi"][stage][i] != table[stage][i]
@@ -306,9 +308,9 @@ def test_adversarial_subpresheaf_trips_both_detectors(extended_presheaves):
 
 def test_natural_characteristic_and_uniqueness(extended_presheaves):
     rest, propositions, true_t = extended_presheaves
-    chi = characteristic_table(rest, true_t, propositions)
-    detectors = detector_tables(rest, true_t, propositions, chi)
-    result = natural_characteristic(true_t, propositions, chi, detectors, omega_presheaf(rest, cap=64))
+    chi = characteristic_table(true_t)
+    detectors = detector_tables(true_t, chi)
+    result = natural_characteristic(true_t, chi, detectors, omega_presheaf(rest, cap=64))
     assert result["passed"]
     # perturbing one value breaks the pullback
     tau = {o: top_sieve(rest, o) for o in range(rest.n_objects)}

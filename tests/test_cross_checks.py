@@ -171,7 +171,7 @@ def test_random_states_oracle_and_bridge(state_vector, extra_props):
     r = full_space(2)
     sigma = atom_global_element(plain, atoms, r)
     true_t = true_subobject(sigma, propositions, closed)
-    table = characteristic_table(plain, true_t, propositions)
+    table = characteristic_table(true_t)
     for o in range(plain.n_objects):
         for p in universe:
             chi = table[o][propositions.index[o][p]]

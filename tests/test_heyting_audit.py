@@ -440,7 +440,9 @@ def test_audit_row_fails_on_a_stage_that_is_not_every_sieve(monkeypatch, name, d
     def doctored(site, cap):
         omega = honest(site, cap)
         kept = [set(doctor(site, o, stage)) for o, stage in enumerate(omega.values)]
-        return subpresheaf(omega, lambda o, s: s in kept[o])
+        return subpresheaf(omega, [
+            sum(1 << i for i, s in enumerate(stage) if s in kept[o]) for o, stage in enumerate(omega.values)
+        ])
 
     monkeypatch.setattr(runner_module, "omega_presheaf", doctored)
     report = run_check(load_scenario(bundled_scenario_path(name)))

@@ -146,21 +146,11 @@ def finer_stage_unreached(build_scenario):
     return doctored
 
 
-def cut(parent, held):
-    """The cut of `parent` holding, at each stage o, the positions set in `held[o]`."""
-    return subpresheaf(parent, lambda o, x: (held[o] >> parent.index[o][x]) & 1 == 1)
-
-
-def held_in(n, parent):
-    """Per stage, the mask of the positions of `parent` whose values the cut n holds."""
-    return [sum(1 << parent.index[o][x] for x in stage) for o, stage in enumerate(n.values)]
-
-
-def less_one_image(n, parent):
-    """The cut n of `parent` less one value it holds that is the image, along
-    the first arrow between two objects, of another value it holds: a cut
-    that is not closed."""
-    held = held_in(n, parent)
+def less_one_image(n):
+    """The cut n less one value it holds that is the image, along the first
+    arrow between two objects, of another value it holds: a cut of the same
+    parent that is not closed."""
+    parent, held = n.parent, list(n.held)
     site = parent.site
     for a, table in enumerate(parent.positions):
         dom, cod = site.arrow_dom(a), site.arrow_cod(a)
@@ -169,20 +159,20 @@ def less_one_image(n, parent):
         for i, j in enumerate(table):
             if (held[dom] >> i) & 1 and j is not None and (held[cod] >> j) & 1:
                 held[cod] &= ~(1 << j)
-                return cut(parent, held)
+                return subpresheaf(parent, held)
     raise AssertionError("no image to drop")
 
 
-def plus_non_natural(nat_omega, omega):
+def plus_non_natural(nat_omega):
     """♮Ω plus the first sieve of Ω that it lacks and that holds an
     observable-raising arrow (so no round trip fixes it), where there is one."""
-    held = held_in(nat_omega, omega)
+    omega, held = nat_omega.parent, list(nat_omega.held)
     site = omega.site
     for o, stage in enumerate(omega.values):
         for i, s in enumerate(stage):
             if not (held[o] >> i) & 1 and any(site.arrow_cod_rho(a) != site.object_rho(o) for a in s):
                 held[o] |= 1 << i
-                return cut(omega, held)
+                return subpresheaf(omega, held)
     return nat_omega
 
 
@@ -203,13 +193,13 @@ def each_run(change):
 
 def plain_true_less_one_image(run):
     side = run.plain_side
-    side.true_t = less_one_image(side.true_t, side.propositions_l)
+    side.true_t = less_one_image(side.true_t)
 
 
 def extended_true_less_one_image(run):
     side = run.ext_side
     if side is not None:
-        side.true_t = less_one_image(side.true_t, side.propositions_l)
+        side.true_t = less_one_image(side.true_t)
 
 
 def extended_true_adversarial(run):
@@ -221,14 +211,14 @@ def extended_true_adversarial(run):
 
 def natural_omega_doctor(change):
     """A doctor of `build_scenario` that replaces ♮Ω, once per extended site,
-    by `change(♮Ω, Ω)`; runs on one site share its ♮Ω."""
+    by `change(♮Ω)`; runs on one site share its ♮Ω."""
 
     def doctor(build_scenario):
         def doctored(scenario):
             built = build_scenario(scenario)
             shared = {id(run.ext_side.functors): run.ext_side.functors for run in built.runs if run.ext_side}
             for functors in shared.values():
-                functors.nat_omega = change(functors.nat_omega, functors.omega)
+                functors.nat_omega = change(functors.nat_omega)
             return built
 
         return doctored

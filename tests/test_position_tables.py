@@ -48,6 +48,7 @@ from sieveval import runner as runner_module
 from sieveval import sieves as sieves_module
 from sieveval.errors import NaturalityError, SievevalError
 from sieveval.sieves import (
+    Cut,
     GlobalElement,
     atom_presheaf,
     build_presheaf,
@@ -118,6 +119,11 @@ def old_build_presheaf(site, values_at, transition):
         {x: transition(a, x) for x in values[site.arrow_dom(a)]} for a in range(len(site.arrows))
     )
     return OldPresheaf(site, values, transitions)
+
+
+def held_by(m, keep):
+    """Per stage of m, the mask of the positions whose values `keep(o, x)` holds."""
+    return [sum(1 << i for i, x in enumerate(stage) if keep(o, x)) for o, stage in enumerate(m.values)]
 
 
 def old_subpresheaf(m, keep):
@@ -282,7 +288,7 @@ def test_a_cut_that_is_not_transition_closed_is_not_a_subfunctor(qubit_site):
     def keep(o, p):
         return o == 0 and p == full_space(2)
 
-    cut = subpresheaf(propositions, keep)
+    cut = subpresheaf(propositions, held_by(propositions, keep))
     assert cut.positions[1] == (None,)
     assert not is_closed(cut)
     assert not old_is_subpresheaf(old_subpresheaf(old_propositions, keep), old_propositions)
@@ -291,13 +297,13 @@ def test_a_cut_that_is_not_transition_closed_is_not_a_subfunctor(qubit_site):
     def below_e1(o, p):
         return p in (zero_space(2), span([1, 0]))
 
-    assert is_closed(subpresheaf(propositions, below_e1))
+    assert is_closed(subpresheaf(propositions, held_by(propositions, below_e1)))
     assert old_is_subpresheaf(old_subpresheaf(old_propositions, below_e1), old_propositions)
 
 
 def test_a_cut_re_indexes_its_parent_tables(qubit_site):
     propositions = proposition_presheaf(qubit_site, close_universe(QUBIT_UNIVERSE, qubit_site.monoid.elements))
-    cut = subpresheaf(propositions, lambda o, p: p != span([1, -1]))
+    cut = subpresheaf(propositions, held_by(propositions, lambda o, p: p != span([1, -1])))
     for a, table in enumerate(cut.positions):
         dom, cod = qubit_site.arrow_dom(a), qubit_site.arrow_cod(a)
         for x, j in zip(cut.values[dom], table):
@@ -323,7 +329,7 @@ def test_a_naturality_square_that_fails_is_found(qubit_site):
     assert not old_naturality_holds(qubit_site, value_keyed(zeta, leaving), old_leaving, transition)
     # A value missing from the target's stage fails: the map must land there,
     # even where every square would commute.
-    zero = subpresheaf(propositions, lambda o, p: p == zero_space(2))
+    zero = subpresheaf(propositions, held_by(propositions, lambda o, p: p == zero_space(2)))
     to_zero = tuple((zero_space(2),) * len(stage) for stage in zeta)
     to_full = tuple((full_space(2),) * len(stage) for stage in zeta)
     assert naturality_holds(to_zero, propositions, zero)
@@ -410,7 +416,6 @@ class Recorder:
     def __init__(self, monkeypatch):
         self.old = {}  # id(new presheaf) -> (new, old)
         self.omegas = []  # (Ω, its value-keyed twin)
-        self.parent = {}  # id(cut) -> the presheaf it was cut from
         self.asked = []  # presheaves whose closure was asked
         self.squares = []
         self.sites = []
@@ -445,10 +450,14 @@ class Recorder:
             self.omegas.append((new, old))
             return new
 
-        def recording_cut(m, keep):
-            new = cut(m, keep)
+        # A cut's twin keeps the values at its held positions.
+        def recording_cut(m, held):
+            new = cut(m, held)
+
+            def keep(o, x):
+                return (held[o] >> m.index[o][x]) & 1 == 1
+
             self.old[id(new)] = (new, old_subpresheaf(self.twin(m), keep))
-            self.parent[id(new)] = m
             return new
 
         def recording_closed(n):
@@ -486,8 +495,8 @@ class Recorder:
             counts["presheaves"] += 1
         # A cut is a subfunctor of its parent iff it is closed.
         for n in self.asked:
-            if id(n) in self.parent:
-                old = old_is_subpresheaf(self.twin(n), self.twin(self.parent[id(n)]))
+            if isinstance(n, Cut):
+                old = old_is_subpresheaf(self.twin(n), self.twin(n.parent))
                 assert is_closed(n) == old
                 counts["pairs"] += 1
         for zeta, m, target in self.squares:

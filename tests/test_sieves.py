@@ -43,7 +43,6 @@ from sieveval.sieves import (
     is_sieve,
     omega_presheaf,
     delta_omega_presheaf,
-    position_masks,
     proposition_presheaf,
     semiclassifier_check,
     tau_values,
@@ -176,7 +175,7 @@ def test_heyting_adjunction_exhaustive(qubit_site):
 
 def classify(site, true_t, propositions, obj, x):
     """The entry of the characteristic table that classifies x at obj."""
-    return characteristic_table(site, true_t, propositions)[obj][propositions.index[obj][x]]
+    return characteristic_table(true_t)[obj][propositions.index[obj][x]]
 
 
 def test_characteristic_examples(qubit_setup):
@@ -214,15 +213,18 @@ def test_sigma_naturality_error(qubit_setup):
 def test_filter_check_positive_and_negative(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     universe = qubit_universe(site)
-    assert filter_check(universe, position_masks(true_t, propositions)) == ([], 0)
+    assert filter_check(universe, true_t.held) == ([], 0)
+
+    def masks(values):
+        return [sum(1 << propositions.index[o][p] for p in values[o]) for o in range(site.n_objects)]
+
     # a lone ray is a presheaf (images stay inside) but not up-closed
     not_up_values = {
         0: (span([1, 0]),),
         1: (span([1, 0]),),
         2: (zero_space(2), span([1, 0])),
     }
-    not_up = build_presheaf(site, lambda o: not_up_values[o], act(site))
-    violations, _ = filter_check(universe, position_masks(not_up, propositions))
+    violations, _ = filter_check(universe, masks(not_up_values))
     assert any(kind == "up-set" for kind, *_ in violations)
     # two incomparable members without their meet
     no_meet_values = {
@@ -230,8 +232,7 @@ def test_filter_check_positive_and_negative(qubit_setup):
         1: (span([1, 0]), full_space(2)),
         2: (span([0, 1]), zero_space(2), full_space(2)),
     }
-    no_meet = build_presheaf(site, lambda o: no_meet_values[o], act(site))
-    violations, _ = filter_check(universe, position_masks(no_meet, propositions))
+    violations, _ = filter_check(universe, masks(no_meet_values))
     assert any(kind == "meet" for kind, *_ in violations)
 
 
@@ -265,13 +266,15 @@ def test_a_true_subobject_that_is_no_subfunctor_fails_every_row_reading_the_verd
     from sieveval import runner
 
     def without_a_transition_image(sigma, propositions, universe):
-        """The true subobject less one image of a kept value along an arrow."""
-        honest = true_subobject(sigma, propositions, universe)
+        """The true subobject, cut from the propositions by masks, less one
+        image of a kept value along an arrow."""
+        held = list(true_subobject(sigma, propositions, universe).held)
         site = propositions.site
         a = next(a for a in range(len(site.arrows)) if site.arrow_dom(a) != site.arrow_cod(a))
-        cod = site.arrow_cod(a)
-        image = honest.values[cod][honest.positions[a][0]]
-        return sieves.subpresheaf(honest, lambda o, p: o != cod or p != image)
+        dom, cod = site.arrow_dom(a), site.arrow_cod(a)
+        first = (held[dom] & -held[dom]).bit_length() - 1  # the lowest kept position at dom
+        held[cod] &= ~(1 << propositions.positions[a][first])
+        return sieves.subpresheaf(propositions, held)
 
     monkeypatch.setattr(runner, "true_subobject", without_a_transition_image)
     report = run_check(load_scenario(bundled_scenario_path("qubit")))
@@ -288,7 +291,7 @@ def test_a_closed_true_subobject_that_is_not_the_true_propositions_fails_eq_3_12
     from sieveval import runner
 
     def empty(sigma, propositions, universe):
-        return sieves.subpresheaf(propositions, lambda o, p: False)
+        return sieves.subpresheaf(propositions, [0] * len(propositions.values))
 
     monkeypatch.setattr(runner, "true_subobject", empty)
     report = run_check(load_scenario(bundled_scenario_path("qubit")))
@@ -428,17 +431,15 @@ def test_delta_omega_degenerate_cases(qubit_site):
     assert len(no_floor) == len(sieves_on(site, 1, 64))
 
 
-def pair(site, n, m):
-    """A semi-classifier audit input: n, m and the characteristic table of n in m."""
-    return (n, m, characteristic_table(site, n, m))
+def pair(n):
+    """A semi-classifier audit input: the cut n and its characteristic table."""
+    return (n, characteristic_table(n))
 
 
 def test_semiclassifier_on_full_classifier(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     omega = omega_presheaf(site, cap=64)
-    rows = semiclassifier_check(
-        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)]
-    )
+    rows = semiclassifier_check(site, omega, omega, tau_values(site), [pair(true_t)])
     assert all(r["passed"] for r in rows)
 
 
@@ -446,9 +447,7 @@ def test_semiclassifier_delta(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     omega = omega_presheaf(site, cap=64)
     delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
-    rows = semiclassifier_check(
-        site, delta, omega, tau_values(site), [pair(site, true_t, propositions)]
-    )
+    rows = semiclassifier_check(site, delta, omega, tau_values(site), [pair(true_t)])
     assert all(r["passed"] for r in rows)
     assert rows[0]["uniqueness_mode"] in ("enumerated", "forced-pointwise")
 
@@ -460,9 +459,7 @@ def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
     # the OTHER eigenray's true subobject classifies outside this delta
     sigma2 = atom_global_element(site, atoms, span([0, 1]))
     other_t = true_subobject(sigma2, propositions, qubit_universe(site))
-    rows = semiclassifier_check(
-        site, delta, omega, tau_values(site), [pair(site, other_t, propositions)]
-    )
+    rows = semiclassifier_check(site, delta, omega, tau_values(site), [pair(other_t)])
     assert not rows[0]["factors"]
     assert not rows[0]["passed"]
 
@@ -470,7 +467,7 @@ def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
 def test_semiclassifier_rejects_a_true_section_that_is_not_natural(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     omega = omega_presheaf(site, cap=64)
-    pairs = [pair(site, true_t, propositions)]
+    pairs = [pair(true_t)]
     # The top sieve at the base stage pulls back to the top sieve, not the
     # bottom one; a non-sieve is not a value of the classifier at all.
     crooked = (top_sieve(site, 0),) + tuple(bottom_sieve(o) for o in range(1, site.n_objects))
@@ -490,9 +487,7 @@ def test_semiclassifier_enumerated_uniqueness_small():
     sigma = atom_global_element(site, atoms, full_space(1))
     true_t = true_subobject(sigma, propositions, universe)
     omega = omega_presheaf(site, cap=8)
-    rows = semiclassifier_check(
-        site, omega, omega, tau_values(site), [pair(site, true_t, propositions)]
-    )
+    rows = semiclassifier_check(site, omega, omega, tau_values(site), [pair(true_t)])
     assert rows[0]["passed"]
     assert rows[0]["uniqueness_mode"] == "enumerated"
 
@@ -524,7 +519,7 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
         true_subobject(atom_global_element(site, atoms, r), propositions, universe)
         for r in (span([1, 0]), span([0, 1]))
     ]
-    pairs = [pair(site, t, propositions) for t in subobjects]
+    pairs = [pair(t) for t in subobjects]
     enumerated, forced = _forced_and_enumerated(monkeypatch, site, delta, omega, pairs)
     assert _verdicts(enumerated) == _verdicts(forced)
     assert [r["passed"] for r in forced] == [True, False]
@@ -539,7 +534,7 @@ def test_semiclassifier_uniqueness_modes_agree_single_object(monkeypatch):
     atoms = atom_presheaf(site)
     true_t = true_subobject(atom_global_element(site, atoms, full_space(1)), propositions, universe)
     omega = omega_presheaf(site, cap=8)
-    enumerated, forced = _forced_and_enumerated(monkeypatch, site, omega, omega, [pair(site, true_t, propositions)])
+    enumerated, forced = _forced_and_enumerated(monkeypatch, site, omega, omega, [pair(true_t)])
     assert _verdicts(enumerated) == _verdicts(forced) == [(True, True, True, True)]
 
 
@@ -554,18 +549,18 @@ def _doctored(delta, values=None, transition=None):
 def test_forced_uniqueness_rejects_a_doctored_semiclassifier(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     delta = delta_omega_presheaf(omega_presheaf(site, cap=64), annihilator_floors(site, span([1, 0])))
-    chi = characteristic_table(site, true_t, propositions)
+    chi = characteristic_table(true_t)
     tau = tau_values(site)
-    assert _forced_pointwise_unique(site, delta, propositions, true_t, tau, chi)
+    assert _forced_pointwise_unique(site, delta, true_t, tau, chi)
     # Transitions that send every sieve to the top are not the pullback.
     to_top = _doctored(delta, transition=lambda a, s: top_sieve(site, site.arrow_cod(a)))
-    assert not _forced_pointwise_unique(site, to_top, propositions, true_t, tau, chi)
+    assert not _forced_pointwise_unique(site, to_top, true_t, tau, chi)
     # A stage set holding a non-sieve: the identity alone, without its postcomposites.
     non_sieve = Sieve(0, 1 << site.identity_arrow(0))
     assert not is_sieve(site, non_sieve)
     values = (delta.values[0] + (non_sieve,),) + delta.values[1:]
     widened = _doctored(delta, values=values)
-    assert not _forced_pointwise_unique(site, widened, propositions, true_t, tau, chi)
+    assert not _forced_pointwise_unique(site, widened, true_t, tau, chi)
 
 
 def test_ib_condition_check(qubit_site):

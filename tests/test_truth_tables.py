@@ -42,7 +42,7 @@ def assert_tables_are_fresh(built):
     for run in built.runs:
         for side in filter(None, (run.plain_side, run.ext_side)):
             site, propositions = side.site, side.propositions_l
-            assert side.chi == characteristic_table(site, side.true_t, propositions)
+            assert side.chi == characteristic_table(side.true_t)
             assert [len(row) for row in side.values] == [len(stage) for stage in propositions.values]
             for o, stage in enumerate(propositions.values):
                 for p, value in zip(stage, side.values[o]):

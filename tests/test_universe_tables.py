@@ -46,7 +46,6 @@ from sieveval.sieves import (
     bottom_sieve,
     filter_check,
     ib_condition_check,
-    position_masks,
     subpresheaf,
     top_sieve,
 )
@@ -88,7 +87,7 @@ def assert_filter_check_is_the_brute_force_one(built):
     checked = 0
     for side in _sides(built):
         assert side.propositions_l.values[0] == tuple(universe)
-        for t in position_masks(side.true_t, side.propositions_l):
+        for t in side.true_t.held:
             for mask in [t] + [t ^ (1 << k) for k in range(len(universe))]:
                 found, outside = filter_check(universe, [mask])
                 stage = {p for k, p in enumerate(universe) if (mask >> k) & 1}
@@ -200,7 +199,8 @@ def _check_with_doctored_truth(monkeypatch, doctor):
 def test_a_true_subobject_missing_an_up_set_member_fails_the_filter_rows(monkeypatch):
     # The whole space is above every member; drop it at stage 0.
     def drop_the_whole_space(t):
-        return subpresheaf(t, lambda o, p: not (o == 0 and p.is_full))
+        full = next(i for i, p in enumerate(t.parent.values[0]) if p.is_full)
+        return subpresheaf(t.parent, (t.held[0] & ~(1 << full),) + t.held[1:])
 
     report = _check_with_doctored_truth(monkeypatch, drop_the_whole_space)
     for tag in FILTER_TAGS:
@@ -220,7 +220,9 @@ def test_a_true_subobject_missing_an_inner_meet_fails_the_filter_rows(monkeypatc
                     m = meet(p, q)
                     if m in t.index[o] and m is not p and m is not q:
                         dropped.append((o, p, q, m))
-                        return subpresheaf(t, lambda o2, x: not (o2 == o and x is m))
+                        held = list(t.held)
+                        held[o] &= ~(1 << t.parent.index[o][m])
+                        return subpresheaf(t.parent, held)
         return t
 
     report = _check_with_doctored_truth(monkeypatch, drop_a_meet)
@@ -232,7 +234,7 @@ def test_a_true_subobject_missing_an_inner_meet_fails_the_filter_rows(monkeypatc
     o, p, q, m = dropped[0]
     built = _bundled("qutrit_extended")
     side = built.runs[0].plain_side
-    violations, _ = filter_check(built.universe, position_masks(side.true_t, side.propositions_l))
+    violations, _ = filter_check(built.universe, side.true_t.held)
     assert ("meet", o, p, q) in violations
     assert {kind for kind, *_ in violations} == {"meet"}
 

@@ -82,6 +82,9 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    def __reduce__(self):  # copy and pickle through the constructor: the interned instance
+        return ExactMatrix, (self.rows, self.cols, self.numerators, self.denominator)
+
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}, {self.cols}, {self.numerators!r}, {self.denominator})"
 

@@ -82,6 +82,9 @@ class Observable:
     def __setattr__(self, name, value):
         raise AttributeError("Observable is immutable")
 
+    def __reduce__(self):  # copy and pickle by field; the answer table is not carried
+        return Observable, self._key()
+
     def _key(self) -> tuple:
         return self.name, self.eigenspaces, self.labels
 

@@ -35,6 +35,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):  # copy and pickle by field, not by slot assignment
+        return GaussianRational, (self.re, self.im)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented

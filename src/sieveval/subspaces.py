@@ -73,6 +73,9 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
+    def __reduce__(self):  # copy and pickle through the constructor: the interned instance
+        return Subspace, (self.ambient_dim, self.rows)
+
     def __repr__(self) -> str:
         return f"Subspace({self.ambient_dim}, dim={self.dim})"
 
@@ -146,6 +149,9 @@ class Ray:
 
     def __setattr__(self, name, value):
         raise AttributeError("Ray is immutable")
+
+    def __reduce__(self):  # copy and pickle by field, not by slot assignment
+        return Ray, (self.space,)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

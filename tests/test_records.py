@@ -13,21 +13,27 @@ import operator
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sieveval
 from sieveval import (
+    ExactMatrix,
     Observable,
     Ray,
     Sieve,
+    Subspace,
     atom_presheaf,
     build_plain_site,
     build_scenario,
     bundled_scenario_path,
     close_monoid,
     diagonal_matrix,
+    full_space,
+    gaussian,
+    identity_matrix,
     load_scenario,
     ray_from_vector,
     subspace_from_vectors,
@@ -83,6 +89,31 @@ def test_a_sieve_copies_and_pickles_by_its_fields():
         assert type(twin) is Sieve and twin == s and twin.mask == 0b10100
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gaussian(1, 2),
+        lambda: identity_matrix(2),
+        lambda: full_space(2),
+        lambda: ray_from_vector([1, 1]),
+        lambda: Observable("Z", (span([1, 0]), span([0, 1])), (Fraction(1), Fraction(-1))),
+    ],
+    ids=["GaussianRational", "ExactMatrix", "Subspace", "Ray", "Observable"],
+)
+def test_exact_values_copy_and_pickle_by_their_canonical_fields(make):
+    """A hash-consed value copies and unpickles to itself; the others to an
+    equal value.  An observable's answer table is not carried."""
+    value = make()
+    if isinstance(value, Observable):
+        value.answers["asked"] = True
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        if isinstance(value, (ExactMatrix, Subspace)):
+            assert twin is value
+        if isinstance(value, Observable):
+            assert twin.answers == {}
+
+
 def _built_records():
     """One record of each immutable kind, from a bundled build, with the
     names of its fields."""
@@ -107,7 +138,7 @@ def _built_records():
         (built.scenario.observables[0], ("name", "eigenspaces", "labels")),
         (run.state, ("space",)),
         (site, ("observables", "monoid", "rays", "objects", "arrows", "rho_leq")),
-        (run.plain_side.true_t, ("site", "values", "positions", "index")),
+        (run.plain_side.true_t, ("site", "values", "positions", "index", "parent", "held")),
     ]
 
 

@@ -530,8 +530,7 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     rows.append(_validation_row("Prop 3.5", title, delta))
     title = "semi-classifier bottoms differ from the classifier bottom when nonempty"
     rows.append(_row("§3.4", title, bottoms_differ_ok))
-    delta_tau = tau_values(site)
-    semi = semiclassifier_check(site, delta, omega, delta_tau, [(side.true_t, side.chi)])
+    semi = semiclassifier_check(delta, tau_values(site), [(side.true_t, side.chi)])
     rows.append(
         _row(
             "Props A3–A4 (δΩ)",
@@ -784,7 +783,7 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
         **failure,
     )
     failure = _validate(side.omega)
-    semi = semiclassifier_check(side.site, run.nat_omega, side.omega, tau_values(side.site), [pair])
+    semi = semiclassifier_check(run.nat_omega, tau_values(side.site), [pair])
     rows.append(
         _row(
             "Thm 5.13 / Props A3–A4 (♮Ω)",

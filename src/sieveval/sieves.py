@@ -621,28 +621,25 @@ def tau_values(site) -> tuple[Sieve, ...]:
 
 
 def semiclassifier_check(
-    site,
-    delta_omega: Presheaf,
-    omega: Presheaf,
-    delta_tau: tuple[Sieve, ...],
-    pairs: Sequence[tuple[Cut, tuple]],
+    delta_omega: Cut, delta_tau: tuple[Sieve, ...], pairs: Sequence[tuple[Cut, tuple]]
 ) -> list[dict]:
-    """Per-object semi-classifier audit for a cut of the classifier.
+    """Per-object semi-classifier audit for a cut of the classifier Ω.
 
     For every (N, chi), chi the `characteristic_table` of N in its parent: (a) chi
     factors through the stage sets of delta_omega; (b) the square against
     delta_tau is a set-level pullback at every object; (c) the factored map is
     the only natural map with that pullback property (full candidate enumeration
     when the count fits `CANDIDATE_BUDGET`, otherwise a pointwise forcing argument).
-    delta_omega is omega or a cut of it, and each n a cut, so each is a
-    subfunctor of its parent iff it `is_closed`.
+    delta_omega and each n are cuts, so each is a subfunctor of its parent iff
+    it `is_closed`; delta_tau must be a global element of Ω, delta_omega's parent.
     """
+    site = delta_omega.site
     rows: list[dict] = []
     if not is_closed(delta_omega):
         rows.append({"pair": None, "passed": False, "reason": "not a subfunctor of the classifier"})
         return rows
     try:
-        GlobalElement(omega, delta_tau).validate()
+        GlobalElement(delta_omega.parent, delta_tau).validate()
     except NaturalityError:
         rows.append({"pair": None, "passed": False, "reason": "the 'true' section is not natural"})
         return rows

@@ -236,18 +236,14 @@ def test_criterion_09_appendix_suites(built):
             omega = omega_presheaf(site, cap)
             delta = delta_omega_presheaf(omega, run.floors)
             true_t = run.plain_side.true_t
-            rows = semiclassifier_check(site, delta, omega, tau_values(site), [(true_t, characteristic_table(true_t))])
+            rows = semiclassifier_check(delta, tau_values(site), [(true_t, characteristic_table(true_t))])
             ok = ok and all(r["passed"] for r in rows)
             if run.ext_side:
                 rest = run.rest
                 omega_ext = omega_presheaf(rest, cap)
                 true_t = run.ext_side.true_t
                 rows = semiclassifier_check(
-                    rest,
-                    natural_omega(omega_ext),
-                    omega_ext,
-                    tau_values(rest),
-                    [(true_t, characteristic_table(true_t))],
+                    natural_omega(omega_ext), tau_values(rest), [(true_t, characteristic_table(true_t))]
                 )
                 ok = ok and all(r["passed"] for r in rows)
     # atom-set identities over every ray and comparable chain

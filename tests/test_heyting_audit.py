@@ -43,7 +43,6 @@ from sieveval import sieves as sieves_module
 from sieveval import sites as sites_module
 from sieveval.sieves import (
     LazyTable,
-    build_presheaf,
     delta_omega_presheaf,
     is_heyting_family,
     Stage,
@@ -508,13 +507,9 @@ def test_an_ambient_implication_below_the_fixpoint_one_fails_eq_5_17(monkeypatch
 
 def test_a_semiclassifier_holding_the_empty_sieve_fails_section_3_4(monkeypatch):
     def with_empty_sieve(omega, floors):
-        site = omega.site
         honest = delta_omega_presheaf(omega, floors)
-        return build_presheaf(
-            site,
-            lambda o: tuple(dict.fromkeys((Sieve(o, 0), *honest.values[o]))),
-            lambda a, s: omega_transition(site, a, s),
-        )
+        empty = [index[Sieve(o, 0)] for o, index in enumerate(omega.index)]
+        return subpresheaf(omega, [held | 1 << i for held, i in zip(honest.held, empty)])
 
     monkeypatch.setattr(runner_module, "delta_omega_presheaf", with_empty_sieve)
     # every run of the qubit scenario has a nonempty floor; the doctored
@@ -532,11 +527,9 @@ def test_a_semiclassifier_missing_a_transition_image_fails_prop_3_5(monkeypatch)
         a = next(a for a in range(len(site.arrows)) if a != site.identity_arrow(site.arrow_dom(a)))
         cod = site.arrow_cod(a)
         image = omega_transition(site, a, top_sieve(site, site.arrow_dom(a)))
-        return build_presheaf(
-            site,
-            lambda o: tuple(s for s in honest.values[o] if o != cod or s != image),
-            lambda b, s: omega_transition(site, b, s),
-        )
+        held = list(honest.held)
+        held[cod] &= ~(1 << omega.index[cod][image])
+        return subpresheaf(omega, held)
 
     monkeypatch.setattr(runner_module, "delta_omega_presheaf", without_a_transition_image)
     report = run_check(load_scenario(bundled_scenario_path("qubit")))

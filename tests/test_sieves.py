@@ -5,7 +5,6 @@ import pytest
 from sieveval import (
     Observable,
     Sieve,
-    apply_operator,
     bottom_annihilator,
     build_plain_site,
     build_scenario,
@@ -52,11 +51,6 @@ from sieveval.sieves import (
 
 def span(*vs):
     return subspace_from_vectors(len(vs[0]), list(vs))
-
-
-def act(site):
-    """The proposition functor's transition: each arrow's operator applied."""
-    return lambda a, p: apply_operator(site.operator_matrix(site.arrow_op(a)), p)
 
 
 def arrows_by_op(site, obj, sieve):
@@ -431,6 +425,11 @@ def test_delta_omega_degenerate_cases(qubit_site):
     assert len(no_floor) == len(sieves_on(site, 1, 64))
 
 
+def whole(omega):
+    """Ω as a cut of itself, holding every sieve: the classifier as its own semi-classifier."""
+    return sieves.subpresheaf(omega, [(1 << len(stage)) - 1 for stage in omega.values])
+
+
 def pair(n):
     """A semi-classifier audit input: the cut n and its characteristic table."""
     return (n, characteristic_table(n))
@@ -439,7 +438,7 @@ def pair(n):
 def test_semiclassifier_on_full_classifier(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     omega = omega_presheaf(site, cap=64)
-    rows = semiclassifier_check(site, omega, omega, tau_values(site), [pair(true_t)])
+    rows = semiclassifier_check(whole(omega), tau_values(site), [pair(true_t)])
     assert all(r["passed"] for r in rows)
 
 
@@ -447,7 +446,7 @@ def test_semiclassifier_delta(qubit_setup):
     site, propositions, _, _, true_t = qubit_setup
     omega = omega_presheaf(site, cap=64)
     delta = delta_omega_presheaf(omega, annihilator_floors(site, span([1, 0])))
-    rows = semiclassifier_check(site, delta, omega, tau_values(site), [pair(true_t)])
+    rows = semiclassifier_check(delta, tau_values(site), [pair(true_t)])
     assert all(r["passed"] for r in rows)
     assert rows[0]["uniqueness_mode"] in ("enumerated", "forced-pointwise")
 
@@ -459,7 +458,7 @@ def test_semiclassifier_detects_escaping_characteristic(qubit_setup):
     # the OTHER eigenray's true subobject classifies outside this delta
     sigma2 = atom_global_element(site, atoms, span([0, 1]))
     other_t = true_subobject(sigma2, propositions, qubit_universe(site))
-    rows = semiclassifier_check(site, delta, omega, tau_values(site), [pair(other_t)])
+    rows = semiclassifier_check(delta, tau_values(site), [pair(other_t)])
     assert not rows[0]["factors"]
     assert not rows[0]["passed"]
 
@@ -473,7 +472,7 @@ def test_semiclassifier_rejects_a_true_section_that_is_not_natural(qubit_setup):
     crooked = (top_sieve(site, 0),) + tuple(bottom_sieve(o) for o in range(1, site.n_objects))
     outside = (Sieve(0, 1 << site.identity_arrow(0)),) + tau_values(site)[1:]
     for tau in (crooked, outside):
-        rows = semiclassifier_check(site, omega, omega, tau, pairs)
+        rows = semiclassifier_check(whole(omega), tau, pairs)
         assert rows == [{"pair": None, "passed": False, "reason": "the 'true' section is not natural"}]
 
 
@@ -487,15 +486,15 @@ def test_semiclassifier_enumerated_uniqueness_small():
     sigma = atom_global_element(site, atoms, full_space(1))
     true_t = true_subobject(sigma, propositions, universe)
     omega = omega_presheaf(site, cap=8)
-    rows = semiclassifier_check(site, omega, omega, tau_values(site), [pair(true_t)])
+    rows = semiclassifier_check(whole(omega), tau_values(site), [pair(true_t)])
     assert rows[0]["passed"]
     assert rows[0]["uniqueness_mode"] == "enumerated"
 
 
-def _forced_and_enumerated(monkeypatch, site, delta, omega, pairs):
-    enumerated = semiclassifier_check(site, delta, omega, tau_values(site), pairs)
+def _forced_and_enumerated(monkeypatch, delta, pairs):
+    enumerated = semiclassifier_check(delta, tau_values(delta.site), pairs)
     monkeypatch.setattr(sieves, "CANDIDATE_BUDGET", 0)
-    forced = semiclassifier_check(site, delta, omega, tau_values(site), pairs)
+    forced = semiclassifier_check(delta, tau_values(delta.site), pairs)
     assert {r["uniqueness_mode"] for r in enumerated} == {"enumerated"}
     assert {r["uniqueness_mode"] for r in forced} == {"forced-pointwise"}
     return enumerated, forced
@@ -520,7 +519,7 @@ def test_semiclassifier_uniqueness_modes_agree(qubit_site, monkeypatch):
         for r in (span([1, 0]), span([0, 1]))
     ]
     pairs = [pair(t) for t in subobjects]
-    enumerated, forced = _forced_and_enumerated(monkeypatch, site, delta, omega, pairs)
+    enumerated, forced = _forced_and_enumerated(monkeypatch, delta, pairs)
     assert _verdicts(enumerated) == _verdicts(forced)
     assert [r["passed"] for r in forced] == [True, False]
 
@@ -534,7 +533,7 @@ def test_semiclassifier_uniqueness_modes_agree_single_object(monkeypatch):
     atoms = atom_presheaf(site)
     true_t = true_subobject(atom_global_element(site, atoms, full_space(1)), propositions, universe)
     omega = omega_presheaf(site, cap=8)
-    enumerated, forced = _forced_and_enumerated(monkeypatch, site, omega, omega, [pair(true_t)])
+    enumerated, forced = _forced_and_enumerated(monkeypatch, whole(omega), [pair(true_t)])
     assert _verdicts(enumerated) == _verdicts(forced) == [(True, True, True, True)]
 
 

@@ -226,7 +226,8 @@ def natural_omega_doctor(change):
     return doctor
 
 
-def both(runs, *tags):
+def rows_on(runs, *tags):
+    """The (tag, run) rows of each tag on each run."""
     return {(tag, run) for tag in tags for run in runs}
 
 
@@ -234,7 +235,7 @@ PLAIN_TRUE_LESS_ONE_IMAGE = (
     "qubit",
     "build_scenario",
     each_run(plain_true_less_one_image),
-    both(
+    rows_on(
         ("z-up", "z-down"),
         "Eq 3.12",
         "Eq 3.21",
@@ -249,7 +250,7 @@ NATURAL_OMEGA_LESS_ONE_IMAGE = (
     "qubit_extended",
     "build_scenario",
     natural_omega_doctor(less_one_image),
-    both(("coarse", "fine"), "Prop 5.7/Thm 5.8", "Thm 5.13 / Props A3–A4 (♮Ω)"),
+    rows_on(("coarse", "fine"), "Prop 5.7/Thm 5.8", "Thm 5.13 / Props A3–A4 (♮Ω)"),
 )
 
 # tag -> (scenario, the function of `checks` doctored, doctor, the failing (tag, run) rows)
@@ -295,7 +296,7 @@ CONTROLS = {
         "qubit_extended",
         "build_scenario",
         each_run(extended_true_less_one_image),
-        both(
+        rows_on(
             ("coarse", "fine"),
             "Eq 4.27",
             "Eq 4.28",
@@ -310,7 +311,7 @@ CONTROLS = {
         "qubit_extended",
         "build_scenario",
         each_run(extended_true_adversarial),
-        both(("coarse",), "§5.2", "Eq 4.26", "Eq 4.28", "Thm 5.11", "Thm 5.13 / Props A3–A4 (♮Ω)"),
+        rows_on(("coarse",), "§5.2", "Eq 4.26", "Eq 4.28", "Thm 5.11", "Thm 5.13 / Props A3–A4 (♮Ω)"),
     ),
     "Prop 5.7/Thm 5.8": NATURAL_OMEGA_LESS_ONE_IMAGE,
     "Thm 5.13 / Props A3–A4 (♮Ω)": NATURAL_OMEGA_LESS_ONE_IMAGE,
@@ -318,7 +319,7 @@ CONTROLS = {
         "qubit_extended",
         "build_scenario",
         natural_omega_doctor(plus_non_natural),
-        both(("coarse",), "Prop 5.7/Thm 5.8", "Prop C1", "Thm 5.13 / Props A3–A4 (♮Ω)"),
+        rows_on(("coarse",), "Prop 5.7/Thm 5.8", "Prop C1", "Thm 5.13 / Props A3–A4 (♮Ω)"),
     ),
 }
 

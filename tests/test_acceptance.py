@@ -8,6 +8,7 @@ import json
 import time
 
 import pytest
+from families import family_scenario
 
 from sieveval import (
     bub_valuation,
@@ -25,9 +26,10 @@ from sieveval import (
     valuation,
 )
 from sieveval.bridge import natural_omega
-from sieveval.checks import _find_adversarial_subpresheaf
+from sieveval.checks import _find_adversarial_subpresheaf, run_check
 from sieveval.cli import main
 from sieveval.modal import observable_leq, zero_augmented_atom_set
+from sieveval.scenario import scenario_from_dict
 from sieveval.sieves import (
     Sieve,
     bottom_annihilator,
@@ -299,3 +301,9 @@ def test_criterion_10_determinism_and_speed(capsys):
     ok = elapsed < 60.0
     with capsys.disabled():
         verdict(10, ok, f"full bundled suite green twice, byte-identical ({elapsed:.1f}s)")
+
+
+def test_the_dim3_coarse_graining_family_passes_every_row():
+    """`families.family_scenario(3)`: five observables, one extended run at `1|23`."""
+    report = run_check(scenario_from_dict(family_scenario(3)))
+    assert report["passed"] and len(report["rows"]) == 58

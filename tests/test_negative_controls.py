@@ -14,14 +14,19 @@ the two extended-site rows that read operators by matrix, §4.1 and
 §4.1 reachability, and the rows that read a cut of a presheaf: the true
 subobject T of the propositions on either side of a run (Eqs 3.21, 3.35
 and 4.27, diagram 3.24, §5.2) and the fixpoint subfunctor ♮Ω of the
-extended classifier (Prop 5.7/Thm 5.8, Prop C1, Thm 5.13).
+extended classifier (Prop 5.7/Thm 5.8, Prop C1, Thm 5.13).  Five more
+controls cover rows that read sieve masks: Eq 3.56 (a restriction that
+lost an arrow), the bridge's Prop 5.3 (a round trip that does not deflate)
+and Prop 5.14 / diagram 5.30 (extended values listed against the wrong
+propositions), each doctored through `build_scenario`, and Eq 5.4 and
+Def 5.4, which alone read `sharp` and `principal_sieve` from `checks`.
 """
 
 import pytest
 
 from sieveval import bundled_scenario_path, checks, load_scenario, subspace_from_vectors
 from sieveval.scenario import scenario_from_dict
-from sieveval.sieves import subpresheaf
+from sieveval.sieves import LazyTable, Sieve, subpresheaf
 from sieveval.subspaces import ortho
 
 
@@ -209,6 +214,47 @@ def extended_true_adversarial(run):
         run.ext_side.true_t = adversarial[0]
 
 
+def restriction_less_one_arrow(run):
+    """Eq 3.56's site below the run's stage loses the last arrow out of the stage."""
+    stage = run.plain_side.stage
+    below = run.plain_below[stage]
+    last = below.arrows_from(below.ray_index(run.state.space))[-1]
+    run.plain_below = {stage: without_arrows(below, {below.arrows[last]})}
+
+
+def unfixed_to_top(run):
+    """At the bridge's extended stage, ♮ sends each sieve it does not fix to
+    the top sieve: the same fixpoints, but no deflation."""
+    if run.ext_side is not None:
+        stage = run.rest.stage(run.ext_side.stage)
+        natural = stage.natural
+        stage.natural = LazyTable(lambda m: natural[m] if natural[m] == m else stage.top)
+
+
+def extended_values_reversed(run):
+    """The extended values at the bridge stage listed in reverse proposition order."""
+    side = run.ext_side
+    if side is not None:
+        values = list(side.values)
+        values[side.stage] = values[side.stage][::-1]
+        side.values = tuple(values)
+
+
+def sharp_less_its_first_arrow(sharp):
+    """The closed-form sharp less the first arrow it holds."""
+
+    def doctored(ctx, s):
+        image = sharp(ctx, s)
+        return Sieve(image.base, image.mask & (image.mask - 1))
+
+    return doctored
+
+
+def twin_principal(principal_sieve):
+    """The principal sieve of an arrow's fixed-observable twin in its place."""
+    return lambda site, arrow: principal_sieve(site, site.rho_arrow_twin(arrow))
+
+
 def natural_omega_doctor(change):
     """A doctor of `build_scenario` that replaces ♮Ω, once per extended site,
     by `change(♮Ω)`; runs on one site share its ♮Ω."""
@@ -321,6 +367,21 @@ CONTROLS = {
         natural_omega_doctor(plus_non_natural),
         rows_on(("coarse",), "Prop 5.7/Thm 5.8", "Prop C1", "Thm 5.13 / Props A3–A4 (♮Ω)"),
     ),
+    "Eq 3.56": (
+        "qubit",
+        "build_scenario",
+        each_run(restriction_less_one_arrow),
+        rows_on(("z-up", "z-down"), "Eq 3.56"),
+    ),
+    "Prop 5.3": ("qubit_extended", "build_scenario", each_run(unfixed_to_top), {("Prop 5.3", "coarse")}),
+    "Prop 5.14 / diagram 5.30": (
+        "qubit_extended",
+        "build_scenario",
+        each_run(extended_values_reversed),
+        rows_on(("coarse", "fine"), "Eq 4.28", "Prop 5.14 / diagram 5.30"),
+    ),
+    "Eq 5.4": ("qubit_extended", "sharp", sharp_less_its_first_arrow, rows_on(("coarse", "fine"), "Eq 5.4")),
+    "Def 5.4": ("qubit_extended", "principal_sieve", twin_principal, {("Def 5.4", "coarse")}),
 }
 
 

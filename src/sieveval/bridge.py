@@ -6,13 +6,13 @@ the smallest extended sieve around their lifts.  The round trip down-then-up
 is a deflationary idempotent whose fixpoints — the natural sieves — form a
 Heyting algebra isomorphic to the plain stage's sieve lattice.
 
-Sieves are bitmasks (see `sieves`): sharpening ORs the extended principal
-masks of the lifted arrows, flattening relabels the fixed-observable bits.
-The stages they range over belong to the sites (`Site.stage`): each
-stage's sieve list, top, implication table and round-trip table
-(`Stage.natural`) live as long as its site.  Every reader of the round
-trip reads that table: the fixpoint subfunctor ♮Ω, cut from the extended
-classifier, keeps the sieves it fixes.  The stage-isomorphism audit
+Sieves are bitmasks local to their base (see `sieves`): sharpening ORs the
+extended stage's principal masks of the lifted bits, flattening relabels
+the fixed-observable bits.  The stages they range over belong to the sites
+(`Site.stage`): each stage's sieve list, top, implication table and
+round-trip table (`Stage.natural`) live as long as its site.  Every reader
+of the round trip reads that table: the fixpoint subfunctor ♮Ω, cut from
+the extended classifier, keeps the sieves it fixes.  The stage-isomorphism audit
 (`heyting_iso_check`) reads the two stages' tables and `sieves.LazyTable`s
 of sharp and flat, local to the call.
 
@@ -50,6 +50,7 @@ class BridgeContext(NamedTuple):
     Arrow correspondence: a plain arrow out of the stage ray matches the
     extended arrow with the same operator matrix that stays at the stage
     observable, whichever monoid object each site numbers its operators in.
+    The maps pair twins by their positions among the arrows out of each stage.
     """
 
     extended: ExtendedSite
@@ -68,16 +69,16 @@ def make_bridge_context(extended: ExtendedSite, stage: int, plain: PlainSite) ->
     plain_to_ext: dict[int, int] = {}
     ext_to_plain: dict[int, int] = {}
     ext_by_op = {
-        extended.operator_matrix(extended.arrow_op(a)): a
-        for a in extended.arrows_from(stage)
+        extended.operator_matrix(extended.arrow_op(a)): i
+        for i, a in enumerate(extended.arrows_from(stage))
         if extended.arrow_cod_rho(a) == rho
     }
-    for a in plain.arrows_from(plain_stage):
+    for i, a in enumerate(plain.arrows_from(plain_stage)):
         twin = ext_by_op.get(plain.operator_matrix(plain.arrow_op(a)))
         if twin is None:
             raise InternalCheckError("plain arrow without an extended twin")
-        plain_to_ext[a] = twin
-        ext_to_plain[twin] = a
+        plain_to_ext[i] = twin
+        ext_to_plain[twin] = i
     if len(ext_to_plain) != len(ext_by_op):
         raise InternalCheckError("extended fixed-rho arrow without a plain twin")
     return BridgeContext(extended, stage, rho, plain, plain_stage, plain_to_ext, ext_to_plain)
@@ -87,14 +88,14 @@ def _lift_mask(ctx: BridgeContext, s_e: Sieve) -> int:
     if s_e.base != ctx.plain_stage:
         raise UnknownObjectError("plain sieve is not based at the bridge stage")
     lifted = 0
-    for a in s_e:
-        lifted |= 1 << ctx.plain_to_ext[a]
+    for i in s_e:
+        lifted |= 1 << ctx.plain_to_ext[i]
     return lifted
 
 
 def sharp(ctx: BridgeContext, s_e: Sieve) -> Sieve:
     """Smallest extended sieve containing the lift: postcomposites of lifts."""
-    return Sieve(ctx.stage, principal_union(ctx.extended.principal_masks, _lift_mask(ctx, s_e)))
+    return Sieve(ctx.stage, principal_union(ctx.extended.stage(ctx.stage).principals, _lift_mask(ctx, s_e)))
 
 
 def sharp_by_intersection(ctx: BridgeContext, s_e: Sieve, cap: int) -> Sieve:
@@ -115,8 +116,8 @@ def flat(ctx: BridgeContext, s: Sieve) -> Sieve:
         raise UnknownObjectError("extended sieve is not based at the bridge stage")
     ext_to_plain = ctx.ext_to_plain
     members = 0
-    for a in s:
-        plain = ext_to_plain.get(a)
+    for i in s:
+        plain = ext_to_plain.get(i)
         if plain is not None:
             members |= 1 << plain
     return Sieve(ctx.plain_stage, members)

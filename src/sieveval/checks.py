@@ -565,18 +565,14 @@ def _restriction_row(run: BuiltRun) -> dict:
     site, stage = run.plain, run.plain_side.stage
     restricted = run.plain_below[stage]
     base = restricted.ray_index(run.state.space)
-    ok = True
-    down_row = valuation_row(restricted, base, run.r_space, run.universe)
-    for full_sieve, down_sieve in zip(run.plain_side.values[stage], down_row):
-        full_keys = {
-            (site.arrow_op(a), site.object_ray(site.arrow_cod(a))) for a in full_sieve
-        }
-        down_keys = {
-            (restricted.arrow_op(a), restricted.object_ray(restricted.arrow_cod(a)))
-            for a in down_sieve
-        }
-        if full_keys != down_keys:
-            ok = False
+
+    def keys(site, s: Sieve) -> set:
+        """The members of s as (operator, codomain ray) pairs."""
+        arrows = site.arrows_from(s.base)
+        return {(site.arrow_op(a), site.object_ray(site.arrow_cod(a))) for a in [arrows[i] for i in s]}
+
+    rows = zip(run.plain_side.values[stage], valuation_row(restricted, base, run.r_space, run.universe))
+    ok = all(keys(site, full) == keys(restricted, down) for full, down in rows)
     return _row(
         "Eq 3.56",
         "valuations agree on the reachable-part restriction",
@@ -702,11 +698,12 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
     title = "classifier transitions preserve natural sieves"
     rows.append(_validation_row("Prop 5.7/Thm 5.8", title, nat_omega))
     c1_ok = True
-    for stage in nat_omega.values:
+    for o, stage in enumerate(nat_omega.values):
+        arrows = rest.arrows_from(o)
+        twin = [arrows.index(rest.rho_arrow_twin(a)) for a in arrows]
         for s in stage:
-            for a in s:
-                if rest.rho_arrow_twin(a) not in s:
-                    c1_ok = False
+            if any(twin[i] not in s for i in s):
+                c1_ok = False
     title = "natural sieves contain the fixed-observable twin of each member"
     rows.append(_row("Prop C1", title, c1_ok))
     return rows

@@ -313,16 +313,16 @@ def serialize_subspace(s: Subspace) -> dict:
 
 
 def serialize_plain_sieve(site: PlainSite, s: Sieve) -> list[list[int]]:
-    rows = sorted(
-        (site.arrow_op(a), site.arrow_cod(a)) for a in s.arrows
-    )
+    arrows = site.arrows_from(s.base)
+    rows = sorted((site.arrow_op(a), site.arrow_cod(a)) for a in [arrows[i] for i in s])
     return [[op, cod] for op, cod in rows]
 
 
 def serialize_extended_sieve(site: ExtendedSite, s: Sieve) -> list[list]:
+    arrows = site.arrows_from(s.base)
     rows = sorted(
         (site.arrow_op(a), site.objects[site.arrow_cod(a)][0], site.arrow_cod_rho(a))
-        for a in s.arrows
+        for a in [arrows[i] for i in s]
     )
     return [[op, cod_ray, site.observables[rho].name] for op, cod_ray, rho in rows]
 

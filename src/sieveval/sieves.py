@@ -2,23 +2,26 @@
 
 A sieve on an object is a postcomposition-closed set of arrows out of it.
 Equivalently it is a union of principal sieves.  A site keeps one `Stage`
-per object (`Site.stage`), built on first use, for its own lifetime: the
-object's top mask, principal masks and implication table, and the list of
-its sieves (`Stage.sieves`), made by closing the distinct principal sieves
-under union rather than by filtering all 2^k arrow subsets.
+per object (`Site.stage`), built on first use, for its own lifetime; its
+sieve list (`Stage.sieves`) is made by closing the distinct principal
+sieves under union rather than by filtering all 2^k arrow subsets.
 
-Representation: a `Sieve` stores an `int` bitmask over the site's global
-arrow ids, bit a set iff arrow a is a member.  The arrows out of one object
-have consecutive ids, so a mask decodes without its site (`Sieve.arrows`).
-Meet, join and <= are `&`, `|` and `a & ~b == 0`.  The category data comes
-from tables the site owns: per arrow f, the pairs (g, g∘f) and the principal
-mask of f.  Implication is then m ∈ (S ⇒ T) iff `principal[m] & S & ~T` is
-empty, and pulling S back along m is one pass over the pairs of m.
+Representation: a `Sieve` stores an `int` bitmask local to its base: bit i
+is set iff the i-th arrow out of the base (`site.arrows_from(base)[i]`) is
+a member, so its width is the base's arrow count k, and a reader that needs
+the arrows decodes the positions through `arrows_from`.  Meet, join and <=
+are `&`, `|` and `a & ~b == 0`.  The mask format lives in `Stage`, which
+reads the site's postcomposite pairs once: per arrow f out of the base, the
+pairs (g, g∘f) as positions (`composites`, g out of cod f and g∘f out of
+the base) and the principal mask of f (`principals`), then `top`, the mask
+of all k arrows.  Implication is then i ∈ (S ⇒ T) iff
+`principals[i] & S & ~T` is empty, and pulling S back along f is one pass
+over f's pairs.  A stage keeps no reference to its site.
 
 The stage audits read the stage's masks.  In a lattice of down-sets, s ⇒ t
 is the largest sieve missing s minus t, so it depends on `y = s & ~t`
 alone: `Stage.implies` is a `LazyTable` keyed on y, filled once per
-distinct y for the life of the site, so every audit of a stage shares it.
+distinct y for the life of the stage, so every audit of a stage shares it.
 The round trip ♮ of the bridge (see `bridge`) is the stage's other table,
 `Stage.natural`: the union of the principal masks of the arrows of a mask
 that stay at the base's observable, filled once per mask.
@@ -38,7 +41,7 @@ read by position too: `naturality_holds` turns its values into positions of
 the target once and compares the two presheaves' tables square by square,
 so no audit moves a value along an arrow.  Ω's tables are filled from the
 stage masks: `omega_presheaf` pulls each listed mask of an arrow's domain
-stage back over the arrow's postcomposite pairs (`pull_back`, once per
+stage back over the arrow's `Stage.composites` (`pull_back`, once per
 arrow and mask) and reads the image's position in the codomain stage from
 a mask-keyed dict; `omega_transition` is the same pullback on one `Sieve`.
 
@@ -71,7 +74,6 @@ value reads them.
 from __future__ import annotations
 
 import itertools
-import weakref
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EnumerationExceeded, InternalCheckError, NaturalityError
@@ -102,19 +104,16 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class Sieve(NamedTuple):
-    """A sieve on object `base`; bit a of `mask` is set iff arrow a is in it.
+    """A sieve on object `base`; bit i of `mask` is set iff the i-th arrow
+    out of the base, `site.arrows_from(base)[i]`, is in it.
 
-    Iterating a sieve yields its arrows and `in` tests an arrow, so the
-    tuple helpers that iterate (`_replace`, `_asdict`) do not apply: build
-    a new `Sieve(base, mask)`.  The order is inclusion, and a sieve equals
-    the plain tuple (base, mask); no stage mixes the two."""
+    Iterating a sieve yields its members' positions and `in` tests a
+    position, so the tuple helpers that iterate (`_replace`, `_asdict`) do
+    not apply: build a new `Sieve(base, mask)`.  The order is inclusion, and
+    a sieve equals the plain tuple (base, mask); no stage mixes the two."""
 
     base: int
     mask: int
-
-    @property
-    def arrows(self) -> frozenset[int]:
-        return frozenset(_bits(self.mask))
 
     def __iter__(self) -> Iterator[int]:
         return _bits(self.mask)
@@ -122,8 +121,8 @@ class Sieve(NamedTuple):
     def __reduce__(self):  # copy and pickle by field, not by iteration
         return Sieve, (self.base, self.mask)
 
-    def __contains__(self, arrow: int) -> bool:
-        return arrow >= 0 and (self.mask >> arrow) & 1 == 1
+    def __contains__(self, position: int) -> bool:
+        return position >= 0 and (self.mask >> position) & 1 == 1
 
     def __le__(self, other: "Sieve") -> bool:
         _require_same_base(self, other)
@@ -146,25 +145,27 @@ def _require_same_base(a: Sieve, b: Sieve) -> None:
         raise InternalCheckError(f"sieves based at {a.base} and {b.base}")
 
 
-def principal_union(principal: Sequence[int], mask: int) -> int:
-    """The smallest sieve holding the arrows of `mask`: the union of their
-    principal masks, read from a site's `principal_masks`."""
+def principal_union(principals: Sequence[int], mask: int) -> int:
+    """The smallest sieve holding the members of `mask`: the union of their
+    principal masks, read from a stage's `principals`."""
     members = 0
-    for a in _bits(mask):
-        members |= principal[a]
+    for i in _bits(mask):
+        members |= principals[i]
     return members
 
 
 def is_sieve(site, s: Sieve) -> bool:
-    """Members start at the base and every member's principal sieve is inside."""
-    if s.mask & ~site.stage(s.base).top:
+    """Members are arrows out of the base and every member's principal sieve is inside."""
+    stage = site.stage(s.base)
+    if s.mask & ~stage.top:
         return False
-    return not principal_union(site.principal_masks, s.mask) & ~s.mask
+    return not principal_union(stage.principals, s.mask) & ~s.mask
 
 
 def principal_sieve(site, arrow: int) -> Sieve:
     """All postcomposites of one arrow (the arrow itself included)."""
-    return Sieve(site.arrow_dom(arrow), site.principal_masks[arrow])
+    base = site.arrow_dom(arrow)
+    return Sieve(base, site.stage(base).principals[site.arrows_from(base).index(arrow)])
 
 
 def top_sieve(site, obj: int) -> Sieve:
@@ -177,7 +178,8 @@ def bottom_sieve(obj: int) -> Sieve:
 
 def pull_back(pairs: Sequence[tuple[int, int]], mask: int) -> int:
     """The mask pulled back along an arrow m, given m's postcomposite pairs
-    (g, g∘m): the arrows g whose composite with m lands in the mask."""
+    (g, g∘m) as positions (`Stage.composites`): the arrows g whose composite
+    with m lands in the mask."""
     pulled = 0
     for g, gm in pairs:
         if (mask >> gm) & 1:
@@ -189,20 +191,19 @@ def omega_transition(site, m: int, s: Sieve) -> Sieve:
     """Pull a sieve along an arrow: arrows whose composite with m lands in s."""
     if site.arrow_dom(m) != s.base:
         raise InternalCheckError("transition arrow does not start at the sieve's base")
-    return Sieve(site.arrow_cod(m), pull_back(site.postcomposites[m], s.mask))
+    pairs = site.stage(s.base).composites[site.arrows_from(s.base).index(m)]
+    return Sieve(site.arrow_cod(m), pull_back(pairs, s.mask))
 
 
-def heyting_implies(site, s1: Sieve, s2: Sieve) -> Sieve:
-    """Relative pseudocomplement: m is in, iff every postcomposite taking m
-    into s1 also lands in s2, i.e. `principal[m] & s1 & ~s2` is empty."""
-    _require_same_base(s1, s2)
-    outside = s1.mask & ~s2.mask
-    principal = site.principal_masks
+def heyting_implies(principals: Sequence[int], outside: int) -> int:
+    """The mask of s ⇒ t on a stage with these principal masks, given
+    `outside = s & ~t`: position i is in, iff every postcomposite taking
+    arrow i into s also lands in t, i.e. `principals[i] & outside` is empty."""
     members = 0
-    for m in site.arrows_from(s1.base):
-        if not principal[m] & outside:
-            members |= 1 << m
-    return Sieve(s1.base, members)
+    for i, principal in enumerate(principals):
+        if not principal & outside:
+            members |= 1 << i
+    return members
 
 
 class LazyTable(dict):
@@ -217,25 +218,34 @@ class LazyTable(dict):
 
 
 class Stage:
-    """The sieve lattice of one object as masks, built by `Site.stage`: `top`
-    has every arrow out of `base`, `principals` their principal masks in
-    arrow order, and `implies[s & ~t]` is the mask of s ⇒ t, which reads
-    nothing else of s and t (one `heyting_implies` call per key, while the
-    site lives).  `natural[m]` is the round trip ♮ of m: down to the arrows
-    that stay at the base's observable, then up to the sieve they generate.
-    On a plain site every arrow stays, so ♮ fixes every sieve."""
+    """The sieve lattice of one object as masks local to it, built by
+    `Site.stage` from the site's postcomposite pairs, after which it reads
+    nothing of the site.  For the i-th arrow f out of `base`,
+    `composites[i]` holds the pairs (g, g∘f) as positions (g out of cod f,
+    g∘f out of the base) and `principals[i]` the principal mask of f; `top`
+    has all k arrows, and `fixed` those that stay at the base's observable.
+    `implies[s & ~t]` is the mask of s ⇒ t, which reads nothing else of s
+    and t (one `heyting_implies` call per key, for the stage's lifetime).
+    `natural[m]` is the round trip ♮ of m: down to the fixed arrows, then up
+    to the sieve they generate.  On a plain site every arrow stays, so ♮
+    fixes every sieve."""
 
     def __init__(self, site, base: int):
+        # A site numbers its arrows by domain in object order, so an arrow's
+        # position is its id less the id of the first arrow out of its domain.
         arrows = site.arrows_from(base)
-        self.base = base
-        self.top = ((1 << len(arrows)) - 1) << arrows[0] if arrows else 0
-        principal = site.principal_masks
-        self.principals = tuple([principal[a] for a in arrows])
+        composites = []
+        for f in arrows:
+            first = site.arrows_from(site.arrow_cod(f))[0]
+            composites.append(tuple([(g - first, gf - arrows[0]) for g, gf in site.postcomposites[f]]))
+        composites = tuple(composites)
+        principals = tuple([sum(1 << gf for gf in {gf for _, gf in pairs}) for pairs in composites])
         rho = site.object_rho(base)
-        fixed = sum(1 << a for a in arrows if site.arrow_cod_rho(a) == rho)
-        self.natural = LazyTable(lambda m: principal_union(principal, m & fixed))
-        site = weakref.proxy(site)  # the site owns its stages: no reference cycle
-        self.implies = LazyTable(lambda y: heyting_implies(site, Sieve(base, y), Sieve(base, 0)).mask)
+        fixed = sum(1 << i for i, a in enumerate(arrows) if site.arrow_cod_rho(a) == rho)
+        self.base, self.top, self.fixed = base, (1 << len(arrows)) - 1, fixed
+        self.composites, self.principals = composites, principals
+        self.natural = LazyTable(lambda m: principal_union(principals, m & fixed))
+        self.implies = LazyTable(lambda y: heyting_implies(principals, y))
         self._sieves: tuple[int, ...] | None = None
 
     def sieves(self, cap: int) -> tuple[int, ...]:
@@ -473,7 +483,7 @@ def characteristic_table(n: Cut) -> tuple[tuple[Sieve, ...], ...]:
     site = n.site
     return tuple([
         tuple([
-            Sieve(o, sum(1 << a for a in site.arrows_from(o) if lands_in(n, a, i)))
+            Sieve(o, sum(1 << j for j, a in enumerate(site.arrows_from(o)) if lands_in(n, a, i)))
             for i in range(len(stage))
         ])
         for o, stage in enumerate(n.parent.values)
@@ -539,8 +549,8 @@ def valuation_row(site, obj: int, r: Subspace, propositions: Sequence[Subspace])
     formula: the stage atom and each arrow's image of it are computed once
     per row."""
     atom = project_onto_eigenspace(site.object_ray(obj), r)
-    operators = [(1 << a, site.operator_matrix(site.arrow_op(a))) for a in site.arrows_from(obj)]
-    arrows = [(bit, f, apply_operator(f, atom)) for bit, f in operators]
+    operators = [site.operator_matrix(site.arrow_op(a)) for a in site.arrows_from(obj)]
+    arrows = [(1 << i, f, apply_operator(f, atom)) for i, f in enumerate(operators)]
     return tuple([
         Sieve(obj, sum(bit for bit, f, image in arrows if leq(image, apply_operator(f, p))))
         for p in propositions
@@ -561,22 +571,26 @@ def valuation_table(site, r: Subspace, propositions: Presheaf) -> tuple[tuple[Si
 def bottom_annihilator(site, obj: int, e_r: Subspace) -> Sieve:
     """Arrows sending the true atom to the zero space; the valuation floor."""
     members = 0
-    for a in site.arrows_from(obj):
+    for i, a in enumerate(site.arrows_from(obj)):
         f = site.operator_matrix(site.arrow_op(a))
         if apply_operator(f, e_r).is_zero:
-            members |= 1 << a
+            members |= 1 << i
     return Sieve(obj, members)
 
 
 def omega_presheaf(site, cap: int) -> Presheaf:
     """The subobject classifier: every sieve at every stage, listed by the
     site.  Each arrow's table pulls the masks of its domain stage back over
-    its postcomposite pairs and reads their positions by mask."""
-    masks = [site.stage(o).sieves(cap) for o in range(site.n_objects)]
+    the arrow's `Stage.composites` and reads their positions by mask.  The
+    site numbers its arrows by domain in object order, so the tables come
+    out in arrow order."""
+    stages = [site.stage(o) for o in range(site.n_objects)]
+    masks = [stage.sieves(cap) for stage in stages]
     at = [{m: i for i, m in enumerate(stage)} for stage in masks]
     positions = tuple([
-        tuple([at[arrow.cod].get(pull_back(pairs, m)) for m in masks[arrow.dom]])
-        for arrow, pairs in zip(site.arrows, site.postcomposites)
+        tuple([at[site.arrow_cod(f)].get(pull_back(pairs, m)) for m in masks[o]])
+        for o, stage in enumerate(stages)
+        for f, pairs in zip(site.arrows_from(o), stage.composites)
     ])
     values = tuple([tuple([Sieve(o, m) for m in stage]) for o, stage in enumerate(masks)])
     return Presheaf(site, values, positions, _index(values))
@@ -706,10 +720,10 @@ def _forced_pointwise_unique(site, delta_omega, n, delta_tau, chi) -> bool:
     """
     true_at = [at.get(tau) for at, tau in zip(delta_omega.index, delta_tau)]
     for o, stage in enumerate(delta_omega.values):
-        for a in site.arrows_from(o):
+        for position, a in enumerate(site.arrows_from(o)):
             table, true = delta_omega.positions[a], true_at[site.arrow_cod(a)]
             for i, s in enumerate(stage):
-                if (a in s) != (table[i] is not None and table[i] == true):
+                if (position in s) != (table[i] is not None and table[i] == true):
                     return False
     return (
         _factors_through(chi, delta_omega)

@@ -6,14 +6,12 @@ category takes a family of observables.  The ray category of one observable
 (`PlainSite`) is the case of a one-element family: the atom condition is
 then vacuous and every arrow stays at that observable.  The sieve machinery
 is written once against the site protocol — `arrows_from`, `compose`,
-`arrow_dom`/`arrow_cod`, `identity_arrow`, `object_ray`.  Arrows out of one
-object have consecutive ids, so a sieve is stored as an `int` bitmask over
-global arrow ids; each site owns the per-arrow tables that sieve algebra
-reads (`postcomposites`, `principal_masks`), computed once on first use,
-and one `sieves.Stage` per object (`stage`), built on first use, which
-holds the object's top, principals, implication and round-trip tables and
-sieve list.  All of them live as long as the site: nothing outside it
-holds a reference.
+`arrow_dom`/`arrow_cod`, `identity_arrow`, `object_ray`.  Arrows are
+numbered by domain in object order.  Each site owns its composition table
+(`postcomposites`), computed once on first use, and one `sieves.Stage` per
+object (`stage`), built on first use from that table; the stage holds the
+sieve algebra of the arrows out of its object, and needs nothing of the
+site afterwards.
 
 An arrow's `op` indexes its own site's monoid; across sites an operator is
 named by its exact matrix (`operator_matrix`), so a plain site's arrow and
@@ -165,9 +163,8 @@ class Site:
             by_dom_op_rho[(arr.dom, arr.op, objects[arr.cod][1])] = a
             if arr.op == monoid.identity_index and arr.cod == arr.dom:
                 identity[arr.dom] = a
-        for arrows_out in out:
-            if arrows_out and arrows_out[-1] - arrows_out[0] + 1 != len(arrows_out):
-                raise InternalCheckError("arrows out of one object must have consecutive ids")
+        if any(a.dom > b.dom for a, b in zip(arrows, arrows[1:])):
+            raise InternalCheckError("arrows must be numbered by domain in object order")
         # The instance dict also holds the `cached_property` tables.
         vars(self).update(
             observables=observables,
@@ -217,7 +214,7 @@ class Site:
     def identity_arrow(self, o: int) -> int:
         return self._identity[o]
 
-    # -- sieve tables ------------------------------------------------------
+    # -- composition -------------------------------------------------------
     @cached_property
     def postcomposites(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per arrow f: the pairs (g, g∘f) for every g out of cod f."""
@@ -227,22 +224,9 @@ class Site:
             for f, arr in enumerate(self.arrows)
         )
 
-    @cached_property
-    def principal_masks(self) -> tuple[int, ...]:
-        """Per arrow f: the mask of its principal sieve, every g∘f."""
-        masks = []
-        for pairs in self.postcomposites:
-            mask = 0
-            for _, gf in pairs:
-                mask |= 1 << gf
-            masks.append(mask)
-        return tuple(masks)
-
     def stage(self, o: int) -> Stage:
-        """The sieve lattice of object o, built on first use and kept.  The
-        stage reaches this site through a weak proxy, so the caller keeps the
-        site alive while using it: once the site is freed, a key missing
-        from `implies` raises `ReferenceError`."""
+        """The sieve lattice of object o, built on first use and kept; it
+        holds no reference to the site."""
         if self._stages[o] is None:
             self._stages[o] = Stage(self, o)
         return self._stages[o]

@@ -174,8 +174,9 @@ def plus_non_natural(nat_omega):
     omega, held = nat_omega.parent, list(nat_omega.held)
     site = omega.site
     for o, stage in enumerate(omega.values):
+        arrows = site.arrows_from(o)
         for i, s in enumerate(stage):
-            if not (held[o] >> i) & 1 and any(site.arrow_cod_rho(a) != site.object_rho(o) for a in s):
+            if not (held[o] >> i) & 1 and any(site.arrow_cod_rho(arrows[j]) != site.object_rho(o) for j in s):
                 held[o] |= 1 << i
                 return subpresheaf(omega, held)
     return nat_omega

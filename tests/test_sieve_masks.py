@@ -4,12 +4,16 @@ The reference functions below are the set-based versions the mask code
 replaced: they compose arrows one pair at a time through `site.compose` and
 share no table with the package.  Every site of every bundled scenario is
 covered: the plain sites, the extended sites and their down-restrictions.
+A mask is local to its base, bit i standing for `site.arrows_from(base)[i]`;
+the tests turn arrow sets into masks and back through `arrows_from` alone.
 """
 
 from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from families import family_scenario
 
 from sieveval import (
     Sieve,
@@ -21,6 +25,7 @@ from sieveval import (
     load_scenario,
     omega_transition,
     restrict_down,
+    scenario_from_dict,
     sharp,
 )
 from sieveval.bridge import _lift_mask
@@ -92,14 +97,17 @@ def ref_natural_map_at(site, obj, arrows):
 
 
 def ref_sharp(ctx, plain_arrows):
+    plain, ext = ctx.plain.arrows_from(ctx.plain_stage), ctx.extended.arrows_from(ctx.stage)
     members = frozenset()
     for a in plain_arrows:
-        members |= ref_principal_sieve(ctx.extended, ctx.plain_to_ext[a])
+        members |= ref_principal_sieve(ctx.extended, ext[ctx.plain_to_ext[plain.index(a)]])
     return members
 
 
 def ref_flat(ctx, ext_arrows):
-    return frozenset(ctx.ext_to_plain[a] for a in ext_arrows if a in ctx.ext_to_plain)
+    plain, ext = ctx.plain.arrows_from(ctx.plain_stage), ctx.extended.arrows_from(ctx.stage)
+    twins = {ext[i]: plain[j] for i, j in ctx.ext_to_plain.items()}
+    return frozenset(twins[a] for a in ext_arrows if a in twins)
 
 
 # --- the bundled sites ---------------------------------------------------------
@@ -126,13 +134,21 @@ def bundled_sites():
     return tuple(sites.values()), tuple(contexts)
 
 
-def mask_of(arrows) -> int:
-    return sum(1 << a for a in arrows)
+def mask_of(site, obj, arrows) -> int:
+    """The mask on obj of a set of arrows out of it."""
+    out = site.arrows_from(obj)
+    return sum(1 << out.index(a) for a in arrows)
+
+
+def arrows_of(site, s: Sieve) -> frozenset[int]:
+    """The arrows of a sieve, decoded through `arrows_from`."""
+    out = site.arrows_from(s.base)
+    return frozenset(out[i] for i in s)
 
 
 def arrow_sets(site, obj):
     """Stage sieves, and arbitrary subsets of the arrows out of obj."""
-    sieves = [Sieve(obj, m).arrows for m in site.stage(obj).sieves(CAP)]
+    sieves = [arrows_of(site, Sieve(obj, m)) for m in site.stage(obj).sieves(CAP)]
     return st.one_of(
         st.sampled_from(sieves), st.frozensets(st.sampled_from(site.arrows_from(obj)))
     )
@@ -146,16 +162,16 @@ def test_principal_sieves_match_reference():
         for a in range(len(site.arrows)):
             principal = principal_sieve(site, a)
             assert principal.base == site.arrow_dom(a), label
-            assert principal.arrows == ref_principal_sieve(site, a), label
+            assert arrows_of(site, principal) == ref_principal_sieve(site, a), label
 
 
 def test_enumeration_matches_reference_in_order():
     for label, site in bundled_sites()[0]:
         for o in range(site.n_objects):
             sieves = [Sieve(o, m) for m in site.stage(o).sieves(CAP)]
-            assert [s.arrows for s in sieves] == ref_enumerate_sieves(site, o), label
+            assert [arrows_of(site, s) for s in sieves] == ref_enumerate_sieves(site, o), label
             by_size_then_ids = sorted(
-                sieves, key=lambda s: (len(s.arrows), tuple(sorted(s.arrows)))
+                sieves, key=lambda s: (len(arrows_of(site, s)), tuple(sorted(arrows_of(site, s))))
             )
             assert sieves == by_size_then_ids, label
 
@@ -170,25 +186,25 @@ def test_stage_algebra_matches_reference(data):
     label, site = data.draw(st.sampled_from(sites))
     o = data.draw(st.integers(min_value=0, max_value=site.n_objects - 1))
     s, t = data.draw(arrow_sets(site, o)), data.draw(arrow_sets(site, o))
-    s_mask, t_mask = Sieve(o, mask_of(s)), Sieve(o, mask_of(t))
+    s_mask, t_mask = Sieve(o, mask_of(site, o, s)), Sieve(o, mask_of(site, o, t))
+    out = site.arrows_from(o)
 
-    assert s_mask.arrows == s and set(s_mask) == s
-    assert all(a in s_mask for a in s)
-    assert not any(a in s_mask for a in site.arrows_from(o) if a not in s)
-    assert Sieve(o, s_mask.mask & t_mask.mask).arrows == s & t
-    assert Sieve(o, s_mask.mask | t_mask.mask).arrows == s | t
+    assert arrows_of(site, s_mask) == s and {out[i] for i in s_mask} == s
+    assert all(out.index(a) in s_mask for a in s)
+    assert not any(i in s_mask for i, a in enumerate(out) if a not in s)
+    assert arrows_of(site, Sieve(o, s_mask.mask & t_mask.mask)) == s & t
+    assert arrows_of(site, Sieve(o, s_mask.mask | t_mask.mask)) == s | t
     assert (s_mask <= t_mask) == (s <= t)
     assert (s_mask < t_mask) == (s < t)
     assert is_sieve(site, s_mask) == ref_is_sieve(site, o, s), label
-    assert heyting_implies(site, s_mask, t_mask).arrows == ref_heyting_implies(
-        site, o, s, t
-    ), label
-    for m in site.arrows_from(o):
+    implied = Sieve(o, heyting_implies(site.stage(o).principals, s_mask.mask & ~t_mask.mask))
+    assert arrows_of(site, implied) == ref_heyting_implies(site, o, s, t), label
+    for m in out:
         pulled = omega_transition(site, m, s_mask)
         assert pulled.base == site.arrow_cod(m)
-        assert pulled.arrows == ref_omega_transition(site, m, s), label
+        assert arrows_of(site, pulled) == ref_omega_transition(site, m, s), label
     natural = site.stage(o).natural[s_mask.mask]
-    assert Sieve(o, natural).arrows == ref_natural_map_at(site, o, s), label
+    assert arrows_of(site, Sieve(o, natural)) == ref_natural_map_at(site, o, s), label
 
 
 @settings(max_examples=100, deadline=None)
@@ -198,9 +214,53 @@ def test_bridge_maps_match_reference(data):
     ctx = data.draw(st.sampled_from(contexts))
     plain = data.draw(arrow_sets(ctx.plain, ctx.plain_stage))
     extended = data.draw(arrow_sets(ctx.extended, ctx.stage))
-    plain_sieve = Sieve(ctx.plain_stage, mask_of(plain))
-    ext_sieve = Sieve(ctx.stage, mask_of(extended))
+    plain_sieve = Sieve(ctx.plain_stage, mask_of(ctx.plain, ctx.plain_stage, plain))
+    ext_sieve = Sieve(ctx.stage, mask_of(ctx.extended, ctx.stage, extended))
 
-    assert _lift_mask(ctx, plain_sieve) == mask_of(ctx.plain_to_ext[a] for a in plain)
-    assert sharp(ctx, plain_sieve) == Sieve(ctx.stage, mask_of(ref_sharp(ctx, plain)))
-    assert flat(ctx, ext_sieve) == Sieve(ctx.plain_stage, mask_of(ref_flat(ctx, extended)))
+    assert _lift_mask(ctx, plain_sieve) == sum(1 << ctx.plain_to_ext[i] for i in plain_sieve)
+    assert arrows_of(ctx.extended, sharp(ctx, plain_sieve)) == ref_sharp(ctx, plain)
+    assert arrows_of(ctx.plain, flat(ctx, ext_sieve)) == ref_flat(ctx, extended)
+    assert sharp(ctx, plain_sieve).base == ctx.stage and flat(ctx, ext_sieve).base == ctx.plain_stage
+
+
+def test_twin_maps_pair_arrows_of_one_matrix():
+    """The context's position maps pair a plain arrow with the extended one
+    of the same operator matrix that stays at the stage observable."""
+    for ctx in bundled_sites()[1]:
+        plain, ext = ctx.plain.arrows_from(ctx.plain_stage), ctx.extended.arrows_from(ctx.stage)
+        assert sorted(ctx.plain_to_ext) == list(range(len(plain)))
+        assert {j: i for i, j in ctx.plain_to_ext.items()} == ctx.ext_to_plain
+        for i, j in ctx.plain_to_ext.items():
+            assert ctx.plain.operator_matrix(ctx.plain.arrow_op(plain[i])) == ctx.extended.operator_matrix(
+                ctx.extended.arrow_op(ext[j])
+            )
+            assert ctx.extended.arrow_cod_rho(ext[j]) == ctx.rho
+
+
+def stage_sites(built):
+    """Every site a build makes: each run's plain site and the one below its
+    stage, the full and the restricted extended sites, and the §4.1 slices."""
+    sites = {}
+    for run in built.runs:
+        found = [run.plain, run.plain_below[run.plain_side.stage], run.extended_full, run.rest]
+        if run.slices is not None:
+            found += [run.slices[k] for k in range(len(run.extended_full.observables))]
+        sites.update((id(site), site) for site in found if site is not None)
+    return list(sites.values())
+
+
+def test_every_stage_mask_is_below_one_shifted_by_its_arrow_count(workloads):
+    """Bit i of a mask on o is the i-th arrow out of o, so every mask a stage
+    lists or keeps is below 1 << k, k the number of arrows out of o."""
+    scenarios = [load_scenario(bundled_scenario_path(name)) for name in bundled_scenario_names()]
+    scenarios += [scenario_from_dict(workloads.chain_scenario(13, dim)) for dim in (2, 3, 4, 5)]
+    scenarios.append(scenario_from_dict(family_scenario(3)))
+    stages = 0
+    for scenario in scenarios:
+        for site in stage_sites(build_scenario(scenario)):
+            for o in range(site.n_objects):
+                stage, bound = site.stage(o), 1 << len(site.arrows_from(o))
+                masks = [*stage.sieves(CAP), *stage.principals]
+                assert stage.top == bound - 1 and all(0 <= m < bound for m in masks), (scenario.name, o)
+                stages += 1
+    assert stages == 516  # distinct (site, object) pairs

@@ -59,7 +59,7 @@ def test_a_site_keeps_one_stage_per_object_and_a_restriction_builds_its_own():
         stage = down.stage(o)
         assert all(stage is not old for old in stages)
         assert not stage.implies
-        assert stage.base == o and stage.top == sum(1 << a for a in down.arrows_from(o))
+        assert stage.base == o and stage.top == (1 << len(down.arrows_from(o))) - 1
 
 
 def test_a_listed_stage_still_raises_under_a_smaller_cap():
@@ -77,16 +77,22 @@ def test_a_listed_stage_still_raises_under_a_smaller_cap():
     assert fresh.sieves(5) == masks
 
 
-def test_a_stage_outliving_its_site_answers_only_what_it_already_holds():
+def test_a_stage_outliving_its_site_answers_new_keys():
+    """A stage holds no reference to its site: once the site is freed, it
+    still fills new `implies` and `natural` keys, as a live twin's does."""
     site = qubit_site()
+    ref = weakref.ref(site)
     stage = site.stage(0)
     masks = stage.sieves(64)
     held = stage.implies[stage.top]
     del site
     gc.collect()
+    assert ref() is None
+    twin = qubit_site().stage(0)
     assert stage.sieves(64) is masks and stage.implies[stage.top] == held
-    with pytest.raises(ReferenceError):
-        stage.implies[masks[1]]
+    assert len(stage.implies) == 1 and not stage.natural and masks == twin.sieves(64)
+    assert [stage.implies[m] for m in masks] == [twin.implies[m] for m in masks]
+    assert [stage.natural[m] for m in masks] == [twin.natural[m] for m in masks]
 
 
 # The loop runs in a fresh interpreter.  tracemalloc counts a block that was

@@ -254,17 +254,21 @@ def test_one_observable_extended_site_is_the_plain_site(name):
         assert triples(ext) == triples(plain)
 
 
-def test_site_tables_and_consecutive_arrow_ids(qubit_site):
+def test_site_tables_and_arrows_numbered_by_domain_in_object_order(qubit_site):
     site = qubit_site
     for o in range(site.n_objects):
-        assert site.stage(o).top == sum(1 << a for a in site.arrows_from(o))
+        assert site.stage(o).top == (1 << len(site.arrows_from(o))) - 1
     for f in range(len(site.arrows)):
         pairs = site.postcomposites[f]
         assert [g for g, _ in pairs] == list(site.arrows_from(site.arrow_cod(f)))
         assert all(gf == site.compose(g, f) for g, gf in pairs)
-    # Sieve masks rely on the arrows out of one object having consecutive ids.
+    # Stage masks and Ω's tables rely on arrows numbered by domain in object
+    # order: interleaved domains fail, and so do whole objects out of order.
     a = site.arrows
     interleaved = a[:1] + a[3:4] + a[1:3] + a[4:]
     assert [x.dom for x in interleaved[:4]] == [0, 1, 0, 0]
-    with pytest.raises(InternalCheckError):
-        type(site)(site.observables, site.monoid, site.rays, site.objects, interleaved, site.rho_leq)
+    object_one_first = tuple(sorted(a, key=lambda x: x.dom != 1))
+    assert [x.dom for x in object_one_first[:4]] == [1, 1, 0, 0]
+    for arrows in (interleaved, object_one_first):
+        with pytest.raises(InternalCheckError, match="numbered by domain in object order"):
+            type(site)(site.observables, site.monoid, site.rays, site.objects, arrows, site.rho_leq)

@@ -96,11 +96,6 @@ class ExactMatrix:
             tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in row) for row in self.numerators
         )
 
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"matrix is {self.rows}x{self.cols}, vector has {len(v)}")
-        return tuple(sum((e * x for e, x in zip(row, v)), ZERO) for row in self.entries)
-
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.entries) + "]"
 

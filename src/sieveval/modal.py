@@ -11,8 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import AmbientMismatch, OrthogonalityViolation, ValidationError
-from .linalg import ExactMatrix
-from .rationals import gaussian
+from .linalg import ExactMatrix, _dot
 from .subspaces import (
     Ray,
     Subspace,
@@ -106,19 +105,19 @@ class Observable:
 
 def validate_matrix_decomposition(matrix: ExactMatrix, observable: Observable) -> None:
     """Check that a matrix is scalar (with its declared label) on each
-    eigenspace; a failure raises `ValidationError` at the observable's own
-    field "matrix"."""
+    eigenspace: with M = N/d and the label p/q, q·(N v) = p·d·v on each of
+    the eigenspace's canonical integer rows v.  A failure raises
+    `ValidationError` at the observable's own field "matrix"."""
     if observable.labels is None:
         raise ValidationError("matrix", "labels required to validate a matrix")
     n = observable.ambient_dim
     if matrix.rows != n or matrix.cols != n:
         raise ValidationError("matrix", "matrix shape does not match ambient")
     for i, (r, label) in enumerate(zip(observable.eigenspaces, observable.labels)):
-        lam = gaussian(label)
-        for v in r.vectors():
-            image = matrix.apply(v)
-            expected = tuple(lam * e for e in v)
-            if image != expected:
+        q, pd = label.denominator, label.numerator * matrix.denominator
+        for v in r.rows:
+            image = [_dot(row, v) for row in matrix.numerators]
+            if [(q * a, q * b) for a, b in image] != [(pd * a, pd * b) for a, b in v]:
                 raise ValidationError("matrix", f"matrix is not scalar {label} on eigenspace {i}")
 
 

@@ -49,32 +49,19 @@ class GaussianRational:
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
+    # Arithmetic for library callers; perfbench/tracer.py counts calls to these
+    # four dunders (with `__eq__`) by patching them in the class dict.
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        return self * other.inverse()
 
     @property
     def is_zero(self) -> bool:
@@ -88,8 +75,6 @@ class GaussianRational:
 
 
 ZERO = GaussianRational(Fraction(0), Fraction(0))
-ONE = GaussianRational(Fraction(1), Fraction(0))
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
 
 
 def gaussian(re=0, im=0) -> GaussianRational:

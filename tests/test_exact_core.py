@@ -39,8 +39,29 @@ from sieveval import (
 )
 from sieveval.errors import SingularMatrixError
 from sieveval.linalg import integer_kernel, integer_rref, inverse, rational_row
-from sieveval.rationals import ONE, ZERO, GaussianRational
+from sieveval.rationals import ZERO, GaussianRational
 from sieveval.subspaces import generate_sublattice
+
+ONE = gaussian(1)
+
+
+# Gaussian-rational operations the fraction oracles need and the package no
+# longer has: negation, conjugation, inversion and a matrix acting on a vector.
+def neg(z: GaussianRational) -> GaussianRational:
+    return GaussianRational(-z.re, -z.im)
+
+
+def conjugate(z: GaussianRational) -> GaussianRational:
+    return GaussianRational(z.re, -z.im)
+
+
+def reciprocal(z: GaussianRational) -> GaussianRational:
+    norm = z.re * z.re + z.im * z.im
+    return GaussianRational(z.re / norm, -z.im / norm)
+
+
+def apply(f: ExactMatrix, v) -> tuple:
+    return tuple(sum((e * x for e, x in zip(row, v)), ZERO) for row in f.entries)
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 entries = st.builds(gaussian, small, small)
@@ -83,7 +104,7 @@ def fraction_rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
         if target is None:
             continue
         work[pivot_row], work[target] = work[target], work[pivot_row]
-        inv = work[pivot_row][col].inverse()
+        inv = reciprocal(work[pivot_row][col])
         work[pivot_row] = [e * inv for e in work[pivot_row]]
         for r in range(m.rows):
             if r != pivot_row and not work[r][col].is_zero:
@@ -199,7 +220,7 @@ def test_integer_mat_mul_matches_the_fraction_product(pair):
     assert (product.rows, product.cols) == (a.rows, b.cols)
     assert product.entries == expected
     assert product == matrix_from_rows(expected) and in_lowest_terms(product)
-    conjugated = tuple(tuple(a.entries[i][j].conjugate() for i in range(a.rows)) for j in range(a.cols))
+    conjugated = tuple(tuple(conjugate(a.entries[i][j]) for i in range(a.rows)) for j in range(a.cols))
     assert conj_transpose(a).entries == conjugated and in_lowest_terms(conj_transpose(a))
 
 
@@ -297,7 +318,7 @@ def fraction_kernel(m: ExactMatrix):
         v = [ZERO] * m.cols
         v[free] = ONE
         for k, pivot_col in enumerate(pivots):
-            v[pivot_col] = -reduced.entries[k][free]
+            v[pivot_col] = neg(reduced.entries[k][free])
         basis.append(tuple(v))
     return basis
 
@@ -309,7 +330,7 @@ def fraction_join(n, p, q):
 def fraction_meet(n, p, q):
     if not p or not q:
         return []
-    stacked = matrix_from_rows([[v[i] for v in p] + [-w[i] for w in q] for i in range(n)])
+    stacked = matrix_from_rows([[v[i] for v in p] + [neg(w[i]) for w in q] for i in range(n)])
     members = [
         tuple(sum((kv[j] * v[i] for j, v in enumerate(p)), ZERO) for i in range(n))
         for kv in fraction_kernel(stacked)
@@ -320,7 +341,7 @@ def fraction_meet(n, p, q):
 def fraction_ortho(n, p):
     if not p:
         return fraction_span(n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-    return fraction_span(n, fraction_kernel(matrix_from_rows([[e.conjugate() for e in v] for v in p])))
+    return fraction_span(n, fraction_kernel(matrix_from_rows([[conjugate(e) for e in v] for v in p])))
 
 
 def fraction_leq(n, p, q):
@@ -328,7 +349,7 @@ def fraction_leq(n, p, q):
 
 
 def fraction_apply(f: ExactMatrix, p):
-    return fraction_span(f.rows, [f.apply(v) for v in p])
+    return fraction_span(f.rows, [apply(f, v) for v in p])
 
 
 def dimension_and(*parts):

@@ -62,7 +62,7 @@ def test_ortho_examples():
     assert ortho(zero_space(2)) == full_space(2)
     assert ortho(span([1, 0])) == span([0, 1])
     i = gaussian(0, 1)
-    assert ortho(span([gaussian(1), i])) == span([gaussian(1), -i])
+    assert ortho(span([gaussian(1), i])) == span([gaussian(1), gaussian(0, -1)])
 
 
 def test_leq_examples():

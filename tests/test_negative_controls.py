@@ -14,12 +14,15 @@ the two extended-site rows that read operators by matrix, §4.1 and
 §4.1 reachability, and the rows that read a cut of a presheaf: the true
 subobject T of the propositions on either side of a run (Eqs 3.21, 3.35
 and 4.27, diagram 3.24, §5.2) and the fixpoint subfunctor ♮Ω of the
-extended classifier (Prop 5.7/Thm 5.8, Prop C1, Thm 5.13).  Five more
-controls cover rows that read sieve masks: Eq 3.56 (a restriction that
-lost an arrow), the bridge's Prop 5.3 (a round trip that does not deflate)
-and Prop 5.14 / diagram 5.30 (extended values listed against the wrong
-propositions), each doctored through `build_scenario`, and Eq 5.4 and
-Def 5.4, which alone read `sharp` and `principal_sieve` from `checks`.
+extended classifier (Prop 5.7/Thm 5.8, Prop C1, Thm 5.13).  Eight more
+controls cover rows that read sieve masks.  Six are doctored through
+`build_scenario`: Eq 3.56 (a restriction that lost an arrow), Prop 5.14 /
+diagram 5.30 (extended values listed against the wrong propositions), and
+four bridge rows, each through a table or value of the bridge's extended
+stage: Props 5.1/5.2 (a top mask past the arrows), Prop 5.3 (a round trip
+that does not deflate), Prop 5.5 (a round trip with one fixpoint too
+many) and Eq 5.6 (an implication too large).  Eq 5.4 and Def 5.4 alone
+read `sharp` and `principal_sieve` from `checks`.
 """
 
 import pytest
@@ -232,6 +235,40 @@ def unfixed_to_top(run):
         stage.natural = LazyTable(lambda m: natural[m] if natural[m] == m else stage.top)
 
 
+def bridge_stage(run):
+    """The extended stage of the run's bridge, or None on a run without a family."""
+    return run.rest.stage(run.ext_side.stage) if run.ext_side is not None else None
+
+
+def top_past_the_arrows(run):
+    """At the bridge's extended stage, the top mask gains a bit past the last
+    arrow, so the lift of the plain top is no longer the top."""
+    stage = bridge_stage(run)
+    if stage is not None:
+        stage.top |= 1 << stage.top.bit_length()
+
+
+def one_more_fixpoint(run):
+    """At the bridge's extended stage, ♮ fixes the last listed sieve that it
+    does not fix, which no plain sieve sharpens to."""
+    stage = bridge_stage(run)
+    if stage is not None:
+        natural = stage.natural
+        listed = run.ext_side.omega.values[run.ext_side.stage]
+        unfixed = [s.mask for s in listed if natural[s.mask] != s.mask]
+        if unfixed:
+            stage.natural = LazyTable(lambda m: m if m == unfixed[-1] else natural[m])
+
+
+def implies_to_top(run):
+    """At the bridge's extended stage, s ⇒ t is the top sieve wherever s is
+    not below t, so it flattens above the plain implication."""
+    stage = bridge_stage(run)
+    if stage is not None:
+        implies = stage.implies
+        stage.implies = LazyTable(lambda y: stage.top if y else implies[y])
+
+
 def extended_values_reversed(run):
     """The extended values at the bridge stage listed in reverse proposition order."""
     side = run.ext_side
@@ -380,6 +417,32 @@ CONTROLS = {
         "build_scenario",
         each_run(extended_values_reversed),
         rows_on(("coarse", "fine"), "Eq 4.28", "Prop 5.14 / diagram 5.30"),
+    ),
+    "Prop 5.1/5.2": (
+        "qubit_extended",
+        "build_scenario",
+        each_run(top_past_the_arrows),
+        rows_on(("coarse", "fine"), "Prop 5.1/5.2", "Thm 5.12", "Thm 5.13 / Props A3–A4 (♮Ω)"),
+    ),
+    "Prop 5.5": (
+        "qubit_extended",
+        "build_scenario",
+        each_run(one_more_fixpoint),
+        rows_on(
+            ("coarse",),
+            "Prop 5.5",
+            "Thm 5.6",
+            "Eq 5.17",
+            "Prop 5.7/Thm 5.8",
+            "Prop C1",
+            "Thm 5.13 / Props A3–A4 (♮Ω)",
+        ),
+    ),
+    "Eq 5.6": (
+        "qubit_extended",
+        "build_scenario",
+        each_run(implies_to_top),
+        rows_on(("coarse", "fine"), "Eq 5.6", "§3.1 Heyting"),
     ),
     "Eq 5.4": ("qubit_extended", "sharp", sharp_less_its_first_arrow, rows_on(("coarse", "fine"), "Eq 5.4")),
     "Def 5.4": ("qubit_extended", "principal_sieve", twin_principal, {("Def 5.4", "coarse")}),

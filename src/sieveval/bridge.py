@@ -6,15 +6,18 @@ the smallest extended sieve around their lifts.  The round trip down-then-up
 is a deflationary idempotent whose fixpoints — the natural sieves — form a
 Heyting algebra isomorphic to the plain stage's sieve lattice.
 
-Sieves are bitmasks local to their base (see `sieves`): sharpening ORs the
-extended stage's principal masks of the lifted bits, flattening relabels
-the fixed-observable bits.  The stages they range over belong to the sites
-(`Site.stage`): each stage's sieve list, top, implication table and
-round-trip table (`Stage.natural`) live as long as its site.  Every reader
-of the round trip reads that table: the fixpoint subfunctor ♮Ω, cut from
-the extended classifier, keeps the sieves it fixes.  The stage-isomorphism audit
-(`heyting_iso_check`) reads the two stages' tables and `sieves.LazyTable`s
-of sharp and flat, local to the call.
+Sieves are bitmasks local to their base (see `sieves`).  The plain arrows
+out of the stage ray are, in order, the extended arrows out of the stage
+that stay at its observable: both sites filter the build monoid in index
+order by the same commutant test and a nonzero image.  So plain bit i is
+the i-th set bit of the extended stage's `Stage.fixed`: sharpening ORs the
+extended principal masks of the lifted bits, flattening reads the fixed
+bits in order.  Each stage's sieve list, top, implication table and
+round-trip table (`Stage.natural`) live as long as its site (`Site.stage`).
+Every reader of the round trip reads that table: the fixpoint subfunctor
+♮Ω, cut from the extended classifier, keeps the sieves it fixes.  The
+stage-isomorphism audit (`heyting_iso_check`) reads the two stages' tables
+and `sieves.LazyTable`s of sharp and flat, local to the call.
 
 Prop 5.10's two detectors are tabulated once per closed cut of the extended
 propositions (`detector_tables`, from the cut alone); Thm 5.11 reads the
@@ -47,10 +50,9 @@ from .sites import ExtendedSite, PlainSite
 class BridgeContext(NamedTuple):
     """A fixed extended stage paired with its plain counterpart.
 
-    Arrow correspondence: a plain arrow out of the stage ray matches the
-    extended arrow with the same operator matrix that stays at the stage
-    observable, whichever monoid object each site numbers its operators in.
-    The maps pair twins by their positions among the arrows out of each stage.
+    Arrow correspondence: the i-th plain arrow out of the stage ray is the
+    extended arrow at position `fixed[i]` out of the stage, the i-th that
+    stays at the stage observable (the set bits of `Stage.fixed`).
     """
 
     extended: ExtendedSite
@@ -58,39 +60,24 @@ class BridgeContext(NamedTuple):
     rho: int
     plain: PlainSite
     plain_stage: int  # plain object index of the same ray
-    plain_to_ext: dict[int, int]
-    ext_to_plain: dict[int, int]
+    fixed: tuple[int, ...]  # per plain arrow, the position of its extended twin
 
 
 def make_bridge_context(extended: ExtendedSite, stage: int, plain: PlainSite) -> BridgeContext:
-    rho = extended.object_rho(stage)
-    ray = extended.object_ray(stage)
-    plain_stage = plain.ray_index(ray)
-    plain_to_ext: dict[int, int] = {}
-    ext_to_plain: dict[int, int] = {}
-    ext_by_op = {
-        extended.operator_matrix(extended.arrow_op(a)): i
-        for i, a in enumerate(extended.arrows_from(stage))
-        if extended.arrow_cod_rho(a) == rho
-    }
-    for i, a in enumerate(plain.arrows_from(plain_stage)):
-        twin = ext_by_op.get(plain.operator_matrix(plain.arrow_op(a)))
-        if twin is None:
-            raise InternalCheckError("plain arrow without an extended twin")
-        plain_to_ext[i] = twin
-        ext_to_plain[twin] = i
-    if len(ext_to_plain) != len(ext_by_op):
-        raise InternalCheckError("extended fixed-rho arrow without a plain twin")
-    return BridgeContext(extended, stage, rho, plain, plain_stage, plain_to_ext, ext_to_plain)
+    plain_stage = plain.ray_index(extended.object_ray(stage))
+    mask = extended.stage(stage).fixed
+    fixed = tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+    ext_arrows, plain_arrows = extended.arrows_from(stage), plain.arrows_from(plain_stage)
+    ext_ops = [extended.operator_matrix(extended.arrow_op(ext_arrows[i])) for i in fixed]
+    if ext_ops != [plain.operator_matrix(plain.arrow_op(a)) for a in plain_arrows]:
+        raise InternalCheckError("the plain arrows and the fixed extended arrows name different operators")
+    return BridgeContext(extended, stage, extended.object_rho(stage), plain, plain_stage, fixed)
 
 
 def _lift_mask(ctx: BridgeContext, s_e: Sieve) -> int:
     if s_e.base != ctx.plain_stage:
         raise UnknownObjectError("plain sieve is not based at the bridge stage")
-    lifted = 0
-    for i in s_e:
-        lifted |= 1 << ctx.plain_to_ext[i]
-    return lifted
+    return sum(1 << ctx.fixed[i] for i in s_e)
 
 
 def sharp(ctx: BridgeContext, s_e: Sieve) -> Sieve:
@@ -101,7 +88,7 @@ def sharp(ctx: BridgeContext, s_e: Sieve) -> Sieve:
 def sharp_by_intersection(ctx: BridgeContext, s_e: Sieve, cap: int) -> Sieve:
     """Oracle for `sharp`: intersect every enumerated sieve containing the lift."""
     lifted = _lift_mask(ctx, s_e)
-    candidates = [m for m in ctx.extended.stage(ctx.stage).sieves(cap) if not lifted & ~m]
+    candidates = [m for m in ctx.extended.stage(ctx.stage).sieves(cap, ctx.stage) if not lifted & ~m]
     if not candidates:  # pragma: no cover - the top sieve always qualifies
         raise InternalCheckError("no sieve contains the lift")
     members = candidates[0]
@@ -114,13 +101,7 @@ def flat(ctx: BridgeContext, s: Sieve) -> Sieve:
     """Keep the arrows that stay at the stage observable, read as plain arrows."""
     if s.base != ctx.stage:
         raise UnknownObjectError("extended sieve is not based at the bridge stage")
-    ext_to_plain = ctx.ext_to_plain
-    members = 0
-    for i in s:
-        plain = ext_to_plain.get(i)
-        if plain is not None:
-            members |= 1 << plain
-    return Sieve(ctx.plain_stage, members)
+    return Sieve(ctx.plain_stage, sum(1 << i for i, j in enumerate(ctx.fixed) if s.mask >> j & 1))
 
 
 def natural_omega(omega: Presheaf) -> Cut:
@@ -173,7 +154,7 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     `is_heyting_family` audits the fixpoints under it.
     """
     plain, ext = ctx.plain.stage(ctx.plain_stage), ctx.extended.stage(ctx.stage)
-    plain_masks, ext_masks = plain.sieves(cap), ext.sieves(cap)
+    plain_masks, ext_masks = plain.sieves(cap, ctx.plain_stage), ext.sieves(cap, ctx.stage)
     up = LazyTable(lambda m: sharp(ctx, Sieve(ctx.plain_stage, m)).mask)
     down = LazyTable(lambda m: flat(ctx, Sieve(ctx.stage, m)).mask)
     fixpoints = [m for m in ext_masks if ext.natural[m] == m]

@@ -648,7 +648,8 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
     rest = run.rest
     cap = run.scenario.caps["sieve_enum"]
     verdict = heyting_iso_check(ctx, cap)
-    sieves = [Sieve(ctx.plain_stage, m) for m in ctx.plain.stage(ctx.plain_stage).sieves(cap)]
+    base = ctx.plain_stage
+    sieves = [Sieve(base, m) for m in ctx.plain.stage(base).sieves(cap, base)]
     oracle = all(sharp(ctx, s) == sharp_by_intersection(ctx, s, cap) for s in sieves)
     rows = _verdict_rows(
         {**verdict, "sharp_oracle": oracle},
@@ -876,7 +877,7 @@ def _census_rows(run: BuiltRun) -> list[dict]:
         # Listed alone, before the extended Ω lists every stage, so that a
         # cap hit names this stage first.
         stage = run.rest.stage(run.ext_side.stage)
-        masks = stage.sieves(run.scenario.caps["sieve_enum"])
+        masks = stage.sieves(run.scenario.caps["sieve_enum"], run.ext_side.stage)
         details["extended_stage_size"] = len(masks)
         details["natural_stage_size"] = sum(stage.natural[m] == m for m in masks)
     return [_row("Eq 3.13", "stage census", True, **details)]

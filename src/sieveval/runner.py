@@ -12,8 +12,9 @@ as position tables, read by L, the filter rows, Eq 3.2 and the IB
 conditions.  Its `SiteMemo` makes each site once, keyed by what the site
 depends on, and with it the site's `SiteFunctors`: L, A, Ω and ♮Ω depend
 only on the site, the universe and the sieve cap, so every run on the site
-reads the same objects and the same `Site.stage` tables, and so do the
-bridge context of a stage and Eq 3.56's plain site below it.  σ, T and
+reads the same objects and the same `Site.stage` tables.  A site below a
+run's stage (`restrict_down`) reads its parent's stages, so the extended
+side, its bridge context and Eq 3.56's plain site share them too.  σ, T and
 the truth-value tables depend on the run's eigenspace and stay in its
 `SiteRun`.  No verdict is shared: every row runs once per run.  No site
 points to its functors, so every site dies with its `BuiltScenario`.
@@ -144,10 +145,11 @@ class SiteMemo:
     site below its object obj (Eq 3.56); `extended[family]` the full
     extended site of a sorted tuple of observable indices;
     `restricted[family, obj]` that site below its object obj, with its
-    functors; `slices[family][k]` its §4.1 slice at k, a plain site
-    (`restrict_to_rho`); and `contexts[family, obj, rho]` the bridge from
-    the restricted site's stage at obj to the plain site of observable index
-    rho.  The tables' functions hold the build's inputs and one another,
+    functors; `slices[family][k]` its §4.1 slice at k, a plain site rebuilt
+    on its own as §4.1's reference (`restrict_to_rho`); and
+    `contexts[family, obj, rho]` the bridge from the restricted site's stage
+    at obj to the plain site of observable index rho.  A site below an
+    object reads its parent's stages.  The tables' functions hold the build's inputs and one another,
     never the memo."""
 
     def __init__(self, scenario: Scenario, monoid: OperatorMonoid, universe: Universe):
@@ -383,7 +385,7 @@ def _stage_heyting_tables(run: BuiltRun) -> dict:
     cap = run.scenario.caps["sieve_enum"]
     plain, stage = run.plain, run.plain_side.stage
     try:
-        plain_masks = plain.stage(stage).sieves(cap)
+        plain_masks = plain.stage(stage).sieves(cap, stage)
     except EnumerationExceeded:
         return {"within_cap": False}
     tables = {
@@ -391,9 +393,10 @@ def _stage_heyting_tables(run: BuiltRun) -> dict:
         "plain_sieves": [serialize_plain_sieve(plain, Sieve(stage, m)) for m in plain_masks],
     }
     if run.ext_side:
-        rest, ext_stage = run.rest, run.rest.stage(run.ext_side.stage)
+        rest, obj = run.rest, run.ext_side.stage
+        ext_stage = rest.stage(obj)
         try:
-            ext = [Sieve(ext_stage.base, m) for m in ext_stage.sieves(cap)]
+            ext = [Sieve(obj, m) for m in ext_stage.sieves(cap, obj)]
         except EnumerationExceeded:
             tables["within_cap"] = False
             return tables

@@ -2,9 +2,10 @@
 
 A sieve on an object is a postcomposition-closed set of arrows out of it.
 Equivalently it is a union of principal sieves.  A site keeps one `Stage`
-per object (`Site.stage`), built on first use, for its own lifetime; its
-sieve list (`Stage.sieves`) is made by closing the distinct principal
-sieves under union rather than by filtering all 2^k arrow subsets.
+per object (`Site.stage`), built on first use, for its own lifetime, and a
+restriction reads its parent's; its sieve list (`Stage.sieves`) is made by
+closing the distinct principal sieves under union rather than by filtering
+all 2^k arrow subsets.
 
 Representation: a `Sieve` stores an `int` bitmask local to its base: bit i
 is set iff the i-th arrow out of the base (`site.arrows_from(base)[i]`) is
@@ -220,7 +221,8 @@ class LazyTable(dict):
 class Stage:
     """The sieve lattice of one object as masks local to it, built by
     `Site.stage` from the site's postcomposite pairs, after which it reads
-    nothing of the site.  For the i-th arrow f out of `base`,
+    nothing of the site; it keeps no object index, as every restriction that
+    keeps the object shares it.  For the i-th arrow f out of `base`,
     `composites[i]` holds the pairs (g, g∘f) as positions (g out of cod f,
     g∘f out of the base) and `principals[i]` the principal mask of f; `top`
     has all k arrows, and `fixed` those that stay at the base's observable.
@@ -242,24 +244,25 @@ class Stage:
         principals = tuple([sum(1 << gf for gf in {gf for _, gf in pairs}) for pairs in composites])
         rho = site.object_rho(base)
         fixed = sum(1 << i for i, a in enumerate(arrows) if site.arrow_cod_rho(a) == rho)
-        self.base, self.top, self.fixed = base, (1 << len(arrows)) - 1, fixed
+        self.top, self.fixed = (1 << len(arrows)) - 1, fixed
         self.composites, self.principals = composites, principals
         self.natural = LazyTable(lambda m: principal_union(principals, m & fixed))
         self.implies = LazyTable(lambda y: heyting_implies(principals, y))
         self._sieves: tuple[int, ...] | None = None
 
-    def sieves(self, cap: int) -> tuple[int, ...]:
+    def sieves(self, cap: int, obj: int) -> tuple[int, ...]:
         """Every sieve on the base as a mask (the unions of its principal
         sieves and the empty one, by size, then by ascending arrow ids),
         listed on first use.  More than `cap` sieves raise
-        `EnumerationExceeded`, listed or not; a listing cut short is not kept."""
+        `EnumerationExceeded` naming `obj`, the caller's index of the
+        object, listed or not; a listing cut short is not kept."""
         masks = self._sieves
         if masks is None:
             collected = {0}
             for p in dict.fromkeys(self.principals):
                 collected |= {existing | p for existing in collected}
                 if len(collected) > cap:
-                    raise EnumerationExceeded(cap, self.base, len(self.principals))
+                    raise EnumerationExceeded(cap, obj, len(self.principals))
             masks = self._sieves = tuple(
                 sorted(
                     collected,
@@ -267,7 +270,7 @@ class Stage:
                 )
             )
         if len(masks) > cap:
-            raise EnumerationExceeded(cap, self.base, len(self.principals))
+            raise EnumerationExceeded(cap, obj, len(self.principals))
         return masks
 
 
@@ -585,7 +588,7 @@ def omega_presheaf(site, cap: int) -> Presheaf:
     site numbers its arrows by domain in object order, so the tables come
     out in arrow order."""
     stages = [site.stage(o) for o in range(site.n_objects)]
-    masks = [stage.sieves(cap) for stage in stages]
+    masks = [stage.sieves(cap, o) for o, stage in enumerate(stages)]
     at = [{m: i for i, m in enumerate(stage)} for stage in masks]
     positions = tuple([
         tuple([at[site.arrow_cod(f)].get(pull_back(pairs, m)) for m in masks[o]])

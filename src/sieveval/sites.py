@@ -11,11 +11,11 @@ numbered by domain in object order.  Each site owns its composition table
 (`postcomposites`), computed once on first use, and one `sieves.Stage` per
 object (`stage`), built on first use from that table; the stage holds the
 sieve algebra of the arrows out of its object, and needs nothing of the
-site afterwards.
+site afterwards.  A restriction (`restrict_down`) numbers its objects and
+arrows afresh and reads its parent's stages.
 
 An arrow's `op` indexes its own site's monoid; across sites an operator is
-named by its exact matrix (`operator_matrix`), so a plain site's arrow and
-its twin in an extended site share a matrix, not an index.
+named by its exact matrix (`operator_matrix`).
 
 Truncation policy: objects are the orbit of the declared seed states under
 the declared generator monoid (`orbit`, read from the walk of
@@ -143,7 +143,8 @@ class Site:
     observable k and maps ray i onto ray j, where k <= k2 and ray j has the
     same atom set under k and k2.  Arrows are numbered per domain object in
     operator order, then by codomain observable.  `objects` lists (ray
-    index, observable index) pairs.  Immutable; equal only to itself.
+    index, observable index) pairs; a restriction names its `parent` and
+    the parent's index of each object (`keep`).  Immutable; equal only to itself.
     """
 
     def __init__(
@@ -154,6 +155,8 @@ class Site:
         objects: tuple[tuple[int, int], ...],
         arrows: tuple[Arrow, ...],
         rho_leq: tuple[tuple[bool, ...], ...],
+        parent: Site | None = None,
+        keep: tuple[int, ...] = (),
     ) -> None:
         out: list[list[int]] = [[] for _ in objects]
         by_dom_op_rho: dict[tuple[int, int, int], int] = {}
@@ -176,6 +179,8 @@ class Site:
             _out=tuple(tuple(x) for x in out),
             _by_dom_op_rho=by_dom_op_rho,
             _identity=tuple(identity),
+            _parent=parent,
+            _keep=keep,
             _stages=[None] * len(objects),
         )
 
@@ -226,7 +231,9 @@ class Site:
 
     def stage(self, o: int) -> Stage:
         """The sieve lattice of object o, built on first use and kept; it
-        holds no reference to the site."""
+        holds no reference to the site.  A restriction reads its parent's."""
+        if self._parent is not None:
+            return self._parent.stage(self._keep[o])
         if self._stages[o] is None:
             self._stages[o] = Stage(self, o)
         return self._stages[o]
@@ -366,20 +373,20 @@ def _validate_composition(site: Site) -> None:
 def restrict_down(site: Site, obj: int) -> Site:
     """The full subcategory on the objects reachable from obj.
 
-    The result has the same class, rays and observables as `site`, and the
-    surviving arrows in their old order.  It is closed under arrows because
-    composition was validated when `site` was built; its sieve tables are
-    computed on first use.
+    The result has the same class, rays and observables as `site`, its own
+    numbering, and the surviving arrows in their old order.  Each object
+    keeps every arrow out of it, in order, so `stage(i)` is
+    `site.stage(keep[i])`; composition was validated when `site` was built.
     """
     if obj < 0 or obj >= site.n_objects:
         raise UnknownObjectError(f"object index {obj} out of range")
-    keep = sorted({site.arrow_cod(a) for a in site.arrows_from(obj)} | {obj})
+    keep = tuple(sorted({site.arrow_cod(a) for a in site.arrows_from(obj)} | {obj}))
     new_index = {old: new for new, old in enumerate(keep)}
     arrows = tuple(
         Arrow(new_index[a.dom], a.op, new_index[a.cod]) for a in site.arrows if a.dom in new_index
     )
     objects = tuple(site.objects[i] for i in keep)
-    return type(site)(site.observables, site.monoid, site.rays, objects, arrows, site.rho_leq)
+    return type(site)(site.observables, site.monoid, site.rays, objects, arrows, site.rho_leq, site, keep)
 
 
 def restrict_to_rho(site: ExtendedSite, rho: int) -> PlainSite:

@@ -95,7 +95,7 @@ def test_criterion_02_sieve_census(built):
     started = time.monotonic()
     run = next(r for r in built["qubit"].runs if r.spec.name == "z-up")
     site, stage = run.plain, run.plain_side.stage
-    sieves = [Sieve(stage, m) for m in site.stage(stage).sieves(4096)]
+    sieves = [Sieve(stage, m) for m in site.stage(stage).sieves(4096, stage)]
     ok = len(sieves) == 5
     floor = bottom_annihilator(site, stage, run.e_r)
     delta = [s for s in sieves if floor <= s]
@@ -177,7 +177,7 @@ def test_criterion_06_bridge_identities(built):
     report = heyting_iso_check(ctx, cap=4096)
     ok = report["passed"]
     ok = ok and report["plain_count"] == 5 and report["fixpoint_count"] == 5
-    ext_sieves = [Sieve(ctx.stage, m) for m in ctx.extended.stage(ctx.stage).sieves(4096)]
+    ext_sieves = [Sieve(ctx.stage, m) for m in ctx.extended.stage(ctx.stage).sieves(4096, ctx.stage)]
     natural = ctx.extended.stage(ctx.stage).natural
     images = set()
     for s in ext_sieves:

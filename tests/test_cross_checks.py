@@ -91,7 +91,7 @@ def sample_sites():
 def test_sieve_enumeration_matches_subset_filtering():
     for site in sample_sites():
         for o in range(site.n_objects):
-            fast = {_arrows(site, Sieve(o, m)) for m in site.stage(o).sieves(4096)}
+            fast = {_arrows(site, Sieve(o, m)) for m in site.stage(o).sieves(4096, o)}
             assert fast == brute_force_sieves(site, o)
 
 
@@ -101,7 +101,7 @@ def test_implication_is_the_maximum_sieve():
     for site in sample_sites():
         for o in range(site.n_objects):
             stage = site.stage(o)
-            sieves = [_arrows(site, Sieve(o, m)) for m in stage.sieves(4096)]
+            sieves = [_arrows(site, Sieve(o, m)) for m in stage.sieves(4096, o)]
             for s in sieves:
                 for t in sieves:
                     imp = Sieve(o, heyting_implies(stage.principals, _mask(site, o, s) & ~_mask(site, o, t)))
@@ -185,7 +185,7 @@ def test_random_states_oracle_and_bridge(state_vector, extra_props):
         for p in universe:
             chi = table[o][propositions.index[o][p]]
             assert chi == valuation(plain, o, r, p)
-    for m in plain.stage(ctx.plain_stage).sieves(4096):
+    for m in plain.stage(ctx.plain_stage).sieves(4096, ctx.plain_stage):
         s = Sieve(ctx.plain_stage, m)
         assert flat(ctx, sharp(ctx, s)) == s
     for p in universe:

@@ -163,7 +163,7 @@ def stage_families():
                 if site is None:
                     continue
                 for o in range(site.n_objects):
-                    masks = list(site.stage(o).sieves(CAP))
+                    masks = list(site.stage(o).sieves(CAP, o))
                     families.append(
                         (f"{label}/Ω {kind} {o}", masks, site.stage(o).implies, principal_probes(site, o))
                     )
@@ -175,7 +175,7 @@ def stage_families():
             if run.ctx is not None:
                 ctx = run.ctx
                 stage = ctx.extended.stage(ctx.stage)
-                masks = [m for m in stage.sieves(CAP) if stage.natural[m] == m]
+                masks = [m for m in stage.sieves(CAP, ctx.stage) if stage.natural[m] == m]
                 families.append((f"{label}/fixpoints", masks, fixpoint_implies(ctx), masks))
     return tuple(families), built
 
@@ -209,7 +209,7 @@ def test_memoised_stage_implication_is_the_kernel_on_every_pair(which):
         for site in (run.plain, run.rest):
             if site is not None:
                 stages += [
-                    (site, o, [Sieve(o, m) for m in site.stage(o).sieves(CAP)])
+                    (site, o, [Sieve(o, m) for m in site.stage(o).sieves(CAP, o)])
                     for o in range(site.n_objects)
                 ]
         delta = delta_omega_presheaf(omega_presheaf(run.plain, CAP), run.floors)
@@ -217,7 +217,7 @@ def test_memoised_stage_implication_is_the_kernel_on_every_pair(which):
         if run.ctx is not None:
             ctx = run.ctx
             stage = ctx.extended.stage(ctx.stage)
-            fixpoints = [Sieve(ctx.stage, m) for m in stage.sieves(CAP) if stage.natural[m] == m]
+            fixpoints = [Sieve(ctx.stage, m) for m in stage.sieves(CAP, ctx.stage) if stage.natural[m] == m]
             fixpoint_families.append((ctx, fixpoints))
     for site, o, sieves in stages:
         stage = site.stage(o)
@@ -288,8 +288,8 @@ def _qutrit_extended_stage():
     """The largest stage of the first extended run of `qutrit_extended`."""
     built = build_scenario(load_scenario(bundled_scenario_path("qutrit_extended")))
     site = built.runs[0].rest
-    o = max(range(site.n_objects), key=lambda o: len(site.stage(o).sieves(CAP)))
-    masks = list(site.stage(o).sieves(CAP))
+    o = max(range(site.n_objects), key=lambda o: len(site.stage(o).sieves(CAP, o)))
+    masks = list(site.stage(o).sieves(CAP, o))
     return site, o, masks
 
 
@@ -365,7 +365,7 @@ def _chain_85_sieve_stage():
     for run in build_scenario(scenario_from_dict(CHAIN)).runs:
         if run.rest is not None:
             for o in range(run.rest.n_objects):
-                masks = list(run.rest.stage(o).sieves(CAP))
+                masks = list(run.rest.stage(o).sieves(CAP, o))
                 if len(masks) == 85:
                     return run.rest, o, masks
     raise AssertionError("the chain has no 85-sieve stage")

@@ -443,7 +443,7 @@ class Recorder:
             new = omega(site, cap)
             old = old_build_presheaf(
                 site,
-                lambda o: tuple(Sieve(o, m) for m in site.stage(o).sieves(cap)),
+                lambda o: tuple(Sieve(o, m) for m in site.stage(o).sieves(cap, o)),
                 lambda a, s: omega_transition(site, a, s),
             )
             self.old[id(new)] = (new, old)

@@ -134,7 +134,7 @@ def _built_records():
         ),
         (run.atoms, ("state", "observable", "atoms", "eigenspace_indices")),
         (run.plain_side.sigma, ("presheaf", "values")),
-        (run.ctx, ("extended", "stage", "rho", "plain", "plain_stage", "plain_to_ext", "ext_to_plain")),
+        (run.ctx, ("extended", "stage", "rho", "plain", "plain_stage", "fixed")),
         (built.scenario.observables[0], ("name", "eigenspaces", "labels")),
         (run.state, ("space",)),
         (site, ("observables", "monoid", "rays", "objects", "arrows", "rho_leq")),

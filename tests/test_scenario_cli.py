@@ -306,10 +306,10 @@ def test_valuate_reports_an_internal_error_while_listing_a_stage(monkeypatch, ca
     else:
         listing = Stage.sieves
 
-        def list_then_break_the_filter(stage, cap):
+        def list_then_break_the_filter(stage, cap, obj):
             # From the listing on, every round trip the natural filter asks fails.
             stage.natural = LazyTable(broken)
-            return listing(stage, cap)
+            return listing(stage, cap, obj)
 
         monkeypatch.setattr(Stage, "sieves", list_then_break_the_filter)
     path = str(bundled_scenario_path("qubit_extended"))

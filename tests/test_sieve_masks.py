@@ -100,13 +100,13 @@ def ref_sharp(ctx, plain_arrows):
     plain, ext = ctx.plain.arrows_from(ctx.plain_stage), ctx.extended.arrows_from(ctx.stage)
     members = frozenset()
     for a in plain_arrows:
-        members |= ref_principal_sieve(ctx.extended, ext[ctx.plain_to_ext[plain.index(a)]])
+        members |= ref_principal_sieve(ctx.extended, ext[ctx.fixed[plain.index(a)]])
     return members
 
 
 def ref_flat(ctx, ext_arrows):
     plain, ext = ctx.plain.arrows_from(ctx.plain_stage), ctx.extended.arrows_from(ctx.stage)
-    twins = {ext[i]: plain[j] for i, j in ctx.ext_to_plain.items()}
+    twins = {ext[j]: plain[i] for i, j in enumerate(ctx.fixed)}
     return frozenset(twins[a] for a in ext_arrows if a in twins)
 
 
@@ -148,7 +148,7 @@ def arrows_of(site, s: Sieve) -> frozenset[int]:
 
 def arrow_sets(site, obj):
     """Stage sieves, and arbitrary subsets of the arrows out of obj."""
-    sieves = [arrows_of(site, Sieve(obj, m)) for m in site.stage(obj).sieves(CAP)]
+    sieves = [arrows_of(site, Sieve(obj, m)) for m in site.stage(obj).sieves(CAP, obj)]
     return st.one_of(
         st.sampled_from(sieves), st.frozensets(st.sampled_from(site.arrows_from(obj)))
     )
@@ -168,7 +168,7 @@ def test_principal_sieves_match_reference():
 def test_enumeration_matches_reference_in_order():
     for label, site in bundled_sites()[0]:
         for o in range(site.n_objects):
-            sieves = [Sieve(o, m) for m in site.stage(o).sieves(CAP)]
+            sieves = [Sieve(o, m) for m in site.stage(o).sieves(CAP, o)]
             assert [arrows_of(site, s) for s in sieves] == ref_enumerate_sieves(site, o), label
             by_size_then_ids = sorted(
                 sieves, key=lambda s: (len(arrows_of(site, s)), tuple(sorted(arrows_of(site, s))))
@@ -217,20 +217,21 @@ def test_bridge_maps_match_reference(data):
     plain_sieve = Sieve(ctx.plain_stage, mask_of(ctx.plain, ctx.plain_stage, plain))
     ext_sieve = Sieve(ctx.stage, mask_of(ctx.extended, ctx.stage, extended))
 
-    assert _lift_mask(ctx, plain_sieve) == sum(1 << ctx.plain_to_ext[i] for i in plain_sieve)
+    assert _lift_mask(ctx, plain_sieve) == sum(1 << ctx.fixed[i] for i in plain_sieve)
     assert arrows_of(ctx.extended, sharp(ctx, plain_sieve)) == ref_sharp(ctx, plain)
     assert arrows_of(ctx.plain, flat(ctx, ext_sieve)) == ref_flat(ctx, extended)
     assert sharp(ctx, plain_sieve).base == ctx.stage and flat(ctx, ext_sieve).base == ctx.plain_stage
 
 
-def test_twin_maps_pair_arrows_of_one_matrix():
-    """The context's position maps pair a plain arrow with the extended one
-    of the same operator matrix that stays at the stage observable."""
+def test_twin_positions_pair_arrows_of_one_matrix():
+    """The context's positions pair each plain arrow, in order, with the
+    extended one of the same operator matrix that stays at the stage
+    observable, and every such extended arrow with one plain arrow."""
     for ctx in bundled_sites()[1]:
         plain, ext = ctx.plain.arrows_from(ctx.plain_stage), ctx.extended.arrows_from(ctx.stage)
-        assert sorted(ctx.plain_to_ext) == list(range(len(plain)))
-        assert {j: i for i, j in ctx.plain_to_ext.items()} == ctx.ext_to_plain
-        for i, j in ctx.plain_to_ext.items():
+        assert len(ctx.fixed) == len(plain)
+        assert list(ctx.fixed) == [j for j, a in enumerate(ext) if ctx.extended.arrow_cod_rho(a) == ctx.rho]
+        for i, j in enumerate(ctx.fixed):
             assert ctx.plain.operator_matrix(ctx.plain.arrow_op(plain[i])) == ctx.extended.operator_matrix(
                 ctx.extended.arrow_op(ext[j])
             )
@@ -260,7 +261,7 @@ def test_every_stage_mask_is_below_one_shifted_by_its_arrow_count(workloads):
         for site in stage_sites(build_scenario(scenario)):
             for o in range(site.n_objects):
                 stage, bound = site.stage(o), 1 << len(site.arrows_from(o))
-                masks = [*stage.sieves(CAP), *stage.principals]
+                masks = [*stage.sieves(CAP, o), *stage.principals]
                 assert stage.top == bound - 1 and all(0 <= m < bound for m in masks), (scenario.name, o)
                 stages += 1
     assert stages == 516  # distinct (site, object) pairs

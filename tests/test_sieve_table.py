@@ -1,9 +1,10 @@
 """The per-object stages a site owns (`Site.stage`, `Stage.sieves`).
 
-A site builds one stage per object and keeps it for its own life; a stage
-is listed once, so the table must die with the site, must not grow across
-repeated checks of the same scenarios, and must still refuse a stage larger
-than the cap of each call.
+A site builds one stage per object and keeps it for its own life, and a
+restriction reads its parent's; a stage is listed once, so the table must
+die with the site, must not grow across repeated checks of the same
+scenarios, and must still refuse a stage larger than the cap of each call,
+naming the object as the caller's site numbers it.
 """
 
 import gc
@@ -12,11 +13,16 @@ import weakref
 
 import pytest
 
+from families import family_scenario
 from sieveval import (
     build_scenario,
+    bundled_scenario_names,
     bundled_scenario_path,
     load_scenario,
     restrict_down,
+    run_check,
+    runner,
+    scenario_from_dict,
     valuate_run,
 )
 from sieveval.errors import EnumerationExceeded
@@ -47,19 +53,65 @@ def test_a_site_and_its_sieve_table_are_freed_with_the_scenario():
     assert refs and all(ref() is None for ref in refs)
 
 
-def test_a_site_keeps_one_stage_per_object_and_a_restriction_builds_its_own():
+def parent_index(rest, parent, i):
+    """The parent's index of the restriction's object i: a restriction keeps
+    its parent's (ray, observable) pairs."""
+    return parent.objects.index(rest.objects[i])
+
+
+def test_a_site_keeps_one_stage_per_object_and_a_restriction_reads_its_parents():
     site = qubit_site()
     stages = [site.stage(o) for o in range(site.n_objects)]
     assert all(site.stage(o) is stage for o, stage in enumerate(stages))
     assert len(set(map(id, stages))) == site.n_objects
-    stages[0].sieves(64)
-    assert stages[0].implies[stages[0].top] == 0
     down = restrict_down(site, 1)
+    assert down.n_objects < site.n_objects
     for o in range(down.n_objects):
         stage = down.stage(o)
-        assert all(stage is not old for old in stages)
-        assert not stage.implies
-        assert stage.base == o and stage.top == (1 << len(down.arrows_from(o))) - 1
+        assert stage is stages[parent_index(down, site, o)]
+        assert stage.top == (1 << len(down.arrows_from(o))) - 1
+        assert not hasattr(stage, "base")
+    # what the parent's stage has filled, the restriction's has filled
+    parent = stages[parent_index(down, site, 0)]
+    assert parent.sieves(64, 0) is down.stage(0).sieves(64, 0)
+    assert parent.implies[parent.top] == 0 and len(down.stage(0).implies) == 1
+
+
+CHECKED_SCENARIOS = [
+    *bundled_scenario_names(),
+    *(f"chain {dim}" for dim in (3, 4, 5)),
+    "family 3",
+]
+
+
+def _scenario(name, workloads):
+    if name.startswith("chain"):
+        return scenario_from_dict(workloads.chain_scenario(13, int(name.split()[1])))
+    if name == "family 3":
+        return scenario_from_dict(family_scenario(3))
+    return load_scenario(bundled_scenario_path(name))
+
+
+@pytest.mark.parametrize("name", CHECKED_SCENARIOS)
+def test_every_restriction_of_a_cold_check_shares_its_parents_stages(name, workloads, monkeypatch):
+    """Eq 3.56's plain site below a run's stage and the extended site below
+    it hold, at each object, the very stage their parent holds there."""
+    made = []
+
+    def recorded(site, obj):
+        rest = restrict_down(site, obj)
+        made.append((site, rest))
+        return rest
+
+    monkeypatch.setattr(runner, "restrict_down", recorded)
+    scenario = _scenario(name, workloads)
+    assert run_check(scenario)["passed"]
+    kinds = {type(rest).__name__ for _, rest in made}
+    assert "PlainSite" in kinds
+    assert ("ExtendedSite" in kinds) == any(run.extended for run in scenario.runs)
+    for parent, rest in made:
+        for i in range(rest.n_objects):
+            assert rest.stage(i) is parent.stage(parent_index(rest, parent, i))
 
 
 def test_a_listed_stage_still_raises_under_a_smaller_cap():
@@ -67,14 +119,26 @@ def test_a_listed_stage_still_raises_under_a_smaller_cap():
     sites = [qubit_site(), qubit_site()]  # a stage is used while its site lives
     fresh, listed = (site.stage(0) for site in sites)
     with pytest.raises(EnumerationExceeded, match=message):
-        fresh.sieves(4)
-    masks = listed.sieves(64)
+        fresh.sieves(4, 0)
+    masks = listed.sieves(64, 0)
     assert len(masks) == 5
     with pytest.raises(EnumerationExceeded, match=message):
-        listed.sieves(4)
-    assert listed.sieves(5) is masks
+        listed.sieves(4, 0)
+    assert listed.sieves(5, 0) is masks
     # a listing cut short by its cap leaves nothing behind
-    assert fresh.sieves(5) == masks
+    assert fresh.sieves(5, 0) == masks
+
+
+def test_a_shared_stage_names_the_object_as_each_site_numbers_it():
+    """A cap hit names the caller's index of the object, which differs
+    between a site and its restriction."""
+    site = qubit_site()
+    down = restrict_down(site, 1)
+    o = next(o for o in range(down.n_objects) if parent_index(down, site, o) != o)
+    arrows = len(down.arrows_from(o))
+    for index, owner in ((o, down), (parent_index(down, site, o), site)):
+        with pytest.raises(EnumerationExceeded, match=rf" at object {index} \({arrows} arrows\)$"):
+            owner.stage(index).sieves(1, index)
 
 
 def test_a_stage_outliving_its_site_answers_new_keys():
@@ -83,14 +147,14 @@ def test_a_stage_outliving_its_site_answers_new_keys():
     site = qubit_site()
     ref = weakref.ref(site)
     stage = site.stage(0)
-    masks = stage.sieves(64)
+    masks = stage.sieves(64, 0)
     held = stage.implies[stage.top]
     del site
     gc.collect()
     assert ref() is None
     twin = qubit_site().stage(0)
-    assert stage.sieves(64) is masks and stage.implies[stage.top] == held
-    assert len(stage.implies) == 1 and not stage.natural and masks == twin.sieves(64)
+    assert stage.sieves(64, 0) is masks and stage.implies[stage.top] == held
+    assert len(stage.implies) == 1 and not stage.natural and masks == twin.sieves(64, 0)
     assert [stage.implies[m] for m in masks] == [twin.implies[m] for m in masks]
     assert [stage.natural[m] for m in masks] == [twin.natural[m] for m in masks]
 

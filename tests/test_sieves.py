@@ -97,7 +97,7 @@ def qubit_setup(qubit_site):
 
 def sieves_on(site, o, cap):
     """The sieves on o, as the site lists them."""
-    return [Sieve(o, m) for m in site.stage(o).sieves(cap)]
+    return [Sieve(o, m) for m in site.stage(o).sieves(cap, o)]
 
 
 def test_omega_census_qubit(qubit_site):

@@ -125,8 +125,9 @@ def test_one_cold_check_builds_each_table_once(calls):
     # the true subobject and for each adversarial one.
     assert calls["_projective_at"] == 559
     # One implication per distinct s minus t of each stage of each site: the
-    # stage's table is shared by every audit and every run that reads it.
-    assert calls["heyting_implies"] == 708
+    # stage's table is shared by every audit, every run and every restriction
+    # that reads it.
+    assert calls["heyting_implies"] == 682
 
 
 def test_one_cold_check_fills_each_round_trip_once(monkeypatch):
@@ -152,9 +153,10 @@ def test_one_cold_check_fills_each_round_trip_once(monkeypatch):
         assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
     # One round trip per distinct mask of each stage: ♮Ω, the census, the
     # stage isomorphism, the detectors, Def 5.4 and Prop 5.14 read one table
-    # per stage, and nothing computes a round trip outside it.
-    assert sum(len(stage.natural) for stage in stages) == 186
-    assert sum(stage.fills for stage in stages) == 186
+    # per stage, a restriction reads its parent's, and nothing computes a
+    # round trip outside it.
+    assert sum(len(stage.natural) for stage in stages) == 169
+    assert sum(stage.fills for stage in stages) == 169
 
 
 def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
@@ -188,8 +190,9 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
     assert counts["plain"] == 17
     # One Ω per plain site and one per restricted extended site.
     assert counts["omega"] == 15
-    # One stage per object of each site that a row reads.
-    assert counts["stage"] == 59
+    # One stage per object of each unrestricted site that a row reads: a
+    # restriction reads its parent's.
+    assert counts["stage"] == 54
     # Eq 3.56's plain site below a run's stage, once per (observable, stage):
     # 9 for 13 runs; one restricted extended site per (family, stage).
     assert counts["restricted PlainSite"] == 9

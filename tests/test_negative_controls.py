@@ -22,14 +22,27 @@ four bridge rows, each through a table or value of the bridge's extended
 stage: Props 5.1/5.2 (a top mask past the arrows), Prop 5.3 (a round trip
 that does not deflate), Prop 5.5 (a round trip with one fixpoint too
 many) and Eq 5.6 (an implication too large).  Eq 5.4 and Def 5.4 alone
-read `sharp` and `principal_sieve` from `checks`.
+read `sharp` and `principal_sieve` from `checks`.  Two controls doctor a
+function of `runner`: a product table that breaks associativity fails §3.1
+and Eq 4.9, and an atom functor with one wrong image, on an arrow that is a
+composite of two other arrows, fails Eq 3.9 or Eq 4.17 with a
+functoriality failure.  A row that no input can fail is listed, with its
+reason, in `CANNOT_FAIL`.
 """
 
 import pytest
 
-from sieveval import bundled_scenario_path, checks, load_scenario, subspace_from_vectors
+from sieveval import (
+    bundled_scenario_path,
+    checks,
+    diagonal_matrix,
+    load_scenario,
+    runner,
+    subspace_from_vectors,
+)
 from sieveval.scenario import scenario_from_dict
-from sieveval.sieves import LazyTable, Sieve, subpresheaf
+from sieveval.sieves import LazyTable, Presheaf, Sieve, subpresheaf
+from sieveval.sites import OperatorMonoid
 from sieveval.subspaces import ortho
 
 
@@ -310,6 +323,53 @@ def natural_omega_doctor(change):
     return doctor
 
 
+def p2_squared_negated(close_monoid):
+    """p2·p2 answered as −p2, so that (p2·p2)·x and p2·(p2·x) differ where
+    x negates: every other product, and every element, is kept."""
+
+    def doctored(generators, cap, *, dim=None):
+        monoid = close_monoid(generators, cap, dim=dim)
+        p2 = monoid.elements.index(diagonal_matrix([0, 1]))
+        table = [list(row) for row in monoid.table]
+        table[p2][p2] = monoid.elements.index(diagonal_matrix([0, -1]))
+        table = tuple(map(tuple, table))
+        return OperatorMonoid(monoid.elements, monoid.identity_index, monoid.generator_indices, table)
+
+    return doctored
+
+
+def zero_atom_misplaced(kind):
+    """A doctor of `atom_presheaf` that, on sites of class `kind`, sends the
+    zero atom along one arrow to the first nonzero atom of its codomain
+    stage: the first arrow g∘f, f and g not identities and neither of them
+    g∘f, whose domain stage holds the zero atom, where there is one.  The
+    entry is a position of the codomain stage and no identity's, so only
+    functoriality can fail."""
+
+    def doctor(atom_presheaf):
+        def doctored(site):
+            atoms = atom_presheaf(site)
+            if type(site).__name__ != kind:
+                return atoms
+            identities = {site.identity_arrow(o) for o in range(site.n_objects)}
+            for f in range(len(site.arrows)):
+                for g in site.arrows_from(site.arrow_cod(f)):
+                    gf = site.compose(g, f)
+                    if identities & {f, g} or gf in (f, g):
+                        continue
+                    zero = [i for i, x in enumerate(atoms.values[site.arrow_dom(gf)]) if x.is_zero]
+                    nonzero = [i for i, x in enumerate(atoms.values[site.arrow_cod(gf)]) if not x.is_zero]
+                    if zero and nonzero:
+                        positions = [list(table) for table in atoms.positions]
+                        positions[gf][zero[0]] = nonzero[0]
+                        return Presheaf(site, atoms.values, tuple(map(tuple, positions)), atoms.index)
+            return atoms
+
+        return doctored
+
+    return doctor
+
+
 def rows_on(runs, *tags):
     """The (tag, run) rows of each tag on each run."""
     return {(tag, run) for tag in tags for run in runs}
@@ -330,6 +390,12 @@ PLAIN_TRUE_LESS_ONE_IMAGE = (
     )
     | {("Eqs 3.26–3.27", "z-down")},
 )
+P2_SQUARED_NEGATED = (
+    "qubit_complex",
+    "runner.close_monoid",
+    p2_squared_negated,
+    rows_on(("z-up", "z-down", "coarse"), "§3.1") | {("Eq 4.9", "coarse")},
+)
 NATURAL_OMEGA_LESS_ONE_IMAGE = (
     "qubit_extended",
     "build_scenario",
@@ -337,8 +403,23 @@ NATURAL_OMEGA_LESS_ONE_IMAGE = (
     rows_on(("coarse", "fine"), "Prop 5.7/Thm 5.8", "Thm 5.13 / Props A3–A4 (♮Ω)"),
 )
 
-# tag -> (scenario, the function of `checks` doctored, doctor, the failing (tag, run) rows)
+# tag -> (scenario, the function of `checks`, or of the module it names,
+# doctored, doctor, the failing (tag, run) rows)
 CONTROLS = {
+    "§3.1": P2_SQUARED_NEGATED,
+    "Eq 4.9": P2_SQUARED_NEGATED,
+    "Eq 3.9": (
+        "qubit_complex",
+        "runner.atom_presheaf",
+        zero_atom_misplaced("PlainSite"),
+        rows_on(("z-up", "z-down", "coarse"), "Eq 3.9"),
+    ),
+    "Eq 4.17": (
+        "qubit_extended",
+        "runner.atom_presheaf",
+        zero_atom_misplaced("ExtendedSite"),
+        {("Eq 4.17", "coarse")},
+    ),
     "Eq 2.1": ("qubit", "projector_matrix", wrong_projector, {("Eq 2.1", None)}),
     "Eq 2.3": (
         "qubit",
@@ -449,27 +530,49 @@ CONTROLS = {
 }
 
 
+# tag -> the error its failing rows report, where the control pins one
+FIRST_FAILURE = {"Eq 3.9": "functoriality failure", "Eq 4.17": "functoriality failure"}
+
+# tag -> why no doctored input fails its row
+CANNOT_FAIL = {
+    "Eq 3.13": "the stage census reports sizes, and `_census_rows` passes it by construction",
+}
+
+
 def failing_rows(name):
+    """The failing (tag, run) rows of a check, each with its `error` detail or None."""
     report = checks.run_check(load_scenario(bundled_scenario_path(name)))
-    return {(row["tag"], row["run"]) for row in report["rows"] if not row["passed"]}
+    return {
+        (row["tag"], row["run"]): row.get("details", {}).get("error") for row in report["rows"] if not row["passed"]
+    }
 
 
 @pytest.mark.parametrize("tag", sorted(CONTROLS))
 def test_a_doctored_function_fails_its_row(tag, monkeypatch):
     scenario, attribute, doctor, expected = CONTROLS[tag]
-    doctored = doctor(getattr(checks, attribute))
+    owner, _, attribute = attribute.rpartition(".")
+    module = {"": checks, "runner": runner}[owner]
+    doctored = doctor(getattr(module, attribute))
     calls = 0
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return doctored(*args)
+        return doctored(*args, **kwargs)
 
-    monkeypatch.setattr(checks, attribute, counted)
+    monkeypatch.setattr(module, attribute, counted)
     failing = failing_rows(scenario)
     assert calls
     assert tag in {row_tag for row_tag, _ in expected}
-    assert failing == expected
+    assert failing.keys() == expected
+    if tag in FIRST_FAILURE:
+        assert set(failing.values()) == {FIRST_FAILURE[tag]}
+
+
+def test_a_row_that_cannot_fail_is_reported_and_has_no_control():
+    report = checks.run_check(load_scenario(bundled_scenario_path("qubit")))
+    assert CANNOT_FAIL.keys() <= {row["tag"] for row in report["rows"]}
+    assert not CANNOT_FAIL.keys() & CONTROLS.keys()
 
 
 def test_reachability_asks_for_arrows_on_the_chain(workloads):

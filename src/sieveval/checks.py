@@ -701,7 +701,7 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
     c1_ok = True
     for o, stage in enumerate(nat_omega.values):
         arrows = rest.arrows_from(o)
-        twin = [arrows.index(rest.rho_arrow_twin(a)) for a in arrows]
+        twin = [rest.arrow_position(rest.rho_arrow_twin(a)) for a in arrows]
         for s in stage:
             if any(twin[i] not in s for i in s):
                 c1_ok = False

@@ -2,8 +2,8 @@
 
 A sieve on an object is a postcomposition-closed set of arrows out of it.
 Equivalently it is a union of principal sieves.  A site keeps one `Stage`
-per object (`Site.stage`), built on first use, for its own lifetime, and a
-restriction reads its parent's; its sieve list (`Stage.sieves`) is made by
+per object (`Site.stage`) for its own lifetime, all built with the site,
+and a restriction reads its parent's; its sieve list (`Stage.sieves`) is made by
 closing the distinct principal sieves under union rather than by filtering
 all 2^k arrow subsets.
 
@@ -12,12 +12,13 @@ is set iff the i-th arrow out of the base (`site.arrows_from(base)[i]`) is
 a member, so its width is the base's arrow count k, and a reader that needs
 the arrows decodes the positions through `arrows_from`.  Meet, join and <=
 are `&`, `|` and `a & ~b == 0`.  The mask format lives in `Stage`, which
-reads the site's postcomposite pairs once: per arrow f out of the base, the
-pairs (g, g∘f) as positions (`composites`, g out of cod f and g∘f out of
-the base) and the principal mask of f (`principals`), then `top`, the mask
-of all k arrows.  Implication is then i ∈ (S ⇒ T) iff
-`principals[i] & S & ~T` is empty, and pulling S back along f is one pass
-over f's pairs.  A stage keeps no reference to its site.
+composes once, with `site.compose`: per arrow f out of the base, a row
+holding for each arrow g out of cod f, in order, the position of g∘f out of
+the base (`composites`), and the principal mask of f (`principals`), then
+`top`, the mask of all k arrows.  The rows are the site's only composition
+table.  Implication is then i ∈ (S ⇒ T) iff `principals[i] & S & ~T` is
+empty, and pulling S back along f is one pass over f's row.  A stage keeps
+no reference to its site.
 
 The stage audits read the stage's masks.  In a lattice of down-sets, s ⇒ t
 is the largest sieve missing s minus t, so it depends on `y = s & ~t`
@@ -36,14 +37,14 @@ transition as a position table, a tuple giving for every position of the
 domain stage the position of the image in the codomain stage (None for an
 image outside it).  The audits compare tables of ints: identity tables are
 `range`s, closure is the absence of None, functoriality is table composition
-over the site's postcomposite pairs, and subfunctors, pullbacks and
+over the stage rows, and subfunctors, pullbacks and
 characteristic maps are read by position.  A map between presheaves is
 read by position too: `naturality_holds` turns its values into positions of
 the target once and compares the two presheaves' tables square by square,
 so no audit moves a value along an arrow.  Ω's tables are filled from the
 stage masks: `omega_presheaf` pulls each listed mask of an arrow's domain
-stage back over the arrow's `Stage.composites` (`pull_back`, once per
-arrow and mask) and reads the image's position in the codomain stage from
+stage back over the arrow's row of `Stage.composites` (`pull_back`, once
+per arrow and mask) and reads the image's position in the codomain stage from
 a mask-keyed dict; `omega_transition` is the same pullback on one `Sieve`.
 
 The proposition functor L has the build's whole universe
@@ -166,7 +167,7 @@ def is_sieve(site, s: Sieve) -> bool:
 def principal_sieve(site, arrow: int) -> Sieve:
     """All postcomposites of one arrow (the arrow itself included)."""
     base = site.arrow_dom(arrow)
-    return Sieve(base, site.stage(base).principals[site.arrows_from(base).index(arrow)])
+    return Sieve(base, site.stage(base).principals[site.arrow_position(arrow)])
 
 
 def top_sieve(site, obj: int) -> Sieve:
@@ -177,12 +178,12 @@ def bottom_sieve(obj: int) -> Sieve:
     return Sieve(obj, 0)
 
 
-def pull_back(pairs: Sequence[tuple[int, int]], mask: int) -> int:
-    """The mask pulled back along an arrow m, given m's postcomposite pairs
-    (g, g∘m) as positions (`Stage.composites`): the arrows g whose composite
-    with m lands in the mask."""
+def pull_back(row: Sequence[int], mask: int) -> int:
+    """The mask pulled back along an arrow m, given m's row of
+    `Stage.composites` (the position of g∘m for the g-th arrow out of cod m):
+    the arrows g whose composite with m lands in the mask."""
     pulled = 0
-    for g, gm in pairs:
+    for g, gm in enumerate(row):
         if (mask >> gm) & 1:
             pulled |= 1 << g
     return pulled
@@ -192,8 +193,8 @@ def omega_transition(site, m: int, s: Sieve) -> Sieve:
     """Pull a sieve along an arrow: arrows whose composite with m lands in s."""
     if site.arrow_dom(m) != s.base:
         raise InternalCheckError("transition arrow does not start at the sieve's base")
-    pairs = site.stage(s.base).composites[site.arrows_from(s.base).index(m)]
-    return Sieve(site.arrow_cod(m), pull_back(pairs, s.mask))
+    row = site.stage(s.base).composites[site.arrow_position(m)]
+    return Sieve(site.arrow_cod(m), pull_back(row, s.mask))
 
 
 def heyting_implies(principals: Sequence[int], outside: int) -> int:
@@ -220,11 +221,11 @@ class LazyTable(dict):
 
 class Stage:
     """The sieve lattice of one object as masks local to it, built by
-    `Site.stage` from the site's postcomposite pairs, after which it reads
+    `Site.stage`, which composes with `site.compose`, after which it reads
     nothing of the site; it keeps no object index, as every restriction that
     keeps the object shares it.  For the i-th arrow f out of `base`,
-    `composites[i]` holds the pairs (g, g∘f) as positions (g out of cod f,
-    g∘f out of the base) and `principals[i]` the principal mask of f; `top`
+    `composites[i][j]` is the position out of the base of g∘f, g the j-th
+    arrow out of cod f, and `principals[i]` the principal mask of f; `top`
     has all k arrows, and `fixed` those that stay at the base's observable.
     `implies[s & ~t]` is the mask of s ⇒ t, which reads nothing else of s
     and t (one `heyting_implies` call per key, for the stage's lifetime).
@@ -233,15 +234,14 @@ class Stage:
     fixes every sieve."""
 
     def __init__(self, site, base: int):
-        # A site numbers its arrows by domain in object order, so an arrow's
-        # position is its id less the id of the first arrow out of its domain.
+        # `compose` keys its result on f's domain, so every composite is an
+        # arrow out of the base.
         arrows = site.arrows_from(base)
-        composites = []
-        for f in arrows:
-            first = site.arrows_from(site.arrow_cod(f))[0]
-            composites.append(tuple([(g - first, gf - arrows[0]) for g, gf in site.postcomposites[f]]))
-        composites = tuple(composites)
-        principals = tuple([sum(1 << gf for gf in {gf for _, gf in pairs}) for pairs in composites])
+        compose, position = site.compose, site.arrow_position
+        composites = tuple([
+            tuple([position(compose(g, f)) for g in site.arrows_from(site.arrow_cod(f))]) for f in arrows
+        ])
+        principals = tuple([sum(1 << gf for gf in set(row)) for row in composites])
         rho = site.object_rho(base)
         fixed = sum(1 << i for i, a in enumerate(arrows) if site.arrow_cod_rho(a) == rho)
         self.top, self.fixed = (1 << len(arrows)) - 1, fixed
@@ -352,12 +352,14 @@ class Presheaf:
                 raise InternalCheckError("identity transition is not the identity")
         if not is_closed(self):
             raise InternalCheckError("transition leaves the codomain value set")
-        for f, pairs in enumerate(site.postcomposites):
-            tf = positions[f]
-            for g, gf in pairs:
-                tg = positions[g]
-                if positions[gf] != tuple([tg[i] for i in tf]):
-                    raise InternalCheckError("functoriality failure")
+        out = [site.arrows_from(o) for o in range(len(self.values))]
+        for o, arrows in enumerate(out):
+            for f, row in zip(arrows, site.stage(o).composites):
+                tf = positions[f]
+                for g, gf in zip(out[site.arrow_cod(f)], row):
+                    tg = positions[g]
+                    if positions[arrows[gf]] != tuple([tg[i] for i in tf]):
+                        raise InternalCheckError("functoriality failure")
 
 
 def build_presheaf(site, values_at: Callable[[int], Sequence], transition):
@@ -584,16 +586,16 @@ def bottom_annihilator(site, obj: int, e_r: Subspace) -> Sieve:
 def omega_presheaf(site, cap: int) -> Presheaf:
     """The subobject classifier: every sieve at every stage, listed by the
     site.  Each arrow's table pulls the masks of its domain stage back over
-    the arrow's `Stage.composites` and reads their positions by mask.  The
+    the arrow's row of `Stage.composites` and reads their positions by mask.  The
     site numbers its arrows by domain in object order, so the tables come
     out in arrow order."""
     stages = [site.stage(o) for o in range(site.n_objects)]
     masks = [stage.sieves(cap, o) for o, stage in enumerate(stages)]
     at = [{m: i for i, m in enumerate(stage)} for stage in masks]
     positions = tuple([
-        tuple([at[site.arrow_cod(f)].get(pull_back(pairs, m)) for m in masks[o]])
+        tuple([at[site.arrow_cod(f)].get(pull_back(row, m)) for m in masks[o]])
         for o, stage in enumerate(stages)
-        for f, pairs in zip(site.arrows_from(o), stage.composites)
+        for f, row in zip(site.arrows_from(o), stage.composites)
     ])
     values = tuple([tuple([Sieve(o, m) for m in stage]) for o, stage in enumerate(masks)])
     return Presheaf(site, values, positions, _index(values))

@@ -7,12 +7,15 @@ category takes a family of observables.  The ray category of one observable
 then vacuous and every arrow stays at that observable.  The sieve machinery
 is written once against the site protocol — `arrows_from`, `compose`,
 `arrow_dom`/`arrow_cod`, `identity_arrow`, `object_ray`.  Arrows are
-numbered by domain in object order.  Each site owns its composition table
-(`postcomposites`), computed once on first use, and one `sieves.Stage` per
-object (`stage`), built on first use from that table; the stage holds the
-sieve algebra of the arrows out of its object, and needs nothing of the
-site afterwards.  A restriction (`restrict_down`) numbers its objects and
-arrows afresh and reads its parent's stages.
+numbered by domain in object order, so an arrow's position among the
+arrows out of its domain is its id less the first one's (`arrow_position`).
+Each site owns one `sieves.Stage` per object (`stage`), all built with the
+site: a stage composes every arrow out of its object with every arrow out
+of that arrow's codomain, once, and keeps the composites as positions
+(`Stage.composites`), the site's only composition table, with the sieve
+algebra of the arrows out of its object; it needs nothing of the site
+afterwards.  A restriction (`restrict_down`) numbers its objects and
+arrows afresh and reads its parent's stages, so it composes nothing.
 
 An arrow's `op` indexes its own site's monoid; across sites an operator is
 named by its exact matrix (`operator_matrix`).
@@ -25,7 +28,6 @@ Every verified statement is a statement about this finite sub-site.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -168,7 +170,7 @@ class Site:
                 identity[arr.dom] = a
         if any(a.dom > b.dom for a, b in zip(arrows, arrows[1:])):
             raise InternalCheckError("arrows must be numbered by domain in object order")
-        # The instance dict also holds the `cached_property` tables.
+        # `__setattr__` refuses every write, so the fields go in through the instance dict.
         vars(self).update(
             observables=observables,
             monoid=monoid,
@@ -219,16 +221,12 @@ class Site:
     def identity_arrow(self, o: int) -> int:
         return self._identity[o]
 
-    # -- composition -------------------------------------------------------
-    @cached_property
-    def postcomposites(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per arrow f: the pairs (g, g∘f) for every g out of cod f."""
-        out = self._out
-        return tuple(
-            tuple((g, self.compose(g, f)) for g in out[arr.cod])
-            for f, arr in enumerate(self.arrows)
-        )
+    def arrow_position(self, a: int) -> int:
+        """a's position among the arrows out of its domain: arrows are
+        numbered by domain in object order."""
+        return a - self._out[self.arrows[a].dom][0]
 
+    # -- composition -------------------------------------------------------
     def stage(self, o: int) -> Stage:
         """The sieve lattice of object o, built on first use and kept; it
         holds no reference to the site.  A restriction reads its parent's."""
@@ -360,14 +358,11 @@ def in_product_category(
 
 
 def _validate_composition(site: Site) -> None:
-    """Every composable pair must compose to an arrow of the site.
-
-    The walk is the one that fills the site's postcomposite table.
-    """
-    for f, pairs in enumerate(site.postcomposites):  # compose raises on failure
-        for _, composite in pairs:
-            if site.arrow_dom(composite) != site.arrow_dom(f):
-                raise InternalCheckError("composite has the wrong domain")
+    """Every composable pair must compose to an arrow of the site: building
+    every stage composes every pair, and `compose` raises where one leaves
+    the site."""
+    for o in range(site.n_objects):
+        site.stage(o)
 
 
 def restrict_down(site: Site, obj: int) -> Site:
@@ -401,39 +396,39 @@ def restrict_to_rho(site: ExtendedSite, rho: int) -> PlainSite:
     )
 
 
-def _after(site) -> list[dict[int, int]]:
-    """Per arrow f, the map g -> g∘f, read from the postcomposite table."""
-    return [dict(pairs) for pairs in site.postcomposites]
-
-
 def associativity_violations(site) -> list[tuple[int, int, int]]:
-    """All composable triples where (h∘g)∘f != h∘(g∘f), read from the
-    postcomposite table: `after[gf][h]` against `after[f][after[g][h]]`.
-    Over a product table that is not associative, g∘f may end at another
-    object than g, so h need not compose with it: that triple is reported."""
-    after = _after(site)
+    """All composable triples where (h∘g)∘f != h∘(g∘f), read from the stage
+    rows by position.  Over a product table that is not associative, g∘f
+    may end at another object than g, so h need not compose with it: that
+    triple is reported."""
+    rows = [site.stage(o).composites for o in range(site.n_objects)]
+    out = [site.arrows_from(o) for o in range(site.n_objects)]
+    cod = [arrow.cod for arrow in site.arrows]
     bad: list[tuple[int, int, int]] = []
-    for f, pairs in enumerate(site.postcomposites):
-        for g, gf in pairs:
-            for h, hg in site.postcomposites[g]:
-                if after[gf].get(h) != after[f][hg]:
-                    bad.append((h, g, f))
+    for arrows, here in zip(out, rows):
+        for f, row in zip(arrows, here):
+            for g, gf, hg in zip(out[cod[f]], row, rows[cod[f]]):
+                # h∘(g∘f) and (h∘g)∘f by h's position out of cod g
+                after_gf = here[gf] if cod[arrows[gf]] == cod[g] else None
+                if after_gf != tuple([row[x] for x in hg]):
+                    bad += [
+                        (h, g, f)
+                        for i, h in enumerate(out[cod[g]])
+                        if after_gf is None or after_gf[i] != row[hg[i]]
+                    ]
     return bad
 
 
 def identity_violations(site) -> list[int]:
     """Objects without an identity arrow, plus arrows not absorbed by the
-    identities that exist, read from the postcomposite table."""
-    after = _after(site)
-    bad: list[int] = []
+    identities that exist, read from the stage rows by position."""
+    bad = [o for o in range(site.n_objects) if site.identity_arrow(o) < 0]
     for o in range(site.n_objects):
-        if site.identity_arrow(o) < 0:
-            bad.append(o)
-    for a in range(len(site.arrows)):
-        id_cod = site.identity_arrow(site.arrow_cod(a))
-        if id_cod >= 0 and after[a][id_cod] != a:
-            bad.append(a)
-        id_dom = site.identity_arrow(site.arrow_dom(a))
-        if id_dom >= 0 and after[id_dom][a] != a:
-            bad.append(a)
+        rows, id_dom = site.stage(o).composites, site.identity_arrow(o)
+        for i, (a, row) in enumerate(zip(site.arrows_from(o), rows)):
+            id_cod = site.identity_arrow(site.arrow_cod(a))
+            if id_cod >= 0 and row[site.arrow_position(id_cod)] != i:
+                bad.append(a)
+            if id_dom >= 0 and rows[site.arrow_position(id_dom)][i] != i:
+                bad.append(a)
     return bad

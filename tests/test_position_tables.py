@@ -1,4 +1,4 @@
-"""Presheaves as position tables, and site audits from the postcomposite table.
+"""Presheaves as position tables, and site audits from the stage rows.
 
 Negative tests: doctored presheaves built through `build_presheaf`, a cut
 that is not transition-closed, a site over a non-associative product table
@@ -107,7 +107,8 @@ class OldPresheaf:
             for x in dom_values:
                 if self.map(f, x) not in cod_set:
                     raise SievevalError("transition leaves the codomain value set")
-            for g, gf in site.postcomposites[f]:
+            for g in site.arrows_from(site.arrow_cod(f)):
+                gf = site.compose(g, f)
                 for x in dom_values:
                     if self.map(gf, x) != self.map(g, self.map(f, x)):
                         raise SievevalError("functoriality failure")
@@ -373,6 +374,27 @@ def test_a_non_associative_product_table_is_found():
     assert violations == old_associativity_violations(site)
     for h, g, f in violations:
         assert site.compose(site.compose(h, g), f) != site.compose(h, site.compose(g, f))
+
+
+def test_a_composite_ending_elsewhere_reports_every_triple_through_it():
+    """With sz·sz doctored to be sz, sz∘sz out of (1, i) ends at (1, -i),
+    not at (1, i) where its second factor ends: no h out of (1, i) composes
+    with it, so every triple (h, g, f) with that g∘f is reported."""
+    sz = diagonal_matrix([1, -1])
+    monoid = close_monoid([sz], cap=2)
+    rows = [list(row) for row in monoid.table]
+    flip = monoid.elements.index(sz)
+    rows[flip][flip] = flip
+    table = tuple(tuple(row) for row in rows)
+    monoid = OperatorMonoid(monoid.elements, monoid.identity_index, monoid.generator_indices, table)
+    unit = Observable("unit", (full_space(2),))
+    site = build_plain_site(unit, monoid, [ray_from_vector([1, gaussian(0, 1)])], cap=2)
+    assert identity_violations(site) == []
+    flip = [a for a in range(len(site.arrows)) if site.arrow_op(a) != monoid.identity_index]
+    assert [(site.arrow_dom(a), site.arrow_cod(a)) for a in flip] == [(0, 1), (1, 0)]
+    assert associativity_violations(site) == [
+        (h, g, f) for f, g in (flip, flip[::-1]) for h in site.arrows_from(site.arrow_dom(f))
+    ]
 
 
 def two_rays_without_identity_at_1():

@@ -10,6 +10,7 @@ naming the object as the caller's site numbers it.
 import gc
 import json
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from sieveval import (
     valuate_run,
 )
 from sieveval.errors import EnumerationExceeded
+from sieveval.sites import ExtendedSite, PlainSite
 
 
 def qubit_site():
@@ -112,6 +114,53 @@ def test_every_restriction_of_a_cold_check_shares_its_parents_stages(name, workl
     for parent, rest in made:
         for i in range(rest.n_objects):
             assert rest.stage(i) is parent.stage(parent_index(rest, parent, i))
+
+
+@pytest.mark.parametrize("name", CHECKED_SCENARIOS)
+def test_a_restriction_of_a_cold_check_composes_nothing(name, workloads, monkeypatch):
+    """A restriction reads its parent's stages, whose rows are the only
+    composition table, so no arrow of it is composed."""
+    restricted, composing = [], set()
+
+    def recorded(site, obj):
+        rest = restrict_down(site, obj)
+        restricted.append(rest)
+        return rest
+
+    def counted(compose):
+        def wrapper(site, g, f):
+            composing.add(site)
+            return compose(site, g, f)
+
+        return wrapper
+
+    monkeypatch.setattr(runner, "restrict_down", recorded)
+    for cls in (PlainSite, ExtendedSite):
+        monkeypatch.setattr(cls, "compose", counted(cls.compose))
+    assert run_check(_scenario(name, workloads))["passed"]
+    assert restricted and composing
+    assert not composing.intersection(restricted)
+
+
+BUILD_PEAK = """
+import sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+from families import family_scenario
+from sieveval import build_scenario, scenario_from_dict
+
+scenario = scenario_from_dict(family_scenario(4))
+tracemalloc.start()
+build_scenario(scenario)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_the_dim_4_family_builds_under_10_mb_traced(run_fresh):
+    """Building a site stores one composition table, its stages' rows, so
+    the build's traced peak stays under 10 MB."""
+    done = run_fresh(BUILD_PEAK, str(Path(__file__).parent))
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 10 * 2**20
 
 
 def test_a_listed_stage_still_raises_under_a_smaller_cap():

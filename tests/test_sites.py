@@ -257,11 +257,13 @@ def test_one_observable_extended_site_is_the_plain_site(name):
 def test_site_tables_and_arrows_numbered_by_domain_in_object_order(qubit_site):
     site = qubit_site
     for o in range(site.n_objects):
-        assert site.stage(o).top == (1 << len(site.arrows_from(o))) - 1
-    for f in range(len(site.arrows)):
-        pairs = site.postcomposites[f]
-        assert [g for g, _ in pairs] == list(site.arrows_from(site.arrow_cod(f)))
-        assert all(gf == site.compose(g, f) for g, gf in pairs)
+        stage, arrows = site.stage(o), site.arrows_from(o)
+        assert stage.top == (1 << len(arrows)) - 1
+        assert len(stage.composites) == len(arrows)
+        for i, (f, row) in enumerate(zip(arrows, stage.composites)):
+            assert site.arrow_position(f) == i
+            after = site.arrows_from(site.arrow_cod(f))
+            assert [arrows[gf] for gf in row] == [site.compose(g, f) for g in after]
     # Stage masks and Ω's tables rely on arrows numbered by domain in object
     # order: interleaved domains fail, and so do whole objects out of order.
     a = site.arrows

@@ -190,9 +190,10 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
     assert counts["plain"] == 17
     # One Ω per plain site and one per restricted extended site.
     assert counts["omega"] == 15
-    # One stage per object of each unrestricted site that a row reads: a
-    # restriction reads its parent's.
-    assert counts["stage"] == 54
+    # One stage per object of each unrestricted site, built with the site,
+    # since its stages hold the site's only composition table: the full
+    # extended sites and the §4.1 slices too.  A restriction reads its parent's.
+    assert counts["stage"] == 91
     # Eq 3.56's plain site below a run's stage, once per (observable, stage):
     # 9 for 13 runs; one restricted extended site per (family, stage).
     assert counts["restricted PlainSite"] == 9

@@ -58,11 +58,7 @@ from .sieves import (
     top_sieve,
     valuation_row,
 )
-from .sites import (
-    associativity_violations,
-    identity_violations,
-    orbit,
-)
+from .sites import associativity_violations, commutant, identity_violations
 from .subspaces import (
     apply_operator,
     generate_sublattice,
@@ -251,9 +247,7 @@ def _observable_order_rows(built: BuiltScenario) -> list[dict]:
 
 def _atom_set_rows(built: BuiltScenario) -> list[dict]:
     sc = built.scenario
-    seeds = [state.space for state in sc.states.values()]
-    # An orbit has at most |monoid| * |seeds| rays, so this cap is never hit.
-    rays, _ = orbit(built.monoid, seeds, len(built.monoid) * len(seeds))
+    rays, _, _ = built.sites.orbits[built.sites.whole]
     b1_ok = True
     b1_checked = 0
     for ray in rays:
@@ -329,17 +323,15 @@ def _plain_site_rows(run: BuiltRun) -> list[dict]:
     site = run.plain
     assoc = associativity_violations(site)
     ident = identity_violations(site)
+    ops = commutant(site.monoid, site.observable)
     partition_ok = True
     for o, ray in enumerate(site.rays):
-        for op in range(len(site.monoid)):
-            image = apply_operator(site.operator_matrix(op), ray)
-            arrows = [a for a in site.arrows_from(o) if site.arrow_op(a) == op]
-            if image.is_zero:
-                if arrows:
-                    partition_ok = False
-            else:
-                if len(arrows) != 1 or site.rays[site.arrow_cod(arrows[0])] != image:
-                    partition_ok = False
+        # One arrow per operator of the commutant with a nonzero image, to that image.
+        images = [(op, apply_operator(site.operator_matrix(op), ray)) for op in ops]
+        arrows = [(site.arrow_op(a), site.rays[site.arrow_cod(a)]) for a in site.arrows_from(o)]
+        arrows.sort(key=lambda arrow: arrow[0])
+        if arrows != [(op, image) for op, image in images if not image.is_zero]:
+            partition_ok = False
     return [
         _row(
             "§3.1",
@@ -600,16 +592,14 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
     embedding_ok = True
     for k in range(len(full.observables)):
         plain_k = run.slices[k]
+        # Both index the build monoid, so an arrow's twin has the same op.
         fixed = {
-            (full.objects[m.dom][0], full.operator_matrix(m.op), full.objects[m.cod][0])
+            (full.objects[m.dom][0], m.op, full.objects[m.cod][0])
             for m in full.arrows
             if full.object_rho(m.dom) == k == full.object_rho(m.cod)
         }
-        rebuilt = {
-            (a.dom, plain_k.operator_matrix(a.op), a.cod) for a in plain_k.arrows
-        }
-        ray_match = plain_k.rays == full.rays
-        if not ray_match or fixed != rebuilt:
+        rebuilt = {(a.dom, a.op, a.cod) for a in plain_k.arrows}
+        if plain_k.monoid is not full.monoid or plain_k.rays != full.rays or fixed != rebuilt:
             embedding_ok = False
     rows.append(_row("§4.1", "fixed-observable slice equals the plain site", embedding_ok))
     monoid_ops = set(full.monoid.elements)

@@ -9,9 +9,10 @@ A build shares what does not depend on the run.  It closes the declared
 propositions under the monoid into one `subspaces.Universe`, owned by its
 `BuiltScenario`: the members with their order, meets and operator action
 as position tables, read by L, the filter rows, Eq 3.2 and the IB
-conditions.  Its `SiteMemo` makes each site once, keyed by what the site
-depends on, and with it the site's `SiteFunctors`: L, A, Ω and ♮Ω depend
-only on the site, the universe and the sieve cap, so every run on the site
+conditions.  Its one monoid numbers the operators of every site.  Its
+`SiteMemo` walks each orbit once and makes each site once, keyed by what
+it depends on, with the site's `SiteFunctors`: L, A, Ω and ♮Ω depend only
+on the site, the universe and the sieve cap, so every run on the site
 reads the same objects and the same `Site.stage` tables.  A site below a
 run's stage (`restrict_down`) reads its parent's stages, so the extended
 side, its bridge context and Eq 3.56's plain site share them too.  σ, T and
@@ -60,10 +61,11 @@ from .sites import (
     OperatorMonoid,
     PlainSite,
     Site,
-    build_extended_site,
-    build_plain_site,
+    build_site,
     close_monoid,
+    commutant,
     in_product_category,
+    orbit,
     restrict_down,
     restrict_to_rho,
 )
@@ -140,35 +142,40 @@ def site_run(functors: SiteFunctors, stage: int, r_space: Subspace, universe: Un
 
 class SiteMemo:
     """Every site one build makes, each made on its first read and kept,
-    keyed by what it depends on: `plain[rho]` is the plain site of
-    observable index rho, with its functors; `plain_below[rho][obj]` that
-    site below its object obj (Eq 3.56); `extended[family]` the full
-    extended site of a sorted tuple of observable indices;
-    `restricted[family, obj]` that site below its object obj, with its
-    functors; `slices[family][k]` its §4.1 slice at k, a plain site rebuilt
-    on its own as §4.1's reference (`restrict_to_rho`); and
-    `contexts[family, obj, rho]` the bridge from the restricted site's stage
-    at obj to the plain site of observable index rho.  A site below an
-    object reads its parent's stages.  The tables' functions hold the build's inputs and one another,
-    never the memo."""
+    keyed by what it depends on: `orbits[ops]` is the seed states' orbit
+    under the monoid indices `ops` (`whole`: all of them), read by every
+    site on it and by Props B1–B2; `plain[rho]` is the plain site of
+    observable index rho, on the orbit under its `commutant`, with its
+    functors; `plain_below[rho][obj]` that site below its object obj (Eq
+    3.56); `extended[family]` the full extended site of a sorted tuple of
+    observable indices; `restricted[family, obj]` that site below its
+    object obj, with its functors; `slices[family][k]` its §4.1 slice at
+    k, a plain site rebuilt from its own walk as §4.1's reference
+    (`restrict_to_rho`); and `contexts[family, obj, rho]` the bridge from
+    the restricted site's stage at obj to the plain site of observable
+    index rho.  A site below an object reads its parent's stages.  The
+    tables' functions hold the build's inputs and one another, never the memo."""
 
     def __init__(self, scenario: Scenario, monoid: OperatorMonoid, universe: Universe):
-        seeds = list(scenario.states.values())
+        seeds = [state.space for state in scenario.states.values()]
+        whole = tuple(range(len(monoid)))
         orbit_cap, sieve_cap = scenario.caps["orbit"], scenario.caps["sieve_enum"]
 
         def functors(site: Site) -> SiteFunctors:
             return SiteFunctors(site, sieve_cap, proposition_presheaf(site, universe), atom_presheaf(site))
 
         def plain_site(rho: int) -> SiteFunctors:
-            return functors(build_plain_site(scenario.observables[rho], monoid, seeds, orbit_cap))
+            observable = scenario.observables[rho]
+            walk = orbits[commutant(monoid, observable)]
+            return functors(build_site(PlainSite, (observable,), monoid, walk, orbit_cap))
 
         def plain_below(rho: int) -> LazyTable:
             site = plain[rho].site
             return LazyTable(lambda obj: restrict_down(site, obj))
 
         def extended_site(family: tuple[int, ...]) -> ExtendedSite:
-            observables = [scenario.observables[i] for i in family]
-            return build_extended_site(observables, monoid, seeds, orbit_cap)
+            observables = tuple(scenario.observables[i] for i in family)
+            return build_site(ExtendedSite, observables, monoid, orbits[whole], orbit_cap)
 
         def slices(family: tuple[int, ...]) -> LazyTable:
             full = extended[family]
@@ -180,9 +187,12 @@ class SiteMemo:
             stage = rest.object_index(full.object_ray(obj), full.object_rho(obj))
             return make_bridge_context(rest, stage, plain[rho].site)
 
+        orbits = LazyTable(lambda ops: orbit(monoid, ops, seeds))
         plain = LazyTable(plain_site)
         extended = LazyTable(extended_site)
         restricted = LazyTable(lambda key: functors(restrict_down(extended[key[0]], key[1])))
+        self.orbits = orbits
+        self.whole = whole
         self.plain = plain
         self.plain_below = LazyTable(plain_below)
         self.extended = extended
@@ -256,6 +266,7 @@ class BuiltScenario(NamedTuple):
     universe: Universe
     universe_names: dict[Subspace, str]
     runs: list[BuiltRun]
+    sites: SiteMemo
 
 
 def build_scenario(scenario: Scenario) -> BuiltScenario:
@@ -265,7 +276,7 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
     universe, names = proposition_universe(scenario, monoid)
     sites = SiteMemo(scenario, monoid, universe)
     runs = [_build_run(scenario, spec, universe, names, sites) for spec in scenario.runs]
-    return BuiltScenario(scenario, monoid, universe, names, runs)
+    return BuiltScenario(scenario, monoid, universe, names, runs, sites)
 
 
 def _build_run(
@@ -434,7 +445,6 @@ def dump_site(scenario: Scenario) -> dict:
     """Deterministic dump of every site a scenario builds."""
     built = build_scenario(scenario)
     monoid = built.monoid
-    index = {f: i for i, f in enumerate(monoid.elements)}  # each operator's build-monoid index
     out = {
         "scenario": scenario.name,
         "dimension": scenario.dimension,
@@ -454,10 +464,10 @@ def dump_site(scenario: Scenario) -> dict:
             "run": run.spec.name,
             "plain": {
                 "observable": run.spec.observable,
-                "operator_indices": [index[f] for f in plain.monoid.elements],
+                "operator_indices": list(commutant(monoid, plain.observable)),
                 "objects": [serialize_subspace(r) for r in plain.rays],
                 "morphisms": [
-                    {"dom": a.dom, "op": index[plain.operator_matrix(a.op)], "cod": a.cod}
+                    {"dom": a.dom, "op": a.op, "cod": a.cod}
                     for a in plain.arrows
                 ],
             },

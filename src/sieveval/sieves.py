@@ -382,10 +382,9 @@ def _index(values) -> tuple[dict, ...]:
 def proposition_presheaf(site, universe: Universe) -> Presheaf:
     """The proposition functor: the universe at every stage, and along each
     arrow its operator's action row, one tuple shared by the arrows of an
-    operator.  The universe must be closed under the site's operators."""
+    operator.  The universe must be closed under the operators of the arrows."""
     values = (universe.members,) * site.n_objects
-    rows = [universe.action[site.operator_matrix(op)] for op in range(len(site.monoid))]
-    positions = tuple([rows[arrow.op] for arrow in site.arrows])
+    positions = tuple([universe.action[site.operator_matrix(arrow.op)] for arrow in site.arrows])
     return Presheaf(site, values, positions, (universe.position,) * site.n_objects)
 
 

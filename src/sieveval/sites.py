@@ -17,11 +17,13 @@ algebra of the arrows out of its object; it needs nothing of the site
 afterwards.  A restriction (`restrict_down`) numbers its objects and
 arrows afresh and reads its parent's stages, so it composes nothing.
 
-An arrow's `op` indexes its own site's monoid; across sites an operator is
-named by its exact matrix (`operator_matrix`).
+Every site of a build indexes the build's one `OperatorMonoid`: an
+arrow's `op` is its operator's index there.  A plain site walks and draws
+arrows from its observable's `commutant`, an extended site walks the whole
+monoid; across builds an operator is named by its matrix (`operator_matrix`).
 
 Truncation policy: objects are the orbit of the declared seed states under
-the declared generator monoid (`orbit`, read from the walk of
+the operators a site walks (`orbit`, read from the walk of
 `subspaces.operator_closure`), which is required to close within its cap.
 Every verified statement is a statement about this finite sub-site.
 """
@@ -50,7 +52,6 @@ class OperatorMonoid(NamedTuple):
 
     elements: tuple[ExactMatrix, ...]
     identity_index: int
-    generator_indices: tuple[int, ...]
     table: tuple[tuple[int, ...], ...]  # table[i][j] = index of elements[i]·elements[j]
 
     def __len__(self) -> int:
@@ -82,8 +83,8 @@ def close_monoid(
             elements.append(m)
         return index[m]
 
-    intern(identity_matrix(dim))
-    generator_indices = [intern(g) for g in generators]
+    for m in (identity_matrix(dim), *generators):
+        intern(m)
     # Grow until every pairwise product is present: each round multiplies each
     # ordered pair with a member new in the last round once, recording its index.
     products: dict[tuple[int, int], int] = {}
@@ -98,36 +99,28 @@ def close_monoid(
         frontier = range(known, len(elements))
     size = len(elements)
     table = tuple(tuple(products[i, j] for j in range(size)) for i in range(size))
-    return OperatorMonoid(tuple(elements), 0, tuple(generator_indices), table)
+    return OperatorMonoid(tuple(elements), 0, table)
 
 
-def submonoid_commuting_with(monoid: OperatorMonoid, observable: Observable) -> OperatorMonoid:
-    """Intersect with a commutant, keeping the elements in their order."""
-    keep = [i for i, f in enumerate(monoid.elements) if in_commutant(f, observable)]
-    position = {orig: new for new, orig in enumerate(keep)}
-    elements = tuple(monoid.elements[i] for i in keep)
-    table = tuple(
-        tuple(position[monoid.mul(i, j)] for j in keep) for i in keep
-    )
-    generator_indices = tuple(position[g] for g in monoid.generator_indices if g in position)
-    return OperatorMonoid(elements, position[monoid.identity_index], generator_indices, table)
+def commutant(monoid: OperatorMonoid, observable: Observable) -> tuple[int, ...]:
+    """The indices of the monoid's operators that commute with the observable, in order."""
+    return tuple([i for i, f in enumerate(monoid.elements) if in_commutant(f, observable)])
 
 
-def orbit(
-    monoid: OperatorMonoid, seeds: Sequence[Subspace], cap: int
-) -> tuple[tuple[Subspace, ...], tuple[tuple[int | None, ...], ...]]:
-    """The nonzero images of the seeds under the monoid, seeds first, and
-    per operator the index of each ray's image (None where it is zero),
-    read from the walk of `operator_closure`.  Every image is f(seed) for
-    some f of the finite monoid, so the walk ends; then more rays than both
-    the cap and the distinct seeds raise `OrbitExceeded`."""
-    members, action = operator_closure(seeds, monoid.elements)
+Orbit = tuple[tuple[Subspace, ...], dict[int, tuple[int | None, ...]], int]  # see `orbit`
+
+
+def orbit(monoid: OperatorMonoid, ops: Sequence[int], seeds: Sequence[Subspace]) -> Orbit:
+    """The nonzero images of the seeds under the monoid's operators `ops`,
+    seeds first; per operator in `ops`, the index of each ray's image (None
+    where it is zero); and the number of distinct seeds.  Read from the walk
+    of `operator_closure`: every image is f(seed) for some f of the finite
+    monoid, so the walk ends, and a site compares the cap once it has."""
+    members, action = operator_closure(seeds, [monoid.elements[op] for op in ops])
     keep = [i for i, space in enumerate(members) if not space.is_zero]
-    if len(keep) > max(cap, len(set(seeds))):
-        raise OrbitExceeded(cap)
     ray_index = {i: r for r, i in enumerate(keep)}
-    images = tuple(tuple([ray_index.get(row[i]) for i in keep]) for row in action.values())
-    return tuple(members[i] for i in keep), images
+    images = {op: tuple([ray_index.get(action[monoid.elements[op]][i]) for i in keep]) for op in ops}
+    return tuple(members[i] for i in keep), images, len(set(seeds))
 
 
 class Arrow(NamedTuple):
@@ -284,18 +277,23 @@ class ExtendedSite(Site):
     compose = Site.compose
 
 
-def _build(
+def build_site(
     cls: type[Site],
     observables: tuple[Observable, ...],
     monoid: OperatorMonoid,
-    commutes: list[list[bool]],
-    seed_states: Sequence[Ray],
+    walk: Orbit,
     cap: int,
 ) -> Site:
+    """The site of an observable family on an `orbit` of every operator that
+    commutes with one of them.  More rays than both the cap and the distinct
+    seeds raise `OrbitExceeded`."""
+    rays, images, seeds = walk
+    if len(rays) > max(cap, seeds):
+        raise OrbitExceeded(cap)
     rho_leq = tuple(
         tuple(observable_leq(a, b) for b in observables) for a in observables
     )
-    rays, images = orbit(monoid, [s.space for s in seed_states], cap)
+    commutes = [[in_commutant(f, obs) for obs in observables] for f in monoid.elements]
 
     # Atom sets are compared only across distinct observables, so a
     # one-observable site computes none; each observable keeps the ones it
@@ -307,8 +305,8 @@ def _build(
     arrows: list[Arrow] = []
     for n, (i, k) in enumerate(objects):
         for op in range(len(monoid)):
-            cod_ray = images[op][i]
-            if cod_ray is None or not commutes[op][k]:
+            cod_ray = images[op][i] if commutes[op][k] else None
+            if cod_ray is None:
                 continue
             ray = rays[cod_ray]
             for k2 in range(width):
@@ -327,11 +325,10 @@ def build_plain_site(
     seed_states: Sequence[Ray],
     cap: int,
 ) -> PlainSite:
-    """The site of one observable over the part of `monoid` that commutes
-    with it (`submonoid_commuting_with`)."""
-    submonoid = submonoid_commuting_with(monoid, observable)
-    commutes = [[True]] * len(submonoid)
-    return _build(PlainSite, (observable,), submonoid, commutes, seed_states, cap)
+    """The site of one observable, on the orbit of the seeds under its
+    commutant in `monoid`, whose arrows index `monoid`."""
+    walk = orbit(monoid, commutant(monoid, observable), [s.space for s in seed_states])
+    return build_site(PlainSite, (observable,), monoid, walk, cap)
 
 
 def build_extended_site(
@@ -340,9 +337,8 @@ def build_extended_site(
     seed_states: Sequence[Ray],
     cap: int,
 ) -> ExtendedSite:
-    observables = tuple(observables)
-    commutes = [[in_commutant(f, obs) for obs in observables] for f in monoid.elements]
-    return _build(ExtendedSite, observables, monoid, commutes, seed_states, cap)
+    walk = orbit(monoid, range(len(monoid)), [s.space for s in seed_states])
+    return build_site(ExtendedSite, tuple(observables), monoid, walk, cap)
 
 
 def in_product_category(
@@ -385,9 +381,10 @@ def restrict_down(site: Site, obj: int) -> Site:
 
 
 def restrict_to_rho(site: ExtendedSite, rho: int) -> PlainSite:
-    """The fixed-rho wide subcategory, rebuilt independently as a plain site.
-    Its operators are the extended site's that commute with observable rho,
-    in the same order; an arrow's twin is the one with the same matrix."""
+    """The fixed-rho wide subcategory, rebuilt independently as a plain site
+    from its own walk.  It shares the extended site's monoid and draws its
+    arrows from the operators that commute with observable rho, so an
+    arrow's twin has the same `op`."""
     return build_plain_site(
         site.observables[rho],
         site.monoid,

@@ -10,7 +10,7 @@ Undoctored, the same scenarios pass every row (`tests/test_golden.py`).
 
 The controls cover the rows that read the lattice of subspaces and the
 observables' answers, Eqs 2.1, 2.3, 2.4, 4.1 and 4.15 and Props B1 and B2,
-the two extended-site rows that read operators by matrix, §4.1 and
+the two extended-site rows that read operators of the monoid, §4.1 and
 §4.1 reachability, and the rows that read a cut of a presheaf: the true
 subobject T of the propositions on either side of a run (Eqs 3.21, 3.35
 and 4.27, diagram 3.24, §5.2) and the fixpoint subfunctor ♮Ω of the
@@ -333,7 +333,7 @@ def p2_squared_negated(close_monoid):
         table = [list(row) for row in monoid.table]
         table[p2][p2] = monoid.elements.index(diagonal_matrix([0, -1]))
         table = tuple(map(tuple, table))
-        return OperatorMonoid(monoid.elements, monoid.identity_index, monoid.generator_indices, table)
+        return OperatorMonoid(monoid.elements, monoid.identity_index, table)
 
     return doctored
 

@@ -349,7 +349,7 @@ def test_a_section_with_a_failing_square_is_rejected(qubit_site):
 def _cyclic_site(table):
     """The one-object site of {1, i, -1, -i} acting on C^1, over `table`."""
     monoid = close_monoid([diagonal_matrix([gaussian(0, 1)])], cap=4)
-    monoid = OperatorMonoid(monoid.elements, monoid.identity_index, monoid.generator_indices, table(monoid.table))
+    monoid = OperatorMonoid(monoid.elements, monoid.identity_index, table(monoid.table))
     unit = Observable("unit", (full_space(1),))
     site = build_plain_site(unit, monoid, [ray_from_vector([1])], cap=1)
     return site
@@ -386,7 +386,7 @@ def test_a_composite_ending_elsewhere_reports_every_triple_through_it():
     flip = monoid.elements.index(sz)
     rows[flip][flip] = flip
     table = tuple(tuple(row) for row in rows)
-    monoid = OperatorMonoid(monoid.elements, monoid.identity_index, monoid.generator_indices, table)
+    monoid = OperatorMonoid(monoid.elements, monoid.identity_index, table)
     unit = Observable("unit", (full_space(2),))
     site = build_plain_site(unit, monoid, [ray_from_vector([1, gaussian(0, 1)])], cap=2)
     assert identity_violations(site) == []

@@ -123,7 +123,7 @@ def _built_records():
     return [
         (Sieve(0, 1), ("base", "mask")),
         (site.arrows[0], ("dom", "op", "cod")),
-        (built.monoid, ("elements", "identity_index", "generator_indices", "table")),
+        (built.monoid, ("elements", "identity_index", "table")),
         (run.spec, ("name", "state", "observable", "eigenspace", "propositions", "extended", "remainder_rays")),
         (
             built.scenario,

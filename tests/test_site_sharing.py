@@ -12,6 +12,7 @@ with the cycle collector off.
 
 import gc
 import json
+import sys
 import weakref
 
 import pytest
@@ -24,7 +25,7 @@ from sieveval import (
     run_check,
     scenario_from_dict,
 )
-from sieveval import sieves, sites
+from sieveval import sieves, sites, subspaces
 
 
 def _declared(name):
@@ -106,3 +107,32 @@ def test_a_check_leaves_no_site_or_presheaf_alive_without_the_collector(monkeypa
         gc.enable()
     assert made
     assert alive == 0, f"{alive} of {len(made)} sites and presheaves outlive their check"
+
+
+def test_a_build_walks_each_orbit_once(monkeypatch):
+    """A cold check of the bundled scenarios walks 14 orbits: each build's
+    one walk of its seeds under the whole monoid, which every plain site,
+    the extended sites and Props B1–B2 read (every bundled observable
+    commutes with the whole monoid), and the 8 §4.1 slices, which
+    `restrict_to_rho` rebuilds from their own walks as §4.1's reference.
+    The propositions' closure (`close_universe`) is not counted."""
+    walks = []
+    original = subspaces.operator_closure
+
+    def counted(seeds, operators):
+        callers, frame = set(), sys._getframe(1)
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        if "close_universe" not in callers:
+            walks.append("restrict_to_rho" in callers)
+        return original(seeds, operators)
+
+    modules = [m for name, m in sys.modules.items() if name == "sieveval" or name.startswith("sieveval.")]
+    for module in modules:
+        if getattr(module, "operator_closure", None) is original:
+            monkeypatch.setattr(module, "operator_closure", counted)
+    for name in bundled_scenario_names():
+        assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
+    assert len(walks) == 14
+    assert sum(walks) == 8

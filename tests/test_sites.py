@@ -7,6 +7,7 @@ from sieveval import (
     build_plain_site,
     bundled_scenario_path,
     close_monoid,
+    commutant,
     diagonal_matrix,
     identity_matrix,
     in_commutant,
@@ -116,8 +117,10 @@ def test_build_plain_site_keeps_the_commutant():
     monoid = close_monoid([flip], cap=8)
     site = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 1])], cap=8)
     assert len(monoid) == 2
-    assert site.monoid.elements == (identity_matrix(2),)
-    assert len(site.arrows) == site.n_objects == 1
+    assert site.monoid is monoid
+    assert commutant(monoid, z_observable()) == (monoid.elements.index(identity_matrix(2)),)
+    assert [site.arrow_op(a) for a in range(len(site.arrows))] == [monoid.identity_index]
+    assert site.n_objects == 1
 
 
 def test_orbit_cap():
@@ -208,10 +211,15 @@ def test_restrict_to_rho_matches_plain():
         rebuilt = {(a.dom, plain.operator_matrix(a.op), a.cod) for a in plain.arrows}
         assert plain.rays == site.rays
         assert fixed == rebuilt
-        # The slice keeps the extended monoid's operators that commute with
-        # observable rho, in their order.
-        commuting = [f for f in site.monoid.elements if in_commutant(f, site.observables[rho])]
-        assert list(plain.monoid.elements) == commuting
+        # The slice shares the extended site's monoid, and its arrows use
+        # exactly the nonzero operators that commute with observable rho.
+        assert plain.monoid is site.monoid
+        commuting = {
+            i
+            for i, f in enumerate(site.monoid.elements)
+            if in_commutant(f, site.observables[rho]) and f != zero_matrix(2, 2)
+        }
+        assert {a.op for a in plain.arrows} == commuting
 
 
 def arrow_keys(site):

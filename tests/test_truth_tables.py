@@ -169,9 +169,14 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
 
         return wrapper
 
-    build_plain_site = counted("plain", sites.build_plain_site)
+    build_site = sites.build_site
+
+    def counted_site(cls, *args):
+        counts[cls.__name__] += 1
+        return build_site(cls, *args)
+
     for module in (sites, runner):
-        monkeypatch.setattr(module, "build_plain_site", build_plain_site)
+        monkeypatch.setattr(module, "build_site", counted_site)
     monkeypatch.setattr(runner, "omega_presheaf", counted("omega", runner.omega_presheaf))
     monkeypatch.setattr(sites, "Stage", counted("stage", sites.Stage))
     restrict_down = runner.restrict_down
@@ -187,7 +192,9 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
         assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
     # One plain site per observable that a run is at, and one §4.1 slice per
     # observable of each declared family: 9 + 8 for 13 runs.
-    assert counts["plain"] == 17
+    assert counts["PlainSite"] == 17
+    # One full extended site per declared family.
+    assert counts["ExtendedSite"] == 4
     # One Ω per plain site and one per restricted extended site.
     assert counts["omega"] == 15
     # One stage per object of each unrestricted site, built with the site,

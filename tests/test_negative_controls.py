@@ -125,15 +125,31 @@ def finer_stages_with_projectors(full):
     ]
 
 
-def slice_missing_an_arrow(build_scenario):
-    """Each §4.1 slice loses its last arrow."""
+def fixed_arrow_missing(build_scenario):
+    """Each full extended site loses its last arrow that stays at its
+    observable, is no identity and is the composite of no two other arrows,
+    so composition stays closed."""
 
     def doctored(scenario):
         built = build_scenario(scenario)
         for run in built.runs:
-            if run.slices is not None:
-                slices = [run.slices[k] for k in range(len(run.extended_full.observables))]
-                run.slices = [without_arrows(site, {site.arrows[-1]}) for site in slices]
+            full = run.extended_full
+            if full is None:
+                continue
+            composites = {
+                full.compose(g, f)
+                for f in range(len(full.arrows))
+                for g in full.arrows_from(full.arrow_cod(f))
+                if f != full.compose(g, f) != g
+            }
+            fixed = [
+                a
+                for a, arrow in enumerate(full.arrows)
+                if full.arrow_cod_rho(a) == full.object_rho(arrow.dom)
+                and a != full.identity_arrow(arrow.dom)
+                and a not in composites
+            ]
+            run.extended_full = without_arrows(full, {full.arrows[fixed[-1]]})
         return built
 
     return doctored
@@ -433,7 +449,7 @@ CONTROLS = {
     "§4.1": (
         "qubit_extended",
         "build_scenario",
-        slice_missing_an_arrow,
+        fixed_arrow_missing,
         {("§4.1", "coarse"), ("§4.1", "fine")},
     ),
     "§4.1 reachability": (

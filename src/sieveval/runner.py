@@ -67,7 +67,6 @@ from .sites import (
     in_product_category,
     orbit,
     restrict_down,
-    restrict_to_rho,
 )
 from .subspaces import Ray, Subspace, Universe
 
@@ -149,12 +148,13 @@ class SiteMemo:
     functors; `plain_below[rho][obj]` that site below its object obj (Eq
     3.56); `extended[family]` the full extended site of a sorted tuple of
     observable indices; `restricted[family, obj]` that site below its
-    object obj, with its functors; `slices[family][k]` its §4.1 slice at
-    k, a plain site rebuilt from its own walk as §4.1's reference
-    (`restrict_to_rho`); and `contexts[family, obj, rho]` the bridge from
-    the restricted site's stage at obj to the plain site of observable
-    index rho.  A site below an object reads its parent's stages.  The
-    tables' functions hold the build's inputs and one another, never the memo."""
+    object obj, with its functors; and `contexts[family, obj, rho]` the
+    bridge from the restricted site's stage at obj to the plain site of
+    observable index rho.  A site below an object reads its parent's
+    stages.  No site is rebuilt as a reference: §4.1 reads the full
+    extended site's fixed-observable arrows against the commutant's action.
+    The tables' functions hold the build's inputs and one another, never
+    the memo."""
 
     def __init__(self, scenario: Scenario, monoid: OperatorMonoid, universe: Universe):
         seeds = [state.space for state in scenario.states.values()]
@@ -177,10 +177,6 @@ class SiteMemo:
             observables = tuple(scenario.observables[i] for i in family)
             return build_site(ExtendedSite, observables, monoid, orbits[whole], orbit_cap)
 
-        def slices(family: tuple[int, ...]) -> LazyTable:
-            full = extended[family]
-            return LazyTable(lambda k: restrict_to_rho(full, k))
-
         def context(key: tuple[tuple[int, ...], int, int]) -> BridgeContext:
             family, obj, rho = key
             full, rest = extended[family], restricted[family, obj].site
@@ -197,13 +193,13 @@ class SiteMemo:
         self.plain_below = LazyTable(plain_below)
         self.extended = extended
         self.restricted = restricted
-        self.slices = LazyTable(slices)
         self.contexts = LazyTable(context)
 
 
 class BuiltRun:
     """Everything a run needs, constructed once and reused by all checks:
-    its plain side, and its extended side when it declares a family."""
+    its plain side and, when it declares a family, its extended side and
+    the family's full extended site, which Eq 4.9 and §4.1 read."""
 
     def __init__(
         self,
@@ -220,7 +216,6 @@ class BuiltRun:
         plain_below: Mapping[int, PlainSite],
         ext_side: SiteRun | None = None,
         extended_full: ExtendedSite | None = None,
-        slices: Mapping[int, PlainSite] | None = None,
         ctx: BridgeContext | None = None,
     ):
         self.scenario = scenario
@@ -236,7 +231,6 @@ class BuiltRun:
         self.plain_below = plain_below  # the plain site below each object, for Eq 3.56
         self.ext_side = ext_side  # on the extended site below the run's stage
         self.extended_full = extended_full
-        self.slices = slices  # §4.1, the slice of the full extended site at each observable
         self.ctx = ctx
 
     @property
@@ -303,17 +297,16 @@ def _build_run(
     plain_side = site_run(plain_functors, plain.ray_index(state.space), r_space, universe)
     floors = annihilator_floors(plain, r_space)
 
-    ext_side = extended_full = slices = ctx = None
+    ext_side = extended_full = ctx = None
     if spec.extended:
         family = tuple(sorted(scenario.observable_index[name] for name in spec.extended))
         extended_full = sites.extended[family]
-        slices = sites.slices[family]
         obj = extended_full.object_index(state.space, family.index(rho_index))
         ctx = sites.contexts[family, obj, rho_index]
         ext_side = site_run(sites.restricted[family, obj], ctx.stage, r_space, universe)
     return BuiltRun(
         scenario, spec, state, r_space, universe, names, atoms, e_r, floors,
-        plain_side, sites.plain_below[rho_index], ext_side, extended_full, slices, ctx,
+        plain_side, sites.plain_below[rho_index], ext_side, extended_full, ctx,
     )
 
 

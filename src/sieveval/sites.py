@@ -380,19 +380,6 @@ def restrict_down(site: Site, obj: int) -> Site:
     return type(site)(site.observables, site.monoid, site.rays, objects, arrows, site.rho_leq, site, keep)
 
 
-def restrict_to_rho(site: ExtendedSite, rho: int) -> PlainSite:
-    """The fixed-rho wide subcategory, rebuilt independently as a plain site
-    from its own walk.  It shares the extended site's monoid and draws its
-    arrows from the operators that commute with observable rho, so an
-    arrow's twin has the same `op`."""
-    return build_plain_site(
-        site.observables[rho],
-        site.monoid,
-        [Ray(r) for r in site.rays],
-        cap=max(len(site.rays), 1),
-    )
-
-
 def associativity_violations(site) -> list[tuple[int, int, int]]:
     """All composable triples where (h∘g)∘f != h∘(g∘f), read from the stage
     rows by position.  Over a product table that is not associative, g∘f

@@ -10,8 +10,11 @@ Undoctored, the same scenarios pass every row (`tests/test_golden.py`).
 
 The controls cover the rows that read the lattice of subspaces and the
 observables' answers, Eqs 2.1, 2.3, 2.4, 4.1 and 4.15 and Props B1 and B2,
-the two extended-site rows that read operators of the monoid, §4.1 and
-§4.1 reachability, and the rows that read a cut of a presheaf: the true
+the rows that read operators of the monoid, Eq 3.6 (a commutant less one
+operator), §4.1 (a full extended site less one fixed-observable arrow)
+and §4.1 reachability, the plain-stage rows that read `top_sieve`,
+`is_sieve` and `ib_condition_check`, Props 3.2 and 3.3 and the IB
+conditions, and the rows that read a cut of a presheaf: the true
 subobject T of the propositions on either side of a run (Eqs 3.21, 3.35
 and 4.27, diagram 3.24, §5.2) and the fixpoint subfunctor ♮Ω of the
 extended classifier (Prop 5.7/Thm 5.8, Prop C1, Thm 5.13).  Eight more
@@ -36,6 +39,7 @@ from sieveval import (
     bundled_scenario_path,
     checks,
     diagonal_matrix,
+    full_space,
     load_scenario,
     runner,
     subspace_from_vectors,
@@ -99,6 +103,38 @@ def grown_atom_set(zero_augmented_atom_set):
     def doctored(ray, observable):
         atoms = zero_augmented_atom_set(ray, observable)
         return atoms | {ortho(ray)} if observable.name == "coarse" else atoms
+
+    return doctored
+
+
+def commutant_less_operator_one(commutant):
+    """Every commutant less the monoid's operator 1, which on `qubit`
+    acts nonzero (the last operator there is the zero matrix)."""
+    return lambda monoid, observable: tuple(op for op in commutant(monoid, observable) if op != 1)
+
+
+def top_sieve_past_the_arrows(top_sieve):
+    """Each top sieve gains a bit past the last arrow out of its object."""
+
+    def doctored(site, obj):
+        top = top_sieve(site, obj)
+        return Sieve(top.base, top.mask | 1 << top.mask.bit_length())
+
+    return doctored
+
+
+def empty_not_a_sieve(is_sieve):
+    """The empty mask, the bottom sieve, is not a sieve."""
+    return lambda site, s: bool(s.mask) and is_sieve(site, s)
+
+
+def unit_valued_as_floor(ib_condition_check):
+    """The IB conditions read the unit proposition valued as the floor."""
+
+    def doctored(site, obj, r, universe, row, floor):
+        row = list(row)
+        row[universe.position[full_space(r.ambient_dim)]] = floor
+        return ib_condition_check(site, obj, r, universe, row, floor)
 
     return doctored
 
@@ -437,6 +473,15 @@ CONTROLS = {
         {("Eq 4.17", "coarse")},
     ),
     "Eq 2.1": ("qubit", "projector_matrix", wrong_projector, {("Eq 2.1", None)}),
+    "Eq 3.6": ("qubit", "commutant", commutant_less_operator_one, rows_on(("z-up", "z-down"), "Eq 3.6")),
+    "Prop 3.2": ("qubit", "top_sieve", top_sieve_past_the_arrows, rows_on(("z-up", "z-down"), "Prop 3.2")),
+    "Prop 3.3": ("qubit", "is_sieve", empty_not_a_sieve, rows_on(("z-up", "z-down"), "Prop 3.3", "§3.1 Heyting")),
+    "Eqs 3.28–3.30, 3.44–3.45": (
+        "qubit",
+        "ib_condition_check",
+        unit_valued_as_floor,
+        rows_on(("z-up", "z-down"), "Eqs 3.28–3.30, 3.44–3.45"),
+    ),
     "Eq 2.3": (
         "qubit",
         "enumerate_determinate_sublattice",

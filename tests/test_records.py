@@ -13,6 +13,7 @@ import operator
 import pickle
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +59,19 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_the_package_exports_exactly_its_public_names():
+    """`__all__` lists every public name the package binds that is not a
+    submodule, once, and each one resolves."""
+    public = {
+        name
+        for name, value in vars(sieveval).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(sieveval.__all__)) == len(sieveval.__all__)
+    assert set(sieveval.__all__) == public
+    assert all(getattr(sieveval, name) is not None for name in sieveval.__all__)
 
 
 def test_sieve_order_is_inclusion_in_all_four_directions():

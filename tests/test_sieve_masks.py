@@ -240,12 +240,10 @@ def test_twin_positions_pair_arrows_of_one_matrix():
 
 def stage_sites(built):
     """Every site a build makes: each run's plain site and the one below its
-    stage, the full and the restricted extended sites, and the §4.1 slices."""
+    stage, and the full and the restricted extended sites."""
     sites = {}
     for run in built.runs:
         found = [run.plain, run.plain_below[run.plain_side.stage], run.extended_full, run.rest]
-        if run.slices is not None:
-            found += [run.slices[k] for k in range(len(run.extended_full.observables))]
         sites.update((id(site), site) for site in found if site is not None)
     return list(sites.values())
 
@@ -264,4 +262,4 @@ def test_every_stage_mask_is_below_one_shifted_by_its_arrow_count(workloads):
                 masks = [*stage.sieves(CAP, o), *stage.principals]
                 assert stage.top == bound - 1 and all(0 <= m < bound for m in masks), (scenario.name, o)
                 stages += 1
-    assert stages == 516  # distinct (site, object) pairs
+    assert stages == 388  # distinct (site, object) pairs

@@ -74,13 +74,8 @@ def test_runs_at_one_stage_of_a_family_share_both_sides():
     _assert_shared(mid.plain_side, mid_r1.plain_side)
     _assert_shared(mid.ext_side, mid_r1.ext_side)
     assert mid.extended_full is mid_r1.extended_full is fine.extended_full
-    assert mid.slices is fine.slices
     # Another observable of the family: its own plain and restricted sites.
     assert fine.plain is not mid.plain and fine.rest is not mid.rest
-    # The §4.1 slices are built on their first read, once for the family.
-    assert not mid.slices
-    first = [mid.slices[k] for k in range(len(mid.extended_full.observables))]
-    assert all(fine.slices[k] is pair for k, pair in enumerate(first))
 
 
 def test_a_check_leaves_no_site_or_presheaf_alive_without_the_collector(monkeypatch):
@@ -110,12 +105,11 @@ def test_a_check_leaves_no_site_or_presheaf_alive_without_the_collector(monkeypa
 
 
 def test_a_build_walks_each_orbit_once(monkeypatch):
-    """A cold check of the bundled scenarios walks 14 orbits: each build's
+    """A cold check of the bundled scenarios walks 6 orbits: each build's
     one walk of its seeds under the whole monoid, which every plain site,
     the extended sites and Props B1–B2 read (every bundled observable
-    commutes with the whole monoid), and the 8 §4.1 slices, which
-    `restrict_to_rho` rebuilds from their own walks as §4.1's reference.
-    The propositions' closure (`close_universe`) is not counted."""
+    commutes with the whole monoid).  No site is rebuilt for §4.1.  The
+    propositions' closure (`close_universe`) is not counted."""
     walks = []
     original = subspaces.operator_closure
 
@@ -125,7 +119,7 @@ def test_a_build_walks_each_orbit_once(monkeypatch):
             callers.add(frame.f_code.co_name)
             frame = frame.f_back
         if "close_universe" not in callers:
-            walks.append("restrict_to_rho" in callers)
+            walks.append(seeds)
         return original(seeds, operators)
 
     modules = [m for name, m in sys.modules.items() if name == "sieveval" or name.startswith("sieveval.")]
@@ -134,5 +128,4 @@ def test_a_build_walks_each_orbit_once(monkeypatch):
             monkeypatch.setattr(module, "operator_closure", counted)
     for name in bundled_scenario_names():
         assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
-    assert len(walks) == 14
-    assert sum(walks) == 8
+    assert len(walks) == 6

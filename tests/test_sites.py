@@ -2,6 +2,7 @@ import pytest
 
 from sieveval import (
     Observable,
+    Ray,
     build_extended_site,
     build_scenario,
     build_plain_site,
@@ -16,7 +17,6 @@ from sieveval import (
     matrix_from_rows,
     ray_from_vector,
     restrict_down,
-    restrict_to_rho,
     subspace_from_vectors,
     trivial_observable,
     zero_matrix,
@@ -28,6 +28,7 @@ from sieveval.errors import (
     OrbitExceeded,
     UnknownObjectError,
 )
+from sieveval import checks
 from sieveval.sites import associativity_violations, identity_violations
 
 
@@ -199,10 +200,16 @@ def test_extended_site_category_laws():
     assert identity_violations(site) == []
 
 
-def test_restrict_to_rho_matches_plain():
+def test_fixed_observable_slice_matches_plain():
+    """Each ray category 𝒞_R sits in the extended site as its arrows that
+    stay at R: the same triples as the plain site of R built on the same
+    rays, and the hom-sets that §4.1 checks by the commutant's action."""
     site = extended_qubit()
+    assert checks._hom_sets_are_the_action(site)
     for rho in (0, 1):
-        plain = restrict_to_rho(site, rho)
+        plain = build_plain_site(
+            site.observables[rho], site.monoid, [Ray(r) for r in site.rays], cap=len(site.rays)
+        )
         fixed = {
             (site.objects[m.dom][0], site.operator_matrix(m.op), site.objects[m.cod][0])
             for m in site.arrows
@@ -214,6 +221,7 @@ def test_restrict_to_rho_matches_plain():
         # The slice shares the extended site's monoid, and its arrows use
         # exactly the nonzero operators that commute with observable rho.
         assert plain.monoid is site.monoid
+        assert checks._hom_sets_are_the_action(plain)
         commuting = {
             i
             for i, f in enumerate(site.monoid.elements)

@@ -188,19 +188,21 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
     monkeypatch.setattr(runner, "restrict_down", counted_restriction)
     monkeypatch.setattr(runner, "natural_omega", counted("natural omega", runner.natural_omega))
     monkeypatch.setattr(runner, "make_bridge_context", counted("context", runner.make_bridge_context))
+    monkeypatch.setattr(sites.Site, "__init__", counted("Site", sites.Site.__init__))
+    for cls in (sites.PlainSite, sites.ExtendedSite):
+        monkeypatch.setattr(cls, "compose", counted("compose", cls.compose))
     for name in bundled_scenario_names():
         assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
-    # One plain site per observable that a run is at, and one §4.1 slice per
-    # observable of each declared family: 9 + 8 for 13 runs.
-    assert counts["PlainSite"] == 17
+    # One plain site per observable that a run is at: 9 for 13 runs.
+    assert counts["PlainSite"] == 9
     # One full extended site per declared family.
     assert counts["ExtendedSite"] == 4
     # One Ω per plain site and one per restricted extended site.
     assert counts["omega"] == 15
     # One stage per object of each unrestricted site, built with the site,
     # since its stages hold the site's only composition table: the full
-    # extended sites and the §4.1 slices too.  A restriction reads its parent's.
-    assert counts["stage"] == 91
+    # extended sites too.  A restriction reads its parent's.
+    assert counts["stage"] == 61
     # Eq 3.56's plain site below a run's stage, once per (observable, stage):
     # 9 for 13 runs; one restricted extended site per (family, stage).
     assert counts["restricted PlainSite"] == 9
@@ -209,6 +211,11 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
     # qutrit_extended's mid and mid-r1 both read them.
     assert counts["natural omega"] == 6
     assert counts["context"] == 6
+    # Every site is one of the above, and no site is rebuilt for §4.1.
+    assert counts["Site"] == 9 + 4 + 9 + 6
+    # Each stage composes every arrow out of its object with every arrow out
+    # of that arrow's codomain once; nothing else composes on a check.
+    assert counts["compose"] == 1061
 
 
 def test_dump_site_and_valuate_build_no_table(calls):

@@ -151,10 +151,8 @@ class SiteMemo:
     object obj, with its functors; and `contexts[family, obj, rho]` the
     bridge from the restricted site's stage at obj to the plain site of
     observable index rho.  A site below an object reads its parent's
-    stages.  No site is rebuilt as a reference: §4.1 reads the full
-    extended site's fixed-observable arrows against the commutant's action.
-    The tables' functions hold the build's inputs and one another, never
-    the memo."""
+    stages.  The tables' functions hold the build's inputs and one
+    another, never the memo."""
 
     def __init__(self, scenario: Scenario, monoid: OperatorMonoid, universe: Universe):
         seeds = [state.space for state in scenario.states.values()]

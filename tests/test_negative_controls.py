@@ -173,10 +173,10 @@ def fixed_arrow_missing(build_scenario):
             if full is None:
                 continue
             composites = {
-                full.compose(g, f)
+                gf
                 for f in range(len(full.arrows))
                 for g in full.arrows_from(full.arrow_cod(f))
-                if f != full.compose(g, f) != g
+                if f != (gf := full.compose(g, f)) != g
             }
             fixed = [
                 a

@@ -17,7 +17,11 @@ Heyting stages of Ω (`_heyting_audit_rows`).  One helper checks hom-sets
 by their definition, the nonzero action of an observable's commutant
 (`_hom_sets_are_the_action`): on the plain site for Eq 3.6, and on the full
 extended site for §4.1, where it checks each ray category 𝒞_R inside 𝒞
-without building 𝒞_R again.
+without building 𝒞_R again.  Another checks a site's laws, associativity
+and identities, from every stage of it (`_site_laws_row`): on the plain
+site for §3.1 and on the full extended site for Eq 4.9.  Building a site
+composes none of its stages, so these two rows are where composition is
+validated.
 """
 
 from __future__ import annotations
@@ -342,18 +346,19 @@ def _hom_sets_are_the_action(site: Site) -> bool:
     return True
 
 
+def _site_laws_row(tag: str, title: str, site: Site) -> dict:
+    """Associativity and identities of an unrestricted site, read from every
+    one of its stages: the only reader that composes them all, so a
+    composite that leaves the site raises here if no row read its stage
+    before (§3.1 and Eq 4.9)."""
+    passed = not associativity_violations(site) and not identity_violations(site)
+    return _row(tag, title, passed, objects=site.n_objects, arrows=len(site.arrows))
+
+
 def _plain_site_rows(run: BuiltRun) -> list[dict]:
     site = run.plain
-    assoc = associativity_violations(site)
-    ident = identity_violations(site)
     return [
-        _row(
-            "§3.1",
-            "plain site: associativity and identities",
-            not assoc and not ident,
-            objects=site.n_objects,
-            arrows=len(site.arrows),
-        ),
+        _site_laws_row("§3.1", "plain site: associativity and identities", site),
         _row("Eq 3.6", "hom-sets partition the nonzero monoid action", _hom_sets_are_the_action(site)),
     ]
 
@@ -594,15 +599,7 @@ def _restriction_row(run: BuiltRun) -> dict:
 def _extended_site_rows(run: BuiltRun) -> list[dict]:
     full = run.extended_full
     side = run.ext_side
-    rows = [
-        _row(
-            "Eq 4.9",
-            "extended site: associativity, identities, closed composition",
-            not associativity_violations(full) and not identity_violations(full),
-            objects=full.n_objects,
-            arrows=len(full.arrows),
-        )
-    ]
+    rows = [_site_laws_row("Eq 4.9", "extended site: associativity, identities, closed composition", full)]
     title = "fixed-observable slice equals the plain site"
     rows.append(_row("§4.1", title, _hom_sets_are_the_action(full)))
     monoid_ops = set(full.monoid.elements)

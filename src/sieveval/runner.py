@@ -287,11 +287,6 @@ def _build_run(
     plain = plain_functors.site
     atoms = compute_atoms(state, observable)
     e_r = atoms.atom_for_eigenspace(spec.eigenspace)
-    if e_r.is_zero:
-        raise ValidationError(
-            f"runs.{spec.name}.eigenspace",
-            "the state projects to zero on the chosen eigenspace; no true atom there",
-        )
     plain_side = site_run(plain_functors, plain.ray_index(state.space), r_space, universe)
     floors = annihilator_floors(plain, r_space)
 

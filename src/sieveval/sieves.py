@@ -2,10 +2,10 @@
 
 A sieve on an object is a postcomposition-closed set of arrows out of it.
 Equivalently it is a union of principal sieves.  A site keeps one `Stage`
-per object (`Site.stage`) for its own lifetime, all built with the site,
-and a restriction reads its parent's; its sieve list (`Stage.sieves`) is made by
-closing the distinct principal sieves under union rather than by filtering
-all 2^k arrow subsets.
+per object (`Site.stage`) for its own lifetime, each built on its first
+read, and a restriction reads its parent's; its sieve list
+(`Stage.sieves`) is made by closing the distinct principal sieves under
+union rather than by filtering all 2^k arrow subsets.
 
 Representation: a `Sieve` stores an `int` bitmask local to its base: bit i
 is set iff the i-th arrow out of the base (`site.arrows_from(base)[i]`) is

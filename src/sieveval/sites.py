@@ -9,13 +9,17 @@ is written once against the site protocol — `arrows_from`, `compose`,
 `arrow_dom`/`arrow_cod`, `identity_arrow`, `object_ray`.  Arrows are
 numbered by domain in object order, so an arrow's position among the
 arrows out of its domain is its id less the first one's (`arrow_position`).
-Each site owns one `sieves.Stage` per object (`stage`), all built with the
-site: a stage composes every arrow out of its object with every arrow out
-of that arrow's codomain, once, and keeps the composites as positions
-(`Stage.composites`), the site's only composition table, with the sieve
-algebra of the arrows out of its object; it needs nothing of the site
-afterwards.  A restriction (`restrict_down`) numbers its objects and
-arrows afresh and reads its parent's stages, so it composes nothing.
+Each site owns one `sieves.Stage` per object (`stage`), built the first
+time it is read: a stage composes every arrow out of its object with every
+arrow out of that arrow's codomain, once, and keeps the composites as
+positions (`Stage.composites`), the site's only composition table, with
+the sieve algebra of the arrows out of its object; it needs nothing of the
+site afterwards.  Building a site composes nothing, so a composite that
+leaves the site raises (`compose`) where its stage is first read, and the
+site's laws are checked by the rows that read every stage
+(`associativity_violations`, `identity_violations`).  A restriction
+(`restrict_down`) numbers its objects and arrows afresh and reads its
+parent's stages, so it composes nothing.
 
 Every site of a build indexes the build's one `OperatorMonoid`: an
 arrow's `op` is its operator's index there.  A plain site walks and draws
@@ -314,9 +318,7 @@ def build_site(
                     continue
                 if k2 == k or atom_set(ray, observables[k]) == atom_set(ray, observables[k2]):
                     arrows.append(Arrow(n, op, cod_ray * width + k2))
-    site = cls(observables, monoid, rays, objects, tuple(arrows), rho_leq)
-    _validate_composition(site)
-    return site
+    return cls(observables, monoid, rays, objects, tuple(arrows), rho_leq)
 
 
 def build_plain_site(
@@ -353,21 +355,13 @@ def in_product_category(
     return not apply_operator(f, site.rays[dom_ray]).is_zero
 
 
-def _validate_composition(site: Site) -> None:
-    """Every composable pair must compose to an arrow of the site: building
-    every stage composes every pair, and `compose` raises where one leaves
-    the site."""
-    for o in range(site.n_objects):
-        site.stage(o)
-
-
 def restrict_down(site: Site, obj: int) -> Site:
     """The full subcategory on the objects reachable from obj.
 
     The result has the same class, rays and observables as `site`, its own
     numbering, and the surviving arrows in their old order.  Each object
     keeps every arrow out of it, in order, so `stage(i)` is
-    `site.stage(keep[i])`; composition was validated when `site` was built.
+    `site.stage(keep[i])`, composed by `site` on its first read from either.
     """
     if obj < 0 or obj >= site.n_objects:
         raise UnknownObjectError(f"object index {obj} out of range")

@@ -157,16 +157,17 @@ def test_unknown_references_rejected():
         )
 
 
+ZERO_PROJECTION = "the state projects to zero on the chosen eigenspace; no true atom there"
+
+
 def test_zero_projection_run_rejected():
     data = minimal_dict(
         states={"up": ["1", "0"]},
         runs=[{"name": "r", "state": "up", "observable": "Z", "eigenspace": 1}],
     )
-    scenario = scenario_from_dict(data)
-    from sieveval import build_scenario
-
-    with pytest.raises(ValidationError):
-        build_scenario(scenario)
+    with pytest.raises(ValidationError) as raised:
+        scenario_from_dict(data)
+    assert (raised.value.field, raised.value.reason) == ("runs[0].eigenspace", ZERO_PROJECTION)
 
 
 def test_effective_caps_env_override():
@@ -367,6 +368,20 @@ def test_a_repeated_name_or_a_ray_outside_the_remainder_is_an_input_error(
     assert main([command[0], str(path), *command[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", FOUR_COMMANDS, ids=lambda command: command[0])
+def test_a_run_without_a_true_atom_is_an_input_error(tmp_path, capsys, command):
+    # `up` projects to zero on Z's eigenspace 1, so the third run has no true atom there.
+    data = json.loads(bundled_scenario_path("qubit").read_text())
+    data["states"]["up"] = ["1", "0"]
+    data["runs"].append({"name": "zero", "state": "up", "observable": "Z", "eigenspace": 1})
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: runs[2].eigenspace: {ZERO_PROJECTION}\n"
     assert captured.out == ""
 
 

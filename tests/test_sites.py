@@ -29,7 +29,7 @@ from sieveval.errors import (
     UnknownObjectError,
 )
 from sieveval import checks
-from sieveval.sites import associativity_violations, identity_violations
+from sieveval.sites import PlainSite, associativity_violations, identity_violations
 
 
 def span(*vs):
@@ -144,6 +144,24 @@ def test_plain_site_category_laws(qubit_site):
     assert identity_violations(qubit_site) == []
 
 
+def test_a_site_composes_a_stage_only_when_it_is_read(monkeypatch):
+    compose, composed = PlainSite.compose, []
+
+    def counted(site, g, f):
+        composed.append((g, f))
+        return compose(site, g, f)
+
+    monkeypatch.setattr(PlainSite, "compose", counted)
+    monoid = close_monoid([diagonal_matrix([1, 0]), diagonal_matrix([0, 1])], cap=8)
+    site = build_plain_site(z_observable(), monoid, [ray_from_vector([1, 1])], cap=16)
+    assert composed == []
+    plus = site.ray_index(span([1, 1]))
+    site.stage(plus)
+    assert composed == [(g, f) for f in site.arrows_from(plus) for g in site.arrows_from(site.arrow_cod(f))]
+    site.stage(plus)
+    assert len(composed) == sum(len(site.arrows_from(site.arrow_cod(f))) for f in site.arrows_from(plus))
+
+
 def test_restrict_down(qubit_site):
     whole = restrict_down(qubit_site, qubit_site.ray_index(span([1, 1])))
     assert whole.n_objects == qubit_site.n_objects
@@ -198,6 +216,21 @@ def test_extended_site_category_laws():
     site = extended_qubit()
     assert associativity_violations(site) == []
     assert identity_violations(site) == []
+
+
+def test_a_site_missing_a_composite_raises_where_its_stage_is_read():
+    # p1 from (plus, unit) to (e1, Z) is p1 to (e1, unit) followed by the
+    # identity operator from (e1, unit) to (e1, Z).  Without it the site
+    # still constructs, and only the stage that composes the pair raises.
+    site = extended_qubit()
+    plus, e1, e1_z = (site.object_index(span(v), k) for v, k in (([1, 1], 0), ([1, 0], 0), ([1, 0], 1)))
+    p1 = site.monoid.elements.index(diagonal_matrix([1, 0]))
+    dropped = next(a for a in site.arrows_from(plus) if (site.arrow_op(a), site.arrow_cod(a)) == (p1, e1_z))
+    arrows = tuple(arrow for a, arrow in enumerate(site.arrows) if a != dropped)
+    broken = type(site)(site.observables, site.monoid, site.rays, site.objects, arrows, site.rho_leq)
+    broken.stage(e1)
+    with pytest.raises(InternalCheckError, match="composition left the site"):
+        broken.stage(plus)
 
 
 def test_fixed_observable_slice_matches_plain():

@@ -10,15 +10,16 @@ generated chains.  Counts: one cold `run_check` of the bundled scenarios
 builds each site, its stages and its classifier once for all the runs on
 it, builds each table once, moves sieves along arrows only to fill the
 classifier tables, and asks each projectivity question, each stage
-implication and each round trip once; `dump-site` and `valuate`
-build no table.  Witness: a doctored table entry fails its
-oracle row, which names the entry.
+implication and each round trip once; `dump-site` and `valuate` build no
+table and compose only the stages they read.  Witness: a doctored table
+entry fails its oracle row, which names the entry.
 """
 
 from collections import Counter
 
 import pytest
 
+from families import family_scenario
 from sieveval import (
     build_scenario,
     bundled_scenario_names,
@@ -159,7 +160,30 @@ def test_one_cold_check_fills_each_round_trip_once(monkeypatch):
     assert sum(stage.fills for stage in stages) == 169
 
 
-def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
+@pytest.fixture
+def composed(monkeypatch):
+    """Counts of the stages built and of the `compose` calls made."""
+    counts = Counter()
+    stage = sites.Stage
+
+    def counted_stage(*args):
+        counts["stage"] += 1
+        return stage(*args)
+
+    def counted_compose(compose):
+        def wrapper(*args):
+            counts["compose"] += 1
+            return compose(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sites, "Stage", counted_stage)
+    for cls in (sites.PlainSite, sites.ExtendedSite):
+        monkeypatch.setattr(cls, "compose", counted_compose(cls.compose))
+    return counts
+
+
+def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch, composed):
     counts = Counter()
 
     def counted(name, original):
@@ -178,7 +202,6 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
     for module in (sites, runner):
         monkeypatch.setattr(module, "build_site", counted_site)
     monkeypatch.setattr(runner, "omega_presheaf", counted("omega", runner.omega_presheaf))
-    monkeypatch.setattr(sites, "Stage", counted("stage", sites.Stage))
     restrict_down = runner.restrict_down
 
     def counted_restriction(site, obj):
@@ -189,8 +212,6 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
     monkeypatch.setattr(runner, "natural_omega", counted("natural omega", runner.natural_omega))
     monkeypatch.setattr(runner, "make_bridge_context", counted("context", runner.make_bridge_context))
     monkeypatch.setattr(sites.Site, "__init__", counted("Site", sites.Site.__init__))
-    for cls in (sites.PlainSite, sites.ExtendedSite):
-        monkeypatch.setattr(cls, "compose", counted("compose", cls.compose))
     for name in bundled_scenario_names():
         assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
     # One plain site per observable that a run is at: 9 for 13 runs.
@@ -199,10 +220,11 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
     assert counts["ExtendedSite"] == 4
     # One Ω per plain site and one per restricted extended site.
     assert counts["omega"] == 15
-    # One stage per object of each unrestricted site, built with the site,
-    # since its stages hold the site's only composition table: the full
-    # extended sites too.  A restriction reads its parent's.
-    assert counts["stage"] == 61
+    # One stage per object of each unrestricted site, the full extended
+    # sites too: §3.1 and Eq 4.9 read every one of them, and the stages
+    # hold the site's only composition table.  A restriction reads its
+    # parent's.
+    assert composed["stage"] == 61
     # Eq 3.56's plain site below a run's stage, once per (observable, stage):
     # 9 for 13 runs; one restricted extended site per (family, stage).
     assert counts["restricted PlainSite"] == 9
@@ -215,7 +237,30 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch):
     assert counts["Site"] == 9 + 4 + 9 + 6
     # Each stage composes every arrow out of its object with every arrow out
     # of that arrow's codomain once; nothing else composes on a check.
-    assert counts["compose"] == 1061
+    assert composed["compose"] == 1061
+
+
+def test_dump_site_and_valuate_compose_only_the_stages_they_read(composed):
+    names = bundled_scenario_names()
+    for name in names:
+        dump_site(load_scenario(bundled_scenario_path(name)))
+    # The extended stage of each of the 6 bridges, read for its fixed
+    # arrows when the context pairs the two sides' operators; dump-site
+    # reads no other stage.
+    assert composed == Counter(stage=6, compose=129)
+    composed.clear()
+    for name in names:
+        scenario = load_scenario(bundled_scenario_path(name))
+        for spec in scenario.runs:
+            run_valuate(scenario, spec.name)
+    # Each valuate builds afresh and composes only the stages that its
+    # values and sieve lists at the run's stage read.
+    assert composed == Counter(stage=27, compose=518)
+
+
+def test_a_family_build_composes_only_the_bridge_stage(composed):
+    build_scenario(scenario_from_dict(family_scenario(4)))
+    assert composed["stage"] == 1
 
 
 def test_dump_site_and_valuate_build_no_table(calls):

@@ -14,7 +14,7 @@ import sys
 
 from .checks import run_check
 from .errors import InternalCheckError, SievevalError
-from .runner import dump_site, run_valuate
+from .runner import dump_site, run_atoms, run_valuate
 from .scenario import load_scenario
 
 EXIT_OK = 0
@@ -88,6 +88,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.command == "validate":
+            for spec in scenario.runs:
+                run_atoms(scenario, spec)
             print(
                 f"{scenario.name}: dim {scenario.dimension}, "
                 f"{len(scenario.observables)} observables, "

@@ -271,6 +271,16 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
     return BuiltScenario(scenario, monoid, universe, names, runs, sites)
 
 
+def run_atoms(scenario: Scenario, spec: RunSpec) -> TrueAtomSet:
+    """The true atoms of a run's state; raise where its eigenspace has none."""
+    observable = scenario.observables[scenario.observable_index[spec.observable]]
+    atoms = compute_atoms(scenario.states[spec.state], observable)
+    if atoms.atom_for_eigenspace(spec.eigenspace).is_zero:
+        reason = "the state projects to zero on the chosen eigenspace; no true atom there"
+        raise ValidationError(f"runs.{spec.name}.eigenspace", reason)
+    return atoms
+
+
 def _build_run(
     scenario: Scenario,
     spec: RunSpec,
@@ -285,7 +295,7 @@ def _build_run(
 
     plain_functors = sites.plain[rho_index]
     plain = plain_functors.site
-    atoms = compute_atoms(state, observable)
+    atoms = run_atoms(scenario, spec)
     e_r = atoms.atom_for_eigenspace(spec.eigenspace)
     plain_side = site_run(plain_functors, plain.ray_index(state.space), r_space, universe)
     floors = annihilator_floors(plain, r_space)

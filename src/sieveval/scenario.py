@@ -296,10 +296,6 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
         obs = observables[observable_index[oname]]
         if not _is_int(eigenspace) or not (0 <= eigenspace < len(obs.eigenspaces)):
             raise ValidationError(f"{where}.eigenspace", "eigenspace index out of range")
-        atoms = compute_atoms(states[state], obs)
-        if atoms.atom_for_eigenspace(eigenspace).is_zero:
-            reason = "the state projects to zero on the chosen eigenspace; no true atom there"
-            raise ValidationError(f"{where}.eigenspace", reason)
         selection = None
         if raw.get("propositions") is not None:
             selection = _names(raw, "propositions", f"{where}.propositions", propositions, "proposition")
@@ -308,7 +304,7 @@ def scenario_from_dict(data: dict, default_name: str = "scenario", env: dict | N
             raise ValidationError(f"{where}.extended", "family must contain the run observable")
         remainder = _names(raw, "remainder_rays", f"{where}.remainder_rays", propositions, "proposition")
         if remainder:
-            outside = orthogonal_remainder(atoms)
+            outside = orthogonal_remainder(compute_atoms(states[state], obs))
         for pname in remainder:
             if propositions[pname].dim != 1:
                 raise ValidationError(f"{where}.remainder_rays", f"{pname!r} is not a ray")

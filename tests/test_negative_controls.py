@@ -482,11 +482,13 @@ def zero_atom_misplaced(site, atoms):
 
 
 def proposition_moved_to_unit(site, propositions):
-    """The first of the `composites`, where there is one, sends its first
-    proposition that is neither {0} nor I, and whose image is neither, to I."""
+    """A proposition that is neither {0} nor I, and whose image is neither,
+    sent to I: the first such of the first of the `composites` that has one,
+    where there is one."""
     for gf in composites(site):
-        i = next(i for i, j in enumerate(propositions.positions[gf]) if i > 1 and j > 1)
-        return with_entry(propositions, gf, i, 1)
+        i = next((i for i, j in enumerate(propositions.positions[gf]) if i > 1 and j > 1), None)
+        if i is not None:
+            return with_entry(propositions, gf, i, 1)
     return propositions
 
 

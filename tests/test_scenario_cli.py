@@ -165,9 +165,12 @@ def test_zero_projection_run_rejected():
         states={"up": ["1", "0"]},
         runs=[{"name": "r", "state": "up", "observable": "Z", "eigenspace": 1}],
     )
+    scenario = scenario_from_dict(data)
+    from sieveval import build_scenario
+
     with pytest.raises(ValidationError) as raised:
-        scenario_from_dict(data)
-    assert (raised.value.field, raised.value.reason) == ("runs[0].eigenspace", ZERO_PROJECTION)
+        build_scenario(scenario)
+    assert (raised.value.field, raised.value.reason) == ("runs.r.eigenspace", ZERO_PROJECTION)
 
 
 def test_effective_caps_env_override():
@@ -381,7 +384,7 @@ def test_a_run_without_a_true_atom_is_an_input_error(tmp_path, capsys, command):
     path.write_text(json.dumps(data))
     assert main([command[0], str(path), *command[1:]]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: runs[2].eigenspace: {ZERO_PROJECTION}\n"
+    assert captured.err == f"error: runs.zero.eigenspace: {ZERO_PROJECTION}\n"
     assert captured.out == ""
 
 

@@ -20,8 +20,9 @@ stage-isomorphism audit (`heyting_iso_check`) reads the two stages' tables
 and `sieves.LazyTable`s of sharp and flat, local to the call.
 
 Prop 5.10's two detectors are tabulated once per closed cut of the extended
-propositions (`detector_tables`, from the cut alone); Thm 5.11 reads the
-same tables, and its map's naturality from the position tables of Ω.
+propositions (`detector_tables`, from the cut alone), projectivity read
+by arrow like χ: each arrow's table once, then one mask per arrow and its
+twin.  Thm 5.11 reads the same tables, and Ω's for its map's naturality.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .sieves import (
     Presheaf,
     Sieve,
     is_closed,
+    _bits,
     is_heyting_family,
-    lands_in,
     naturality_holds,
     principal_union,
     pullback_holds,
@@ -194,32 +195,27 @@ def heyting_iso_check(ctx: BridgeContext, cap: int) -> dict:
     }
 
 
-def _projective_at(n: Cut, obj: int, i: int) -> list[int]:
-    """Projectivity of the cut n at its parent's value at position i of stage
-    obj: membership along a rho-raising arrow must imply membership along
-    its fixed-rho twin.  Returns the arrows that break it (none if it holds)."""
-    site = n.site
-    return [
-        a
-        for a in site.arrows_from(obj)
-        if lands_in(n, a, i) and not lands_in(n, site.rho_arrow_twin(a), i)
-    ]
-
-
 def detector_tables(n: Cut, chi) -> dict:
     """Prop 5.10's two detectors at every value of n's parent, once each,
     for a subfunctor n with characteristic table chi, laid out like chi:
-    `witnesses`, the arrows along which n fails projectivity there
-    (`_projective_at`), and `natural_chi`, chi's value after the round trip
-    (`Stage.natural`), equal to it iff it is natural.  `mismatches` lists
-    the (stage, value) pairs where the detectors disagree.  n must be a
-    closed cut (`is_closed`)."""
+    `witnesses`, the arrows along which n fails projectivity there (n's
+    parent carries the value into n along the arrow but not along its
+    fixed-observable twin), and `natural_chi`, chi's value after the round
+    trip (`Stage.natural`), equal to it iff it is natural.  `mismatches`
+    lists the (stage, value) pairs where the detectors disagree.  n must be
+    a closed cut (`is_closed`)."""
     if not is_closed(n):
         raise NotASubPresheaf("the detectors are asked of a subfunctor")
-    witnesses = tuple([
-        tuple([_projective_at(n, o, i) for i in range(len(stage))])
-        for o, stage in enumerate(chi)
-    ])
+    site, positions, held, witnesses = n.site, n.parent.positions, n.held, []
+    for o, stage in enumerate(chi):
+        arrows, landed, found = site.arrows_from(o), [], [[] for _ in stage]
+        for a in arrows:  # the positions carried into n along a: its table and held mask once
+            into = held[site.arrow_cod(a)]
+            landed.append(sum([1 << i for i, j in enumerate(positions[a]) if j is not None and into >> j & 1]))
+        for a, mask in zip(arrows, landed):
+            for i in _bits(mask & ~landed[site.arrow_position(site.rho_arrow_twin(a))]):
+                found[i].append(a)
+        witnesses.append(tuple(found))
     natural_chi = tuple([
         tuple([Sieve(o, n.site.stage(o).natural[value.mask]) for value in stage])
         for o, stage in enumerate(chi)
@@ -230,7 +226,7 @@ def detector_tables(n: Cut, chi) -> dict:
         for i, value in enumerate(stage)
         if (not witnesses[o][i]) != (natural_chi[o][i] == value)
     ]
-    return {"witnesses": witnesses, "natural_chi": natural_chi, "mismatches": mismatches}
+    return {"witnesses": tuple(witnesses), "natural_chi": natural_chi, "mismatches": mismatches}
 
 
 def natural_characteristic(n: Cut, chi, detectors: dict, omega: Presheaf) -> dict:

@@ -22,6 +22,11 @@ and identities, from every stage of it (`_site_laws_row`): on the plain
 site for §3.1 and on the full extended site for Eq 4.9.  Building a site
 composes none of its stages, so these two rows are where composition is
 validated.
+
+What runs share is audited once per check: `run_check` keeps a table of
+verdicts for the check alone (`_once`), and every run's row reads the one
+verdict on a site's laws and hom-sets, a stage's Heyting audit per
+listing, a presheaf's validation and a bridge context's audit.
 """
 
 from __future__ import annotations
@@ -87,20 +92,37 @@ def _row(tag: str, title: str, passed: bool, **details) -> dict:
     return out
 
 
-def _validate(*values) -> dict:
-    """Validate presheaves or global elements in turn: no details if all hold,
-    else the first failure as an `error` detail."""
-    for value in values:
-        try:
-            value.validate()
-        except SievevalError as exc:
-            return {"error": str(exc)}
+def _once(verdicts: dict, audit, *args):
+    """`audit(*args)`, kept in `verdicts`, the table of one `run_check`, on
+    its first read and read from there after that."""
+    key = (audit, *args)
+    if key not in verdicts:
+        verdicts[key] = audit(*args)
+    return verdicts[key]
+
+
+def _failure(value) -> dict:
+    """No details if a presheaf or global element validates, else its
+    failure as an `error` detail."""
+    try:
+        value.validate()
+    except SievevalError as exc:
+        return {"error": str(exc)}
     return {}
 
 
-def _validation_row(tag: str, title: str, *values, **details) -> dict:
+def _validate(verdicts: dict, *values) -> dict:
+    """The first `_failure` of `values`, each validated once per check."""
+    for value in values:
+        failure = _once(verdicts, _failure, value)
+        if failure:
+            return failure
+    return {}
+
+
+def _validation_row(verdicts: dict, tag: str, title: str, *values, **details) -> dict:
     """A row that holds iff every one of `values` validates (`_validate`)."""
-    failure = _validate(*values)
+    failure = _validate(verdicts, *values)
     return _row(tag, title, not failure, **details, **failure)
 
 
@@ -346,20 +368,25 @@ def _hom_sets_are_the_action(site: Site) -> bool:
     return True
 
 
-def _site_laws_row(tag: str, title: str, site: Site) -> dict:
+def _site_laws_hold(site: Site) -> bool:
     """Associativity and identities of an unrestricted site, read from every
     one of its stages: the only reader that composes them all, so a
     composite that leaves the site raises here if no row read its stage
     before (§3.1 and Eq 4.9)."""
-    passed = not associativity_violations(site) and not identity_violations(site)
+    return not associativity_violations(site) and not identity_violations(site)
+
+
+def _site_laws_row(verdicts: dict, tag: str, title: str, site: Site) -> dict:
+    passed = _once(verdicts, _site_laws_hold, site)
     return _row(tag, title, passed, objects=site.n_objects, arrows=len(site.arrows))
 
 
-def _plain_site_rows(run: BuiltRun) -> list[dict]:
+def _plain_site_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     site = run.plain
+    hom_sets = _once(verdicts, _hom_sets_are_the_action, site)
     return [
-        _site_laws_row("§3.1", "plain site: associativity and identities", site),
-        _row("Eq 3.6", "hom-sets partition the nonzero monoid action", _hom_sets_are_the_action(site)),
+        _site_laws_row(verdicts, "§3.1", "plain site: associativity and identities", site),
+        _row("Eq 3.6", "hom-sets partition the nonzero monoid action", hom_sets),
     ]
 
 
@@ -375,10 +402,10 @@ def _filter_row(tag: str, title: str, run: BuiltRun, side: SiteRun) -> dict:
     )
 
 
-def _functor_rows(side: SiteRun, *table: tuple[str, str, str]) -> list[dict]:
+def _functor_rows(verdicts: dict, side: SiteRun, *table: tuple[str, str, str]) -> list[dict]:
     """Eqs 3.9, 3.11, 3.35 or Eqs 4.17, 4.19, 4.27: one row per (tag, title,
     attribute) entry, holding iff that functor of the side is functorial."""
-    return [_validation_row(tag, title, getattr(side, attribute)) for tag, title, attribute in table]
+    return [_validation_row(verdicts, tag, title, getattr(side, name)) for tag, title, name in table]
 
 
 def _chi_row(tag: str, title: str, run: BuiltRun, side: SiteRun, **details) -> dict:
@@ -393,9 +420,10 @@ def _chi_row(tag: str, title: str, run: BuiltRun, side: SiteRun, **details) -> d
     return _row(tag, title, side.chi == side.values, **details)
 
 
-def _presheaf_rows(run: BuiltRun) -> list[dict]:
+def _presheaf_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     side = run.plain_side
     rows = _functor_rows(
+        verdicts,
         side,
         ("Eq 3.11", "proposition functor is functorial", "propositions_l"),
         ("Eq 3.9", "atom functor is functorial", "atoms_a"),
@@ -406,7 +434,7 @@ def _presheaf_rows(run: BuiltRun) -> list[dict]:
         for r in run.atoms.observable.eigenspaces
     ]
     title = "every eigenspace section is a global element of the atom functor"
-    rows.append(_validation_row("Prop 3.1", title, *sections))
+    rows.append(_validation_row(verdicts, "Prop 3.1", title, *sections))
     rows.append(_filter_row("Eqs 3.26–3.27", "true subobject is stage-wise a filter", run, side))
     # P's valuation at o is the top sieve iff it holds the identity, iff σ(o) ≤ P.
     true_by_value = tuple([
@@ -493,11 +521,11 @@ def _ib_rows(run: BuiltRun) -> list[dict]:
     ]
 
 
-def _delta_rows(run: BuiltRun) -> list[dict]:
+def _delta_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     side, delta = run.plain_side, run.delta
     site, omega = side.site, side.omega
     rows = []
-    failure = _validate(omega)
+    failure = _validate(verdicts, omega)
     rows.append(
         _row(
             "Thm 3.6",
@@ -512,13 +540,11 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     for o in range(site.n_objects):
         stage = site.stage(o)
         floor = run.floors[o].mask
-        masks = [s.mask for s in delta.values[o]]
+        masks = tuple([s.mask for s in delta.values[o]])
         stage_masks = set(masks)
         census.append(len(stage_masks))
         if not (
-            stage.top in stage_masks
-            and floor in stage_masks
-            and is_heyting_family(masks, stage.implies, stage.principals)
+            stage.top in stage_masks and floor in stage_masks and _once(verdicts, _is_heyting, stage, masks)
         ):
             heyting_ok = False
         # The stage's bottom is the floor; it is the empty sieve only if the floor is.
@@ -538,7 +564,7 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     # δΩ's transitions are the classifier's, so its validation (transitions
     # stay in the codomain stage) is the Prop 3.5 check.
     title = "classifier transitions preserve the semi-classifier stages"
-    rows.append(_validation_row("Prop 3.5", title, delta))
+    rows.append(_validation_row(verdicts, "Prop 3.5", title, delta))
     title = "semi-classifier bottoms differ from the classifier bottom when nonempty"
     rows.append(_row("§3.4", title, bottoms_differ_ok))
     semi = semiclassifier_check(delta, tau_values(site), [(side.true_t, side.chi)])
@@ -553,20 +579,28 @@ def _delta_rows(run: BuiltRun) -> list[dict]:
     return rows
 
 
-def _heyting_audit_rows(side: SiteRun, label: str) -> list[dict]:
-    """The stages of Ω on one side of a run, named by `label`."""
+def _is_heyting(stage, masks: tuple[int, ...]) -> bool:
+    """A listing of a stage's masks is a Heyting algebra, probed on principals."""
+    return is_heyting_family(masks, stage.implies, stage.principals)
+
+
+def _heyting_audit_rows(side: SiteRun, label: str, verdicts: dict) -> list[dict]:
+    """The stages of Ω on one side of a run, named by `label`, each (stage,
+    listing) once per check: a restriction lists its parent's stages."""
     site = side.site
     ok = True
     for o, sieves in enumerate(side.omega.values):
         stage = site.stage(o)
-        masks = [s.mask for s in sieves]
+        masks = tuple([s.mask for s in sieves])
         # Exactly the sieves on o: sieves only, the empty and the principal
         # ones, and (by the helper) every union of them.
-        if not (
-            all(is_sieve(site, s) for s in sieves)
-            and {0, *stage.principals} <= set(masks)
-            and is_heyting_family(masks, stage.implies, stage.principals)
-        ):
+        if (stage, masks) not in verdicts:
+            verdicts[stage, masks] = (
+                all(is_sieve(site, s) for s in sieves)
+                and {0, *stage.principals} <= set(masks)
+                and _once(verdicts, _is_heyting, stage, masks)
+            )
+        if not verdicts[stage, masks]:
             ok = False
     title = f"stage lattices are Heyting algebras ({label})"
     return [_row("§3.1 Heyting", title, ok, modes=["exhaustive"])]
@@ -596,12 +630,13 @@ def _restriction_row(run: BuiltRun) -> dict:
 # per-run extended rows
 
 
-def _extended_site_rows(run: BuiltRun) -> list[dict]:
+def _extended_site_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     full = run.extended_full
     side = run.ext_side
-    rows = [_site_laws_row("Eq 4.9", "extended site: associativity, identities, closed composition", full)]
+    title = "extended site: associativity, identities, closed composition"
+    rows = [_site_laws_row(verdicts, "Eq 4.9", title, full)]
     title = "fixed-observable slice equals the plain site"
-    rows.append(_row("§4.1", title, _hom_sets_are_the_action(full)))
+    rows.append(_row("§4.1", title, _once(verdicts, _hom_sets_are_the_action, full)))
     monoid_ops = set(full.monoid.elements)
     reach_ok = True
     for n, (i, k) in enumerate(full.objects):
@@ -619,25 +654,26 @@ def _extended_site_rows(run: BuiltRun) -> list[dict]:
     title = "finer stages are reachable whenever their projectors are present"
     rows.append(_row("§4.1 reachability", title, reach_ok))
     rows += _functor_rows(
+        verdicts,
         side,
         ("Eq 4.17", "extended atom functor is functorial", "atoms_a"),
         ("Eq 4.19", "extended proposition functor is functorial", "propositions_l"),
         ("Eq 4.27", "extended true subobject is functorial", "true_t"),
     )
     title = "the chosen atom extends to a section over the reachable part"
-    rows.append(_validation_row("Eq 4.25", title, side.sigma, stages=side.site.n_objects))
+    rows.append(_validation_row(verdicts, "Eq 4.25", title, side.sigma, stages=side.site.n_objects))
     rows.append(_filter_row("Eq 4.26", "extended true subobject is stage-wise a filter", run, side))
     title = "extended characteristic morphism equals the direct valuation"
     rows.append(_chi_row("Eq 4.28", title, run, side))
     return rows
 
 
-def _bridge_rows(run: BuiltRun) -> list[dict]:
+def _bridge_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     ctx = run.ctx
     nat_omega = run.nat_omega
     rest = run.rest
     cap = run.scenario.caps["sieve_enum"]
-    verdict = heyting_iso_check(ctx, cap)
+    verdict = _once(verdicts, heyting_iso_check, ctx, cap)
     base = ctx.plain_stage
     sieves = [Sieve(base, m) for m in ctx.plain.stage(base).sieves(cap, base)]
     oracle = all(sharp(ctx, s) == sharp_by_intersection(ctx, s, cap) for s in sieves)
@@ -687,7 +723,7 @@ def _bridge_rows(run: BuiltRun) -> list[dict]:
         ),
     )
     title = "classifier transitions preserve natural sieves"
-    rows.append(_validation_row("Prop 5.7/Thm 5.8", title, nat_omega))
+    rows.append(_validation_row(verdicts, "Prop 5.7/Thm 5.8", title, nat_omega))
     c1_ok = True
     for o, stage in enumerate(nat_omega.values):
         arrows = rest.arrows_from(o)
@@ -737,7 +773,7 @@ def _find_adversarial_subpresheaf(run: BuiltRun):
     return None
 
 
-def _characteristic_rows(run: BuiltRun) -> list[dict]:
+def _characteristic_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     """§5.2, Prop 5.10, Def 5.4 and Thms 5.11–5.13 on the extended true
     subobject; §5.2, Prop 5.10 and Thm 5.11 read one `detector_tables` result."""
     side = run.ext_side
@@ -770,7 +806,7 @@ def _characteristic_rows(run: BuiltRun) -> list[dict]:
         ),
         **failure,
     )
-    failure = _validate(side.omega)
+    failure = _validate(verdicts, side.omega)
     semi = semiclassifier_check(run.nat_omega, tau_values(side.site), [pair])
     rows.append(
         _row(
@@ -876,6 +912,8 @@ def _census_rows(run: BuiltRun) -> list[dict]:
 def run_check(scenario: Scenario) -> dict:
     """Run the whole battery; the report lists one row per checked statement."""
     built = build_scenario(scenario)
+    # The verdicts on what runs share, each reached once (`_once`).
+    verdicts: dict = {}
     rows: list[dict] = []
     rows.extend(_lattice_law_rows(built))
     rows.append(_atom_agreement_row(built))
@@ -888,21 +926,21 @@ def run_check(scenario: Scenario) -> dict:
         two_valued = LazyTable(lambda p, e_r=run.e_r: bub_valuation(e_r, p))
         run_rows = [
             *_bub_rows(run, two_valued),
-            *_plain_site_rows(run),
-            *_presheaf_rows(run),
+            *_plain_site_rows(run, verdicts),
+            *_presheaf_rows(run, verdicts),
             *_oracle_rows(run),
             *_prop32_33_rows(run, two_valued),
             *_ib_rows(run),
-            *_delta_rows(run),
-            *_heyting_audit_rows(run.plain_side, "plain"),
+            *_delta_rows(run, verdicts),
+            *_heyting_audit_rows(run.plain_side, "plain", verdicts),
             _restriction_row(run),
             *_census_rows(run),
         ]
         if run.ext_side:
-            run_rows += _extended_site_rows(run)
-            run_rows += _heyting_audit_rows(run.ext_side, "extended")
-            run_rows += _bridge_rows(run)
-            run_rows += _characteristic_rows(run)
+            run_rows += _extended_site_rows(run, verdicts)
+            run_rows += _heyting_audit_rows(run.ext_side, "extended", verdicts)
+            run_rows += _bridge_rows(run, verdicts)
+            run_rows += _characteristic_rows(run, verdicts)
             run_rows += _equivalence_rows(run)
         for row in run_rows:
             row["run"] = run.spec.name

@@ -17,8 +17,9 @@ reads the same objects and the same `Site.stage` tables.  A site below a
 run's stage (`restrict_down`) reads its parent's stages, so the extended
 side, its bridge context and Eq 3.56's plain site share them too.  σ, T and
 the truth-value tables depend on the run's eigenspace and stay in its
-`SiteRun`.  No verdict is shared: every row runs once per run.  No site
-points to its functors, so every site dies with its `BuiltScenario`.
+`SiteRun`.  A build keeps no verdict: `checks.run_check` keeps its own
+for the check alone.  No site points to its functors, so every site dies
+with its `BuiltScenario`.
 
 Reports are plain dicts with deterministic key and list ordering, so the
 JSON rendering is byte-identical across runs.

@@ -61,8 +61,9 @@ semi-classifiers δΩ and ♮Ω of the classifier Ω, are each a `Cut` of their
 parent, made by `subpresheaf` from one mask of the parent's positions per
 stage (`held`) and re-indexed once into a presheaf of its own; it is a
 subfunctor of its parent iff it `is_closed`.  Its readers take the cut
-alone: `characteristic_table` asks whether a parent's transition lands in
-the held mask, and `pullback_holds` compares the masks with a map's 'true'.
+alone: `characteristic_table` reads each arrow's table of the parent once,
+against its codomain's held mask, and `pullback_holds` compares the masks
+with a map's 'true'.
 
 Truth values: the valuation of a proposition P at a stage is the sieve of
 arrows F with F(P) above the transported true atom.  Each side of a built
@@ -76,6 +77,7 @@ value reads them.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EnumerationExceeded, InternalCheckError, NaturalityError
@@ -355,10 +357,10 @@ class Presheaf:
         out = [site.arrows_from(o) for o in range(len(self.values))]
         for o, arrows in enumerate(out):
             for f, row in zip(arrows, site.stage(o).composites):
-                tf = positions[f]
+                tf = positions[f]  # t_g∘t_f is `after_f(t_g)`; `itemgetter` of fewer than two is no tuple
+                after_f = itemgetter(*tf) if len(tf) > 1 else lambda tg, tf=tf: tuple([tg[i] for i in tf])
                 for g, gf in zip(out[site.arrow_cod(f)], row):
-                    tg = positions[g]
-                    if positions[arrows[gf]] != tuple([tg[i] for i in tf]):
+                    if positions[arrows[gf]] != after_f(positions[g]):
                         raise InternalCheckError("functoriality failure")
 
 
@@ -475,23 +477,21 @@ def true_subobject(sigma: GlobalElement, propositions: Presheaf, universe: Unive
     ])
 
 
-def lands_in(n: Cut, a: int, i: int) -> bool:
-    """Whether n's parent carries its value at position i of dom a into n along a."""
-    j = n.parent.positions[a][i]
-    return j is not None and (n.held[n.site.arrow_cod(a)] >> j) & 1 == 1
-
-
 def characteristic_table(n: Cut) -> tuple[tuple[Sieve, ...], ...]:
     """chi per stage of n's parent m, in m's order: `chi[o][i]` classifies
-    `m.values[o][i]`, the sieve of arrows along which m carries it into n."""
-    site = n.site
-    return tuple([
-        tuple([
-            Sieve(o, sum(1 << j for j, a in enumerate(site.arrows_from(o)) if lands_in(n, a, i)))
-            for i in range(len(stage))
-        ])
-        for o, stage in enumerate(n.parent.values)
-    ])
+    `m.values[o][i]`, the sieve of arrows along which m carries it into n,
+    read by arrow: each arrow's table once, against its codomain's held mask."""
+    site, positions, held = n.site, n.parent.positions, n.held
+    chi = []
+    for o, stage in enumerate(n.parent.values):
+        members = [0] * len(stage)
+        for position, a in enumerate(site.arrows_from(o)):
+            into, bit = held[site.arrow_cod(a)], 1 << position
+            for i, j in enumerate(positions[a]):
+                if j is not None and (into >> j) & 1:
+                    members[i] |= bit
+        chi.append(tuple([Sieve(o, m) for m in members]))
+    return tuple(chi)
 
 
 def naturality_holds(zeta: Sequence[Sequence], m: Presheaf, target: Presheaf) -> bool:

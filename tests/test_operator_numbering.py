@@ -113,7 +113,7 @@ def test_eq_3_6_fails_an_arrow_outside_the_commutant():
     assert commutant(monoid, z) == (monoid.identity_index,)
 
     def passed(plain):
-        return {row["tag"]: row["passed"] for row in checks._plain_site_rows(SimpleNamespace(plain=plain))}
+        return {row["tag"]: row["passed"] for row in checks._plain_site_rows(SimpleNamespace(plain=plain), {})}
 
     assert passed(site) == {"§3.1": True, "Eq 3.6": True}
     op = monoid.elements.index(flip)

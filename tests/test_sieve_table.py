@@ -19,6 +19,7 @@ from sieveval import (
     build_scenario,
     bundled_scenario_names,
     bundled_scenario_path,
+    checks,
     load_scenario,
     restrict_down,
     run_check,
@@ -53,6 +54,41 @@ def test_a_site_and_its_sieve_table_are_freed_with_the_scenario():
     refs = _sites_after_valuating("qubit_extended")
     gc.collect()
     assert refs and all(ref() is None for ref in refs)
+
+
+def _build_objects(built):
+    """Every site, stage and presheaf of a built scenario that its runs read."""
+    for run in built.runs:
+        sides = [side for side in (run.plain_side, run.ext_side) if side is not None]
+        sites = [run.plain, run.extended_full, *run.plain_below.values(), *(side.site for side in sides)]
+        for site in filter(None, sites):
+            yield site
+            yield from (site.stage(o) for o in range(site.n_objects))
+        yield run.delta
+        for side in sides:
+            yield from (side.propositions_l, side.atoms_a, side.omega, side.true_t)
+        if run.ext_side is not None:
+            yield run.nat_omega
+
+
+def test_no_verdict_of_a_check_outlives_its_build(monkeypatch):
+    """`run_check` keeps its verdicts on shared objects for the check alone:
+    once it returns and its build is dropped, every site, stage and
+    presheaf of the build is freed."""
+    builds = []
+    build = checks.build_scenario
+
+    def kept(scenario):
+        builds.append(build(scenario))
+        return builds[-1]
+
+    monkeypatch.setattr(checks, "build_scenario", kept)
+    for name in bundled_scenario_names():
+        assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
+    refs = [weakref.ref(x) for built in builds for x in _build_objects(built)]
+    builds.clear()
+    gc.collect()
+    assert len(refs) > 100 and all(ref() is None for ref in refs)
 
 
 def parent_index(rest, parent, i):

@@ -9,9 +9,9 @@ chi a fresh `characteristic_table`, on the bundled scenarios and on
 generated chains.  Counts: one cold `run_check` of the bundled scenarios
 builds each site, its stages and its classifier once for all the runs on
 it, builds each table once, moves sieves along arrows only to fill the
-classifier tables, and asks each projectivity question, each stage
-implication and each round trip once; `dump-site` and `valuate` build no
-table and compose only the stages they read.  Witness: a doctored table
+classifier tables, reads each cut's position tables once per table, and
+asks each stage implication and each round trip once; `dump-site` and
+`valuate` build no table and compose only the stages they read.  Witness: a doctored table
 entry fails its oracle row, which names the entry.
 """
 
@@ -69,7 +69,7 @@ COUNTED = (
     "valuation_row",
     "characteristic_table",
     "pull_back",
-    "_projective_at",
+    "detector_tables",
     "heyting_implies",
 )
 
@@ -122,9 +122,9 @@ def test_one_cold_check_builds_each_table_once(calls):
     # per (arrow, listed sieve); every naturality square reads them.
     assert calls["pull_back"] == 1471
     assert calls["pull_back outside omega_presheaf"] == 0
-    # One projectivity verdict per position of the extended propositions, for
-    # the true subobject and for each adversarial one.
-    assert calls["_projective_at"] == 559
+    # One detector table per closed cut of the extended propositions: the
+    # true subobject of each extended run and each adversarial cut.
+    assert calls["detector_tables"] == 11
     # One implication per distinct s minus t of each stage of each site: the
     # stage's table is shared by every audit, every run and every restriction
     # that reads it.
@@ -297,7 +297,7 @@ def test_a_doctored_extended_entry_fails_eq_4_28_and_is_named():
     run = next(run for run in bundled("qubit_extended").runs if run.ext_side)
     o, i = run.ext_side.stage, 2
     run.ext_side.values = doctor(run.rest, run.ext_side.values, o, i)
-    (row,) = [row for row in checks._extended_site_rows(run) if row["tag"] == "Eq 4.28"]
+    (row,) = [row for row in checks._extended_site_rows(run, {}) if row["tag"] == "Eq 4.28"]
     assert not row["passed"]
     assert row["details"]["witness"] == {
         "stage": o,
@@ -307,7 +307,7 @@ def test_a_doctored_extended_entry_fails_eq_4_28_and_is_named():
 
 def test_passing_oracle_rows_carry_no_witness():
     run = bundled("qubit_extended").runs[0]
-    (row,) = [row for row in checks._extended_site_rows(run) if row["tag"] == "Eq 4.28"]
+    (row,) = [row for row in checks._extended_site_rows(run, {}) if row["tag"] == "Eq 4.28"]
     assert row["passed"] and "details" not in row
     row = checks._oracle_rows(run)[0]
     assert row["passed"] and "witness" not in row["details"]

@@ -521,6 +521,11 @@ def _ib_rows(run: BuiltRun) -> list[dict]:
     ]
 
 
+def _is_heyting(stage, masks: tuple[int, ...]) -> bool:
+    """A listing of a stage's masks is a Heyting algebra, probed on principals."""
+    return is_heyting_family(masks, stage.implies, stage.principals)
+
+
 def _delta_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     side, delta = run.plain_side, run.delta
     site, omega = side.site, side.omega
@@ -579,11 +584,6 @@ def _delta_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     return rows
 
 
-def _is_heyting(stage, masks: tuple[int, ...]) -> bool:
-    """A listing of a stage's masks is a Heyting algebra, probed on principals."""
-    return is_heyting_family(masks, stage.implies, stage.principals)
-
-
 def _heyting_audit_rows(side: SiteRun, label: str, verdicts: dict) -> list[dict]:
     """The stages of Ω on one side of a run, named by `label`, each (stage,
     listing) once per check: a restriction lists its parent's stages."""
@@ -593,7 +593,7 @@ def _heyting_audit_rows(side: SiteRun, label: str, verdicts: dict) -> list[dict]
         stage = site.stage(o)
         masks = tuple([s.mask for s in sieves])
         # Exactly the sieves on o: sieves only, the empty and the principal
-        # ones, and (by the helper) every union of them.
+        # ones, and (by `_is_heyting`) every union of them.
         if (stage, masks) not in verdicts:
             verdicts[stage, masks] = (
                 all(is_sieve(site, s) for s in sieves)

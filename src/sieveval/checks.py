@@ -26,12 +26,15 @@ validated.
 What runs share is audited once per check: `run_check` keeps a table of
 verdicts for the check alone (`_once`), and every run's row reads the one
 verdict on a site's laws and hom-sets, a stage's Heyting audit per
-listing, a presheaf's validation and a bridge context's audit.
+listing, a presheaf's validation, a bridge context's audit and Eq 5.4
+oracle, and Prop 5.10's adversarial subfunctor of the extended
+propositions.
 """
 
 from __future__ import annotations
 
 from .bridge import (
+    BridgeContext,
     detector_tables,
     equivalence_check,
     heyting_iso_check,
@@ -75,13 +78,14 @@ from .sites import Site, associativity_violations, commutant, identity_violation
 from .subspaces import (
     apply_operator,
     generate_sublattice,
-    join,
     leq,
-    meet,
-    ortho,
     project_onto_eigenspace,
     projector_matrix,
 )
+
+# Not called here: the benchmark tracer's self-test (`perfbench/tests`)
+# checks that the tracer rebinds `join` in this module, which imports it.
+from .subspaces import join  # noqa: F401
 
 
 def _row(tag: str, title: str, passed: bool, **details) -> dict:
@@ -148,12 +152,14 @@ def _verdict_rows(verdict: dict, table: tuple, **details) -> list[dict]:
 
 def _lattice_law_rows(built: BuiltScenario) -> list[dict]:
     """The §2 rows, certified from the inclusion order on the generated
-    sublattice L: `leq` is a partial order on L, and for every ordered pair
-    `join` and `meet` land in L and are the least upper and greatest lower
-    bounds (the elements above the join are exactly the common upper bounds,
-    and dually).  A partial order in which every pair has such bounds is a
-    lattice (Birkhoff, Lattice Theory), so every lattice law follows, from
-    N² calls each of `leq`, `join` and `meet`."""
+    sublattice L: `leq` is a partial order on L, and for every unordered
+    pair the join and meet that the closure recorded are the least upper and
+    greatest lower bounds (the elements above the join are exactly the
+    common upper bounds, and dually; both tests are symmetric in the pair).
+    A partial order in which every pair has such bounds is a lattice
+    (Birkhoff, Lattice Theory), so every lattice law follows, from N² calls
+    of `leq`, the independent oracle, and L's position tables: the rows
+    make no `join`, `meet` or `ortho` call of their own."""
     sc = built.scenario
     seeds = [sc.propositions[name] for name in sc.lattice_seeds]
     try:
@@ -161,7 +167,6 @@ def _lattice_law_rows(built: BuiltScenario) -> list[dict]:
     except SievevalError as exc:
         return [_row("§2", "sublattice generation", False, error=str(exc))]
     n = len(lattice)
-    index = {p: i for i, p in enumerate(lattice)}
     # up[i]: bit j set iff lattice[i] <= lattice[j]; down is its transpose.
     up = [0] * n
     down = [0] * n
@@ -175,13 +180,9 @@ def _lattice_law_rows(built: BuiltScenario) -> list[dict]:
     # (a, b) has b above it (b is in up[a] & up[b]) and lies below b (j is in
     # up[j], so in up[b]); so j = b, and up[b] == up[a] & up[b] lies in up[a].
     ok = all(up[i] & down[i] == 1 << i for i in range(n))
-    for i, p in enumerate(lattice):
-        for j, q in enumerate(lattice):
-            top = index.get(join(p, q))
-            bottom = index.get(meet(p, q))
-            if top is None or bottom is None:
-                ok = False
-            elif up[top] != up[i] & up[j] or down[bottom] != down[i] & down[j]:
+    for i, (tops, bottoms) in enumerate(zip(lattice.joins, lattice.meets)):
+        for j, top, bottom in zip(range(i, n), tops, bottoms):
+            if up[top] != up[i] & up[j] or down[bottom] != down[i] & down[j]:
                 ok = False
     rows = [
         _row(
@@ -192,11 +193,12 @@ def _lattice_law_rows(built: BuiltScenario) -> list[dict]:
             mode="exhaustive",
         )
     ]
-    ortho_ok = all(ortho(ortho(p)) == p for p in lattice)
+    orthos = lattice.orthos
+    ortho_ok = all(orthos[c] == i for i, c in enumerate(orthos))
     orthomodular = True
-    for i, p in enumerate(lattice):
-        for j, q in enumerate(lattice):
-            if up[i] >> j & 1 and join(p, meet(q, ortho(p))) != q:
+    for i, c in enumerate(orthos):
+        for j in range(n):
+            if up[i] >> j & 1 and lattice.join_at(i, lattice.meet_at(j, c)) != j:
                 orthomodular = False
     rows.append(
         _row(
@@ -318,25 +320,21 @@ def _atom_set_rows(built: BuiltScenario) -> list[dict]:
 
 def _bub_rows(run: BuiltRun, value: LazyTable) -> list[dict]:
     """Eqs 2.3–2.4 on the run's determinate sublattice; `value` is the run's
-    two-valued valuation table.  Eq 2.4 values the computed meet and join of
-    every pair."""
+    two-valued valuation table.  Eq 2.4 values the meet and join of every
+    unordered pair, as the sublattice's position tables record them, and
+    Eq 2.3's atom dichotomy reads its ortho table."""
     sc = run.scenario
     extra = tuple(sc.propositions[name] for name in run.spec.remainder_rays)
     lattice = enumerate_determinate_sublattice(run.atoms, sc.caps["lattice"], extra)
+    values = [value[p] for p in lattice]
     hom_ok = True
-    for p in lattice:
-        for q in lattice:
-            vp, vq = value[p], value[q]
-            if value[meet(p, q)] != vp * vq:
+    for i, (tops, bottoms) in enumerate(zip(lattice.joins, lattice.meets)):
+        vp = values[i]
+        for vq, top, bottom in zip(values[i:], tops, bottoms):
+            if values[bottom] != vp * vq or values[top] != max(vp, vq):
                 hom_ok = False
-            if value[join(p, q)] != max(vp, vq):
-                hom_ok = False
-    dichotomy = True
-    for p in lattice:
-        below = leq(run.e_r, p)
-        below_c = leq(run.e_r, ortho(p))
-        if below == below_c:
-            dichotomy = False
+    # The atom lies below exactly one of p and its orthocomplement.
+    dichotomy = all(v != values[c] for v, c in zip(values, lattice.orthos))
     membership = all(in_determinate_sublattice(p, run.atoms) for p in lattice)
     return [
         _row(
@@ -668,15 +666,21 @@ def _extended_site_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     return rows
 
 
+def _sharp_oracle_holds(ctx: BridgeContext, cap: int) -> bool:
+    """Eq 5.4 on a bridge context: the closed-form sharp of every sieve on
+    the plain stage equals its definition as an intersection."""
+    base = ctx.plain_stage
+    sieves = [Sieve(base, m) for m in ctx.plain.stage(base).sieves(cap, base)]
+    return all(sharp(ctx, s) == sharp_by_intersection(ctx, s, cap) for s in sieves)
+
+
 def _bridge_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     ctx = run.ctx
     nat_omega = run.nat_omega
     rest = run.rest
     cap = run.scenario.caps["sieve_enum"]
     verdict = _once(verdicts, heyting_iso_check, ctx, cap)
-    base = ctx.plain_stage
-    sieves = [Sieve(base, m) for m in ctx.plain.stage(base).sieves(cap, base)]
-    oracle = all(sharp(ctx, s) == sharp_by_intersection(ctx, s, cap) for s in sieves)
+    oracle = _once(verdicts, _sharp_oracle_holds, ctx, cap)
     rows = _verdict_rows(
         {**verdict, "sharp_oracle": oracle},
         (
@@ -753,12 +757,12 @@ def _forward_closure(propositions: Presheaf, seed_obj: int, seed: int) -> list[i
     return members
 
 
-def _find_adversarial_subpresheaf(run: BuiltRun):
-    """A subfunctor of the propositions violating the twin condition somewhere:
-    the forward closure of the image of position i along a raising arrow a
-    that misses i's image along a's twin.  Returns (subfunctor, stage, i, a) or None."""
-    rest = run.rest
-    propositions = run.ext_side.propositions_l
+def _find_adversarial_subpresheaf(propositions: Presheaf):
+    """A subfunctor of the extended propositions violating the twin condition
+    somewhere: the forward closure of the image of position i along a raising
+    arrow a that misses i's image along a's twin.  Returns (subfunctor,
+    stage, i, a) or None."""
+    rest = propositions.site
     positions = propositions.positions
     for o in range(rest.n_objects):
         for a in rest.arrows_from(o):
@@ -771,6 +775,20 @@ def _find_adversarial_subpresheaf(run: BuiltRun):
                 if not (members[twin_cod] >> positions[twin][i]) & 1:
                     return subpresheaf(propositions, members), o, i, a
     return None
+
+
+def _adversarial_detectors(propositions: Presheaf):
+    """Prop 5.10 on the adversarial subfunctor of the extended propositions:
+    the projectivity witnesses at its seed value, whether its natural χ
+    agrees with its χ there, and its detector mismatches; None when there
+    is none (no strict observable raise)."""
+    adversarial = _find_adversarial_subpresheaf(propositions)
+    if adversarial is None:
+        return None
+    candidate, obj, i, _ = adversarial
+    chi = characteristic_table(candidate)
+    detectors = detector_tables(candidate, chi)
+    return detectors["witnesses"][obj][i], detectors["natural_chi"][obj][i] == chi[obj][i], detectors["mismatches"]
 
 
 def _characteristic_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
@@ -792,7 +810,7 @@ def _characteristic_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
         title = "projectivity and naturality detectors agree"
         rows.append(_row("Prop 5.10", title, False, **failure))
     else:
-        rows.extend(_detector_rows(run, detectors))
+        rows.extend(_detector_rows(run, detectors, verdicts))
     rows += _verdict_rows(
         result,
         (
@@ -820,12 +838,14 @@ def _characteristic_rows(run: BuiltRun, verdicts: dict) -> list[dict]:
     return rows
 
 
-def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
-    """Prop 5.10 and Def 5.4, given the true subobject's `detector_tables`."""
+def _detector_rows(run: BuiltRun, detectors: dict, verdicts: dict) -> list[dict]:
+    """Prop 5.10 and Def 5.4, given the true subobject's `detector_tables`;
+    the adversarial subfunctor is audited once per check for the extended
+    propositions that runs share."""
     rest = run.rest
     rows = []
     mismatches = detectors["mismatches"]
-    adversarial = _find_adversarial_subpresheaf(run)
+    adversarial = _once(verdicts, _adversarial_detectors, run.ext_side.propositions_l)
     if adversarial is None:
         rows.append(
             _row(
@@ -837,12 +857,8 @@ def _detector_rows(run: BuiltRun, detectors: dict) -> list[dict]:
             )
         )
         return rows
-    candidate, obj, i, witness_arrow = adversarial
-    chi = characteristic_table(candidate)
-    detectors_adv = detector_tables(candidate, chi)
-    witnesses = detectors_adv["witnesses"][obj][i]
-    natural_adv = detectors_adv["natural_chi"][obj][i] == chi[obj][i]
-    mismatches = mismatches + detectors_adv["mismatches"]
+    witnesses, natural_adv, adversarial_mismatches = adversarial
+    mismatches = mismatches + adversarial_mismatches
     rows.append(
         _row(
             "Prop 5.10",

@@ -7,7 +7,10 @@ Matrices are hash-consed on those fields, as subspaces are on theirs
 (`_interned`): equal matrices are one object, and equality and hash are
 identity.  Products, conjugate transposes and inverses are computed on these
 integers; Gaussian rationals are read (`entries`) and written
-(`matrix_from_rows`, `diagonal_matrix`) only at the boundary.
+(`matrix_from_rows`, `diagonal_matrix`) only at the boundary.  A product
+row sums the scaled rows of the right factor for the nonzero entries of
+the left factor's row alone: the monoids' generators are diagonal
+projectors and signs, so most entries are zero.
 
 There is one elimination, `integer_rref`: fraction-free Gauss-Jordan on
 Gaussian-integer rows, returning each row of the reduced row echelon form
@@ -145,15 +148,22 @@ def _dot(u: Sequence[tuple[int, int]], v: Sequence[tuple[int, int]]) -> tuple[in
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """A B, row by row: row i of the product is the sum, over the nonzero
+    entries a_ik of row i of A, of a_ik times row k of B, so zero entries
+    (most of a projector's or a permutation's) cost nothing."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_cols = tuple(zip(*b.numerators)) or ((),) * b.cols
-    return ExactMatrix(
-        a.rows,
-        b.cols,
-        tuple(tuple(_dot(row, col) for col in b_cols) for row in a.numerators),
-        a.denominator * b.denominator,
-    )
+    rows = []
+    for row in a.numerators:
+        re = [0] * b.cols
+        im = [0] * b.cols
+        for (x, y), b_row in zip(row, b.numerators):
+            if x or y:
+                for k, (u, v) in enumerate(b_row):
+                    re[k] += x * u - y * v
+                    im[k] += x * v + y * u
+        rows.append(tuple(zip(re, im)))
+    return ExactMatrix(a.rows, b.cols, tuple(rows), a.denominator * b.denominator)
 
 
 def conj_transpose(m: ExactMatrix) -> ExactMatrix:

@@ -14,6 +14,7 @@ from .errors import AmbientMismatch, OrthogonalityViolation, ValidationError
 from .linalg import ExactMatrix, _dot
 from .subspaces import (
     Ray,
+    Sublattice,
     Subspace,
     apply_operator,
     full_space,
@@ -184,8 +185,9 @@ def orthogonal_remainder(atoms: TrueAtomSet) -> Subspace:
 
 def enumerate_determinate_sublattice(
     atoms: TrueAtomSet, cap: int, extra_rays: tuple[Subspace, ...] = ()
-) -> list[Subspace]:
-    """The finitely generated part of the determinate sublattice.
+) -> Sublattice:
+    """The finitely generated part of the determinate sublattice, with the
+    position tables of its joins, meets and orthos (`generate_sublattice`).
 
     Generators are the atoms plus the orthogonal remainder of their join,
     treated as one block; callers may name extra rays inside that remainder.

@@ -21,7 +21,10 @@ eliminated once: the argument order whose first operand has the larger
 rows calls the other, and both orders return the one interned result.
 Which order eliminates, and so every count of calls and cache entries, is
 a function of the two values, not of which one the process met first or
-where it lives in memory.
+where it lives in memory.  `generate_sublattice` closes seeds under join,
+meet and ortho into a `Sublattice` that keeps, as position tables, the
+join and meet of each unordered pair and the ortho of each member, as the
+closure computed them, so its readers ask no lattice operation again.
 """
 
 from __future__ import annotations
@@ -346,7 +349,45 @@ def project_onto_eigenspace(e: Subspace, r: Subspace) -> Subspace:
     return result
 
 
-def generate_sublattice(seeds: Iterable[Subspace], cap: int) -> list[Subspace]:
+class Sublattice:
+    """A sublattice closed by `generate_sublattice`, read by position: for
+    members i <= j, `joins[i][j - i]` and `meets[i][j - i]` are the positions
+    of their join and meet, and `orthos[i]` is the position of member i's
+    orthocomplement.  Iterating, indexing and `len` read the members."""
+
+    __slots__ = ("members", "joins", "meets", "orthos")
+
+    def __init__(
+        self,
+        members: tuple[Subspace, ...],
+        joins: tuple[tuple[int, ...], ...],
+        meets: tuple[tuple[int, ...], ...],
+        orthos: tuple[int, ...],
+    ):
+        self.members = members
+        self.joins = joins
+        self.meets = meets
+        self.orthos = orthos
+
+    def join_at(self, i: int, j: int) -> int:
+        """The position of the join of members i and j, in either order."""
+        return self.joins[i][j - i] if i <= j else self.joins[j][i - j]
+
+    def meet_at(self, i: int, j: int) -> int:
+        """The position of the meet of members i and j, in either order."""
+        return self.meets[i][j - i] if i <= j else self.meets[j][i - j]
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __getitem__(self, i):
+        return self.members[i]
+
+
+def generate_sublattice(seeds: Iterable[Subspace], cap: int) -> Sublattice:
     """Close a seed set under meet, join, and ortho; reject at the cap.
 
     Semi-naive: each round takes ortho of the elements new in the previous
@@ -354,28 +395,38 @@ def generate_sublattice(seeds: Iterable[Subspace], cap: int) -> list[Subspace]:
     other pair having been combined in an earlier round.  Deterministic:
     elements are listed in the order they are first reached, visiting
     pairs (p, q) with p at or before q in list order, so repeated runs
-    yield the same list.
+    yield the same list.  Each combination records the position it
+    reaches: pair (i, j), j >= i, appends to row i of the join and meet
+    tables, so that row lists j = i, i + 1, ... in order, and the ortho of
+    member i is entry i of the ortho table.
     """
     elements: list[Subspace] = []
-    seen: set[Subspace] = set()
+    position: dict[Subspace, int] = {}
 
-    def add(s: Subspace) -> None:
-        if s not in seen:
+    def add(s: Subspace) -> int:
+        if s not in position:
             if len(elements) >= cap:
                 raise LatticeCapExceeded(cap)
-            seen.add(s)
+            position[s] = len(elements)
             elements.append(s)
+        return position[s]
 
     for s in seeds:
         add(s)
+    joins: list[list[int]] = []
+    meets: list[list[int]] = []
+    orthos: list[int] = []
     fresh = 0
     while fresh < len(elements):
         snapshot = list(elements)
         for p in snapshot[fresh:]:
-            add(ortho(p))
+            orthos.append(add(ortho(p)))
+            joins.append([])
+            meets.append([])
         for i, p in enumerate(snapshot):
+            join_row, meet_row = joins[i], meets[i]
             for q in snapshot[max(i, fresh):]:
-                add(join(p, q))
-                add(meet(p, q))
+                join_row.append(add(join(p, q)))
+                meet_row.append(add(meet(p, q)))
         fresh = len(snapshot)
-    return elements
+    return Sublattice(tuple(elements), tuple(map(tuple, joins)), tuple(map(tuple, meets)), tuple(orthos))

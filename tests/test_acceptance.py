@@ -201,7 +201,7 @@ def test_criterion_07_projectivity_biconditional(built):
             chi = characteristic_table(run.ext_side.true_t)
             detectors = detector_tables(run.ext_side.true_t, chi)
             ok = ok and not detectors["mismatches"]
-            found = _find_adversarial_subpresheaf(run)
+            found = _find_adversarial_subpresheaf(run.ext_side.propositions_l)
             if found is None:
                 continue
             adversarial_found = True

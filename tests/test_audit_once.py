@@ -7,6 +7,10 @@ Heyting audit once per (stage, listing), a presheaf's validation once per
 presheaf, and a site's laws and hom-sets once per site.  Every run's row
 reads that one verdict.
 
+Prop 5.10's adversarial cut of the extended propositions and Eq 5.4's
+sharp-by-intersection oracle of a bridge context are built once per check
+the same way.
+
 Counts: a cold check of the bundled scenarios asks each audit once per
 distinct object, no more.  Sharing: a doctor that fails each audit only
 the first time its object is asked fails the rows of every run that reads
@@ -54,6 +58,8 @@ AUDITS = {
     "site laws": ("associativity_violations", site_key),
     "hom-sets": ("_hom_sets_are_the_action", site_key),
     "stage isomorphism": ("heyting_iso_check", lambda ctx, cap: ((ctx, cap), ctx)),
+    "adversarial cut": ("_adversarial_detectors", presheaf_key),
+    "sharp oracle": ("_sharp_oracle_holds", lambda ctx, cap: ((ctx, cap), ctx)),
 }
 
 
@@ -77,7 +83,7 @@ def test_one_cold_check_audits_each_shared_object_once(monkeypatch):
     asked = {name: watch(monkeypatch, name) for name in AUDITS}
     for name in bundled_scenario_names():
         assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
-    # Asked 128, 100, 20, 20 and 7 times while every run audited for itself.
+    # Asked 128, 100, 20, 20, 7, 7 and 7 times while every run audited for itself.
     counts = {name: (audit.calls, len(audit.objects)) for name, audit in asked.items()}
     assert counts == {
         "stage": (80, 80),
@@ -85,6 +91,8 @@ def test_one_cold_check_audits_each_shared_object_once(monkeypatch):
         "site laws": (13, 13),
         "hom-sets": (13, 13),
         "stage isomorphism": (6, 6),
+        "adversarial cut": (6, 6),
+        "sharp oracle": (6, 6),
     }
 
 
@@ -118,6 +126,15 @@ FIRST_ASKING_FAILS = {
         raise_failure,
         rows_on(("z-up", "z-down"), "Eq 3.11", "Eq 3.9", "Eq 3.35", "Thm 3.6", "Prop 3.5"),
     ),
+    # Three runs on two restricted sites and two bridge contexts; the
+    # doctored adversarial cut has no projectivity witness at its seed value.
+    "adversarial cut": (
+        "qutrit_extended",
+        "adversarial cut",
+        lambda: ((), False, []),
+        rows_on(("mid", "mid-r1", "fine-r2"), "Prop 5.10"),
+    ),
+    "sharp oracle": ("qutrit_extended", "sharp oracle", lambda: False, rows_on(("mid", "mid-r1", "fine-r2"), "Eq 5.4")),
 }
 
 

@@ -197,19 +197,36 @@ mixed = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 mixed_entries = st.builds(gaussian, mixed, mixed)
 
 
+FACTOR_KINDS = ("dense", "dense", "zero", "zero rows", "projector", "permutation")
+SQUARE_KINDS = ("projector", "permutation")
+
+
 @st.composite
 def factor_pairs(draw):
-    """An r x k and a k x c matrix (r, k, c in 1-4) with mixed denominators,
-    each a zero matrix a quarter of the time."""
-    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    """An r x k and a k x c matrix (r, k, c in 1-4), each dense with mixed
+    denominators, a zero matrix, dense with some rows zero, or, square, a
+    0/1 diagonal projector or a permutation: the sparse factors whose zero
+    entries `mat_mul` skips."""
+    left, right = draw(st.sampled_from(FACTOR_KINDS)), draw(st.sampled_from(FACTOR_KINDS))
+    k = draw(st.integers(1, 4))
+    r = k if left in SQUARE_KINDS else draw(st.integers(1, 4))
+    c = k if right in SQUARE_KINDS else draw(st.integers(1, 4))
 
-    def factor(rows, cols):
-        if draw(st.integers(0, 3)) == 0:
+    def factor(kind, rows, cols):
+        if kind == "zero":
             return zero_matrix(rows, cols)
-        grid = st.lists(st.lists(mixed_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
-        return matrix_from_rows(draw(grid))
+        if kind == "projector":
+            return diagonal_matrix(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+        if kind == "permutation":
+            image = draw(st.permutations(range(rows)))
+            return matrix_from_rows([[int(j == image[i]) for j in range(cols)] for i in range(rows)])
+        grid = draw(st.lists(st.lists(mixed_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        if kind == "zero rows":
+            kept = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+            grid = [row if keep else [0] * cols for row, keep in zip(grid, kept)]
+        return matrix_from_rows(grid)
 
-    return factor(r, k), factor(k, c)
+    return factor(left, r, k), factor(right, k, c)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -10,9 +10,12 @@ rays, their complements, 0 and 1: 2k + 2 elements).
 
 The certificate is the stricter check: the oracle never reads `leq`, so it
 passes a doctored inclusion order (not reflexive, or not transitive) that
-the certificate rejects, because the certificate also requires `join` and
-`meet` to be the least upper and greatest lower bounds of that order.  The
-doctored operations below are each wrong on one pair or one element.
+the certificate rejects, because the certificate also requires the join
+and meet of each pair to be its least upper and greatest lower bounds in
+that order.  The rows read those joins and meets, and the orthocomplements,
+from the position tables the closure records (`Sublattice`), so the
+doctored tables below are each wrong on one pair or one element; every
+entry of an honest table is the `join`, `meet` or `ortho` of its members.
 """
 
 import json
@@ -28,8 +31,9 @@ from sieveval import (
     scenario_from_dict,
 )
 from sieveval import checks as checks_module
+from sieveval import subspaces as subspaces_module
 from sieveval.errors import LatticeCapExceeded
-from sieveval.subspaces import generate_sublattice, join, leq, meet, ortho, subspace_from_vectors
+from sieveval.subspaces import Sublattice, generate_sublattice, join, leq, meet, ortho, subspace_from_vectors
 from test_exact_core import fraction_meet
 
 
@@ -126,6 +130,50 @@ def sublattice(built):
 
 def an_incomparable_pair(lattice):
     return next((p, q) for p in lattice for q in lattice if not leq(p, q) and not leq(q, p))
+
+
+def tables_hold(lattice) -> bool:
+    """Every row i of the join and meet tables holds the entries for j >= i,
+    each the position of the `join` or `meet` of members i and j, read in
+    either order, and each ortho entry is the position of the member's
+    `ortho`."""
+    members, n = lattice.members, len(lattice)
+    return (
+        all(len(lattice.joins[i]) == len(lattice.meets[i]) == n - i for i in range(n))
+        and all(
+            members[lattice.join_at(i, j)] is join(p, q) and members[lattice.meet_at(i, j)] is meet(p, q)
+            for i, p in enumerate(members)
+            for j, q in enumerate(members)
+        )
+        and all(members[c] is ortho(p) for p, c in zip(members, lattice.orthos))
+    )
+
+
+def with_table_entry(lattice, table: str, p, q, wrong):
+    """`lattice` with the entry of members p and q in its `table`, "joins"
+    or "meets", replaced by the position of the member `wrong`."""
+    i, j = sorted((lattice.members.index(p), lattice.members.index(q)))
+    tables = {"joins": lattice.joins, "meets": lattice.meets}
+    rows = [list(row) for row in tables[table]]
+    rows[i][j - i] = lattice.members.index(wrong)
+    tables[table] = tuple(map(tuple, rows))
+    return Sublattice(lattice.members, tables["joins"], tables["meets"], lattice.orthos)
+
+
+def rows_read(monkeypatch, lattice):
+    """Make the §2 rows read `lattice` as the generated sublattice."""
+    monkeypatch.setattr(checks_module, "generate_sublattice", lambda seeds, cap: lattice)
+
+
+def test_every_table_entry_is_the_operation_on_its_members(workloads):
+    """On MO_2..MO_5, every bundled scenario's sublattice and the benchmark's
+    `lattice` scenario at seeds 1-3."""
+    scenarios = [scenario_from_dict(mo_scenario(k)) for k in range(2, 6)]
+    scenarios += [load_scenario(bundled_scenario_path(name)) for name in bundled_scenario_names()]
+    scenarios += [scenario_from_dict(workloads.lattice_scenario(seed)) for seed in (1, 2, 3)]
+    for sc in scenarios:
+        lattice = generate_sublattice([sc.propositions[n] for n in sc.lattice_seeds], sc.caps["lattice"])
+        assert tables_hold(lattice), sc.name
 
 
 def test_certificate_agrees_with_the_oracle():
@@ -252,8 +300,12 @@ def test_pair_orientation_does_not_depend_on_allocation_history(workloads, run_f
 
 
 def test_rows_make_quadratically_many_lattice_calls(monkeypatch):
+    """N² `leq` calls, the oracle, and no `join`, `meet` or `ortho` call:
+    the rows read those from the sublattice's tables."""
     built = build_scenario(scenario_from_dict(mo_scenario(5)))
-    n = len(sublattice(built))
+    lattice = sublattice(built)
+    n = len(lattice)
+    rows_read(monkeypatch, lattice)
     calls = Counter()
 
     def counted(name, fn):
@@ -263,17 +315,20 @@ def test_rows_make_quadratically_many_lattice_calls(monkeypatch):
 
         return wrapper
 
-    for name, fn in (("join", join), ("meet", meet), ("leq", leq)):
-        monkeypatch.setattr(checks_module, name, counted(name, fn))
+    monkeypatch.setattr(checks_module, "leq", counted("leq", leq))
+    for name, fn in (("join", join), ("meet", meet), ("ortho", ortho)):
+        monkeypatch.setattr(subspaces_module, name, counted(name, fn))
+        monkeypatch.setattr(checks_module, name, counted(name, fn), raising=False)
     assert all(row["passed"] for row in checks_module._lattice_law_rows(built))
-    assert calls["leq"] == n * n
-    assert n * n <= calls["join"] <= 2 * n * n
-    assert n * n <= calls["meet"] <= 2 * n * n
+    assert calls == Counter({"leq": n * n})
 
 
 @pytest.mark.parametrize("operation", ["join", "meet"])
 @pytest.mark.parametrize("member", [True, False], ids=["member", "outsider"])
 def test_a_wrong_join_or_meet_on_one_incomparable_pair_fails_the_row(monkeypatch, operation, member):
+    """The table entry of one incomparable pair names a member that is not
+    its bound, or a ray outside the generated sublattice, which the tables
+    hold only as a member: here of the sublattice it generates with the seeds."""
     built = build_scenario(scenario_from_dict(mo_scenario(3)))
     lattice = sublattice(built)
     honest = {"join": join, "meet": meet}[operation]
@@ -281,13 +336,17 @@ def test_a_wrong_join_or_meet_on_one_incomparable_pair_fails_the_row(monkeypatch
     # a member of the sublattice that is not the bound, or a ray outside it
     wrong = p if member else subspace_from_vectors(2, [[1, 4]])
     assert wrong != honest(p, q) and (wrong in lattice) == member
+    tables = lattice
+    if not member:
+        sc = built.scenario
+        tables = generate_sublattice([sc.propositions[n] for n in sc.lattice_seeds] + [wrong], sc.caps["lattice"])
+    rows_read(monkeypatch, with_table_entry(tables, operation + "s", p, q, wrong))
+    laws = checks_module._lattice_law_rows(built)[0]
+    assert not laws["passed"]
 
     def doctored(a, b):
         return wrong if (a, b) == (p, q) else honest(a, b)
 
-    monkeypatch.setattr(checks_module, operation, doctored)
-    laws = checks_module._lattice_law_rows(built)[0]
-    assert not laws["passed"]
     oracle_ops = {"join": join, "meet": meet, operation: doctored}
     assert not oracle_lattice_laws(lattice, **oracle_ops)
 
@@ -330,21 +389,18 @@ def test_two_equivalent_elements_fail_antisymmetry(monkeypatch):
     r, s = [p for p in lattice if p.dim == 1][:2]
     merged = {r, s}
 
-    def merging(honest):
-        return lambda a, b: r if {a, b} == merged else honest(a, b)
-
     monkeypatch.setattr(checks_module, "leq", lambda a, b: {a, b} == merged or leq(a, b))
-    monkeypatch.setattr(checks_module, "join", merging(join))
-    monkeypatch.setattr(checks_module, "meet", merging(meet))
+    rows_read(monkeypatch, with_table_entry(with_table_entry(lattice, "joins", r, s, r), "meets", r, s, r))
     laws = checks_module._lattice_law_rows(built)[0]
     assert not laws["passed"]
 
 
 def test_a_non_orthomodular_complement_fails_the_witness(monkeypatch):
     built = build_scenario(scenario_from_dict(mo_scenario(3)))
-    rays = [p for p in sublattice(built) if p.dim == 1]
+    lattice = sublattice(built)
     # an involution that fixes every ray: r <= 1, yet r v (1 ^ r) = r
-    monkeypatch.setattr(checks_module, "ortho", lambda p: p if p in rays else ortho(p))
+    orthos = tuple(i if p.dim == 1 else c for i, (p, c) in enumerate(zip(lattice, lattice.orthos)))
+    rows_read(monkeypatch, Sublattice(lattice.members, lattice.joins, lattice.meets, orthos))
     laws, witness = checks_module._lattice_law_rows(built)
     assert laws["passed"] and not witness["passed"]
 
@@ -367,7 +423,7 @@ def test_semi_naive_closure_matches_the_naive_one(workloads):
     for sc in scenarios:
         seeds = [sc.propositions[n] for n in sc.lattice_seeds]
         expected = naive_sublattice(seeds, sc.caps["lattice"])
-        assert generate_sublattice(seeds, sc.caps["lattice"]) == expected, sc.name
+        assert list(generate_sublattice(seeds, sc.caps["lattice"])) == expected, sc.name
         for cap in range(1, len(expected) + 1):
             try:
                 naive = naive_sublattice(seeds, cap)
@@ -375,6 +431,6 @@ def test_semi_naive_closure_matches_the_naive_one(workloads):
                 with pytest.raises(LatticeCapExceeded):
                     generate_sublattice(seeds, cap)
             else:
-                assert generate_sublattice(seeds, cap) == naive, (sc.name, cap)
+                assert list(generate_sublattice(seeds, cap)) == naive, (sc.name, cap)
         sizes.append(len(expected))
     assert sizes[-6:] == [4, 6, 8, 10, 12, 36]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sieveval import (
     Observable,
     bub_valuation,
+    build_scenario,
     bundled_scenario_names,
     bundled_scenario_path,
     close_monoid,
@@ -34,6 +35,7 @@ from sieveval import (
 )
 from sieveval.errors import OrthogonalityViolation, ValidationError
 from sieveval.modal import validate_matrix_decomposition
+from test_lattice_laws import tables_hold
 
 
 def span(*vs):
@@ -118,6 +120,21 @@ def test_enumerate_with_declared_remainder_ray():
     assert span([0, 0, 1]) in lattice  # complements close the enumeration
     with pytest.raises(ValidationError):
         enumerate_determinate_sublattice(atoms, cap=64, extra_rays=(span([1, 1, 0]),))
+
+
+def test_determinate_sublattice_tables_hold():
+    """Every join, meet and ortho entry of the determinate sublattice of
+    each bundled run, which Eqs 2.3–2.4 read, and of the qutrit example, is
+    the operation on its members."""
+    qutrit = Observable("R", (span([1, 0, 0]), span([0, 1, 0], [0, 0, 1])))
+    lattices = [enumerate_determinate_sublattice(compute_atoms(ray_from_vector([1, 1, 1]), qutrit), cap=64)]
+    for name in bundled_scenario_names():
+        built = build_scenario(load_scenario(bundled_scenario_path(name)))
+        for run in built.runs:
+            extra = tuple(built.scenario.propositions[n] for n in run.spec.remainder_rays)
+            lattices.append(enumerate_determinate_sublattice(run.atoms, built.scenario.caps["lattice"], extra))
+    assert sorted(len(lattice) for lattice in lattices) == [2] + [4] * 7 + [8] * 6
+    assert all(tables_hold(lattice) for lattice in lattices)
 
 
 def test_bub_valuation():

@@ -9,7 +9,10 @@ doctored function was called, so a row that stops reading it is noticed too.
 Undoctored, the same scenarios pass every row (`tests/test_golden.py`).
 
 The controls cover the rows that read the lattice of subspaces and the
-observables' answers, Eqs 2.1, 2.3, 2.4, 4.1 and 4.15 and Props B1 and B2,
+observables' answers, §2, Eqs 2.1, 2.3, 2.4, 4.1 and 4.15 and Props B1 and B2
+(§2 and Eq 2.4 read a sublattice's meet table, doctored to answer e1 ∧ e2
+as the unit: the generated sublattice for §2, each run's determinate one
+for Eq 2.4),
 the rows that read operators of the monoid, Eq 3.6 (a commutant less one
 operator), §4.1 (a full extended site less one fixed-observable arrow)
 and §4.1 reachability, the plain-stage rows that read `top_sieve`,
@@ -55,7 +58,8 @@ from sieveval import (
 from sieveval.scenario import scenario_from_dict
 from sieveval.sieves import GlobalElement, LazyTable, Presheaf, Sieve, bottom_sieve, subpresheaf, top_sieve
 from sieveval.sites import OperatorMonoid
-from sieveval.subspaces import ortho
+from sieveval.subspaces import generate_sublattice, ortho
+from test_lattice_laws import with_table_entry
 
 
 def span(*vectors):
@@ -68,17 +72,19 @@ def wrong_projector(projector_matrix):
     return lambda r: projector_matrix(ortho(r) if r is e1 else r)
 
 
-def wrong_meet(meet):
-    """e1 ∧ e2 answered as e1 instead of {0}."""
+def wrong_meet(sublattice):
+    """Each sublattice's meet table answers e1 ∧ e2 as the unit instead of {0}."""
     e1, e2 = span([1, 0]), span([0, 1])
-    return lambda p, q: p if {p, q} == {e1, e2} else meet(p, q)
+    return lambda *args: with_table_entry(sublattice(*args), "meets", e1, e2, full_space(2))
 
 
 def outsider_in_sublattice(enumerate_determinate_sublattice):
-    """Each run's determinate sublattice with the ray (1, 1) added, which
-    is neither above nor orthogonal to the run's atom."""
+    """Each run's determinate sublattice closed again with the ray (1, 1)
+    added, which is neither above nor orthogonal to the run's atom."""
     plus = span([1, 1])
-    return lambda atoms, cap, extra=(): enumerate_determinate_sublattice(atoms, cap, extra) + [plus]
+    return lambda atoms, cap, extra=(): generate_sublattice(
+        [*enumerate_determinate_sublattice(atoms, cap, extra), plus], cap
+    )
 
 
 def irreflexive_order(observable_leq):
@@ -327,7 +333,7 @@ def extended_true_less_one_image(run):
 
 def extended_true_adversarial(run):
     """The extended T replaced by Prop 5.10's adversarial cut, where one is found."""
-    adversarial = checks._find_adversarial_subpresheaf(run) if run.ext_side is not None else None
+    adversarial = checks._find_adversarial_subpresheaf(run.ext_side.propositions_l) if run.ext_side is not None else None
     if adversarial is not None:
         run.ext_side.true_t = adversarial[0]
 
@@ -553,7 +559,6 @@ ONE_MORE_FIXPOINT = (
         "Thm 5.13 / Props A3–A4 (♮Ω)",
     ),
 )
-WRONG_MEET = ("qubit", "meet", wrong_meet, {("§2", None), ("Eq 2.4", "z-up"), ("Eq 2.4", "z-down")})
 EMPTY_NOT_A_SIEVE = (
     "qubit",
     "is_sieve",
@@ -642,8 +647,13 @@ CONTROLS = {
         outsider_in_sublattice,
         {("Eq 2.3", "z-up"), ("Eq 2.3", "z-down"), ("Eq 2.4", "z-up"), ("Eq 2.4", "z-down")},
     ),
-    "Eq 2.4": WRONG_MEET,
-    "§2": WRONG_MEET,
+    "Eq 2.4": (
+        "qubit",
+        "enumerate_determinate_sublattice",
+        wrong_meet,
+        rows_on(("z-up", "z-down"), "Eq 2.4"),
+    ),
+    "§2": ("qubit", "generate_sublattice", wrong_meet, {("§2", None)}),
     "Eq 4.1": ("qutrit_extended", "observable_leq", irreflexive_order, {("Eq 4.1", None)}),
     "Eq 4.15": ("qutrit_extended", "in_commutant", no_unit_commutant, {("Eq 4.15", None)}),
     "§4.1": (

@@ -116,15 +116,16 @@ def test_one_cold_check_builds_each_table_once(calls):
     # its reachable-part restriction (Eq 3.56); no value is computed alone.
     assert calls["valuation"] == 0
     assert calls["valuation_row"] == 95
-    # One chi per site of each run, plus one per constructed adversarial subobject.
-    assert calls["characteristic_table"] == 24
+    # One chi per site of each run, plus one per constructed adversarial
+    # subobject, built once per extended proposition functor (7 runs share 6).
+    assert calls["characteristic_table"] == 23
     # Sieves move along arrows only to fill Ω's tables, one mask pulled back
     # per (arrow, listed sieve); every naturality square reads them.
     assert calls["pull_back"] == 1471
     assert calls["pull_back outside omega_presheaf"] == 0
     # One detector table per closed cut of the extended propositions: the
     # true subobject of each extended run and each adversarial cut.
-    assert calls["detector_tables"] == 11
+    assert calls["detector_tables"] == 10
     # One implication per distinct s minus t of each stage of each site: the
     # stage's table is shared by every audit, every run and every restriction
     # that reads it.

@@ -12,18 +12,24 @@ row sums the scaled rows of the right factor for the nonzero entries of
 the left factor's row alone: the monoids' generators are diagonal
 projectors and signs, so most entries are zero.
 
-There is one elimination, `integer_rref`: fraction-free Gauss-Jordan on
-Gaussian-integer rows, returning each row of the reduced row echelon form
-in a canonical primitive form (pivot a positive integer).  `integer_kernel`
-reads the null space off it, and `inverse` reads the inverse off the
-reduced form of [N | d I].  `rational_row` divides a row by its first
-nonzero entry, the one exact division.
+There is one elimination, `insert_rows`: fraction-free (Bareiss, Math.
+Comp. 22, 1968) and incremental, it inserts Gaussian-integer rows one at a
+time into a reduced row echelon form held as canonical primitive rows
+(pivot a positive integer) and their pivot columns.  A row is reduced by
+the pivot rows; a nonzero remainder is made canonical, its pivot column is
+cleared from the other rows, and it joins them in pivot order.
+`integer_rref` inserts rows into the empty form, `integer_kernel` reads the
+null space off that, and `inverse` reads the inverse off the reduced form
+of [N | d I]; `subspaces.join` inserts one subspace's rows into the
+other's.  `rational_row` divides a row by its first nonzero entry, the one
+exact division.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -223,53 +229,71 @@ def _primitive(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return row
 
 
-def integer_rref(
-    rows: Iterable[Sequence[tuple[int, int]]], cols: int
+def insert_rows(
+    reduced: Sequence[IntegerRow],
+    pivots: Sequence[int],
+    rows: Iterable[Sequence[tuple[int, int]]],
+    cols: int,
 ) -> tuple[tuple[IntegerRow, ...], tuple[int, ...]]:
-    """Fraction-free Gauss-Jordan elimination over Gaussian integers.
+    """Insert rows, one at a time, into a canonical primitive RREF.
 
-    Returns the nonzero rows of the reduced row echelon form and their
-    pivot columns.  Each row is in its canonical primitive form: a positive
-    integer multiple of its RREF row whose (re, im) parts have no common
-    factor, so its pivot is a positive integer.  The RREF is unique, so
-    this form is too, and no division other than by an integer gcd occurs.
+    `reduced` and `pivots` are the nonzero rows of a reduced row echelon
+    form, each in its canonical primitive form (a positive integer multiple
+    of its RREF row whose (re, im) parts have no common factor, so its pivot
+    is a positive integer), and their pivot columns, in increasing order.
+    Returns the same form of the span of `reduced` and `rows`.  The RREF is
+    unique, so this form is too, and no division other than by an integer
+    gcd occurs.
 
-    A new pivot row is multiplied by the conjugate of its pivot (making the
-    pivot real and positive) and made primitive; every other row with a
-    nonzero entry f in the pivot column is replaced by p * row - f * pivot_row
-    and made primitive.  Earlier pivot rows stay canonical: their pivot
-    entries are only ever multiplied by positive integers.
+    Each new row v is reduced by the pivot rows: a row with pivot p at
+    column c turns v into p v - v_c row.  The pivot rows vanish at each
+    other's pivot columns, so one pass clears them all.  A row that
+    reduces to zero lies in the span already and changes nothing.  Any
+    other remainder is multiplied by the conjugate of its first nonzero
+    entry (making that pivot real and positive) and made primitive; every
+    pivot row with a nonzero entry f in the new pivot column is replaced by
+    p' row - f v and made primitive, and v is inserted in pivot order.  The
+    old pivots are only ever multiplied by positive integers, so those rows
+    stay canonical.
     """
-    work = list(rows)
-    n_rows = len(work)
-    pivots: list[int] = []
-    for col in range(cols):
-        k = len(pivots)
-        for target in range(k, n_rows):
-            if work[target][col] != (0, 0):
+    work = list(reduced)
+    pivots = list(pivots)
+    for v in rows:
+        if len(pivots) == cols:
+            break
+        for prow, c in zip(work, pivots):
+            fr, fi = v[c]
+            if fr or fi:
+                p = prow[c][0]
+                v = [(p * a - fr * x + fi * y, p * b - fr * y - fi * x) for (a, b), (x, y) in zip(v, prow)]
+        for col, (vr, vi) in enumerate(v):
+            if vr or vi:
                 break
         else:
             continue
-        prow = work[target]
-        work[target] = work[k]
-        pr, pi = prow[col]
-        if pi or pr < 0:
-            prow = [(a * pr + b * pi, b * pr - a * pi) for a, b in prow]
-        prow = _primitive(prow)
-        work[k] = prow
-        p = prow[col][0]
-        for r in range(n_rows):
-            row = work[r]
-            fr, fi = row[col]
-            if r == k or not (fr or fi):
-                continue
-            work[r] = _primitive(
-                [(p * a - fr * c + fi * d, p * b - fr * d - fi * c) for (a, b), (c, d) in zip(row, prow)]
-            )
-        pivots.append(col)
-        if k + 1 == n_rows:
-            break
-    return tuple(tuple(row) for row in work[: len(pivots)]), tuple(pivots)
+        if vi or vr < 0:
+            v = [(a * vr + b * vi, b * vr - a * vi) for a, b in v]
+        v = tuple(_primitive(v))
+        p = v[col][0]
+        for k, prow in enumerate(work):
+            fr, fi = prow[col]
+            if fr or fi:
+                combined = [(p * a - fr * c + fi * d, p * b - fr * d - fi * c) for (a, b), (c, d) in zip(prow, v)]
+                work[k] = tuple(_primitive(combined))
+        at = bisect_left(pivots, col)
+        work.insert(at, v)
+        pivots.insert(at, col)
+    return tuple(work), tuple(pivots)
+
+
+def integer_rref(
+    rows: Iterable[Sequence[tuple[int, int]]], cols: int
+) -> tuple[tuple[IntegerRow, ...], tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan elimination over Gaussian integers: the
+    rows inserted into the empty form (`insert_rows`).  Returns the nonzero
+    rows of the reduced row echelon form, each canonical and primitive, and
+    their pivot columns."""
+    return insert_rows((), (), rows, cols)
 
 
 def integer_kernel(rows: Iterable[Sequence[tuple[int, int]]], cols: int) -> list[IntegerRow]:

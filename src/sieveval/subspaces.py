@@ -2,13 +2,16 @@
 
 A subspace is stored as the nonzero rows of the reduced row echelon form
 of any spanning set, each in the canonical primitive Gaussian-integer form
-of `linalg.integer_rref` ((re, im) int pairs, pivot a positive integer).
-That form is unique, so subspaces are hash-consed on it, as matrices are
-(`linalg._interned`): equal subspaces are one object, and equality and hash
-are identity.  Join, ortho and the image under an operator are
-integer eliminations on these rows; meet is (P^⊥ ∨ Q^⊥)^⊥ by De Morgan,
-and leq reduces the rows of one subspace against the pivot rows of the
-other, so the order does not share an elimination with join.
+of `linalg.insert_rows` ((re, im) int pairs, pivot a positive integer),
+with their pivot columns.  That form is unique, so subspaces are
+hash-consed on it, as matrices are (`linalg._interned`): equal subspaces
+are one object, and equality and hash are identity.  Ortho and the image
+under an operator eliminate their spanning rows (`integer_rref`); join
+inserts the rows of the operand of smaller dimension into the other's
+canonical rows, so a nested pair costs one reduction of the smaller rows
+and returns the larger operand.  Meet is (P^⊥ ∨ Q^⊥)^⊥ by De Morgan.  Leq has
+its own reduction of the rows of one subspace against the pivot rows of
+the other, so the order that certifies join shares no code with it.
 `projector_matrix` is computed on the integer `ExactMatrix` of the basis.
 Gaussian rationals appear only at the boundary: the input of
 `subspace_from_vectors` and the basis that `vectors`, `serialize` and
@@ -43,6 +46,7 @@ from .linalg import (
     _over_pivots,
     conj_transpose,
     identity_matrix,
+    insert_rows,
     integer_kernel,
     integer_row,
     integer_rref,
@@ -58,26 +62,27 @@ class Subspace:
     """Immutable and hash-consed: one instance per (ambient_dim, rows).
 
     `rows` are the canonical Gaussian-integer RREF rows, one per basis
-    vector, and with `ambient_dim` they are the subspace's one key: the
-    constructor returns the one instance with them, from a process-wide
-    weak-valued intern table, so equal subspaces are the same object and
-    equality and hash are identity.  Build subspaces only through
-    `subspace_from_vectors`, `zero_space` and `full_space`, which bring the
-    rows to their canonical form.
+    vector, and `pivots` their pivot columns, a function of the rows; with
+    `ambient_dim` they are the subspace's one key: the constructor returns
+    the one instance with them, from a process-wide weak-valued intern
+    table, so equal subspaces are the same object and equality and hash
+    are identity.  Build subspaces only through `subspace_from_vectors`,
+    `zero_space` and `full_space`, which bring the rows to their canonical
+    form.
     """
 
-    __slots__ = ("ambient_dim", "rows", "__weakref__")
+    __slots__ = ("ambient_dim", "rows", "pivots", "__weakref__")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __new__(cls, ambient_dim: int, rows: tuple[IntegerRow, ...]):
-        return _interned(_INTERNED, cls, (ambient_dim, rows))
+    def __new__(cls, ambient_dim: int, rows: tuple[IntegerRow, ...], pivots: tuple[int, ...]):
+        return _interned(_INTERNED, cls, (ambient_dim, rows, pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     def __reduce__(self):  # copy and pickle through the constructor: the interned instance
-        return Subspace, (self.ambient_dim, self.rows)
+        return Subspace, (self.ambient_dim, self.rows, self.pivots)
 
     def __repr__(self) -> str:
         return f"Subspace({self.ambient_dim}, dim={self.dim})"
@@ -109,7 +114,7 @@ class Subspace:
         ) + ")"
 
 
-# (ambient_dim, rows) -> the one Subspace with those canonical rows.
+# (ambient_dim, rows, pivots) -> the one Subspace with those canonical rows.
 # Process-wide, so that subspaces from different builds are comparable by
 # identity.
 _INTERNED: "weakref.WeakValueDictionary[tuple, Subspace]" = weakref.WeakValueDictionary()
@@ -117,7 +122,7 @@ _INTERNED: "weakref.WeakValueDictionary[tuple, Subspace]" = weakref.WeakValueDic
 
 def _span(ambient_dim: int, rows: Iterable[Sequence[tuple[int, int]]]) -> Subspace:
     """The subspace spanned by Gaussian-integer rows."""
-    return Subspace(ambient_dim, integer_rref(rows, ambient_dim)[0])
+    return Subspace(ambient_dim, *integer_rref(rows, ambient_dim))
 
 
 def subspace_from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> Subspace:
@@ -132,11 +137,11 @@ def subspace_from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> Subs
 
 
 def zero_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, ())
+    return Subspace(ambient_dim, (), ())
 
 
 def full_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, identity_matrix(ambient_dim).numerators)
+    return Subspace(ambient_dim, identity_matrix(ambient_dim).numerators, tuple(range(ambient_dim)))
 
 
 class Ray:
@@ -185,7 +190,10 @@ def _require_same_ambient(p: Subspace, q: Subspace) -> None:
 def join(p: Subspace, q: Subspace) -> Subspace:
     """P ∨ Q, once per unordered pair: the order whose first operand has the
     larger rows defers.  Equal operands, {0} and the whole space need no
-    elimination."""
+    elimination.  Otherwise the rows of the operand of smaller dimension
+    are inserted into the other's canonical rows and pivots
+    (`insert_rows`): when the operands are nested, each reduces to zero,
+    nothing is inserted, and the larger operand is the join."""
     _require_same_ambient(p, q)
     if q.rows < p.rows:
         return join(q, p)
@@ -193,7 +201,8 @@ def join(p: Subspace, q: Subspace) -> Subspace:
         return p
     if p.is_zero or q.is_full:
         return q
-    return _span(p.ambient_dim, p.rows + q.rows)
+    big, small = (q, p) if q.dim > p.dim else (p, q)
+    return Subspace(p.ambient_dim, *insert_rows(big.rows, big.pivots, small.rows, p.ambient_dim))
 
 
 @lru_cache(maxsize=None)
@@ -228,16 +237,17 @@ def leq(p: Subspace, q: Subspace) -> bool:
 
     Interning makes equality identity, so with dim p >= dim q, p <= q iff p
     is q.  Otherwise each row v of p is reduced by q's canonical RREF rows:
-    a row with positive integer pivot c at column j turns v into
-    c v - v_j row.  q's rows vanish at each other's pivot columns, so one
-    pass clears them all, and v lies in q iff nothing is left.
+    a row with positive integer pivot c at its stored pivot column j turns
+    v into c v - v_j row.  q's rows vanish at each other's pivot columns,
+    so one pass clears them all, and v lies in q iff nothing is left.  This
+    reduction is written out here, apart from `insert_rows`, so that the
+    order that certifies `join` shares no code with it.
     """
     _require_same_ambient(p, q)
     if p.dim >= q.dim:
         return p is q
     for v in p.rows:
-        for row in q.rows:
-            j = next(j for j, (a, _) in enumerate(row) if a)
+        for row, j in zip(q.rows, q.pivots):
             fr, fi = v[j]
             if fr or fi:
                 c = row[j][0]

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import sieveval
 from sieveval import (
@@ -16,6 +17,11 @@ from sieveval import (
     ray_from_vector,
     subspace_from_vectors,
 )
+
+# `--hypothesis-profile deep`: ten times Hypothesis's default 100 examples,
+# and, through `test_exact_core.examples`, ten times the budget of each
+# property test of the exact core that sets its own.
+settings.register_profile("deep", max_examples=1000)
 
 
 def qubit_observable():

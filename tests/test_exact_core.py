@@ -1,7 +1,9 @@
 """The exact core against independent oracles.
 
 `sympy.Matrix` (test-only) checks `integer_rref`, `integer_kernel`, the
-canonical integer rows of a subspace and the lattice operations;
+canonical integer rows of a subspace, their pivots and the lattice
+operations; `insert_rows` is checked against one elimination of all rows
+and against `fraction_rref`;
 `fraction_rref` below, plain Gauss-Jordan elimination over Gaussian
 rationals, is the reference the integer elimination must match entry for
 entry.  The `fraction_*` lattice operations are the Gaussian-rational join,
@@ -10,6 +12,8 @@ meet, ortho, leq and operator image the integer subspace core replaced, and
 replaced, kept here as their reference.
 """
 
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -38,11 +42,17 @@ from sieveval import (
     zero_matrix,
 )
 from sieveval.errors import SingularMatrixError
-from sieveval.linalg import integer_kernel, integer_rref, inverse, rational_row
+from sieveval.linalg import insert_rows, integer_kernel, integer_row, integer_rref, inverse, rational_row
 from sieveval.rationals import ZERO, GaussianRational
 from sieveval.subspaces import generate_sublattice
 
 ONE = gaussian(1)
+
+
+def examples(n: int) -> int:
+    """A property test's budget of n examples, scaled as the loaded
+    Hypothesis profile scales the default 100 (ten times under `deep`)."""
+    return n * settings.default.max_examples // 100
 
 
 # Gaussian-rational operations the fraction oracles need and the package no
@@ -154,7 +164,7 @@ def sympy_matrix(m: ExactMatrix):
     return sympy_rows(m.entries, m.cols)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(matrices())
 def test_rref_rank_kernel_agree_with_sympy(m):
     reduced, pivots = rref(m)
@@ -173,7 +183,7 @@ def test_rref_rank_kernel_agree_with_sympy(m):
         assert sympy.Matrix.hstack(ours, *expected_kernel).rank() == len(kernel)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(matrices())
 def test_rref_matches_fraction_elimination(m):
     assert rref(m) == fraction_rref(m)
@@ -229,7 +239,7 @@ def factor_pairs(draw):
     return factor(left, r, k), factor(right, k, c)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=examples(200), deadline=None, derandomize=True)
 @given(factor_pairs())
 def test_integer_mat_mul_matches_the_fraction_product(pair):
     a, b = pair
@@ -241,7 +251,7 @@ def test_integer_mat_mul_matches_the_fraction_product(pair):
     assert conj_transpose(a).entries == conjugated and in_lowest_terms(conj_transpose(a))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=examples(100), deadline=None, derandomize=True)
 @given(st.integers(1, 4).flatmap(lambda n: row_lists(n, n, n)).map(matrix_from_rows))
 def test_integer_inverse_is_two_sided_or_the_matrix_is_singular(m):
     if rank(m) < m.rows:
@@ -292,7 +302,7 @@ def subspaces(ambient):
     return st.lists(st.lists(entries, min_size=ambient, max_size=ambient), max_size=3)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), subspaces(n), subspaces(n))))
 def test_meet_join_ortho_agree_with_sympy_spans(case):
     n, p_vectors, q_vectors = case
@@ -382,7 +392,7 @@ def operator(n):
     return row_lists(n, n, n).map(matrix_from_rows)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=examples(150), deadline=None, derandomize=True)
 @given(dimension_and(spanning_set, spanning_set, operator))
 def test_integer_core_matches_the_fraction_path(case):
     n, p_vectors, q_vectors, f = case
@@ -398,12 +408,12 @@ def test_integer_core_matches_the_fraction_path(case):
 
 
 @st.composite
-def related_pairs(draw):
+def related_pairs(draw, max_dim=4):
     """(n, kind, p, q) spanning sets that random draws rarely give.  q is
     m <= n random vectors; p is Gaussian-integer combinations of them
     ("nested", often a proper subspace) or m other random vectors ("equal",
     generically a distinct space of the same dimension)."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_dim))
     kind = draw(st.sampled_from(["nested", "equal"]))
     m = draw(st.integers(1, n))
     vectors = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
@@ -417,7 +427,7 @@ def related_pairs(draw):
     return n, kind, p, q
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=examples(200), deadline=None, derandomize=True)
 @given(related_pairs())
 def test_leq_and_meet_match_the_fraction_path_on_nested_and_equal_dimension_pairs(case):
     n, kind, p_vectors, q_vectors = case
@@ -452,7 +462,7 @@ def test_related_pairs_reach_every_leq_branch():
     assert seen == {"proper", "same", "distinct"}
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=examples(100), deadline=None, derandomize=True)
 @given(dimension_and(spanning_set))
 def test_canonical_rows_are_primitive_sympy_rref_rows(case):
     n, vectors = case
@@ -466,6 +476,79 @@ def test_canonical_rows_are_primitive_sympy_rref_rows(case):
         assert gcd(*(x for pair in row for x in pair)) == 1
         divided = tuple(gaussian(Fraction(a, pivot_re), Fraction(b, pivot_re)) for a, b in row)
         assert divided == tuple(from_sympy(expected[k, j]) for j in range(n))
+
+
+@st.composite
+def split_rows(draw):
+    """(n, a, b) for n in 1-5: Gaussian-rational rows a, and rows b to
+    insert after them, among them zero rows, repeats of rows of a and
+    combinations of rows of a, which lie in its span."""
+    n = draw(st.integers(1, 5))
+    a = draw(row_lists(n, 0, 4))
+    b = draw(row_lists(n, 0, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "span"]))
+        if kind == "zero" or not a:
+            row = [ZERO] * n
+        elif kind == "repeat":
+            row = draw(st.sampled_from(a))
+        else:
+            x, y = draw(coefficients), draw(coefficients)
+            first, second = draw(st.sampled_from(a)), draw(st.sampled_from(a))
+            row = [x * u + y * v for u, v in zip(first, second)]
+        b.insert(draw(st.integers(0, len(b))), row)
+    return n, a, b
+
+
+@settings(max_examples=examples(200), deadline=None, derandomize=True)
+@given(split_rows())
+def test_inserting_rows_gives_the_elimination_of_all_rows(case):
+    """Against one elimination of all the rows, and against `fraction_rref`
+    with each row scaled to integers, which is its canonical primitive
+    form: a row with a 1 in it, times the lcm of its denominators."""
+    n, a, b = case
+    reduced, pivots = integer_rref([integer_row(row) for row in a], n)
+    inserted = insert_rows(reduced, pivots, [integer_row(row) for row in b], n)
+    assert inserted == integer_rref([integer_row(row) for row in a + b], n)
+    expected, expected_pivots = fraction_rref(matrix_from_rows(a + b, n))
+    assert inserted == (tuple(integer_row(row) for row in expected.entries[: len(expected_pivots)]), expected_pivots)
+    assert insert_rows(reduced, pivots, (), n) == (reduced, pivots)
+
+
+@settings(max_examples=examples(100), deadline=None, derandomize=True)
+@given(related_pairs(max_dim=5))
+def test_join_of_a_nested_or_equal_pair_is_the_larger_operand(case):
+    n, kind, p_vectors, q_vectors = case
+    p, q = subspace_from_vectors(n, p_vectors), subspace_from_vectors(n, q_vectors)
+    p_basis, q_basis = fraction_span(n, p_vectors), fraction_span(n, q_vectors)
+    for small, large, small_basis, large_basis in ((p, q, p_basis, q_basis), (q, p, q_basis, p_basis)):
+        if fraction_leq(n, small_basis, large_basis):
+            assert join(small, large) is large and join(large, small) is large
+    # the meet lies below both, most often properly
+    both = meet(p, q)
+    for large in (p, q):
+        assert join(both, large) is large and join(large, both) is large
+
+
+@settings(max_examples=examples(100), deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), spanning_set(n), spanning_set(n))))
+def test_stored_pivots_are_sympy_rref_pivots(case):
+    n, p_vectors, q_vectors = case
+    p, q = subspace_from_vectors(n, p_vectors), subspace_from_vectors(n, q_vectors)
+    spanned = ((p, p_vectors), (join(p, q), p_vectors + q_vectors), (ortho(p), ortho(p).vectors()))
+    for space, vectors in spanned:
+        expected = sympy_rows(vectors, n).rref()[1] if vectors else ()
+        assert space.pivots == tuple(expected)
+
+
+@settings(max_examples=examples(50), deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), spanning_set(n))))
+def test_copies_and_pickles_are_the_interned_instance(case):
+    n, vectors = case
+    space = subspace_from_vectors(n, vectors)
+    pivots = tuple(next(j for j, pair in enumerate(row) if pair != (0, 0)) for row in space.rows)
+    for copied in (copy.copy(space), copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+        assert copied is space and copied.pivots == pivots
 
 
 def test_lattice_operations_do_no_gaussian_rational_arithmetic(monkeypatch):

@@ -13,6 +13,7 @@ from sieveval import (
 )
 from sieveval.errors import DimensionMismatch
 from sieveval.linalg import integer_kernel, integer_rref, inverse, rational_row
+from test_exact_core import examples
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 entries = st.builds(gaussian, small, small)
@@ -99,7 +100,7 @@ def test_inverse_round_trip():
     assert mat_mul(m, inverse(m)) == identity_matrix(2)
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(small_matrix(3, 3))
 def test_rref_idempotent(m):
     reduced, _ = rref(m)
@@ -107,7 +108,7 @@ def test_rref_idempotent(m):
     assert again == reduced
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(small_matrix(2, 4))
 def test_kernel_vectors_annihilate(m):
     for v in kernel_basis(m):
@@ -116,13 +117,13 @@ def test_kernel_vectors_annihilate(m):
     assert len(kernel_basis(m)) == m.cols - len(pivots)
 
 
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 @given(small_matrix(2, 2), small_matrix(2, 2), small_matrix(2, 2))
 def test_mat_mul_associative(a, b, c):
     assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(small_matrix(2, 3))
 def test_conj_transpose_involution(m):
     assert conj_transpose(conj_transpose(m)) == m

@@ -12,7 +12,8 @@ The controls cover the rows that read the lattice of subspaces and the
 observables' answers, §2, Eqs 2.1, 2.3, 2.4, 4.1 and 4.15 and Props B1 and B2
 (§2 and Eq 2.4 read a sublattice's meet table, doctored to answer e1 ∧ e2
 as the unit: the generated sublattice for §2, each run's determinate one
-for Eq 2.4),
+for Eq 2.4; Eq 2.3 has a second control, an ortho table that fixes e1,
+which fails its atom dichotomy alone),
 the rows that read operators of the monoid, Eq 3.6 (a commutant less one
 operator), §4.1 (a full extended site less one fixed-observable arrow)
 and §4.1 reachability, the plain-stage rows that read `top_sieve`,
@@ -58,7 +59,7 @@ from sieveval import (
 from sieveval.scenario import scenario_from_dict
 from sieveval.sieves import GlobalElement, LazyTable, Presheaf, Sieve, bottom_sieve, subpresheaf, top_sieve
 from sieveval.sites import OperatorMonoid
-from sieveval.subspaces import generate_sublattice, ortho
+from sieveval.subspaces import Sublattice, generate_sublattice, ortho
 from test_lattice_laws import with_table_entry
 
 
@@ -85,6 +86,20 @@ def outsider_in_sublattice(enumerate_determinate_sublattice):
     return lambda atoms, cap, extra=(): generate_sublattice(
         [*enumerate_determinate_sublattice(atoms, cap, extra), plus], cap
     )
+
+
+def ortho_fixes_e1(enumerate_determinate_sublattice):
+    """Each run's determinate sublattice with an ortho table that maps e1 to
+    itself; its members and its join and meet tables are unchanged."""
+    e1 = span([1, 0])
+
+    def doctored(atoms, cap, extra=()):
+        lattice = enumerate_determinate_sublattice(atoms, cap, extra)
+        i = lattice.members.index(e1)
+        orthos = lattice.orthos[:i] + (i,) + lattice.orthos[i + 1 :]
+        return Sublattice(lattice.members, lattice.joins, lattice.meets, orthos)
+
+    return doctored
 
 
 def irreflexive_order(observable_leq):
@@ -754,7 +769,26 @@ def failing_rows(name):
 
 @pytest.mark.parametrize("tag", sorted(CONTROLS))
 def test_a_doctored_function_fails_its_row(tag, monkeypatch):
-    scenario, attribute, doctor, expected = CONTROLS[tag]
+    assert_control_fails(tag, CONTROLS[tag], monkeypatch)
+
+
+def test_an_ortho_table_that_fixes_a_member_fails_the_atom_dichotomy_alone(monkeypatch):
+    """Eq 2.3's own control fails its membership clause first, so this one
+    keeps every member and breaks only the atom dichotomy: e1 is its own
+    orthocomplement in the table, so the atom lies below both or neither."""
+    control = (
+        "qubit",
+        "enumerate_determinate_sublattice",
+        ortho_fixes_e1,
+        rows_on(("z-up", "z-down"), "Eq 2.3"),
+    )
+    assert_control_fails("Eq 2.3", control, monkeypatch)
+
+
+def assert_control_fails(tag, control, monkeypatch):
+    """Run the control's scenario with its function doctored, and require
+    exactly its pinned failing rows, among them a row of `tag`."""
+    scenario, attribute, doctor, expected = control
     owner, _, attribute = attribute.rpartition(".")
     module = {"": checks, "runner": runner}[owner]
     doctored = doctor(getattr(module, attribute))

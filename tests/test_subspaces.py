@@ -19,11 +19,11 @@ from sieveval import (
     subspace_from_vectors,
     zero_space,
 )
-from sieveval import subspaces
+from sieveval import linalg, subspaces
 from sieveval.errors import AmbientMismatch, LatticeCapExceeded
-from sieveval.linalg import conj_transpose, integer_rref
+from sieveval.linalg import conj_transpose, insert_rows
 from sieveval.subspaces import generate_sublattice
-from test_exact_core import fraction_meet
+from test_exact_core import examples, fraction_meet
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 entries = st.builds(gaussian, small, small)
@@ -124,7 +124,7 @@ def test_generate_sublattice_cap():
         generate_sublattice(rays, cap=4)
 
 
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 @given(subspaces3, subspaces3)
 def test_lattice_commutativity(p, q):
     # Both argument orders against references that share no memo with
@@ -144,9 +144,11 @@ def test_the_reversed_pair_runs_no_elimination(monkeypatch, operation):
 
     def counted(*args):
         calls.append(args)
-        return integer_rref(*args)
+        return insert_rows(*args)
 
-    monkeypatch.setattr(subspaces, "integer_rref", counted)
+    # the one elimination, as `join` and as `integer_rref` call it
+    monkeypatch.setattr(subspaces, "insert_rows", counted)
+    monkeypatch.setattr(linalg, "insert_rows", counted)
     first = operation(p, q)
     assert calls
     del calls[:]
@@ -163,14 +165,14 @@ def test_mismatched_ambients_are_named_in_argument_order(operation):
         assert str(raised.value) == message
 
 
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 @given(subspaces3, subspaces3)
 def test_absorption(p, q):
     assert join(p, meet(p, q)) == p
     assert meet(p, join(p, q)) == p
 
 
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 @given(subspaces3)
 def test_ortho_involution_and_complement(p):
     assert ortho(ortho(p)) == p
@@ -178,14 +180,14 @@ def test_ortho_involution_and_complement(p):
     assert join(p, ortho(p)) == full_space(3)
 
 
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 @given(subspaces3, subspaces3)
 def test_orthomodularity(p, q):
     if leq(p, q):
         assert join(p, meet(q, ortho(p))) == q
 
 
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 @given(subspaces3, subspaces3)
 def test_leq_antisymmetry_is_equality(p, q):
     if leq(p, q) and leq(q, p):

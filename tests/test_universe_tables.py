@@ -41,7 +41,7 @@ from sieveval import (
     scenario_from_dict,
     zero_space,
 )
-from sieveval import runner, sieves, subspaces
+from sieveval import linalg, runner, sieves, subspaces
 from sieveval.sieves import (
     bottom_sieve,
     filter_check,
@@ -316,13 +316,20 @@ def test_join_shortcuts_return_the_elimination_result():
 
 
 def test_leq_does_not_read_join(monkeypatch):
-    """The §2 certificate checks join against an order computed apart from it."""
+    """The §2 certificate checks join against an order computed apart from
+    it: `leq` calls neither `join` nor the elimination `join` runs."""
 
-    def no_join(p, q):
-        raise AssertionError("leq called join")
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"leq called {name}")
+
+        return call
 
     universes = [_bundled(name).universe for name in bundled_scenario_names()]
-    monkeypatch.setattr(subspaces, "join", no_join)
+    monkeypatch.setattr(subspaces, "join", refuse("join"))
+    for module in (subspaces, linalg):
+        for name in ("insert_rows", "integer_rref"):
+            monkeypatch.setattr(module, name, refuse(name))
     for universe in universes:
         for p in universe:
             for q in universe:

@@ -13,11 +13,12 @@ conditions.  Its one monoid numbers the operators of every site.  Its
 `SiteMemo` walks each orbit once and makes each site once, keyed by what
 it depends on, with the site's `SiteFunctors`: L, A, Ω and ♮Ω depend only
 on the site, the universe and the sieve cap, so every run on the site
-reads the same objects and the same `Site.stage` tables.  A site below a
-run's stage (`restrict_down`) reads its parent's stages, so the extended
-side, its bridge context and Eq 3.56's plain site share them too.  σ, T and
-the truth-value tables depend on the run's eigenspace and stay in its
-`SiteRun`.  A build keeps no verdict: `checks.run_check` keeps its own
+reads the same objects.  Its sites share one stage table: objects with the
+same composition table and fixed arrows read one `Site.stage`, on one site
+or on two.  A site below a run's stage (`restrict_down`) reads its
+parent's stages, so the extended side, its bridge context and Eq 3.56's
+plain site share them too.  σ, T and the truth-value tables depend on the
+run's eigenspace and stay in its `SiteRun`.  A build keeps no verdict: `checks.run_check` keeps its own
 for the check alone.  No site points to its functors, so every site dies
 with its `BuiltScenario`.
 
@@ -151,7 +152,10 @@ class SiteMemo:
     observable indices; `restricted[family, obj]` that site below its
     object obj, with its functors; and `contexts[family, obj, rho]` the
     bridge from the restricted site's stage at obj to the plain site of
-    observable index rho.  A site below an object reads its parent's
+    observable index rho.  `stages` is the build's one stage table, handed
+    to every site it builds (`build_site`), so each distinct (composites,
+    fixed) pair is one `Stage` for the build (`Site.stage`); it lives and
+    dies with the memo's sites.  A site below an object reads its parent's
     stages.  The tables' functions hold the build's inputs and one
     another, never the memo."""
 
@@ -159,6 +163,7 @@ class SiteMemo:
         seeds = [state.space for state in scenario.states.values()]
         whole = tuple(range(len(monoid)))
         orbit_cap, sieve_cap = scenario.caps["orbit"], scenario.caps["sieve_enum"]
+        stages: dict = {}
 
         def functors(site: Site) -> SiteFunctors:
             return SiteFunctors(site, sieve_cap, proposition_presheaf(site, universe), atom_presheaf(site))
@@ -166,7 +171,7 @@ class SiteMemo:
         def plain_site(rho: int) -> SiteFunctors:
             observable = scenario.observables[rho]
             walk = orbits[commutant(monoid, observable)]
-            return functors(build_site(PlainSite, (observable,), monoid, walk, orbit_cap))
+            return functors(build_site(PlainSite, (observable,), monoid, walk, orbit_cap, stages))
 
         def plain_below(rho: int) -> LazyTable:
             site = plain[rho].site
@@ -174,7 +179,7 @@ class SiteMemo:
 
         def extended_site(family: tuple[int, ...]) -> ExtendedSite:
             observables = tuple(scenario.observables[i] for i in family)
-            return build_site(ExtendedSite, observables, monoid, orbits[whole], orbit_cap)
+            return build_site(ExtendedSite, observables, monoid, orbits[whole], orbit_cap, stages)
 
         def context(key: tuple[tuple[int, ...], int, int]) -> BridgeContext:
             family, obj, rho = key
@@ -186,6 +191,7 @@ class SiteMemo:
         plain = LazyTable(plain_site)
         extended = LazyTable(extended_site)
         restricted = LazyTable(lambda key: functors(restrict_down(extended[key[0]], key[1])))
+        self.stages = stages
         self.orbits = orbits
         self.whole = whole
         self.plain = plain

@@ -1,11 +1,14 @@
 """Sieves over a built site: stage Heyting algebras, presheaves, valuations.
 
 A sieve on an object is a postcomposition-closed set of arrows out of it.
-Equivalently it is a union of principal sieves.  A site keeps one `Stage`
-per object (`Site.stage`) for its own lifetime, each built on its first
-read, and a restriction reads its parent's; its sieve list
-(`Stage.sieves`) is made by closing the distinct principal sieves under
-union rather than by filtering all 2^k arrow subsets.
+Equivalently it is a union of principal sieves.  A site reads one `Stage`
+per object (`Site.stage`), built on its first read, and a restriction
+reads its parent's.  A stage is a function of its composition table and
+its fixed mask, so a build keeps one stage per distinct pair of them,
+which every object with that pair reads, on one site or on several
+(hash-consing).  A stage's sieve list (`Stage.sieves`) is made by closing
+the distinct principal sieves under union rather than by filtering all
+2^k arrow subsets.
 
 Representation: a `Sieve` stores an `int` bitmask local to its base: bit i
 is set iff the i-th arrow out of the base (`site.arrows_from(base)[i]`) is
@@ -41,11 +44,13 @@ over the stage rows, and subfunctors, pullbacks and
 characteristic maps are read by position.  A map between presheaves is
 read by position too: `naturality_holds` turns its values into positions of
 the target once and compares the two presheaves' tables square by square,
-so no audit moves a value along an arrow.  Ω's tables are filled from the
-stage masks: `omega_presheaf` pulls each listed mask of an arrow's domain
-stage back over the arrow's row of `Stage.composites` (`pull_back`, once
-per arrow and mask) and reads the image's position in the codomain stage from
-a mask-keyed dict; `omega_transition` is the same pullback on one `Sieve`.
+so no audit moves a value along an arrow.  Ω's tables are the stages'
+rows: `Stage.omega_row` pulls each listed mask of the stage back over one
+arrow's row of `Stage.composites` (`pull_back`) and reads the image's
+position in the codomain's listing, once per (arrow position, codomain
+listing) for the life of the stage, and `omega_presheaf` reads one row
+per arrow, so sites that share a stage share its rows;
+`omega_transition` is the same pullback on one `Sieve`.
 
 The proposition functor L has the build's whole universe
 (`subspaces.Universe`) at every stage, so its positions are the
@@ -225,7 +230,8 @@ class Stage:
     """The sieve lattice of one object as masks local to it, built by
     `Site.stage`, which composes with `site.compose`, after which it reads
     nothing of the site; it keeps no object index, as every restriction that
-    keeps the object shares it.  For the i-th arrow f out of `base`,
+    keeps the object, and every object of the build with the same
+    `composites` and `fixed`, shares it.  For the i-th arrow f out of `base`,
     `composites[i][j]` is the position out of the base of g∘f, g the j-th
     arrow out of cod f, and `principals[i]` the principal mask of f; `top`
     has all k arrows, and `fixed` those that stay at the base's observable.
@@ -233,7 +239,7 @@ class Stage:
     and t (one `heyting_implies` call per key, for the stage's lifetime).
     `natural[m]` is the round trip ♮ of m: down to the fixed arrows, then up
     to the sieve they generate.  On a plain site every arrow stays, so ♮
-    fixes every sieve."""
+    fixes every sieve.  `omega_row` is Ω's transition along one arrow."""
 
     def __init__(self, site, base: int):
         # `compose` keys its result on f's domain, so every composite is an
@@ -251,6 +257,8 @@ class Stage:
         self.natural = LazyTable(lambda m: principal_union(principals, m & fixed))
         self.implies = LazyTable(lambda y: heyting_implies(principals, y))
         self._sieves: tuple[int, ...] | None = None
+        self._at: dict[int, int] = {}  # each listed mask's position
+        self._omega: dict[tuple[int, tuple[int, ...]], tuple[int | None, ...]] = {}
 
     def sieves(self, cap: int, obj: int) -> tuple[int, ...]:
         """Every sieve on the base as a mask (the unions of its principal
@@ -271,9 +279,24 @@ class Stage:
                     key=lambda m: (m.bit_count(), tuple(_bits(m))),
                 )
             )
+            self._at = {m: i for i, m in enumerate(masks)}
         if len(masks) > cap:
             raise EnumerationExceeded(cap, obj, len(self.principals))
         return masks
+
+    def omega_row(self, i: int, cod: Stage) -> tuple[int | None, ...]:
+        """Ω's transition along the i-th arrow out of the base, whose
+        codomain's stage is `cod`: for each listed mask, the position of its
+        pullback (`pull_back`) in cod's listing, None if it is not listed
+        there.  Both stages must be listed (`sieves`).  Filled once per
+        (i, cod's listing), on which alone it depends, for the life of the
+        stage, so a stage holds no other stage."""
+        key = i, cod._sieves
+        row = self._omega.get(key)
+        if row is None:
+            at, composites = cod._at, self.composites[i]
+            row = self._omega[key] = tuple([at.get(pull_back(composites, m)) for m in self._sieves])
+        return row
 
 
 def is_heyting_family(masks: Sequence[int], implication: Mapping[int, int], probes: Sequence[int]) -> bool:
@@ -584,17 +607,15 @@ def bottom_annihilator(site, obj: int, e_r: Subspace) -> Sieve:
 
 def omega_presheaf(site, cap: int) -> Presheaf:
     """The subobject classifier: every sieve at every stage, listed by the
-    site.  Each arrow's table pulls the masks of its domain stage back over
-    the arrow's row of `Stage.composites` and reads their positions by mask.  The
-    site numbers its arrows by domain in object order, so the tables come
-    out in arrow order."""
+    site.  Each arrow's table is its domain stage's `Stage.omega_row` into
+    its codomain's stage.  The site numbers its arrows by domain in object
+    order, so the tables come out in arrow order."""
     stages = [site.stage(o) for o in range(site.n_objects)]
     masks = [stage.sieves(cap, o) for o, stage in enumerate(stages)]
-    at = [{m: i for i, m in enumerate(stage)} for stage in masks]
     positions = tuple([
-        tuple([at[site.arrow_cod(f)].get(pull_back(row, m)) for m in masks[o]])
+        stage.omega_row(i, stages[site.arrow_cod(f)])
         for o, stage in enumerate(stages)
-        for f, row in zip(site.arrows_from(o), stage.composites)
+        for i, f in enumerate(site.arrows_from(o))
     ])
     values = tuple([tuple([Sieve(o, m) for m in stage]) for o, stage in enumerate(masks)])
     return Presheaf(site, values, positions, _index(values))

@@ -9,12 +9,16 @@ is written once against the site protocol — `arrows_from`, `compose`,
 `arrow_dom`/`arrow_cod`, `identity_arrow`, `object_ray`.  Arrows are
 numbered by domain in object order, so an arrow's position among the
 arrows out of its domain is its id less the first one's (`arrow_position`).
-Each site owns one `sieves.Stage` per object (`stage`), built the first
+Each site reads one `sieves.Stage` per object (`stage`), built the first
 time it is read: a stage composes every arrow out of its object with every
 arrow out of that arrow's codomain, once, and keeps the composites as
 positions (`Stage.composites`), the site's only composition table, with
 the sieve algebra of the arrows out of its object; it needs nothing of the
-site afterwards.  Building a site composes nothing, so a composite that
+site afterwards.  A stage is a function of its composites and its `fixed`
+mask, so the sites of one build hash-cons their stages in one table (the
+`stages` of `build_site`, owned by `runner.SiteMemo`): objects with equal
+tables, on one site or on two, read one stage, and a site built alone has
+a table of its own.  Building a site composes nothing, so a composite that
 leaves the site raises (`compose`) where its stage is first read, and the
 site's laws are checked by the rows that read every stage
 (`associativity_violations`, `identity_violations`).  A restriction
@@ -143,7 +147,9 @@ class Site:
     same atom set under k and k2.  Arrows are numbered per domain object in
     operator order, then by codomain observable.  `objects` lists (ray
     index, observable index) pairs; a restriction names its `parent` and
-    the parent's index of each object (`keep`).  Immutable; equal only to itself.
+    the parent's index of each object (`keep`).  `stages` is the stage
+    table it shares with the other sites of its build (`stage`), its own by
+    default.  Immutable; equal only to itself.
     """
 
     def __init__(
@@ -156,6 +162,7 @@ class Site:
         rho_leq: tuple[tuple[bool, ...], ...],
         parent: Site | None = None,
         keep: tuple[int, ...] = (),
+        stages: dict | None = None,
     ) -> None:
         out: list[list[int]] = [[] for _ in objects]
         by_dom_op_rho: dict[tuple[int, int, int], int] = {}
@@ -181,6 +188,7 @@ class Site:
             _parent=parent,
             _keep=keep,
             _stages=[None] * len(objects),
+            _shared={} if stages is None else stages,
         )
 
     def __setattr__(self, name, value):
@@ -226,12 +234,17 @@ class Site:
     # -- composition -------------------------------------------------------
     def stage(self, o: int) -> Stage:
         """The sieve lattice of object o, built on first use and kept; it
-        holds no reference to the site.  A restriction reads its parent's."""
+        holds no reference to the site.  The stage is composed, then
+        exchanged for the shared table's stage of equal `composites` and
+        `fixed`, or stored there if it is the first.  A restriction reads
+        its parent's."""
         if self._parent is not None:
             return self._parent.stage(self._keep[o])
-        if self._stages[o] is None:
-            self._stages[o] = Stage(self, o)
-        return self._stages[o]
+        stage = self._stages[o]
+        if stage is None:
+            stage = Stage(self, o)
+            stage = self._stages[o] = self._shared.setdefault((stage.composites, stage.fixed), stage)
+        return stage
 
     def compose(self, g: int, f: int) -> int:
         """g∘f for cod(f) = dom(g); arrows compose by operator product."""
@@ -287,10 +300,12 @@ def build_site(
     monoid: OperatorMonoid,
     walk: Orbit,
     cap: int,
+    stages: dict | None = None,
 ) -> Site:
     """The site of an observable family on an `orbit` of every operator that
-    commutes with one of them.  More rays than both the cap and the distinct
-    seeds raise `OrbitExceeded`."""
+    commutes with one of them, sharing the table `stages` (see `Site.stage`)
+    if given.  More rays than both the cap and the distinct seeds raise
+    `OrbitExceeded`."""
     rays, images, seeds = walk
     if len(rays) > max(cap, seeds):
         raise OrbitExceeded(cap)
@@ -318,7 +333,7 @@ def build_site(
                     continue
                 if k2 == k or atom_set(ray, observables[k]) == atom_set(ray, observables[k2]):
                     arrows.append(Arrow(n, op, cod_ray * width + k2))
-    return cls(observables, monoid, rays, objects, tuple(arrows), rho_leq)
+    return cls(observables, monoid, rays, objects, tuple(arrows), rho_leq, stages=stages)
 
 
 def build_plain_site(

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sieveval import (
-    ExtendedSite,
     Sieve,
     build_scenario,
     bundled_scenario_names,
@@ -50,6 +49,7 @@ from sieveval.sieves import (
     subpresheaf,
     top_sieve,
 )
+from test_negative_controls import bridge_stage, each_run_apart
 
 CAP = 4096
 
@@ -393,13 +393,15 @@ def _wrong_at_top(table, top):
 
 
 def _doctor_stages(monkeypatch, doctor):
-    """Every stage a site builds from now on gets `doctor(site, stage)` as
-    its implication table."""
+    """Every stage a site builds from now on gets `doctor(stage)` as its
+    implication table.  The doctor reads the stage alone: a build keeps the
+    first of the stages with equal tables (`Site.stage`), whichever site
+    built it."""
 
     class Doctored(Stage):
         def __init__(self, site, base):
             super().__init__(site, base)
-            self.implies = doctor(site, self)
+            self.implies = doctor(self)
 
     monkeypatch.setattr(sites_module, "Stage", Doctored)
 
@@ -411,7 +413,7 @@ def test_a_table_wrong_at_one_key_fails_the_helper_and_the_audit_row(monkeypatch
     assert stage.implies[stage.top] == 0
     assert not is_heyting_family(masks, _wrong_at_top(stage.implies, stage.top), probes)
 
-    _doctor_stages(monkeypatch, lambda site, stage: _wrong_at_top(stage.implies, stage.top))
+    _doctor_stages(monkeypatch, lambda stage: _wrong_at_top(stage.implies, stage.top))
     rows = _rows(run_check(scenario_from_dict(CHAIN)), "§3.1 Heyting")
     assert rows and not any(row["passed"] for row in rows)
 
@@ -491,7 +493,10 @@ def test_a_false_fixpoint_adjunction_fails_thm_5_6(monkeypatch):
 def test_an_ambient_implication_below_the_fixpoint_one_fails_eq_5_17(monkeypatch):
     """With the extended implication doctored to the empty sieve, the
     fixpoint implication (the plain one carried up) no longer sits below it:
-    at s = t it is the top sieve."""
+    at s = t it is the top sieve.  At `fine`, the finest observable, every
+    arrow out of the bridge's extended stage stays there, so a build reads
+    the plain stage for it; the doctored builds keep the extended sites'
+    stages apart, so that the doctor reaches the extended side alone."""
     scenario = load_scenario(bundled_scenario_path("qubit_extended"))
     ctx = build_scenario(scenario).runs[0].ctx
     extended = ctx.extended.stage(ctx.stage)
@@ -499,12 +504,16 @@ def test_an_ambient_implication_below_the_fixpoint_one_fails_eq_5_17(monkeypatch
     monkeypatch.setattr(extended, "implies", LazyTable(lambda y: 0))
     assert not heyting_iso_check(ctx, CAP)["implies_dominates"]
 
-    def empty_on_extended_sites(site, stage):
-        return LazyTable(lambda y: 0) if isinstance(site, ExtendedSite) else stage.implies
+    def empty_at_the_bridge(run):
+        stage = bridge_stage(run)
+        if stage is not None:
+            stage.implies = LazyTable(lambda y: 0)
 
-    _doctor_stages(monkeypatch, empty_on_extended_sites)
+    doctor = each_run_apart(empty_at_the_bridge)
+    monkeypatch.setattr(checks_module, "build_scenario", doctor(checks_module.build_scenario))
     rows = _rows(run_check(scenario), "Eq 5.17")
-    assert rows and not any(row["passed"] for row in rows)
+    assert {row["run"] for row in rows} == {"coarse", "fine"}
+    assert not any(row["passed"] for row in rows)
 
 
 def test_a_semiclassifier_holding_the_empty_sieve_fails_section_3_4(monkeypatch):

@@ -26,10 +26,12 @@ controls cover rows that read sieve masks.  Six are doctored through
 `build_scenario`: Eq 3.56 (a restriction that lost an arrow), Prop 5.14 /
 diagram 5.30 (extended values listed against the wrong propositions), and
 four bridge rows, each through a table or value of the bridge's extended
-stage: Props 5.1/5.2 (a top mask past the arrows), Prop 5.3 (a round trip
-that does not deflate), Prop 5.5 (a round trip with one fixpoint too
-many) and Eq 5.6 (an implication too large).  Eq 5.4 and Def 5.4 alone
-read `sharp` and `principal_sieve` from `checks`.  Two controls doctor a
+stage, on a build whose extended sites keep their stages apart from the
+plain sites' (where the two sides' tables are equal a build reads one
+stage for both): Props 5.1/5.2 (a top mask past the arrows), Prop 5.3
+(a round trip that does not deflate), Prop 5.5 (a round trip with one
+fixpoint too many) and Eq 5.6 (an implication too large).  Eq 5.4 and
+Def 5.4 alone read `sharp` and `principal_sieve` from `checks`.  Two controls doctor a
 function of `runner`: a product table that breaks associativity fails §3.1
 and Eq 4.9, and an atom functor with one wrong image, on an arrow that is a
 composite of two other arrows, fails Eq 3.9 or Eq 4.17 with a
@@ -58,7 +60,7 @@ from sieveval import (
 )
 from sieveval.scenario import scenario_from_dict
 from sieveval.sieves import GlobalElement, LazyTable, Presheaf, Sieve, bottom_sieve, subpresheaf, top_sieve
-from sieveval.sites import OperatorMonoid
+from sieveval.sites import ExtendedSite, OperatorMonoid
 from sieveval.subspaces import Sublattice, generate_sublattice, ortho
 from test_lattice_laws import with_table_entry
 
@@ -287,6 +289,37 @@ def each_run(change):
             change(run)
 
     return after_build(change_each)
+
+
+def extended_sites_apart(build_scenario):
+    """`build_scenario` with each extended site on a stage table of its own.
+
+    A build reads one stage for every object with the same composition
+    table and fixed arrows (`Site.stage`).  At a run's finest observable
+    every arrow out of the bridge's extended stage stays there, so that
+    stage is the plain stage of the same ray, and a doctor of it would
+    doctor the plain side too."""
+
+    def doctored(scenario):
+        shared = runner.build_site
+
+        def apart(cls, observables, monoid, walk, cap, stages=None):
+            return shared(cls, observables, monoid, walk, cap, None if cls is ExtendedSite else stages)
+
+        runner.build_site = apart
+        try:
+            return build_scenario(scenario)
+        finally:
+            runner.build_site = shared
+
+    return doctored
+
+
+def each_run_apart(change):
+    """`each_run(change)` on a build whose extended sites keep their stages
+    apart from the plain sites' (`extended_sites_apart`)."""
+    doctor = each_run(change)
+    return lambda build_scenario: doctor(extended_sites_apart(build_scenario))
 
 
 def identity_swaps_zero_and_unit(built):
@@ -563,7 +596,7 @@ EXTENDED_TRUE_ADVERSARIAL = (
 ONE_MORE_FIXPOINT = (
     "qubit_extended",
     "build_scenario",
-    each_run(one_more_fixpoint),
+    each_run_apart(one_more_fixpoint),
     rows_on(
         ("coarse",),
         "Prop 5.5",
@@ -723,7 +756,7 @@ CONTROLS = {
         each_run(restriction_less_one_arrow),
         rows_on(("z-up", "z-down"), "Eq 3.56"),
     ),
-    "Prop 5.3": ("qubit_extended", "build_scenario", each_run(unfixed_to_top), {("Prop 5.3", "coarse")}),
+    "Prop 5.3": ("qubit_extended", "build_scenario", each_run_apart(unfixed_to_top), {("Prop 5.3", "coarse")}),
     "Prop 5.14 / diagram 5.30": (
         "qubit_extended",
         "build_scenario",
@@ -733,7 +766,7 @@ CONTROLS = {
     "Prop 5.1/5.2": (
         "qubit_extended",
         "build_scenario",
-        each_run(top_past_the_arrows),
+        each_run_apart(top_past_the_arrows),
         rows_on(("coarse", "fine"), "Prop 5.1/5.2", "Thm 5.12", "Thm 5.13 / Props A3–A4 (♮Ω)"),
     ),
     "Prop 5.5": ONE_MORE_FIXPOINT,
@@ -742,7 +775,7 @@ CONTROLS = {
     "Eq 5.6": (
         "qubit_extended",
         "build_scenario",
-        each_run(implies_to_top),
+        each_run_apart(implies_to_top),
         rows_on(("coarse", "fine"), "Eq 5.6", "§3.1 Heyting"),
     ),
     "Eq 5.4": ("qubit_extended", "sharp", sharp_less_its_first_arrow, rows_on(("coarse", "fine"), "Eq 5.4")),

@@ -1,8 +1,9 @@
-"""The per-object stages a site owns (`Site.stage`, `Stage.sieves`).
+"""The per-object stages a site reads (`Site.stage`, `Stage.sieves`).
 
-A site builds one stage per object and keeps it for its own life, and a
+A site builds one stage per object and keeps it for its own life, a build
+keeps one stage per distinct composition table and fixed mask, and a
 restriction reads its parent's; a stage is listed once, so the table must
-die with the site, must not grow across repeated checks of the same
+die with the build, must not grow across repeated checks of the same
 scenarios, and must still refuse a stage larger than the cap of each call,
 naming the object as the caller's site numbers it.
 """
@@ -97,11 +98,14 @@ def parent_index(rest, parent, i):
     return parent.objects.index(rest.objects[i])
 
 
-def test_a_site_keeps_one_stage_per_object_and_a_restriction_reads_its_parents():
+def test_a_site_keeps_one_stage_per_distinct_table_and_a_restriction_reads_its_parents():
     site = qubit_site()
     stages = [site.stage(o) for o in range(site.n_objects)]
     assert all(site.stage(o) is stage for o, stage in enumerate(stages))
-    assert len(set(map(id, stages))) == site.n_objects
+    # Objects 1 and 2 have equal composition tables and fixed masks.
+    tables = [(stage.composites, stage.fixed) for stage in stages]
+    assert len(set(map(id, stages))) == len(set(tables)) == 2 < site.n_objects
+    assert stages[1] is stages[2]
     down = restrict_down(site, 1)
     assert down.n_objects < site.n_objects
     for o in range(down.n_objects):

@@ -120,16 +120,20 @@ def test_one_cold_check_builds_each_table_once(calls):
     # subobject, built once per extended proposition functor (7 runs share 6).
     assert calls["characteristic_table"] == 23
     # Sieves move along arrows only to fill Ω's tables, one mask pulled back
-    # per (arrow, listed sieve); every naturality square reads them.
-    assert calls["pull_back"] == 1471
+    # per listed sieve of each stage's row along an arrow position into a
+    # codomain listing, shared by every arrow and site that reads the row
+    # (1,471 while each arrow of each Ω pulled back for itself); every
+    # naturality square reads them.
+    assert calls["pull_back"] == 844
     assert calls["pull_back outside omega_presheaf"] == 0
     # One detector table per closed cut of the extended propositions: the
     # true subobject of each extended run and each adversarial cut.
     assert calls["detector_tables"] == 10
-    # One implication per distinct s minus t of each stage of each site: the
-    # stage's table is shared by every audit, every run and every restriction
-    # that reads it.
-    assert calls["heyting_implies"] == 682
+    # One implication per distinct s minus t of each distinct stage of a
+    # build: the stage's table is shared by every audit, every run, every
+    # restriction and every object with its composition table and fixed
+    # mask that reads it (682 while each object had a stage of its own).
+    assert calls["heyting_implies"] == 404
 
 
 def test_one_cold_check_fills_each_round_trip_once(monkeypatch):
@@ -153,12 +157,15 @@ def test_one_cold_check_fills_each_round_trip_once(monkeypatch):
     monkeypatch.setattr(sites, "Stage", Counted)
     for name in bundled_scenario_names():
         assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
-    # One round trip per distinct mask of each stage: ♮Ω, the census, the
-    # stage isomorphism, the detectors, Def 5.4 and Prop 5.14 read one table
-    # per stage, a restriction reads its parent's, and nothing computes a
-    # round trip outside it.
-    assert sum(len(stage.natural) for stage in stages) == 169
-    assert sum(stage.fills for stage in stages) == 169
+    # One round trip per distinct mask of each stage a build keeps: ♮Ω, the
+    # census, the stage isomorphism, the detectors, Def 5.4 and Prop 5.14
+    # read one table per stage, a restriction reads its parent's, objects
+    # with equal tables read one stage, and nothing computes a round trip
+    # outside it (169 while each object had a stage of its own).  A stage
+    # built for an object whose table the build holds already is dropped
+    # unread.
+    assert sum(len(stage.natural) for stage in stages) == 136
+    assert sum(stage.fills for stage in stages) == 136
 
 
 @pytest.fixture
@@ -213,6 +220,14 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch, compos
     monkeypatch.setattr(runner, "natural_omega", counted("natural omega", runner.natural_omega))
     monkeypatch.setattr(runner, "make_bridge_context", counted("context", runner.make_bridge_context))
     monkeypatch.setattr(sites.Site, "__init__", counted("Site", sites.Site.__init__))
+    builds = []
+    build_scenario = checks.build_scenario
+
+    def kept(scenario):
+        builds.append(build_scenario(scenario))
+        return builds[-1]
+
+    monkeypatch.setattr(checks, "build_scenario", kept)
     for name in bundled_scenario_names():
         assert run_check(load_scenario(bundled_scenario_path(name)))["passed"]
     # One plain site per observable that a run is at: 9 for 13 runs.
@@ -221,11 +236,13 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch, compos
     assert counts["ExtendedSite"] == 4
     # One Ω per plain site and one per restricted extended site.
     assert counts["omega"] == 15
-    # One stage per object of each unrestricted site, the full extended
-    # sites too: §3.1 and Eq 4.9 read every one of them, and the stages
-    # hold the site's only composition table.  A restriction reads its
-    # parent's.
+    # One stage composed per object of each unrestricted site, the full
+    # extended sites too: §3.1 and Eq 4.9 read every one of them, and the
+    # stages hold the site's only composition table.  A restriction reads
+    # its parent's.  Each build keeps one stage per distinct composition
+    # table and fixed mask, which every object with them reads: 27 of 61.
     assert composed["stage"] == 61
+    assert sum(len(built.sites.stages) for built in builds) == 27
     # Eq 3.56's plain site below a run's stage, once per (observable, stage):
     # 9 for 13 runs; one restricted extended site per (family, stage).
     assert counts["restricted PlainSite"] == 9

@@ -14,11 +14,12 @@ Representation: a `Sieve` stores an `int` bitmask local to its base: bit i
 is set iff the i-th arrow out of the base (`site.arrows_from(base)[i]`) is
 a member, so its width is the base's arrow count k, and a reader that needs
 the arrows decodes the positions through `arrows_from`.  Meet, join and <=
-are `&`, `|` and `a & ~b == 0`.  The mask format lives in `Stage`, which
-composes once, with `site.compose`: per arrow f out of the base, a row
-holding for each arrow g out of cod f, in order, the position of g∘f out of
-the base (`composites`), and the principal mask of f (`principals`), then
-`top`, the mask of all k arrows.  The rows are the site's only composition
+are `&`, `|` and `a & ~b == 0`.  The mask format lives in `Stage`, built
+from what `compose_stage` composes once, with `site.compose`: per arrow f
+out of the base, a row holding for each arrow g out of cod f, in order, the
+position of g∘f out of the base (`composites`), and the fixed mask; the
+stage adds the principal mask of f (`principals`), then `top`, the mask of
+all k arrows.  The rows are the site's only composition
 table.  Implication is then i ∈ (S ⇒ T) iff `principals[i] & S & ~T` is
 empty, and pulling S back along f is one pass over f's row.  A stage keeps
 no reference to its site.
@@ -32,8 +33,11 @@ The round trip ♮ of the bridge (see `bridge`) is the stage's other table,
 that stay at the base's observable, filled once per mask.
 `is_heyting_family` checks closure under `|` and `&` once per unordered
 pair, one row at a time, and the implication's clauses (membership, modus
-ponens, the probe adjunction) once per distinct y.  So a family of N sieves
-with k probes costs N(N+1)/2 closure reads plus O(k) work per distinct y.
+ponens, the probe adjunction) once per distinct y.  The adjunction reads
+the set of probes that meet a mask from a `nibble_table` built once per
+call, so a family of N sieves of width w with k probes costs N(N+1)/2
+closure reads, O(kw) to build the table, and two table folds of ⌈w/4⌉
+reads each per distinct y.
 
 Presheaves: a `Presheaf` lists each stage's values and stores each arrow's
 transition as a position table, a tuple giving for every position of the
@@ -215,6 +219,29 @@ def heyting_implies(principals: Sequence[int], outside: int) -> int:
     return members
 
 
+def nibble_table(images: Sequence[int]) -> Callable[[int], int]:
+    """The map on masks that ORs `images[i]` for each set bit i, tabulated
+    once per 4-bit nibble of its input: 16 entries per nibble, each the OR
+    of the images of its set bits.  The returned fold reads a nonnegative
+    mask in ⌈width/4⌉ table reads, width `len(images)`; bits at or past the
+    width map to nothing."""
+    padded = [*images, *[0] * (-len(images) % 4)]
+    rows = []
+    for start in range(0, len(padded), 4):
+        row = [0]
+        for image in padded[start:start + 4]:
+            row += [entry | image for entry in row]
+        rows.append((start, row))
+
+    def fold(mask: int) -> int:
+        out = 0
+        for shift, row in rows:
+            out |= row[mask >> shift & 15]
+        return out
+
+    return fold
+
+
 class LazyTable(dict):
     """A dict that fills a missing key with `fn(key)`, computed once."""
 
@@ -226,33 +253,40 @@ class LazyTable(dict):
         return value
 
 
+def compose_stage(site, base: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The two tables a `Stage` is a function of, composed once with
+    `site.compose`: for the i-th arrow f out of `base`, `composites[i][j]`
+    is the position out of the base of g∘f, g the j-th arrow out of cod f;
+    and `fixed`, the mask of the arrows that stay at the base's observable."""
+    # `compose` keys its result on f's domain, so every composite is an
+    # arrow out of the base.
+    arrows = site.arrows_from(base)
+    compose, position = site.compose, site.arrow_position
+    composites = tuple([
+        tuple([position(compose(g, f)) for g in site.arrows_from(site.arrow_cod(f))]) for f in arrows
+    ])
+    rho = site.object_rho(base)
+    return composites, sum(1 << i for i, a in enumerate(arrows) if site.arrow_cod_rho(a) == rho)
+
+
 class Stage:
     """The sieve lattice of one object as masks local to it, built by
-    `Site.stage`, which composes with `site.compose`, after which it reads
-    nothing of the site; it keeps no object index, as every restriction that
-    keeps the object, and every object of the build with the same
-    `composites` and `fixed`, shares it.  For the i-th arrow f out of `base`,
-    `composites[i][j]` is the position out of the base of g∘f, g the j-th
-    arrow out of cod f, and `principals[i]` the principal mask of f; `top`
-    has all k arrows, and `fixed` those that stay at the base's observable.
+    `Site.stage` from the tables of `compose_stage`; it keeps no site and no
+    object index, as every restriction that keeps the object, and every
+    object of the build with the same `composites` and `fixed`, shares it.
+    For the i-th arrow f out of the base, `composites[i][j]` is the position
+    out of the base of g∘f, g the j-th arrow out of cod f, and
+    `principals[i]` the principal mask of f; `top` has all k arrows, and
+    `fixed` those that stay at the base's observable.
     `implies[s & ~t]` is the mask of s ⇒ t, which reads nothing else of s
     and t (one `heyting_implies` call per key, for the stage's lifetime).
     `natural[m]` is the round trip ♮ of m: down to the fixed arrows, then up
     to the sieve they generate.  On a plain site every arrow stays, so ♮
     fixes every sieve.  `omega_row` is Ω's transition along one arrow."""
 
-    def __init__(self, site, base: int):
-        # `compose` keys its result on f's domain, so every composite is an
-        # arrow out of the base.
-        arrows = site.arrows_from(base)
-        compose, position = site.compose, site.arrow_position
-        composites = tuple([
-            tuple([position(compose(g, f)) for g in site.arrows_from(site.arrow_cod(f))]) for f in arrows
-        ])
+    def __init__(self, composites: tuple[tuple[int, ...], ...], fixed: int):
         principals = tuple([sum(1 << gf for gf in set(row)) for row in composites])
-        rho = site.object_rho(base)
-        fixed = sum(1 << i for i, a in enumerate(arrows) if site.arrow_cod_rho(a) == rho)
-        self.top, self.fixed = (1 << len(arrows)) - 1, fixed
+        self.top, self.fixed = (1 << len(composites)) - 1, fixed
         self.composites, self.principals = composites, principals
         self.natural = LazyTable(lambda m: principal_union(principals, m & fixed))
         self.implies = LazyTable(lambda y: heyting_implies(principals, y))
@@ -308,7 +342,10 @@ def is_heyting_family(masks: Sequence[int], implication: Mapping[int, int], prob
     sieves.  Closure is read once per unordered pair, as `|` and `&`
     commute; the other clauses see the ordered pair only through y = s & ~t
     (x ∧ s <= t iff x misses y, x <= imp iff x misses ~imp), so they run
-    once per distinct y.
+    once per distinct y.  The adjunction compares two probe sets, read from
+    a `nibble_table` of the probes that meet each bit: the probes meeting y
+    and those meeting the complement of imp within the probes' union, which
+    every probe lies in.
     """
     members = set(masks)
     distinct: set[int] = set()
@@ -319,12 +356,18 @@ def is_heyting_family(masks: Sequence[int], implication: Mapping[int, int], prob
         ):
             return False
         distinct.update([s & ~t for t in masks])
+    top, holding = 0, []  # per bit, the mask of the probes holding it
+    for p, x in enumerate(probes):
+        top |= x
+        holding += [0] * (x.bit_length() - len(holding))
+        for i in _bits(x):
+            holding[i] |= 1 << p
+    meeting = nibble_table(holding)
     for y in distinct:
         imp = implication[y]
         if imp not in members or imp & y:
             return False
-        not_imp = ~imp
-        if any((not x & y) != (not x & not_imp) for x in probes):
+        if meeting(y) != meeting(top & ~imp):
             return False
     return True
 

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .linalg import ExactMatrix, identity_matrix, mat_mul
 from .modal import Observable, in_commutant, observable_leq, zero_augmented_atom_set
-from .sieves import Stage
+from .sieves import Stage, compose_stage
 from .subspaces import Ray, Subspace, apply_operator, operator_closure
 
 
@@ -233,17 +233,20 @@ class Site:
 
     # -- composition -------------------------------------------------------
     def stage(self, o: int) -> Stage:
-        """The sieve lattice of object o, built on first use and kept; it
-        holds no reference to the site.  The stage is composed, then
-        exchanged for the shared table's stage of equal `composites` and
-        `fixed`, or stored there if it is the first.  A restriction reads
-        its parent's."""
+        """The sieve lattice of object o, read on first use and kept; it
+        holds no reference to the site.  The object's composites and fixed
+        mask are composed first (`compose_stage`) and looked up in the
+        shared table, and a `Stage` is built from them only when the table
+        has none for them yet.  A restriction reads its parent's."""
         if self._parent is not None:
             return self._parent.stage(self._keep[o])
         stage = self._stages[o]
         if stage is None:
-            stage = Stage(self, o)
-            stage = self._stages[o] = self._shared.setdefault((stage.composites, stage.fixed), stage)
+            key = compose_stage(self, o)
+            stage = self._shared.get(key)
+            if stage is None:
+                stage = self._shared[key] = Stage(*key)
+            self._stages[o] = stage
         return stage
 
     def compose(self, g: int, f: int) -> int:

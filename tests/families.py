@@ -5,7 +5,9 @@ of the coordinates, named by its blocks (`1|23` splits e1 from e2, e3),
 every nonempty proper block projector as a generator, the all-ones state,
 the propositions `P_e1`…`P_en` and `P_w` with `lattice_seeds: ["P_e1"]`,
 and one run at `1|23`, eigenspace 1, whose family holds every observable.
-Pytest does not collect this module; tests and `report_sweep.py` import it.
+`family_with_unit_run(dim)` adds a run `unit` at the one-block observable.
+Pytest does not collect this module; tests, `report_sweep.py` and CI
+import it.
 """
 
 from itertools import combinations
@@ -68,3 +70,14 @@ def family_scenario(dim: int) -> dict:
             }
         ],
     }
+
+
+def family_with_unit_run(dim: int) -> dict:
+    """`family_scenario(dim)` with a second run, `unit`: the same state at
+    the one-block observable (`123` at dim 3), eigenspace 0, over the same
+    family."""
+    scenario = family_scenario(dim)
+    coarse = scenario["runs"][0]
+    unit = {**coarse, "name": "unit", "observable": scenario["observables"][0]["name"], "eigenspace": 0}
+    scenario["runs"].append(unit)
+    return scenario

@@ -14,6 +14,16 @@ the oracle reads the same table on every pair.  The guard tests below hold
 the table to the kernel on every pair, the helper to the oracle on random
 families, probes and implications, and count the kernel calls one audit
 makes.
+
+The helper reads the probe adjunction from a `nibble_table` of the probes
+that meet each bit, and the bridge audit reads `flat` from its context's
+table and Eq 5.6's flat side once per distinct s minus t.  The loops they
+replaced are kept here as references (`per_probe_is_heyting`, the per-pair
+`bridge._dominates_transport` and the bit-by-bit gather), and the
+differential tests hold each new path to its reference on every stage
+family and bridge context of the bundled scenarios, the `chain_scenario`
+dims 2–5 and the dim-3 family, honest and with an implication wrong at
+one key.
 """
 
 from collections import Counter
@@ -22,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from families import family_scenario
 from sieveval import (
     Sieve,
     build_scenario,
@@ -36,6 +47,7 @@ from sieveval import (
     scenario_from_dict,
     sharp,
 )
+from sieveval import bridge as bridge_module
 from sieveval import checks as checks_module
 from sieveval import runner as runner_module
 from sieveval import sieves as sieves_module
@@ -44,6 +56,7 @@ from sieveval.sieves import (
     LazyTable,
     delta_omega_presheaf,
     is_heyting_family,
+    nibble_table,
     Stage,
     omega_presheaf,
     subpresheaf,
@@ -123,6 +136,27 @@ def oracle_is_heyting(masks, implies, probes=None) -> bool:
     return True
 
 
+def per_probe_is_heyting(masks, implication, probes) -> bool:
+    """`is_heyting_family` as it read the probe adjunction before its probe
+    table: each probe tested on its own, once per distinct key."""
+    members = set(masks)
+    distinct = {s & ~t for s in masks for t in masks}
+    if any(s | t not in members or s & t not in members for s in masks for t in masks):
+        return False
+    for y in distinct:
+        imp = implication[y]
+        if imp not in members or imp & y:
+            return False
+        if any((not x & y) != (not x & ~imp) for x in probes):
+            return False
+    return True
+
+
+def gather(ctx, mask):
+    """`flat` on a mask, bit by bit: plain bit i is extended bit `fixed[i]`."""
+    return sum(1 << i for i, j in enumerate(ctx.fixed) if mask >> j & 1)
+
+
 def distributivity_loop(masks) -> bool:
     return all(s & (t | u) == (s & t) | (s & u) for s in masks for t in masks for u in masks)
 
@@ -147,12 +181,14 @@ def fixpoint_implies(ctx):
     return LazyTable(lambda y: sharp(ctx, plain_implies(ctx, flat(ctx, Sieve(ctx.stage, y)).mask)).mask)
 
 
-def stage_families():
+def bundled_scenarios():
+    return [load_scenario(bundled_scenario_path(n)) for n in bundled_scenario_names()]
+
+
+def stage_families(scenarios):
     """(label, masks, implication table, probes) for every Ω stage, δΩ stage and
-    fixpoint family of the bundled scenarios and of the chain, and the built
-    scenarios, whose sites own the stage tables."""
-    scenarios = [load_scenario(bundled_scenario_path(n)) for n in bundled_scenario_names()]
-    scenarios.append(scenario_from_dict(CHAIN))
+    fixpoint family of the scenarios, and the built scenarios, whose sites
+    own the stage tables."""
     families = []
     built = [build_scenario(scenario) for scenario in scenarios]
     for scenario, runs in zip(scenarios, (b.runs for b in built)):
@@ -181,7 +217,7 @@ def stage_families():
 
 
 def test_helper_agrees_with_the_exhaustive_oracle_on_every_stage_family():
-    families, _built = stage_families()
+    families, _built = stage_families([*bundled_scenarios(), scenario_from_dict(CHAIN)])
     kinds = {label.rsplit("/", 1)[1].split(" ")[0] for label, *_ in families}
     assert kinds == {"Ω", "δΩ", "fixpoints"}
     assert any(len(masks) == 85 for _, masks, _, _ in families)
@@ -231,6 +267,107 @@ def test_memoised_stage_implication_is_the_kernel_on_every_pair(which):
             for t in fixpoints:
                 transported = sharp(ctx, plain_implies(ctx, flat(ctx, s).mask & ~flat(ctx, t).mask))
                 assert table[s.mask & ~t.mask] == transported.mask
+
+
+@pytest.fixture(scope="module")
+def differential(workloads):
+    """The stage families and the built scenarios of the bundled scenarios,
+    `chain_scenario(13, dim)` for dims 2–5 and the dim-3 family."""
+    scenarios = bundled_scenarios()
+    scenarios += [scenario_from_dict(workloads.chain_scenario(13, dim)) for dim in (2, 3, 4, 5)]
+    scenarios.append(scenario_from_dict(family_scenario(3)))
+    return stage_families(scenarios)
+
+
+def bridge_contexts(built):
+    """Each distinct bridge context of the built scenarios, once."""
+    contexts = {id(run.ctx): run.ctx for b in built for run in b.runs if run.ctx is not None}
+    return list(contexts.values())
+
+
+def wrong_at_one_key(table, y, value):
+    """The implication table read as `value` at key y and honestly elsewhere."""
+    return LazyTable(lambda key: value if key == y else table[key])
+
+
+def test_the_nibble_fold_is_the_bitwise_or_at_every_width():
+    for width in range(71):
+        images = [(0x9E3779B97F4A7C15 * (i + 1)) % (1 << 70) for i in range(width)]
+        fold = nibble_table(images)
+        assert fold(0) == 0
+        assert [fold(1 << i) for i in range(width)] == images
+        everything = 0
+        for image in images:
+            everything |= image
+        assert fold((1 << width + 5) - 1) == everything
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_nibble_fold_is_the_bitwise_or(data):
+    width = data.draw(st.integers(0, 70))
+    images = data.draw(st.lists(st.integers(0, (1 << 70) - 1), min_size=width, max_size=width))
+    mask = data.draw(st.integers(0, (1 << width + 8) - 1))  # bits past the width map to nothing
+    expected = 0
+    for i, image in enumerate(images):
+        if mask >> i & 1:
+            expected |= image
+    assert nibble_table(images)(mask) == expected
+
+
+def test_the_probe_table_agrees_with_the_per_probe_loop_on_every_stage_family(differential):
+    families, _built = differential
+    assert any(len(masks) == 247 for _, masks, _, _ in families)
+    for label, masks, table, probes in families:
+        assert is_heyting_family(masks, table, probes), label
+        assert per_probe_is_heyting(masks, table, probes), label
+
+
+def test_both_adjunction_paths_reject_an_implication_wrong_at_one_key(differential):
+    """At one key y the table answers another member that misses y, so the
+    membership and modus ponens clauses hold there and only the adjunction
+    can see it.  A family where each key's implication is the only member
+    missing it (a δΩ stage of one sieve) has no such doctor."""
+    families, _built = differential
+    doctored = 0
+    for label, masks, table, probes in families:
+        members = sorted(masks, key=int.bit_count)
+        keys = sorted({s & ~t for s in masks for t in masks})
+        found = next(((y, m) for y in keys for m in members if not m & y and m != table[y]), None)
+        if found is None:
+            assert len(masks) == 1, label
+            continue
+        wrong = wrong_at_one_key(table, *found)
+        assert not is_heyting_family(masks, wrong, probes), label
+        assert not per_probe_is_heyting(masks, wrong, probes), label
+        doctored += 1
+    assert doctored > len(families) // 2
+
+
+def test_eq_5_6_per_difference_agrees_with_the_per_pair_loop_on_every_context(differential):
+    _families, built = differential
+    contexts = bridge_contexts(built)
+    assert len(contexts) >= 12
+    for ctx in contexts:
+        plain, ext = ctx.plain.stage(ctx.plain_stage), ctx.extended.stage(ctx.stage)
+        masks = list(ext.sieves(CAP, ctx.stage))
+        down = LazyTable(ctx.flat_mask)
+        keyed = bridge_module._dominates_by_difference(down, ext.implies, plain.implies, masks)
+        assert keyed == bridge_module._dominates_transport(down, ext.implies, plain.implies, masks)
+        assert keyed
+        # an extended implication read as the top sieve at one key that flattens to something
+        y = next(y for y in sorted({s & ~t for s in masks for t in masks}) if down[y])
+        wrong = wrong_at_one_key(ext.implies, y, ext.top)
+        assert not bridge_module._dominates_by_difference(down, wrong, plain.implies, masks)
+        assert not bridge_module._dominates_transport(down, wrong, plain.implies, masks)
+
+
+def test_the_flat_table_is_the_bit_by_bit_gather_on_every_listed_mask(differential):
+    _families, built = differential
+    for ctx in bridge_contexts(built):
+        for m in ctx.extended.stage(ctx.stage).sieves(CAP, ctx.stage):
+            assert ctx.flat_mask(m) == gather(ctx, m)
+            assert flat(ctx, Sieve(ctx.stage, m)) == Sieve(ctx.plain_stage, gather(ctx, m))
 
 
 @st.composite
@@ -399,8 +536,8 @@ def _doctor_stages(monkeypatch, doctor):
     built it."""
 
     class Doctored(Stage):
-        def __init__(self, site, base):
-            super().__init__(site, base)
+        def __init__(self, composites, fixed):
+            super().__init__(composites, fixed)
             self.implies = doctor(self)
 
     monkeypatch.setattr(sites_module, "Stage", Doctored)

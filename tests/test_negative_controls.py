@@ -30,7 +30,9 @@ stage, on a build whose extended sites keep their stages apart from the
 plain sites' (where the two sides' tables are equal a build reads one
 stage for both): Props 5.1/5.2 (a top mask past the arrows), Prop 5.3
 (a round trip that does not deflate), Prop 5.5 (a round trip with one
-fixpoint too many) and Eq 5.6 (an implication too large).  Eq 5.4 and
+fixpoint too many) and Eq 5.6 (an implication too large); a second
+Props 5.1/5.2 control gives each run's bridge context a `flat` table that
+sends one fixed arrow to the wrong plain arrow.  Eq 5.4 and
 Def 5.4 alone read `sharp` and `principal_sieve` from `checks`.  Two controls doctor a
 function of `runner`: a product table that breaks associativity fails §3.1
 and Eq 4.9, and an atom functor with one wrong image, on an arrow that is a
@@ -59,7 +61,16 @@ from sieveval import (
     subspace_from_vectors,
 )
 from sieveval.scenario import scenario_from_dict
-from sieveval.sieves import GlobalElement, LazyTable, Presheaf, Sieve, bottom_sieve, subpresheaf, top_sieve
+from sieveval.sieves import (
+    GlobalElement,
+    LazyTable,
+    Presheaf,
+    Sieve,
+    bottom_sieve,
+    nibble_table,
+    subpresheaf,
+    top_sieve,
+)
 from sieveval.sites import ExtendedSite, OperatorMonoid
 from sieveval.subspaces import Sublattice, generate_sublattice, ortho
 from test_lattice_laws import with_table_entry
@@ -414,6 +425,19 @@ def top_past_the_arrows(run):
     stage = bridge_stage(run)
     if stage is not None:
         stage.top |= 1 << stage.top.bit_length()
+
+
+def flat_bit_misread(run):
+    """The bridge context's `flat` table reads its first fixed arrow as the
+    last plain arrow, every other fixed arrow as its own: a bit map that is
+    no longer one-to-one, so it loses meets."""
+    ctx = run.ctx
+    if ctx is not None:
+        images = [0] * (ctx.fixed[-1] + 1)
+        for i, j in enumerate(ctx.fixed):
+            images[j] = 1 << i
+        images[ctx.fixed[0]] = 1 << len(ctx.fixed) - 1
+        run.ctx = ctx._replace(flat_mask=nibble_table(images))
 
 
 def one_more_fixpoint(run):
@@ -816,6 +840,29 @@ def test_an_ortho_table_that_fixes_a_member_fails_the_atom_dichotomy_alone(monke
         rows_on(("z-up", "z-down"), "Eq 2.3"),
     )
     assert_control_fails("Eq 2.3", control, monkeypatch)
+
+
+def test_a_flat_table_with_one_wrong_bit_fails_props_5_1_5_2(monkeypatch):
+    """Beside the top-mask control of Props 5.1/5.2: the bridge reads `flat`
+    from its context's table, so a table that sends one fixed arrow to the
+    wrong plain arrow must fail the bridge rows that flatten: the audit's
+    Props 5.1/5.2, 5.3, 5.5, Eq 5.6 and Thm 5.6, and the flattened values
+    of Prop 5.14.  Eq 5.4 reads no flat, and Eq 5.17 still holds."""
+    control = (
+        "qubit_extended",
+        "build_scenario",
+        each_run(flat_bit_misread),
+        rows_on(
+            ("coarse", "fine"),
+            "Prop 5.1/5.2",
+            "Prop 5.3",
+            "Prop 5.5",
+            "Eq 5.6",
+            "Thm 5.6",
+            "Prop 5.14 / diagram 5.30",
+        ),
+    )
+    assert_control_fails("Prop 5.1/5.2", control, monkeypatch)
 
 
 def assert_control_fails(tag, control, monkeypatch):

@@ -3,7 +3,7 @@
 A `Stage` is a function of its `composites` and its `fixed` mask, so the
 sites of one build keep one stage per distinct pair (`Site.stage`, the
 table `runner.SiteMemo.stages`).  The oracle is a stage built afresh for
-each object, `Stage(site, o)`, which shares nothing: on every site of a
+each object, `fresh_stage(site, o)`, which shares nothing: on every site of a
 checked build, two objects read the same stage exactly when their fresh
 stages have equal tables, and every shared stage answers as the fresh one
 does, in its listing, its implication and round-trip tables and Ω's
@@ -28,7 +28,7 @@ from sieveval import (
     scenario_from_dict,
 )
 from sieveval.errors import EnumerationExceeded
-from sieveval.sieves import Stage, omega_presheaf, pull_back
+from sieveval.sieves import Stage, compose_stage, omega_presheaf, pull_back
 from sieveval.sites import Arrow, OperatorMonoid, Site, associativity_violations, identity_violations
 
 # input -> (objects read on every site of one checked build, distinct stages)
@@ -83,6 +83,11 @@ def every_site(built):
     return sites
 
 
+def fresh_stage(site, o):
+    """A stage composed afresh for site o, in no table."""
+    return Stage(*compose_stage(site, o))
+
+
 def listing(stage, cap, o):
     try:
         return stage.sieves(cap, o)
@@ -92,7 +97,7 @@ def listing(stage, cap, o):
 
 def assert_answers_as_fresh(site, o, cap):
     """Site o's stage answers as a stage composed afresh for it."""
-    stage, fresh = site.stage(o), Stage(site, o)
+    stage, fresh = site.stage(o), fresh_stage(site, o)
     assert (stage.composites, stage.fixed) == (fresh.composites, fresh.fixed)
     assert (stage.principals, stage.top) == (fresh.principals, fresh.top)
     masks = listing(stage, cap, o)
@@ -107,7 +112,7 @@ def assert_omega_rows_are_pullbacks(site, cap):
     """Ω's rows on the site, where every stage lists within the cap, equal
     `pull_back` of each listed mask along each arrow, read by position in
     the codomain's fresh listing, and Ω's tables are those rows."""
-    fresh = [Stage(site, o) for o in range(site.n_objects)]
+    fresh = [fresh_stage(site, o) for o in range(site.n_objects)]
     masks = [listing(stage, cap, o) for o, stage in enumerate(fresh)]
     if None in masks:
         return 0
@@ -131,7 +136,7 @@ def test_objects_share_a_stage_exactly_when_their_tables_are_equal(name, workloa
     objects = 0
     for site in every_site(built):
         for o in range(site.n_objects):
-            fresh = Stage(site, o)
+            fresh = fresh_stage(site, o)
             key = (fresh.composites, fresh.fixed)
             # the first object with these tables names the stage they all read
             assert stage_of.setdefault(key, id(site.stage(o))) == id(site.stage(o))

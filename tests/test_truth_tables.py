@@ -142,8 +142,8 @@ def test_one_cold_check_fills_each_round_trip_once(monkeypatch):
     class Counted(sieves.Stage):
         """A stage that counts the fills of its round-trip table."""
 
-        def __init__(self, site, base):
-            super().__init__(site, base)
+        def __init__(self, composites, fixed):
+            super().__init__(composites, fixed)
             self.fills = 0
             fill = self.natural.fn
 
@@ -161,9 +161,9 @@ def test_one_cold_check_fills_each_round_trip_once(monkeypatch):
     # census, the stage isomorphism, the detectors, Def 5.4 and Prop 5.14
     # read one table per stage, a restriction reads its parent's, objects
     # with equal tables read one stage, and nothing computes a round trip
-    # outside it (169 while each object had a stage of its own).  A stage
-    # built for an object whose table the build holds already is dropped
-    # unread.
+    # outside it (169 while each object had a stage of its own).  No stage
+    # is built for an object whose table the build holds already.
+    assert len(stages) == 27
     assert sum(len(stage.natural) for stage in stages) == 136
     assert sum(stage.fills for stage in stages) == 136
 
@@ -236,12 +236,13 @@ def test_one_cold_check_builds_each_site_and_classifier_once(monkeypatch, compos
     assert counts["ExtendedSite"] == 4
     # One Ω per plain site and one per restricted extended site.
     assert counts["omega"] == 15
-    # One stage composed per object of each unrestricted site, the full
-    # extended sites too: §3.1 and Eq 4.9 read every one of them, and the
-    # stages hold the site's only composition table.  A restriction reads
-    # its parent's.  Each build keeps one stage per distinct composition
-    # table and fixed mask, which every object with them reads: 27 of 61.
-    assert composed["stage"] == 61
+    # One stage per distinct composition table and fixed mask of each
+    # build, which every object with them reads: each object of an
+    # unrestricted site, the full extended sites too, is composed (§3.1 and
+    # Eq 4.9 read every one), and a `Stage` is built only for a table the
+    # build does not hold yet (61, one per object, while each was built
+    # before its table was looked up).  A restriction reads its parent's.
+    assert composed["stage"] == 27
     assert sum(len(built.sites.stages) for built in builds) == 27
     # Eq 3.56's plain site below a run's stage, once per (observable, stage):
     # 9 for 13 runs; one restricted extended site per (family, stage).
@@ -272,8 +273,9 @@ def test_dump_site_and_valuate_compose_only_the_stages_they_read(composed):
         for spec in scenario.runs:
             run_valuate(scenario, spec.name)
     # Each valuate builds afresh and composes only the stages that its
-    # values and sieve lists at the run's stage read.
-    assert composed == Counter(stage=27, compose=518)
+    # values and sieve lists at the run's stage read: 27 objects, with 21
+    # distinct tables within their builds.
+    assert composed == Counter(stage=21, compose=518)
 
 
 def test_a_family_build_composes_only_the_bridge_stage(composed):

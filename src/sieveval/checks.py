@@ -153,9 +153,10 @@ def _verdict_rows(verdict: dict, table: tuple, **details) -> list[dict]:
 def _lattice_law_rows(built: BuiltScenario) -> list[dict]:
     """The §2 rows, certified from the inclusion order on the generated
     sublattice L: `leq` is a partial order on L, and for every unordered
-    pair the join and meet that the closure recorded are the least upper and
-    greatest lower bounds (the elements above the join are exactly the
-    common upper bounds, and dually; both tests are symmetric in the pair).
+    pair the join that the closure recorded and the meet it read by De
+    Morgan are the least upper and greatest lower bounds (the elements above
+    the join are exactly the common upper bounds, and dually; both tests are
+    symmetric in the pair).
     A partial order in which every pair has such bounds is a lattice
     (Birkhoff, Lattice Theory), so every lattice law follows, from N² calls
     of `leq`, the independent oracle, and L's position tables: the rows
@@ -167,6 +168,7 @@ def _lattice_law_rows(built: BuiltScenario) -> list[dict]:
     except SievevalError as exc:
         return [_row("§2", "sublattice generation", False, error=str(exc))]
     n = len(lattice)
+    joins, meets, orthos = lattice.joins, lattice.meets, lattice.orthos
     # up[i]: bit j set iff lattice[i] <= lattice[j]; down is its transpose.
     up = [0] * n
     down = [0] * n
@@ -180,7 +182,7 @@ def _lattice_law_rows(built: BuiltScenario) -> list[dict]:
     # (a, b) has b above it (b is in up[a] & up[b]) and lies below b (j is in
     # up[j], so in up[b]); so j = b, and up[b] == up[a] & up[b] lies in up[a].
     ok = all(up[i] & down[i] == 1 << i for i in range(n))
-    for i, (tops, bottoms) in enumerate(zip(lattice.joins, lattice.meets)):
+    for i, (tops, bottoms) in enumerate(zip(joins, meets)):
         for j, top, bottom in zip(range(i, n), tops, bottoms):
             if up[top] != up[i] & up[j] or down[bottom] != down[i] & down[j]:
                 ok = False
@@ -193,13 +195,14 @@ def _lattice_law_rows(built: BuiltScenario) -> list[dict]:
             mode="exhaustive",
         )
     ]
-    orthos = lattice.orthos
     ortho_ok = all(orthos[c] == i for i, c in enumerate(orthos))
     orthomodular = True
     for i, c in enumerate(orthos):
         for j in range(n):
-            if up[i] >> j & 1 and lattice.join_at(i, lattice.meet_at(j, c)) != j:
-                orthomodular = False
+            if up[i] >> j & 1:
+                m = meets[j][c - j] if j <= c else meets[c][j - c]
+                if (joins[i][m - i] if i <= m else joins[m][i - m]) != j:
+                    orthomodular = False
     rows.append(
         _row(
             "§2",

@@ -24,10 +24,13 @@ eliminated once: the argument order whose first operand has the larger
 rows calls the other, and both orders return the one interned result.
 Which order eliminates, and so every count of calls and cache entries, is
 a function of the two values, not of which one the process met first or
-where it lives in memory.  `generate_sublattice` closes seeds under join,
-meet and ortho into a `Sublattice` that keeps, as position tables, the
-join and meet of each unordered pair and the ortho of each member, as the
-closure computed them, so its readers ask no lattice operation again.
+where it lives in memory.  `generate_sublattice` closes seeds under join
+and ortho, which closes them under meet too, into a `Sublattice` that
+records the position of each unordered pair's join and meet and of each
+member's ortho, so its readers ask no lattice operation again: the joins
+and orthos as the closure computed them, and each meet (P^⊥ ∨ Q^⊥)^⊥ read
+from those two tables.  It lists the same elements, in the same order, as a
+naive closure under join and ortho that recombines every pair each round.
 """
 
 from __future__ import annotations
@@ -379,14 +382,6 @@ class Sublattice:
         self.meets = meets
         self.orthos = orthos
 
-    def join_at(self, i: int, j: int) -> int:
-        """The position of the join of members i and j, in either order."""
-        return self.joins[i][j - i] if i <= j else self.joins[j][i - j]
-
-    def meet_at(self, i: int, j: int) -> int:
-        """The position of the meet of members i and j, in either order."""
-        return self.meets[i][j - i] if i <= j else self.meets[j][i - j]
-
     def __iter__(self):
         return iter(self.members)
 
@@ -398,17 +393,20 @@ class Sublattice:
 
 
 def generate_sublattice(seeds: Iterable[Subspace], cap: int) -> Sublattice:
-    """Close a seed set under meet, join, and ortho; reject at the cap.
+    """Close a seed set under join and ortho; reject at the cap.
 
-    Semi-naive: each round takes ortho of the elements new in the previous
-    round and combines only the pairs with at least one new element, every
-    other pair having been combined in an earlier round.  Deterministic:
-    elements are listed in the order they are first reached, visiting
-    pairs (p, q) with p at or before q in list order, so repeated runs
-    yield the same list.  Each combination records the position it
-    reaches: pair (i, j), j >= i, appends to row i of the join and meet
-    tables, so that row lists j = i, i + 1, ... in order, and the ortho of
-    member i is entry i of the ortho table.
+    A set closed under ortho and join is closed under meet, P ∧ Q being
+    (P^⊥ ∨ Q^⊥)^⊥, so this is the sublattice the seeds generate, and the cap
+    is met exactly when it has more members than the cap.  Semi-naive: each
+    round takes ortho of the elements new in the previous round and joins
+    only the pairs with at least one new element, every other pair having
+    been joined in an earlier round.  Deterministic: elements are listed in
+    the order they are first reached, visiting pairs (p, q) with p at or
+    before q in list order, so repeated runs yield the same list.  Each join
+    records the position it reaches: pair (i, j), j >= i, appends to row i
+    of the join table, so that row lists j = i, i + 1, ... in order, and the
+    ortho of member i is entry i of the ortho table.  The meet table is then
+    read from those two tables by De Morgan, with no lattice operation.
     """
     elements: list[Subspace] = []
     position: dict[Subspace, int] = {}
@@ -424,7 +422,6 @@ def generate_sublattice(seeds: Iterable[Subspace], cap: int) -> Sublattice:
     for s in seeds:
         add(s)
     joins: list[list[int]] = []
-    meets: list[list[int]] = []
     orthos: list[int] = []
     fresh = 0
     while fresh < len(elements):
@@ -432,11 +429,14 @@ def generate_sublattice(seeds: Iterable[Subspace], cap: int) -> Sublattice:
         for p in snapshot[fresh:]:
             orthos.append(add(ortho(p)))
             joins.append([])
-            meets.append([])
         for i, p in enumerate(snapshot):
-            join_row, meet_row = joins[i], meets[i]
+            row = joins[i]
             for q in snapshot[max(i, fresh):]:
-                join_row.append(add(join(p, q)))
-                meet_row.append(add(meet(p, q)))
+                row.append(add(join(p, q)))
         fresh = len(snapshot)
-    return Sublattice(tuple(elements), tuple(map(tuple, joins)), tuple(map(tuple, meets)), tuple(orthos))
+    # The meet of members i <= j: the ortho of the join of their orthos c, d.
+    meets = tuple(
+        tuple([orthos[joins[c][d - c] if c <= d else joins[d][c - d]] for d in orthos[i:]])
+        for i, c in enumerate(orthos)
+    )
+    return Sublattice(tuple(elements), tuple(map(tuple, joins)), meets, tuple(orthos))

@@ -9,7 +9,9 @@ rationals, is the reference the integer elimination must match entry for
 entry.  The `fraction_*` lattice operations are the Gaussian-rational join,
 meet, ortho, leq and operator image the integer subspace core replaced, and
 `fraction_mat_mul` the Gaussian-rational product the integer operators
-replaced, kept here as their reference.
+replaced, kept here as their reference.  `naive_sublattice` is the closure
+under join, meet and ortho that `generate_sublattice` replaced, the
+reference for the members it reaches and the caps it meets.
 """
 
 import copy
@@ -41,7 +43,7 @@ from sieveval import (
     subspace_from_vectors,
     zero_matrix,
 )
-from sieveval.errors import SingularMatrixError
+from sieveval.errors import LatticeCapExceeded, SingularMatrixError
 from sieveval.linalg import insert_rows, integer_kernel, integer_row, integer_rref, inverse, rational_row
 from sieveval.rationals import ZERO, GaussianRational
 from sieveval.subspaces import generate_sublattice
@@ -590,8 +592,10 @@ def test_lattice_operations_do_no_gaussian_rational_arithmetic(monkeypatch):
     misses = meet.cache_info().misses
     lattice = generate_sublattice(seeds, cap=36)
     order = [leq(p, q) for p in lattice for q in lattice]
+    meets = [meet(p, q) for p in lattice for q in lattice]
     images = [apply_operator(f, p) for f in operators for p in lattice]
     assert len(lattice) == 36 and any(order) and not all(order) and len(images) == 3 * 36
+    assert set(meets) == set(lattice)
     assert meet.cache_info().misses > misses
     # Commuting projectors P, P' (on the two planes) and Q = I - P, and a
     # phase D = i on <e3, e4>: the idempotents I, P, P', Q, 0, each times
@@ -603,3 +607,106 @@ def test_lattice_operations_do_no_gaussian_rational_arithmetic(monkeypatch):
     assert mat_mul(invertible, inverse(invertible)) == identity_matrix(4)
     assert calls == Counter()
     assert ONE * ONE + ONE == gaussian(2) and calls == Counter({"__mul__": 1, "__add__": 1})
+
+
+def naive_sublattice(seeds, cap, operations=(join, meet)):
+    """The closure `generate_sublattice` ran before it was semi-naive, and
+    before it dropped meet: each round takes ortho of every element and
+    applies each of the binary `operations` to every pair, in order."""
+    elements, seen = [], set()
+
+    def add(s):
+        if s not in seen:
+            if len(elements) >= cap:
+                raise LatticeCapExceeded(cap)
+            seen.add(s)
+            elements.append(s)
+
+    for s in seeds:
+        add(s)
+    changed = bool(elements)
+    while changed:
+        snapshot = list(elements)
+        for p in snapshot:
+            add(ortho(p))
+        for i, p in enumerate(snapshot):
+            for q in snapshot[i:]:
+                for operation in operations:
+                    add(operation(p, q))
+        changed = len(elements) != len(snapshot)
+    return elements
+
+
+def entry(table, i, j):
+    """A `Sublattice` table's entry for members i and j, in either order."""
+    return table[i][j - i] if i <= j else table[j][i - j]
+
+
+def tables_hold(lattice) -> bool:
+    """Every row i of the join and meet tables holds the entries for j >= i,
+    each the position of the `join` or `meet` of members i and j, read in
+    either order, and each ortho entry is the position of the member's
+    `ortho`."""
+    members, n = lattice.members, len(lattice)
+    return (
+        all(len(lattice.joins[i]) == len(lattice.meets[i]) == n - i for i in range(n))
+        and all(
+            members[entry(lattice.joins, i, j)] is join(p, q) and members[entry(lattice.meets, i, j)] is meet(p, q)
+            for i, p in enumerate(members)
+            for j, q in enumerate(members)
+        )
+        and all(members[c] is ortho(p) for p, c in zip(members, lattice.orthos))
+    )
+
+
+# Small seeds of C^2 and C^3 generate sublattices of 2 to 12 members, or an
+# infinite one, which every cap up to this one stops.
+LATTICE_CAP = 16
+
+
+@st.composite
+def sublattice_seeds(draw):
+    """One to three rays or planes of C^n, n = 2 or 3, each spanned by
+    vectors with real and imaginary parts in {-1, 0, 1}: zero and repeated
+    seeds, nested and orthogonal pairs are all likely."""
+    n = draw(st.integers(2, 3))
+    box = st.builds(gaussian, st.integers(-1, 1), st.integers(-1, 1))
+    vectors = st.lists(st.lists(box, min_size=n, max_size=n), min_size=1, max_size=n - 1)
+    return [subspace_from_vectors(n, draw(vectors)) for _ in range(draw(st.integers(1, 3)))]
+
+
+def closure_or_cap(close, seeds, cap):
+    """The members `close` reaches from the seeds, as a set, or None where it
+    meets the cap."""
+    try:
+        return set(close(seeds, cap))
+    except LatticeCapExceeded:
+        return None
+
+
+@settings(max_examples=examples(100), deadline=None, derandomize=True)
+@given(sublattice_seeds())
+def test_join_and_ortho_reach_the_members_and_caps_of_the_meet_closure(seeds):
+    """At every cap up to `LATTICE_CAP`, `generate_sublattice` reaches the
+    member set of the closure under join, meet and ortho, or meets the cap
+    where that closure does; its tables hold wherever it closes."""
+    for cap in range(1, LATTICE_CAP + 1):
+        members = closure_or_cap(generate_sublattice, seeds, cap)
+        assert members == closure_or_cap(naive_sublattice, seeds, cap), cap
+    if members is not None:
+        assert tables_hold(generate_sublattice(seeds, LATTICE_CAP))
+
+
+def test_sublattice_seeds_reach_large_closures_and_the_cap():
+    """The draws above include closures of 8 or more members and closures
+    that meet the cap."""
+    sizes = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(sublattice_seeds())
+    def collect(seeds):
+        members = closure_or_cap(generate_sublattice, seeds, LATTICE_CAP)
+        sizes.add(None if members is None else len(members))
+
+    collect()
+    assert None in sizes and max(size for size in sizes if size is not None) >= 8

@@ -34,7 +34,7 @@ from sieveval import checks as checks_module
 from sieveval import subspaces as subspaces_module
 from sieveval.errors import LatticeCapExceeded
 from sieveval.subspaces import Sublattice, generate_sublattice, join, leq, meet, ortho, subspace_from_vectors
-from test_exact_core import fraction_meet
+from test_exact_core import fraction_meet, naive_sublattice, tables_hold
 
 
 def mo_scenario(k: int) -> dict:
@@ -89,33 +89,6 @@ def oracle_orthomodular(lattice) -> bool:
     )
 
 
-def naive_sublattice(seeds, cap):
-    """The closure `generate_sublattice` ran before it was semi-naive: each
-    round takes ortho of every element and combines every pair."""
-    elements, seen = [], set()
-
-    def add(s):
-        if s not in seen:
-            if len(elements) >= cap:
-                raise LatticeCapExceeded(cap)
-            seen.add(s)
-            elements.append(s)
-
-    for s in seeds:
-        add(s)
-    changed = bool(elements)
-    while changed:
-        snapshot = list(elements)
-        for p in snapshot:
-            add(ortho(p))
-        for i, p in enumerate(snapshot):
-            for q in snapshot[i:]:
-                add(join(p, q))
-                add(meet(p, q))
-        changed = len(elements) != len(snapshot)
-    return elements
-
-
 def built_scenarios():
     for name in bundled_scenario_names():
         yield name, build_scenario(load_scenario(bundled_scenario_path(name)))
@@ -130,23 +103,6 @@ def sublattice(built):
 
 def an_incomparable_pair(lattice):
     return next((p, q) for p in lattice for q in lattice if not leq(p, q) and not leq(q, p))
-
-
-def tables_hold(lattice) -> bool:
-    """Every row i of the join and meet tables holds the entries for j >= i,
-    each the position of the `join` or `meet` of members i and j, read in
-    either order, and each ortho entry is the position of the member's
-    `ortho`."""
-    members, n = lattice.members, len(lattice)
-    return (
-        all(len(lattice.joins[i]) == len(lattice.meets[i]) == n - i for i in range(n))
-        and all(
-            members[lattice.join_at(i, j)] is join(p, q) and members[lattice.meet_at(i, j)] is meet(p, q)
-            for i, p in enumerate(members)
-            for j, q in enumerate(members)
-        )
-        and all(members[c] is ortho(p) for p, c in zip(members, lattice.orthos))
-    )
 
 
 def with_table_entry(lattice, table: str, p, q, wrong):
@@ -216,17 +172,62 @@ print(json.dumps({"size": rows[0]["details"]["size"], "passed": passed, "calls":
 
 
 def test_cold_lattice_rows_eliminate_each_unordered_pair_once(workloads, run_fresh):
-    """Each join and meet of the 36-element sublattice is asked in both
-    argument orders; one elimination serves both (1,356 eliminations when
-    each order ran its own).  Pairs are oriented by their canonical rows, not
-    by address or interning order, so the count is exact.  Every elimination
-    is one call of `insert_rows`: 546 by `join`, which inserts one operand's
-    rows into the other's, and 48 from no rows, by `integer_rref`."""
+    """The closure joins each unordered pair of the 36-element sublattice
+    once and reads each meet from its join and ortho tables (1,356
+    eliminations when each argument order of each join and meet ran its
+    own).  Pairs are oriented by their canonical rows, not by address or
+    interning order, so the count is exact.  Every elimination is one call
+    of `insert_rows`: 546 by `join`, which inserts one operand's rows into
+    the other's, and 48 from no rows, by `integer_rref`."""
     done = run_fresh(COLD_LATTICE_ROWS, workloads.__file__)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["size"] == 36 and result["passed"] == [True, True]
     assert result["calls"] == 594, result
+
+
+# A cold check of the benchmark's `lattice_scenario(1)`, parse included, in
+# a fresh interpreter: its `insert_rows` calls and the entries it leaves in
+# the join and meet caches.
+COLD_LATTICE_CHECK = """
+import importlib.util, json, sys
+from sieveval import linalg, run_check, scenario_from_dict, subspaces
+
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+calls = 0
+insert = linalg.insert_rows
+
+
+def counted(*args):
+    global calls
+    calls += 1
+    return insert(*args)
+
+
+linalg.insert_rows = subspaces.insert_rows = counted
+report = run_check(scenario_from_dict(workloads.lattice_scenario(1)))
+print(json.dumps({
+    "passed": report["passed"],
+    "calls": calls,
+    "join_entries": subspaces.join.cache_info().currsize,
+    "meet_entries": subspaces.meet.cache_info().currsize,
+}))
+"""
+
+
+def test_a_cold_lattice_check_asks_meet_only_outside_the_closure(workloads, run_fresh):
+    """The closure asks `meet` of no pair, so the meet cache keeps only the
+    entries of the universe's meet table and the atoms' projections (969
+    while the closure asked `meet` of each of its 666 pairs); the
+    eliminations are the same 723 (584 by `join`, 139 by `integer_rref`), and
+    the join cache loses the joins of orthocomplements that only those meets
+    asked (1,125 entries before)."""
+    done = run_fresh(COLD_LATTICE_CHECK, workloads.__file__)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result == {"passed": True, "calls": 723, "join_entries": 988, "meet_entries": 55}
 
 
 # A cold check of a generated chain after `argv[2]` allocations of assorted
@@ -415,24 +416,37 @@ def test_mo25_is_certified_exhaustively():
 
 
 def test_semi_naive_closure_matches_the_naive_one(workloads):
-    """Same list, same order, and `LatticeCapExceeded` at the same caps, on
-    every bundled scenario, MO_1..MO_5 and the benchmark's 36-element
-    `lattice` scenario."""
+    """Same list, same order, and `LatticeCapExceeded` at the same caps as
+    the naive closure under join and ortho, on every bundled scenario,
+    MO_1..MO_5 and the benchmark's 36-element `lattice` scenario; and the
+    same members, and the same caps, as the naive closure under join, meet
+    and ortho, which reaches them in another order on some of these."""
     scenarios = [load_scenario(bundled_scenario_path(name)) for name in bundled_scenario_names()]
     scenarios += [scenario_from_dict(mo_scenario(k)) for k in range(1, 6)]
     scenarios.append(scenario_from_dict(workloads.lattice_scenario(73)))
-    sizes = []
+    sizes, reordered = [], []
     for sc in scenarios:
         seeds = [sc.propositions[n] for n in sc.lattice_seeds]
-        expected = naive_sublattice(seeds, sc.caps["lattice"])
+        expected = naive_sublattice(seeds, sc.caps["lattice"], (join,))
+        with_meet = naive_sublattice(seeds, sc.caps["lattice"])
         assert list(generate_sublattice(seeds, sc.caps["lattice"])) == expected, sc.name
+        assert set(with_meet) == set(expected) and len(with_meet) == len(expected), sc.name
         for cap in range(1, len(expected) + 1):
-            try:
-                naive = naive_sublattice(seeds, cap)
-            except LatticeCapExceeded:
+            outcomes = []
+            for operations in ((join,), (join, meet)):
+                try:
+                    outcomes.append(naive_sublattice(seeds, cap, operations))
+                except LatticeCapExceeded:
+                    outcomes.append(None)
+            naive, naive_with_meet = outcomes
+            assert (naive is None) == (naive_with_meet is None) == (cap < len(expected)), (sc.name, cap)
+            if naive is None:
                 with pytest.raises(LatticeCapExceeded):
                     generate_sublattice(seeds, cap)
             else:
                 assert list(generate_sublattice(seeds, cap)) == naive, (sc.name, cap)
         sizes.append(len(expected))
+        if with_meet != expected:
+            reordered.append(sc.name)
     assert sizes[-6:] == [4, 6, 8, 10, 12, 36]
+    assert reordered == ["qutrit", "qutrit_extended", "lattice-73"]
